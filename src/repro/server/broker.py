@@ -21,10 +21,10 @@ Design points, in contract order:
   ``route_many``/``estimate_many`` the backend already has, and those
   are per-query deterministic — so any window shape returns exactly the
   bytes in-process serving would.  Pinned by ``tests/server/``.
-* **Backpressure.**  The pending queue is bounded (``max_pending``
-  submissions); when it fills, ``await broker.route(...)`` blocks *the
-  submitting client* until a window drains.  Slow consumers wait;
-  memory never grows without bound.
+* **Backpressure.**  A lane holds at most ``max_pending`` submissions
+  that no window has taken yet; when it is full, ``await
+  broker.route(...)`` blocks *the submitting client* until a window
+  takes some.  Slow consumers wait; memory never grows without bound.
 * **Validation at the door.**  Pairs are validated at submit time with
   the same ``validate_pairs`` prepass every other serve path uses —
   a malformed request raises immediately in the caller and can never
@@ -40,8 +40,17 @@ Design points, in contract order:
   waits for in-flight dispatches, then closes owned backends (e.g. a
   pool opened by ``SchemePipeline.serve_async``).
 
+Mechanism: there is no dispatcher coroutine.  :meth:`RequestBroker.
+submit` is a plain function — validate, append to the lane's window,
+return a future — and a window is closed by whichever comes first: the
+arrival that brings it to ``max_batch`` pairs, one timer armed by its
+first arrival, or, while a fused call is running, the end
+of that call (the executor future's done-callback dispatches the next
+window).  The per-request cost on the event loop is one future and one
+deque append; everything else is paid once per window.
+
 The broker is loop-bound: it binds to the running event loop on first
-use, and all its methods must be awaited from that loop.  Backends are
+use, and all its methods must be called from that loop.  Backends are
 driven on a single worker thread (``run_in_executor``), which both
 keeps the event loop responsive during a fused call and serializes
 dispatches FIFO — a pool backend serializes batches internally anyway.
@@ -51,16 +60,15 @@ from __future__ import annotations
 
 import asyncio
 import operator
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 from ..exceptions import ParameterError, ServingError
-from ..telemetry.trace import get_tracer, maybe_span, \
+from ..telemetry.trace import NOOP_SPAN, get_tracer, maybe_span, \
     sampled_request_tracer
 from .metrics import BrokerMetrics
-
-#: Queue sentinel: "no more submissions, flush and exit".
-_SHUTDOWN = object()
 
 _ROUTE = "route"
 _ESTIMATE = "estimate"
@@ -68,9 +76,8 @@ _ESTIMATE = "estimate"
 
 class _Submission:
     """One client request: its pairs, its future, its clock, and (when
-    tracing is on) its ``serve.queue`` span — started at enqueue on the
-    submitter's task, finished at dispatch on the lane task (an
-    explicit cross-task link; contextvars do not cross tasks)."""
+    it is traced) its ``serve.queue`` span — started at submit,
+    finished when a window takes it."""
 
     __slots__ = ("pairs", "future", "enqueued_at", "span")
 
@@ -82,21 +89,29 @@ class _Submission:
 
 
 class _Lane:
-    """One coalescing lane (route or estimate): a bounded queue plus
-    the dispatcher task draining it window by window."""
+    """One coalescing lane (route or estimate): the submissions no
+    window has taken yet, and what will close the window they form."""
 
-    __slots__ = ("name", "serve", "queue", "task", "pending")
+    __slots__ = ("name", "serve", "queue", "queued_pairs", "timer",
+                 "busy", "admitted", "settled", "progress",
+                 "room_waiters")
 
-    def __init__(self, name, serve, max_pending):
+    def __init__(self, name, serve):
         self.name = name
         #: blocking callable(pairs) -> (generation, results); rebound
         #: atomically by an in-process hot swap
         self.serve = serve
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=max_pending)
-        self.task: Optional[asyncio.Task] = None
-        #: unresolved submission futures, for drain(); each removes
-        #: itself on completion
-        self.pending: set = set()
+        self.queue: deque = deque()
+        self.queued_pairs = 0
+        #: the ``call_at`` handle that closes the open window on time;
+        #: ``None`` while a fused call runs (its end closes the next)
+        self.timer: Optional[asyncio.TimerHandle] = None
+        self.busy = False
+        self.admitted = 0        #: submissions ever queued
+        self.settled = 0         #: ... resolved, or dropped as abandoned
+        self.progress = asyncio.Event()   #: set when ``settled`` moves
+        #: futures of submitters waiting for room, first come first woken
+        self.room_waiters: deque = deque()
 
 
 def _tagged_serve(backend, method: str, generation: int):
@@ -155,7 +170,8 @@ class RequestBroker:
         concurrency pressure.
     max_pending:
         Bound on queued submissions per lane — the backpressure knob.
-        Submitters beyond it wait in ``queue.put`` order.
+        Submitters beyond it wait in :meth:`room`, first come first
+        woken.
     own:
         Backends the broker should ``close()`` on ``aclose()`` (the
         pipeline hands pools it opened here).
@@ -195,6 +211,7 @@ class RequestBroker:
                 f"max_pending must be >= 1, got {max_pending}")
         self.max_batch = int(max_batch)
         self.max_wait = float(max_wait_ms) / 1000.0
+        self._max_pending = int(max_pending)
         self._router = router
         self._estimator = estimator
         self._own = list(own)
@@ -208,14 +225,13 @@ class RequestBroker:
         if router is not None:
             serve = _tagged_serve(router, "route_many",
                                   self._router_generation)
-            self._lanes[_ROUTE] = _Lane(_ROUTE, serve, max_pending)
+            self._lanes[_ROUTE] = _Lane(_ROUTE, serve)
         if estimator is not None:
             serve = _tagged_serve(estimator, "estimate_many", 0)
-            self._lanes[_ESTIMATE] = _Lane(_ESTIMATE, serve,
-                                           max_pending)
+            self._lanes[_ESTIMATE] = _Lane(_ESTIMATE, serve)
         self.metrics = BrokerMetrics(
             metrics_window,
-            queue_depth=lambda: sum(lane.queue.qsize()
+            queue_depth=lambda: sum(len(lane.queue)
                                     for lane in self._lanes.values()),
             registry=registry)
         # One worker thread: fused dispatches run off-loop (the event
@@ -260,7 +276,7 @@ class RequestBroker:
                           ) -> List:
         """A small client batch of routing lookups, served fused with
         whatever else the window collects; results in input order."""
-        return await self._submit(_ROUTE, self._router, pairs)
+        return await self._request(_ROUTE, pairs)
 
     async def estimate(self, u: int, v: int) -> float:
         """One distance estimate (Algorithm 2)."""
@@ -269,7 +285,7 @@ class RequestBroker:
     async def estimate_batch(self, pairs: Sequence[Tuple[int, int]]
                              ) -> List[float]:
         """A small client batch of distance estimates."""
-        return await self._submit(_ESTIMATE, self._estimator, pairs)
+        return await self._request(_ESTIMATE, pairs)
 
     # -- hot swap ------------------------------------------------------
     @property
@@ -303,8 +319,7 @@ class RequestBroker:
         if lane is None:
             raise ParameterError("this broker has no routing backend "
                                  "to swap")
-        self._ensure_started()
-        loop = self._loop
+        loop = self._bind_loop()
         router = self._router
         swap_span = maybe_span("broker.swap",
                                attrs={"backend": type(router).__name__})
@@ -351,7 +366,16 @@ class RequestBroker:
         return latency
 
     # -- submission ----------------------------------------------------
-    async def _submit(self, kind: str, backend, pairs) -> List:
+    async def _request(self, kind: str, pairs) -> List:
+        await self.room(kind)
+        future = self.submit(kind, pairs)
+        try:
+            return await future
+        except asyncio.CancelledError:
+            self.metrics.record_cancelled()
+            raise
+
+    def _open_lane(self, kind: str) -> _Lane:
         if self._closed:
             raise ServingError(
                 f"cannot submit {kind} requests to a closed broker")
@@ -359,138 +383,148 @@ class RequestBroker:
         if lane is None:
             raise ParameterError(
                 f"this broker has no {kind} backend")
+        return lane
+
+    def _bind_loop(self) -> asyncio.AbstractEventLoop:
+        """The running loop, which the first use binds the broker to."""
+        loop = asyncio.get_running_loop()
+        if self._loop is not loop:
+            if self._loop is not None:
+                raise ServingError(
+                    "RequestBroker is bound to another event loop; "
+                    "create one broker per loop")
+            self._loop = loop
+        return loop
+
+    async def room(self, kind: str) -> None:
+        """Wait until the ``kind`` lane can take one more submission —
+        the backpressure point.  Returns at once while it can."""
+        while True:
+            lane = self._open_lane(kind)
+            # tested again after every wake-up: the room this caller was
+            # woken for may have gone to a submitter that did not wait
+            if len(lane.queue) < self._max_pending:
+                return
+            waiter = self._bind_loop().create_future()
+            lane.room_waiters.append(waiter)
+            try:
+                await waiter
+            except asyncio.CancelledError:
+                # a wake-up spent on this caller goes to the next one
+                self._wake_room(lane)
+                raise
+
+    def _wake_room(self, lane: _Lane) -> None:
+        room = self._max_pending - len(lane.queue)
+        waiters = lane.room_waiters
+        while waiters and (room > 0 or self._closed):
+            waiter = waiters.popleft()
+            if not waiter.done():
+                waiter.set_result(None)
+                room -= 1
+
+    def submit(self, kind: str, pairs: Sequence[Tuple[int, int]],
+               parent=None) -> "asyncio.Future":
+        """Queue one request without waiting; the returned future
+        resolves to its results, in input order.
+
+        Everything that can be wrong with the request is raised here,
+        in the caller, before it enters a window shared with others:
+        :class:`ServingError` on a closed broker, :class:`ParameterError`
+        from the backend's own ``validate_pairs``.  A full lane is a
+        :class:`ServingError` too — a caller that can outrun the backend
+        awaits :meth:`room` first, as ``route``/``estimate`` do.
+
+        ``parent`` carries the caller's tracing decision for this
+        request: its sampled span (the TCP server's ``serve.request``),
+        or ``NOOP_SPAN`` for a request it chose not to trace.  ``None``
+        leaves head sampling to the broker.
+        """
+        lane = self._open_lane(kind)
+        loop = self._bind_loop()
         pairs = list(pairs)
         if not pairs:
-            return []
-        # Same validation authority as every other serve path; raises
-        # in *this* caller, before anything enters a shared window.
+            served = loop.create_future()
+            served.set_result([])
+            return served
+        # Same validation authority as every other serve path.
+        backend = self._router if kind == _ROUTE else self._estimator
         backend.validate_pairs(pairs)
         index = operator.index
         pairs = [(index(u), index(v)) for u, v in pairs]
-        self._ensure_started()
-        loop = self._loop
+        if len(lane.queue) >= self._max_pending:
+            raise ServingError(
+                f"the {kind} lane already holds {self._max_pending} "
+                "waiting submissions; await room() before submit()")
         sub = _Submission(pairs, loop.create_future(), loop.time())
-        # Head sampling: under a TrafficServer the serve.request span
-        # already made the decision (it is — or isn't — in this task's
-        # context); a direct broker call decides here.  serve.submit
-        # covers the enqueue (incl. backpressure waiting); its
-        # serve.queue child is finished by the lane task at dispatch
-        # time — the explicit cross-task link.
-        tracer = sampled_request_tracer()
         submit_span = None
-        if tracer is not None:
-            submit_span = tracer.span(
-                "serve.submit",
-                attrs={"lane": kind, "pairs": len(pairs)})
+        if parent is None:
+            tracer = sampled_request_tracer()
+            if tracer is not None:
+                submit_span = tracer.span("serve.submit")
+        elif parent is not NOOP_SPAN:
+            submit_span = parent.child("serve.submit")
+        if submit_span is not None:
+            submit_span.set(lane=kind, pairs=len(pairs))
             sub.span = submit_span.child("serve.queue")
-        lane.pending.add(sub.future)
-        sub.future.add_done_callback(lane.pending.discard)
+        lane.queue.append(sub)
+        lane.queued_pairs += len(pairs)
+        lane.admitted += 1
         self.metrics.record_submit()
-        try:
-            await lane.queue.put(sub)    # backpressure point
-        except asyncio.CancelledError:
-            # Cancelled while blocked on backpressure: the submission
-            # never entered the queue, so resolve its future here —
-            # otherwise it stays in lane.pending and drain() waits on
-            # it forever.
-            sub.future.cancel()
-            self.metrics.record_cancelled()
-            if submit_span is not None:
-                sub.span.finish(error="cancelled")
-                submit_span.finish(error="cancelled")
-            raise
+        # A running fused call closes the next window when it ends; an
+        # idle lane needs its timer armed by the window's first arrival,
+        # or the window closed now by the arrival that fills it.
+        if not lane.busy:
+            self._schedule(lane)
         if submit_span is not None:
             submit_span.finish()
-        if self._closed and not sub.future.done():
-            # Raced past aclose(): the dispatcher may already have
-            # flushed and exited, so fail deterministically instead of
-            # awaiting a future nobody will resolve.
-            sub.future.cancel()
-            raise ServingError(
-                f"broker closed while the {kind} request was queued")
-        try:
-            return await sub.future
-        except asyncio.CancelledError:
-            self.metrics.record_cancelled()
-            raise
+        return sub.future
 
-    def _ensure_started(self) -> None:
-        """Bind to the running loop and start lane dispatchers once."""
-        loop = asyncio.get_running_loop()
-        if self._loop is None:
-            self._loop = loop
-        elif self._loop is not loop:
-            raise ServingError(
-                "RequestBroker is bound to another event loop; create "
-                "one broker per loop")
-        for lane in self._lanes.values():
-            if lane.task is None:
-                lane.task = loop.create_task(
-                    self._run_lane(lane), name=f"broker-{lane.name}")
+    # -- windows -------------------------------------------------------
+    def _schedule(self, lane: _Lane) -> None:
+        """Idle lane: dispatch what is queued if the window is full (or
+        the broker is flushing), else close it ``max_wait`` after its
+        first arrival."""
+        if lane.queued_pairs >= self.max_batch or self._closed:
+            self._dispatch(lane)
+        elif lane.queue and lane.timer is None:
+            # call_at, also for a time already past (max_wait 0, or a
+            # window that aged while the last call ran): what arrives in
+            # this pass of the loop still joins
+            lane.timer = self._loop.call_at(
+                lane.queue[0].enqueued_at + self.max_wait,
+                self._dispatch, lane)
 
-    # -- coalescing dispatcher -----------------------------------------
-    async def _run_lane(self, lane: _Lane) -> None:
-        """Drain the lane queue window by window until the sentinel."""
-        queue = lane.queue
-        while True:
-            first = await queue.get()
-            if first is _SHUTDOWN:
-                return
-            batch = [first]
-            total = len(first.pairs)
-            stop = False
-            if total < self.max_batch and self.max_wait > 0:
-                deadline = self._loop.time() + self.max_wait
-                while total < self.max_batch:
-                    remaining = deadline - self._loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        nxt = await asyncio.wait_for(queue.get(),
-                                                     remaining)
-                    except asyncio.TimeoutError:
-                        break
-                    if nxt is _SHUTDOWN:
-                        stop = True
-                        break
-                    batch.append(nxt)
-                    total += len(nxt.pairs)
-            else:
-                # max_wait == 0 (or the first submission already fills
-                # the window): no sleeping — only fuse what is queued
-                # right now.
-                while total < self.max_batch:
-                    try:
-                        nxt = queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    if nxt is _SHUTDOWN:
-                        stop = True
-                        break
-                    batch.append(nxt)
-                    total += len(nxt.pairs)
-            await self._dispatch(lane, batch)
-            if stop:
-                return
-
-    async def _dispatch(self, lane: _Lane,
-                        batch: List[_Submission]) -> None:
-        """Fuse one window, serve it off-loop, demultiplex results.
+    def _dispatch(self, lane: _Lane) -> None:
+        """Take one window off the lane and serve it off-loop.
 
         The dispatch boundary is where the latency decomposition is
         recorded: everything before ``dispatch_start`` is queue-wait
         (per submission), everything after is service time (shared by
         the whole fused window).
         """
-        live = [sub for sub in batch if not sub.future.done()]
-        if not live:
-            for sub in batch:
+        if lane.timer is not None:
+            lane.timer.cancel()
+            lane.timer = None
+        queue = lane.queue
+        live: List[_Submission] = []
+        fused: List[Tuple[int, int]] = []
+        while queue and len(fused) < self.max_batch:
+            sub = queue.popleft()
+            lane.queued_pairs -= len(sub.pairs)
+            if sub.future.done():
+                # abandoned by its client: dropped here, and nobody
+                # else in the window notices
+                lane.settled += 1
+                lane.progress.set()
                 if sub.span is not None:
                     sub.span.finish(error="cancelled")
+            else:
+                live.append(sub)
+                fused.extend(sub.pairs)
+        self._wake_room(lane)
+        if not live:
             return
-        fused: List[Tuple[int, int]] = []
-        for sub in live:
-            fused.extend(sub.pairs)
         self.metrics.record_dispatch(len(fused))
         dispatch_start = self._loop.time()
         # Span bookkeeping: the window span parents to the first
@@ -500,25 +534,20 @@ class RequestBroker:
         # now with its measured wait.  Windows with no sampled
         # submission cost nothing — that is the sampling contract.
         dispatch_span = None
-        parent = next((sub.span for sub in live
-                       if sub.span is not None), None)
-        if parent is not None:
-            dispatch_span = parent.child(
-                "serve.dispatch",
-                {"lane": lane.name, "fused_size": len(fused),
-                 "submissions": len(live)})
-        for sub in batch:
-            if sub.span is None:
-                continue
-            if sub.future.done():
-                sub.span.finish(error="cancelled")
-            else:
-                sub.span.finish(queue_wait_s=round(
-                    dispatch_start - sub.enqueued_at, 6))
         # lane.serve is captured here, before the executor hop: an
         # in-process swap rebinding it mid-window cannot split the
         # window across artifacts.
         serve = lane.serve
+        for sub in live:
+            if sub.span is None:
+                continue
+            if dispatch_span is None:
+                dispatch_span = sub.span.child(
+                    "serve.dispatch",
+                    {"lane": lane.name, "fused_size": len(fused),
+                     "submissions": len(live)})
+            sub.span.finish(queue_wait_s=round(
+                dispatch_start - sub.enqueued_at, 6))
         if dispatch_span is not None:
             def serve(pairs, _serve=serve, _parent=dispatch_span):
                 # Executor thread: contextvars don't follow, so the
@@ -528,47 +557,63 @@ class RequestBroker:
                     return _serve(pairs)
                 finally:
                     worker_span.finish()
+        lane.busy = True
+        self._loop.run_in_executor(
+            self._executor, serve, fused).add_done_callback(partial(
+                self._demux, lane, live, dispatch_start, dispatch_span))
+
+    def _demux(self, lane: _Lane, live: List[_Submission],
+               dispatch_start: float, dispatch_span,
+               served: "asyncio.Future") -> None:
+        """A fused call ended: hand every submission its slice (or the
+        window's error), then dispatch or time the next window."""
+        lane.busy = False
         try:
-            generation, results = await self._loop.run_in_executor(
-                self._executor, serve, fused)
+            generation, results = served.result()
         except Exception as exc:
             # Window-scoped failure: every submission in this window
             # shares the cause; the lane keeps serving the next one.
             if dispatch_span is not None:
                 dispatch_span.finish(error=type(exc).__name__)
+            failed = [sub.future for sub in live
+                      if not sub.future.done()]
+            for future in failed:
+                future.set_exception(exc)
+            self.metrics.record_failure(len(failed))
+        else:
+            if lane.name == _ROUTE:
+                self.metrics.record_window_generation(generation)
+            demux_span = (dispatch_span.child("serve.demux")
+                          if dispatch_span is not None else None)
+            now = self._loop.time()
+            latencies: List[float] = []
+            queue_waits: List[float] = []
+            offset = 0
             for sub in live:
+                end = offset + len(sub.pairs)
                 if not sub.future.done():
-                    self.metrics.record_failure()
-                    sub.future.set_exception(exc)
-            return
-        if lane.name == _ROUTE:
-            self.metrics.record_window_generation(generation)
-        demux_span = (dispatch_span.child("serve.demux")
-                      if dispatch_span is not None else None)
-        offset = 0
-        now = self._loop.time()
-        service = now - dispatch_start
-        for sub in live:
-            chunk = results[offset:offset + len(sub.pairs)]
-            offset += len(sub.pairs)
-            if not sub.future.done():
-                sub.future.set_result(chunk)
-                self.metrics.record_done(
-                    now - sub.enqueued_at,
-                    queue_wait_seconds=dispatch_start - sub.enqueued_at,
-                    service_seconds=service)
-        if demux_span is not None:
-            demux_span.finish()
-            dispatch_span.finish(generation=generation)
+                    sub.future.set_result(results[offset:end])
+                    latencies.append(now - sub.enqueued_at)
+                    queue_waits.append(dispatch_start - sub.enqueued_at)
+                offset = end
+            self.metrics.record_window(latencies, queue_waits,
+                                       now - dispatch_start)
+            if demux_span is not None:
+                demux_span.finish()
+                dispatch_span.finish(generation=generation)
+        lane.settled += len(live)
+        lane.progress.set()
+        self._schedule(lane)
 
     # -- lifecycle -----------------------------------------------------
     async def drain(self) -> None:
         """Wait until every currently outstanding submission has
         resolved (without closing).  Useful between load phases."""
-        futures = [fut for lane in self._lanes.values()
-                   for fut in list(lane.pending)]
-        if futures:
-            await asyncio.gather(*futures, return_exceptions=True)
+        for lane in self._lanes.values():
+            target = lane.admitted
+            while lane.settled < target:
+                lane.progress.clear()
+                await lane.progress.wait()
 
     async def aclose(self) -> None:
         """Graceful shutdown: reject new submissions, flush every
@@ -576,25 +621,14 @@ class RequestBroker:
         if self._closed:
             return
         self._closed = True
-        started = [lane for lane in self._lanes.values()
-                   if lane.task is not None]
-        for lane in started:
-            await lane.queue.put(_SHUTDOWN)
-        if started:
-            await asyncio.gather(*(lane.task for lane in started))
-        # Submissions that raced behind the sentinel can never be
-        # served; fail them deterministically.
         for lane in self._lanes.values():
-            while True:
-                try:
-                    sub = lane.queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if sub is _SHUTDOWN or sub.future.done():
-                    continue
-                self.metrics.record_failure()
-                sub.future.set_exception(ServingError(
-                    "broker closed before this request was served"))
+            # closed: windows no longer wait to fill, and each fused
+            # call's end dispatches the next until the lane is empty
+            if not lane.busy:
+                self._schedule(lane)
+            # submitters still waiting for room get the closed error
+            self._wake_room(lane)
+        await self.drain()
         self._executor.shutdown(wait=True)
         for backend in self._own:
             close = getattr(backend, "close", None)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..telemetry.registry import MetricsRegistry
 
@@ -81,10 +81,13 @@ class LatencyRecorder:
         self._instrument = instrument
 
     def observe(self, seconds: float) -> None:
-        self._samples.append(seconds)
-        self.count += 1
+        self.observe_many((seconds,))
+
+    def observe_many(self, seconds: Sequence[float]) -> None:
+        self._samples.extend(seconds)
+        self.count += len(seconds)
         if self._instrument is not None:
-            self._instrument.observe(seconds)
+            self._instrument.observe_many(seconds)
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -132,9 +135,15 @@ class BrokerMetrics:
                  registry: Optional[MetricsRegistry] = None) -> None:
         reg = registry if registry is not None else MetricsRegistry()
         self.registry = reg
-        self._events = reg.counter(
+        events = reg.counter(
             "repro_broker_requests_total",
             "broker request lifecycle events", labelnames=("event",))
+        # the label children, looked up once: the hot path increments
+        # them directly
+        self._submitted = events.labels(event="submitted")
+        self._completed = events.labels(event="completed")
+        self._failed = events.labels(event="failed")
+        self._cancelled = events.labels(event="cancelled")
         self._dispatches = reg.counter(
             "repro_broker_dispatches_total", "fused backend calls issued")
         self._fused_pairs = reg.counter(
@@ -173,28 +182,29 @@ class BrokerMetrics:
 
     # -- recording (event-loop thread only) ----------------------------
     def record_submit(self) -> None:
-        self._events.labels(event="submitted").inc()
+        self._submitted.inc()
 
     def record_dispatch(self, fused_size: int) -> None:
         self._dispatches.inc()
         self._fused_pairs.inc(fused_size)
         self._batch_sizes.labels(size=str(fused_size)).inc()
 
-    def record_done(self, latency_seconds: float,
-                    queue_wait_seconds: Optional[float] = None,
-                    service_seconds: Optional[float] = None) -> None:
-        self._events.labels(event="completed").inc()
-        self.latency.observe(latency_seconds)
-        if queue_wait_seconds is not None:
-            self.queue_wait.observe(queue_wait_seconds)
-        if service_seconds is not None:
-            self.service.observe(service_seconds)
+    def record_window(self, latencies: Sequence[float],
+                      queue_waits: Sequence[float],
+                      service_seconds: float) -> None:
+        """The completed submissions of one fused window, recorded in
+        one call: a latency and a queue wait each, and the service time
+        they all share."""
+        self._completed.inc(len(latencies))
+        self.latency.observe_many(latencies)
+        self.queue_wait.observe_many(queue_waits)
+        self.service.observe_many([service_seconds] * len(latencies))
 
-    def record_failure(self) -> None:
-        self._events.labels(event="failed").inc()
+    def record_failure(self, count: int) -> None:
+        self._failed.inc(count)
 
     def record_cancelled(self) -> None:
-        self._events.labels(event="cancelled").inc()
+        self._cancelled.inc()
 
     def record_swap(self, latency_seconds: float,
                     generation: int) -> None:
@@ -206,24 +216,21 @@ class BrokerMetrics:
         self._generation_windows.labels(generation=str(generation)).inc()
 
     # -- reading the instruments back ----------------------------------
-    def _event_count(self, event: str) -> int:
-        return int(self._events.labels(event=event).value)
-
     @property
     def submitted(self) -> int:
-        return self._event_count("submitted")
+        return int(self._submitted.value)
 
     @property
     def completed(self) -> int:
-        return self._event_count("completed")
+        return int(self._completed.value)
 
     @property
     def failed(self) -> int:
-        return self._event_count("failed")
+        return int(self._failed.value)
 
     @property
     def cancelled(self) -> int:
-        return self._event_count("cancelled")
+        return int(self._cancelled.value)
 
     @property
     def dispatches(self) -> int:

@@ -31,8 +31,9 @@ Responses:
   ``ERR`` with id ``-`` and then the connection closes; every decodable
   frame keeps the connection alive.
 
-The module is transport-agnostic: pure ``bytes <-> message`` codecs
-plus the asyncio stream helpers ``read_frame``/``write_frame``.
+The module is transport-agnostic: pure ``bytes <-> message`` codecs,
+the incremental :class:`FrameSplitter` both ends of a connection read
+through, and the one-frame stream helper ``read_frame``.
 """
 
 from __future__ import annotations
@@ -132,8 +133,67 @@ class FramePayloadError(ProtocolError):
     the server can answer with ``ERR`` and keep the connection."""
 
 
-def write_frame(writer: asyncio.StreamWriter, payload: str) -> None:
-    writer.write(encode_frame(payload))
+class FrameSplitter:
+    """Frames out of a byte stream that arrives in arbitrary pieces.
+
+    The server and the client read whatever the socket has
+    (``reader.read``), :meth:`feed` it here, and take complete frames
+    with :meth:`next_frame` until it returns ``None`` — one buffer and
+    no await per frame.  Errors are those of :func:`read_frame`, raised
+    at the frame they belong to: the frames before it are handed out
+    first, and after a :class:`FramePayloadError` the next call goes on
+    with the frame behind the bad one.
+    """
+
+    __slots__ = ("_buf", "_pos", "_max_frame")
+
+    def __init__(self, max_frame: int = MAX_FRAME_BYTES) -> None:
+        self._buf = bytearray()
+        self._pos = 0            #: start of the first frame not handed out
+        self._max_frame = max_frame
+
+    def feed(self, data: bytes) -> None:
+        if self._pos:
+            del self._buf[:self._pos]
+            self._pos = 0
+        self._buf += data
+
+    def next_frame(self) -> Optional[str]:
+        """The next complete frame's payload, ``None`` if the buffer
+        ends inside it (or exactly before it)."""
+        buf = self._buf
+        start = self._pos + _LEN.size
+        if len(buf) < start:
+            return None
+        (length,) = _LEN.unpack_from(buf, self._pos)
+        if length > self._max_frame:
+            raise ProtocolError(
+                f"declared frame length {length} exceeds the "
+                f"{self._max_frame}-byte limit")
+        end = start + length
+        if len(buf) < end:
+            return None
+        self._pos = end
+        try:
+            return buf[start:end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FramePayloadError(
+                f"frame payload is not valid UTF-8: {exc}") from None
+
+    def check_eof(self) -> None:
+        """The stream ended: fine between frames, a
+        :class:`ProtocolError` inside one."""
+        have = len(self._buf) - self._pos
+        if not have:
+            return
+        if have < _LEN.size:
+            raise ProtocolError(
+                f"truncated frame header ({have} of {_LEN.size} bytes "
+                "before EOF)")
+        (length,) = _LEN.unpack_from(self._buf, self._pos)
+        raise ProtocolError(
+            f"truncated frame: wanted {length} bytes, stream ended "
+            f"after {have - _LEN.size}")
 
 
 # ----------------------------------------------------------------------

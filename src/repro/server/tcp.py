@@ -3,11 +3,18 @@
 :class:`TrafficServer` fronts one :class:`RequestBroker` with
 ``asyncio.start_server`` (TCP) or ``asyncio.start_unix_server``
 (unix-domain socket), so non-Python clients can drive the warm pool
-with nothing but a socket and ``struct``.  Each connection reads
-frames in a loop; every request becomes a task awaiting the broker, so
-one connection can keep many requests in flight and the broker's
-micro-batch window sees *all* connections' traffic at once — the
-server is itself a coalescing funnel, not a per-connection pipeline.
+with nothing but a socket and ``struct``.  A connection is one
+coroutine: it reads whatever bytes the socket has, splits every
+complete frame out of them and submits each request to the broker
+without waiting for the answer, so one connection can keep many
+requests in flight and the broker's micro-batch window sees *all*
+connections' traffic at once — the server is itself a coalescing
+funnel, not a per-connection pipeline.  Answers go out from the
+broker futures' callbacks, every reply that resolves in one pass of the
+event loop in one ``write``.  The coroutine waits in three places only:
+for bytes, for room in a full broker lane, and for a client that is not
+reading its replies (the transport's high-water mark) — the last two
+are what bounds the work a pipelining client can pile up.
 
 Error containment (pinned by ``tests/server/test_server_fuzz.py``):
 
@@ -34,18 +41,85 @@ import asyncio
 import json
 import os
 import signal
+from functools import partial
 from typing import Dict, List, Optional
 
 from ..exceptions import ParameterError, ProtocolError, ReproError, \
     ServingError
 from ..telemetry.http import MetricsHTTPServer
-from ..telemetry.trace import NOOP_SPAN, get_tracer, maybe_span
+from ..telemetry.trace import NOOP_SPAN, get_tracer
 from . import protocol
 from .broker import RequestBroker
-from .protocol import FramePayloadError, Request
+from .protocol import FramePayloadError, FrameSplitter, Request
 
 #: How long shutdown waits for in-flight connection tasks.
 _DRAIN_TIMEOUT = 10.0
+
+#: Most bytes taken from a socket per read — with the broker's
+#: ``max_pending``, the bound on what one connection can have submitted
+#: before it has to wait.
+_READ_BYTES = 1 << 16
+
+#: Request op -> broker lane.
+_LANES = {"R": "route", "E": "estimate"}
+
+
+def _error_frame(request_id: str, exc: Exception) -> str:
+    """The typed ``ERR`` payload for anything serving a frame raised."""
+    if isinstance(exc, ProtocolError):
+        code = "protocol"
+    elif isinstance(exc, ParameterError):
+        code = "parameter"
+    elif isinstance(exc, ServingError):
+        code = "serving"
+    else:
+        code = "internal"
+    message = (str(exc) if isinstance(exc, ReproError)
+               else f"{type(exc).__name__}: {exc}")
+    return protocol.encode_error(request_id, code, message)
+
+
+class _Connection:
+    """The reply side of one client connection: frames queued by
+    whoever has an answer, written once per pass of the event loop."""
+
+    __slots__ = ("task", "reading", "in_flight", "_writer", "_loop",
+                 "_out", "_idle")
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self.task = asyncio.current_task()
+        #: until the handler stops taking frames; shutdown cancels the
+        #: task only while this holds (it may be parked in a read)
+        self.reading = True
+        self.in_flight = 0       #: requests submitted and not answered
+        self._writer = writer
+        self._loop = asyncio.get_running_loop()
+        self._out: List[bytes] = []
+        self._idle: Optional[asyncio.Future] = None
+
+    def send(self, payload: str) -> None:
+        self._out.append(protocol.encode_frame(payload))
+        if len(self._out) == 1:
+            # everything else answered in this pass joins the write
+            self._loop.call_soon(self.flush)
+
+    def flush(self) -> None:
+        if self._out:
+            if not self._writer.is_closing():
+                self._writer.write(b"".join(self._out))
+            self._out.clear()
+
+    def answered(self) -> None:
+        self.in_flight -= 1
+        if not self.in_flight and self._idle is not None \
+                and not self._idle.done():
+            self._idle.set_result(None)
+
+    async def idle(self) -> None:
+        """Wait until every submitted request has been answered."""
+        if self.in_flight:
+            self._idle = self._loop.create_future()
+            await self._idle
 
 
 class TrafficServer:
@@ -96,7 +170,7 @@ class TrafficServer:
         self._metrics_port = metrics_port
         self._metrics_server: Optional[MetricsHTTPServer] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._conn_tasks: set = set()
+        self._connections: set = set()
         self._shutting_down = asyncio.Event()
         self._shutdown_done = asyncio.Event()
         self._signal_tasks: set = set()
@@ -181,11 +255,11 @@ class TrafficServer:
     async def shutdown(self, reason: str = "") -> None:
         """Stop accepting, drain in-flight requests, close the broker.
 
-        Established-but-idle connections are cancelled after the
-        listener closes: their handlers sit in ``read_frame`` forever
-        otherwise (each handler still drains its own in-flight request
-        tasks from its cleanup path before exiting).  Concurrent and
-        repeated calls await the one real shutdown.
+        Connections still reading are cancelled after the listener
+        closes: an idle one sits in its read forever otherwise.  A
+        handler answers what it has already submitted before it closes
+        its socket; one that is past reading is left to finish.
+        Concurrent and repeated calls await the one real shutdown.
         """
         if self._shutting_down.is_set():
             await self._shutdown_done.wait()
@@ -202,11 +276,13 @@ class TrafficServer:
                     os.unlink(self._unix_path)
                 except OSError:
                     pass
-            if self._conn_tasks:
-                for task in list(self._conn_tasks):
-                    task.cancel()
+            if self._connections:
+                tasks = [conn.task for conn in self._connections]
+                for conn in self._connections:
+                    if conn.reading:
+                        conn.task.cancel()
                 done, pending = await asyncio.wait(
-                    self._conn_tasks, timeout=_DRAIN_TIMEOUT)
+                    tasks, timeout=_DRAIN_TIMEOUT)
                 for task in pending:  # pragma: no cover - hung conn
                     task.cancel()
             if self._server is not None:
@@ -228,127 +304,138 @@ class TrafficServer:
     # -- connection handling -------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
+        conn = _Connection(writer)
+        self._connections.add(conn)
         self.connections_served += 1
-        write_lock = asyncio.Lock()
-        request_tasks: set = set()
         try:
-            while True:
-                try:
-                    payload = await protocol.read_frame(reader)
-                except FramePayloadError as exc:
-                    # framing survived: answer and keep reading
-                    await self._send(writer, write_lock,
-                                     protocol.encode_error(
-                                         "-", "protocol", str(exc)))
-                    continue
-                except ProtocolError as exc:
-                    # framing is gone: answer once, then hang up
-                    await self._send(writer, write_lock,
-                                     protocol.encode_error(
-                                         "-", "protocol", str(exc)))
-                    break
-                if payload is None:       # clean EOF
-                    break
-                task = asyncio.ensure_future(
-                    self._serve_frame(payload, writer, write_lock))
-                request_tasks.add(task)
-                task.add_done_callback(request_tasks.discard)
+            try:
+                await self._read_frames(conn, reader, writer)
+            except asyncio.CancelledError:
+                # shutdown stopped the reading; what was submitted is
+                # still answered
+                pass
+            conn.reading = False
+            await conn.idle()
+            conn.flush()
+            writer.close()
+            await writer.wait_closed()
         except (ConnectionResetError, BrokenPipeError):
             pass
         except asyncio.CancelledError:
-            # Shutdown cancels idle handlers parked in read_frame;
-            # exit quietly (cleanup below still runs) instead of
-            # letting the cancellation surface as an 'Exception in
-            # callback' traceback from the streams machinery.
+            # shutdown's last resort for a connection that did not
+            # drain in time.  Not re-raised: a handler task that ends
+            # cancelled has the streams machinery log a traceback.
             pass
         finally:
-            if request_tasks:
-                await asyncio.gather(*request_tasks,
-                                     return_exceptions=True)
             writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            self._conn_tasks.discard(asyncio.current_task())
+            self._connections.discard(conn)
 
-    async def _send(self, writer: asyncio.StreamWriter,
-                    lock: asyncio.Lock, payload: str) -> None:
-        async with lock:
-            try:
-                protocol.write_frame(writer, payload)
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                pass   # client went away mid-reply; nothing to do
+    async def _read_frames(self, conn: _Connection,
+                           reader: asyncio.StreamReader,
+                           writer: asyncio.StreamWriter) -> None:
+        """Serve frames until EOF or until the framing is lost."""
+        splitter = FrameSplitter()
+        while True:
+            data = await reader.read(_READ_BYTES)
+            splitter.feed(data)
+            while True:
+                try:
+                    payload = splitter.next_frame()
+                    if payload is None and not data:
+                        splitter.check_eof()
+                except FramePayloadError as exc:
+                    # framing survived: answer and keep reading
+                    conn.send(protocol.encode_error(
+                        "-", "protocol", str(exc)))
+                    continue
+                except ProtocolError as exc:
+                    # framing is gone: answer once, then hang up
+                    conn.send(protocol.encode_error(
+                        "-", "protocol", str(exc)))
+                    return
+                if payload is None:
+                    break
+                await self._serve_frame(conn, payload)
+            if not data:              # EOF
+                return
+            # the one place a client that does not read its replies
+            # stops this connection from taking more requests
+            await writer.drain()
 
-    async def _serve_frame(self, payload: str,
-                           writer: asyncio.StreamWriter,
-                           lock: asyncio.Lock) -> None:
-        """Decode, serve through the broker, reply — all errors become
-        typed ``ERR`` frames, never a dead connection or server."""
+    async def _serve_frame(self, conn: _Connection,
+                           payload: str) -> None:
+        """Decode one frame and answer it — control verbs at once, R/E
+        from the broker future's callback; all errors become typed
+        ``ERR`` frames, never a dead connection or server.  Suspends
+        only while the broker lane is full."""
         self.frames_served += 1
-        # Best-effort id recovery *before* full decoding, so a typed
-        # decode error still lands on the caller's pending request
-        # instead of an anonymous "-" frame nobody is waiting for.
-        # Sanitized to the decoder's own id rules (<= 64 chars, no
-        # newlines): the raw field comes from an arbitrary client and
-        # is about to be reflected into a response frame.
-        head = payload.split("\t", 2)
-        request_id = "-"
-        if len(head) >= 2 and head[1]:
-            request_id = head[1].replace("\n", " ") \
-                                .replace("\r", " ")[:64] or "-"
         # Head sampling happens here, at the trace entry point: one
-        # decision per request, carried to the broker stages through the
-        # span context (they key off "is a span live", never re-sample).
+        # decision per request, handed to the broker with the request.
         tracer = get_tracer()
         if tracer is not None and tracer.sampled():
-            span_cm = tracer.span("serve.request", root=True,
-                                  attrs={"op": head[0] if head else "?"})
+            span = tracer.span("serve.request", root=True, attrs={
+                "op": payload.split("\t", 1)[0]})
         else:
-            span_cm = NOOP_SPAN
+            span = NOOP_SPAN
+        request_id = None
         try:
-            with span_cm as sp:
-                request = protocol.decode_request(payload,
-                                                  self._max_pairs)
-                request_id = request.request_id
-                sp.set(id=request_id)
-                reply = await self._answer(request)
-        except ProtocolError as exc:
-            reply = protocol.encode_error(request_id, "protocol",
-                                          str(exc))
-        except ParameterError as exc:
-            reply = protocol.encode_error(request_id, "parameter",
-                                          str(exc))
-        except ServingError as exc:
-            reply = protocol.encode_error(request_id, "serving",
-                                          str(exc))
-        except ReproError as exc:
-            reply = protocol.encode_error(request_id, "internal",
-                                          str(exc))
-        except Exception as exc:  # pragma: no cover - true surprises
-            reply = protocol.encode_error(request_id, "internal",
-                                          f"{type(exc).__name__}: {exc}")
-        await self._send(writer, lock, reply)
+            request = protocol.decode_request(payload, self._max_pairs)
+            request_id = request.request_id
+            span.set(id=request_id)
+            if self._shutting_down.is_set():
+                raise ServingError("server is shutting down")
+            lane = _LANES.get(request.op)
+            if lane is not None:
+                await self.broker.room(lane)
+                self.broker.submit(lane, request.pairs, span) \
+                    .add_done_callback(partial(
+                        self._reply, conn, request_id, request.op, span))
+                conn.in_flight += 1
+                return
+            reply = self._answer(request)
+        except Exception as exc:
+            if request_id is None:
+                # Best-effort id recovery, so a typed decode error
+                # still lands on the caller's pending request instead
+                # of an anonymous "-" frame nobody is waiting for.
+                # Sanitized to the decoder's own id rules (<= 64
+                # chars, no newlines): the raw field comes from an
+                # arbitrary client and is about to be reflected into a
+                # response frame.
+                head = payload.split("\t", 2)
+                request_id = "-"
+                if len(head) >= 2 and head[1]:
+                    request_id = head[1].replace("\n", " ") \
+                                        .replace("\r", " ")[:64] or "-"
+            reply = _error_frame(request_id, exc)
+            span.set(error=type(exc).__name__)
+        span.finish()
+        conn.send(reply)
 
-    async def _answer(self, request: Request) -> str:
+    def _reply(self, conn: _Connection, request_id: str, op: str, span,
+               served: "asyncio.Future") -> None:
+        """A broker future resolved: encode and queue the answer."""
+        try:
+            results = served.result()
+            if op == "R":
+                fields = [protocol.encode_route_result(r)
+                          for r in results]
+            else:
+                fields = [f"{e:.17g}" for e in results]
+            reply = protocol.encode_ok(request_id, fields)
+        except Exception as exc:
+            reply = _error_frame(request_id, exc)
+            span.set(error=type(exc).__name__)
+        span.finish()
+        conn.send(reply)
+        conn.answered()
+
+    def _answer(self, request: Request) -> str:
         rid = request.request_id
-        if self._shutting_down.is_set():
-            raise ServingError("server is shutting down")
         if request.op == "PING":
             return protocol.encode_ok(rid, ["PONG"])
         if request.op == "INFO":
             return protocol.encode_ok(rid, self._info_fields())
-        if request.op == "R":
-            routes = await self.broker.route_batch(request.pairs)
-            return protocol.encode_ok(
-                rid, [protocol.encode_route_result(r) for r in routes])
-        if request.op == "E":
-            estimates = await self.broker.estimate_batch(request.pairs)
-            return protocol.encode_ok(
-                rid, [f"{e:.17g}" for e in estimates])
         if request.op == "STATS":
             return protocol.encode_ok(rid, self._stats_fields())
         if request.op == "TRACE":
@@ -429,6 +516,7 @@ class TrafficClient:
         self._pending: Dict[str, asyncio.Future] = {}
         self._ids = 0
         self._closed = False
+        self._high_water = writer.transport.get_write_buffer_limits()[1]
         self._reader_task = asyncio.ensure_future(self._read_loop())
 
     @classmethod
@@ -444,15 +532,21 @@ class TrafficClient:
         return cls(reader, writer)
 
     async def _read_loop(self) -> None:
+        splitter = FrameSplitter()
         try:
             while True:
-                payload = await protocol.read_frame(self._reader)
-                if payload is None:
+                data = await self._reader.read(_READ_BYTES)
+                if not data:
                     break
-                response = protocol.decode_response(payload)
-                fut = self._pending.pop(response.request_id, None)
-                if fut is not None and not fut.done():
-                    fut.set_result(response)
+                splitter.feed(data)
+                while True:
+                    payload = splitter.next_frame()
+                    if payload is None:
+                        break
+                    response = protocol.decode_response(payload)
+                    fut = self._pending.pop(response.request_id, None)
+                    if fut is not None and not fut.done():
+                        fut.set_result(response)
         except (ProtocolError, ConnectionResetError,
                 asyncio.CancelledError):
             pass
@@ -479,7 +573,11 @@ class TrafficClient:
         self._pending[rid] = fut
         self._writer.write(protocol.encode_frame(
             protocol.encode_request(op, rid, pairs, extra)))
-        await self._writer.drain()
+        # the caller waits for its reply anyway; it waits for the socket
+        # as well only when the server has stopped reading
+        if self._writer.transport.get_write_buffer_size() \
+                > self._high_water:
+            await self._writer.drain()
         if self._reader_task.done() and not fut.done():
             # The reader died between registration and now; its
             # _fail_pending may have swapped the dict before this

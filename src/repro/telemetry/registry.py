@@ -41,6 +41,8 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..exceptions import ParameterError
@@ -169,17 +171,29 @@ class _HistogramChild(_Child):
                  buckets: Tuple[float, ...]) -> None:
         super().__init__(lock)
         self.buckets = buckets
-        self._counts = [0] * len(buckets)
+        #: observations per bucket, *not* cumulative: slot ``i`` counts
+        #: values whose smallest bound is ``buckets[i]``; the last slot
+        #: takes what no bound covers (above the last one, or NaN)
+        self._counts = [0] * (len(buckets) + 1)
         self._sum = 0.0
         self._count = 0
 
     def observe(self, value: float) -> None:
+        self.observe_many((value,))
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Record a batch under one lock acquisition; each value costs
+        one bisect instead of a pass over every bound."""
+        buckets = self.buckets
+        counts = self._counts
         with self._lock:
-            self._sum += value
-            self._count += 1
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    self._counts[i] += 1
+            for value in values:
+                # value <= bound for exactly the bounds from the
+                # bisect point on; NaN compares below none of them
+                counts[bisect_left(buckets, value)
+                       if value == value else -1] += 1
+                self._sum += value
+            self._count += len(values)
 
     @property
     def count(self) -> int:
@@ -192,7 +206,7 @@ class _HistogramChild(_Child):
     def cumulative_counts(self) -> List[int]:
         """Per-bucket cumulative counts (``le`` semantics), excluding
         the implicit ``+Inf`` bucket (which equals :attr:`count`)."""
-        return list(self._counts)
+        return list(accumulate(self._counts[:-1]))
 
 
 _CHILD_TYPES = {"counter": _CounterChild, "gauge": _GaugeChild,
@@ -277,6 +291,9 @@ class _Instrument:
 
     def observe(self, value: float) -> None:
         self._default().observe(value)
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        self._default().observe_many(values)
 
     @property
     def value(self) -> float:

@@ -284,7 +284,7 @@ def test_cancel_while_blocked_on_backpressure(compiled, query_pairs):
                 await blocked
             await asyncio.wait_for(broker.drain(), timeout=5.0)
             lanes = broker._lanes.values()
-            assert all(not lane.pending for lane in lanes)
+            assert all(lane.settled == lane.admitted for lane in lanes)
             return await asyncio.gather(first, second)
 
     assert run(main()) == compiled.route_many([(0, 1), (1, 2)])

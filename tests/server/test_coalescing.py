@@ -5,7 +5,9 @@ timer closes it alone), ``max_batch`` hit exactly (no over-fill, no
 starvation), ``max_batch=1`` (coalescing disabled: dispatch count ==
 submission count), empty flush (close with nothing pending), and the
 fused-batch-size histogram / latency reservoir that make the broker
-observable.
+observable.  One test pins, in counts rather than timings, what a
+served request may cost the event loop: work per window, not per
+request.
 """
 
 import asyncio
@@ -14,7 +16,7 @@ from fractions import Fraction
 import pytest
 from server_helpers import run
 
-from repro.server import RequestBroker
+from repro.server import RequestBroker, TrafficServer, protocol
 from repro.server.metrics import LatencyRecorder, percentile
 
 
@@ -135,6 +137,75 @@ def test_metrics_latency_accounting(compiled, query_pairs):
             assert 0 < lat["p50_ms"] <= lat["p95_ms"] <= lat["p99_ms"]
             assert lat["max_ms"] >= lat["p99_ms"]
     run(main())
+
+
+def test_burst_costs_per_window_not_per_request(compiled, query_pairs,
+                                                monkeypatch):
+    """512 single-pair requests fired in one burst over 2 connections
+    with ``max_batch=128``: a handful of fused dispatches, asyncio
+    Tasks in proportion to the windows (a Task per frame would be
+    > 512), and at most one ``transport.write`` per window and
+    connection (a write per reply would be 512)."""
+    per_conn = 256
+    pairs = (query_pairs * 3)[:2 * per_conn]
+    tasks_created = []
+    server_writes = []
+
+    def counting_factory(loop, coro, **kwargs):
+        tasks_created.append(coro)
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    async def main():
+        broker = RequestBroker(router=compiled, max_batch=128,
+                               max_wait_ms=50.0)
+        async with TrafficServer(broker, port=0) as server:
+            port = server.port
+            transport_type = asyncio.selector_events \
+                ._SelectorSocketTransport
+            plain_write = transport_type.write
+
+            def counted_write(transport, data):
+                # the accepted side of a connection is the one whose
+                # local port is the listener's
+                if transport.get_extra_info("sockname")[1] == port:
+                    server_writes.append(len(data))
+                return plain_write(transport, data)
+
+            monkeypatch.setattr(transport_type, "write", counted_write)
+            asyncio.get_running_loop().set_task_factory(
+                counting_factory)
+            conns = [await asyncio.open_connection("127.0.0.1", port)
+                     for _ in range(2)]
+            for c, (_, writer) in enumerate(conns):
+                mine = pairs[c * per_conn:(c + 1) * per_conn]
+                writer.write(b"".join(
+                    protocol.encode_frame(protocol.encode_request(
+                        "R", str(i), [pair]))
+                    for i, pair in enumerate(mine)))
+            replies = []
+            for reader, _ in conns:
+                for _ in range(per_conn):
+                    replies.append(await protocol.read_frame(reader))
+            for _, writer in conns:
+                writer.close()
+                await writer.wait_closed()
+            return replies, broker.metrics.snapshot()
+
+    replies, snap = run(main())
+    # every request answered, in order, with the in-process bytes
+    expected = compiled.route_many(pairs)
+    for index, (payload, pair, route) in enumerate(
+            zip(replies, pairs, expected)):
+        response = protocol.decode_response(payload)
+        assert response.ok and response.request_id == \
+            str(index % per_conn)
+        assert protocol.decode_route_result(
+            response.fields[0], *pair) == route
+    windows = snap["dispatches"]
+    assert snap["fused_pairs"] == len(pairs)
+    assert windows <= 8
+    assert len(tasks_created) < 32, len(tasks_created)
+    assert len(server_writes) <= 2 * windows, (server_writes, windows)
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ deterministic grid.
 
 import asyncio
 import random
+import socket
 import struct
 
 import pytest
@@ -20,6 +21,7 @@ from server_helpers import run
 
 from repro.server import RequestBroker, TrafficClient, TrafficServer
 from repro.server import protocol
+from repro.server.tcp import _READ_BYTES
 
 
 def frame(raw: bytes) -> bytes:
@@ -173,6 +175,68 @@ def test_seeded_random_garbage(fuzz_server_factory, compiled):
                 return await cl.route(1, 9)
 
     assert run(main()) == compiled.route(1, 9)
+
+
+def test_pipelining_client_that_never_reads_is_bounded(compiled):
+    """20 000 single-pair frames written before a single reply is
+    read.  What the server holds for that connection stays bounded —
+    ``max_pending`` submissions waiting in the lane plus at most what
+    one read took off the socket — because the handler waits for room
+    in the lane and, once the unread replies fill the socket, for the
+    transport; a second connection is served all the while, and every
+    frame is answered, in order, once the client reads."""
+    frames = 20_000
+    max_pending = 64
+    stream = b"".join(
+        protocol.encode_frame(protocol.encode_request(
+            "R", str(i), [(i % 25, (i * 7) % 25)]))
+        for i in range(frames))
+    smallest = len(protocol.encode_frame(
+        protocol.encode_request("R", "0", [(0, 0)])))
+    bound = max_pending + _READ_BYTES // smallest
+
+    async def main():
+        broker = RequestBroker(router=compiled, max_batch=16,
+                               max_wait_ms=0.2,
+                               max_pending=max_pending)
+        async with TrafficServer(broker, port=0) as server:
+            # small, fixed socket buffers on both ends (the accepted
+            # socket inherits the listener's), so the kernel cannot
+            # swallow all the replies on the client's behalf
+            server._server.sockets[0].setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 8192)
+            sock.setblocking(False)
+            await asyncio.get_running_loop().sock_connect(
+                sock, ("127.0.0.1", server.port))
+            reader, writer = await asyncio.open_connection(
+                sock=sock, limit=8192)
+            metrics = broker.metrics
+            outstanding = []
+            async with await TrafficClient.connect(
+                    port=server.port) as other:
+                writer.write(stream)
+                for _ in range(40):
+                    route = await asyncio.wait_for(other.route(0, 5),
+                                                   timeout=5.0)
+                    assert route == compiled.route(0, 5)
+                    outstanding.append(
+                        metrics.submitted - metrics.completed
+                        - metrics.failed)
+                    await asyncio.sleep(0.005)
+            # the server has stopped short of the whole stream ...
+            assert metrics.submitted < frames
+            # ... and finishes it once the client reads
+            for i in range(frames):
+                payload = await protocol.read_frame(reader)
+                assert payload.startswith(f"OK\t{i}\t"), (i, payload)
+            writer.close()
+            await writer.wait_closed()
+            return outstanding
+
+    outstanding = run(main())
+    assert max(outstanding) <= bound, (max(outstanding), bound)
 
 
 # ----------------------------------------------------------------------

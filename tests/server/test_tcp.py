@@ -10,6 +10,7 @@ serving error, broker closed).
 """
 
 import asyncio
+import gc
 
 import pytest
 
@@ -165,6 +166,58 @@ def test_shutdown_with_idle_connection_does_not_hang(compiled,
         await client.aclose()
 
     run(main())
+
+
+def test_shutdown_with_open_connections_is_quiet(compiled, estimation,
+                                                 caplog, capsys):
+    """Shutdown with clients still connected — two idle, two with a
+    request in flight, one that sent a request and hung up before the
+    answer: the in-flight requests are answered (or get ``ERR
+    serving``), and nothing is printed.  A handler task that ends
+    *cancelled* makes the streams machinery log a ``CancelledError``
+    traceback per connection; none may."""
+    from repro.server import protocol
+
+    request = protocol.encode_frame(
+        protocol.encode_request("R", "7", [(0, 5)]))
+
+    async def main():
+        # a long window: the requests are still waiting in it when the
+        # shutdown starts
+        server = TrafficServer(
+            make_broker(compiled, estimation, max_wait_ms=100.0),
+            port=0)
+        await server.start()
+        idle, busy = [
+            [await asyncio.open_connection("127.0.0.1", server.port)
+             for _ in range(2)] for _ in range(2)]
+        gone = await asyncio.open_connection("127.0.0.1", server.port)
+        for _, writer in busy + [gone]:
+            writer.write(request)
+        await asyncio.sleep(0.02)
+        gone[1].close()
+        await asyncio.sleep(0.02)    # the server has seen the hang-up
+        await asyncio.wait_for(server.shutdown(reason="test"),
+                               timeout=5.0)
+        assert server.broker.closed
+        replies = [await asyncio.wait_for(protocol.read_frame(reader),
+                                          timeout=5.0)
+                   for reader, _ in busy]
+        for _, writer in idle + busy:
+            writer.close()
+            await writer.wait_closed()
+        gc.collect()     # "exception was never retrieved" is logged here
+        await asyncio.sleep(0)
+        return replies
+
+    replies = run(main())
+    route = protocol.encode_route_result(compiled.route(0, 5))
+    for payload in replies:
+        fields = payload.split("\t")
+        assert fields[:2] == ["OK", "7"] and fields[2] == route \
+            or fields[:3] == ["ERR", "7", "serving"], payload
+    assert [r.getMessage() for r in caplog.records] == []
+    assert capsys.readouterr().err == ""
 
 
 def test_split_frame_header_is_not_truncation(compiled, estimation):

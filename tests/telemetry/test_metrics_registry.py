@@ -203,6 +203,53 @@ class TestRender:
         assert "lat_seconds_count 3\n" in text
         assert "lat_seconds_sum 5.55" in text
 
+    def test_histogram_exposition_matches_cumulative_loop(self,
+                                                          registry):
+        """The histogram keeps one count per bucket, found by bisect,
+        and accumulates at render time; the reference is the loop it
+        replaced (every bound compared on every observation).  Same
+        ``_bucket``/``_sum``/``_count`` lines, byte for byte, for a
+        seeded sample with values on the bounds, above the last one
+        and below the first, observed singly and in batches; a NaN
+        lands in no finite bucket, as before."""
+        import random
+
+        from repro.telemetry.registry import _format_value
+
+        rng = random.Random(1507)
+        bounds = DEFAULT_BUCKETS
+        sample = [rng.choice(bounds) for _ in range(40)]
+        sample += [rng.uniform(0.0, 12.0) for _ in range(200)]
+        sample += [rng.lognormvariate(-6.0, 2.0) for _ in range(200)]
+        sample += [0.0, -1.0, bounds[-1], bounds[-1] * 2]
+        rng.shuffle(sample)
+
+        h = registry.histogram("lat_seconds", "latency")
+        for value in sample[:100]:
+            h.observe(value)
+        h.observe_many(sample[100:])
+
+        cumulative = [0] * len(bounds)
+        total = 0.0
+        for value in sample:
+            total += value
+            for i, bound in enumerate(bounds):
+                if value <= bound:
+                    cumulative[i] += 1
+        want = [f'lat_seconds_bucket{{le="{_format_value(bound)}"}} '
+                f'{count}' for bound, count in zip(bounds, cumulative)]
+        want += [f'lat_seconds_bucket{{le="+Inf"}} {len(sample)}',
+                 f'lat_seconds_sum {_format_value(total)}',
+                 f'lat_seconds_count {len(sample)}']
+        got = [line for line in registry.render().splitlines()
+               if not line.startswith("#")]
+        assert got == want
+        assert h.cumulative_counts() == cumulative
+
+        h.observe(math.nan)
+        assert h.cumulative_counts() == cumulative
+        assert h.count == len(sample) + 1
+
     def test_families_sorted_by_name(self, registry):
         registry.counter("zz_total", "z").inc()
         registry.counter("aa_total", "a").inc()

@@ -58,8 +58,8 @@ class TestBrokerSnapshotSchema:
 
     def test_latency_summaries_keep_percentile_keys(self):
         m = BrokerMetrics()
-        m.record_done(0.010, queue_wait_seconds=0.004,
-                      service_seconds=0.006)
+        m.record_window([0.010], queue_waits=[0.004],
+                        service_seconds=0.006)
         snap = m.snapshot()
         for key in ("latency", "queue_wait", "service"):
             assert set(snap[key]) == LATENCY_SUMMARY_KEYS, key
@@ -67,8 +67,8 @@ class TestBrokerSnapshotSchema:
 
     def test_queue_wait_plus_service_decomposes_latency(self):
         m = BrokerMetrics()
-        m.record_done(0.010, queue_wait_seconds=0.004,
-                      service_seconds=0.006)
+        m.record_window([0.010], queue_waits=[0.004],
+                        service_seconds=0.006)
         snap = m.snapshot()
         total = (snap["queue_wait"]["mean_ms"]
                  + snap["service"]["mean_ms"])
@@ -95,7 +95,8 @@ class TestBrokerSnapshotSchema:
         m = BrokerMetrics(registry=registry)
         for _ in range(3):
             m.record_submit()
-        m.record_done(0.001)
+        m.record_window([0.001], queue_waits=[0.0],
+                        service_seconds=0.001)
         text = registry.render()
         assert 'repro_broker_requests_total{event="submitted"} 3' \
             in text
