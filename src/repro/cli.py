@@ -551,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default="flat",
                          help="artifact tier for --out: 'flat' "
                               "(CompiledScheme) or 'dense' (the "
-                              "gather-loop DenseRoutingPlane)")
+                              "parent-pointer DenseRoutingPlane)")
     p_build.add_argument("--out", metavar="FILE",
                          help="compile and save the serve-side "
                               "artifact (conventionally .cra)")

@@ -72,7 +72,7 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 MAGIC = b"RCRA"
 
 #: Bump when the header or array layout changes incompatibly.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _KIND_ROUTING = "routing"
 _KIND_ESTIMATION = "estimation"
@@ -163,6 +163,25 @@ def _as_batch(pairs) -> Sequence:
     return pairs if isinstance(pairs, (list, tuple)) else list(pairs)
 
 
+def pairs_array(pairs: Sequence, n: int):
+    """``pairs`` as an ``(N, 2)`` integer array when it is one whose
+    values are all in ``[0, n)`` — exactly the batches the scalar loop
+    of :func:`validate_pairs` accepts — else ``None`` (float/str/object
+    dtype, ragged rows, out-of-range values, no numpy).  A vector serve
+    path that gets an array back has its validated input in hand and
+    converts nothing twice."""
+    if _np is None or not len(pairs):
+        return None
+    try:
+        arr = _np.asarray(pairs)
+    except (TypeError, ValueError):
+        return None
+    if (arr.ndim == 2 and arr.shape[1] == 2 and arr.dtype.kind in "iu"
+            and (0 <= arr.min()) and (arr.max() < n)):
+        return arr
+    return None
+
+
 def validate_pairs(pairs: Sequence, n: int, noun: str = "route") -> None:
     """Validate a batch of ``(u, v)`` queries against vertex range ``n``.
 
@@ -175,21 +194,11 @@ def validate_pairs(pairs: Sequence, n: int, noun: str = "route") -> None:
     whether it is served in-process or sharded across workers, and it
     must never reach (let alone crash) a worker process.
     """
-    if _np is not None and len(pairs) >= 64:
-        # Vectorized happy path: if the batch converts to an integer
-        # (N, 2) array whose values are all in range, it is exactly the
-        # set of batches the scalar loop accepts.  Anything else —
-        # float/str/object dtype, ragged rows, out-of-range values —
-        # falls through to the scalar loop, which names the offending
-        # pair with the same message it always has.
-        try:
-            arr = _np.asarray(pairs)
-        except (TypeError, ValueError):
-            arr = None
-        if (arr is not None and arr.ndim == 2 and arr.shape[1] == 2
-                and arr.dtype.kind in "iu"
-                and (0 <= arr.min()) and (arr.max() < n)):
-            return
+    # Vectorized happy path; anything it does not accept falls through
+    # to the scalar loop, which names the offending pair with the same
+    # message it always has.
+    if len(pairs) >= 64 and pairs_array(pairs, n) is not None:
+        return
     index = operator.index
     for idx, pair in enumerate(pairs):
         try:

@@ -1,58 +1,43 @@
-"""Dense next-hop routing plane: the third artifact tier.
+"""Dense routing plane: the third artifact tier.
 
-:class:`CompiledScheme` already detaches serving from the graph, but it
-still *replays* the Section-6 forwarding protocol per pair in Python —
-per-hop dict probes into ``slots``/``members``, a vertex->slot
-conversion per hop, and linear scans over pooled label edges inside
-``local_next``.  :class:`DenseRoutingPlane` compiles that protocol one
-level further, into pure integer arrays, so a whole batch advances as
-one gather/select pass per hop:
+Elkin–Neiman's stretch lives entirely in Algorithm 1 — *which* cluster
+tree carries the packet.  Section 6's in-tree routing is exact (the
+packet follows the unique tree path); its labels, splitters and portals
+exist only so a vertex can decide *locally* from O~(n^{1/k}) words,
+which a serve process holding the whole artifact never needs.  So a
+served route here is **find-tree + the tree path between two slots**,
+from eleven columns: the find-tree rows (``f_*``), the member-pair and
+(tree, vertex) -> slot indexes (``m_*``, ``sx_*``: sorted composite
+keys, direct-addressed when ``n`` affords it), and per slot
+``dp_vertex``, ``dp_parent_slot`` (``-1`` at a root), ``dp_parent_w``.
 
-* **slots become the only coordinate system.**  Every reference the hop
-  loop resolves through a dict at serve time — tree parent, local-tree
-  parent, heavy child, heavy splitter, child splitter, label path
-  children — is pre-resolved to a *slot id* at compile time
-  (``dp_parent_slot``, ``dp_loc_parent_slot``, ...).  ``dp_vertex``
-  recovers the vertex for the emitted path; ``-1`` marks "absent"
-  exactly where the flat tier stores ``-1`` vertices.
-* **dicts become sorted composite-key arrays.**  ``slots[v][tid]``
-  becomes a binary search for ``tid * n + v`` in ``sx_key``;
-  ``members[s][t]`` becomes a search for ``s * n + t`` in ``m_key``;
-  the first-match scan over a label's path edges becomes a search for
-  ``dense_label * n + vertex`` in ``le_key`` (entries stable-sorted by
-  (key, original position), so ``searchsorted``-left lands on the same
-  entry the scalar first-match scan returns); the global-edge scan for
-  ``parent_splitter == splitter`` becomes a search for
-  ``ge_rank * n + splitter`` in ``g_key``.
-* **pooled labels become per-tree dense labels.**  The flat tier's
-  label pool is shared across trees, so resolving a label's child
-  *vertex* to a slot is tree-dependent.  The dense compiler allocates
-  one dense label id per (tree, pooled label) pair actually referenced
-  and bakes the child slots in (``dl_entry`` + the ``le_*`` CSR).
-* **find-tree (Algorithm 1) is a k-wide vectorized select** over
-  ``f_pivot``/``f_slot``/``f_tid`` rows plus the ``sx_key`` membership
-  index — no ``members`` dicts, no per-level Python loop.
-* **hop advancement is one gather per hop for the whole batch**: an
-  active-row vector is compressed as rows converge, the three protocol
-  branches become masks, and the weight accumulates per row in hop
-  order, which keeps float64 sums bit-identical to the scalar loop.
+Load validates the parent pointers (an :class:`ArtifactError` names the
+offending slot) and derives per-slot depth, distance to the root and,
+under ``_DERIVED_BUDGET``, the CSR of root-first ancestor chains.  A
+batch is then answered with no per-hop loop: Algorithm 1 as a k-wide
+vectorised select, the LCA as the common-prefix length of two padded
+chain gathers, both legs of every path from one ragged gather, the
+weight as a difference of root distances.  Without numpy, below
+``_VECTOR_MIN_PAIRS``, or past the budget, the same route comes from a
+plain parent walk.
 
-The plane is a first-class artifact: same versioned ``RCRA`` container
-(``kind = "dense-routing"``), same ``export_buffers()``/``attach()``
-zero-copy transport the sharded pool uses, loadable through
-:func:`~repro.core.compiled.load_artifact`.  Build one with
-:meth:`DenseRoutingPlane.from_compiled` (pure Python, numpy-free) and
-serve with :meth:`route`/:meth:`route_many` — results are
-**bit-identical** (path, weight, tree_center, found_level) to
-:meth:`CompiledScheme.route_many`, enforced by
-``tests/core/test_dense_equivalence.py``.  Without numpy every lookup
-falls back to ``bisect`` over the same arrays, so the plane serves
-(slowly) anywhere the flat tier does.
+Results are **bit-identical** to :meth:`CompiledScheme.route_many`,
+which stays the protocol-faithful Section-6 replay
+(``tests/core/test_dense_equivalence.py``): find-tree is the same
+select over the same rows; the protocol's path *is* the tree path
+(``tests/core/test_tree_path_invariant.py``); and edge weights are
+integers (``WeightedGraph.add_edge`` admits nothing else; checked at
+load), so every float64 partial sum is exact and the root-distance
+difference equals the flat tier's hop-order sum.  Same ``RCRA``
+container (``kind = "dense-routing"``) and ``export_buffers()`` /
+``attach()`` transport as the other tiers; see ``core/README.md``.
 """
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import (
@@ -69,6 +54,7 @@ from .compiled import (
     CompiledScheme,
     _as_batch,
     _CompiledArtifact,
+    pairs_array,
     validate_pairs,
 )
 
@@ -77,33 +63,63 @@ try:  # vector serve path when numpy is present
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     _np = None
 
-#: Below this many pairs the vector path's fixed per-batch overhead
-#: (array construction, mask allocation) beats its per-pair savings;
-#: both paths are bit-identical, so the cutover is invisible.
-_SMALL_BATCH = 16
+#: Batches this long or longer take the vectorised path.  Placed from a
+#: sweep over 1, 2, 4, ..., 512 pairs per call on the harness's four
+#: graph/mix combinations (CHANGES.md, PR 17): the parent walk costs
+#: ~3.8 us a pair from the first pair, a vectorised pass ~65 us plus
+#: ~1 us a pair.  The walk wins at 16 pairs on all four (1.35-1.7x;
+#: 14-18x on a single pair), the two tie at 32 (0.97-1.34x), the
+#: vectorised pass wins at 64 (1.5-2.05x).
+_VECTOR_MIN_PAIRS = 32
 
-#: Rows per vectorized pass.  ~24k rows x ~12 live arrays x 8 bytes is
-#: ~2.3 MiB — comfortably L2/L3-resident, which is where the gather
-#: loop wants to live.
-_CHUNK_ROWS = 24576
+#: Elements a table derived at load may hold (the direct-address
+#: find-tree mirrors, the ancestor-chain CSR).  Past it find-tree
+#: binary-searches and paths come from the parent walk.
+_DERIVED_BUDGET = 1 << 24
+
+#: Cells (rows x deepest chain) of one vectorised pass: bounds the
+#: padded chain gathers whatever the tree depth, and keeps the lists a
+#: pass builds cache-resident while its routes are assembled (bulk
+#: calls ran 5-10% faster at 2-4k rows than in one 16k-row pass).
+_CHUNK_CELLS = 1 << 16
 
 
-def _vfind(sorted_keys, keys):
-    """Vectorized exact lookup: for each ``keys[i]`` return
-    ``(hit[i], pos[i])`` where ``sorted_keys[pos[i]] == keys[i]`` iff
-    ``hit[i]``.  Keys are stable-sorted, so ``searchsorted``-left finds
-    the *first* matching entry — the same one the scalar tier's linear
-    first-match scans return."""
-    if len(sorted_keys) == 0:
-        zeros = _np.zeros(keys.shape, dtype=_np.int64)
-        return zeros.astype(bool), zeros
+_new_route = partial(tuple.__new__, CompiledRoute)
+
+
+def _as_list(values) -> list:
+    """A column as a plain list (a zero-copy attach hands out views)."""
+    return values if isinstance(values, list) else values.tolist()
+
+
+def _direct_table(sorted_keys, size: int):
+    """Direct-address mirror of a sorted key column: ``table[key]`` is
+    the key's row position (one gather replaces the searchsorted; the
+    row's other columns come from positional gathers), ``-1`` where no
+    row has the key.  ``None`` past the budget."""
+    if not len(sorted_keys) or size > _DERIVED_BUDGET:
+        return None
+    table = _np.full(size, -1, dtype=_np.int32)
+    table[sorted_keys] = _np.arange(len(sorted_keys), dtype=_np.int32)
+    return table
+
+
+def _lookup(table, sorted_keys, keys):
+    """``(hit, pos)`` per key, ``sorted_keys[pos] == key`` wherever
+    ``hit``: one gather off the direct table when there is one, a
+    binary search of the sorted column otherwise."""
+    if table is not None:
+        pos = table[keys]
+        return pos >= 0, pos
+    if not len(sorted_keys):
+        return _np.zeros(len(keys), dtype=bool), keys
     pos = _np.minimum(_np.searchsorted(sorted_keys, keys),
                       len(sorted_keys) - 1)
     return sorted_keys[pos] == keys, pos
 
 
 class DenseRoutingPlane(_CompiledArtifact):
-    """Forwarding protocol compiled into dense integer arrays.
+    """Find-tree rows plus the cluster trees as parent pointers.
 
     Construct with :meth:`from_compiled`, persist with ``save``,
     restore with ``load``, ship across processes with
@@ -115,26 +131,13 @@ class DenseRoutingPlane(_CompiledArtifact):
     kind = _KIND_DENSE
 
     #: (name, typecode) of every payload array, in serialization order.
-    #: ``dp_*`` are per-slot columns; ``g_*`` the rank-keyed global-edge
-    #: entries; ``dl_entry``/``le_*`` the per-tree dense label pool;
-    #: ``sx_*`` the (tree, vertex) -> slot index; ``f_*`` the n*k
-    #: find-tree rows; ``m_key``/``m_tslot``/``m_sslot`` the member
-    #: pairs.  Sentinels: ``-1`` = absent (matches the flat tier).
+    #: ``dp_*`` are per-slot columns; ``sx_*`` the (tree, vertex) ->
+    #: slot index; ``f_*`` the n*k find-tree rows;
+    #: ``m_key``/``m_tslot``/``m_sslot`` the member pairs.  Sentinel:
+    #: ``-1`` = absent (matches the flat tier).
     _FIELDS = (
         ("dp_vertex", _INT),
-        ("dp_gentry", _INT), ("dp_gexit", _INT),
         ("dp_parent_slot", _INT), ("dp_parent_w", _FLOAT),
-        ("dp_splitter", _INT),
-        ("dp_loc_entry", _INT), ("dp_loc_exit", _INT),
-        ("dp_loc_parent_slot", _INT), ("dp_loc_heavy_slot", _INT),
-        ("dp_local_lab", _INT),
-        ("dp_hsplit_slot", _INT), ("dp_hportal", _INT),
-        ("dp_hlab", _INT),
-        ("dp_ge_rank", _INT),
-        ("g_key", _INT), ("g_portal", _INT),
-        ("g_csplit_slot", _INT), ("g_plab", _INT),
-        ("dl_entry", _INT),
-        ("le_key", _INT), ("le_child_slot", _INT),
         ("sx_key", _INT), ("sx_slot", _INT),
         ("f_pivot", _INT), ("f_slot", _INT), ("f_tid", _INT),
         ("m_key", _INT), ("m_tslot", _INT), ("m_sslot", _INT),
@@ -145,53 +148,115 @@ class DenseRoutingPlane(_CompiledArtifact):
             raise ArtifactError(
                 f"dense plane holds {len(self._f_pivot)} find-tree "
                 f"rows; n*k = {self._n * self._k}")
-        self._npv: Optional[Dict] = None
-        self._le_direct = None
-        self._m_direct = None
-        self._sx_direct = None
-        if _np is not None:
-            # One int64/float64 mirror per column.  Arrays straight off
-            # a zero-copy attach are already such views, so asarray is
-            # free there; materialized lists copy once at load.
-            npv = {}
-            for name, typecode in self._FIELDS:
-                dtype = _np.int64 if typecode == _INT else _np.float64
-                npv[name] = _np.asarray(getattr(self, "_" + name),
-                                        dtype=dtype)
-            self._npv = npv
-            # Direct-address mirror of the label path edges: turns the
-            # hot per-hop searchsorted into a single gather.  Size is
-            # labels * n; skipped (falling back to searchsorted) when
-            # that outgrows a sane in-memory budget.  Reversed
-            # assignment keeps the FIRST entry of a duplicate key, the
-            # one the scalar first-match scan returns.
-            total = len(self._dl_entry) * self._n
-            if 0 < total <= (1 << 24):
-                direct = _np.full(total, -1, dtype=_np.int32)
-                direct[npv["le_key"][::-1]] = \
-                    npv["le_child_slot"][::-1].astype(_np.int32)
-                self._le_direct = direct
-            # Same trick for the two find-tree lookups, which run once
-            # per route: the member-pair index (key s*n + t) and the
-            # (tree, vertex) -> slot index (key tid*n + v).  Each table
-            # stores the *row position*, so one gather replaces the
-            # searchsorted and the row's other columns come from the
-            # usual positional gathers.
-            if len(npv["m_key"]) and self._n * self._n <= (1 << 24):
-                direct = _np.full(self._n * self._n, -1,
-                                  dtype=_np.int32)
-                direct[npv["m_key"][::-1]] = _np.arange(
-                    len(npv["m_key"]) - 1, -1, -1, dtype=_np.int32)
-                self._m_direct = direct
-            if len(npv["sx_key"]):
-                # size covers every tid that appears: any tid*n + v
-                # with v < n stays in bounds.
-                total = (int(npv["sx_key"][-1]) // self._n + 1) * self._n
-                if total <= (1 << 24):
-                    direct = _np.full(total, -1, dtype=_np.int32)
-                    direct[npv["sx_key"]] = _np.arange(
-                        len(npv["sx_key"]), dtype=_np.int32)
-                    self._sx_direct = direct
+        num_slots = len(self._dp_vertex)
+        for name in ("dp_parent_slot", "dp_parent_w", "sx_key",
+                     "sx_slot"):
+            if len(getattr(self, "_" + name)) != num_slots:
+                raise ArtifactError(
+                    f"dense plane column {name} holds "
+                    f"{len(getattr(self, '_' + name))} entries for "
+                    f"{num_slots} slots")
+        self._chain = None
+        self._derive()
+        if _np is None:
+            return
+        # One int64/float64 mirror per column.  Arrays straight off a
+        # zero-copy attach are already such views, so asarray is free
+        # there; materialized lists copy once at load.
+        npv = {}
+        for name, typecode in self._FIELDS:
+            dtype = _np.int64 if typecode == _INT else _np.float64
+            npv[name] = _np.asarray(getattr(self, "_" + name),
+                                    dtype=dtype)
+        self._npv = npv
+        self._build_chains()
+        # the two find-tree lookups: member pairs (key s*n + t) and
+        # (tree, vertex) -> slot (key tid*n + v, every tid that appears)
+        self._m_direct = _direct_table(npv["m_key"], self._n * self._n)
+        trees = int(npv["sx_key"][-1]) // self._n + 1 if num_slots else 0
+        self._sx_direct = _direct_table(npv["sx_key"], trees * self._n)
+
+    # -- load-time validation and derivation ---------------------------
+    def _derive(self) -> None:
+        """Validate the parent pointers — in range, inside their tree,
+        acyclic, integer edge weights; a violation names the slot — and
+        derive per-slot depth and root distance by a memoised walk to
+        the root.  One pass of plain Python over the slots on either
+        engine, so the two cannot disagree about what is corrupt."""
+        def bad(slot, why):
+            return ArtifactError(f"dense plane slot {slot}: {why}")
+        n = max(self._n, 1)
+        parent = _as_list(self._dp_parent_slot)
+        parent_w = _as_list(self._dp_parent_w)
+        num_slots = len(parent)
+        tree = [-1] * num_slots
+        for key, slot in zip(_as_list(self._sx_key),
+                             _as_list(self._sx_slot)):
+            if not 0 <= slot < num_slots:
+                raise ArtifactError(
+                    f"dense plane slot index names slot {slot}, out "
+                    "of range")
+            tree[slot] = key // n
+        depth = [-1] * num_slots        # -1 unseen, -2 on the trail
+        dist = [0.0] * num_slots
+        for start in range(num_slots):
+            trail = []
+            x = start
+            while depth[x] == -1:
+                p = parent[x]
+                if not -1 <= p < num_slots:
+                    raise bad(x, f"parent {p} is out of range")
+                if p < 0:
+                    depth[x] = 0
+                    break
+                if tree[p] != tree[x]:
+                    raise bad(x, f"parent {p} belongs to tree "
+                              f"{tree[p]}, not tree {tree[x]}")
+                w = parent_w[x]
+                if not (w >= 0 and float(w).is_integer()):
+                    raise bad(x, f"parent edge weight {w!r} is not a "
+                              "non-negative integer")
+                depth[x] = -2
+                trail.append(x)
+                x = p
+            if depth[x] == -2:
+                # smallest slot that never reaches a root
+                raise bad(start, "parent pointers run into a cycle")
+            d, r = depth[x], dist[x]
+            for y in reversed(trail):
+                d += 1
+                r += parent_w[y]
+                depth[y], dist[y] = d, r
+            if r >= 2.0 ** 52:
+                raise bad(start, "distance to the root is too large "
+                          "for exact float64 sums")
+        self._depth = depth
+        self._dist = dist
+
+    def _build_chains(self) -> None:
+        """The CSR of root-first ancestor chains, within budget:
+        ``chain[off[s] : off[s] + depth[s] + 1]`` = root, ..., ``s``."""
+        np = _np
+        parent = self._npv["dp_parent_slot"]
+        depth = np.asarray(self._depth, dtype=np.int64)
+        total = int(depth.sum()) + len(depth)
+        if not 0 < total <= _DERIVED_BUDGET:
+            return
+        off = np.cumsum(depth + 1) - (depth + 1)
+        chain = np.empty(total, dtype=np.int32)
+        # filled tip first, one level of every chain per pass
+        cur = np.arange(len(depth))
+        pos = off + depth
+        while cur.size:
+            chain[pos] = cur
+            keep = parent[cur] >= 0
+            cur = parent[cur[keep]]
+            pos = pos[keep] - 1
+        self._chain = chain
+        self._chain_off = off
+        self._depth_np = depth
+        self._dist_np = np.asarray(self._dist, dtype=np.float64)
+        self._chunk_rows = max(1, _CHUNK_CELLS // (int(depth.max()) + 1))
 
     # -- construction --------------------------------------------------
     @classmethod
@@ -225,110 +290,17 @@ class DenseRoutingPlane(_CompiledArtifact):
 
         cols: Dict[str, list] = {}
         cols["dp_vertex"] = [int(v) for v in slot_vertex]
-        cols["dp_gentry"] = [int(x) for x in compiled._t_gentry]
-        cols["dp_gexit"] = [int(x) for x in compiled._t_gexit]
-        cols["dp_splitter"] = [int(x) for x in compiled._t_splitter]
-        cols["dp_loc_entry"] = [int(x) for x in compiled._t_loc_entry]
-        cols["dp_loc_exit"] = [int(x) for x in compiled._t_loc_exit]
-        cols["dp_hportal"] = [int(x) for x in compiled._t_hportal]
         cols["dp_parent_w"] = [float(w) for w in compiled._t_parent_w]
-
-        def slot_col(vertices, what: str) -> List[int]:
-            out = []
-            for s in range(num_slots):
-                v = int(vertices[s])
-                out.append(-1 if v < 0
-                           else vslot(v, int(slot_tree[s]), what))
-            return out
-
-        cols["dp_parent_slot"] = slot_col(compiled._t_parent,
-                                          "tree parent")
-        cols["dp_loc_parent_slot"] = slot_col(compiled._t_loc_parent,
-                                              "local parent")
-        cols["dp_loc_heavy_slot"] = slot_col(compiled._t_loc_heavy,
-                                             "heavy child")
-        cols["dp_hsplit_slot"] = slot_col(compiled._t_hsplit,
-                                          "heavy splitter")
-
-        # Dense labels: one per (tree, pooled label) pair referenced,
-        # with the label's path-edge children resolved to slots of that
-        # tree.  Edge keys are stable-sorted so searchsorted-left picks
-        # the entry the scalar first-match scan would.
-        lp_entry = compiled._lp_entry
-        lp_start = compiled._lp_start
-        lp_w = compiled._lp_w
-        lp_child = compiled._lp_child
-        dlab_of: Dict[Tuple[int, int], int] = {}
-        dl_entry: List[int] = []
-        le_rows: List[Tuple[int, int, int]] = []  # (key, order, child)
-
-        def dense_label(tid: int, li) -> int:
-            key = (int(tid), int(li))
-            dli = dlab_of.get(key)
-            if dli is None:
-                dli = len(dl_entry)
-                dlab_of[key] = dli
-                dl_entry.append(int(lp_entry[key[1]]))
-                for j in range(int(lp_start[key[1]]),
-                               int(lp_start[key[1] + 1])):
-                    le_rows.append(
-                        (dli * n + int(lp_w[j]), len(le_rows),
-                         vslot(int(lp_child[j]), key[0],
-                               "label path edge")))
-            return dli
-
-        cols["dp_local_lab"] = [
-            dense_label(int(slot_tree[s]), compiled._l_local[s])
-            for s in range(num_slots)]
-        cols["dp_hlab"] = [
-            -1 if int(compiled._t_hlab[s]) < 0
-            else dense_label(int(slot_tree[s]), compiled._t_hlab[s])
-            for s in range(num_slots)]
-
-        # Global-edge groups: the flat tier keys them by (tree,
-        # start, end) range; each distinct range gets a rank, and the
-        # scan for parent_splitter == splitter becomes a lookup of
-        # rank * n + splitter.
-        rank_of: Dict[Tuple[int, int, int], int] = {}
-        groups: List[Tuple[int, int, int]] = []
-        dp_ge_rank: List[int] = []
-        for s in range(num_slots):
-            gkey = (int(slot_tree[s]), int(compiled._l_ge_start[s]),
-                    int(compiled._l_ge_end[s]))
-            rank = rank_of.get(gkey)
-            if rank is None:
-                rank = len(groups)
-                rank_of[gkey] = rank
-                groups.append(gkey)
-            dp_ge_rank.append(rank)
-        cols["dp_ge_rank"] = dp_ge_rank
-        g_rows: List[Tuple[int, int, int]] = []  # (key, entry j, tid)
-        for rank, (tid, start, end) in enumerate(groups):
-            for j in range(start, end):
-                g_rows.append(
-                    (rank * n + int(compiled._ge_psplit[j]), j, tid))
-        g_rows.sort(key=lambda row: (row[0], row[1]))
-        cols["g_key"] = [row[0] for row in g_rows]
-        cols["g_portal"] = [int(compiled._ge_portal[j])
-                            for _key, j, _tid in g_rows]
-        cols["g_csplit_slot"] = [
-            vslot(int(compiled._ge_csplit[j]), tid, "child splitter")
-            for _key, j, tid in g_rows]
-        cols["g_plab"] = [dense_label(tid, compiled._ge_plab[j])
-                          for _key, j, tid in g_rows]
-
-        cols["dl_entry"] = dl_entry
-        le_rows.sort(key=lambda row: (row[0], row[1]))
-        cols["le_key"] = [row[0] for row in le_rows]
-        cols["le_child_slot"] = [row[2] for row in le_rows]
+        cols["dp_parent_slot"] = [
+            -1 if int(v) < 0
+            else vslot(int(v), int(slot_tree[s]), "tree parent")
+            for s, v in enumerate(compiled._t_parent)]
 
         # (tree, vertex) -> slot membership index.
-        order = sorted(
-            range(num_slots),
-            key=lambda s: int(slot_tree[s]) * n + int(slot_vertex[s]))
-        cols["sx_key"] = [
-            int(slot_tree[s]) * n + int(slot_vertex[s]) for s in order]
-        cols["sx_slot"] = order
+        keyed = sorted((int(slot_tree[s]) * n + int(slot_vertex[s]), s)
+                       for s in range(num_slots))
+        cols["sx_key"] = [key for key, _slot in keyed]
+        cols["sx_slot"] = [slot for _key, slot in keyed]
 
         # Find-tree rows (n * k), annotated with the pivot's tree id.
         f_pivot = [int(x) for x in compiled._lbl_pivot]
@@ -366,16 +338,11 @@ class DenseRoutingPlane(_CompiledArtifact):
         cols["m_tslot"] = [row[1] for row in m_rows]
         cols["m_sslot"] = [row[2] for row in m_rows]
 
-        meta = dict(compiled.meta)
-        meta["n"] = n
-        meta["k"] = compiled.k
-        meta["num_dense_labels"] = len(dl_entry)
-        return cls(meta, cols)
+        return cls(compiled.meta, cols)
 
     def __repr__(self) -> str:
         return (f"DenseRoutingPlane(n={self._n}, k={self._k}, "
-                f"slots={len(self._dp_vertex)}, "
-                f"labels={len(self._dl_entry)})")
+                f"slots={len(self._dp_vertex)})")
 
     # -- serving -------------------------------------------------------
     def route(self, source: int, target: int,
@@ -390,111 +357,73 @@ class DenseRoutingPlane(_CompiledArtifact):
         """Serve a batch of ``(source, target)`` queries.
 
         Same contract as :meth:`CompiledScheme.route_many` — results in
-        input order, bit-identical to the flat tier; exhausting a
-        caller-supplied ``max_hops`` raises
-        :class:`~repro.exceptions.HopBudgetError`, while the default
-        budget (``4n + 4``) running out means a corrupt artifact and
-        raises :class:`SchemeError`.
+        input order, bit-identical to the flat tier; a caller-supplied
+        ``max_hops`` shorter than a route raises
+        :class:`~repro.exceptions.HopBudgetError`.
         """
         pairs = _as_batch(pairs)
+        if self._chain is not None and len(pairs) >= _VECTOR_MIN_PAIRS:
+            # the validation prepass and the kernel share one array
+            arr = pairs_array(pairs, self._n)
+            if arr is not None:
+                return self._route_many_validated(arr, max_hops)
         validate_pairs(pairs, self._n, "route")
         return self._route_many_validated(pairs, max_hops)
 
-    def _route_many_validated(self, pairs: Sequence[Tuple[int, int]],
-                              max_hops: Optional[int] = None
+    def _route_many_validated(self, pairs, max_hops: Optional[int] = None
                               ) -> List[CompiledRoute]:
         """:meth:`route_many` body, minus the input prepass (the
-        serving pool dispatches workers straight here)."""
-        if not len(pairs):
-            return []
-        if (_np is not None and self._npv is not None
-                and len(pairs) >= _SMALL_BATCH):
-            # Canonicalize the batch first: serving traffic is heavily
-            # skewed in practice, and identical (s, t) queries route
-            # identically — solve each distinct pair once and fan the
-            # (immutable) result objects back out.  Only engaged when
-            # it actually shrinks the batch, so duplicate-free grids
-            # pay one np.unique and nothing else.
-            arr = _np.asarray(pairs,
-                              dtype=_np.int64).reshape(len(pairs), 2)
-            key = arr[:, 0] * self._n + arr[:, 1]
-            uniq, inv = _np.unique(key, return_inverse=True)
-            if uniq.size <= (len(pairs) * 7) // 8:
-                upairs = _np.stack(
-                    [uniq // self._n, uniq % self._n], axis=1)
-                routes = self._route_chunks(upairs, max_hops)
-                return [routes[i] for i in inv.tolist()]
-            return self._route_chunks(arr, max_hops)
-        return self._route_many_scalar(pairs, max_hops)
-
-    def _route_chunks(self, arr, max_hops):
-        """Vector-route an (N, 2) int64 array, split so the per-hop
-        working set (a dozen int64/float64 arrays of batch length)
-        stays cache-resident; one huge pass streams every gather from
-        DRAM and the per-element cost roughly doubles."""
-        if len(arr) <= _CHUNK_ROWS:
-            return self._route_many_vectorized(arr, max_hops)
+        serving pool and the broker dispatch straight here)."""
+        count = len(pairs)
+        if self._chain is None or count < _VECTOR_MIN_PAIRS:
+            return self._route_walk(pairs, max_hops)
+        if isinstance(pairs, _np.ndarray):
+            arr = pairs.astype(_np.int64, copy=False)
+        else:
+            # validated input: a third of the cost of asarray()
+            arr = _np.fromiter(itertools.chain.from_iterable(pairs),
+                               _np.int64, 2 * count).reshape(count, 2)
         out: List[CompiledRoute] = []
-        for i in range(0, len(arr), _CHUNK_ROWS):
-            out.extend(self._route_many_vectorized(
-                arr[i:i + _CHUNK_ROWS], max_hops))
+        for at in range(0, count, self._chunk_rows):
+            out.extend(self._route_chains(
+                arr[at:at + self._chunk_rows], max_hops))
         return out
 
-    # -- scalar fallback (also the no-numpy serve path) ----------------
-    def _route_many_scalar(self, pairs, max_hops):
+    @staticmethod
+    def _over_budget(s, t, hops, max_hops) -> HopBudgetError:
+        return HopBudgetError(
+            f"route {s} -> {t} takes {hops} hops, over the max_hops="
+            f"{max_hops} budget; retry with a larger budget")
+
+    # -- parent walk (small batches, no numpy, chains past budget) -----
+    def _route_walk(self, pairs, max_hops):
         n = self._n
         k = self._k
-        budgeted = max_hops is not None
-        hop_budget = max_hops if budgeted else 4 * n + 4
-        dp_vertex = self._dp_vertex
-        dp_gentry = self._dp_gentry
-        dp_gexit = self._dp_gexit
-        dp_parent_slot = self._dp_parent_slot
-        dp_parent_w = self._dp_parent_w
-        dp_splitter = self._dp_splitter
-        dp_loc_entry = self._dp_loc_entry
-        dp_loc_exit = self._dp_loc_exit
-        dp_loc_parent_slot = self._dp_loc_parent_slot
-        dp_loc_heavy_slot = self._dp_loc_heavy_slot
-        dp_local_lab = self._dp_local_lab
-        dp_hsplit_slot = self._dp_hsplit_slot
-        dp_hportal = self._dp_hportal
-        dp_hlab = self._dp_hlab
-        dp_ge_rank = self._dp_ge_rank
-        g_key = self._g_key
-        g_portal = self._g_portal
-        g_csplit_slot = self._g_csplit_slot
-        g_plab = self._g_plab
-        dl_entry = self._dl_entry
-        le_key = self._le_key
-        le_child_slot = self._le_child_slot
+        vertex = self._dp_vertex
+        parent = self._dp_parent_slot
+        depth = self._depth
+        dist = self._dist
         sx_key = self._sx_key
         sx_slot = self._sx_slot
         f_pivot = self._f_pivot
         f_slot = self._f_slot
         f_tid = self._f_tid
         m_key = self._m_key
-        m_tslot = self._m_tslot
-        m_sslot = self._m_sslot
         n_sx = len(sx_key)
         n_m = len(m_key)
-        n_g = len(g_key)
-        n_le = len(le_key)
 
         results: List[CompiledRoute] = []
         for source, target in pairs:
             s, t = int(source), int(target)
             if s == t:
-                results.append(CompiledRoute(
-                    source=s, target=t, path=[s], weight=0.0,
-                    tree_center=None, found_level=-1))
+                results.append(CompiledRoute(s, t, [s], 0.0, None, -1))
                 continue
             # --- Algorithm 1 (find-tree) ------------------------------
             mk = s * n + t
             i = bisect_left(m_key, mk, 0, n_m)
             if i < n_m and m_key[i] == mk:
-                st = int(m_tslot[i])
-                cs = int(m_sslot[i])
+                st = int(self._m_tslot[i])
+                cs = int(self._m_sslot[i])
                 center = s
                 level = -1
             else:
@@ -520,156 +449,65 @@ class DenseRoutingPlane(_CompiledArtifact):
                     raise SchemeError(
                         f"find-tree failed for {s} -> {t}; "
                         "A_{k-1} cluster should contain every vertex")
-            # --- in-tree forwarding (Section 6), slot-dense -----------
-            lg = int(dp_gentry[st])
-            lab_st = int(dp_local_lab[st])
-            geb = int(dp_ge_rank[st]) * n
-            path = [s]
-            current = s
-            weight = 0.0
-            stopped = False
-            for _hop in range(hop_budget):
-                if cs == st:
-                    break
-                e = int(dp_gentry[cs])
-                nxt = -2
-                lab = -1
-                if lg == e:
-                    lab = lab_st
-                elif lg < e or lg > int(dp_gexit[cs]):
-                    nxt = int(dp_parent_slot[cs])
-                    if nxt < 0:
+            # --- the tree path: climb whichever end is deeper (the
+            # source on a tie) until the two meet
+            a, b = cs, st
+            path = []
+            tail = []
+            while a != b:
+                if depth[a] >= depth[b]:
+                    path.append(int(vertex[a]))
+                    a = int(parent[a])
+                    if a < 0:
                         raise SchemeError(
-                            f"label {t} escapes tree at root "
-                            f"{current}")
-                else:
-                    gk = geb + int(dp_splitter[cs])
-                    i = bisect_left(g_key, gk, 0, n_g)
-                    if i < n_g and g_key[i] == gk:
-                        if current == int(g_portal[i]):
-                            nxt = int(g_csplit_slot[i])
-                        else:
-                            lab = int(g_plab[i])
-                    else:
-                        hs = int(dp_hsplit_slot[cs])
-                        if hs < 0:
-                            raise SchemeError(
-                                f"vertex {current} lacks "
-                                "heavy-splitter info for label "
-                                f"{t}")
-                        if current == int(dp_hportal[cs]):
-                            nxt = hs
-                        else:
-                            lab = int(dp_hlab[cs])
-                if lab >= 0:
-                    # local_next over the dense label, slot-resolved
-                    a = int(dl_entry[lab])
-                    le = int(dp_loc_entry[cs])
-                    if le == a:
-                        stopped = True
-                        break
-                    if a < le or a > int(dp_loc_exit[cs]):
-                        nxt = int(dp_loc_parent_slot[cs])
-                        if nxt < 0:
-                            raise SchemeError(
-                                "label escapes the local tree at "
-                                f"its root (slot {cs})")
-                    else:
-                        lk = lab * n + current
-                        i = bisect_left(le_key, lk, 0, n_le)
-                        if i < n_le and le_key[i] == lk:
-                            nxt = int(le_child_slot[i])
-                        else:
-                            nxt = int(dp_loc_heavy_slot[cs])
-                            if nxt < 0:
-                                raise SchemeError(
-                                    "routing stuck at local leaf "
-                                    f"{current} (slot {cs})")
-                if nxt < 0:
-                    raise SchemeError(
-                        f"routing {s} -> {t}: unresolvable next hop "
-                        f"at {current} (slot {cs})")
-                if int(dp_parent_slot[cs]) == nxt:
-                    weight += float(dp_parent_w[cs])
-                else:
-                    weight += float(dp_parent_w[nxt])
-                current = int(dp_vertex[nxt])
-                path.append(current)
-                cs = nxt
-            if cs != st:
-                if budgeted and not stopped:
-                    raise HopBudgetError(
-                        f"route {s} -> {t} exhausted the max_hops="
-                        f"{max_hops} budget at {current} after "
-                        f"{len(path) - 1} hops; retry with a larger "
-                        "budget")
-                raise SchemeError(
-                    f"routing {s} -> {t} stopped at {current}")
+                            f"routing {s} -> {t}: slots {cs} and {st} "
+                            "share no tree root")
+                else:       # deeper than a slot, so not a root
+                    tail.append(int(vertex[b]))
+                    b = int(parent[b])
+            path.append(int(vertex[a]))
+            tail.reverse()
+            path += tail
+            if max_hops is not None and len(path) - 1 > max_hops:
+                raise self._over_budget(s, t, len(path) - 1, max_hops)
             results.append(CompiledRoute(
-                source=s, target=t, path=path, weight=weight,
-                tree_center=center, found_level=level))
+                s, t, path, dist[cs] + dist[st] - 2.0 * dist[a],
+                center, level))
         return results
 
-    # -- vectorized serve path -----------------------------------------
-    def _route_many_vectorized(self, pairs, max_hops):
+    # -- vectorised serve path -----------------------------------------
+    def _find_tree(self, s, t):
+        """Algorithm 1 for every row at once: member lookup, then a
+        k-wide select over the label rows, compressed to unresolved
+        rows.  Returns ``(source slot, target slot, center, level)``."""
         np = _np
         col = self._npv
         n = self._n
-        k = self._k
-        budgeted = max_hops is not None
-        hop_budget = max_hops if budgeted else 4 * n + 4
-
-        batch = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
-        src = batch[:, 0]
-        dst = batch[:, 1]
-        results: List[Optional[CompiledRoute]] = [None] * len(pairs)
-        self_rows = src == dst
-        if self_rows.any():
-            for i in np.nonzero(self_rows)[0].tolist():
-                v = int(src[i])
-                results[i] = CompiledRoute(v, v, [v], 0.0, None, -1)
-            work = np.nonzero(~self_rows)[0]
-            s = src[work]
-            t = dst[work]
-        else:
-            work = None
-            s = src
-            t = dst
-        num_rows = len(s)
-
-        # --- Algorithm 1 (find-tree): member lookup, then a k-wide
-        # select over the label rows, compressed to unresolved rows ----
-        if self._m_direct is not None:
-            pos = self._m_direct[s * n + t].astype(np.int64)
-            hit = pos >= 0
-            st = np.where(hit, col["m_tslot"][pos], -1)
-            cs = np.where(hit, col["m_sslot"][pos], -1)
-        elif len(col["m_key"]):
-            hit, pos = _vfind(col["m_key"], s * n + t)
-            st = np.where(hit, col["m_tslot"][pos], -1)
-            cs = np.where(hit, col["m_sslot"][pos], -1)
-        else:
-            hit = np.zeros(num_rows, dtype=bool)
-            st = np.full(num_rows, -1, dtype=np.int64)
-            cs = st.copy()
-        center = np.where(hit, s, -1)
-        level = np.full(num_rows, -1, dtype=np.int64)
-        open_idx = np.nonzero(~hit)[0]
-        for lvl in range(k):
+        hit, pos = _lookup(self._m_direct, col["m_key"], s * n + t)
+        st = np.full(len(s), -1, dtype=np.int64)
+        cs = st.copy()
+        center = st.copy()
+        level = st.copy()
+        open_idx = np.arange(len(s))
+        if hit.any():
+            found = open_idx[hit]
+            pos = pos[hit]
+            st[found] = col["m_tslot"][pos]
+            cs[found] = col["m_sslot"][pos]
+            center[found] = s[found]
+            open_idx = open_idx[~hit]
+        for lvl in range(self._k):
             if open_idx.size == 0:
                 break
             s_open = s[open_idx]
-            row = t[open_idx] * k + lvl
+            row = t[open_idx] * self._k + lvl
             pivot = col["f_pivot"][row]
             sl = col["f_slot"][row]
-            sx_keys = col["f_tid"][row] * n + s_open
-            if self._sx_direct is not None:
-                # f_tid = -1 rows key negatively and wrap; their junk
-                # lookups are masked by the pivot >= 0 condition below.
-                spos = self._sx_direct[sx_keys].astype(np.int64)
-                in_tree = spos >= 0
-            else:
-                in_tree, spos = _vfind(col["sx_key"], sx_keys)
+            # absent rows (f_tid = -1) look up tree 0; masked by the
+            # pivot >= 0 condition below
+            sx_keys = np.maximum(col["f_tid"][row], 0) * n + s_open
+            in_tree, spos = _lookup(self._sx_direct, col["sx_key"],
+                                    sx_keys)
             cond = ((pivot >= 0) & (sl >= 0)
                     & (in_tree | (pivot == s_open)))
             if not cond.any():
@@ -690,233 +528,90 @@ class DenseRoutingPlane(_CompiledArtifact):
             raise SchemeError(
                 f"find-tree failed for {int(s[i])} -> {int(t[i])}; "
                 "A_{k-1} cluster should contain every vertex")
+        return cs, st, center, level
 
-        # --- batched Section-6 forwarding: one gather pass per hop.
-        # Converged rows are retired lazily (compression costs several
-        # boolean-index passes, so it only runs once a quarter of the
-        # live set is done; till then done rows sit inert with
-        # ``nxt = cs``).  Paths are NOT appended per hop — that would
-        # be O(total hops) of Python work, the very loop this tier
-        # removes; each hop parks its (rows, vertices) arrays and the
-        # paths materialize once at the end via a stable argsort ------
-        weight = np.zeros(num_rows, dtype=np.float64)
-        # Hop 0 is the source itself: seeding it here means the final
-        # scatter below emits complete paths and the per-route
-        # ``[source] + hops`` list concat disappears.
-        hop_rows: List = [np.arange(num_rows)]
-        hop_verts: List = [s]
-        live = np.arange(num_rows)
-        cs_l = cs
-        st_l = st
-        lg_l = col["dp_gentry"][st]
-        lab0_l = col["dp_local_lab"][st]
-        geb_l = col["dp_ge_rank"][st] * n
-        cur_l = col["dp_vertex"][cs]
-        # parent_w keyed by the *current* slot is carried across hops
-        # (this hop's parent_w[nxt] is next hop's parent_w[cs]), saving
-        # a float gather per hop.
-        w_cs_l = col["dp_parent_w"][cs]
-        le_direct = self._le_direct
-        for _hop in range(hop_budget):
-            done = cs_l == st_l
-            num_done = int(np.count_nonzero(done))
-            if num_done == live.size:
-                break
-            if num_done > (live.size >> 2):
-                keep = ~done
-                live = live[keep]
-                cs_l = cs_l[keep]
-                st_l = st_l[keep]
-                lg_l = lg_l[keep]
-                lab0_l = lab0_l[keep]
-                geb_l = geb_l[keep]
-                cur_l = cur_l[keep]
-                w_cs_l = w_cs_l[keep]
-                done = np.zeros(live.size, dtype=bool)
-                num_done = 0
-            e = col["dp_gentry"][cs_l]
-            mask_a = lg_l == e                     # shared entry: local
-            mask_b = ~mask_a & ((lg_l < e)         # out of interval:
-                                | (lg_l > col["dp_gexit"][cs_l]))  # up
-            if num_done:
-                active = ~done
-                mask_a &= active
-                mask_b &= active
-                mask_c = active & ~mask_a & ~mask_b
-                nxt = np.where(done, cs_l, -2)     # done rows are inert
-            else:
-                mask_c = ~mask_a & ~mask_b         # global edge zone
-                nxt = np.full(live.size, -2, dtype=np.int64)
-            # ``lab`` defaults to 0 (a valid dense-label index) with the
-            # real "has a label" condition tracked in ``need`` — this
-            # keeps every downstream gather free of a masking where().
-            need = mask_a.copy()
-            lab = np.where(mask_a, lab0_l, 0)
-            # parent is needed unconditionally for the weight select
-            # below, so gather it once up front.
-            parent = col["dp_parent_slot"][cs_l]
-            if mask_b.any():
-                bad = mask_b & (parent < 0)
-                if bad.any():
-                    i = int(np.nonzero(bad)[0][0])
-                    raise SchemeError(
-                        f"label {int(t[live[i]])} escapes tree at "
-                        f"root {int(cur_l[i])}")
-                nxt = np.where(mask_b, parent, nxt)
-            if mask_c.any():
-                # rare branch: compress its rows so the global-edge
-                # searchsorted never runs over the whole batch
-                cidx = np.nonzero(mask_c)[0]
-                cs_c = cs_l[cidx]
-                cur_c = cur_l[cidx]
-                ghit, gpos = _vfind(
-                    col["g_key"],
-                    geb_l[cidx] + col["dp_splitter"][cs_c])
-                nxt_c = np.full(cidx.size, -2, dtype=np.int64)
-                lab_c = np.full(cidx.size, -1, dtype=np.int64)
-                if ghit.any():
-                    at_portal = ghit & (cur_c == col["g_portal"][gpos])
-                    nxt_c = np.where(at_portal,
-                                     col["g_csplit_slot"][gpos], nxt_c)
-                    lab_c = np.where(ghit & ~at_portal,
-                                     col["g_plab"][gpos], lab_c)
-                miss = ~ghit
-                if miss.any():
-                    heavy = col["dp_hsplit_slot"][cs_c]
-                    bad = miss & (heavy < 0)
-                    if bad.any():
-                        i = int(np.nonzero(bad)[0][0])
-                        raise SchemeError(
-                            f"vertex {int(cur_c[i])} lacks "
-                            "heavy-splitter info for label "
-                            f"{int(t[live[cidx[i]]])}")
-                    at_portal = miss & (cur_c == col["dp_hportal"][cs_c])
-                    nxt_c = np.where(at_portal, heavy, nxt_c)
-                    lab_c = np.where(miss & ~at_portal,
-                                     col["dp_hlab"][cs_c], lab_c)
-                nxt[cidx] = nxt_c
-                lab[cidx] = lab_c
-                need[cidx] = lab_c >= 0
-            if need.any():
-                # local_next over dense labels, three-way select.
-                # ``lab`` may hold -1 on (rare) rows that took a portal
-                # edge above; those wrap harmlessly — every read below
-                # is masked by ``need``/``inside``.
-                entry = col["dl_entry"][lab]
-                loc_e = col["dp_loc_entry"][cs_l]
-                stop = need & (loc_e == entry)
-                if stop.any():
-                    # the protocol stopped short of the target —
-                    # corrupt artifact regardless of any hop budget
-                    i = int(np.nonzero(stop)[0][0])
-                    raise SchemeError(
-                        f"routing {int(s[live[i]])} -> "
-                        f"{int(t[live[i]])} stopped at "
-                        f"{int(cur_l[i])}")
-                out = need & ((entry < loc_e)
-                              | (entry > col["dp_loc_exit"][cs_l]))
-                if out.any():
-                    loc_p = col["dp_loc_parent_slot"][cs_l]
-                    bad = out & (loc_p < 0)
-                    if bad.any():
-                        i = int(np.nonzero(bad)[0][0])
-                        raise SchemeError(
-                            "label escapes the local tree at its "
-                            f"root (slot {int(cs_l[i])})")
-                    nxt = np.where(out, loc_p, nxt)
-                inside = need & ~out
-                if inside.any():
-                    if le_direct is not None:
-                        # lab >= -1, so the key is >= -n and wraps
-                        # inside the table (size >= n); junk rows are
-                        # masked by ``inside``.
-                        cand = le_direct[lab * n + cur_l]
-                        lhit = inside & (cand >= 0)
-                    else:
-                        lhit, lpos = _vfind(col["le_key"],
-                                            lab * n + cur_l)
-                        lhit &= inside
-                        cand = None
-                    if lhit.any():
-                        nxt = np.where(
-                            lhit,
-                            cand if cand is not None
-                            else col["le_child_slot"][lpos],
-                            nxt)
-                    miss = inside & ~lhit
-                    if miss.any():
-                        heavy = col["dp_loc_heavy_slot"][cs_l]
-                        bad = miss & (heavy < 0)
-                        if bad.any():
-                            i = int(np.nonzero(bad)[0][0])
-                            raise SchemeError(
-                                "routing stuck at local leaf "
-                                f"{int(cur_l[i])} (slot "
-                                f"{int(cs_l[i])})")
-                        nxt = np.where(miss, heavy, nxt)
-            bad = nxt < 0
-            if bad.any():
-                i = int(np.nonzero(bad)[0][0])
+    def _route_chains(self, arr, max_hops):
+        """Route an (N, 2) int64 array off the ancestor chains."""
+        np = _np
+        src = arr[:, 0]
+        dst = arr[:, 1]
+        work = None
+        s, t = src, dst
+        self_rows = src == dst
+        if self_rows.any():
+            work = np.nonzero(~self_rows)[0]
+            s = src[work]
+            t = dst[work]
+        num_rows = len(s)
+        routes: List[CompiledRoute] = []
+        if num_rows:
+            cs, st, center, level = self._find_tree(s, t)
+            chain = self._chain
+            depth = self._depth_np
+            dist = self._dist_np
+            ds = depth[cs]
+            dt = depth[st]
+            oc = self._chain_off[cs]
+            ot = self._chain_off[st]
+            # --- LCA: common prefix of the two root-first chains.
+            # Equality is monotone along a chain (same ancestor at one
+            # level means same ancestors above it), and padded columns
+            # repeat the last comparable level, so each row of ``same``
+            # reads True..True False..False and its popcount, capped at
+            # the comparable length, is the prefix length.
+            span = np.minimum(ds, dt) + 1
+            levels = np.minimum(np.arange(int(span.max())),
+                                span[:, None] - 1)
+            same = chain[oc[:, None] + levels] == chain[ot[:, None]
+                                                        + levels]
+            common = np.minimum(np.count_nonzero(same, axis=1), span)
+            if not common.all():
+                i = int(np.argmin(common))
                 raise SchemeError(
-                    f"routing {int(s[live[i]])} -> {int(t[live[i]])}: "
-                    f"unresolvable next hop at {int(cur_l[i])} "
-                    f"(slot {int(cs_l[i])})")
-            w_nxt = col["dp_parent_w"][nxt]
-            step_w = np.where(parent == nxt, w_cs_l, w_nxt)
-            next_vertex = col["dp_vertex"][nxt]
-            if num_done:
-                step_w = np.where(done, 0.0, step_w)
-                hop_rows.append(live[active])
-                hop_verts.append(next_vertex[active])
-            else:
-                hop_rows.append(live)
-                hop_verts.append(next_vertex)
-            weight[live] += step_w
-            cur_l = next_vertex
-            cs_l = nxt
-            w_cs_l = w_nxt
-        undone = cs_l != st_l
-        if undone.any():
-            i = int(np.nonzero(undone)[0][0])
-            row = int(live[i])
-            hops = sum(int((rows == row).sum())
-                       for rows in hop_rows[1:])
-            if budgeted:
-                raise HopBudgetError(
-                    f"route {int(s[row])} -> {int(t[row])} exhausted "
-                    f"the max_hops={max_hops} budget at "
-                    f"{int(cur_l[i])} after {hops} hops; retry with "
-                    "a larger budget")
-            raise SchemeError(
-                f"routing {int(s[row])} -> {int(t[row])} stopped at "
-                f"{int(cur_l[i])}")
-
-        # Materialize per-row paths from the per-hop arrays with a
-        # counting scatter: row r's vertices land at
-        # offsets[r]..offsets[r+1] in hop order (each hop's rows are
-        # strictly increasing, and hops are visited in order).
-        all_rows = np.concatenate(hop_rows)
-        offsets = np.zeros(num_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(all_rows, minlength=num_rows),
-                  out=offsets[1:])
-        flat = np.empty(all_rows.size, dtype=np.int64)
-        fill = offsets[:-1].copy()
-        for rows, hverts in zip(hop_rows, hop_verts):
-            at = fill[rows]
-            flat[at] = hverts
-            fill[rows] = at + 1
-        verts = flat.tolist()
-        offsets = offsets.tolist()
-
-        s_list = s.tolist()
-        t_list = t.tolist()
-        center_list = center.tolist()
-        level_list = level.tolist()
-        weight_list = weight.tolist()
-        out_idx = range(num_rows) if work is None else work.tolist()
-        for row, idx in enumerate(out_idx):
-            results[idx] = CompiledRoute(
-                s_list[row], t_list[row],
-                verts[offsets[row]:offsets[row + 1]],
-                weight_list[row], center_list[row], level_list[row])
+                    f"routing {int(s[i])} -> {int(t[i])}: slots "
+                    f"{int(cs[i])} and {int(st[i])} share no tree root")
+            up = ds - common + 1          # hops source -> LCA
+            hops = up + dt - common + 1
+            if max_hops is not None and (hops > max_hops).any():
+                i = int(np.argmax(hops > max_hops))
+                raise self._over_budget(int(s[i]), int(t[i]),
+                                        int(hops[i]), max_hops)
+            # --- one ragged gather for every path: per row an up-leg
+            # segment read backwards from the source's chain tip and a
+            # down-leg segment read forwards from below the LCA.  A
+            # segment's cells are |base + running index|: bases of
+            # backward segments are negated, so the sum counts down.
+            seg_len = np.empty((num_rows, 2), dtype=np.int64)
+            seg_len[:, 0] = up + 1
+            seg_len[:, 1] = hops - up
+            seg_len = seg_len.ravel()
+            seg_end = np.cumsum(seg_len)
+            seg_start = (seg_end - seg_len).reshape(num_rows, 2)
+            base = np.empty((num_rows, 2), dtype=np.int64)
+            base[:, 0] = -(oc + ds + seg_start[:, 0])
+            base[:, 1] = ot + common - seg_start[:, 1]
+            cells = np.abs(np.repeat(base.ravel(), seg_len)
+                           + np.arange(int(seg_end[-1])))
+            verts = self._npv["dp_vertex"][chain[cells]].tolist()
+            ends = seg_end[1::2].tolist()
+            weight = (dist[cs] + dist[st]
+                      - 2.0 * dist[chain[oc + common - 1]])
+            paths = []
+            begin = 0
+            for end in ends:
+                paths.append(verts[begin:end])
+                begin = end
+            # CompiledRoute._make without its Python frame: this line
+            # is a third of a bulk call
+            routes = list(map(_new_route, zip(
+                s.tolist(), t.tolist(), paths, weight.tolist(),
+                center.tolist(), level.tolist())))
+        if work is None:
+            return routes
+        results: List[Optional[CompiledRoute]] = [None] * len(src)
+        for idx in np.nonzero(self_rows)[0].tolist():
+            v = int(src[idx])
+            results[idx] = CompiledRoute(v, v, [v], 0.0, None, -1)
+        for idx, route in zip(work.tolist(), routes):
+            results[idx] = route
         return results  # type: ignore[return-value]

@@ -277,7 +277,7 @@ class SchemePipeline:
         ``tier`` selects the artifact tier: ``"flat"`` (default) is the
         :class:`~repro.core.CompiledScheme`; ``"dense"`` compiles that
         further into a :class:`~repro.core.DenseRoutingPlane`, the
-        gather-loop serving plane.  Both are cached independently, and
+        batch serving plane.  Both are cached independently, and
         the dense tier reuses a cached flat compile.
         """
         if tier == "flat":

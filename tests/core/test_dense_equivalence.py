@@ -1,13 +1,16 @@
 """Differential pin: the dense plane IS the flat plane, bit for bit.
 
 Every case builds one scheme, compiles both artifact tiers from it,
-and drives them through the same batches — all-pairs, tiny batches
-(below the vectorization threshold), duplicate-heavy and self-pair
-mixes — asserting listwise ``CompiledRoute`` equality on every field
-(path, weight, tree_center, found_level).  The whole grid runs twice:
-once with numpy and once with ``dense._np`` monkeypatched to ``None``,
-so the pure-python fallback is held to the same contract as the
-vectorized engine.
+and drives them through the same batches — all-pairs, every batch size
+that straddles a threshold of the dense kernel or is a window size the
+broker serves, duplicate-heavy and self-pair mixes — asserting
+listwise ``CompiledRoute`` equality on every field (path, weight,
+tree_center, found_level).  The dense tier routes along parent
+pointers; the flat tier replays the Section-6 protocol hop by hop, so
+this grid is what holds the one to the other.  The whole grid runs
+twice: once with numpy and once with ``dense._np`` monkeypatched to
+``None``, so the pure-python parent walk is held to the same contract
+as the vectorized engine.
 
 Also here: the hop-budget regression tests (a caller ``max_hops``
 running out must raise :class:`HopBudgetError` on *both* planes, while
@@ -33,11 +36,13 @@ from repro.exceptions import (
     SchemeError,
 )
 from repro.graphs.generators import (
+    barbell,
     caterpillar_tree,
     grid,
     path,
     random_connected,
     random_geometric,
+    random_tree,
     ring_of_cliques,
     star_of_paths,
     weighted_small_world,
@@ -62,8 +67,24 @@ CASES = [
     ("geometric", lambda: random_geometric(30, seed=8), 2, 8),
 ]
 
+#: Trees and near-trees, each at k = 2, 3, 4: deep chains, hubs and
+#: bridges, where the cluster trees are as unbalanced as they get and
+#: one of the two legs of a route is often empty.
+TREE_ZOO = [
+    (f"{name}-k{k}", factory, k, seed)
+    for name, factory, seed in [
+        ("random_tree", lambda: random_tree(28, seed=31), 31),
+        ("caterpillar_tree", lambda: caterpillar_tree(9, 2, seed=37), 37),
+        ("star_of_paths", lambda: star_of_paths(5, 5, seed=41), 41),
+        ("barbell", lambda: barbell(6, 8, seed=43), 43),
+        ("path", lambda: path(26, seed=47), 47),
+    ]
+    for k in (2, 3, 4)
+]
 
-@pytest.fixture(scope="module", params=CASES, ids=lambda c: c[0])
+
+@pytest.fixture(scope="module", params=CASES + TREE_ZOO,
+                ids=lambda c: c[0])
 def tiers(request):
     """(CompiledScheme, DenseRoutingPlane) for one case."""
     name, factory, k, seed = request.param
@@ -79,13 +100,17 @@ def dense(request, tiers, monkeypatch):
     The scalar variant is constructed *after* blanking the module's
     numpy handle, so ``_post_init`` builds no mirrors and every serve
     takes the pure-python path — exactly the no-numpy CI environment.
+    The numpy variant is built with a small cell budget, so a pass
+    holds a few dozen rows and the all-pairs batches cross many chunk
+    boundaries (``tiers`` keeps a plane at the default budget).
     """
     compiled, plane = tiers
     if request.param == "numpy":
         if dense_mod._np is None:
             pytest.skip("numpy not installed")
-        return plane
-    monkeypatch.setattr(dense_mod, "_np", None)
+        monkeypatch.setattr(dense_mod, "_CHUNK_CELLS", 512)
+    else:
+        monkeypatch.setattr(dense_mod, "_np", None)
     return DenseRoutingPlane.from_compiled(compiled)
 
 
@@ -107,21 +132,70 @@ class TestBatchEquivalence:
         assert_routes_equal(dense.route_many(pairs),
                             compiled.route_many(pairs))
 
-    def test_small_batches_take_scalar_path(self, tiers, dense):
-        """Batches below ``_SMALL_BATCH`` never vectorize — still
-        identical, including the single-pair and empty edge cases."""
+    def test_sizes_straddling_every_threshold(self, tiers, dense):
+        """The sizes that are served: empty, single, either side of the
+        walk/vector cutover, the broker's 64- and 128-pair windows, and
+        either side of a chunk boundary — self-pairs and duplicates
+        mixed into each."""
         compiled, _ = tiers
         n = compiled.num_vertices
+        cutover = dense_mod._VECTOR_MIN_PAIRS
+        # the pure-python engine has no chunks; any size will do there
+        chunk = getattr(dense, "_chunk_rows", 48)
+        assert chunk < 200, "the fixture's cell budget should bite"
+        sizes = {0, 1, 2, cutover - 1, cutover, cutover + 1,
+                 63, 64, 127, 128, 129,
+                 chunk - 1, chunk, chunk + 1, 2 * chunk + 1}
         rng = random.Random(17)
-        for size in (0, 1, 2, dense_mod._SMALL_BATCH - 1):
+        for size in sorted(sizes):
             pairs = [(rng.randrange(n), rng.randrange(n))
                      for _ in range(size)]
+            for at in range(0, size, 5):       # a self-pair ...
+                pairs[at] = (pairs[at][0], pairs[at][0])
+            for at in range(3, size, 7):       # ... and a duplicate
+                pairs[at] = pairs[at - 2]
             assert_routes_equal(dense.route_many(pairs),
                                 compiled.route_many(pairs))
+            # the broker and the pool enter below the validation
+            assert_routes_equal(dense._route_many_validated(pairs),
+                                compiled.route_many(pairs))
+
+    def test_array_input(self, tiers, dense):
+        """An integer ``(N, 2)`` array is served like the list it came
+        from, on either side of the cutover."""
+        np = pytest.importorskip("numpy")
+        compiled, _ = tiers
+        pairs = all_pairs(compiled.num_vertices)
+        for size in (dense_mod._VECTOR_MIN_PAIRS - 1, 200):
+            want = compiled.route_many(pairs[:size])
+            for dtype in (np.int64, np.int32, np.uint16):
+                got = dense.route_many(np.array(pairs[:size], dtype=dtype))
+                assert_routes_equal(got, want)
+                assert all(type(v) is int for r in got for v in r.path)
+
+    def test_past_the_derived_budget(self, tiers, monkeypatch):
+        """What load derives is an accelerator, not a requirement: with
+        no direct-address tables find-tree binary-searches the sorted
+        keys, and with no ancestor chains every batch takes the parent
+        walk — same routes either way."""
+        if dense_mod._np is None:
+            pytest.skip("numpy not installed")
+        compiled, _ = tiers
+        pairs = all_pairs(compiled.num_vertices)
+        want = compiled.route_many(pairs)
+        monkeypatch.setattr(dense_mod, "_direct_table",
+                            lambda keys, size: None)
+        searching = DenseRoutingPlane.from_compiled(compiled)
+        assert searching._chain is not None
+        assert_routes_equal(searching.route_many(pairs), want)
+        monkeypatch.setattr(dense_mod, "_DERIVED_BUDGET", 0)
+        walking = DenseRoutingPlane.from_compiled(compiled)
+        assert walking._chain is None
+        assert_routes_equal(walking.route_many(pairs), want)
 
     def test_duplicate_heavy_batch(self, tiers, dense):
         """Skewed serving traffic: a small hot set repeated many times
-        (the canonicalization fast path) mixed with every self-pair."""
+        mixed with every self-pair."""
         compiled, _ = tiers
         n = compiled.num_vertices
         rng = random.Random(23)

@@ -217,3 +217,135 @@ class TestCompiledTierFailures:
         loaded = load_artifact(path)
         pairs = [(0, artifact.num_vertices - 1), (3, 7), (5, 5)]
         assert loaded.route_many(pairs) == artifact.route_many(pairs)
+
+
+class TestDenseParentPointers:
+    """The dense kernel routes along ``dp_parent_slot`` and trusts it,
+    so a damaged pointer must be caught once, at load, by name — on
+    the numpy engine and on the pure-python one — and what load cannot
+    see (find-tree rows naming a slot of another tree, a caller's hop
+    budget) must stay a typed error at route time."""
+
+    @pytest.fixture(scope="class")
+    def flat(self, setup):
+        _graph, scheme = setup
+        return scheme.compile()
+
+    @pytest.fixture(scope="class")
+    def plane(self, flat):
+        """The sound columns; served only through ``rebuild``."""
+        from repro.core import DenseRoutingPlane
+        return DenseRoutingPlane.from_compiled(flat)
+
+    @pytest.fixture(params=["numpy", "scalar"])
+    def rebuild(self, request, plane, monkeypatch):
+        """``rebuild(column=values, ...)``: the plane reloaded with
+        those columns replaced, under one engine."""
+        import repro.core.dense as dense_mod
+        from repro.core import DenseRoutingPlane
+        if request.param == "scalar":
+            monkeypatch.setattr(dense_mod, "_np", None)
+        elif dense_mod._np is None:
+            pytest.skip("numpy not installed")
+
+        def rebuild(**columns):
+            arrays = {name: list(getattr(plane, "_" + name))
+                      for name, _ in DenseRoutingPlane._FIELDS}
+            arrays.update(columns)
+            return DenseRoutingPlane(dict(plane.meta), arrays)
+        return rebuild
+
+    @staticmethod
+    def _trees(plane):
+        """slot -> tree id, from the (tree, vertex) -> slot index."""
+        n = plane.num_vertices
+        tree = [None] * len(plane._dp_vertex)
+        for key, slot in zip(plane._sx_key, plane._sx_slot):
+            tree[slot] = key // n
+        return tree
+
+    def test_clean_reload_serves(self, flat, rebuild):
+        pairs = [(0, flat.num_vertices - 1), (3, 7), (5, 5)]
+        assert rebuild().route_many(pairs) == flat.route_many(pairs)
+
+    @pytest.mark.parametrize("junk", [-2, -10 ** 9, None, 10 ** 9])
+    def test_parent_out_of_range(self, plane, rebuild, junk):
+        from repro.exceptions import ArtifactError
+        parent = list(plane._dp_parent_slot)
+        victim = len(parent) // 2
+        parent[victim] = len(parent) if junk is None else junk
+        with pytest.raises(ArtifactError, match=f"slot {victim}:.*range"):
+            rebuild(dp_parent_slot=parent)
+
+    @pytest.mark.parametrize("shape", ["root-to-child", "self-parent"])
+    def test_parent_cycle(self, plane, rebuild, shape):
+        """A root re-pointed at one of its own children (or a slot at
+        itself): every slot below now climbs forever.  Load names one
+        that does — it neither hangs nor walks off the array."""
+        import re
+        from repro.exceptions import ArtifactError
+        parent = list(plane._dp_parent_slot)
+        child = next(s for s, p in enumerate(parent)
+                     if p >= 0 and parent[p] < 0)
+        parent[parent[child] if shape == "root-to-child" else child] = child
+        with pytest.raises(ArtifactError, match="cycle") as caught:
+            rebuild(dp_parent_slot=parent)
+        named = int(re.search(r"slot (\d+)", str(caught.value)).group(1))
+        for _ in range(len(parent) + 1):
+            named = parent[named]
+            assert named >= 0, "the named slot does reach a root"
+
+    def test_parent_in_another_tree(self, plane, rebuild):
+        from repro.exceptions import ArtifactError
+        parent = list(plane._dp_parent_slot)
+        tree = self._trees(plane)
+        victim = next(s for s, p in enumerate(parent) if p >= 0)
+        parent[victim] = next(s for s in range(len(parent))
+                              if tree[s] != tree[victim])
+        with pytest.raises(ArtifactError,
+                           match=f"slot {victim}:.*belongs to tree"):
+            rebuild(dp_parent_slot=parent)
+
+    @pytest.mark.parametrize("junk", [2.5, -1.0, float("nan")])
+    def test_fractional_weight_rejected(self, plane, rebuild, junk):
+        """Weights are root-distance differences, exact only because
+        edge weights are integers; load holds the artifact to that."""
+        from repro.exceptions import ArtifactError
+        weights = list(plane._dp_parent_w)
+        victim = next(s for s, p in enumerate(plane._dp_parent_slot)
+                      if p >= 0)
+        weights[victim] = junk
+        with pytest.raises(ArtifactError, match=f"slot {victim}:.*weight"):
+            rebuild(dp_parent_w=weights)
+
+    @pytest.mark.parametrize("batch", [1, 200])
+    def test_slots_of_two_trees_fail_at_route_time(self, plane, rebuild,
+                                                   batch):
+        """Every find-tree row re-pointed at a slot of some other
+        tree: the parent pointers are sound, so load passes, and the
+        route whose two chains share no root is a SchemeError on the
+        parent walk and on the vector pass alike."""
+        tree = self._trees(plane)
+        other = {t: s for s, t in enumerate(tree)}
+        f_slot = [sl if sl < 0 else
+                  next(s for t, s in other.items() if t != tid)
+                  for sl, tid in zip(plane._f_slot, plane._f_tid)]
+        broken = rebuild(f_slot=f_slot, m_key=[], m_tslot=[],
+                         m_sslot=[])
+        n = plane.num_vertices
+        pairs = [(s % n, (s + 1) % n) for s in range(batch)]
+        with pytest.raises(SchemeError, match="share no tree root"):
+            broken.route_many(pairs)
+
+    @pytest.mark.parametrize("batch", [1, 200])
+    def test_short_hop_budget_is_the_callers_error(self, flat, rebuild,
+                                                   batch):
+        from repro.exceptions import HopBudgetError
+        n = flat.num_vertices
+        pairs = [(s % n, (s + n // 2) % n) for s in range(batch)]
+        routes = flat.route_many(pairs)
+        worst = max(r.hops for r in routes)
+        reloaded = rebuild()
+        assert reloaded.route_many(pairs, max_hops=worst) == routes
+        with pytest.raises(HopBudgetError, match=f"max_hops={worst - 1}"):
+            reloaded.route_many(pairs, max_hops=worst - 1)

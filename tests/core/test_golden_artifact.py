@@ -30,6 +30,7 @@ from repro.core.compiled import (
     load_artifact,
 )
 from repro.core.dense import DenseRoutingPlane
+from repro.exceptions import ArtifactError
 
 DATA = Path(__file__).parent.parent / "data"
 
@@ -69,6 +70,22 @@ class TestByteLevelPin:
         assert dense_bytes.startswith(MAGIC)
         (version,) = struct.unpack_from("<I", dense_bytes, len(MAGIC))
         assert version == FORMAT_VERSION
+
+    @pytest.mark.parametrize("fixture", ["scheme_file", "dense_file",
+                                         "estimation_file"])
+    def test_version_1_file_rejected(self, expected, fixture, tmp_path):
+        """Version 2 dropped 19 of the dense payload's 30 columns; a
+        file stamped with the old version is refused by name rather
+        than misread, whichever kind it holds."""
+        blob = bytearray((DATA / expected[fixture]).read_bytes())
+        struct.pack_into("<I", blob, len(MAGIC), 1)
+        old = tmp_path / "v1.cra"
+        old.write_bytes(bytes(blob))
+        with pytest.raises(ArtifactError,
+                           match="unsupported artifact format version 1 "
+                                 f"\\(this build reads version "
+                                 f"{FORMAT_VERSION}\\)"):
+            load_artifact(old)
 
     def test_sha256_matches_committed_record(self, expected,
                                              scheme_bytes,
