@@ -400,8 +400,7 @@ def multi_source_exploration(graph: WeightedGraph,
                              sources: Sequence[int],
                              iterations: int,
                              join: JoinPredicate,
-                             capacity_words: int = 2,
-                             trace_label: Optional[str] = None
+                             capacity_words: int = 2
                              ) -> ExplorationResult:
     """Parallel bounded-depth Bellman–Ford from every source.
 
@@ -430,14 +429,6 @@ def multi_source_exploration(graph: WeightedGraph,
     * otherwise, flat candidate buckets over an adjacency snapshot (the
       PR-2 path, kept as the universal fallback; join rules are still
       evaluated as inline comparisons there, never as calls).
-
-    ``trace_label`` opts this call into exploration tracing: when an
-    active recorder has ``capture_explorations`` set and the join is a
-    declarative :class:`JoinRule`, the per-source applied-update event
-    stream is stored on the recorder as an
-    :class:`~repro.graphs.recording.ExplorationTrace` under that label
-    (both the kernel and the bucketed path capture the same events —
-    applied updates are result-pinned across the implementations).
     """
     n = graph.num_vertices
     is_rule = isinstance(join, JoinRule)
@@ -449,34 +440,13 @@ def multi_source_exploration(graph: WeightedGraph,
                 _PATH_COUNTS["dense-rule"] += 1
                 return _multi_source_dense_rule(view, graph, sources,
                                                 iterations, join,
-                                                capacity_words,
-                                                trace_label)
+                                                capacity_words)
             _PATH_COUNTS["dense-callback"] += 1
             return _multi_source_dense(view, graph, sources, iterations,
                                        join, capacity_words)
     _PATH_COUNTS["bucketed-rule" if is_rule else "bucketed-callback"] += 1
     return _multi_source_bucketed(graph, sources, iterations, join,
-                                  capacity_words, trace_label)
-
-
-def _trace_events(rec, join: JoinPredicate, trace_label: Optional[str]
-                  ) -> Optional[Dict[int, List[Tuple[int, int, int, float]]]]:
-    """The event sink for this call, or ``None`` when not tracing."""
-    if (trace_label is not None and rec is not None
-            and rec.capture_explorations and isinstance(join, JoinRule)):
-        return {}
-    return None
-
-
-def _store_trace(rec, trace_label: str, sources: Sequence[int],
-                 iterations: int, capacity_words: int, rule: JoinRule,
-                 events: Dict[int, List[Tuple[int, int, int, float]]]
-                 ) -> None:
-    rec.add_trace(_recording.ExplorationTrace(
-        label=trace_label, sources=tuple(sources), budget=iterations,
-        capacity_words=capacity_words,
-        threshold=tuple(rule.threshold), strict=rule.strict,
-        exempt_sources=rule.exempt_sources, events=events))
+                                  capacity_words)
 
 
 def _multi_source_dense(view, graph: WeightedGraph,
@@ -559,8 +529,7 @@ def _multi_source_dense(view, graph: WeightedGraph,
 
 def _multi_source_dense_rule(view, graph: WeightedGraph,
                              sources: Sequence[int], iterations: int,
-                             rule: JoinRule, capacity_words: int,
-                             trace_label: Optional[str] = None
+                             rule: JoinRule, capacity_words: int
                              ) -> ExplorationResult:
     """Kernel path for declarative join rules: every live
     ``(source, vertex)`` estimate across *all* explorations advances in
@@ -635,7 +604,6 @@ def _multi_source_dense_rule(view, graph: WeightedGraph,
     executed = 0
     max_live = 0
     rec = _recording.active()
-    events = _trace_events(rec, rule, trace_label)
     for _ in range(iterations):
         if fr_r.size == 0:
             break
@@ -683,13 +651,6 @@ def _multi_source_dense_rule(view, graph: WeightedGraph,
             _np.add.at(live, newly, 1)
             if rec is not None:
                 rec.commit_pairs(zip(b_via.tolist(), b_t.tolist()))
-            if events is not None:
-                for r, t, via, nd in zip(b_r.tolist(), b_t.tolist(),
-                                         b_via.tolist(), b_d.tolist()):
-                    bucket = events.get(source_list[r])
-                    if bucket is None:
-                        bucket = events[source_list[r]] = []
-                    bucket.append((executed, t, via, nd))
             congestion = int(_np.bincount(b_t).max())
             # next frontier re-sorted by (row, vertex) for the
             # tie-break order
@@ -714,9 +675,6 @@ def _multi_source_dense_rule(view, graph: WeightedGraph,
         s = source_list[r]
         dist[v][s] = dv
         parent[v][s] = None if pv < 0 else pv
-    if events is not None:
-        _store_trace(rec, trace_label, sources, iterations,
-                     capacity_words, rule, events)
     rounds = congestion_rounds(per_iter_words, capacity_words)
     return ExplorationResult(dist=dist, parent=parent, iterations=executed,
                              rounds=rounds,
@@ -727,8 +685,7 @@ def _multi_source_bucketed(graph: WeightedGraph,
                            sources: Sequence[int],
                            iterations: int,
                            join: JoinPredicate,
-                           capacity_words: int = 2,
-                           trace_label: Optional[str] = None
+                           capacity_words: int = 2
                            ) -> ExplorationResult:
     """Flat candidate buckets over the cached flat adjacency (the
     fallback batched path): a fast path for the common one-live-estimate
@@ -756,7 +713,6 @@ def _multi_source_bucketed(graph: WeightedGraph,
     executed = 0
     max_live = 0
     rec = _recording.active()
-    events = _trace_events(rec, join, trace_label)
     for _ in range(iterations):
         if not frontier:
             break
@@ -821,19 +777,11 @@ def _multi_source_bucketed(graph: WeightedGraph,
                     # rejected when its edge gets heavier (join
                     # rules are antitone in the distance)
                     rec.commit(via, v)
-                if events is not None:
-                    ev = events.get(s)
-                    if ev is None:
-                        ev = events[s] = []
-                    ev.append((executed, v, via, nd))
                 changed.append(s)
             if changed:
                 frontier.append((v, changed))
             if len(dv) > max_live:
                 max_live = len(dv)
-    if events is not None:
-        _store_trace(rec, trace_label, sources, iterations,
-                     capacity_words, join, events)
     rounds = congestion_rounds(per_iter_words, capacity_words)
     return ExplorationResult(dist=dist, parent=parent, iterations=executed,
                              rounds=rounds,

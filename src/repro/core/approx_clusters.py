@@ -220,35 +220,16 @@ def _prune_orphans(center: int, value: Dict[int, float],
 # ----------------------------------------------------------------------
 # Small scales (Section 3.2)
 # ----------------------------------------------------------------------
-def _default_explorer(graph: WeightedGraph, centers: Sequence[int],
-                      budget: int, rule: JoinRule, capacity_words: int,
-                      label: str):
-    """Plain small-level exploration (traced when a recorder captures)."""
-    return multi_source_exploration(graph, centers, budget, rule,
-                                    capacity_words, trace_label=label)
-
-
-def _default_detector(graph: WeightedGraph, sources: Sequence[int],
-                      hop_bound: int, eps: float, bfs_tree: BFSTree,
-                      mode: str, join_rule: Optional[JoinRule],
-                      label: str):
-    """Plain source detection (traced when a recorder captures)."""
-    return detect_sources(graph, sources, hop_bound, eps,
-                          bfs_tree=bfs_tree, mode=mode,
-                          join_rule=join_rule, trace_label=label)
-
-
 def _build_small_level(graph: WeightedGraph, level: int,
                        centers: Sequence[int],
                        next_pivot_dist: List[float], budget: int,
-                       capacity_words: int, ledger: CostLedger,
-                       explorer=_default_explorer
+                       capacity_words: int, ledger: CostLedger
                        ) -> Dict[int, ApproxCluster]:
     # rule (11): join iff b_v(u) < d̂_{i+1}(v), declaratively
     rule = JoinRule(threshold=next_pivot_dist)
     started = time.perf_counter()
-    result = explorer(graph, centers, budget, rule, capacity_words,
-                      f"clusters/small-level-{level}")
+    result = multi_source_exploration(graph, centers, budget, rule,
+                                      capacity_words)
     ledger.add(f"clusters/small-level-{level}", result.rounds,
                seconds=time.perf_counter() - started)
     clusters: Dict[int, ApproxCluster] = {
@@ -271,16 +252,15 @@ def _build_middle_level(graph: WeightedGraph, level: int,
                         centers: Sequence[int],
                         next_pivot_dist: List[float], budget: int,
                         eps: float, bfs_tree: BFSTree,
-                        detection_mode: str, ledger: CostLedger,
-                        detector=_default_detector
+                        detection_mode: str, ledger: CostLedger
                         ) -> Dict[int, ApproxCluster]:
     # middle-level join rule, applied inside the detection when it
     # materializes estimates: keep (v, u) iff b < d̂_{(k+1)/2}(v)
     rule = JoinRule(threshold=next_pivot_dist)
     started = time.perf_counter()
-    detection = detector(graph, centers, budget, eps, bfs_tree,
-                         detection_mode, rule,
-                         f"clusters/middle-level-{level}")
+    detection = detect_sources(graph, centers, budget, eps,
+                               bfs_tree=bfs_tree, mode=detection_mode,
+                               join_rule=rule)
     ledger.add(f"clusters/middle-level-{level}", detection.rounds,
                seconds=time.perf_counter() - started)
     clusters: Dict[int, ApproxCluster] = {
@@ -316,14 +296,12 @@ class _LargeScalePreprocessing:
 def _preprocess_large_scales(graph: WeightedGraph, params: SchemeParams,
                              v_prime: Sequence[int], rng: random.Random,
                              bfs_tree: BFSTree, detection_mode: str,
-                             capacity_words: int, ledger: CostLedger,
-                             detector=_default_detector
+                             capacity_words: int, ledger: CostLedger
                              ) -> _LargeScalePreprocessing:
     hop_bound = params.detection_hop_bound
     started = time.perf_counter()
-    detection = detector(graph, v_prime, hop_bound, params.eps / 2,
-                         bfs_tree, detection_mode, None,
-                         "large/preprocess-detection")
+    detection = detect_sources(graph, v_prime, hop_bound, params.eps / 2,
+                               bfs_tree=bfs_tree, mode=detection_mode)
     ledger.add("large/preprocess-detection", detection.rounds,
                seconds=time.perf_counter() - started)
     virtual_graph = build_virtual_graph_from_detection(detection)
@@ -470,9 +448,7 @@ def build_approx_clusters(graph: WeightedGraph, k: int,
                           capacity_words: int = 2,
                           hierarchy: Optional[LevelHierarchy] = None,
                           bfs_tree: Optional[BFSTree] = None,
-                          engine: Optional[str] = None,
-                          small_level_explorer=None,
-                          detection_hook=None
+                          engine: Optional[str] = None
                           ) -> ApproxClusterSystem:
     """Theorem 4: compute all approximate pivots and clusters.
 
@@ -481,14 +457,6 @@ def build_approx_clusters(graph: WeightedGraph, k: int,
     ``eps_override`` (tests / ablations only) replaces ``1/(48 k^4)``.
     ``engine`` selects the CONGEST execution backend (see
     :mod:`repro.congest.engine`); ``None`` uses the default.
-    ``small_level_explorer`` replaces the plain
-    :func:`multi_source_exploration` call of each small level, and
-    ``detection_hook`` the :func:`detect_sources` calls of the middle
-    level and the large-scale preprocessing — the incremental builder's
-    cluster-splice hooks.  Both must be result-identical to the plain
-    call (the ``clusters`` strategy's differential pin enforces this);
-    everything else in the build is untouched, so the rng trajectory
-    and every other phase run exactly as a scratch build would.
     """
     graph.require_connected()
     n = graph.num_vertices
@@ -524,13 +492,11 @@ def build_approx_clusters(graph: WeightedGraph, k: int,
         if middle is not None and i == middle:
             clusters.update(_build_middle_level(
                 graph, i, centers, next_hat(i), budget, params.eps,
-                bfs_tree, detection_mode, ledger,
-                detector=(detection_hook or _default_detector)))
+                bfs_tree, detection_mode, ledger))
         else:
             clusters.update(_build_small_level(
                 graph, i, centers, next_hat(i), budget, capacity_words,
-                ledger,
-                explorer=(small_level_explorer or _default_explorer)))
+                ledger))
 
     beta = 0
     if params.half_level <= params.k - 1:
@@ -538,8 +504,7 @@ def build_approx_clusters(graph: WeightedGraph, k: int,
         if v_prime:
             pre = _preprocess_large_scales(
                 graph, params, v_prime, rng, bfs_tree, detection_mode,
-                capacity_words, ledger,
-                detector=(detection_hook or _default_detector))
+                capacity_words, ledger)
             beta = pre.beta
             for i in range(params.half_level, params.k):
                 centers = hierarchy.centers_at(i)

@@ -8,12 +8,8 @@ never changes.  This package closes the loop for live topologies:
   pending batch.
 * :class:`IncrementalBuilder` — turn a pending batch into a fresh
   compiled artifact via the cheapest *provably sound* strategy
-  (``reuse`` / ``compile-only`` / ``clusters`` / ``partial`` /
-  ``full``), always bit-identical to a from-scratch build on the
-  mutated graph.  ``clusters`` splices the previous build's per-source
-  exploration and detection transcripts, re-running only the sources
-  whose recorded reach set a net change touched
-  (:mod:`repro.dynamic.splice`).
+  (``reuse`` / ``compile-only`` / ``partial`` / ``full``), always
+  bit-identical to a from-scratch build on the mutated graph.
 * :class:`ArtifactRegistry` — generation-numbered ``.cra`` store with
   an atomic manifest (publish / pin / retire), the durable handoff to
   the serving side's hot-swap (``RouterPool.swap`` /

@@ -192,12 +192,15 @@ class TopologyFeed:
                            net_zero=net_zero,
                            increase_only=increase_only)
 
-    def mark_rebuilt(self) -> None:
+    def mark_rebuilt(self, fingerprint: Optional[str] = None) -> None:
         """Reset the baseline to the current graph state (called by the
-        incremental builder after a successful rebuild)."""
+        incremental builder after a successful rebuild).  A caller that
+        has already hashed this exact state passes its ``fingerprint``
+        to save the second pass."""
         self._log = []
         self._baseline = {(u, v): w for u, v, w in self.graph.edges()}
-        self._baseline_fp = graph_fingerprint(self.graph)
+        self._baseline_fp = (fingerprint if fingerprint is not None
+                             else graph_fingerprint(self.graph))
 
     def __repr__(self) -> str:
         return (f"TopologyFeed(n={self.graph.num_vertices}, "

@@ -4,7 +4,7 @@
 of a :class:`~repro.dynamic.TopologyFeed` and produces the same
 ``(CompiledScheme, DenseRoutingPlane)`` pair a from-scratch
 ``SchemePipeline.build()`` + ``compile()`` would produce on the mutated
-graph — **bit for bit**.  Five strategies, tried cheapest first, each
+graph — **bit for bit**.  Four strategies, tried cheapest first, each
 with an explicit soundness argument; anything unproven falls back to a
 full rebuild (the fallback rate is tracked and reported honestly):
 
@@ -22,15 +22,17 @@ full rebuild (the fallback rate is tracked and reported honestly):
 
 ``compile-only``
     Weight increases confined to edges with **zero recorded commits**
-    in the previous build's support transcript, with every recorded
-    detection scale grid unchanged.  The construction objects are
-    reused untouched; only the flat + dense artifacts are recompiled
-    (compilation reads tree-parent edge weights from the live graph, so
-    the new weights land in the tables).  *Sound because* every
+    in the previous build's support transcript (source detection
+    commits at its one rounding unit, ``eps / (2B)``, which no integer
+    increase leaves unmoved), with every recorded detection scale grid
+    unchanged.  The construction objects are reused untouched; only the
+    flat + dense artifacts are recompiled (compilation reads tree-parent
+    edge weights from the live graph, so the new weights land in the
+    tables).  *Sound because* every
     relaxation the construction ever applied was committed to the
     :class:`~repro.graphs.recording.SupportRecorder` at the kernel —
     an edge with no commit anywhere was never a winning edge in any
-    exploration at any scale, hence contributed no value and no
+    exploration or detection, hence contributed no value and no
     decision anywhere in the transcript, and a weight *increase* on a
     never-winning edge cannot create a new winner retroactively in the
     already-fixed transcript the scratch build would replay.  (The
@@ -38,33 +40,14 @@ full rebuild (the fallback rate is tracked and reported honestly):
     each detection call's ``num_scales`` is the build's only consumer
     of ``max_weight()``, so an increase that keeps every recorded
     ``hop_bound -> num_scales`` pair unchanged — checked per grid, not
-    via the blunt "max weight unchanged" — leaves every rounding-unit
-    grid and round charge as scratch would recompute them.)  Tree
-    edges always carry commits (tree parents arise from winning
-    relaxations), so a certified edge is never a tree edge and the
-    reused scheme's structure is exactly what scratch would rebuild.
-
-``clusters``
-    Any other weight-only batch whose previous entry carries captured
-    per-source traces: rerun the construction exactly like ``partial``,
-    **except** that each small-level cluster-growing call *and* each
-    source-detection call (middle-level detection, large-scale
-    preprocessing) — the dominant build phases — is served by the
-    per-source splice of :mod:`repro.dynamic.splice`: only the sources
-    whose recorded reach set a net change touched re-run through the
-    kernel; every clean source's rows, support commits and events are
-    replayed from the previous trace.  *Sound because* per-source
-    explorations and detections are independent and the dirty tests are
-    conservative (see the splice module docstring for the per-case
-    arguments); any shape mismatch falls back per call to the plain
-    traced call, so the strategy is bit-identical by construction and
-    the differential grid pins the reconstruction arithmetic
-    (rounds/iterations/max-estimates, detection round charges).
+    via the blunt "max weight unchanged" — leaves every round charge
+    as scratch would recompute it.)  Tree edges always carry commits
+    (tree parents arise from winning relaxations), so a certified edge
+    is never a tree edge and the reused scheme's structure is exactly
+    what scratch would rebuild.
 
 ``partial``
-    Weight-only batches the previous entry carries no exploration
-    traces for (or with splicing disabled): rerun the cluster phase
-    from scratch
+    Any other weight-only batch: rerun the cluster phase from scratch
     (sound by construction — it sees the new weights), rebuild the
     forest but substitute the previous per-tree scheme wherever the
     inputs are **provably unchanged** (identical tree shape in
@@ -77,8 +60,8 @@ full rebuild (the fallback rate is tracked and reported honestly):
 
 ``full``
     Everything else — topology edits (failures, restores, node
-    failures: adjacency order and ports may shift), weight decreases,
-    uncertified increases.  A plain from-scratch build.
+    failures: adjacency order and ports may shift).  A plain
+    from-scratch build.
 
 Every strategy ends in the same place: a cache entry keyed by the new
 fingerprint holding construction + compiled artifacts + the support
@@ -103,10 +86,9 @@ from ..sketches.source_detection import _scale_parameters
 from ..telemetry.registry import MetricsRegistry
 from ..telemetry.trace import maybe_span
 from .feed import ChangeBatch, TopologyFeed
-from .splice import ClusterSplicer
 
 #: The strategies, cheapest first (also the order they are attempted).
-STRATEGIES = ("reuse", "compile-only", "clusters", "partial", "full")
+STRATEGIES = ("reuse", "compile-only", "partial", "full")
 
 
 @dataclass
@@ -144,14 +126,10 @@ class RebuildReport:
     reused_trees: int = 0
     rebuilt_trees: int = 0
     cache_hit: bool = False
-    #: ``clusters`` strategy only: per-source splice accounting across
-    #: the small-level exploration calls, and the per-call reasons any
-    #: of them fell back to a plain (still bit-identical) re-run.
+    #: Always 0: the per-source splice that counted them is gone, but
+    #: ``benchmarks/e2e/harness.py`` (``churn_step``) still reads both.
     reused_clusters: int = 0
     rebuilt_clusters: int = 0
-    spliced_levels: int = 0
-    rerun_levels: int = 0
-    splice_fallbacks: Tuple[str, ...] = ()
     #: Wall-clock seconds per rebuild stage (``classify`` — reading the
     #: pending batch + fingerprint; ``certify`` — the increase
     #: certification sweep, when attempted; ``construct`` — the chosen
@@ -187,9 +165,6 @@ class RebuildReport:
         if self.reused_trees or self.rebuilt_trees:
             line += (f" trees={self.reused_trees} reused /"
                      f" {self.rebuilt_trees} rebuilt")
-        if self.reused_clusters or self.rebuilt_clusters:
-            line += (f" clusters={self.reused_clusters} reused /"
-                     f" {self.rebuilt_clusters} rebuilt")
         return line
 
 
@@ -216,12 +191,10 @@ class IncrementalBuilder:
                  capacity_words: int = 2, use_tz_trick: bool = True,
                  engine: Optional[str] = None,
                  cache_size: int = 8,
-                 enable_clusters: bool = True,
                  registry: Optional[MetricsRegistry] = None) -> None:
         if cache_size < 1:
             raise ParameterError(
                 f"cache_size must be >= 1, got {cache_size}")
-        self._enable_clusters = enable_clusters
         self.feed = feed
         self._params = dict(k=k, seed=seed, eps_override=eps,
                             detection_mode=detection_mode,
@@ -239,11 +212,6 @@ class IncrementalBuilder:
             "rebuilds by chosen strategy and fallback reason "
             "('none' when the strategy was not a fallback)",
             labelnames=("strategy", "reason"))
-        self._m_splice_fallbacks = reg.counter(
-            "repro_rebuild_splice_fallbacks_total",
-            "per-call splice fallbacks by reason "
-            "(clusters strategy only)",
-            labelnames=("reason",))
         self._m_stage_seconds = reg.counter(
             "repro_rebuild_stage_seconds_total",
             "wall-clock seconds per rebuild stage",
@@ -294,7 +262,7 @@ class IncrementalBuilder:
                 fp = self.feed.fingerprint()
             stage_seconds["classify"] = time.perf_counter() - start
             with maybe_span("rebuild.strategy") as strategy_span:
-                strategy, entry, reason, reused, rebuilt, hit, splice = \
+                strategy, entry, reason, reused, rebuilt, hit = \
                     self._dispatch(batch, fp, stage_seconds)
                 strategy_span.set(strategy=strategy,
                                   reason=reason or "none")
@@ -310,23 +278,15 @@ class IncrementalBuilder:
             batch=batch, fallback_reason=reason,
             reused_trees=reused, rebuilt_trees=rebuilt, cache_hit=hit,
             stage_seconds=stage_seconds)
-        if splice is not None:
-            report.reused_clusters = splice.reused_sources
-            report.rebuilt_clusters = splice.rebuilt_sources
-            report.spliced_levels = splice.spliced_calls
-            report.rerun_levels = splice.rerun_calls
-            report.splice_fallbacks = tuple(splice.fallbacks)
         self._emit_telemetry(report)
         return report
 
     def _emit_telemetry(self, report: RebuildReport) -> None:
-        """One strategy count (labeled with the fallback reason), the
-        per-call splice-fallback reasons, and the stage seconds."""
+        """One strategy count (labeled with the fallback reason) and
+        the stage seconds."""
         self._m_strategy.labels(
             strategy=report.strategy,
             reason=report.fallback_reason or "none").inc()
-        for fb_reason in report.splice_fallbacks:
-            self._m_splice_fallbacks.labels(reason=fb_reason).inc()
         for stage, seconds in report.stage_seconds.items():
             self._m_stage_seconds.labels(stage=stage).inc(seconds)
 
@@ -358,18 +318,17 @@ class IncrementalBuilder:
     def _dispatch(self, batch: ChangeBatch, fp: str,
                   stage_seconds: Optional[Dict[str, float]] = None):
         """Returns (strategy, entry, fallback_reason, reused, rebuilt,
-        cache_hit, splice_stats)."""
+        cache_hit)."""
         cached = self._cache.get(fp)
         if cached is not None:
             self._cache.move_to_end(fp)
             return ("reuse", cached, None, 0, 0,
-                    fp != self._current.fingerprint, None)
+                    fp != self._current.fingerprint)
 
         if batch.topology_changed:
             entry = self._timed(stage_seconds, "construct",
-                                self._full_build)
-            return ("full", entry, "topology-changed",
-                    0, 0, False, None)
+                                self._full_build, fp)
+            return ("full", entry, "topology-changed", 0, 0, False)
 
         prev = self._current
         if batch.increase_only:
@@ -378,20 +337,13 @@ class IncrementalBuilder:
             if reason is None:
                 entry = self._timed(stage_seconds, "construct",
                                     self._compile_only, prev, fp)
-                return ("compile-only", entry, None, 0, 0, False, None)
+                return ("compile-only", entry, None, 0, 0, False)
         else:
             reason = "weight-decrease-present"
 
-        if (self._enable_clusters and prev.recorder is not None
-                and prev.recorder.traces):
-            entry, reused, rebuilt, splice = self._timed(
-                stage_seconds, "construct",
-                self._clusters_build, prev, batch)
-            return ("clusters", entry, reason, reused, rebuilt, False,
-                    splice)
         entry, reused, rebuilt = self._timed(
-            stage_seconds, "construct", self._partial_build, prev)
-        return ("partial", entry, reason, reused, rebuilt, False, None)
+            stage_seconds, "construct", self._partial_build, prev, fp)
+        return ("partial", entry, reason, reused, rebuilt, False)
 
     def _certify_increases(self, batch: ChangeBatch,
                            prev: BuildEntry) -> Optional[str]:
@@ -418,14 +370,14 @@ class IncrementalBuilder:
         return None
 
     # -- strategy implementations ---------------------------------------
-    def _full_build(self) -> BuildEntry:
+    def _full_build(self, fp: Optional[str] = None) -> BuildEntry:
         builder, capture = self._forest_capture(prev=None)
-        recorder = SupportRecorder(capture_explorations=True)
+        recorder = SupportRecorder()
         with recording(recorder):
             construction = _run_construction(
                 self.feed.graph, forest_builder=builder, **self._params)
         return self._finish_entry(construction, recorder,
-                                  capture["splitters"])
+                                  capture["splitters"], fp)
 
     def _compile_only(self, prev: BuildEntry, fp: str) -> BuildEntry:
         # Same construction objects; compile() is uncached by design,
@@ -442,42 +394,25 @@ class IncrementalBuilder:
                           max_weight=prev.max_weight,
                           splitter_sample=prev.splitter_sample)
 
-    def _partial_build(self, prev: BuildEntry):
+    def _partial_build(self, prev: BuildEntry, fp: str):
         builder, capture = self._forest_capture(prev=prev)
-        recorder = SupportRecorder(capture_explorations=True)
+        recorder = SupportRecorder()
         with recording(recorder):
             construction = _run_construction(
                 self.feed.graph, forest_builder=builder, **self._params)
         entry = self._finish_entry(construction, recorder,
-                                   capture["splitters"])
+                                   capture["splitters"], fp)
         stats = capture["stats"]
         return entry, stats["reused"], stats["rebuilt"]
 
-    def _clusters_build(self, prev: BuildEntry, batch: ChangeBatch):
-        # identical to _partial_build except that the small-level
-        # exploration calls and the detection calls (middle level +
-        # large-scale preprocessing) go through the per-source splice;
-        # the rng trajectory and every other phase replay scratch
-        # exactly, so the only delta a scratch diff could see is the
-        # spliced ExplorationResults / SourceDetectionResults — which
-        # the splice reconstructs bit-identically (or re-runs).
-        splicer = ClusterSplicer(prev.recorder.traces, batch.net)
-        builder, capture = self._forest_capture(prev=prev)
-        recorder = SupportRecorder(capture_explorations=True)
-        with recording(recorder):
-            construction = _run_construction(
-                self.feed.graph, forest_builder=builder,
-                cluster_explorer=splicer.explore,
-                detection_hook=splicer.detect, **self._params)
-        entry = self._finish_entry(construction, recorder,
-                                   capture["splitters"])
-        stats = capture["stats"]
-        return entry, stats["reused"], stats["rebuilt"], splicer.stats
-
-    def _finish_entry(self, construction, recorder,
-                      splitter_sample) -> BuildEntry:
+    def _finish_entry(self, construction, recorder, splitter_sample,
+                      fp: Optional[str] = None) -> BuildEntry:
+        """``fp`` is the live graph's fingerprint when the caller has
+        already hashed it (every rebuild has, to probe the cache)."""
         compiled = construction.scheme.compile()
-        return BuildEntry(fingerprint=self.feed.fingerprint(),
+        if fp is None:
+            fp = self.feed.fingerprint()
+        return BuildEntry(fingerprint=fp,
                           construction=construction,
                           compiled=compiled,
                           dense=DenseRoutingPlane.from_compiled(compiled),
@@ -522,7 +457,9 @@ class IncrementalBuilder:
             self._cache.popitem(last=False)
         self._current = entry
         self._counts[strategy] += 1
-        self.feed.mark_rebuilt()
+        # every entry is keyed by the fingerprint of the graph state it
+        # was built (or fetched) for, which is the live one
+        self.feed.mark_rebuilt(fingerprint=entry.fingerprint)
 
 
 def _same_tree(a, b) -> bool:

@@ -154,8 +154,8 @@ def relax_frontier(view: CSRView, dist_row, frontier: Sequence[int],
     ascending, this is exactly the winner the reference loops pick
     (first strict minimum over a sorted frontier scan).
 
-    ``weights`` substitutes a parallel weight array (e.g. the per-scale
-    rounded weights of source detection), and ``unit`` declares the
+    ``weights`` substitutes a parallel weight array (e.g. the rounded
+    weights of source detection), and ``unit`` declares the
     rounding unit those weights were derived under (``None`` = raw) —
     consumed only by support recording (:mod:`repro.graphs.recording`);
     ``record=False`` suppresses that recording for callers that filter
@@ -263,17 +263,6 @@ def _relax_scalar(view, dist_row, frontier, weights,
     return (targets,
             [cand[t][0] for t in targets],
             [cand[t][1] for t in targets])
-
-
-def out_neighbors(view: CSRView, v: int) -> List[int]:
-    """``v``'s out-neighbors in CSR (= insertion) order, as a list.
-
-    The scalar companion to :func:`frontier_neighbors`, shared by the
-    cluster-splice dependency tests (:mod:`repro.dynamic.splice`) so
-    reach/scan sets are computed identically with and without numpy.
-    """
-    nbrs = view.indices[view.indptr[v]:view.indptr[v + 1]]
-    return nbrs.tolist() if view.vectorized else list(nbrs)
 
 
 def frontier_neighbors(view: CSRView, frontier: Sequence[int]):

@@ -12,38 +12,32 @@ comparisons losing, so the entire build transcript — values, parents,
 tie-breaks, frontiers, round charges — is unchanged.
 
 Winners are recorded together with the **rounding unit** the relaxation
-consumed the weight under.  The rounded source detection explores each
-distance scale on weights ``ceil(w / unit) * unit``; a weight change
-that leaves the rounded value at that unit unchanged is invisible to
-the whole scale, committed winner or not.  The fast-path certificate is
-therefore per ``(edge, unit)``: a weight increase ``w -> w'`` on edge
-``e`` is *certified invisible* iff for every recorded unit ``u`` of
-``e``, ``ceil(w/u) == ceil(w'/u)`` — where the raw (un-rounded)
-explorations record the sentinel unit ``None``, which no change ever
-satisfies.  (Decreases are never certified: a shrinking edge can mint
-new winners anywhere.)
+consumed the weight under.  The rounded source detection explores
+weights ``ceil(w / unit) * unit``; a weight change that leaves the
+rounded value at that unit unchanged is invisible to the whole call,
+committed winner or not.  The fast-path certificate is therefore per
+``(edge, unit)``: a weight increase ``w -> w'`` on edge ``e`` is
+*certified invisible* iff for every recorded unit ``u`` of ``e``,
+``ceil(w/u) == ceil(w'/u)`` — where the raw (un-rounded) explorations
+record the sentinel unit ``None``, which no change ever satisfies.
+(Decreases are never certified: a shrinking edge can mint new winners
+anywhere.)  One detection call commits at exactly **one** unit, its
+``eps / (2B)`` (:mod:`repro.sketches.source_detection` runs the finest
+rounding scale only, which provably wins every cell); an edge's *set*
+of units is across the build's detection calls, which differ in hop
+bound and ``eps``.  Every such unit is below 1/2 and weights are
+integers, so an increase on a committed edge always moves its rounded
+weight: in effect the certificate reads "the edge has no commit",
+and the unit is what lets two transcripts be compared per relaxation
+mode (:meth:`SupportRecorder.snapshot`).
 
-Beyond the per-(edge, unit) certificate, a recorder can capture two
-finer-grained kinds of evidence for the ``clusters`` rebuild strategy:
-
-* **Exploration traces** (:class:`ExplorationTrace`): per labelled
-  ``multi_source_exploration`` call, the full per-source applied-update
-  event stream ``(iteration, vertex, via, distance)``.  Each source's
-  exploration is independent of every other source's (candidates for
-  ``s`` come only from ``s``'s own frontier; join rules are pure
-  per-``(vertex, source, distance)`` predicates; tie-breaks are within
-  a single source row), so the events double as per-cluster *reach
-  sets*: the edges/vertices a source's frontier ever crossed.  A weight
-  change outside a source's reach set provably leaves that source's
-  whole transcript unchanged, which is what lets the incremental
-  builder re-run only the dirty sources and splice the clean ones back
-  in bit-identically (:mod:`repro.dynamic.splice`).
-* **Scale-grid notes**: each :func:`detect_sources` call records its
-  ``(hop_bound -> num_scales)`` pair.  ``num_scales`` is the *only*
-  consumer of ``graph.max_weight()`` in the whole build, so a weight
-  increase that keeps every recorded grid's scale count unchanged is
-  invisible to the rounding-unit grids — a much sharper compile-only
-  guard than requiring the raw max weight to be unchanged.
+Each :func:`detect_sources` call also notes its ``(hop_bound ->
+num_scales)`` pair (**scale-grid notes**).  ``num_scales`` — a factor of
+the call's round charge — is the *only* consumer of
+``graph.max_weight()`` in the whole build, so a weight increase that
+keeps every recorded grid's scale count unchanged leaves every round
+charge as scratch would recompute it — a much sharper compile-only guard
+than requiring the raw max weight to be unchanged.
 
 This module is the recording side: a process-global (single-threaded by
 design — builds are single-threaded) :class:`SupportRecorder` that the
@@ -56,7 +50,7 @@ check, nothing else.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 _ACTIVE: Optional["SupportRecorder"] = None
 
@@ -65,132 +59,18 @@ _ACTIVE: Optional["SupportRecorder"] = None
 RAW = None
 
 
-class ExplorationTrace:
-    """The replayable transcript of one labelled multi-source call.
-
-    ``events[s]`` is the chronological list of applied updates of
-    source ``s``'s exploration: ``(iteration, vertex, via, distance)``
-    tuples, where ``iteration`` is 1-based and ``via`` is the neighbor
-    the winning estimate arrived through.  The initial unconditional
-    self-application ``dist[s][s] = 0`` is *not* an event (it happens
-    before iteration 1 and is never join-checked); reconstruction adds
-    it back explicitly.  The call-shape fields (``sources``, ``budget``,
-    ``capacity_words``, threshold/strict/exempt of the
-    :class:`~repro.congest.bellman_ford.JoinRule`) let a later build
-    check that a recorded trace still describes the call it is about to
-    splice.
-    """
-
-    __slots__ = ("label", "sources", "budget", "capacity_words",
-                 "threshold", "strict", "exempt_sources", "events",
-                 "index")
-
-    def __init__(self, label: str, sources: Tuple[int, ...], budget: int,
-                 capacity_words: int, threshold: Tuple[float, ...],
-                 strict: bool, exempt_sources: Optional[frozenset],
-                 events: Dict[int, List[Tuple[int, int, int, float]]],
-                 index=None) -> None:
-        self.label = label
-        self.sources = sources
-        self.budget = budget
-        self.capacity_words = capacity_words
-        self.threshold = threshold
-        self.strict = strict
-        self.exempt_sources = exempt_sources
-        self.events = events
-        #: lazily built inverted reach index (see
-        #: ``repro.dynamic.splice``): ``(applied, won_edge)`` maps a
-        #: vertex / undirected edge to the sources whose exploration
-        #: applied an estimate there / committed it as a winner.  The
-        #: splice builds it on first use and carries it forward across
-        #: rebuilds, patching only the dirty sources' contributions.
-        self.index = index
-
-
-class DetectionTrace:
-    """The replayable transcript of one labelled source-detection call.
-
-    Detection (:func:`repro.sketches.source_detection.detect_sources`)
-    is also per-source independent — the batched union-frontier advance
-    is bit-identical to per-source runs — so its transcript splits
-    cleanly per source too:
-
-    * ``cells[s]`` is the ascending-by-vertex tuple of *unfiltered*
-      finite cells ``(u, value, parent)`` of source ``s``'s merged
-      best row (the join rule is applied only when materializing the
-      estimate dictionaries, never during propagation, so a changed
-      rule re-filters these cells without re-running anything);
-    * ``commits[s]`` maps each undirected edge ``s`` ever committed as
-      a winner to the set of rounding units it won under — the
-      per-source refinement of :attr:`SupportRecorder.units`.
-
-    ``units`` lists the rounding unit of every scale the call swept
-    (``None`` for the exact mode's raw pseudo-scale): a weight change
-    whose rounded value is unchanged at a unit is invisible to that
-    entire scale, which is what makes the per-source dirty tests sharp.
-    """
-
-    __slots__ = ("label", "sources", "hop_bound", "eps", "mode",
-                 "num_scales", "units", "cells", "commits")
-
-    def __init__(self, label: str, sources: Tuple[int, ...],
-                 hop_bound: int, eps: float, mode: str, num_scales: int,
-                 units: Tuple[Optional[float], ...],
-                 cells: Dict[int, Tuple],
-                 commits: Dict[int, Dict[Tuple[int, int],
-                                         Set[Optional[float]]]]) -> None:
-        self.label = label
-        self.sources = sources
-        self.hop_bound = hop_bound
-        self.eps = eps
-        self.mode = mode
-        self.num_scales = num_scales
-        self.units = units
-        self.cells = cells
-        self.commits = commits
-
-
 class SupportRecorder:
     """Accumulates the per-unit support-edge evidence of one build."""
 
-    __slots__ = ("units", "capture_explorations", "traces", "scale_grids")
+    __slots__ = ("units", "scale_grids")
 
-    def __init__(self, capture_explorations: bool = False) -> None:
+    def __init__(self) -> None:
         #: undirected edge -> set of rounding units it won under
         #: (``None`` = raw weight).
         self.units: Dict[Tuple[int, int], Set[Optional[float]]] = {}
-        #: when set, labelled multi-source explorations and source
-        #: detections store their per-source transcripts here
-        #: (label -> ExplorationTrace | DetectionTrace)
-        self.capture_explorations = capture_explorations
-        self.traces: Dict[str, object] = {}
-        #: detection hop bound -> number of distance scales its
-        #: rounding-unit grid used (the build's only max-weight input)
+        #: detection hop bound -> number of distance scales its round
+        #: charge counts (the build's only max-weight input)
         self.scale_grids: Dict[int, int] = {}
-
-    def add_trace(self, trace) -> None:
-        """Store (or replace) the exploration/detection trace for
-        ``trace.label``."""
-        self.traces[trace.label] = trace
-
-    def pop_trace(self, label: str):
-        """Remove and return the trace for ``label`` if present."""
-        return self.traces.pop(label, None)
-
-    def merge_edge_units(self, items) -> None:
-        """Bulk-merge ``(edge, units)`` pairs into the support set.
-
-        The splice replay path: a clean source's committed winners are
-        already deduplicated per ``(edge, unit)`` in its trace, so
-        replaying them is a set union per edge instead of re-walking
-        the raw commit stream."""
-        units = self.units
-        for key, bucket in items:
-            mine = units.get(key)
-            if mine is None:
-                units[key] = set(bucket)
-            else:
-                mine |= bucket
 
     def note_scale_grid(self, hop_bound: int, num_scales: int) -> None:
         """Record one detection call's ``hop_bound -> num_scales``."""

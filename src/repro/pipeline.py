@@ -400,9 +400,7 @@ def _run_construction(graph: WeightedGraph, k: int, seed: int,
                       eps_override: float, detection_mode: str,
                       capacity_words: int, use_tz_trick: bool,
                       engine: Optional[str],
-                      forest_builder=None,
-                      cluster_explorer=None,
-                      detection_hook=None) -> "ConstructionReport":
+                      forest_builder=None) -> "ConstructionReport":
     """The full pipeline body (hierarchy → clusters → forest → tables).
 
     This is the implementation the deprecated ``construct_scheme``
@@ -412,11 +410,6 @@ def _run_construction(graph: WeightedGraph, k: int, seed: int,
     (same signature as :func:`build_forest_routing`); the incremental
     control plane passes a wrapper that reuses per-tree schemes whose
     inputs are provably unchanged.  Default is the normal builder.
-    ``cluster_explorer`` likewise substitutes the small-level
-    exploration calls and ``detection_hook`` the middle-level /
-    large-scale source-detection calls (the ``clusters`` strategy's
-    per-source splices); both must be result-identical to the plain
-    call.
     """
     from .core.scheme_builder import ConstructionReport
     from .telemetry.trace import maybe_span
@@ -428,9 +421,7 @@ def _run_construction(graph: WeightedGraph, k: int, seed: int,
                                      eps_override=eps_override,
                                      detection_mode=detection_mode,
                                      capacity_words=capacity_words,
-                                     engine=engine,
-                                     small_level_explorer=cluster_explorer,
-                                     detection_hook=detection_hook)
+                                     engine=engine)
     clusters_span.finish()
     ledger = CostLedger()
     ledger.merge(clusters.ledger)
@@ -471,6 +462,10 @@ def _run_construction(graph: WeightedGraph, k: int, seed: int,
                       messages=ledger.total_messages)
 
     params = clusters.params
+    # one pass over the tables and one over the labels: ``words`` walks
+    # every entry, and max and mean both come from the same list
+    table_words = [table.words for table in tables.values()]
+    label_words = [label.words for label in labels.values()]
     return ConstructionReport(
         scheme=scheme,
         estimation=estimation,
@@ -478,10 +473,10 @@ def _run_construction(graph: WeightedGraph, k: int, seed: int,
         params=params,
         rounds=ledger.total_rounds,
         hop_diameter_lower_bound=clusters.bfs_tree.height,
-        max_table_words=scheme.max_table_words(),
-        avg_table_words=scheme.average_table_words(),
-        max_label_words=scheme.max_label_words(),
-        avg_label_words=scheme.average_label_words(),
+        max_table_words=max(table_words),
+        avg_table_words=sum(table_words) / len(table_words),
+        max_label_words=max(label_words),
+        avg_label_words=sum(label_words) / len(label_words),
         max_sketch_words=estimation.max_sketch_words(),
         paper_stretch_bound=params.stretch_bound,
         paper_round_bound=params.round_bound(clusters.bfs_tree.height),

@@ -10,41 +10,73 @@ in ``Õ(|V'| + B + D)/eps`` rounds, plus (Remark 1) a *parent* neighbor
 
 Two execution modes implement the same interface:
 
-* ``"rounded"`` (default) — the weight-rounding technique the distributed
-  algorithm actually uses: for each distance scale ``Δ = 2^i`` the edge
-  weights are rounded up to multiples of ``eps * Δ / (2B)``, the rounded
-  graph is explored for ``B`` Bellman–Ford iterations, and the final
-  estimate is the minimum over scales.  This reproduces the *approximate*
-  values (and their one-sided error) the real algorithm returns.
+* ``"rounded"`` (default) — ``B``-hop Bellman–Ford distances under edge
+  weights rounded up to multiples of ``unit_0 = eps / (2B)``.  Every
+  weight is an integer ``>= 1`` and grows by less than ``unit_0``, so a
+  ``B``-hop path grows by less than ``eps/2`` — inside (2) with room to
+  spare, one-sided like the real algorithm's error.
 * ``"exact"`` — returns exact ``d^(B)`` values (a legal instantiation of
-  the guarantee with zero error); used by large benchmarks where the
-  per-scale sweep would dominate runtime.  The substitution is recorded
-  in DESIGN.md.
+  the guarantee with zero error).
 
-Round accounting (both modes) charges the schedule of the rounded
-algorithm: per scale, a ``B``-iteration exploration whose rounded weights
-are at most ``O(B/eps)`` — pipelined over the sources — costs
-``ceil(B/eps') + |V'| + 2*height`` rounds, summed over
-``ceil(log2(B * W_max))`` scales.  This is ``Õ(|V'| + B + D)/eps``.
+Fidelity note.  The distributed algorithm of [Nan14] — like Lenzen–
+Patt-Shamir's (S, h, σ)-detection — sweeps ``ceil(log2(B * W_max))``
+distance scales ``Δ = 2^i`` with rounding unit ``unit_i = eps * Δ /
+(2B)``, *bounds scale i's exploration by distance* ``O(Δ)`` (that is
+what makes a scale cost ``O(B/eps)`` rounds), and takes the minimum over
+scales.  The sweep as implemented here (:func:`detect_sources_reference`)
+has no distance cut-off: every scale runs its full ``B`` hops.  Without
+the cut-off the minimum over scales is decided before it is taken:
 
-Like the CONGEST engine and the Bellman–Ford explorations, the detection
-ships in two implementations.  The original per-source, per-scale
-dict-of-dict loops live on as :func:`detect_sources_reference` (the
-semantic oracle); the public :func:`detect_sources` is a **batched**
-multi-source hop-bounded Bellman–Ford: one ``|V'| × n`` distance matrix
-advanced hop by hop via the scatter-min kernel over the graph's cached
-CSR view (:mod:`repro.graphs.csr`), with the per-scale weight rounding
-applied as one precomputed rounded-weight array instead of a per-edge
-Python closure.  One deliberate semantic pin, applied to both: frontiers
-are processed in sorted vertex order (the original iterated a ``set``),
-so equal-distance parent ties resolve deterministically and identically
-across the pair.  Estimates, parents and round charges are bit-identical
-— enforced by ``tests/sketches/test_detection_equivalence.py``.
+**Lemma (the finest scale dominates).**  Let ``unit_0`` be a normal
+float.  Then for every scale ``i``, after any number of synchronous
+Bellman–Ford hops, scale ``i``'s distance matrix is cell-wise ``>=``
+scale 0's *as floats*; so a first-strict-``<`` merge that visits scale 0
+first keeps scale 0's values **and parents** in every cell.
+
+*Proof.*  ``unit_i = fl(eps/2 * 2^i / B)`` is ``2^i * unit_0`` exactly:
+scaling by a power of two commutes with rounding while results stay
+normal.  Likewise ``q_i = fl(w / unit_i) = q_0 / 2^i`` exactly, so
+``ceil(q_i) * 2^i`` is an integer ``>= q_0``, hence ``>= ceil(q_0)``.
+Scale ``i``'s rounded weight ``fl(ceil(q_i) * unit_i) = fl((ceil(q_i) *
+2^i) * unit_0)`` is therefore ``>= fl(ceil(q_0) * unit_0)``, scale 0's,
+because rounding a product is monotone.  A synchronous hop maps
+``dist[v]`` to ``min(dist[v], min_u fl(dist[u] + w(u, v)))``, monotone
+in every weight and every distance under float ``+`` and ``min`` (and
+the frontier advance below equals that full recursion, as
+:func:`_advance_matrix_np` argues).  Induction over hops from the
+common start gives ``dist_i >= dist_0``; the merge's ``dist_i < best``
+then never fires for ``i >= 1``.  ∎
+
+So :func:`detect_sources` runs scale 0 only; the precondition is checked
+(``eps / (2B)`` underflowing to a subnormal raises
+:class:`~repro.exceptions.ParameterError`).  The all-scales sweep lives
+on, untouched, as :func:`detect_sources_reference` — the semantic
+oracle, and the executable proof of the lemma on every differential
+grid (``tests/sketches/test_detection_equivalence.py``,
+``tests/sketches/test_finest_scale_lemma.py``).
+
+Round accounting (both modes, both implementations) still charges the
+*paper's* schedule, not our loop: per scale, a ``B``-iteration
+exploration whose rounded weights are at most ``O(B/eps)`` — pipelined
+over the sources — costs ``ceil(B/eps') + |V'| + 2*height`` rounds,
+summed over ``ceil(log2(B * W_max))`` scales.  This is
+``Õ(|V'| + B + D)/eps``.
+
+The kernel is a **batched** multi-source hop-bounded Bellman–Ford: one
+``|V'| × n`` distance matrix advanced hop by hop via the scatter-min
+kernel over the graph's cached CSR view (:mod:`repro.graphs.csr`), the
+rounding applied as one precomputed rounded-weight array instead of a
+per-edge Python closure.  One deliberate semantic pin, applied to kernel
+and oracle alike: frontiers are processed in sorted vertex order (the
+original iterated a ``set``), so equal-distance parent ties resolve
+deterministically and identically across the pair.  Estimates, parents
+and round charges are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -256,20 +288,23 @@ def detect_sources_reference(graph: WeightedGraph, sources: Sequence[int],
 # ----------------------------------------------------------------------
 # Batched path
 # ----------------------------------------------------------------------
-def _scale_units(eps_internal: float, hop_bound: int,
-                 num_scales: int) -> List[float]:
-    """The rounding unit per scale (0 entries are skipped)."""
-    units = []
-    for i in range(num_scales):
-        delta = 1 << i
-        units.append(eps_internal * delta / max(hop_bound, 1))
-    return units
+def _finest_unit(eps: float, hop_bound: int) -> float:
+    """Scale 0's rounding unit ``eps / (2B)`` — the only scale the
+    batched path runs (module docstring, the lemma), checked against the
+    lemma's precondition."""
+    # eps/2 internally: rounding up by < unit on each of <= B hops adds
+    # < eps/2 to a path of weight >= 1
+    unit = (eps / 2.0) / max(hop_bound, 1)
+    if unit < sys.float_info.min:
+        raise ParameterError(
+            f"eps / (2 * hop_bound) = {unit!r} is not a normal float: "
+            f"the rounding scales are no longer exact multiples of it")
+    return unit
 
 
 def _advance_matrix_np(view: CSRView, dist, par, hop_bound: int,
-                       weights, sources, unit=None,
-                       capture=None) -> None:
-    """``hop_bound`` hops of one scale's ``|V'| × n`` matrix, vectorized.
+                       weights, sources, unit=None) -> None:
+    """``hop_bound`` hops of the ``|V'| × n`` matrix, vectorized.
 
     One *union* frontier drives every row: relaxing a row from a vertex
     outside that row's own frontier is a no-op (its distance has not
@@ -343,23 +378,13 @@ def _advance_matrix_np(view: CSRView, dist, par, hop_bound: int,
             rec.commit_pairs(
                 zip(vias[rows_i, cols_i].tolist(),
                     targets[cols_i].tolist()), unit)
-        if capture is not None:
-            for r, via, t in zip(grows.tolist(),
-                                 vias[rows_i, cols_i].tolist(),
-                                 targets[cols_i].tolist()):
-                key = (via, t) if via < t else (t, via)
-                per_edge = capture[r]
-                bucket = per_edge.get(key)
-                if bucket is None:
-                    bucket = per_edge[key] = set()
-                bucket.add(unit)
         touched = _np.zeros(targets.size, dtype=bool)
         touched[cols_i] = True
         frontier = targets[touched]        # targets ascending already
 
 
 def _advance_rows_py(view: CSRView, rows, parents, hop_bound: int,
-                     weights, sources, unit=None, capture=None) -> None:
+                     weights, sources, unit=None) -> None:
     """The same matrix advance on list rows (no-numpy fallback).
 
     Rows keep their own frontiers here: without vectorization the union
@@ -376,61 +401,19 @@ def _advance_rows_py(view: CSRView, rows, parents, hop_bound: int,
                                                   weights, unit=unit)
             row = rows[r]
             par = parents[r]
-            per_edge = capture[r] if capture is not None else None
             for idx, t in enumerate(targets):
                 row[t] = dists[idx]
-                via = vias[idx]
-                par[t] = via
-                if per_edge is not None:
-                    key = (via, t) if via < t else (t, via)
-                    bucket = per_edge.get(key)
-                    if bucket is None:
-                        bucket = per_edge[key] = set()
-                    bucket.add(unit)
+                par[t] = vias[idx]
             frontiers[r] = targets
         if not active:
             break
-
-
-def _detect_vectorized(view: CSRView, source_list: List[int],
-                       hop_bound: int, units: List[Optional[float]],
-                       n: int, capture=None):
-    """Per-scale ``|V'| × n`` matrix runs with a sequential merge.
-
-    Scales advance one at a time: only one rounded-weight array (2m
-    floats) is ever resident, and each scale's union frontier stays its
-    own — stacking scales into one matrix was measured *slower*, since
-    scales at different convergence stages inflate each other's
-    frontier edge sets.  The cross-scale merge is the reference's
-    sequential strict-``<``.  ``units`` holds one rounding unit per
-    live scale (``None`` = raw weights, the exact mode).
-    """
-    num_sources = len(source_list)
-    w_f64 = view.weights_f64()
-    rows_idx = _np.arange(num_sources)
-    src = _np.asarray(source_list, dtype=_np.int64)
-    best = _np.full((num_sources, n), INF)
-    best_parent = _np.full((num_sources, n), -1, dtype=_np.int64)
-    for unit in units:
-        weights = w_f64 if unit is None \
-            else _np.ceil(w_f64 / unit) * unit
-        dist = _np.full((num_sources, n), INF)
-        par = _np.full((num_sources, n), -1, dtype=_np.int64)
-        dist[rows_idx, src] = 0.0
-        _advance_matrix_np(view, dist, par, hop_bound, weights,
-                           source_list, unit=unit, capture=capture)
-        improved = dist < best
-        best = _np.where(improved, dist, best)
-        best_parent = _np.where(improved, par, best_parent)
-    return best, best_parent
 
 
 def detect_sources(graph: WeightedGraph, sources: Sequence[int],
                    hop_bound: int, eps: float,
                    bfs_tree: Optional[BFSTree] = None,
                    mode: str = "rounded",
-                   join_rule: Optional[JoinRule] = None,
-                   trace_label: Optional[str] = None
+                   join_rule: Optional[JoinRule] = None
                    ) -> SourceDetectionResult:
     """Run [Nan14] Theorem-1 source detection (batched implementation).
 
@@ -448,7 +431,7 @@ def detect_sources(graph: WeightedGraph, sources: Sequence[int],
         BFS tree used only for the round charge's ``D`` term (height 0 is
         assumed when omitted).
     mode:
-        ``"rounded"`` (faithful approximate values) or ``"exact"``.
+        ``"rounded"`` (one-sided approximate values) or ``"exact"``.
     join_rule:
         Optional declarative cell filter (the middle-scale cluster
         rule): a final estimate cell ``(u, s)`` with ``u != s`` is kept
@@ -456,18 +439,14 @@ def detect_sources(graph: WeightedGraph, sources: Sequence[int],
         materializing the estimate dictionaries; propagation, parents,
         recorded support and round charges are those of the unfiltered
         detection.
-    trace_label:
-        When a capturing :class:`~repro.graphs.recording.SupportRecorder`
-        is active, store a per-source
-        :class:`~repro.graphs.recording.DetectionTrace` under this label
-        (the unfiltered finite cells plus each source's per-unit
-        committed winner edges) so the incremental builder's
-        ``clusters`` strategy can splice this call.
 
-    Bit-identical to :func:`detect_sources_reference`; see the module
-    docstring for the batching scheme.
+    Bit-identical to :func:`detect_sources_reference` although it runs
+    one rounding scale where the oracle sweeps all of them; see the
+    module docstring for the lemma and the batching scheme.
     """
     source_list = _validate(graph, sources, hop_bound, eps, mode)
+    # None = raw weights (exact mode)
+    unit = None if mode == "exact" else _finest_unit(eps, hop_bound)
     n = graph.num_vertices
     height = bfs_tree.height if bfs_tree is not None else 0
     num_scales = _scale_parameters(graph, hop_bound)
@@ -494,111 +473,64 @@ def detect_sources(graph: WeightedGraph, sources: Sequence[int],
     vectorized = (view.vectorized and _np is not None
                   and num_sources * edges2 <= _MATRIX_CELL_LIMIT)
 
-    if mode == "exact":
-        units = [None]                       # one pseudo-scale, raw weights
-    else:
-        # eps/2 internally: the winning scale contributes <= eps/2 * 2
-        # = eps relative error (see module docstring).
-        units = [u for u in _scale_units(eps / 2.0, hop_bound, num_scales)
-                 if u > 0]
-
-    capture = None
-    if (trace_label is not None and rec is not None
-            and rec.capture_explorations):
-        capture = [dict() for _ in source_list]
-
     if vectorized:
-        best, best_parent = _detect_vectorized(view, source_list,
-                                               hop_bound, units, n,
-                                               capture=capture)
+        w_f64 = view.weights_f64()
+        weights = w_f64 if unit is None else _np.ceil(w_f64 / unit) * unit
+        dist = _np.full((num_sources, n), INF)
+        par = _np.full((num_sources, n), -1, dtype=_np.int64)
+        dist[_np.arange(num_sources), source_list] = 0.0
+        _advance_matrix_np(view, dist, par, hop_bound, weights,
+                           source_list, unit=unit)
     else:
         raw = view.weights.tolist() if view.vectorized else view.weights
-        best = [[INF] * n for _ in range(num_sources)]
-        best_parent = [[-1] * n for _ in range(num_sources)]
-        for unit in units:
-            weights = (list(raw) if unit is None
-                       else [math.ceil(w / unit) * unit for w in raw])
-            rows = [[INF] * n for _ in range(num_sources)]
-            parents = [[-1] * n for _ in range(num_sources)]
-            for r, s in enumerate(source_list):
-                rows[r][s] = 0.0
-            _advance_rows_py(view, rows, parents, hop_bound, weights,
-                             source_list, unit=unit, capture=capture)
-            # merge: per (source, vertex), a strictly smaller scale
-            # value wins (the reference's `dist[u] < best[u]` check).
-            for r in range(num_sources):
-                row, prow = rows[r], parents[r]
-                brow, bprow = best[r], best_parent[r]
-                for u in range(n):
-                    if row[u] < brow[u]:
-                        brow[u] = row[u]
-                        bprow[u] = prow[u]
+        weights = raw if unit is None \
+            else [math.ceil(w / unit) * unit for w in raw]
+        dist = [[INF] * n for _ in range(num_sources)]
+        par = [[-1] * n for _ in range(num_sources)]
+        for r, s in enumerate(source_list):
+            dist[r][s] = 0.0
+        _advance_rows_py(view, dist, par, hop_bound, weights,
+                         source_list, unit=unit)
 
     exact = mode == "exact"
     thr_arr = None
     if join_rule is not None and vectorized:
         thr_arr = _np.asarray(join_rule.threshold, dtype=_np.float64)
     for r, s in enumerate(source_list):
-        brow = best[r]
-        bprow = best_parent[r]
+        row = dist[r]
+        prow = par[r]
         exempt = (join_rule is None
                   or (join_rule.exempt_sources is not None
                       and s in join_rule.exempt_sources))
         if vectorized:
-            keep = brow < INF
+            keep = row < INF
             if not exempt:
                 # the rule as one masked compare; the self-cell is
                 # always kept (it is seeded, never filtered)
-                ok = ((brow < thr_arr) if join_rule.strict
-                      else (brow <= thr_arr))
+                ok = ((row < thr_arr) if join_rule.strict
+                      else (row <= thr_arr))
                 ok[s] = True
                 keep &= ok
             finite = _np.nonzero(keep)[0]
         elif exempt:
-            finite = [u for u in range(n) if brow[u] < INF]
+            finite = [u for u in range(n) if row[u] < INF]
         else:
             thr = join_rule.threshold
             strict = join_rule.strict
             finite = [u for u in range(n)
-                      if brow[u] < INF
-                      and (u == s or ((brow[u] < thr[u]) if strict
-                                      else (brow[u] <= thr[u])))]
+                      if row[u] < INF
+                      and (u == s or ((row[u] < thr[u]) if strict
+                                      else (row[u] <= thr[u])))]
         for u in finite:
             u = int(u)
-            value = brow[u]
+            value = row[u]
             # the source's own estimate is the int 0 in the reference's
             # rounded mode too (it is initialized, never relaxed)
             estimate[u][s] = int(value) if (exact or u == s) \
                 else float(value)
-            p = int(bprow[u])
+            p = int(prow[u])
             parent[u][s] = None if p < 0 else p
 
-    if capture is not None:
-        # unfiltered finite cells: the join rule only filters at
-        # materialization, so a later build can re-filter these cells
-        # under a changed rule without re-running the propagation
-        cells: Dict[int, Tuple] = {}
-        for r, s in enumerate(source_list):
-            brow = best[r]
-            bprow = best_parent[r]
-            if vectorized:
-                finite_all = _np.nonzero(brow < INF)[0].tolist()
-            else:
-                finite_all = [u for u in range(n) if brow[u] < INF]
-            row_cells = []
-            for u in finite_all:
-                u = int(u)
-                value = brow[u]
-                value = int(value) if (exact or u == s) else float(value)
-                p = int(bprow[u])
-                row_cells.append((u, value, None if p < 0 else p))
-            cells[s] = tuple(row_cells)
-        rec.add_trace(_recording.DetectionTrace(
-            label=trace_label, sources=tuple(source_list),
-            hop_bound=hop_bound, eps=eps, mode=mode,
-            num_scales=num_scales, units=tuple(units), cells=cells,
-            commits={s: capture[r]
-                     for r, s in enumerate(source_list)}))
     return result
 
 

@@ -91,20 +91,20 @@ def _as_predicate(join):
 
 
 def _reference_exploration(graph, sources, iterations, join,
-                           capacity_words=2, trace_label=None):
+                           capacity_words=2):
     return bf.multi_source_exploration_reference(
         graph, sources, iterations, _as_predicate(join), capacity_words)
 
 
 def _reference_detection(graph, sources, hop_bound, eps, bfs_tree=None,
-                         mode="rounded", join_rule=None, trace_label=None):
+                         mode="rounded", join_rule=None):
     return sd.detect_sources_reference(graph, sources, hop_bound, eps,
                                        bfs_tree=bfs_tree, mode=mode,
                                        join_rule=join_rule)
 
 
 def _callback_exploration(graph, sources, iterations, join,
-                          capacity_words=2, trace_label=None):
+                          capacity_words=2):
     """The pre-JoinRule behavior: batched paths, per-winner callback."""
     return bf.multi_source_exploration(
         graph, sources, iterations, _as_predicate(join), capacity_words)
@@ -364,7 +364,7 @@ def test_compile_only_certification_on_flap_series():
     assert back.strategy == "reuse"
 
     # a decrease can mint new winners anywhere: never certified for
-    # compile-only, but the traced entry serves it via cluster splicing
+    # compile-only, so the cluster phase re-runs (forest reuse only)
     for eu, ev, ew in sorted(graph.edges()):
         if ew > 1:
             feed.update_edge_weight(eu, ev, ew - 1)
@@ -372,5 +372,5 @@ def test_compile_only_certification_on_flap_series():
     else:
         pytest.skip("all-unit workload")
     drop = builder.rebuild()
-    assert drop.strategy == "clusters", drop.summary()
+    assert drop.strategy == "partial", drop.summary()
     assert_matches_scratch(drop, graph, k, 5)

@@ -201,7 +201,11 @@ class TestConstructionReport:
     def test_report_consistency(self, rand_graph):
         report = construct_scheme(rand_graph, k=3, seed=19)
         assert report.rounds == report.scheme.construction_rounds
-        assert report.max_table_words == report.scheme.max_table_words()
+        scheme = report.scheme
+        assert report.max_table_words == scheme.max_table_words()
+        assert report.avg_table_words == scheme.average_table_words()
+        assert report.max_label_words == scheme.max_label_words()
+        assert report.avg_label_words == scheme.average_label_words()
         assert report.params.k == 3
         assert report.paper_stretch_bound >= 4 * 3 - 5
         assert "rounds measured" in report.summary()

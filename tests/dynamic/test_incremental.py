@@ -1,14 +1,16 @@
 """IncrementalBuilder differential grid: every strategy must be
 bit-identical to a from-scratch ``SchemePipeline`` build on the mutated
-graph.  The grid runs with and without numpy — CI re-executes this file
-after uninstalling numpy."""
+graph — one mutation at a time, and as a flap series that walks one
+builder through all four strategies.  The grid runs with and without
+numpy — CI re-executes this file after uninstalling numpy."""
 
 import random
 
 import pytest
 
+import repro.core.approx_clusters as approx_clusters
 from repro.core import DenseRoutingPlane
-from repro.dynamic import IncrementalBuilder, TopologyFeed
+from repro.dynamic import STRATEGIES, IncrementalBuilder, TopologyFeed
 from repro.exceptions import DisconnectedGraphError
 from repro.pipeline import SchemePipeline, make_workload
 
@@ -45,7 +47,7 @@ def nth_edge(graph, i):
 def jitter_one(feed):
     u, v, w = nth_edge(feed.graph, 5)
     feed.update_edge_weight(u, v, w + 3)
-    return {"clusters", "compile-only"}
+    return {"partial", "compile-only"}
 
 
 def jitter_batch(count):
@@ -56,7 +58,7 @@ def jitter_batch(count):
         for i, (u, v, w) in enumerate(edges[:count]):
             delta = (i % 5) - 2 or 1  # mixed increases and decreases
             feed.update_edge_weight(u, v, max(1, w + delta))
-        return {"clusters", "compile-only"}
+        return {"partial", "compile-only"}
     return mutate
 
 
@@ -64,10 +66,10 @@ def decrease_one(feed):
     for u, v, w in sorted(feed.graph.edges()):
         if w > 1:
             feed.update_edge_weight(u, v, w - 1)
-            return {"clusters"}
+            return {"partial"}
     u, v, w = nth_edge(feed.graph, 0)  # all-unit graph: bump one up
     feed.update_edge_weight(u, v, w + 1)
-    return {"clusters", "compile-only"}
+    return {"partial", "compile-only"}
 
 
 def remove_edge(feed):
@@ -110,7 +112,7 @@ def bump_max_weight(feed):
     feed.update_edge_weight(u, v, w * 2)
     # scale grid may shift (forbidding compile-only) or stay inside the
     # same power-of-two band (the sharper per-grid guard may certify)
-    return {"clusters", "compile-only"}
+    return {"partial", "compile-only"}
 
 
 SCENARIOS = [
@@ -153,6 +155,107 @@ def test_rebuild_bit_identical_to_scratch(workload, n, k, seed, mutate):
         artifact_bytes(report.compiled)
 
 
+# -- flap series ---------------------------------------------------------
+#: Workloads with edges the construction never commits (so compile-only
+#: has something to certify), one per parity of k: odd k adds the
+#: middle-level detection call to the large-scale one.  n = 200 is the
+#: harness's scale; the series there is its spike/restore pattern.
+FLAP_WORKLOADS = [("random", 200, 2, 5), ("geometric", 80, 3, 2)]
+FLAP_DELTA = 25
+SPARE_DELTA = 1   #: never-committed edges are heavy: little headroom
+FLAP_CYCLES = 2
+
+
+def pick_edges(graph, recorder):
+    """``(supported, spare)``: the first sorted edge the construction
+    committed as a winner (its spike can never certify, its restore is
+    a decrease — both halves of its flap must re-run the cluster
+    phase), and the first it never committed.  Neither is a heaviest
+    edge: a spike past the graph's maximum weight could move the
+    detection scale grids."""
+    supported = spare = None
+    heaviest = graph.max_weight()
+    for u, v, w in sorted(graph.edges()):
+        if recorder.certifies_increase(u, v, w, w + 1):
+            if w + SPARE_DELTA <= heaviest:
+                spare = spare or (u, v, w)
+        elif w + FLAP_DELTA <= heaviest:
+            supported = supported or (u, v, w)
+    assert supported and spare, "pick a workload with both kinds of edge"
+    return supported, spare
+
+
+@pytest.mark.parametrize("workload,n,k,seed", FLAP_WORKLOADS,
+                         ids=[f"{w}-{n}-k{k}"
+                              for w, n, k, _ in FLAP_WORKLOADS])
+def test_flap_series_over_every_strategy(workload, n, k, seed,
+                                         monkeypatch):
+    graph = make_workload(workload, n, seed=seed).graph
+    feed = TopologyFeed(graph)
+
+    detections = []
+    plain = approx_clusters.detect_sources
+
+    def counted(*args, **kwargs):
+        detections.append(None)
+        return plain(*args, **kwargs)
+
+    # cache_size=1: the restore's fingerprint matches the evicted
+    # baseline generation, so both flap halves must actually rebuild
+    builder = IncrementalBuilder(feed, k=k, seed=seed, cache_size=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(approx_clusters, "detect_sources", counted)
+        builder.build()
+    recorder = builder.current.recorder
+    # single-unit support: each detection call committed at its one
+    # rounding unit (the calls differ in eps, hence in unit) — a
+    # return of the scale sweep would record 12-15 units per call
+    rounded_units = {unit for bucket in recorder.units.values()
+                     for unit in bucket if unit is not None}
+    assert len(rounded_units) == len(detections) > 0
+    (su, sv, sw), (cu, cv, cw) = pick_edges(graph, recorder)
+
+    def step(u, v, w, strategy):
+        feed.update_edge_weight(u, v, w)
+        report = builder.rebuild()
+        assert report.strategy == strategy, report.summary()
+        assert_matches_scratch(report, graph, k, seed)
+        return report
+
+    for _cycle in range(FLAP_CYCLES):
+        spike = step(su, sv, sw + FLAP_DELTA, "partial")
+        assert spike.fallback_reason == f"edge-({su},{sv})-in-support"
+        assert spike.reused_trees > spike.rebuilt_trees
+        restore = step(su, sv, sw, "partial")
+        assert restore.fallback_reason == "weight-decrease-present"
+
+    # a spare edge's spike is certified from that support: the
+    # construction objects are reused, only the artifacts recompile
+    before = builder.current.construction
+    certified = step(cu, cv, cw + SPARE_DELTA, "compile-only")
+    assert certified.construction is before
+    # its restore is a decrease, which nothing certifies
+    step(cu, cv, cw, "partial")
+
+    # an untouched feed (and, with room in the cache, a flap back to a
+    # built generation — TestReuseCache) is a reuse
+    again = builder.rebuild()
+    assert again.strategy == "reuse"
+    assert_matches_scratch(again, graph, k, seed)
+
+    assert remove_edge(feed) == {"full"}
+    report = builder.rebuild()
+    assert report.strategy == "full"
+    assert_matches_scratch(report, graph, k, seed)
+
+    # dispatch counters: the series visited all four strategies and
+    # nothing silently fell back to a full build
+    by_strategy = builder.stats()["by_strategy"]
+    assert by_strategy == {"initial": 1, "reuse": 1, "compile-only": 1,
+                           "partial": 2 * FLAP_CYCLES + 1, "full": 1}
+    assert set(by_strategy) - {"initial"} == set(STRATEGIES)
+
+
 class TestReuseCache:
 
     @pytest.fixture()
@@ -168,8 +271,7 @@ class TestReuseCache:
         u, v, w = nth_edge(graph, 7)
         feed.update_edge_weight(u, v, w + 40)
         spike = builder.rebuild()
-        assert spike.strategy in ("clusters", "partial", "compile-only",
-                                  "full")
+        assert spike.strategy in ("partial", "compile-only", "full")
         feed.update_edge_weight(u, v, w)
         restore = builder.rebuild()
         assert restore.strategy == "reuse" and restore.cache_hit
@@ -266,20 +368,8 @@ class TestCompileOnly:
         u, v, w = uncertified
         feed.update_edge_weight(u, v, w + 50)
         report = builder.rebuild()
-        assert report.strategy == "clusters"
-        assert report.fallback_reason is not None
-        assert_matches_scratch(report, graph, 2, 3)
-
-    def test_uncertified_increase_without_traces_takes_partial(self):
-        graph = make_workload("random", 60, seed=3).graph
-        feed = TopologyFeed(graph)
-        builder = IncrementalBuilder(feed, k=2, seed=3)
-        builder.build()
-        builder.current.recorder.traces.clear()  # e.g. a pre-trace entry
-        u, v, w = nth_edge(graph, 5)
-        feed.update_edge_weight(u, v, w + 50)
-        report = builder.rebuild()
         assert report.strategy == "partial"
+        assert report.fallback_reason is not None
         assert_matches_scratch(report, graph, 2, 3)
 
 
@@ -293,13 +383,9 @@ class TestPartialReuse:
         u, v, w = nth_edge(graph, 11)
         feed.update_edge_weight(u, v, w + 2)
         report = builder.rebuild()
-        if report.strategy in ("partial", "clusters"):
+        if report.strategy == "partial":
             assert report.reused_trees > 0
             assert report.reused_trees >= report.rebuilt_trees
-        if report.strategy == "clusters":
-            # a single jittered edge dirties few of the level sources
-            assert report.reused_clusters > report.rebuilt_clusters
-            assert not report.splice_fallbacks
         assert_matches_scratch(report, graph, 2, 3)
 
 

@@ -21,7 +21,7 @@ from repro.server.loadgen import (
     run_open_loop,
 )
 from repro.server.metrics import PERCENTILES, BrokerMetrics
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import MetricsRegistry, parse_exposition
 
 
 def run(coro, timeout=60.0):
@@ -203,7 +203,14 @@ class TestRebuildReportSchema:
         assert report2.strategy != "initial"
 
         text = registry.render()
-        assert "repro_rebuild_strategy_total" in text
         assert 'strategy="initial"' in text
-        assert "repro_rebuild_stage_seconds_total" in text
         assert 'stage="construct"' in text
+        # the builder's whole family set, and its strategy vocabulary
+        fams = parse_exposition(text)
+        assert {name for name in fams
+                if name.startswith("repro_rebuild_")} == {
+            "repro_rebuild_strategy_total",
+            "repro_rebuild_stage_seconds_total"}
+        assert {dict(labels)["strategy"] for labels in
+                fams["repro_rebuild_strategy_total"].samples} <= {
+            "initial", "reuse", "compile-only", "partial", "full"}
