@@ -14,16 +14,21 @@ import pytest
 
 from repro.analysis import evaluate_estimation
 from repro.baselines import build_tz_oracle
-from repro.core import build_distance_estimation
+from repro.pipeline import SchemePipeline
 
 K = 3
+
+
+def _build_estimation(graph, seed):
+    return (SchemePipeline().graph(graph)
+            .params(K, detection_mode="exact").seed(seed)
+            .build_estimation())
 
 
 @pytest.mark.artifact("E4")
 def bench_estimation_stretch(benchmark, small_workload):
     def _build_and_eval():
-        est = build_distance_estimation(small_workload, k=K, seed=23,
-                                        detection_mode="exact")
+        est = _build_estimation(small_workload, seed=23)
         oracle = build_tz_oracle(small_workload, k=K, seed=23)
         return (est,
                 evaluate_estimation(small_workload, est, sample=400,
@@ -48,8 +53,7 @@ def bench_estimation_stretch(benchmark, small_workload):
 @pytest.mark.artifact("E4")
 def bench_query_time(benchmark, small_workload):
     """O(k) query: time 1000 queries on a prebuilt estimator."""
-    est = build_distance_estimation(small_workload, k=K, seed=29,
-                                    detection_mode="exact")
+    est = _build_estimation(small_workload, seed=29)
     rng = random.Random(0)
     n = small_workload.num_vertices
     pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(1000)]

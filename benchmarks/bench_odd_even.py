@@ -14,7 +14,13 @@ For odd k the paper improves the round exponent from ``1/2 + 1/k`` to
 import pytest
 
 from repro.analysis import fit_exponent
-from repro.core import construct_scheme
+from repro.pipeline import SchemePipeline
+
+
+def _construct(graph, k, seed):
+    return (SchemePipeline().graph(graph)
+            .params(k, detection_mode="exact").seed(seed)
+            .build().construction)
 
 
 @pytest.mark.artifact("E8")
@@ -24,9 +30,8 @@ def bench_odd_vs_even_exponent(benchmark, scaling_graphs, scaling_ns):
         for k in (3, 4):
             rounds = []
             for n in scaling_ns:
-                report = construct_scheme(scaling_graphs[n], k=k,
-                                          seed=n, detection_mode="exact")
-                rounds.append(report.rounds)
+                rounds.append(_construct(scaling_graphs[n], k=k,
+                                         seed=n).rounds)
             out[k] = fit_exponent(scaling_ns, rounds)
         return out
 
@@ -62,11 +67,8 @@ def bench_odd_vs_even_exponent(benchmark, scaling_graphs, scaling_ns):
 @pytest.mark.artifact("E8")
 def bench_middle_level_phase(benchmark, small_workload):
     def _build_both():
-        odd = construct_scheme(small_workload, k=3, seed=3,
-                               detection_mode="exact")
-        even = construct_scheme(small_workload, k=4, seed=3,
-                                detection_mode="exact")
-        return odd, even
+        return (_construct(small_workload, k=3, seed=3),
+                _construct(small_workload, k=4, seed=3))
 
     odd, even = benchmark.pedantic(_build_both, rounds=1, iterations=1)
     odd_phases = set(odd.scheme.ledger.breakdown())

@@ -16,24 +16,21 @@ Two regimes matter (see EXPERIMENTS.md):
 import pytest
 
 from repro.analysis import expected_charge_rounds, fit_exponent
-from repro.core import construct_scheme
+from repro.pipeline import SchemePipeline
 
 K = 3
 PAPER_EXPONENT = 0.5 + 1.0 / (2 * K)  # odd k: 1/2 + 1/(2k)
 
-#: CONGEST execution backend; round counts are backend-independent
-#: (see benchmarks/bench_engine_backends.py for the wall-clock diff).
-ENGINE = "fast"
+
+def _construct(graph, k, seed):
+    return (SchemePipeline().graph(graph)
+            .params(k, detection_mode="exact").seed(seed)
+            .build().construction)
 
 
 def _measure_rounds(graphs, k):
-    rounds = {}
-    for n, graph in sorted(graphs.items()):
-        report = construct_scheme(graph, k=k, seed=n,
-                                  detection_mode="exact",
-                                  engine=ENGINE)
-        rounds[n] = report.rounds
-    return rounds
+    return {n: _construct(graph, k=k, seed=n).rounds
+            for n, graph in sorted(graphs.items())}
 
 
 @pytest.mark.artifact("E1")
@@ -78,9 +75,7 @@ def bench_rounds_single_build(benchmark, scaling_graphs, scaling_ns):
     n = scaling_ns[-1]
     graph = scaling_graphs[n]
     report = benchmark.pedantic(
-        lambda: construct_scheme(graph, k=K, seed=1,
-                                 detection_mode="exact",
-                                 engine=ENGINE),
+        lambda: _construct(graph, k=K, seed=1),
         rounds=1, iterations=1)
     assert report.rounds > 0
     print(f"\n[E1] n={n} k={K}: {report.rounds} rounds, "

@@ -61,13 +61,13 @@ def bench_size_vs_k(benchmark, small_workload):
 @pytest.mark.artifact("E3")
 def bench_sketch_size_vs_k(benchmark, small_workload):
     """Theorem 6 sketch words ``O(n^{1/k} log n)`` shrink with k."""
-    from repro.core import build_distance_estimation
+    from repro.pipeline import SchemePipeline
 
     def _sweep():
-        return {k: build_distance_estimation(
-            small_workload, k=k, seed=19,
-            detection_mode="exact").average_sketch_words()
-            for k in KS}
+        return {k: SchemePipeline().graph(small_workload)
+                .params(k, detection_mode="exact").seed(19)
+                .build_estimation().average_sketch_words()
+                for k in KS}
 
     sizes = benchmark.pedantic(_sweep, rounds=1, iterations=1)
     print("\n[E3] sketch words avg per k:",

@@ -69,7 +69,6 @@ __all__ = [
     "weighted_small_world",
     # populated lazily below
     "build_routing_scheme",
-    "build_distance_estimation",
     "RoutingScheme",
     "SchemePipeline",
     "BuildReport",
@@ -92,9 +91,6 @@ def __getattr__(name):
     if name in ("build_routing_scheme", "RoutingScheme"):
         from .core import routing_scheme as _rs
         return getattr(_rs, name)
-    if name == "build_distance_estimation":
-        from .core import distance_estimation as _de
-        return _de.build_distance_estimation
     if name in ("SchemePipeline", "BuildReport"):
         from . import pipeline as _pl
         return getattr(_pl, name)

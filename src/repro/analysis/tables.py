@@ -73,13 +73,9 @@ class Table1Result:
 def generate_table1(graph: WeightedGraph, k: int, seed: int = 0,
                     sample_pairs: Optional[int] = 400,
                     graph_name: str = "workload",
-                    detection_mode: str = "rounded",
-                    engine: Optional[str] = None) -> Table1Result:
-    """Build all schemes on ``graph`` and regenerate Table 1.
-
-    ``engine`` selects the CONGEST backend for "this paper"'s measured
-    construction (the baselines use analytic round models).
-    """
+                    detection_mode: str = "rounded") -> Table1Result:
+    """Build all schemes on ``graph`` and regenerate Table 1 ("this
+    paper"'s rounds are measured; the baselines use analytic models)."""
     d = hop_diameter(graph)
     s = shortest_path_diameter(graph)
     scale = GraphScale(n=graph.num_vertices, m=graph.num_edges,
@@ -123,7 +119,7 @@ def generate_table1(graph: WeightedGraph, k: int, seed: int = 0,
     from ..pipeline import SchemePipeline
     ours = (SchemePipeline().graph(graph)
             .params(k, detection_mode=detection_mode)
-            .engine(engine).seed(seed).build().construction)
+            .seed(seed).build().construction)
     rows.append(Table1Row(
         scheme="this paper",
         rounds=float(ours.rounds), rounds_kind="measured",

@@ -43,7 +43,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from .exceptions import ParameterError
+from .exceptions import ParameterError, ReproError
 from .analysis import (
     GraphScale,
     evaluate_estimation,
@@ -51,7 +51,6 @@ from .analysis import (
     generate_table1,
     model_table,
 )
-from .congest import DEFAULT_ENGINE, available_engines
 from .core.compiled import CompiledScheme, load_artifact
 from .core.dense import DenseRoutingPlane
 from .pipeline import WORKLOADS, SchemePipeline
@@ -66,7 +65,6 @@ def _pipeline(args: argparse.Namespace) -> SchemePipeline:
     return (SchemePipeline()
             .workload(args.graph, args.n)
             .params(args.k, detection_mode=args.detection_mode)
-            .engine(args.engine)
             .seed(args.seed))
 
 
@@ -83,11 +81,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--detection-mode",
                         choices=["rounded", "exact"], default="exact",
                         help="Theorem-1 mode (round charges identical)")
-    parser.add_argument("--engine",
-                        choices=sorted(available_engines()),
-                        default=DEFAULT_ENGINE,
-                        help="CONGEST execution backend "
-                             "(both produce identical reports)")
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -160,8 +153,7 @@ def _serve_pairs(artifact, pairs, args) -> Tuple[List, str]:
                         policy=args.policy) as pool:
             results = (pool.route_many(pairs) if routing
                        else pool.estimate_many(pairs))
-            mode = (f"pool of {pool.workers} workers "
-                    f"({pool.policy}, {pool.transport} transport)")
+            mode = f"pool of {pool.workers} workers ({pool.policy})"
     else:
         results = (artifact.route_many(pairs) if routing
                    else artifact.estimate_many(pairs))
@@ -440,8 +432,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     result = generate_table1(instance.graph, k=args.k, seed=args.seed,
                              sample_pairs=args.pairs,
                              graph_name=args.graph,
-                             detection_mode=args.detection_mode,
-                             engine=args.engine)
+                             detection_mode=args.detection_mode)
     print(result.format())
     return 0
 
@@ -739,7 +730,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ReproError, OSError) as exc:
+        # typed user errors (bad artifact, out-of-range pair, missing
+        # file) are a message and exit status 2, not a traceback
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -7,14 +7,6 @@ from .metrics import CostLedger, PhaseCost, congestion_rounds, pipelined_rounds
 from .network import Network
 from .node import NodeContext, NodeProgram, make_contexts
 from .simulator import RunReport, Simulator
-from .engine import (
-    DEFAULT_ENGINE,
-    Engine,
-    available_engines,
-    make_engine,
-    register_engine,
-    resolve_engine_name,
-)
 from .fast_engine import FastSimulator
 from .bfs import BFSTree, build_bfs_tree
 from .broadcast import (
@@ -28,12 +20,10 @@ from .bellman_ford import (
     JoinRule,
     NearestSourceResult,
     VirtualExplorationResult,
-    exploration_path_counts,
     multi_source_exploration,
     multi_source_exploration_reference,
     nearest_source_exploration,
     nearest_source_exploration_reference,
-    reset_exploration_path_counts,
     virtual_multi_source_exploration,
 )
 
@@ -51,13 +41,7 @@ __all__ = [
     "make_contexts",
     "RunReport",
     "Simulator",
-    "DEFAULT_ENGINE",
-    "Engine",
     "FastSimulator",
-    "available_engines",
-    "make_engine",
-    "register_engine",
-    "resolve_engine_name",
     "BFSTree",
     "build_bfs_tree",
     "broadcast_all",
@@ -68,9 +52,7 @@ __all__ = [
     "JoinRule",
     "NearestSourceResult",
     "VirtualExplorationResult",
-    "exploration_path_counts",
     "multi_source_exploration",
-    "reset_exploration_path_counts",
     "multi_source_exploration_reference",
     "nearest_source_exploration",
     "nearest_source_exploration_reference",

@@ -29,15 +29,13 @@ the public names run a **batched flat-array path** — CSR/snapshot
 adjacency (no per-vertex generator dispatch), candidate arrays with a
 touched-list instead of ``setdefault`` churn, and sorted frontiers.
 
-Join predicates come in two forms: an opaque callback
-(:data:`JoinPredicate`, evaluated once per improving winner) and the
-declarative :class:`JoinRule` — a per-vertex threshold plan covering
-every rule the paper actually applies (Eq. (11), the middle-scale
-pivot-distance filter, Eq. (14)/(15)), which the dense kernel path
-evaluates as a masked vector compare fused into the scatter-min
-relaxation instead of a per-winner Python call.  Dispatch is observable
-through :func:`exploration_path_counts`; CI gates on a paper rule never
-degrading to the callback evaluation when numpy is available.
+The join decision is the declarative :class:`JoinRule` — a per-vertex
+threshold plan covering every rule the paper actually applies (Eq. (11),
+the middle-scale pivot-distance filter, Eq. (14)/(15)) — which the dense
+kernel evaluates as a masked vector compare fused into the scatter-min
+relaxation and the bucketed kernel as an inline comparison.  Only the
+``_reference`` oracles and the (tiny) virtual-graph exploration still
+take an opaque callback (:data:`JoinPredicate`).
 
 One deliberate semantic pin, applied to *both* implementations:
 frontiers are processed in sorted vertex order (the originals iterated
@@ -60,7 +58,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..graphs import csr as _csr
 from ..graphs import recording as _recording
-from ..graphs.csr import csr_view, frontier_neighbors, relax_frontier
+from ..graphs.csr import csr_view, frontier_neighbors
 from ..graphs.shortest_paths import INF
 from ..graphs.virtual_graph import VirtualGraph
 from ..graphs.weighted_graph import WeightedGraph
@@ -97,64 +95,30 @@ class JoinRule:
     (14)/(15) against scaled pivot budgets on the virtual graphs — so
     instead of an opaque :data:`JoinPredicate` closure, callers hand
     the exploration the *description*: a ``threshold`` array indexed by
-    vertex (``INF`` entries always accept), a ``strict`` flag (``d <
+    vertex (``INF`` entries always accept) and a ``strict`` flag (``d <
     threshold[v]`` when set, ``d <= threshold[v]`` otherwise; every
-    paper rule is strict), and an optional ``exempt_sources`` set whose
-    explorations bypass the threshold entirely.  The dense kernel path
-    evaluates the rule as one masked vector compare fused into the
-    scatter-min relaxation (:func:`repro.graphs.csr.relax_frontier`
-    ``threshold=``); the fallback paths evaluate the same comparison
-    inline.  A rule is by construction a pure, distance-antitone
-    predicate, so every differential guarantee stated for callbacks
-    applies.
+    paper rule is strict).  The dense kernel evaluates the rule as one
+    masked vector compare fused into the scatter-min relaxation; the
+    bucketed kernel evaluates the same comparison inline.  A rule is by
+    construction a pure, distance-antitone predicate, so
+    :meth:`accepts` is a valid :data:`JoinPredicate` for the oracles.
     """
 
     threshold: Sequence[float]
     strict: bool = True
-    exempt_sources: Optional[frozenset] = None
 
     def accepts(self, v: int, s: int, d: float) -> bool:
         """Scalar evaluation (the semantics the arrays implement)."""
-        if self.exempt_sources is not None and s in self.exempt_sources:
-            return True
         budget = self.threshold[v]
         return d < budget if self.strict else d <= budget
-
-    def as_predicate(self) -> JoinPredicate:
-        """The equivalent opaque callback (reference/oracle paths)."""
-        return self.accepts
-
-    def source_threshold(self, s: int, vector):
-        """The threshold array ``s``'s exploration runs under, or
-        ``None`` when ``s`` is exempt (= unconditional accept)."""
-        if self.exempt_sources is not None and s in self.exempt_sources:
-            return None
-        return vector
 
 
 #: Words per (source, distance) estimate on the wire.
 _ESTIMATE_WORDS = 2
 
-#: Ceiling on ``|sources| * n`` cells before the dense per-source rows
-#: of the kernel-based multi-source path stop being worth their memory.
+#: Ceiling on ``|sources| * n`` cells before the dense kernel's distance
+#: and parent matrices stop being worth their memory.
 _DENSE_CELL_LIMIT = 1 << 22
-
-#: Diagnostic counters: which implementation served each
-#: :func:`multi_source_exploration` call.  CI gates on these — a paper
-#: join rule (a :class:`JoinRule`) must never silently degrade to a
-#: per-winner callback evaluation when numpy is available.
-_PATH_COUNTS = {"dense-rule": 0, "dense-callback": 0,
-                "bucketed-rule": 0, "bucketed-callback": 0}
-
-
-def exploration_path_counts() -> Dict[str, int]:
-    """A copy of the per-path dispatch counters (diagnostics/CI)."""
-    return dict(_PATH_COUNTS)
-
-
-def reset_exploration_path_counts() -> None:
-    for key in _PATH_COUNTS:
-        _PATH_COUNTS[key] = 0
 
 
 def _flat_adjacency(graph: WeightedGraph
@@ -399,15 +363,15 @@ def multi_source_exploration_reference(graph: WeightedGraph,
 def multi_source_exploration(graph: WeightedGraph,
                              sources: Sequence[int],
                              iterations: int,
-                             join: JoinPredicate,
+                             rule: JoinRule,
                              capacity_words: int = 2
                              ) -> ExplorationResult:
     """Parallel bounded-depth Bellman–Ford from every source.
 
     Implements the cluster-growing loop of Section 3.2: a vertex ``v``
     receiving an estimate ``b_v(u)`` for source ``u`` stores and relays it
-    iff ``join(v, u, b_v(u))`` holds; improved estimates are re-relayed.
-    Sources always hold estimate 0 for themselves.
+    iff ``rule`` accepts ``(v, u, b_v(u))``; improved estimates are
+    re-relayed.  Sources always hold estimate 0 for themselves.
 
     Round accounting measures, per iteration, the maximum number of words
     any single node must push over one of its links (every live update is
@@ -415,116 +379,27 @@ def multi_source_exploration(graph: WeightedGraph,
     — the paper's congestion argument (Claim 2 bounds the number of live
     estimates per node by ``Õ(n^{1/k})`` w.h.p.).
 
-    Two batched implementations sit behind this name, both
-    result-identical to :func:`multi_source_exploration_reference`:
+    Two kernels sit behind this name, both result-identical to
+    :func:`multi_source_exploration_reference` and chosen only from what
+    the code can observe:
 
-    * with numpy (and affordable ``|sources| × n`` memory), per-source
-      dense distance rows advanced by the shared scatter-min kernel of
-      :mod:`repro.graphs.csr` — the same kernel the batched source
-      detection uses — replacing the per-(vertex, source) candidate
-      bucket bookkeeping entirely.  A declarative :class:`JoinRule`
-      additionally fuses the join comparison into the kernel itself
-      (one masked vector compare), eliminating the per-winner Python
-      call; an opaque callback keeps the per-winner evaluation;
-    * otherwise, flat candidate buckets over an adjacency snapshot (the
-      PR-2 path, kept as the universal fallback; join rules are still
-      evaluated as inline comparisons there, never as calls).
+    * with numpy and at most :data:`_DENSE_CELL_LIMIT` ``|sources| × n``
+      cells, :func:`_multi_source_dense_rule` — one flat scatter-min per
+      hop over every live estimate, the join fused in as a masked
+      vector compare;
+    * otherwise :func:`_multi_source_bucketed` — flat candidate buckets
+      over an adjacency snapshot, the join an inline comparison.
     """
     n = graph.num_vertices
-    is_rule = isinstance(join, JoinRule)
     if _csr.HAVE_NUMPY and n > 0 and sources \
             and len(set(sources)) * n <= _DENSE_CELL_LIMIT:
         view = csr_view(graph)
         if view.vectorized:
-            if is_rule:
-                _PATH_COUNTS["dense-rule"] += 1
-                return _multi_source_dense_rule(view, graph, sources,
-                                                iterations, join,
-                                                capacity_words)
-            _PATH_COUNTS["dense-callback"] += 1
-            return _multi_source_dense(view, graph, sources, iterations,
-                                       join, capacity_words)
-    _PATH_COUNTS["bucketed-rule" if is_rule else "bucketed-callback"] += 1
-    return _multi_source_bucketed(graph, sources, iterations, join,
+            return _multi_source_dense_rule(view, graph, sources,
+                                            iterations, rule,
+                                            capacity_words)
+    return _multi_source_bucketed(graph, sources, iterations, rule,
                                   capacity_words)
-
-
-def _multi_source_dense(view, graph: WeightedGraph,
-                        sources: Sequence[int], iterations: int,
-                        join: JoinPredicate,
-                        capacity_words: int) -> ExplorationResult:
-    """Kernel-based path: one dense distance row per source.
-
-    Per iteration each live source row is advanced one scatter-min hop
-    from its own (ascending) frontier; the strictly-improving winners
-    the kernel returns are exactly the reference's bucket winners, with
-    the same "first strict minimum" parent tie-break, so the join
-    predicate sees the same (vertex, source, distance) candidates.
-    (The *order* of join calls across pairs is source-major here and
-    target-major in the reference — indistinguishable for the pure
-    predicates the contract requires.)  Congestion is still charged
-    from the per-vertex live-update counts, and the max-estimates
-    statistic samples the frontier's out-neighborhood — the same
-    vertices whose buckets the reference inspects.
-    """
-    n = graph.num_vertices
-    dist: List[Dict[int, float]] = [dict() for _ in range(n)]
-    parent: List[Dict[int, Optional[int]]] = [dict() for _ in range(n)]
-    rows: Dict[int, object] = {}
-    initial: Dict[int, List[int]] = {}
-    for s in sources:
-        if s not in rows:
-            row = _np.full(n, INF)
-            row[s] = 0.0
-            rows[s] = row
-        dist[s][s] = 0.0
-        parent[s][s] = None
-        initial.setdefault(s, []).append(s)
-    frontier: List[Tuple[int, List[int]]] = sorted(initial.items())
-    per_iter_words: List[int] = []
-    executed = 0
-    max_live = 0
-    for _ in range(iterations):
-        if not frontier:
-            break
-        executed += 1
-        congestion = max(len(srcs) for _u, srcs in frontier)
-        per_iter_words.append(congestion * _ESTIMATE_WORDS)
-        by_source: Dict[int, List[int]] = {}
-        for u, updated_sources in frontier:   # ascending u keeps the
-            for s in updated_sources:         # per-source frontiers sorted
-                by_source.setdefault(s, []).append(u)
-        sampled = frontier_neighbors(view, [u for u, _s in frontier])
-        changed_of: Dict[int, List[int]] = {}
-        rec = _recording.active()
-        for s in sorted(by_source):
-            row = rows[s]
-            # kernel recording is suppressed: a winner the join rejects
-            # is not support (join rules are antitone in the distance,
-            # so a heavier candidate stays rejected) — only applied
-            # updates are recorded, mirroring the reference path
-            targets, dists, vias = relax_frontier(view, row,
-                                                  by_source[s],
-                                                  record=False)
-            for t, nd, via in zip(targets, dists, vias):
-                t = int(t)
-                nd = float(nd)
-                if join(t, s, nd):
-                    row[t] = nd
-                    dist[t][s] = nd
-                    parent[t][s] = int(via)
-                    if rec is not None:
-                        rec.commit(int(via), t)
-                    changed_of.setdefault(t, []).append(s)
-        frontier = sorted(changed_of.items())
-        for v in sampled:
-            live = len(dist[v])
-            if live > max_live:
-                max_live = live
-    rounds = congestion_rounds(per_iter_words, capacity_words)
-    return ExplorationResult(dist=dist, parent=parent, iterations=executed,
-                             rounds=rounds,
-                             max_estimates_per_node=max_live)
 
 
 def _multi_source_dense_rule(view, graph: WeightedGraph,
@@ -540,20 +415,20 @@ def _multi_source_dense_rule(view, graph: WeightedGraph,
     distance — covering every exploration at once.  A hop gathers the
     out-edges of each frontier pair (``repeat`` over the CSR slices),
     applies the join rule to the candidates as one vector compare
-    (``cand < threshold[target]``, exempt-source rows forced through),
-    keeps strict improvements against the current distance matrix, and
-    reduces to one winner per ``(row, target)`` key with a single
-    ``lexsort``.  Work per hop is proportional to the *live* edges —
+    (``cand < threshold[target]``), keeps strict improvements against
+    the current distance matrix, and reduces to one winner per
+    ``(row, target)`` key with a single ``lexsort``.  Work per hop is proportional to the *live* edges —
     the same cells the reference's dict loops touch — not to
     ``|sources| × |frontier|``, which is what makes this profitable for
     many small localized clusters.
 
-    Bit-identity with the per-winner callback paths:
+    Bit-identity with the per-winner evaluation of the oracle and the
+    bucketed kernel:
 
     * Candidates are ordered by (frontier position, CSR edge index)
       and the frontier is kept sorted by (row, vertex), so the
       ``lexsort`` picking the earliest position among equal minima
-      reproduces the kernel's reversed-scatter tie-break (ascending
+      reproduces the first-strict-minimum tie-break (ascending
       frontier: first winning edge in CSR order supplies the parent).
     * Filtering *candidates* by the threshold before the group minimum
       equals filtering winners afterwards: rules are antitone in the
@@ -563,8 +438,8 @@ def _multi_source_dense_rule(view, graph: WeightedGraph,
       (heavier) candidate re-fails the same fused compare, exactly as
       the reference's repeated predicate calls would.
     * Because every surviving winner is applied, committing the
-      ``(via, target)`` pairs at the raw unit reproduces the callback
-      path's support transcript.
+      ``(via, target)`` pairs at the raw unit reproduces the bucketed
+      kernel's support transcript.
 
     Equivalence accounting mirrors the reference loop field by field:
     iteration-1 congestion is the source multiset's max multiplicity
@@ -584,10 +459,6 @@ def _multi_source_dense_rule(view, graph: WeightedGraph,
     dist_m = _np.full((num_rows, n), INF)
     par_m = _np.full((num_rows, n), -1, dtype=_np.int64)
     dist_m[_np.arange(num_rows), src] = 0.0
-    exempt_rows = None
-    if rule.exempt_sources is not None:
-        exempt_rows = _np.asarray(
-            [s in rule.exempt_sources for s in source_list], dtype=bool)
     indptr = view.indptr
     indices = view.indices
     weights = view.weights_f64()
@@ -623,8 +494,6 @@ def _multi_source_dense_rule(view, graph: WeightedGraph,
         c_d = _np.repeat(fr_d, cnts) + weights[eidx]
         # the fused join: candidates against the per-vertex budget
         keep = (c_d < thr[c_t]) if strict else (c_d <= thr[c_t])
-        if exempt_rows is not None:
-            keep |= exempt_rows[c_r]
         keep &= c_d < dist_m[c_r, c_t]
         if not keep.any():
             fr_r = fr_r[:0]
@@ -635,7 +504,7 @@ def _multi_source_dense_rule(view, graph: WeightedGraph,
             c_d = c_d[keep]
             # one winner per (row, target): minimum distance, earliest
             # candidate among equals (frontier position then CSR edge
-            # order — the kernel tie-break)
+            # order — the oracle's tie-break)
             key = c_r * n + c_t
             order = _np.lexsort(
                 (_np.arange(c_d.size, dtype=_np.int64), c_d, key))
@@ -684,22 +553,19 @@ def _multi_source_dense_rule(view, graph: WeightedGraph,
 def _multi_source_bucketed(graph: WeightedGraph,
                            sources: Sequence[int],
                            iterations: int,
-                           join: JoinPredicate,
+                           rule: JoinRule,
                            capacity_words: int = 2
                            ) -> ExplorationResult:
     """Flat candidate buckets over the cached flat adjacency (the
-    fallback batched path): a fast path for the common one-live-estimate
-    relay, per-target buckets reset via a touched list, sorted
-    frontiers.  A declarative :class:`JoinRule` is evaluated as an
-    inline per-vertex comparison here — same acceptances as the fused
+    kernel without numpy, or past :data:`_DENSE_CELL_LIMIT`): a fast
+    path for the common one-live-estimate relay, per-target buckets
+    reset via a touched list, sorted frontiers.  The rule is evaluated
+    as an inline per-vertex comparison — same acceptances as the fused
     kernel compare, no per-winner call."""
     n = graph.num_vertices
     starts, nbrs, wts = _flat_adjacency(graph)
-    rule = join if isinstance(join, JoinRule) else None
-    if rule is not None:
-        thr = rule.threshold
-        strict = rule.strict
-        exempt = rule.exempt_sources
+    thr = rule.threshold
+    strict = rule.strict
     dist: List[Dict[int, float]] = [dict() for _ in range(n)]
     parent: List[Dict[int, Optional[int]]] = [dict() for _ in range(n)]
     initial: Dict[int, List[int]] = {}
@@ -758,24 +624,19 @@ def _multi_source_bucketed(graph: WeightedGraph,
             dv = dist[v]
             pv = parent[v]
             changed: List[int] = []
-            if rule is not None:
-                tv = thr[v]
+            tv = thr[v]
             for s, (nd, via) in bucket.items():
                 if nd >= dv.get(s, INF):
                     continue
-                if rule is not None:
-                    if ((nd >= tv) if strict else (nd > tv)) and (
-                            exempt is None or s not in exempt):
-                        continue
-                elif not join(v, s, nd):
+                if (nd >= tv) if strict else (nd > tv):
                     continue
                 dv[s] = nd
                 pv[s] = via
                 if rec is not None:
                     # only applied updates are support: a bucket
                     # winner the dist/join checks reject stays
-                    # rejected when its edge gets heavier (join
-                    # rules are antitone in the distance)
+                    # rejected when its edge gets heavier (the rule
+                    # is antitone in the distance)
                     rec.commit(via, v)
                 changed.append(s)
             if changed:

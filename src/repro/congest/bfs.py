@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .engine import make_engine
+from .fast_engine import FastSimulator
 from .messages import Message
 from .network import Network
 from .node import NodeContext, NodeProgram, Outgoing
@@ -89,11 +89,9 @@ class _BFSProgram(NodeProgram):
 
 
 def build_bfs_tree(network: Network, root: int = 0,
-                   capacity_words: int = 2,
-                   engine: Optional[str] = None) -> BFSTree:
-    """Run the BFS flood on the selected engine and extract the tree."""
-    simulator = make_engine(network, capacity_words, engine)
-    report = simulator.run(_BFSProgram(root))
+                   capacity_words: int = 2) -> BFSTree:
+    """Run the BFS flood and extract the tree."""
+    report = FastSimulator(network, capacity_words).run(_BFSProgram(root))
     n = network.num_nodes
     parent: List[Optional[int]] = [None] * n
     depth: List[int] = [0] * n

@@ -18,10 +18,10 @@ charge dominates/matches it on small inputs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .bfs import BFSTree
-from .engine import make_engine
+from .fast_engine import FastSimulator
 from .messages import Message
 from .metrics import pipelined_rounds
 from .network import Network
@@ -94,11 +94,10 @@ class _GossipProgram(NodeProgram):
 
 def simulate_flood_rounds(network: Network,
                           initial: Dict[int, List[Tuple]],
-                          capacity_words: int = 2,
-                          engine: Optional[str] = None
+                          capacity_words: int = 2
                           ) -> Tuple[int, List[set]]:
     """Actually flood ``initial`` messages; return (rounds, per-node sets)."""
-    simulator = make_engine(network, capacity_words, engine)
-    report = simulator.run(_GossipProgram(initial))
+    report = FastSimulator(network, capacity_words).run(
+        _GossipProgram(initial))
     seen = [report.state_of(u)["seen"] for u in range(network.num_nodes)]
     return report.rounds, seen

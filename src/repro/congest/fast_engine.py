@@ -1,7 +1,7 @@
-"""Batched flat-array CONGEST engine (the ``fast`` backend).
+"""Batched flat-array CONGEST engine: what every simulated phase runs.
 
 Semantically identical to :class:`~repro.congest.simulator.Simulator`
-(the ``reference`` backend) but engineered for scale:
+(the oracle) but engineered for scale:
 
 * **Flat integer-indexed links.**  Directed links get dense ids in the
   reference scan order (sender ascending, port order); per-link state is
@@ -229,13 +229,3 @@ class FastSimulator:
                          max_link_queue_words=max_queue_words,
                          quiescent=quiescent,
                          contexts=contexts)
-
-
-def _make_fast(network: Network, capacity_words: int) -> FastSimulator:
-    return FastSimulator(network, capacity_words=capacity_words)
-
-
-# Register with the backend registry (imported lazily to avoid a cycle).
-from .engine import register_engine  # noqa: E402
-
-register_engine("fast", _make_fast)

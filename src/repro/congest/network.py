@@ -8,28 +8,20 @@ assigned by the routing process; we expose both directions of the mapping.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..exceptions import GraphError
 from ..graphs.weighted_graph import WeightedGraph
 
 
 class Network:
-    """A :class:`WeightedGraph` plus port numbering and link metadata.
+    """A :class:`WeightedGraph` plus port numbering and link metadata."""
 
-    ``engine`` optionally names the preferred execution backend
-    (``"fast"`` or ``"reference"``, see :mod:`repro.congest.engine`) for
-    simulations run over this network; ``None`` defers to the caller
-    and ultimately the package default.
-    """
+    __slots__ = ("_graph", "_ports", "_port_of")
 
-    __slots__ = ("_graph", "_ports", "_port_of", "_engine")
-
-    def __init__(self, graph: WeightedGraph,
-                 engine: Optional[str] = None) -> None:
+    def __init__(self, graph: WeightedGraph) -> None:
         graph.require_connected()
         self._graph = graph
-        self._engine = engine
         self._ports: List[List[int]] = []
         self._port_of: List[Dict[int, int]] = []
         for u in graph.vertices():
@@ -40,11 +32,6 @@ class Network:
     @property
     def graph(self) -> WeightedGraph:
         return self._graph
-
-    @property
-    def engine(self) -> Optional[str]:
-        """Preferred execution backend name, or ``None`` for default."""
-        return self._engine
 
     @property
     def num_nodes(self) -> int:

@@ -1,4 +1,9 @@
-"""Synchronous round engine for the CONGEST model.
+"""Synchronous round engine for the CONGEST model — the oracle.
+
+Production code runs :class:`~repro.congest.fast_engine.FastSimulator`;
+this dict-of-deques engine is the semantic reference
+``tests/congest/test_engine_equivalence.py`` constructs directly and
+checks it against, field for field.
 
 Executes a :class:`NodeProgram` on every node of a :class:`Network`:
 

@@ -38,7 +38,6 @@ from .distance_estimation import (
     DistanceEstimation,
     QueryResult,
     Sketch,
-    build_distance_estimation,
     estimation_from_clusters,
     sketches_from_clusters,
 )
@@ -50,7 +49,7 @@ from .compiled import (
 )
 from .dense import DenseRoutingPlane
 from .handshake import HandshakeRouteResult, HandshakeRouter
-from .scheme_builder import ConstructionReport, construct_scheme, sample_pairs
+from .scheme_builder import ConstructionReport, sample_pairs
 
 __all__ = [
     "SchemeParams",
@@ -82,7 +81,6 @@ __all__ = [
     "DistanceEstimation",
     "QueryResult",
     "Sketch",
-    "build_distance_estimation",
     "estimation_from_clusters",
     "sketches_from_clusters",
     "CompiledEstimation",
@@ -93,6 +91,5 @@ __all__ = [
     "HandshakeRouteResult",
     "HandshakeRouter",
     "ConstructionReport",
-    "construct_scheme",
     "sample_pairs",
 ]

@@ -447,16 +447,13 @@ def build_approx_clusters(graph: WeightedGraph, k: int,
                           detection_mode: str = "rounded",
                           capacity_words: int = 2,
                           hierarchy: Optional[LevelHierarchy] = None,
-                          bfs_tree: Optional[BFSTree] = None,
-                          engine: Optional[str] = None
+                          bfs_tree: Optional[BFSTree] = None
                           ) -> ApproxClusterSystem:
     """Theorem 4: compute all approximate pivots and clusters.
 
     Parameters mirror the paper; ``seed`` drives both the hierarchy
     sampling and every random sub-procedure, making runs reproducible.
     ``eps_override`` (tests / ablations only) replaces ``1/(48 k^4)``.
-    ``engine`` selects the CONGEST execution backend (see
-    :mod:`repro.congest.engine`); ``None`` uses the default.
     """
     graph.require_connected()
     n = graph.num_vertices
@@ -466,7 +463,7 @@ def build_approx_clusters(graph: WeightedGraph, k: int,
 
     if bfs_tree is None:
         started = time.perf_counter()
-        bfs_tree = build_bfs_tree(Network(graph, engine=engine), root=0,
+        bfs_tree = build_bfs_tree(Network(graph), root=0,
                                   capacity_words=capacity_words)
         ledger.add("setup/bfs-tree", bfs_tree.rounds,
                    seconds=time.perf_counter() - started)

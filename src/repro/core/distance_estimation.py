@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from ..congest.metrics import CostLedger
 from ..exceptions import ParameterError, SchemeError
 from ..graphs.weighted_graph import WeightedGraph
-from .approx_clusters import ApproxClusterSystem, build_approx_clusters
+from .approx_clusters import ApproxClusterSystem
 from .params import SchemeParams
 
 
@@ -149,34 +149,6 @@ def sketches_from_clusters(clusters: ApproxClusterSystem
         sketches[v] = Sketch(vertex=v, cluster_values=cluster_values[v],
                              pivots=pivots)
     return sketches
-
-
-def build_distance_estimation(graph: WeightedGraph, k: int, seed: int = 0,
-                              eps_override: float = 0.0,
-                              detection_mode: str = "rounded",
-                              capacity_words: int = 2,
-                              engine: Optional[str] = None
-                              ) -> DistanceEstimation:
-    """Build the Theorem-6 sketching scheme end to end.
-
-    .. deprecated::
-        Thin wrapper over :class:`repro.pipeline.SchemePipeline`; use
-        ``SchemePipeline().graph(g).params(k, ...).build_estimation()``
-        (and ``.compile_estimation()`` for the serve-side artifact).
-    """
-    import warnings
-    warnings.warn(
-        "build_distance_estimation is deprecated; use "
-        "repro.pipeline.SchemePipeline (.build_estimation)",
-        DeprecationWarning, stacklevel=2)
-    from ..pipeline import SchemePipeline
-    return (SchemePipeline()
-            .graph(graph)
-            .params(k, eps=eps_override, detection_mode=detection_mode,
-                    capacity_words=capacity_words)
-            .engine(engine)
-            .seed(seed)
-            .build_estimation())
 
 
 def estimation_from_clusters(graph: WeightedGraph,

@@ -41,8 +41,9 @@ class HandshakeRouter:
     """Stretch-(2k-1+o(1)) routing via a one-shot sketch exchange.
 
     Wraps a :class:`RoutingScheme` and its sibling
-    :class:`DistanceEstimation` (they share the cluster system when
-    built through :func:`repro.core.construct_scheme`).
+    :class:`DistanceEstimation` (one
+    :meth:`repro.pipeline.SchemePipeline.build` returns both, sharing
+    the cluster system).
     """
 
     def __init__(self, scheme: RoutingScheme,
@@ -50,7 +51,8 @@ class HandshakeRouter:
         if scheme.clusters is not estimation.clusters:
             raise SchemeError(
                 "handshake routing needs the scheme and estimator to "
-                "share one cluster system (use construct_scheme)")
+                "share one cluster system (take both from one "
+                "SchemePipeline.build())")
         self.scheme = scheme
         self.estimation = estimation
 

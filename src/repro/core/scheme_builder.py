@@ -1,23 +1,14 @@
-"""Top-level orchestration: one call builds everything the paper promises.
-
-.. deprecated::
-    :func:`construct_scheme` survives as a thin wrapper over the staged
-    :class:`repro.pipeline.SchemePipeline` facade, which separates the
-    expensive distributed *build* from artifact *compilation* and query
-    *serving*.  New code should use the pipeline directly; this module
-    keeps the legacy kwargs-ball signature (and the
-    :class:`ConstructionReport` it returns) for existing callers,
-    benchmarks, and the differential test suites.
-"""
+"""The measured report of one construction
+(:class:`ConstructionReport`, built by
+:class:`repro.pipeline.SchemePipeline`) and the evaluation-pair sampler
+tests and benchmarks share."""
 
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
-from ..graphs.weighted_graph import WeightedGraph
 from .approx_clusters import ApproxClusterSystem
 from .distance_estimation import DistanceEstimation
 from .params import SchemeParams
@@ -60,40 +51,6 @@ class ConstructionReport:
             f"stretch paper bound  : {self.paper_stretch_bound:.3f}",
         ]
         return "\n".join(lines)
-
-
-def construct_scheme(graph: WeightedGraph, k: int, seed: int = 0,
-                     eps_override: float = 0.0,
-                     detection_mode: str = "rounded",
-                     capacity_words: int = 2,
-                     use_tz_trick: bool = True,
-                     engine: Optional[str] = None) -> ConstructionReport:
-    """Run the full distributed construction and measure it.
-
-    .. deprecated::
-        Thin wrapper over :class:`repro.pipeline.SchemePipeline`; use
-        ``SchemePipeline().graph(g).params(k, ...).seed(s).build()``
-        for the staged lifecycle (and ``.compile()`` for the
-        serve-side artifact).  The measured report is identical.
-
-    ``engine`` picks the CONGEST execution backend for every simulated
-    phase (see :mod:`repro.congest.engine`); ``None`` means the package
-    default (``fast``).
-    """
-    warnings.warn(
-        "construct_scheme is deprecated; use "
-        "repro.pipeline.SchemePipeline (.graph/.params/.seed/.build)",
-        DeprecationWarning, stacklevel=2)
-    from ..pipeline import SchemePipeline
-    return (SchemePipeline()
-            .graph(graph)
-            .params(k, eps=eps_override, detection_mode=detection_mode,
-                    capacity_words=capacity_words,
-                    use_tz_trick=use_tz_trick)
-            .engine(engine)
-            .seed(seed)
-            .build()
-            .construction)
 
 
 def sample_pairs(num_vertices: int, count: int,

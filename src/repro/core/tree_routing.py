@@ -526,15 +526,9 @@ def build_forest_routing(trees: Dict[int, RootedTree],
                          port_of: Optional[PortFunction] = None,
                          capacity_words: int = 2,
                          gamma: Optional[float] = None,
-                         engine: Optional[str] = None,
                          reuse_lookup=None
                          ) -> ForestRoutingReport:
     """Build the scheme for every tree with one shared splitter sample.
-
-    ``engine`` names the CONGEST backend this phase belongs to; the
-    forest charges are analytic (Remark 3) so both backends yield the
-    same ledger, but the parameter keeps backend selection uniform
-    across the pipeline for callers and future literal executions.
 
     ``reuse_lookup(tree_id, tree, splitters)`` may return a previously
     built :class:`DistributedTreeRouting` to substitute for building
@@ -567,8 +561,7 @@ def build_forest_routing_reference(trees: Dict[int, RootedTree],
                                    bfs_tree: Optional[BFSTree] = None,
                                    port_of: Optional[PortFunction] = None,
                                    capacity_words: int = 2,
-                                   gamma: Optional[float] = None,
-                                   engine: Optional[str] = None
+                                   gamma: Optional[float] = None
                                    ) -> ForestRoutingReport:
     """:func:`build_forest_routing` over the per-subtree oracle builder.
 

@@ -189,7 +189,6 @@ class IncrementalBuilder:
     def __init__(self, feed: TopologyFeed, k: int, seed: int = 0,
                  eps: float = 0.0, detection_mode: str = "rounded",
                  capacity_words: int = 2, use_tz_trick: bool = True,
-                 engine: Optional[str] = None,
                  cache_size: int = 8,
                  registry: Optional[MetricsRegistry] = None) -> None:
         if cache_size < 1:
@@ -199,7 +198,7 @@ class IncrementalBuilder:
         self._params = dict(k=k, seed=seed, eps_override=eps,
                             detection_mode=detection_mode,
                             capacity_words=capacity_words,
-                            use_tz_trick=use_tz_trick, engine=engine)
+                            use_tz_trick=use_tz_trick)
         self._cache_size = cache_size
         self._cache: "OrderedDict[str, BuildEntry]" = OrderedDict()
         self._current: Optional[BuildEntry] = None

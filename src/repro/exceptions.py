@@ -64,9 +64,8 @@ class ArtifactError(SchemeError):
 
 class ServingError(ReproError):
     """Raised when the sharded serving pool is driven incorrectly or
-    loses a worker: serving on a closed pool, a worker that dies or
-    fails to attach the shared artifact, or an unusable transport for
-    the configured start method."""
+    loses a worker: serving on a closed pool, or a worker that dies or
+    fails to attach the shared artifact."""
 
 
 class ProtocolError(ServingError):

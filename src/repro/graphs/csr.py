@@ -1,4 +1,4 @@
-"""Cached CSR adjacency view + scatter-min relaxation kernel.
+"""Cached CSR adjacency view + frontier relaxation.
 
 The construction hot paths (Theorem-1 source detection, the Bellman–Ford
 explorations) all walk adjacency lists edge by edge.  This module gives
@@ -14,16 +14,16 @@ them a shared flat substrate:
   and stamped with the graph's mutation version; ``add_edge`` /
   ``remove_edge`` bump the version, so a stale view is never returned
   (see ``graphs/README.md`` for the contract).
-* :func:`relax_frontier` — one hop of Bellman–Ford from a frontier as a
-  scatter-min over the CSR arrays.  With numpy the frontier's out-edges
-  are gathered and reduced in a handful of vectorized operations; the
-  pure-Python fallback (and the small-frontier fast path, where numpy
-  call overhead dominates) runs the same first-strict-minimum scan the
-  reference loops use.
+* :func:`relax_frontier` — one hop of Bellman–Ford from a frontier over
+  list rows: the first-strict-minimum scan the reference loops use.  It
+  serves source detection's list-row advance (no numpy, or a matrix
+  past its cell limit); the vectorized kernels gather the frontier's
+  out-edges themselves (:func:`_gather_edge_indices`,
+  :meth:`CSRView.transpose_order`).
 
 Arrays are numpy ``int64``/``float64`` when numpy is importable and
 plain lists otherwise; :data:`HAVE_NUMPY` tells callers which world they
-are in (the kernel works in both).
+are in.
 """
 
 from __future__ import annotations
@@ -41,11 +41,6 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 HAVE_NUMPY = _np is not None
 
 INF = float("inf")
-
-#: Below this many frontier out-edges the vectorized gather costs more
-#: than the scalar scan it replaces (same rationale as the engine's
-#: ``_VECTOR_THRESHOLD``).
-_VECTOR_THRESHOLD = 32
 
 
 class CSRView:
@@ -136,11 +131,10 @@ def csr_view(graph: WeightedGraph) -> CSRView:
 
 
 # ----------------------------------------------------------------------
-# Scatter-min relaxation
+# Frontier relaxation
 # ----------------------------------------------------------------------
 def relax_frontier(view: CSRView, dist_row, frontier: Sequence[int],
-                   weights=None, unit=None, record=True,
-                   threshold=None, strict=True
+                   weights=None, unit=None
                    ) -> Tuple[Sequence[int], Sequence[float],
                               Sequence[int]]:
     """One Bellman–Ford hop from ``frontier`` over ``view``.
@@ -157,88 +151,10 @@ def relax_frontier(view: CSRView, dist_row, frontier: Sequence[int],
     ``weights`` substitutes a parallel weight array (e.g. the rounded
     weights of source detection), and ``unit`` declares the
     rounding unit those weights were derived under (``None`` = raw) —
-    consumed only by support recording (:mod:`repro.graphs.recording`);
-    ``record=False`` suppresses that recording for callers that filter
-    winners through a join predicate and record the survivors
-    themselves;
-    ``threshold`` fuses a per-vertex join budget into the relaxation:
-    a candidate for target ``v`` survives only if it beats
-    ``threshold[v]`` (strictly when ``strict``, else non-strictly).
-    Filtering *candidates* instead of winners is sound exactly for
-    threshold-form rules: they are antitone in the distance, so a
-    rejected group minimum implies every heavier candidate of that
-    group is rejected too — the surviving winners are precisely the
-    winners a post-hoc per-winner filter would keep.  Returned winners
-    all passed the budget, so recording stays on;
-    ``dist_row`` may be a list or a numpy ``float64`` row — the kernel
-    picks the vectorized gather only when the view is numpy-backed and
-    the frontier is large enough to amortize it.
+    consumed only by support recording (:mod:`repro.graphs.recording`).
     """
     if weights is None:
         weights = view.weights
-    result = None
-    if view.vectorized and dist_row is not None \
-            and not isinstance(dist_row, list):
-        indptr = view.indptr
-        f = _np.asarray(frontier, dtype=_np.int64)
-        starts = indptr[f]
-        counts = indptr[f + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return (), (), ()
-        if total >= _VECTOR_THRESHOLD:
-            result = _relax_vector(view, dist_row, f, starts, counts,
-                                   total, weights, threshold, strict)
-    if result is None:
-        result = _relax_scalar(view, dist_row, frontier, weights,
-                               threshold, strict)
-    if record:
-        rec = _recording.active()
-        if rec is not None and len(result[0]):
-            rec.commit_pairs(zip((int(v) for v in result[2]),
-                                 (int(t) for t in result[0])), unit)
-    return result
-
-
-def _gather_edge_indices(starts, counts, total):
-    """Edge ids of the concatenated CSR slices ``[starts, starts+counts)``
-    (the out-edges of a frontier, in CSR order)."""
-    within = _np.arange(total, dtype=_np.int64)
-    within -= _np.repeat(_np.cumsum(counts) - counts, counts)
-    return _np.repeat(starts, counts) + within
-
-
-def _relax_vector(view, dist_row, f, starts, counts, total, weights,
-                  threshold=None, strict=True):
-    """Vectorized gather + scatter-min (numpy arrays throughout)."""
-    eidx = _gather_edge_indices(starts, counts, total)
-    eu = _np.repeat(f, counts)
-    ev = view.indices[eidx]
-    cand = dist_row[eu] + weights[eidx]
-    improving = cand < dist_row[ev]
-    if threshold is not None:
-        # the masked join compare, fused with the improvement mask
-        budget = threshold[ev]
-        improving &= (cand < budget) if strict else (cand <= budget)
-    if not improving.any():
-        return (), (), ()
-    ev = ev[improving]
-    eu = eu[improving]
-    cand = cand[improving]
-    best = _np.full(view.num_vertices, INF)
-    _np.minimum.at(best, ev, cand)
-    winners = cand == best[ev]
-    via = _np.zeros(view.num_vertices, dtype=_np.int64)
-    # reversed assignment: with repeated targets the last write wins, so
-    # the *first* winning edge in CSR order supplies the parent.
-    via[ev[winners][::-1]] = eu[winners][::-1]
-    targets = _np.unique(ev)
-    return targets, best[targets], via[targets]
-
-
-def _relax_scalar(view, dist_row, frontier, weights,
-                  threshold=None, strict=True):
-    """First-strict-minimum scan, identical to the reference loops."""
     indptr = view.indptr
     indices = view.indices
     cand = {}
@@ -250,19 +166,26 @@ def _relax_scalar(view, dist_row, frontier, weights,
             v = indices[j]
             nd = du + weights[j]
             if nd < dist_row[v]:
-                if threshold is not None:
-                    budget = threshold[v]
-                    if (nd >= budget) if strict else (nd > budget):
-                        continue
                 best = cand.get(v)
                 if best is None or nd < best[0]:
                     cand[v] = (nd, u)
     if not cand:
         return (), (), ()
     targets = sorted(cand)
-    return (targets,
-            [cand[t][0] for t in targets],
-            [cand[t][1] for t in targets])
+    vias = [cand[t][1] for t in targets]
+    rec = _recording.active()
+    if rec is not None:
+        rec.commit_pairs(zip((int(v) for v in vias),
+                             (int(t) for t in targets)), unit)
+    return targets, [cand[t][0] for t in targets], vias
+
+
+def _gather_edge_indices(starts, counts, total):
+    """Edge ids of the concatenated CSR slices ``[starts, starts+counts)``
+    (the out-edges of a frontier, in CSR order)."""
+    within = _np.arange(total, dtype=_np.int64)
+    within -= _np.repeat(_np.cumsum(counts) - counts, counts)
+    return _np.repeat(starts, counts) + within
 
 
 def frontier_neighbors(view: CSRView, frontier: Sequence[int]):

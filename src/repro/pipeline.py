@@ -1,9 +1,8 @@
 """Staged build → compile → serve facade for the whole construction.
 
-The kwargs-ball entry points (``construct_scheme(graph, k, seed, ...)``)
-fused two very different lifecycles: the *expensive, distributed* build
-(Theorems 4/5/6/7) and the *cheap, local* serving of queries.
-:class:`SchemePipeline` separates them into explicit stages:
+The construction has two very different lifecycles: the *expensive,
+distributed* build (Theorems 4/5/6/7) and the *cheap, local* serving of
+queries.  :class:`SchemePipeline` separates them into explicit stages:
 
 >>> from repro.pipeline import SchemePipeline
 >>> built = (SchemePipeline()
@@ -19,11 +18,6 @@ fused two very different lifecycles: the *expensive, distributed* build
 Stages may be chained in any order before ``build()``; ``params()`` is
 the only mandatory one.  ``build()`` is cached — ``compile()`` and
 ``compile_estimation()`` trigger it on demand.
-
-The legacy entry points (``repro.core.construct_scheme`` and
-``repro.core.build_distance_estimation``) survive as thin deprecated
-wrappers over this facade, so existing callers and the differential /
-property test suites keep passing unchanged.
 
 Workload factories live here too (moved from the CLI), wrapped in
 :class:`WorkloadInstance` so every report carries the *actual* vertex
@@ -112,10 +106,9 @@ def make_workload(name: str, n: int, seed: int = 0) -> WorkloadInstance:
 class BuildReport:
     """Everything one pipeline build produced and measured.
 
-    Wraps the legacy :class:`ConstructionReport` (kept intact so every
-    measured quantity and paper bound stays available) with the workload
-    provenance the reports used to drop — in particular the *actual*
-    vertex count next to the requested one.
+    Wraps the :class:`ConstructionReport` (every measured quantity and
+    paper bound) with the workload provenance — in particular the
+    *actual* vertex count next to the requested one.
     """
 
     workload: str                 #: workload name or "custom"
@@ -156,9 +149,7 @@ class SchemePipeline:
     """Staged configuration for one build → compile lifecycle.
 
     Stages return ``self`` so they chain; ``build()`` freezes the
-    configuration and runs the full distributed construction exactly as
-    the legacy ``construct_scheme`` did (same measured report, same
-    seeds, same backends).
+    configuration and runs the full distributed construction.
     """
 
     def __init__(self) -> None:
@@ -170,7 +161,6 @@ class SchemePipeline:
         self._detection_mode = "rounded"
         self._capacity_words = 2
         self._use_tz_trick = True
-        self._engine: Optional[str] = None
         self._seed = 0
         self._built: Optional[BuildReport] = None
         self._estimation: Optional[DistanceEstimation] = None
@@ -217,12 +207,6 @@ class SchemePipeline:
         self._invalidate()
         return self
 
-    def engine(self, name: Optional[str]) -> "SchemePipeline":
-        """CONGEST execution backend (``None`` = package default)."""
-        self._engine = name
-        self._invalidate()
-        return self
-
     def seed(self, seed: int) -> "SchemePipeline":
         """Seed for workload generation and every sampling step."""
         self._seed = seed
@@ -262,7 +246,7 @@ class SchemePipeline:
             graph, k=self._k, seed=self._seed, eps_override=self._eps,
             detection_mode=self._detection_mode,
             capacity_words=self._capacity_words,
-            use_tz_trick=self._use_tz_trick, engine=self._engine)
+            use_tz_trick=self._use_tz_trick)
         requested = (self._workload.requested_n
                      if self._workload is not None else None)
         self._built = BuildReport(workload=self._graph_name,
@@ -374,9 +358,8 @@ class SchemePipeline:
     def build_estimation(self) -> DistanceEstimation:
         """Clusters + sketches only (skips the tree-routing forest).
 
-        The cheaper path behind the legacy
-        ``build_distance_estimation``; cached, and reuses a full
-        build's shared cluster computation when one already ran.
+        Cached, and reuses a full build's shared cluster computation
+        when one already ran.
         """
         if self._built is not None:
             return self._built.estimation
@@ -390,7 +373,7 @@ class SchemePipeline:
         clusters = build_approx_clusters(
             graph, self._k, seed=self._seed, eps_override=self._eps,
             detection_mode=self._detection_mode,
-            capacity_words=self._capacity_words, engine=self._engine)
+            capacity_words=self._capacity_words)
         self._estimation = estimation_from_clusters(graph, clusters)
         return self._estimation
 
@@ -399,12 +382,8 @@ class SchemePipeline:
 def _run_construction(graph: WeightedGraph, k: int, seed: int,
                       eps_override: float, detection_mode: str,
                       capacity_words: int, use_tz_trick: bool,
-                      engine: Optional[str],
                       forest_builder=None) -> "ConstructionReport":
     """The full pipeline body (hierarchy → clusters → forest → tables).
-
-    This is the implementation the deprecated ``construct_scheme``
-    wrapper delegates to; the measured report is unchanged.
 
     ``forest_builder`` substitutes the forest phase implementation
     (same signature as :func:`build_forest_routing`); the incremental
@@ -420,13 +399,12 @@ def _run_construction(graph: WeightedGraph, k: int, seed: int,
     clusters = build_approx_clusters(graph, k, seed=seed,
                                      eps_override=eps_override,
                                      detection_mode=detection_mode,
-                                     capacity_words=capacity_words,
-                                     engine=engine)
+                                     capacity_words=capacity_words)
     clusters_span.finish()
     ledger = CostLedger()
     ledger.merge(clusters.ledger)
 
-    network = Network(graph, engine=engine)
+    network = Network(graph)
     trees = {center: cluster.tree()
              for center, cluster in clusters.clusters.items()}
     if forest_builder is None:
@@ -436,8 +414,7 @@ def _run_construction(graph: WeightedGraph, k: int, seed: int,
                             random.Random(seed + 1),
                             bfs_tree=clusters.bfs_tree,
                             port_of=network.port_of,
-                            capacity_words=capacity_words,
-                            engine=engine)
+                            capacity_words=capacity_words)
     forest_span.finish()
     ledger.merge(forest.ledger)
 

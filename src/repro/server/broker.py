@@ -12,8 +12,7 @@ Why this wins: every dispatch pays fixed costs (an executor hop, and —
 with a pool backend — sharding plus queue round-trips) that dwarf the
 per-pair serving cost.  Coalescing amortizes those fixed costs over the
 whole window, so throughput under many small clients approaches the big
-pre-assembled-batch rate; ``benchmarks/bench_traffic.py`` records the
-ratio.
+pre-assembled-batch rate; the CLI's ``bench-traffic`` prints the ratio.
 
 Design points, in contract order:
 

@@ -47,8 +47,8 @@ from ..telemetry.registry import MetricsRegistry
 from .metrics import LatencyRecorder
 
 #: Series the load generator registers — pinned by a regression test
-#: so ``benchmarks/bench_traffic.py`` and the CLI print identical
-#: names (they all read the same shared registry).
+#: so every report prints identical names (they all read the same
+#: shared registry).
 LOADGEN_SERIES = ("repro_loadgen_requests_total",
                   "repro_loadgen_latency_seconds")
 

@@ -2,7 +2,6 @@
 compiled artifact.  See ``README.md`` in this directory for the
 architecture and :class:`RouterPool` for the API."""
 
-from .columnar import RESULT_TRANSPORTS
 from .pool import RouterPool
 from .sharding import (
     SHARDING_POLICIES,
@@ -10,15 +9,11 @@ from .sharding import (
     shard_round_robin,
     shard_source_hash,
 )
-from .shared import TRANSPORTS, default_transport
 
 __all__ = [
     "RouterPool",
-    "RESULT_TRANSPORTS",
     "SHARDING_POLICIES",
     "available_policies",
     "shard_round_robin",
     "shard_source_hash",
-    "TRANSPORTS",
-    "default_transport",
 ]

@@ -1,10 +1,9 @@
 """Columnar result transport: struct-packed shard results.
 
-The ROADMAP's named lever for the pool's remaining serial cost: with
-the ``rows`` transport every worker pickles a ``List[CompiledRoute]``
-— one object graph per route, each dragging a path list — and the
-parent pays a per-object unpickle on the hot merge path.  This module
-replaces that with **two flat arrays per shard**:
+Pickling a ``List[CompiledRoute]`` costs one object graph per route,
+each dragging a path list, and the parent pays a per-object unpickle on
+the hot merge path.  Shard results travel as **two flat arrays**
+instead:
 
 * routes — one ``int64`` stream
   ``[source, target, center, level, path_len, *path]`` per route
@@ -16,16 +15,10 @@ Workers pack with the stdlib ``array`` module (one C-speed ``tobytes``
 per shard); the queue then pickles two ``bytes`` objects (a memcpy)
 instead of an object graph, and the parent decodes each shard with one
 ``frombytes`` + ``tolist`` before a single reconstruction sweep.  The
-decoded results are plain Python ints/floats, so they are **bit-
-identical** to the ``rows`` transport — ``int64`` spans every vertex
-id and ``float64`` round-trips route weights exactly — which is why
-the whole ``tests/serving`` equivalence grid runs on the columnar
-default.  ``RouterPool(result_transport="rows")`` keeps the legacy
-pickled path.
-
-The measured merge-cost delta lives in
-``benchmarks/results/sharded_serving.json`` (``result_transport``
-section).
+decoded results are plain Python ints/floats, **bit-identical** to the
+worker's own result objects — ``int64`` spans every vertex id and
+``float64`` round-trips route weights exactly — which the whole
+``tests/serving`` equivalence grid pins against in-process serving.
 """
 
 from __future__ import annotations
@@ -36,9 +29,6 @@ from typing import List, Tuple
 
 from ..core.compiled import CompiledRoute
 from ..exceptions import ServingError
-
-#: ``RouterPool(result_transport=...)`` choices.
-RESULT_TRANSPORTS = ("columnar", "rows")
 
 _INT = "q"
 _FLOAT = "d"

@@ -1,20 +1,21 @@
 """`RouterPool`: process-parallel batch serving over one shared artifact.
 
 One pool = one compiled artifact + N persistent worker processes.  The
-artifact is shipped once through a transport (``shared.py``), each call
+artifact is shipped once through shared memory (``shared.py``), each call
 to :meth:`RouterPool.route_many` / :meth:`RouterPool.estimate_many`
 partitions the batch with a sharding policy (``sharding.py``), workers
 serve their shards with the *same* single-process batch methods the
-artifact already has, and the parent merges results back in input
-order.  Because those batch methods are per-query deterministic, the
-merged output is bit-identical to calling the artifact directly — the
-contract pinned by ``tests/serving/test_pool_equivalence.py``.
+artifact already has, results travel back as packed columns
+(``columnar.py``), and the parent merges them in input order.  Because
+those batch methods are per-query deterministic, the merged output is
+bit-identical to calling the artifact directly — the contract pinned by
+``tests/serving/test_pool_equivalence.py``.
 
 Lifecycle: the pool is a context manager with deterministic shutdown —
 ``close()`` sentinels every worker, joins with a timeout, terminates
-stragglers, drains both queues and releases the transport (unlinking
-shared memory).  It is idempotent and also runs from the constructor's
-error path, so no exception leaks processes or shm segments.
+stragglers, drains both queues and unlinks the shared memory.  It is
+idempotent and also runs from the constructor's error path, so no
+exception leaks processes or shm segments.
 
 Error model: batch *input* errors are raised parent-side by the shared
 ``validate_pairs`` prepass before anything is dispatched — same
@@ -46,14 +47,8 @@ from ..exceptions import ParameterError, ServingError
 from ..telemetry.registry import MetricsRegistry
 from ..telemetry.trace import maybe_span
 from . import columnar
-from .columnar import RESULT_TRANSPORTS
 from .sharding import resolve_policy
-from .shared import (
-    ArtifactHandle,
-    attach_from_init,
-    default_transport,
-    numpy_available,
-)
+from .shared import ArtifactHandle, attach_from_init
 
 #: How long ``close()`` waits for workers to drain before terminating.
 _JOIN_TIMEOUT = 5.0
@@ -100,7 +95,7 @@ def _serve_shards(artifact, shm, task_q, result_q) -> None:
     fails one call, never the worker.
 
     A ``(_SWAP, swap_id, init)`` control message replaces the served
-    artifact in place: the worker attaches the new transport, drops the
+    artifact in place: the worker attaches the new segment, drops the
     old artifact, closes its old segment mapping and acks with
     ``("swapped", pid, swap_id)``.  The parent enqueues one swap
     message per worker on the shared queue; a worker that already
@@ -134,19 +129,17 @@ def _serve_shards(artifact, shm, task_q, result_q) -> None:
             # zero-copy arrays are views into the mapping.
             artifact, shm = new_artifact, new_shm
             del new_artifact
-            if old_shm is not None:
-                try:
-                    old_shm.close()
-                except BufferError:  # pragma: no cover - stray view
-                    pass
+            try:
+                old_shm.close()
+            except BufferError:  # pragma: no cover - stray view
+                pass
             result_q.put(("swapped", os.getpid(), swap_id))
             continue
-        call_id, shard_id, method, pairs, kwargs, codec = task
+        call_id, shard_id, method, pairs, kwargs = task
         try:
             out = getattr(artifact, method)(pairs, **kwargs)
-            if codec == "columnar":
-                out = columnar.encode_result(out)
-            result_q.put(("ok", (call_id, shard_id), out))
+            result_q.put(("ok", (call_id, shard_id),
+                          columnar.encode_result(out)))
         except BaseException as exc:
             result_q.put(("err", (call_id, shard_id), _portable(exc)))
         del task, pairs
@@ -178,11 +171,10 @@ def _worker_main(init, task_q, result_q) -> None:
         artifact, shm = _serve_shards(artifact, shm, task_q, result_q)
     finally:
         del artifact
-        if shm is not None:
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - stray view alive
-                pass
+        try:
+            shm.close()
+        except BufferError:  # pragma: no cover - stray view alive
+            pass
 
 
 class RouterPool:
@@ -212,9 +204,6 @@ class RouterPool:
         Sharding policy name (see ``sharding.SHARDING_POLICIES``).
     start_method:
         ``multiprocessing`` start method (``None`` = platform default).
-    transport:
-        Artifact transport override (``None`` = auto; see
-        ``shared.default_transport``).
     materialize:
         Whether workers copy the attached arrays out into plain Python
         lists (default ``True``).  The tables are small (KBs–MBs) and
@@ -228,13 +217,6 @@ class RouterPool:
         Workers pull shards off a shared queue, so oversharding both
         load-balances and *streams*: the parent deserializes early
         shards while workers still serve later ones.
-    result_transport:
-        How shard results travel back: ``"columnar"`` (default)
-        struct-packs each shard into flat int64/float64 byte columns
-        the parent decodes in one sweep (see ``columnar.py``);
-        ``"rows"`` pickles the result objects directly (the legacy
-        path, kept for measurement and as a fallback).  Both are
-        bit-identical.
     registry:
         Optional :class:`~repro.telemetry.MetricsRegistry` for the
         pool's dispatch/swap instruments (default: a private registry
@@ -248,10 +230,8 @@ class RouterPool:
     def __init__(self, artifact, workers: Optional[int] = None,
                  policy: str = "round-robin",
                  start_method: Optional[str] = None,
-                 transport: Optional[str] = None,
                  materialize: bool = True,
                  shards_per_worker: int = 4,
-                 result_transport: str = "columnar",
                  registry: Optional[MetricsRegistry] = None,
                  role: Optional[str] = None) -> None:
         # State first, so close() is safe from any failure below.
@@ -290,11 +270,6 @@ class RouterPool:
             raise ParameterError(
                 f"shards_per_worker must be >= 1, got "
                 f"{shards_per_worker}")
-        if result_transport not in RESULT_TRANSPORTS:
-            raise ParameterError(
-                f"unknown result transport {result_transport!r}; "
-                f"choose from {list(RESULT_TRANSPORTS)}")
-        self._result_transport = result_transport
         self._shards_per_worker = int(shards_per_worker)
         self._materialize = materialize
         self._artifact = artifact
@@ -346,12 +321,8 @@ class RouterPool:
                 f"platform offers {mp.get_all_start_methods()}"
             ) from None
         self._start_method = ctx.get_start_method()
-        self._transport_name = transport or \
-            default_transport(self._start_method)
         try:
             self._handle = ArtifactHandle(artifact,
-                                          self._transport_name,
-                                          self._start_method,
                                           materialize=materialize)
             self._task_q = ctx.Queue()
             self._result_q = ctx.Queue()
@@ -379,16 +350,8 @@ class RouterPool:
         return self._policy_name
 
     @property
-    def transport(self) -> str:
-        return self._transport_name
-
-    @property
     def start_method(self) -> str:
         return self._start_method
-
-    @property
-    def result_transport(self) -> str:
-        return self._result_transport
 
     def validate_pairs(self, pairs: Sequence) -> None:
         """The artifact's batch-input prepass, re-exposed so front-ends
@@ -404,8 +367,8 @@ class RouterPool:
 
     @property
     def shm_name(self) -> Optional[str]:
-        """Shared-memory segment name (``shm`` transport), for
-        lifecycle tests and external monitoring."""
+        """Shared-memory segment name, for lifecycle tests and
+        external monitoring."""
         return self._handle.shm_name if self._handle else None
 
     @property
@@ -430,7 +393,6 @@ class RouterPool:
         state = "closed" if self._closed else "open"
         return (f"RouterPool(workers={self.workers}, "
                 f"policy={self._policy_name!r}, "
-                f"transport={self._transport_name!r}, "
                 f"start_method={self._start_method!r}, {state})")
 
     # -- serving -------------------------------------------------------
@@ -570,10 +532,9 @@ class RouterPool:
         self._m_dispatches.inc()
         self._m_pairs.inc(len(pairs))
         self._m_shards.inc(len(shards))
-        codec = self._result_transport
         for shard_id, idxs in enumerate(shards):
             self._task_q.put((call_id, shard_id, method,
-                              [pairs[i] for i in idxs], kwargs, codec))
+                              [pairs[i] for i in idxs], kwargs))
         results: List = [None] * len(pairs)
         errors = {}
         outstanding = len(shards)
@@ -588,9 +549,8 @@ class RouterPool:
             if tag == "err":
                 errors[shard_id] = payload
             else:
-                if codec == "columnar":
-                    payload = columnar.decode_result(payload)
-                for i, res in zip(shards[shard_id], payload):
+                for i, res in zip(shards[shard_id],
+                                  columnar.decode_result(payload)):
                     results[i] = res
         if errors:
             # Deterministic pick: the failing shard holding the
@@ -650,13 +610,9 @@ class RouterPool:
         it entirely on the new one — no batch ever sees both, and
         :meth:`route_many_tagged` exposes which generation served it.
 
-        The new artifact ships over the pool's transport, except
-        ``inherit`` pools: fork-time inheritance cannot reach workers
-        that already exist, so swaps fall back to ``shm``/``pickle``
-        (attach-time only; serving stays as materialized as before).
-        Once every worker acks, the old transport is released (the old
-        shared-memory segment unlinks) and the generation counter
-        bumps.
+        The new artifact ships in its own shared-memory segment; once
+        every worker acks, the old segment unlinks and the generation
+        counter bumps.
 
         A worker failing to attach mid-swap leaves the pool on mixed
         generations; it is **poisoned** — every later call raises
@@ -682,20 +638,15 @@ class RouterPool:
                 f"pool serving a {type(self._artifact).__name__}: "
                 "the route/estimate surface would change under the "
                 "callers")
-        transport = self._transport_name
-        if transport == "inherit":
-            transport = "shm" if numpy_available() else "pickle"
         swap_span = maybe_span(
             "pool.swap", parent=parent_span,
-            attrs={"role": self._role, "workers": len(self._procs),
-                   "transport": transport})
+            attrs={"role": self._role, "workers": len(self._procs)})
         start = time.perf_counter()
         with self._serve_lock:
             if self._closed:
                 raise ServingError("cannot swap a closed RouterPool")
             self._check_liveness()
-            new_handle = ArtifactHandle(artifact, transport,
-                                        self._start_method,
+            new_handle = ArtifactHandle(artifact,
                                         materialize=self._materialize)
             # One rebind span per worker, finished as its ack arrives:
             # the parent-side observation of each worker's re-attach
@@ -750,8 +701,7 @@ class RouterPool:
 
         Sentinels every worker, joins with a timeout, escalates to
         ``terminate``/``kill`` for stragglers, drains and closes both
-        queues, then releases the transport (unlinking the shared
-        memory segment).  After ``close()``,
+        queues, then unlinks the shared memory segment.  After ``close()``,
         ``multiprocessing.active_children()`` contains none of the
         pool's workers and the shm name no longer resolves.
 

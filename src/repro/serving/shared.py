@@ -1,29 +1,13 @@
-"""Artifact transports: getting one compiled artifact into N workers.
+"""Artifact transport: getting one compiled artifact into N workers.
 
-The pool pays for the artifact once and shares it; how the bytes reach
-the workers depends on what the platform offers:
-
-``shm``
-    The parent packs the artifact's flat arrays into one
-    ``multiprocessing.shared_memory`` block (via
-    ``CompiledScheme.export_buffers``); each worker attaches the block
-    by name and rebuilds the artifact with numpy ``frombuffer`` views —
-    zero copies of the payload, one physical copy of the tables total,
-    any start method.  Without numpy the attach decodes through
-    ``array.frombytes`` (one private copy per worker), so ``shm`` is
-    only the default when numpy is importable.
-
-``inherit``
-    The parent parks the live artifact object in a module global
-    before forking; workers find it in their copy-on-write heap.  Zero
-    serialization and zero decode, but fork-only — the no-numpy
-    default on platforms with ``fork``.
-
-``pickle``
-    The export payload rides into each worker inside the spawn
-    arguments: one pickled copy per worker.  The last resort
-    (``spawn`` start method without numpy) and still strictly better
-    than re-reading and re-parsing the ``.cra`` file per worker.
+The pool pays for the artifact once and shares it.  The parent packs the
+artifact's flat arrays into one ``multiprocessing.shared_memory`` block
+(via ``CompiledScheme.export_buffers``); each worker attaches the block
+by name and rebuilds the artifact — with numpy as ``frombuffer`` views
+(zero copies of the payload, one physical copy of the tables total),
+without it through ``array.frombytes`` (one private copy per worker).
+Works under every start method: the init tuple is a name, a header
+dict and a flag.
 
 :class:`ArtifactHandle` owns the parent side (and the cleanup — the
 parent alone unlinks shared memory); :func:`attach_from_init` is the
@@ -32,91 +16,32 @@ worker side.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, Optional, Tuple
+from multiprocessing import shared_memory as _shared_memory
+from typing import Optional, Tuple
 
-from ..core import compiled as _compiled
 from ..core.compiled import attach_artifact
-from ..exceptions import ParameterError, ServingError
-
-try:
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - stdlib module since 3.8
-    _shared_memory = None
-
-#: Transport names, in auto-selection preference order.
-TRANSPORTS = ("shm", "inherit", "pickle")
-
-#: Fork-inherited artifacts, keyed by token.  Written by the parent
-#: *before* the workers fork, read by :func:`attach_from_init` in the
-#: children, deleted by :meth:`ArtifactHandle.close`.
-_INHERITED: Dict[int, object] = {}
-_token_counter = itertools.count(1)
-
-
-def numpy_available() -> bool:
-    """One switch for the whole subsystem: defer to the compiled
-    module's numpy import so tests that disable numpy there disable
-    the zero-copy transport too."""
-    return _compiled._np is not None
-
-
-def default_transport(start_method: str) -> str:
-    """shm when numpy can attach zero-copy, else fork inheritance,
-    else per-worker pickling (see module docstring)."""
-    if numpy_available() and _shared_memory is not None:
-        return "shm"
-    if start_method == "fork":
-        return "inherit"
-    return "pickle"
 
 
 class ArtifactHandle:
     """Parent-side transport state for one pool.
 
     Builds the picklable ``init`` tuple workers attach from, and owns
-    every shared resource behind it: :meth:`close` unlinks the shared
-    memory block / drops the inherited global, and is idempotent so
-    the pool can call it from both normal shutdown and error paths.
+    the shared memory block behind it: :meth:`close` unlinks it, and is
+    idempotent so the pool can call it from both normal shutdown and
+    error paths.
     """
 
-    def __init__(self, artifact, transport: str, start_method: str,
-                 materialize: bool = True) -> None:
-        if transport not in TRANSPORTS:
-            raise ParameterError(
-                f"unknown transport {transport!r}; choose from "
-                f"{list(TRANSPORTS)}")
-        if transport == "inherit" and start_method != "fork":
-            raise ParameterError(
-                "the 'inherit' transport needs the fork start method; "
-                f"this pool uses {start_method!r}")
-        if transport == "shm" and _shared_memory is None:
-            raise ParameterError(  # pragma: no cover - stdlib present
-                "multiprocessing.shared_memory is unavailable; use "
-                "the 'inherit' or 'pickle' transport")
-        self.transport = transport
-        self._shm = None
-        self._token: Optional[int] = None
-        if transport == "shm":
-            buffers = artifact.export_buffers()
-            shm = _shared_memory.SharedMemory(
-                create=True, size=max(1, buffers.nbytes))
-            shm.buf[:buffers.nbytes] = buffers.payload
-            self._shm = shm
-            self.init: Tuple = ("shm", shm.name, buffers.header(),
-                                materialize)
-        elif transport == "inherit":
-            self._token = next(_token_counter)
-            _INHERITED[self._token] = artifact
-            self.init = ("inherit", self._token, None, materialize)
-        else:
-            buffers = artifact.export_buffers()
-            self.init = ("pickle", buffers.header(), buffers.payload,
-                         materialize)
+    def __init__(self, artifact, materialize: bool = True) -> None:
+        buffers = artifact.export_buffers()
+        shm = _shared_memory.SharedMemory(
+            create=True, size=max(1, buffers.nbytes))
+        shm.buf[:buffers.nbytes] = buffers.payload
+        self._shm = shm
+        self.init: Tuple = (shm.name, buffers.header(), materialize)
 
     @property
     def shm_name(self) -> Optional[str]:
-        """The shared-memory block's name (``shm`` transport only)."""
+        """The shared-memory block's name (``None`` once closed)."""
         return self._shm.name if self._shm is not None else None
 
     def close(self) -> None:
@@ -129,16 +54,13 @@ class ArtifactHandle:
                     shm.unlink()
                 except FileNotFoundError:  # pragma: no cover
                     pass
-        if self._token is not None:
-            _INHERITED.pop(self._token, None)
-            self._token = None
 
 
 def attach_from_init(init: Tuple):
     """Worker-side attach: rebuild the serving artifact from an
     :class:`ArtifactHandle` init tuple.
 
-    Returns ``(artifact, shm_or_None)``; the worker must keep the
+    Returns ``(artifact, shm)``; the worker must keep the
     segment object alive for the artifact's lifetime (non-materialized
     numpy arrays are views into its mapping) and close it only after
     dropping the artifact.  Attaching registers the segment with the
@@ -150,17 +72,6 @@ def attach_from_init(init: Tuple):
     unregister would double-remove and make the tracker log
     ``KeyError`` noise.
     """
-    mode, a, b, materialize = init
-    if mode == "shm":
-        shm = _shared_memory.SharedMemory(name=a)
-        return attach_artifact(b, shm.buf, materialize), shm
-    if mode == "inherit":
-        try:
-            return _INHERITED[a], None
-        except KeyError:
-            raise ServingError(
-                "inherit transport: artifact not found in this "
-                "process; the pool must fork its workers") from None
-    if mode == "pickle":
-        return attach_artifact(a, b, materialize), None
-    raise ServingError(f"unknown transport init {mode!r}")
+    name, header, materialize = init
+    shm = _shared_memory.SharedMemory(name=name)
+    return attach_artifact(header, shm.buf, materialize), shm

@@ -499,12 +499,9 @@ def detect_sources(graph: WeightedGraph, sources: Sequence[int],
     for r, s in enumerate(source_list):
         row = dist[r]
         prow = par[r]
-        exempt = (join_rule is None
-                  or (join_rule.exempt_sources is not None
-                      and s in join_rule.exempt_sources))
         if vectorized:
             keep = row < INF
-            if not exempt:
+            if join_rule is not None:
                 # the rule as one masked compare; the self-cell is
                 # always kept (it is seeded, never filtered)
                 ok = ((row < thr_arr) if join_rule.strict
@@ -512,7 +509,7 @@ def detect_sources(graph: WeightedGraph, sources: Sequence[int],
                 ok[s] = True
                 keep &= ok
             finite = _np.nonzero(keep)[0]
-        elif exempt:
+        elif join_rule is None:
             finite = [u for u in range(n) if row[u] < INF]
         else:
             thr = join_rule.threshold

@@ -21,8 +21,9 @@ from repro.analysis import (
     rounds_tz01,
     subpolynomial_factor,
 )
-from repro.core import build_distance_estimation, build_routing_scheme
+from repro.core import build_routing_scheme
 from repro.graphs import random_connected
+from repro.pipeline import SchemePipeline
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +53,8 @@ class TestStretchHarness:
         assert report.worst_pair is not None
 
     def test_estimation_harness(self, graph):
-        est = build_distance_estimation(graph, k=2, seed=1)
+        est = (SchemePipeline().graph(graph).params(2).seed(1)
+               .build_estimation())
         report = evaluate_estimation(graph, est, sample=100, seed=3)
         assert report.max_stretch <= 2 * 2 - 1 + 1.0
         assert report.max_stretch >= 1.0

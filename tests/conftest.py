@@ -58,3 +58,21 @@ def any_graph(request, small_grid, medium_random, medium_geometric,
         "geometric": medium_geometric,
         "cliques": congested_ring,
     }[request.param]
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, name)`` wraps ``module.name`` so it still
+    runs, and returns a list that grows by one entry per call."""
+    def install(module, name):
+        calls = []
+        plain = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return install

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.congest import (
+    JoinRule,
     Network,
     build_bfs_tree,
     multi_source_exploration,
@@ -23,6 +24,11 @@ from repro.graphs import (
 
 def always_join(v, s, d):
     return True
+
+
+def accept_all(graph):
+    """The unconditional join as a rule: an INF budget everywhere."""
+    return JoinRule(threshold=[INF] * graph.num_vertices)
 
 
 class TestNearestSource:
@@ -73,7 +79,7 @@ class TestMultiSource:
         n = medium_random.num_vertices
         sources = [0, 5]
         result = multi_source_exploration(medium_random, sources, n,
-                                          always_join)
+                                          accept_all(medium_random))
         for s in sources:
             exact = dijkstra_distances(medium_random, s)
             for v in medium_random.vertices():
@@ -83,10 +89,8 @@ class TestMultiSource:
         exact = dijkstra_distances(medium_random, 0)
         radius = sorted(exact)[len(exact) // 2]
 
-        def within_radius(v, s, d):
-            return d <= radius
-
         n = medium_random.num_vertices
+        within_radius = JoinRule(threshold=[radius] * n, strict=False)
         result = multi_source_exploration(medium_random, [0], n,
                                           within_radius)
         members = result.members_of(0)
@@ -100,7 +104,8 @@ class TestMultiSource:
 
     def test_parent_pointers_form_tree(self, medium_random):
         n = medium_random.num_vertices
-        result = multi_source_exploration(medium_random, [3], n, always_join)
+        result = multi_source_exploration(medium_random, [3], n,
+                                          accept_all(medium_random))
         for v in result.members_of(3):
             if v == 3:
                 assert result.parent[v][3] is None
@@ -117,13 +122,14 @@ class TestMultiSource:
         n = congested_ring.num_vertices
         sources = list(range(0, n, 2))
         result = multi_source_exploration(congested_ring, sources, n,
-                                          always_join)
+                                          accept_all(congested_ring))
         # many overlapping explorations => rounds exceed iterations
         assert result.rounds > result.iterations
         assert result.max_estimates_per_node == len(sources)
 
     def test_zero_iterations(self, triangle):
-        result = multi_source_exploration(triangle, [0], 0, always_join)
+        result = multi_source_exploration(triangle, [0], 0,
+                                          accept_all(triangle))
         assert result.members_of(0) == [0]
         assert result.rounds == 0
 

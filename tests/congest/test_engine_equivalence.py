@@ -1,33 +1,36 @@
-"""Differential harness: the ``fast`` flat-array engine against the
-``reference`` dict-of-deques oracle.
+"""Differential harness: the flat-array :class:`FastSimulator` against
+the dict-of-deques :class:`Simulator` oracle.
 
-Every program × graph × capacity case is executed on both registered
-backends and the resulting :class:`RunReport`s must be *bit-identical*:
-rounds, delivered messages/words, the max per-link queue statistic,
-quiescence, and every node's final state dictionary.  This is the
-contract that lets the rest of the codebase default to ``fast`` while
-keeping the original simulator as the semantic oracle.
+Every program × graph × capacity case is executed on both engines —
+constructed directly, there is no selector — and the resulting
+:class:`RunReport`s must be *bit-identical*: rounds, delivered
+messages/words, the max per-link queue statistic, quiescence, and every
+node's final state dictionary.  This is the contract that lets every
+simulated phase run ``FastSimulator`` while keeping the original
+simulator as the semantic oracle.
 """
+
+import random
 
 import pytest
 
+from repro.congest import bellman_ford
 from repro.congest import (
-    DEFAULT_ENGINE,
     FastSimulator,
+    JoinRule,
     Message,
     Network,
     NodeProgram,
     Simulator,
-    available_engines,
     build_bfs_tree,
-    make_engine,
     multi_source_exploration,
     multi_source_exploration_reference,
     nearest_source_exploration,
     nearest_source_exploration_reference,
-    resolve_engine_name,
     simulate_flood_rounds,
 )
+from repro.congest.bfs import _BFSProgram
+from repro.congest.broadcast import _GossipProgram
 from repro.exceptions import SimulationError
 from repro.graphs import (
     grid,
@@ -170,8 +173,8 @@ def _assert_identical(ref, fast):
 
 def _run_both(graph, make_program, capacity):
     network = Network(graph)
-    ref = make_engine(network, capacity, "reference").run(make_program())
-    fast = make_engine(network, capacity, "fast").run(make_program())
+    ref = Simulator(network, capacity).run(make_program())
+    fast = FastSimulator(network, capacity).run(make_program())
     _assert_identical(ref, fast)
     return ref
 
@@ -214,19 +217,36 @@ class TestDifferentialEquivalence:
         _run_both(graph, lambda: BroadcastProgram(tokens), capacity=1)
         _run_both(graph, lambda: BFSProgram(0), capacity=1)
 
-    def test_primitives_agree_across_backends(self):
-        graph = random_connected(40, 0.12, seed=3)
+    @pytest.mark.parametrize("name,graph", GRAPHS, ids=GRAPH_IDS)
+    def test_production_programs(self, name, graph):
+        """The programs the build actually runs — ``bfs._BFSProgram``
+        and the Lemma-1 flood — through both engines, and the public
+        primitives return exactly what the oracle's report holds."""
+        n = graph.num_vertices
         network = Network(graph)
-        t_ref = build_bfs_tree(network, root=2, engine="reference")
-        t_fast = build_bfs_tree(network, root=2, engine="fast")
-        assert t_ref.parent == t_fast.parent
-        assert t_ref.depth == t_fast.depth
-        assert t_ref.rounds == t_fast.rounds
-        initial = {v: [(v,)] for v in range(0, 40, 5)}
-        r_ref = simulate_flood_rounds(network, initial,
-                                      engine="reference")
-        r_fast = simulate_flood_rounds(network, initial, engine="fast")
-        assert r_ref == r_fast
+        root = n // 3
+        oracle = _run_both(graph, lambda: _BFSProgram(root), capacity=2)
+        tree = build_bfs_tree(network, root=root)
+        assert tree.rounds == oracle.rounds
+        assert tree.parent == [oracle.state_of(u)["parent"]
+                               for u in range(n)]
+        assert tree.depth == [oracle.state_of(u)["depth"]
+                              for u in range(n)]
+        initial = {v: [(v,)] for v in range(0, n, 5)}
+        oracle = _run_both(graph, lambda: _GossipProgram(initial),
+                           capacity=2)
+        rounds, seen = simulate_flood_rounds(network, initial)
+        assert rounds == oracle.rounds
+        assert seen == [oracle.state_of(u)["seen"] for u in range(n)]
+
+
+@pytest.fixture(params=["platform-kernel", "bucketed-kernel"])
+def exploration_kernel(request, monkeypatch):
+    """Both ``multi_source_exploration`` kernels: whichever the platform
+    selects (dense with numpy), and the bucketed one past the limit."""
+    if request.param == "bucketed-kernel":
+        monkeypatch.setattr(bellman_ford, "_DENSE_CELL_LIMIT", 0)
+    return request.param
 
 
 class TestExplorationBatchEquivalence:
@@ -249,13 +269,14 @@ class TestExplorationBatchEquivalence:
             assert fast.rounds == ref.rounds
 
     @pytest.mark.parametrize("name,graph", GRAPHS, ids=GRAPH_IDS)
-    def test_multi_source_unrestricted(self, name, graph):
+    def test_multi_source_unrestricted(self, name, graph,
+                                       exploration_kernel):
         n = graph.num_vertices
         sources = [0, n // 3, n - 1]
         ref = multi_source_exploration_reference(
             graph, sources, n, lambda v, s, d: True)
         fast = multi_source_exploration(
-            graph, sources, n, lambda v, s, d: True)
+            graph, sources, n, JoinRule(threshold=[float("inf")] * n))
         assert fast.dist == ref.dist
         assert fast.parent == ref.parent
         assert fast.iterations == ref.iterations
@@ -263,7 +284,8 @@ class TestExplorationBatchEquivalence:
         assert fast.max_estimates_per_node == ref.max_estimates_per_node
 
     @pytest.mark.parametrize("name,graph", GRAPHS, ids=GRAPH_IDS)
-    def test_multi_source_with_join_predicate(self, name, graph):
+    def test_multi_source_with_join_predicate(self, name, graph,
+                                              exploration_kernel):
         """The cluster-growing shape: radius-bounded join (Eq. 11)."""
         n = graph.num_vertices
         sources = list(range(0, n, 3))
@@ -272,16 +294,41 @@ class TestExplorationBatchEquivalence:
         def join(v, s, d):
             return d <= radius
 
+        rule = JoinRule(threshold=[radius] * n, strict=False)
         for capacity in (1, 2):
             ref = multi_source_exploration_reference(
                 graph, sources, n, join, capacity_words=capacity)
             fast = multi_source_exploration(
-                graph, sources, n, join, capacity_words=capacity)
+                graph, sources, n, rule, capacity_words=capacity)
             assert fast.dist == ref.dist
             assert fast.parent == ref.parent
             assert fast.rounds == ref.rounds
             assert fast.max_estimates_per_node == \
                 ref.max_estimates_per_node
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_multi_source_per_vertex_budgets(self, seed, strict,
+                                             exploration_kernel):
+        """Random per-vertex budgets (some INF), strict and not: the
+        fused compare keeps exactly the winners the oracle's
+        per-winner ``accepts`` call keeps."""
+        rng = random.Random(seed)
+        graph = random_connected(30, 0.2, seed=seed)
+        n = graph.num_vertices
+        rule = JoinRule(
+            threshold=[rng.uniform(0, 150) if rng.random() < 0.8
+                       else float("inf") for _ in range(n)],
+            strict=strict)
+        sources = sorted(rng.sample(range(n), 4))
+        ref = multi_source_exploration_reference(
+            graph, sources, n, rule.accepts)
+        fast = multi_source_exploration(graph, sources, n, rule)
+        assert fast.dist == ref.dist
+        assert fast.parent == ref.parent
+        assert fast.iterations == ref.iterations
+        assert fast.rounds == ref.rounds
+        assert fast.max_estimates_per_node == ref.max_estimates_per_node
 
     def test_bounded_iterations_match(self):
         graph = random_connected(30, 0.15, seed=77)
@@ -292,30 +339,7 @@ class TestExplorationBatchEquivalence:
             assert fast.iterations == ref.iterations <= t
 
 
-class TestBackendSelection:
-
-    def test_registry_contents(self):
-        assert set(available_engines()) >= {"reference", "fast"}
-        assert DEFAULT_ENGINE == "fast"
-
-    def test_default_is_fast(self):
-        network = Network(path(4, seed=0))
-        assert isinstance(make_engine(network), FastSimulator)
-
-    def test_network_preference_respected(self):
-        network = Network(path(4, seed=0), engine="reference")
-        assert isinstance(make_engine(network), Simulator)
-        assert resolve_engine_name(network) == "reference"
-
-    def test_explicit_overrides_network_preference(self):
-        network = Network(path(4, seed=0), engine="reference")
-        assert isinstance(make_engine(network, engine="fast"),
-                          FastSimulator)
-
-    def test_unknown_backend_rejected(self):
-        network = Network(path(4, seed=0))
-        with pytest.raises(SimulationError):
-            make_engine(network, engine="warp")
+class TestFastEngineGuards:
 
     def test_fast_engine_guards_capacity(self):
         with pytest.raises(SimulationError):

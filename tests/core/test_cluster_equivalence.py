@@ -2,26 +2,26 @@
 
 The cluster builders hand the exploration layer declarative
 ``JoinRule`` plans that the dense scatter-min kernel evaluates as fused
-masked compares.  This grid pins that path bit-identical to the two
-slower evaluations of the same rules:
+masked compares.  This grid pins that kernel bit-identical to the two
+other evaluations of the same rules:
 
 * the **reference oracle** — ``multi_source_exploration_reference`` /
-  ``detect_sources_reference`` fed the rule as an opaque callback
-  (``JoinRule.as_predicate()``), i.e. the original dict-based loops;
-* the **callback path** — the batched implementations with a callback
-  join, which evaluate the predicate once per improving winner and
-  carry the support recording the reference omits.
+  ``detect_sources_reference`` fed the rule's scalar ``accepts`` as an
+  opaque callback, i.e. the original dict-based loops;
+* the **bucketed kernel** — what the same build runs past
+  ``_DENSE_CELL_LIMIT`` or without numpy: the comparison inline, once
+  per improving winner, carrying the support recording the reference
+  omits.
 
 "Bit-identical" covers pivots, cluster members, values, parents,
 dropped counts, the full ledger round breakdown (wall-clock ``seconds``
-are explicitly *not* compared), beta, and — against the callback path —
-the recorded support transcript.  The grid runs the workload zoo with
-numpy on and off (CI re-executes the off case after uninstalling
-numpy) and with the support recorder on and off, and checks that the
-dense-rule kernel path actually served the build (no silent fallback
-to per-winner callbacks) plus the paper invariants (7)/(9)/(10)/(17)
-and ``IncrementalBuilder`` compile-only certification on a weight-flap
-series.
+are explicitly *not* compared), beta, and — against the bucketed
+kernel — the recorded support transcript.  The grid runs the workload
+zoo with numpy on and off (CI re-executes the off case after
+uninstalling numpy) and with the support recorder on and off, and
+checks which of the two kernels served the build (by spying on them)
+plus the paper invariants (7)/(9)/(10)/(17) and ``IncrementalBuilder``
+compile-only certification on a weight-flap series.
 """
 
 import random
@@ -84,16 +84,12 @@ GRID = [(name, k) for name in sorted(WORKLOADS) for k in KS]
 
 
 # ----------------------------------------------------------------------
-# Reference / callback shims
+# Reference shims
 # ----------------------------------------------------------------------
-def _as_predicate(join):
-    return join.as_predicate() if isinstance(join, bf.JoinRule) else join
-
-
-def _reference_exploration(graph, sources, iterations, join,
+def _reference_exploration(graph, sources, iterations, rule,
                            capacity_words=2):
     return bf.multi_source_exploration_reference(
-        graph, sources, iterations, _as_predicate(join), capacity_words)
+        graph, sources, iterations, rule.accepts, capacity_words)
 
 
 def _reference_detection(graph, sources, hop_bound, eps, bfs_tree=None,
@@ -101,13 +97,6 @@ def _reference_detection(graph, sources, hop_bound, eps, bfs_tree=None,
     return sd.detect_sources_reference(graph, sources, hop_bound, eps,
                                        bfs_tree=bfs_tree, mode=mode,
                                        join_rule=join_rule)
-
-
-def _callback_exploration(graph, sources, iterations, join,
-                          capacity_words=2):
-    """The pre-JoinRule behavior: batched paths, per-winner callback."""
-    return bf.multi_source_exploration(
-        graph, sources, iterations, _as_predicate(join), capacity_words)
 
 
 def build_system(graph, k, seed, monkeypatch=None, shims=()):
@@ -126,7 +115,13 @@ def build_system(graph, k, seed, monkeypatch=None, shims=()):
 
 REFERENCE_SHIMS = (("multi_source_exploration", _reference_exploration),
                    ("detect_sources", _reference_detection))
-CALLBACK_SHIMS = (("multi_source_exploration", _callback_exploration),)
+
+
+@pytest.fixture
+def kernel_calls(count_calls):
+    """Spies on the two exploration kernels: ``(dense, bucketed)``."""
+    return (count_calls(bf, "_multi_source_dense_rule"),
+            count_calls(bf, "_multi_source_bucketed"))
 
 
 def assert_systems_equal(a, b):
@@ -163,38 +158,38 @@ def test_vectorized_matches_reference(workload, k, monkeypatch):
     assert_systems_equal(fast, ref)
 
 
-@pytest.mark.parametrize("workload,k",
-                         [(w, k) for w, k in GRID if k == 3],
-                         ids=[f"{w}-k{k}" for w, k in GRID if k == 3])
-def test_vectorized_matches_callback_path(workload, k, monkeypatch):
+# ----------------------------------------------------------------------
+# Recorder axis: the two kernels build the same system and record the
+# same support transcript, and recording does not perturb the build
+# ----------------------------------------------------------------------
+def recorded_build(graph, k, seed):
+    recorder = SupportRecorder()
+    with recording(recorder):
+        system = build_system(graph, k, seed=seed)
+    return system, recorder.snapshot()
+
+
+@pytest.mark.skipif(not csr_module.HAVE_NUMPY, reason="needs numpy")
+@pytest.mark.parametrize("workload,k", GRID,
+                         ids=[f"{w}-k{k}" for w, k in GRID])
+def test_support_transcript_matches_bucketed(workload, k, monkeypatch,
+                                             kernel_calls):
+    """Same build, dense kernel vs the bucketed one it falls back to
+    past the cell limit."""
+    dense_calls, bucketed_calls = kernel_calls
     graph = WORKLOADS[workload]()
-    fast = build_system(graph, k, seed=103)
-    cb = build_system(graph, k, seed=103, monkeypatch=monkeypatch,
-                      shims=CALLBACK_SHIMS)
-    assert_systems_equal(fast, cb)
+    dense, dense_transcript = recorded_build(graph, k, seed=107)
+    assert dense_calls and not bucketed_calls
+    del dense_calls[:]
+    monkeypatch.setattr(bf, "_DENSE_CELL_LIMIT", 0)
+    bucketed, bucketed_transcript = recorded_build(graph, k, seed=107)
+    assert bucketed_calls and not dense_calls
+    assert_systems_equal(dense, bucketed)
+    assert dense_transcript == bucketed_transcript
 
 
-# ----------------------------------------------------------------------
-# Recorder axis: identical support transcript, and recording does not
-# perturb the build
-# ----------------------------------------------------------------------
 RECORDER_SLICE = ["random-24", "dense-20", "grid-5x5", "cliques-4x6",
                   "path-30"]
-
-
-@pytest.mark.parametrize("workload", RECORDER_SLICE)
-@pytest.mark.parametrize("k", [2, 3])
-def test_support_transcript_matches_callback(workload, k, monkeypatch):
-    graph = WORKLOADS[workload]()
-    rec_fast = SupportRecorder()
-    with recording(rec_fast):
-        fast = build_system(graph, k, seed=107)
-    rec_cb = SupportRecorder()
-    with recording(rec_cb):
-        cb = build_system(graph, k, seed=107, monkeypatch=monkeypatch,
-                          shims=CALLBACK_SHIMS)
-    assert_systems_equal(fast, cb)
-    assert rec_fast.snapshot() == rec_cb.snapshot()
 
 
 @pytest.mark.parametrize("workload", RECORDER_SLICE)
@@ -210,28 +205,22 @@ def test_recording_does_not_perturb_build(workload):
 # No silent fallback: the paper's rules must ride the fused kernel
 # ----------------------------------------------------------------------
 @pytest.mark.skipif(not csr_module.HAVE_NUMPY, reason="needs numpy")
-def test_vectorized_path_engaged():
+def test_vectorized_path_engaged(kernel_calls):
     graph = WORKLOADS["random-32"]()
-    bf.reset_exploration_path_counts()
     build_approx_clusters(graph, 3, seed=113)
-    counts = bf.exploration_path_counts()
-    assert counts["dense-rule"] > 0, counts
-    # every cluster exploration is rule-driven and dense at this size:
-    # a nonzero callback or bucketed count means a paper join rule
-    # silently degraded to per-winner Python evaluation
-    assert counts["dense-callback"] == 0, counts
-    assert counts["bucketed-rule"] == 0, counts
-    assert counts["bucketed-callback"] == 0, counts
+    # every cluster exploration is dense at this size: a bucketed call
+    # means a paper join rule silently degraded to per-winner Python
+    # evaluation
+    dense_calls, bucketed_calls = kernel_calls
+    assert dense_calls and not bucketed_calls
 
 
 def test_join_rule_scalar_semantics():
-    rule = bf.JoinRule(threshold=[2.0, 5.0], strict=True,
-                       exempt_sources=frozenset([7]))
+    rule = bf.JoinRule(threshold=[2.0, 5.0], strict=True)
     assert rule.accepts(0, 1, 1.5) and not rule.accepts(0, 1, 2.0)
-    assert rule.accepts(0, 7, 99.0)          # exempt source
+    assert rule.accepts(1, 1, 4.9)
     loose = bf.JoinRule(threshold=[2.0], strict=False)
     assert loose.accepts(0, 1, 2.0) and not loose.accepts(0, 1, 2.1)
-    assert rule.as_predicate()(1, 1, 4.9)
 
 
 # ----------------------------------------------------------------------
@@ -254,25 +243,26 @@ class TestNoNumpyFallback:
                            shims=REFERENCE_SHIMS)
         assert_systems_equal(fast, ref)
 
-    def test_bucketed_rule_path_serves(self):
+    def test_bucketed_kernel_serves(self, kernel_calls):
         graph = WORKLOADS["random-16"]()
-        bf.reset_exploration_path_counts()
         build_approx_clusters(graph, 2, seed=131)
-        counts = bf.exploration_path_counts()
-        assert counts["bucketed-rule"] > 0, counts
-        assert counts["dense-rule"] == 0, counts
+        dense_calls, bucketed_calls = kernel_calls
+        assert bucketed_calls and not dense_calls
 
-    def test_support_transcript_matches_callback(self, monkeypatch):
-        graph = WORKLOADS["dense-20"]()
-        rec_fast = SupportRecorder()
-        with recording(rec_fast):
-            fast = build_system(graph, 3, seed=137)
-        rec_cb = SupportRecorder()
-        with recording(rec_cb):
-            cb = build_system(graph, 3, seed=137, monkeypatch=monkeypatch,
-                              shims=CALLBACK_SHIMS)
-        assert_systems_equal(fast, cb)
-        assert rec_fast.snapshot() == rec_cb.snapshot()
+
+@pytest.mark.skipif(not csr_module.HAVE_NUMPY, reason="needs numpy")
+@pytest.mark.parametrize("workload", NO_NUMPY_SLICE)
+@pytest.mark.parametrize("k", [2, 3])
+def test_support_transcript_matches_no_numpy_build(workload, k,
+                                                   monkeypatch):
+    """The whole build without numpy (bucketed exploration *and*
+    list-row detection) records the transcript the numpy build does."""
+    graph = WORKLOADS[workload]()
+    fast, fast_transcript = recorded_build(graph, k, seed=137)
+    monkeypatch.setattr(csr_module, "HAVE_NUMPY", False)
+    plain, plain_transcript = recorded_build(graph, k, seed=137)
+    assert_systems_equal(fast, plain)
+    assert fast_transcript == plain_transcript
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,14 @@ import random
 
 import pytest
 
-from repro.core import build_distance_estimation
 from repro.exceptions import ParameterError
 from repro.graphs import all_pairs_distances, grid, random_connected
+from repro.pipeline import SchemePipeline
+
+
+def build_estimation(graph, k, seed):
+    return (SchemePipeline().graph(graph).params(k).seed(seed)
+            .build_estimation())
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +27,7 @@ def ap(graph):
 
 @pytest.fixture(scope="module", params=[2, 3, 4])
 def est_k(request, graph):
-    return build_distance_estimation(graph, k=request.param, seed=7), \
+    return build_estimation(graph, k=request.param, seed=7), \
         request.param
 
 
@@ -45,7 +50,7 @@ class TestStretch:
     def test_on_grid(self):
         g = grid(6, 6, seed=3)
         ap_g = all_pairs_distances(g)
-        est = build_distance_estimation(g, k=3, seed=3)
+        est = build_estimation(g, k=3, seed=3)
         for u in range(0, 36, 5):
             for v in range(0, 36, 3):
                 if u == v:
@@ -122,8 +127,8 @@ class TestConstruction:
         assert est.construction_rounds > 0
 
     def test_determinism(self, graph):
-        a = build_distance_estimation(graph, k=3, seed=31)
-        b = build_distance_estimation(graph, k=3, seed=31)
+        a = build_estimation(graph, k=3, seed=31)
+        b = build_estimation(graph, k=3, seed=31)
         rng = random.Random(1)
         for _ in range(30):
             u = rng.randrange(graph.num_vertices)

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.core import build_routing_scheme, construct_scheme
+from repro.core import build_routing_scheme
 from repro.core.tree_routing import DistTreeLabel
 from repro.exceptions import ReproError, RoutingLoopError, SchemeError
 from repro.graphs import random_connected

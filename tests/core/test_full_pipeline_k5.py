@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from repro.core import build_routing_scheme, construct_scheme
+from repro.core import build_routing_scheme
 from repro.graphs import all_pairs_distances, random_connected
+from repro.pipeline import SchemePipeline
 
 
 @pytest.fixture(scope="module")
@@ -25,8 +26,9 @@ class TestK5:
 
     @pytest.fixture(scope="class")
     def report(self, graph):
-        return construct_scheme(graph, k=5, seed=5,
-                                detection_mode="exact")
+        return (SchemePipeline().graph(graph)
+                .params(5, detection_mode="exact").seed(5)
+                .build().construction)
 
     def test_all_phase_families_present(self, report):
         names = set(report.scheme.ledger.breakdown())

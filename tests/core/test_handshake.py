@@ -4,16 +4,17 @@ import random
 
 import pytest
 
-from repro.core import construct_scheme
 from repro.core.handshake import HandshakeRouter
 from repro.exceptions import SchemeError
 from repro.graphs import all_pairs_distances, random_connected
+from repro.pipeline import SchemePipeline
 
 
 @pytest.fixture(scope="module")
 def setup():
     graph = random_connected(40, 0.12, seed=801)
-    report = construct_scheme(graph, k=3, seed=9)
+    report = (SchemePipeline().graph(graph).params(3).seed(9)
+              .build().construction)
     router = HandshakeRouter(report.scheme, report.estimation)
     return graph, report, router
 
@@ -94,7 +95,7 @@ class TestMechanics:
 
     def test_rejects_mismatched_artifacts(self, setup):
         graph, report, _ = setup
-        from repro.core import build_distance_estimation
-        foreign = build_distance_estimation(graph, k=3, seed=999)
+        foreign = (SchemePipeline().graph(graph).params(3).seed(999)
+                   .build_estimation())
         with pytest.raises(SchemeError):
             HandshakeRouter(report.scheme, foreign)

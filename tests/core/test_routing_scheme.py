@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.core import build_routing_scheme, construct_scheme
+from repro.core import build_routing_scheme
 from repro.exceptions import ParameterError
 from repro.graphs import (
     all_pairs_distances,
@@ -15,6 +15,7 @@ from repro.graphs import (
     ring_of_cliques,
     star_of_paths,
 )
+from repro.pipeline import SchemePipeline
 
 
 @pytest.fixture(scope="module")
@@ -198,8 +199,12 @@ class TestProtocolLocality:
 
 
 class TestConstructionReport:
-    def test_report_consistency(self, rand_graph):
-        report = construct_scheme(rand_graph, k=3, seed=19)
+    @pytest.fixture(scope="class")
+    def report(self, rand_graph):
+        return (SchemePipeline().graph(rand_graph).params(3).seed(19)
+                .build().construction)
+
+    def test_report_consistency(self, report):
         assert report.rounds == report.scheme.construction_rounds
         scheme = report.scheme
         assert report.max_table_words == scheme.max_table_words()
@@ -210,8 +215,7 @@ class TestConstructionReport:
         assert report.paper_stretch_bound >= 4 * 3 - 5
         assert "rounds measured" in report.summary()
 
-    def test_estimation_shares_clusters(self, rand_graph):
-        report = construct_scheme(rand_graph, k=3, seed=19)
+    def test_estimation_shares_clusters(self, report):
         assert report.estimation.clusters is report.clusters
 
     def test_invalid_route_endpoints(self, rand_graph):

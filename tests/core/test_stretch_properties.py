@@ -16,7 +16,7 @@ import itertools
 
 import pytest
 
-from repro.core import construct_scheme, sample_pairs
+from repro.core import sample_pairs
 from repro.graphs import (
     all_pairs_distances,
     grid,
@@ -24,6 +24,7 @@ from repro.graphs import (
     random_geometric,
     ring_of_cliques,
 )
+from repro.pipeline import SchemePipeline
 
 import random
 
@@ -54,9 +55,9 @@ def built():
             offset = sorted(FAMILIES).index(family)
             seed = 31 + 7 * k + offset
             graph = FAMILIES[family](seed)
-            report = construct_scheme(graph, k=k, seed=seed,
-                                      eps_override=eps,
-                                      detection_mode="rounded")
+            report = (SchemePipeline().graph(graph)
+                      .params(k, eps=eps, detection_mode="rounded")
+                      .seed(seed).build().construction)
             cache[key] = (graph, report, seed)
         return cache[key]
 

@@ -1,4 +1,4 @@
-"""Contract tests for the cached CSR view and the scatter-min kernel."""
+"""Contract tests for the cached CSR view and the frontier relaxation."""
 
 import pytest
 
@@ -103,11 +103,9 @@ class TestRelaxKernel:
         n = 20 + 2 * seed
         graph = random_connected(n, 4.0 / n, max_weight=9, seed=seed)
         view = csr_view(graph)
-        if view.vectorized:
-            import numpy as np
-            dist = np.full(n, INF)
-        else:
-            dist = [INF] * n
+        # list rows over whatever view the platform builds: the shape
+        # source detection's list-row advance hands the kernel
+        dist = [INF] * n
         dist[0] = 0.0
         ref_dist = [INF] * n
         ref_dist[0] = 0.0
@@ -129,13 +127,8 @@ class TestRelaxKernel:
     def test_alternate_weight_array(self):
         graph = random_connected(15, 0.3, max_weight=7, seed=3)
         view = csr_view(graph)
-        if view.vectorized:
-            import numpy as np
-            doubled = view.weights_f64() * 2.0
-            dist = np.full(15, INF)
-        else:
-            doubled = [w * 2 for w in view.weights]
-            dist = [INF] * 15
+        doubled = [int(w) * 2 for w in view.weights]
+        dist = [INF] * 15
         dist[0] = 0.0
         targets, dists, _vias = relax_frontier(view, dist, [0], doubled)
         for t, d in zip(targets, dists):
@@ -265,48 +258,6 @@ class TestUpdateEdgeWeight:
         order_after = {u: list(graph.neighbors(u))
                        for u in graph.vertices()}
         assert order_after == order_before
-
-
-class TestThresholdFusion:
-    """relax_frontier's fused per-vertex join budget must keep exactly
-    the winners a post-hoc per-winner filter would keep (sound because
-    threshold rules are antitone in the distance)."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_matches_post_filter(self, seed, strict):
-        import random
-        rng = random.Random(seed)
-        graph = random_connected(30, 0.2, seed=seed)
-        view = csr_view(graph)
-        n = graph.num_vertices
-        if csr_module.HAVE_NUMPY:
-            np = csr_module._np
-            dist = np.full(n, INF)
-            thr = np.asarray(
-                [rng.uniform(0, 150) if rng.random() < 0.8 else INF
-                 for _ in range(n)])
-        else:
-            dist = [INF] * n
-            thr = [rng.uniform(0, 150) if rng.random() < 0.8 else INF
-                   for _ in range(n)]
-        roots = sorted(rng.sample(range(n), 4))
-        for r in roots:
-            dist[r] = 0.0
-        frontier = roots
-        for _ in range(4):
-            plain = reference_relax(graph, dist, frontier)
-            expect = [(t, d, v) for t, d, v in zip(*plain)
-                      if ((d < thr[t]) if strict else (d <= thr[t]))]
-            got = relax_frontier(view, dist, frontier, record=False,
-                                 threshold=thr, strict=strict)
-            got = [(int(t), float(d), int(v)) for t, d, v in zip(*got)]
-            assert got == expect
-            for t, d, _v in got:
-                dist[t] = d
-            frontier = [t for t, _d, _v in got]
-            if not frontier:
-                break
 
 
 class TestFlatAdjacencyCache:

@@ -1,16 +1,16 @@
 """Columnar result transport: codec round-trips + pool equivalence.
 
-The ``columnar`` transport is the pool default (the whole
+Every pool result travels through the codec (the whole
 ``tests/serving`` grid exercises it), so this module pins the codec
-itself and the *legacy* ``rows`` path staying available and
-bit-identical — plus the pool-level equality between the two.
+itself plus the pool-level equality with in-process serving on every
+batch shape.
 """
 
 import pytest
 
 from repro.core.compiled import CompiledRoute
-from repro.exceptions import ParameterError, ServingError
-from repro.serving import RESULT_TRANSPORTS, RouterPool
+from repro.exceptions import ServingError
+from repro.serving import RouterPool
 from repro.serving import columnar
 
 from serving_cases import build_case
@@ -77,31 +77,19 @@ class TestCodec:
 
 
 # ----------------------------------------------------------------------
-# Pool-level equivalence between transports
+# Pool-level equivalence through the codec
 # ----------------------------------------------------------------------
-class TestPoolTransports:
+class TestPoolTransport:
 
-    @pytest.mark.parametrize("result_transport", RESULT_TRANSPORTS)
-    def test_both_transports_bit_identical(self, case, start_method,
-                                           result_transport):
+    def test_routes_bit_identical(self, case, start_method):
         with RouterPool(case["compiled"], workers=2,
-                        start_method=start_method,
-                        result_transport=result_transport) as pool:
-            assert pool.result_transport == result_transport
+                        start_method=start_method) as pool:
             for name, pairs in case["batches"].items():
                 assert pool.route_many(pairs) == \
                     case["expected_routes"][name], name
 
-    @pytest.mark.parametrize("result_transport", RESULT_TRANSPORTS)
-    def test_estimation_both_transports(self, case, start_method,
-                                        result_transport):
+    def test_estimates_bit_identical(self, case, start_method):
         with RouterPool(case["estimation"], workers=2,
-                        start_method=start_method,
-                        result_transport=result_transport) as pool:
+                        start_method=start_method) as pool:
             assert pool.estimate_many(case["batches"]["random"]) == \
                 case["expected_estimates"]["random"]
-
-    def test_unknown_transport_rejected(self, case):
-        with pytest.raises(ParameterError, match="result transport"):
-            RouterPool(case["compiled"], workers=1,
-                       result_transport="carrier-pigeon")

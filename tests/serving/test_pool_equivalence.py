@@ -9,7 +9,9 @@ including empty batches, duplicate pairs and ``source == target``.
 The numpy-off dimension runs two ways: here by patching the compiled
 module's numpy switch before forking (workers inherit the patched
 state), and for real in the CI no-numpy job, which uninstalls numpy
-and re-runs this whole directory under both start methods.
+and re-runs this whole directory.  There is one artifact transport
+(shared memory) and one result transport (columnar); what varies is
+the start method and whether the attach decodes through numpy.
 """
 
 import pytest
@@ -83,11 +85,10 @@ class TestEstimationEquivalence:
                     case["expected_estimates"][name], name
 
 
-class TestNoNumpyTransports:
+class TestNoNumpyAttach:
     """The numpy-off half of the grid, via the inherited-state trick:
-    with the compiled module's numpy switch off, auto-selection falls
-    back from shm to fork inheritance, and the shm/pickle transports
-    decode through the stdlib ``array`` path on both sides."""
+    with the compiled module's numpy switch off, export and attach go
+    through the stdlib ``array`` path on both sides of the segment."""
 
     CASES = ["grid25-k2", "random30-k2", "cliques32-k3"]
 
@@ -95,50 +96,38 @@ class TestNoNumpyTransports:
     def no_numpy(self, monkeypatch, fork_only):
         monkeypatch.setattr(compiled_mod, "_np", None)
 
-    @pytest.mark.parametrize("transport", ["shm", "inherit", "pickle"])
     @pytest.mark.parametrize("case_id", CASES)
-    def test_pool_bit_identical(self, case_id, transport):
+    def test_pool_bit_identical(self, case_id):
         case = build_case(case_id)
         for policy in POLICIES:
             with RouterPool(case["compiled"], workers=2,
-                            policy=policy, transport=transport,
+                            policy=policy,
                             start_method="fork") as pool:
-                assert pool.transport == transport
                 for name, pairs in case["batches"].items():
                     assert pool.route_many(pairs) == \
                         case["expected_routes"][name], (name, policy)
         with RouterPool(case["estimation"], workers=2,
-                        transport=transport,
                         start_method="fork") as pool:
             assert pool.estimate_many(case["batches"]["random"]) == \
                 case["expected_estimates"]["random"]
 
-    def test_auto_transport_falls_back(self):
-        from repro.serving import default_transport
-        assert default_transport("fork") == "inherit"
-        assert default_transport("spawn") == "pickle"
 
+class TestSpawnStartMethod:
+    """spawn re-imports the worker from scratch and pickles the init
+    tuple into it; exercise that explicitly on every CI leg, numpy or
+    not, whatever ``REPRO_START_METHOD`` says."""
 
-class TestSpawnPickleTransport:
-    """spawn + pickle is the transport real no-numpy spawn platforms
-    auto-select; exercise that exact combination explicitly (worker
-    re-import from scratch, payload riding in the spawn args) on every
-    CI leg, numpy or not."""
-
-    def test_spawn_pickle_bit_identical(self):
+    def test_spawn_bit_identical(self):
         import multiprocessing as mp
         if "spawn" not in mp.get_all_start_methods():
             pytest.skip("no spawn start method on this platform")
         case = build_case("grid25-k2")
         with RouterPool(case["compiled"], workers=2,
-                        transport="pickle",
                         start_method="spawn") as pool:
-            assert pool.transport == "pickle"
             for name, pairs in case["batches"].items():
                 assert pool.route_many(pairs) == \
                     case["expected_routes"][name], name
         with RouterPool(case["estimation"], workers=1,
-                        transport="pickle",
                         start_method="spawn") as pool:
             assert pool.estimate_many(case["batches"]["random"]) == \
                 case["expected_estimates"]["random"]

@@ -98,10 +98,6 @@ class TestShutdown:
                        start_method="teleport")
         with pytest.raises(ParameterError, match="compiled artifacts"):
             RouterPool(object())
-        if "spawn" in mp.get_all_start_methods():
-            with pytest.raises(ParameterError, match="fork"):
-                RouterPool(case["compiled"], workers=1,
-                           transport="inherit", start_method="spawn")
         after = {p.pid for p in mp.active_children()}
         assert after <= before
 

@@ -58,16 +58,11 @@ def expected_for(artifact, pairs):
 
 class TestSwapCorrectness:
 
-    @pytest.mark.parametrize("transport", ["shm", "pickle"])
-    def test_two_swaps_bit_identical(self, case, start_method,
-                                     transport):
-        if transport == "shm":
-            pytest.importorskip("numpy")
+    def test_two_swaps_bit_identical(self, case, start_method):
         pairs = case["batches"]["random"]
         gen1, gen2 = build_variant(1), build_variant(2)
         with RouterPool(case["compiled"], workers=2,
-                        start_method=start_method,
-                        transport=transport) as pool:
+                        start_method=start_method) as pool:
             assert pool.generation == 0
             assert pool.route_many(pairs) == \
                 case["expected_routes"]["random"]
@@ -89,10 +84,8 @@ class TestSwapCorrectness:
                 expected_for(build_variant(1), pairs)
 
     def test_swap_unlinks_old_segment(self, case, start_method):
-        pytest.importorskip("numpy")
         with RouterPool(case["compiled"], workers=2,
-                        start_method=start_method,
-                        transport="shm") as pool:
+                        start_method=start_method) as pool:
             old_name = pool.shm_name
             assert old_name is not None
             pool.swap(build_variant(1))
@@ -104,17 +97,6 @@ class TestSwapCorrectness:
             assert pool.route_many(case["batches"]["single"]) == \
                 expected_for(build_variant(1),
                              case["batches"]["single"])
-
-    def test_inherit_pool_swaps_via_fallback(self, case, fork_only):
-        """Inherit transport cannot ship a new artifact through fork
-        memory; the swap must transparently fall back to shm/pickle."""
-        pairs = case["batches"]["random"]
-        with RouterPool(case["compiled"], workers=2,
-                        start_method="fork",
-                        transport="inherit") as pool:
-            pool.swap(build_variant(1))
-            assert pool.route_many(pairs) == \
-                expected_for(build_variant(1), pairs)
 
     def test_estimation_pool_swap(self, case, start_method):
         pairs = case["batches"]["random"]

@@ -97,22 +97,10 @@ def test_subnormal_unit_refused():
 
 
 # -- one advance per call ------------------------------------------------
-def count_calls(monkeypatch, name):
-    calls = []
-    plain = getattr(sd_module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return plain(*args, **kwargs)
-
-    monkeypatch.setattr(sd_module, name, counted)
-    return calls
-
-
 @needs_numpy
-def test_one_matrix_advance_per_call(monkeypatch):
-    matrix = count_calls(monkeypatch, "_advance_matrix_np")
-    rows = count_calls(monkeypatch, "_advance_rows_py")
+def test_one_matrix_advance_per_call(count_calls):
+    matrix = count_calls(sd_module, "_advance_matrix_np")
+    rows = count_calls(sd_module, "_advance_rows_py")
     graph = random_connected(40, 0.1, seed=3)
     assert sd_module._scale_parameters(graph, 12) > 1   # a real sweep
     detect_sources(graph, [0, 13, 27], 12, 0.25, mode="rounded")
@@ -120,15 +108,15 @@ def test_one_matrix_advance_per_call(monkeypatch):
 
 
 @pytest.mark.parametrize("gate", ["no-numpy", "matrix-limit"])
-def test_one_row_advance_per_call(monkeypatch, gate):
+def test_one_row_advance_per_call(monkeypatch, count_calls, gate):
     """The list-row kernel serves two callers: no numpy at all, and a
     matrix over the memory gate."""
     if gate == "no-numpy":
         monkeypatch.setattr(csr_module, "HAVE_NUMPY", False)
     else:
         monkeypatch.setattr(sd_module, "_MATRIX_CELL_LIMIT", 1)
-    matrix = count_calls(monkeypatch, "_advance_matrix_np")
-    rows = count_calls(monkeypatch, "_advance_rows_py")
+    matrix = count_calls(sd_module, "_advance_matrix_np")
+    rows = count_calls(sd_module, "_advance_rows_py")
     graph = random_connected(40, 0.1, seed=3)
     detect_sources(graph, [0, 13, 27], 12, 0.25, mode="rounded")
     assert (len(matrix), len(rows)) == (0, 1)

@@ -242,10 +242,28 @@ class TestBuildServeSplit:
         assert "kind=estimation" in out
         assert "dist(0,7)" in out
 
-    def test_query_rejects_garbage_file(self, tmp_path):
-        import pytest
-        from repro.exceptions import ArtifactError
+    def _fails(self, argv, capsys, match):
+        """Typed user errors are one ``repro: error:`` line on stderr
+        and exit status 2, never a traceback."""
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and match in err, err
+        assert "Traceback" not in err
+
+    def test_query_rejects_garbage_file(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.cra"
         bogus.write_bytes(b"not an artifact")
-        with pytest.raises(ArtifactError):
-            main(["query", str(bogus), "--pair", "0", "1"])
+        self._fails(["query", str(bogus), "--pair", "0", "1"], capsys,
+                    "magic")
+
+    def test_query_rejects_missing_file(self, tmp_path, capsys):
+        self._fails(["query", str(tmp_path / "missing.cra"),
+                     "--pair", "0", "1"], capsys, "missing.cra")
+
+    def test_query_rejects_out_of_range_pair(self, tmp_path, capsys):
+        artifact = tmp_path / "scheme.cra"
+        assert main(["build", "--graph", "grid", "--n", "25", "--k", "2",
+                     "--out", str(artifact)]) == 0
+        capsys.readouterr()
+        self._fails(["query", str(artifact), "--pair", "0", "99"],
+                    capsys, "out of range")

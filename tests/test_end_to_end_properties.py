@@ -11,12 +11,9 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import (
-    build_approx_clusters,
-    build_distance_estimation,
-    build_routing_scheme,
-)
+from repro.core import build_approx_clusters, build_routing_scheme
 from repro.graphs import all_pairs_distances, random_connected
+from repro.pipeline import SchemePipeline
 
 
 def _graph(n, density, wmax, seed):
@@ -58,7 +55,8 @@ def test_routing_pipeline_properties(n, density, wmax, k, seed):
 def test_estimation_pipeline_properties(n, k, seed):
     graph = _graph(n, 0.25, 50, seed)
     ap = all_pairs_distances(graph)
-    est = build_distance_estimation(graph, k=k, seed=seed)
+    est = (SchemePipeline().graph(graph).params(k).seed(seed)
+           .build_estimation())
     bound = 2 * k - 1 + 1.0
     rng = random.Random(seed)
     for _ in range(15):

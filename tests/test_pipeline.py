@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import build_distance_estimation, construct_scheme
 from repro.exceptions import ParameterError
 from repro.graphs import random_connected
 from repro.pipeline import (
@@ -28,7 +27,7 @@ class TestStagedConfiguration:
             SchemePipeline().workload("mystery", 20)
 
     def test_stages_chain_in_any_order(self):
-        built = (SchemePipeline().seed(3).params(2).engine(None)
+        built = (SchemePipeline().seed(3).params(2)
                  .workload("random", 24).build())
         assert isinstance(built, BuildReport)
         assert built.rounds > 0
@@ -66,34 +65,6 @@ class TestStagedConfiguration:
                     .params(2).seed(1))
         built = pipeline.build()
         assert pipeline.build_estimation() is built.estimation
-
-
-class TestLegacyWrappers:
-
-    def test_construct_scheme_deprecated_but_equivalent(self):
-        graph = random_connected(30, 0.12, seed=2)
-        with pytest.deprecated_call():
-            legacy = construct_scheme(graph, k=2, seed=4)
-        staged = (SchemePipeline().graph(graph).params(2).seed(4)
-                  .build().construction)
-        assert legacy.rounds == staged.rounds
-        assert legacy.max_table_words == staged.max_table_words
-        assert legacy.max_label_words == staged.max_label_words
-        pairs = [(0, 17), (5, 23), (29, 3)]
-        for (u, v) in pairs:
-            assert legacy.scheme.route(u, v).path == \
-                staged.scheme.route(u, v).path
-
-    def test_build_distance_estimation_deprecated_but_equivalent(self):
-        graph = random_connected(30, 0.12, seed=2)
-        with pytest.deprecated_call():
-            legacy = build_distance_estimation(graph, k=2, seed=4)
-        staged = (SchemePipeline().graph(graph).params(2).seed(4)
-                  .build_estimation())
-        assert legacy.construction_rounds == staged.construction_rounds
-        assert legacy.max_sketch_words() == staged.max_sketch_words()
-        for (u, v) in [(0, 17), (5, 23), (29, 3)]:
-            assert legacy.estimate(u, v) == staged.estimate(u, v)
 
 
 class TestWorkloadProvenance:
