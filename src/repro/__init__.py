@@ -89,8 +89,8 @@ def __getattr__(name):
     ``repro.build_routing_scheme`` etc. at the top level.
     """
     if name in ("build_routing_scheme", "RoutingScheme"):
-        from .core import routing_scheme as _rs
-        return getattr(_rs, name)
+        from . import core as _core
+        return getattr(_core, name)
     if name in ("SchemePipeline", "BuildReport"):
         from . import pipeline as _pl
         return getattr(_pl, name)

@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from ..core.routing_scheme import RoutingScheme, build_routing_scheme
+from ..core.routing_scheme import RoutingScheme
+from ..core.scheme_builder import build_routing_scheme
 from ..core.params import SchemeParams
 from ..graphs.weighted_graph import WeightedGraph
 

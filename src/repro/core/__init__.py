@@ -32,7 +32,6 @@ from .routing_scheme import (
     RoutingScheme,
     VertexLabel,
     VertexTable,
-    build_routing_scheme,
 )
 from .distance_estimation import (
     DistanceEstimation,
@@ -49,7 +48,12 @@ from .compiled import (
 )
 from .dense import DenseRoutingPlane
 from .handshake import HandshakeRouteResult, HandshakeRouter
-from .scheme_builder import ConstructionReport, sample_pairs
+from .scheme_builder import (
+    ConstructionReport,
+    build_routing_scheme,
+    run_construction,
+    sample_pairs,
+)
 
 __all__ = [
     "SchemeParams",
@@ -91,5 +95,6 @@ __all__ = [
     "HandshakeRouteResult",
     "HandshakeRouter",
     "ConstructionReport",
+    "run_construction",
     "sample_pairs",
 ]

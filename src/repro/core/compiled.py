@@ -61,6 +61,7 @@ from ..exceptions import (
     ParameterError,
     SchemeError,
 )
+from .tree_routing import ARTIFACT_COLUMNS
 
 try:  # fast payload decode when numpy is present
     import numpy as _np
@@ -457,113 +458,43 @@ class CompiledScheme(_CompiledArtifact):
     # -- construction --------------------------------------------------
     @classmethod
     def from_scheme(cls, scheme) -> "CompiledScheme":
-        """Flatten a live :class:`RoutingScheme` into the artifact."""
+        """The artifact of a live :class:`RoutingScheme`: the forest's
+        columns and the scheme's find-tree rows, member rows and word
+        columns as they stand, plus the tree-parent edge weights read
+        off the live graph *now* (a recompile after a weight change
+        that left the construction valid picks the new ones up)."""
         graph = scheme.graph
+        forest = scheme.forest.columns
+        cols: Dict[str, list] = {
+            name: getattr(forest, name).tolist()
+            for name in ("tree_center",) + ARTIFACT_COLUMNS}
         n = graph.num_vertices
-        k = scheme.params.k
-        centers = sorted(scheme.forest.schemes)
-        tid_of = {c: tid for tid, c in enumerate(centers)}
-
-        # deduplicated TreeLabel pool (CSR over path edges)
-        pool: Dict[object, int] = {}
-        lp_entry: List[int] = []
-        lp_start: List[int] = [0]
-        lp_w: List[int] = []
-        lp_child: List[int] = []
-
-        def pool_label(label) -> int:
-            idx = pool.get(label)
-            if idx is None:
-                idx = len(lp_entry)
-                pool[label] = idx
-                lp_entry.append(label.entry)
-                for w, child, _port in label.path_edges:
-                    lp_w.append(w)
-                    lp_child.append(child)
-                lp_start.append(len(lp_w))
-            return idx
-
-        cols: Dict[str, list] = {name: [] for name, _tc in cls._FIELDS}
-        cols["tree_center"] = list(centers)
-        cols["lp_entry"] = lp_entry
-        cols["lp_start"] = lp_start
-        cols["lp_w"] = lp_w
-        cols["lp_child"] = lp_child
-
-        ge_range: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        slot_of: List[Dict[int, int]] = [dict() for _ in range(n)]
-        for center in centers:
-            tid = tid_of[center]
-            sch = scheme.forest.schemes[center]
-            for v in sorted(sch.tree.vertices()):
-                s = len(cols["slot_vertex"])
-                slot_of[v][tid] = s
-                table = sch.tables[v]
-                label = sch.labels[v]
-                if label.global_entry != table.global_entry:
-                    raise SchemeError(
-                        f"compile invariant broken at vertex {v} in tree "
-                        f"{center}: label/table global entries disagree")
-                cols["slot_vertex"].append(v)
-                cols["slot_tree"].append(tid)
-                p = table.tree_parent
-                cols["t_parent"].append(-1 if p is None else p)
-                cols["t_parent_w"].append(
-                    0.0 if p is None else float(graph.weight(v, p)))
-                loc = table.local
-                cols["t_loc_entry"].append(loc.entry)
-                cols["t_loc_exit"].append(loc.exit)
-                cols["t_loc_parent"].append(
-                    -1 if loc.parent is None else loc.parent)
-                cols["t_loc_heavy"].append(
-                    -1 if loc.heavy_child is None else loc.heavy_child)
-                cols["t_splitter"].append(table.splitter)
-                cols["t_gentry"].append(table.global_entry)
-                cols["t_gexit"].append(table.global_exit)
-                cols["t_hsplit"].append(
-                    -1 if table.heavy_splitter is None
-                    else table.heavy_splitter)
-                cols["t_hportal"].append(
-                    -1 if table.heavy_portal is None
-                    else table.heavy_portal)
-                cols["t_hlab"].append(
-                    -1 if table.heavy_portal_label is None
-                    else pool_label(table.heavy_portal_label))
-                cols["l_local"].append(pool_label(label.local))
-                key = (tid, table.splitter)
-                rng = ge_range.get(key)
-                if rng is None:
-                    start = len(cols["ge_psplit"])
-                    for entry in label.global_edges:
-                        cols["ge_psplit"].append(entry.parent_splitter)
-                        cols["ge_csplit"].append(entry.child_splitter)
-                        cols["ge_portal"].append(entry.portal)
-                        cols["ge_plab"].append(
-                            pool_label(entry.portal_label))
-                    rng = (start, len(cols["ge_psplit"]))
-                    ge_range[key] = rng
-                cols["l_ge_start"].append(rng[0])
-                cols["l_ge_end"].append(rng[1])
-
-        for v in range(n):
-            entries = scheme.labels[v].entries
-            for pivot, tree_label in entries:
-                cols["lbl_pivot"].append(-1 if pivot is None else pivot)
-                cols["lbl_slot"].append(
-                    -1 if tree_label is None
-                    else slot_of[v][tid_of[pivot]])
-            cols["table_words"].append(scheme.tables[v].words)
-            cols["label_words"].append(scheme.labels[v].words)
-            for member in sorted(scheme.tables[v].member_labels):
-                cols["ml_owner"].append(v)
-                cols["ml_member"].append(member)
-
+        weight = {-1: 0.0}       # a root's parent "edge"
+        for u, v, w in graph.edges():
+            weight[u * n + v] = weight[v * n + u] = float(w)
+        try:
+            cols["t_parent_w"] = [
+                weight[-1 if p < 0 else v * n + p]
+                for v, p in zip(cols["slot_vertex"], cols["t_parent"])]
+        except KeyError as exc:
+            u, v = divmod(exc.args[0], n)
+            raise SchemeError(f"tree edge ({u}, {v}) is not an edge of "
+                              "the graph") from None
+        cols["lbl_pivot"] = scheme.lbl_pivot.tolist()
+        cols["lbl_slot"] = scheme.lbl_slot.tolist()
+        cols["ml_owner"], cols["ml_member"] = [], []
+        for owner in sorted(scheme.members):
+            mine = scheme.members[owner]
+            cols["ml_owner"] += [owner] * len(mine)
+            cols["ml_member"] += mine
+        cols["table_words"] = scheme.table_words.tolist()
+        cols["label_words"] = scheme.label_words.tolist()
         meta = {
             "n": n,
-            "k": k,
+            "k": scheme.params.k,
             "eps": scheme.params.eps,
             "construction_rounds": scheme.construction_rounds,
-            "num_trees": len(centers),
+            "num_trees": len(cols["tree_center"]),
             "num_slots": len(cols["slot_vertex"]),
         }
         return cls(meta, cols)

@@ -21,24 +21,19 @@ construction rounds — is measured, not assumed.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from ..congest.bfs import BFSTree
 from ..congest.metrics import CostLedger
-from ..congest.network import Network
 from ..exceptions import ParameterError, SchemeError
 from ..graphs.shortest_paths import dijkstra_distances
 from ..graphs.weighted_graph import WeightedGraph
-from .approx_clusters import ApproxClusterSystem, build_approx_clusters
+from .approx_clusters import ApproxClusterSystem
 from .params import SchemeParams
-from .tree_routing import (
-    DistTreeLabel,
-    DistributedTreeRouting,
-    ForestRoutingReport,
-    build_forest_routing,
-)
+from .tree_routing import DistTreeLabel, ForestRoutingReport, LazyMap
 
 
 @dataclass
@@ -117,23 +112,106 @@ class RouteResult:
 
 
 class RoutingScheme:
-    """The assembled compact routing scheme (Theorem 5)."""
+    """The assembled compact routing scheme (Theorem 5).
+
+    Assembly is arithmetic over the forest's columns: the find-tree
+    rows ``lbl_pivot`` / ``lbl_slot`` (``k`` per vertex: the pivot
+    ``ẑ_i(v)`` and ``v``'s slot in that pivot's tree, ``-1`` = absent),
+    the 4k-5 trick's ``members`` (level-0 center -> its members,
+    sorted; empty without the trick) and the per-vertex ``table_words``
+    / ``label_words`` — sums of the fixed-width fields a
+    :class:`VertexTable` / :class:`VertexLabel` would hold.  Those
+    objects themselves are ``tables[v]`` / ``labels[v]``, built on
+    first access for the live :meth:`route`.
+    """
 
     def __init__(self, graph: WeightedGraph, params: SchemeParams,
                  clusters: ApproxClusterSystem,
                  forest: ForestRoutingReport,
-                 tables: Dict[int, VertexTable],
-                 labels: Dict[int, VertexLabel],
-                 ledger: CostLedger) -> None:
+                 ledger: CostLedger, use_tz_trick: bool = True) -> None:
         self.graph = graph
         self.params = params
         self.clusters = clusters
         self.forest = forest
-        self.tables = tables
-        self.labels = labels
         self.ledger = ledger
         self._distance_cache: Dict[int, List[float]] = {}
         self._compiled = None  # lazy CompiledScheme for the batch path
+
+        n = graph.num_vertices
+        k = params.k
+        columns = forest.columns
+        tid_of = columns.tid_of
+        slot_of = columns.slot_of
+        tree_table_words = columns.slot_table_words
+        tree_label_words = columns.slot_label_words
+
+        self.lbl_pivot = array("q", [-1]) * (n * k)
+        self.lbl_slot = array("q", [-1]) * (n * k)
+        label_words = [1 + k] * n       # own name + k pivot names
+        for v in range(n):
+            for i in range(k):
+                pivot = clusters.pivot_of(v, i)
+                if pivot is None:
+                    continue
+                self.lbl_pivot[v * k + i] = pivot
+                tid = tid_of.get(pivot)
+                if tid is not None and v in slot_of[tid]:
+                    s = slot_of[tid][v]
+                    self.lbl_slot[v * k + i] = s
+                    label_words[v] += tree_label_words[s]
+
+        table_words = [k] * n           # the k pivot names
+        for v, words in zip(columns.slot_vertex, tree_table_words):
+            table_words[v] += 1 + words           # center name + table
+        self.members: Dict[int, List[int]] = {}
+        if use_tz_trick:
+            # level-0 centers store the labels of their members
+            for center, cluster in clusters.clusters.items():
+                if cluster.level != 0 or center not in tid_of:
+                    continue
+                slots = slot_of[tid_of[center]]
+                mine = sorted(m for m in cluster.members() if m != center)
+                self.members[center] = mine
+                table_words[center] += sum(
+                    1 + tree_label_words[slots[m]] for m in mine)
+        self.table_words = array("q", table_words)
+        self.label_words = array("q", label_words)
+
+    # The views hold bound methods — a reference cycle through the
+    # scheme.  Made on first use, a scheme nobody routes on live has
+    # none and is freed the moment it is dropped.
+    @cached_property
+    def tables(self) -> Mapping[int, VertexTable]:
+        return LazyMap(range(self.graph.num_vertices), self._table_of)
+
+    @cached_property
+    def labels(self) -> Mapping[int, VertexLabel]:
+        return LazyMap(range(self.graph.num_vertices), self._label_of)
+
+    def _table_of(self, v: int) -> VertexTable:
+        k = self.params.k
+        schemes = self.forest.schemes
+        columns = self.forest.columns
+        return VertexTable(
+            vertex=v,
+            tree_entries={center: schemes[center].tables[v]
+                          for center, slots in zip(columns.tree_center,
+                                                   columns.slot_of)
+                          if v in slots},
+            member_labels={m: schemes[v].labels[m]
+                           for m in self.members.get(v, ())},
+            pivot_names=[self.clusters.pivot_of(v, i) for i in range(k)])
+
+    def _label_of(self, v: int) -> VertexLabel:
+        k = self.params.k
+        entries: List[Tuple[Optional[int], Optional[DistTreeLabel]]] = []
+        for at in range(v * k, v * k + k):
+            pivot = self.lbl_pivot[at]
+            entries.append((
+                None if pivot < 0 else pivot,
+                None if self.lbl_slot[at] < 0
+                else self.forest.schemes[pivot].labels[v]))
+        return VertexLabel(vertex=v, entries=entries)
 
     # ------------------------------------------------------------------
     @property
@@ -147,16 +225,16 @@ class RoutingScheme:
         return self.labels[v]
 
     def max_table_words(self) -> int:
-        return max(t.words for t in self.tables.values())
+        return max(self.table_words)
 
     def average_table_words(self) -> float:
-        return sum(t.words for t in self.tables.values()) / len(self.tables)
+        return sum(self.table_words) / len(self.table_words)
 
     def max_label_words(self) -> int:
-        return max(l.words for l in self.labels.values())
+        return max(self.label_words)
 
     def average_label_words(self) -> float:
-        return sum(l.words for l in self.labels.values()) / len(self.labels)
+        return sum(self.label_words) / len(self.label_words)
 
     # ------------------------------------------------------------------
     def compile(self):
@@ -251,96 +329,3 @@ class RoutingScheme:
     def __repr__(self) -> str:
         return (f"RoutingScheme(n={self.graph.num_vertices}, "
                 f"k={self.params.k}, rounds={self.construction_rounds})")
-
-
-# ----------------------------------------------------------------------
-def _assemble_tables_and_labels(clusters: ApproxClusterSystem,
-                                forest: ForestRoutingReport
-                                ) -> Tuple[Dict[int, VertexTable],
-                                           Dict[int, VertexLabel]]:
-    n = len(clusters.pivots[0].dist_hat)
-    k = clusters.params.k
-
-    labels: Dict[int, VertexLabel] = {}
-    for v in range(n):
-        entries: List[Tuple[Optional[int], Optional[DistTreeLabel]]] = []
-        for i in range(k):
-            pivot = clusters.pivot_of(v, i)
-            tree_label = None
-            if pivot is not None and pivot in forest.schemes:
-                scheme = forest.schemes[pivot]
-                if scheme.tree.contains(v):
-                    tree_label = scheme.label_of(v)
-            entries.append((pivot, tree_label))
-        labels[v] = VertexLabel(vertex=v, entries=entries)
-
-    tables: Dict[int, VertexTable] = {}
-    for v in range(n):
-        tables[v] = VertexTable(
-            vertex=v, tree_entries={}, member_labels={},
-            pivot_names=[clusters.pivot_of(v, i) for i in range(k)])
-    for center, scheme in forest.schemes.items():
-        for v in scheme.tree.vertices():
-            tables[v].tree_entries[center] = scheme.table_of(v)
-
-    # 4k-5 trick: level-0 centers store the labels of their members
-    for center, cluster in clusters.clusters.items():
-        if cluster.level != 0:
-            continue
-        scheme = forest.schemes.get(center)
-        if scheme is None:
-            continue
-        table = tables[center]
-        for member in cluster.members():
-            if member != center:
-                table.member_labels[member] = scheme.label_of(member)
-    return tables, labels
-
-
-def build_routing_scheme(graph: WeightedGraph, k: int, seed: int = 0,
-                         eps_override: float = 0.0,
-                         detection_mode: str = "rounded",
-                         capacity_words: int = 2,
-                         use_tz_trick: bool = True) -> RoutingScheme:
-    """Build the paper's routing scheme end to end (Theorem 5).
-
-    Parameters
-    ----------
-    graph:
-        Connected weighted graph (the network).
-    k:
-        Stretch/size tradeoff parameter; stretch is ``4k - 5 + o(1)``.
-    seed:
-        Drives all sampling; identical seeds give identical schemes.
-    eps_override:
-        Replace the paper's ``1/(48 k^4)`` (tests / ablations only).
-    detection_mode:
-        ``"rounded"`` (faithful Theorem-1 values) or ``"exact"``.
-    use_tz_trick:
-        Store member labels at level-0 centers (the 4k-5 improvement);
-        disable to measure the plain ``4k-3`` variant.
-    """
-    clusters = build_approx_clusters(graph, k, seed=seed,
-                                     eps_override=eps_override,
-                                     detection_mode=detection_mode,
-                                     capacity_words=capacity_words)
-    ledger = CostLedger()
-    ledger.merge(clusters.ledger)
-
-    network = Network(graph)
-    trees = {center: cluster.tree()
-             for center, cluster in clusters.clusters.items()}
-    forest = build_forest_routing(trees, graph.num_vertices,
-                                  random.Random(seed + 1),
-                                  bfs_tree=clusters.bfs_tree,
-                                  port_of=network.port_of,
-                                  capacity_words=capacity_words)
-    ledger.merge(forest.ledger)
-
-    tables, labels = _assemble_tables_and_labels(clusters, forest)
-    if not use_tz_trick:
-        for table in tables.values():
-            table.member_labels.clear()
-    return RoutingScheme(graph=graph, params=clusters.params,
-                         clusters=clusters, forest=forest,
-                         tables=tables, labels=labels, ledger=ledger)

@@ -8,7 +8,7 @@ never changes.  This package closes the loop for live topologies:
   pending batch.
 * :class:`IncrementalBuilder` — turn a pending batch into a fresh
   compiled artifact via the cheapest *provably sound* strategy
-  (``reuse`` / ``compile-only`` / ``partial`` / ``full``), always
+  (``reuse`` / ``compile-only`` / ``full``), always
   bit-identical to a from-scratch build on the mutated graph.
 * :class:`ArtifactRegistry` — generation-numbered ``.cra`` store with
   an atomic manifest (publish / pin / retire), the durable handoff to

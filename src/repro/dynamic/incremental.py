@@ -4,7 +4,7 @@
 of a :class:`~repro.dynamic.TopologyFeed` and produces the same
 ``(CompiledScheme, DenseRoutingPlane)`` pair a from-scratch
 ``SchemePipeline.build()`` + ``compile()`` would produce on the mutated
-graph — **bit for bit**.  Four strategies, tried cheapest first, each
+graph — **bit for bit**.  Three strategies, tried cheapest first, each
 with an explicit soundness argument; anything unproven falls back to a
 full rebuild (the fallback rate is tracked and reported honestly):
 
@@ -46,22 +46,14 @@ full rebuild (the fallback rate is tracked and reported honestly):
     is never a tree edge and the reused scheme's structure is exactly
     what scratch would rebuild.
 
-``partial``
-    Any other weight-only batch: rerun the cluster phase from scratch
-    (sound by construction — it sees the new weights), rebuild the
-    forest but substitute the previous per-tree scheme wherever the
-    inputs are **provably unchanged** (identical tree shape in
-    identical iteration order, identical splitter sample, weight-only
-    batch so the port function is untouched), reassemble and recompile.
-    *Sound because* the per-tree builder is a deterministic pure
-    function of (tree, splitters, port_of): equal inputs make the
-    substituted scheme equal to the one scratch would build, and the
-    forest ledger is recomputed from the final scheme set either way.
-
 ``full``
-    Everything else — topology edits (failures, restores, node
-    failures: adjacency order and ports may shift).  A plain
-    from-scratch build.
+    Everything else, with the reason in ``fallback_reason``: a weight
+    decrease or an uncertified increase (the cluster phase must see the
+    new weights) and topology edits (failures, restores, node failures:
+    adjacency order and ports may shift).  A plain from-scratch build:
+    the forest is one column kernel, under a quarter of a build, so
+    reusing unchanged trees cannot pay for a second, splicing path
+    (``dynamic/README.md``).
 
 Every strategy ends in the same place: a cache entry keyed by the new
 fingerprint holding construction + compiled artifacts + the support
@@ -70,43 +62,36 @@ transcript, ready to be served, registered, or reused by a later flap.
 
 from __future__ import annotations
 
-import random
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..core import DenseRoutingPlane
 from ..core.compiled import CompiledScheme
-from ..core.tree_routing import ForestRoutingReport, build_forest_routing
+from ..core.scheme_builder import ConstructionReport, run_construction
 from ..exceptions import ParameterError
 from ..graphs.recording import SupportRecorder, recording
-from ..pipeline import _run_construction
 from ..sketches.source_detection import _scale_parameters
 from ..telemetry.registry import MetricsRegistry
 from ..telemetry.trace import maybe_span
 from .feed import ChangeBatch, TopologyFeed
 
 #: The strategies, cheapest first (also the order they are attempted).
-STRATEGIES = ("reuse", "compile-only", "partial", "full")
+STRATEGIES = ("reuse", "compile-only", "full")
 
 
 @dataclass
 class BuildEntry:
-    """One fully built topology state: everything needed to serve it,
-    re-certify against it, or reuse pieces of it."""
+    """One fully built topology state: everything needed to serve it
+    or re-certify against it."""
 
     fingerprint: str
-    construction: "ConstructionReport"
+    construction: ConstructionReport
     compiled: CompiledScheme
     dense: DenseRoutingPlane
     recorder: Optional[SupportRecorder]
     max_weight: int
-    splitter_sample: Tuple[int, ...]
-
-    @property
-    def forest(self) -> ForestRoutingReport:
-        return self.construction.scheme.forest
 
     @property
     def rounds(self) -> int:
@@ -123,8 +108,6 @@ class RebuildReport:
     entry: BuildEntry = field(repr=False)
     batch: Optional[ChangeBatch] = None
     fallback_reason: Optional[str] = None
-    reused_trees: int = 0
-    rebuilt_trees: int = 0
     cache_hit: bool = False
     #: Always 0: the per-source splice that counted them is gone, but
     #: ``benchmarks/e2e/harness.py`` (``churn_step``) still reads both.
@@ -162,9 +145,6 @@ class RebuildReport:
             line += f" batch=[{self.batch.summary()}]"
         if self.fallback_reason:
             line += f" fallback={self.fallback_reason!r}"
-        if self.reused_trees or self.rebuilt_trees:
-            line += (f" trees={self.reused_trees} reused /"
-                     f" {self.rebuilt_trees} rebuilt")
         return line
 
 
@@ -261,7 +241,7 @@ class IncrementalBuilder:
                 fp = self.feed.fingerprint()
             stage_seconds["classify"] = time.perf_counter() - start
             with maybe_span("rebuild.strategy") as strategy_span:
-                strategy, entry, reason, reused, rebuilt, hit = \
+                strategy, entry, reason, hit = \
                     self._dispatch(batch, fp, stage_seconds)
                 strategy_span.set(strategy=strategy,
                                   reason=reason or "none")
@@ -274,8 +254,7 @@ class IncrementalBuilder:
         report = RebuildReport(
             strategy=strategy, fingerprint=fp,
             duration_s=time.perf_counter() - start, entry=entry,
-            batch=batch, fallback_reason=reason,
-            reused_trees=reused, rebuilt_trees=rebuilt, cache_hit=hit,
+            batch=batch, fallback_reason=reason, cache_hit=hit,
             stage_seconds=stage_seconds)
         self._emit_telemetry(report)
         return report
@@ -316,33 +295,28 @@ class IncrementalBuilder:
 
     def _dispatch(self, batch: ChangeBatch, fp: str,
                   stage_seconds: Optional[Dict[str, float]] = None):
-        """Returns (strategy, entry, fallback_reason, reused, rebuilt,
-        cache_hit)."""
+        """Returns (strategy, entry, fallback_reason, cache_hit)."""
         cached = self._cache.get(fp)
         if cached is not None:
             self._cache.move_to_end(fp)
-            return ("reuse", cached, None, 0, 0,
+            return ("reuse", cached, None,
                     fp != self._current.fingerprint)
 
-        if batch.topology_changed:
-            entry = self._timed(stage_seconds, "construct",
-                                self._full_build, fp)
-            return ("full", entry, "topology-changed", 0, 0, False)
-
         prev = self._current
-        if batch.increase_only:
+        if batch.topology_changed:
+            reason = "topology-changed"
+        elif batch.increase_only:
             reason = self._timed(stage_seconds, "certify",
                                  self._certify_increases, batch, prev)
             if reason is None:
                 entry = self._timed(stage_seconds, "construct",
                                     self._compile_only, prev, fp)
-                return ("compile-only", entry, None, 0, 0, False)
+                return ("compile-only", entry, None, False)
         else:
             reason = "weight-decrease-present"
-
-        entry, reused, rebuilt = self._timed(
-            stage_seconds, "construct", self._partial_build, prev, fp)
-        return ("partial", entry, reason, reused, rebuilt, False)
+        entry = self._timed(stage_seconds, "construct",
+                            self._full_build, fp)
+        return ("full", entry, reason, False)
 
     def _certify_increases(self, batch: ChangeBatch,
                            prev: BuildEntry) -> Optional[str]:
@@ -370,13 +344,14 @@ class IncrementalBuilder:
 
     # -- strategy implementations ---------------------------------------
     def _full_build(self, fp: Optional[str] = None) -> BuildEntry:
-        builder, capture = self._forest_capture(prev=None)
+        """``fp`` is the live graph's fingerprint when the caller has
+        already hashed it (every rebuild has, to probe the cache)."""
         recorder = SupportRecorder()
         with recording(recorder):
-            construction = _run_construction(
-                self.feed.graph, forest_builder=builder, **self._params)
-        return self._finish_entry(construction, recorder,
-                                  capture["splitters"], fp)
+            construction = run_construction(self.feed.graph,
+                                            **self._params)
+        return self._entry(fp or self.feed.fingerprint(), construction,
+                           recorder, self.feed.graph.max_weight())
 
     def _compile_only(self, prev: BuildEntry, fp: str) -> BuildEntry:
         # Same construction objects; compile() is uncached by design,
@@ -384,70 +359,18 @@ class IncrementalBuilder:
         # weights.  The support transcript is unchanged too — the
         # certified edges never appeared in it, so the replayed build
         # would commit exactly the same pairs.
-        compiled = prev.construction.scheme.compile()
-        return BuildEntry(fingerprint=fp,
-                          construction=prev.construction,
-                          compiled=compiled,
-                          dense=DenseRoutingPlane.from_compiled(compiled),
-                          recorder=prev.recorder,
-                          max_weight=prev.max_weight,
-                          splitter_sample=prev.splitter_sample)
+        return self._entry(fp, prev.construction, prev.recorder,
+                           prev.max_weight)
 
-    def _partial_build(self, prev: BuildEntry, fp: str):
-        builder, capture = self._forest_capture(prev=prev)
-        recorder = SupportRecorder()
-        with recording(recorder):
-            construction = _run_construction(
-                self.feed.graph, forest_builder=builder, **self._params)
-        entry = self._finish_entry(construction, recorder,
-                                   capture["splitters"], fp)
-        stats = capture["stats"]
-        return entry, stats["reused"], stats["rebuilt"]
-
-    def _finish_entry(self, construction, recorder, splitter_sample,
-                      fp: Optional[str] = None) -> BuildEntry:
-        """``fp`` is the live graph's fingerprint when the caller has
-        already hashed it (every rebuild has, to probe the cache)."""
+    @staticmethod
+    def _entry(fp: str, construction: ConstructionReport,
+               recorder: Optional[SupportRecorder],
+               max_weight: int) -> BuildEntry:
         compiled = construction.scheme.compile()
-        if fp is None:
-            fp = self.feed.fingerprint()
-        return BuildEntry(fingerprint=fp,
-                          construction=construction,
+        return BuildEntry(fingerprint=fp, construction=construction,
                           compiled=compiled,
                           dense=DenseRoutingPlane.from_compiled(compiled),
-                          recorder=recorder,
-                          max_weight=self.feed.graph.max_weight(),
-                          splitter_sample=splitter_sample)
-
-    def _forest_capture(self, prev: Optional[BuildEntry]):
-        """A ``forest_builder`` that (a) records the splitter sample of
-        the build it runs and (b), given a previous entry, substitutes
-        per-tree schemes whose inputs are exactly unchanged."""
-        capture = {"splitters": (), "stats": {"reused": 0, "rebuilt": 0}}
-        stats = capture["stats"]
-
-        def lookup(tree_id, tree, splitters):
-            sample = capture["splitters"]
-            if not sample:
-                sample = tuple(sorted(splitters))
-                capture["splitters"] = sample
-            if prev is None:
-                return None
-            if sample != prev.splitter_sample:
-                stats["rebuilt"] += 1
-                return None
-            old = prev.forest.schemes.get(tree_id)
-            if old is None or not _same_tree(old.tree, tree):
-                stats["rebuilt"] += 1
-                return None
-            stats["reused"] += 1
-            return old
-
-        def builder(trees, num_graph_vertices, rng, **kwargs):
-            return build_forest_routing(trees, num_graph_vertices, rng,
-                                        reuse_lookup=lookup, **kwargs)
-
-        return builder, capture
+                          recorder=recorder, max_weight=max_weight)
 
     def _install(self, entry: BuildEntry, strategy: str) -> None:
         self._cache[entry.fingerprint] = entry
@@ -459,12 +382,3 @@ class IncrementalBuilder:
         # every entry is keyed by the fingerprint of the graph state it
         # was built (or fetched) for, which is the live one
         self.feed.mark_rebuilt(fingerprint=entry.fingerprint)
-
-
-def _same_tree(a, b) -> bool:
-    """Exact equality of two rooted trees *including parent-map
-    iteration order* — the strictest notion, because downstream scans
-    iterate the parent map in insertion order and the reuse proof needs
-    the builder inputs literally equal, not just isomorphic."""
-    return (a.root == b.root
-            and list(a.parent_items()) == list(b.parent_items()))

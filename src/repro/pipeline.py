@@ -27,20 +27,17 @@ their natural shapes, and that rounding used to be silent.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-from .congest.metrics import CostLedger
-from .congest.network import Network
 from .core.approx_clusters import build_approx_clusters
 from .core.compiled import CompiledEstimation, CompiledScheme
 from .core.distance_estimation import (
     DistanceEstimation,
     estimation_from_clusters,
 )
-from .core.routing_scheme import RoutingScheme, _assemble_tables_and_labels
-from .core.tree_routing import build_forest_routing
+from .core.routing_scheme import RoutingScheme
+from .core.scheme_builder import ConstructionReport, run_construction
 from .exceptions import ParameterError
 from .graphs.weighted_graph import WeightedGraph
 from .graphs import (
@@ -113,7 +110,7 @@ class BuildReport:
 
     workload: str                 #: workload name or "custom"
     requested_n: Optional[int]    #: None when a graph was supplied
-    construction: "ConstructionReport"
+    construction: ConstructionReport
     pipeline: "SchemePipeline" = field(repr=False)
 
     # -- passthroughs --------------------------------------------------
@@ -242,7 +239,7 @@ class SchemePipeline:
                 "pipeline has no parameters: call .params(k, ...) "
                 "before .build()")
         graph = self._resolve_graph()
-        construction = _run_construction(
+        construction = run_construction(
             graph, k=self._k, seed=self._seed, eps_override=self._eps,
             detection_mode=self._detection_mode,
             capacity_words=self._capacity_words,
@@ -376,85 +373,3 @@ class SchemePipeline:
             capacity_words=self._capacity_words)
         self._estimation = estimation_from_clusters(graph, clusters)
         return self._estimation
-
-
-# ----------------------------------------------------------------------
-def _run_construction(graph: WeightedGraph, k: int, seed: int,
-                      eps_override: float, detection_mode: str,
-                      capacity_words: int, use_tz_trick: bool,
-                      forest_builder=None) -> "ConstructionReport":
-    """The full pipeline body (hierarchy → clusters → forest → tables).
-
-    ``forest_builder`` substitutes the forest phase implementation
-    (same signature as :func:`build_forest_routing`); the incremental
-    control plane passes a wrapper that reuses per-tree schemes whose
-    inputs are provably unchanged.  Default is the normal builder.
-    """
-    from .core.scheme_builder import ConstructionReport
-    from .telemetry.trace import maybe_span
-
-    build_span = maybe_span("build", attrs={
-        "n": graph.num_vertices, "k": k, "seed": seed})
-    clusters_span = build_span.child("build.clusters")
-    clusters = build_approx_clusters(graph, k, seed=seed,
-                                     eps_override=eps_override,
-                                     detection_mode=detection_mode,
-                                     capacity_words=capacity_words)
-    clusters_span.finish()
-    ledger = CostLedger()
-    ledger.merge(clusters.ledger)
-
-    network = Network(graph)
-    trees = {center: cluster.tree()
-             for center, cluster in clusters.clusters.items()}
-    if forest_builder is None:
-        forest_builder = build_forest_routing
-    forest_span = build_span.child("build.forest")
-    forest = forest_builder(trees, graph.num_vertices,
-                            random.Random(seed + 1),
-                            bfs_tree=clusters.bfs_tree,
-                            port_of=network.port_of,
-                            capacity_words=capacity_words)
-    forest_span.finish()
-    ledger.merge(forest.ledger)
-
-    assemble_span = build_span.child("build.assemble")
-    tables, labels = _assemble_tables_and_labels(clusters, forest)
-    if not use_tz_trick:
-        for table in tables.values():
-            table.member_labels.clear()
-    scheme = RoutingScheme(graph=graph, params=clusters.params,
-                           clusters=clusters, forest=forest,
-                           tables=tables, labels=labels, ledger=ledger)
-    estimation = estimation_from_clusters(graph, clusters)
-    assemble_span.finish()
-    # One synthesized child span per ledger phase, replaying the
-    # phase's measured wall seconds: the trace view of exactly what
-    # ``ledger.seconds_breakdown()`` reports.
-    for phase_name, phase_seconds in ledger.seconds_breakdown().items():
-        build_span.child("build.phase",
-                         {"phase": phase_name}).finish(
-            duration_s=phase_seconds)
-    build_span.finish(rounds=ledger.total_rounds,
-                      messages=ledger.total_messages)
-
-    params = clusters.params
-    # one pass over the tables and one over the labels: ``words`` walks
-    # every entry, and max and mean both come from the same list
-    table_words = [table.words for table in tables.values()]
-    label_words = [label.words for label in labels.values()]
-    return ConstructionReport(
-        scheme=scheme,
-        estimation=estimation,
-        clusters=clusters,
-        params=params,
-        rounds=ledger.total_rounds,
-        hop_diameter_lower_bound=clusters.bfs_tree.height,
-        max_table_words=max(table_words),
-        avg_table_words=sum(table_words) / len(table_words),
-        max_label_words=max(label_words),
-        avg_label_words=sum(label_words) / len(label_words),
-        max_sketch_words=estimation.max_sketch_words(),
-        paper_stretch_bound=params.stretch_bound,
-        paper_round_bound=params.round_bound(clusters.bfs_tree.height),
-    )

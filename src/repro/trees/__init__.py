@@ -1,7 +1,7 @@
 """Rooted trees and Thorup–Zwick interval tree routing (shared by the
 centralized baseline and the paper's distributed tree-routing scheme)."""
 
-from .rooted import RootedTree, tree_distance, tree_from_parent_lists
+from .rooted import RootedTree, tree_distance
 from .interval_routing import (
     TreeLabel,
     TreeRoutingScheme,
@@ -13,7 +13,6 @@ from .interval_routing import (
 __all__ = [
     "RootedTree",
     "tree_distance",
-    "tree_from_parent_lists",
     "TreeLabel",
     "TreeRoutingScheme",
     "TreeTable",

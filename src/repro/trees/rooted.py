@@ -41,6 +41,75 @@ class _FlatCore:
     depth: List[int]
 
 
+def children_and_preorder(root: int, parent: Dict[int, Optional[int]]
+                          ) -> Tuple[Dict[int, List[int]], List[int]]:
+    """Validate a ``{vertex: parent}`` map (root ↦ ``None``) and walk it
+    once: returns every internal vertex's children in sorted order and
+    the DFS pre-order that visits them so.
+
+    A parent *map* puts every vertex in exactly one child list, so the
+    walk cannot revisit anything; whatever it does not reach — a second
+    root, a parent outside the map, a cycle among non-root vertices —
+    hangs off no path from ``root``, and the pre-order comes out short.
+    """
+    if parent.get(root, "missing") is not None:
+        raise SchemeError(f"root {root} must map to None in parent")
+    children: Dict[int, List[int]] = {}
+    for v in sorted(parent):     # so every child list comes out sorted
+        p = parent[v]
+        if p in children:
+            children[p].append(v)
+        else:
+            children[p] = [v]
+    order: List[int] = []
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        if u in children:
+            # reversed so the smallest child is visited first
+            stack.extend(reversed(children[u]))
+    if len(order) != len(parent):
+        for v, p in parent.items():
+            if p is not None and p not in parent:
+                raise SchemeError(
+                    f"vertex {v} has parent {p} outside the tree")
+        orphans = set(parent) - set(order)
+        raise SchemeError(
+            f"vertices {sorted(orphans)[:5]}... unreachable from root")
+    del children[None]           # the root's own entry
+    return children, order
+
+
+def flat_core(order: List[int], parent: Dict[int, Optional[int]]
+              ) -> _FlatCore:
+    """The parallel-array core of the tree with pre-order ``order``."""
+    size_n = len(order)
+    index = {v: i for i, v in enumerate(order)}
+    parent_pos = [-1] * size_n
+    depth = [0] * size_n
+    for i in range(1, size_n):
+        p = index[parent[order[i]]]  # type: ignore[index]
+        parent_pos[i] = p
+        depth[i] = depth[p] + 1
+    exit_pos = list(range(size_n))
+    sizes = [1] * size_n
+    heavy = [-1] * size_n
+    for i in range(size_n - 1, 0, -1):
+        p = parent_pos[i]
+        sizes[p] += sizes[i]
+        if exit_pos[i] > exit_pos[p]:
+            exit_pos[p] = exit_pos[i]
+        # scanned in reverse pre-order, so among equal-size children
+        # the one visited earliest (the smallest name: children are
+        # sorted) is assigned last and wins the tie.
+        if heavy[p] == -1 or sizes[i] >= sizes[heavy[p]]:
+            heavy[p] = i
+    return _FlatCore(order=order, index=index, parent=parent_pos,
+                     exit=exit_pos, size=sizes, heavy=heavy,
+                     depth=depth)
+
+
 class RootedTree:
     """A rooted tree over arbitrary integer vertex names.
 
@@ -49,39 +118,14 @@ class RootedTree:
     the whole routing scheme — deterministic.
     """
 
-    __slots__ = ("root", "_parent", "_children", "_flat")
+    __slots__ = ("root", "_parent", "_children", "_order", "_flat")
 
     def __init__(self, root: int, parent: Dict[int, Optional[int]]) -> None:
-        if parent.get(root, "missing") is not None:
-            raise SchemeError(f"root {root} must map to None in parent")
         self.root = root
         self._parent = dict(parent)
-        self._children: Dict[int, List[int]] = {v: [] for v in parent}
-        for v, p in parent.items():
-            if p is None:
-                continue
-            if p not in self._parent:
-                raise SchemeError(
-                    f"vertex {v} has parent {p} outside the tree")
-            self._children[p].append(v)
-        for kids in self._children.values():
-            kids.sort()
+        self._children, self._order = children_and_preorder(
+            root, self._parent)
         self._flat: Optional[_FlatCore] = None
-        self._validate_connected()
-
-    def _validate_connected(self) -> None:
-        seen = set()
-        stack = [self.root]
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                raise SchemeError(f"cycle detected at vertex {u}")
-            seen.add(u)
-            stack.extend(self._children[u])
-        if len(seen) != len(self._parent):
-            orphans = set(self._parent) - seen
-            raise SchemeError(
-                f"vertices {sorted(orphans)[:5]}... unreachable from root")
 
     # ------------------------------------------------------------------
     @property
@@ -100,19 +144,16 @@ class RootedTree:
         except KeyError:
             raise SchemeError(f"vertex {v} not in tree") from None
 
-    def parent_items(self) -> Iterator[Tuple[int, Optional[int]]]:
-        """``(vertex, parent)`` pairs in the map's insertion order — the
-        iteration order every flat pass observes, so two trees with
-        equal ``parent_items()`` sequences are indistinguishable to
-        every consumer (the equality the incremental rebuild's reuse
-        proof needs)."""
-        return iter(self._parent.items())
+    def parent_map(self) -> Dict[int, Optional[int]]:
+        """The ``{vertex: parent}`` map itself (root ↦ ``None``), not a
+        copy: read-only by contract, like the tree."""
+        return self._parent
 
     def children(self, v: int) -> List[int]:
-        return list(self._children[v])
+        return list(self._children.get(v, ()))
 
     def is_leaf(self, v: int) -> bool:
-        return not self._children[v]
+        return v not in self._children
 
     def depth_of(self, v: int) -> int:
         depth = 0
@@ -155,35 +196,8 @@ class RootedTree:
         ``__init__``.  Everything below is a thin dict view over it.
         """
         core = self._flat
-        if core is not None:
-            return core
-        order = self._dfs_order()
-        size_n = len(order)
-        index = {v: i for i, v in enumerate(order)}
-        parent_pos = [-1] * size_n
-        depth = [0] * size_n
-        tree_parent = self._parent
-        for i in range(1, size_n):
-            p = index[tree_parent[order[i]]]  # type: ignore[index]
-            parent_pos[i] = p
-            depth[i] = depth[p] + 1
-        exit_pos = list(range(size_n))
-        sizes = [1] * size_n
-        heavy = [-1] * size_n
-        for i in range(size_n - 1, 0, -1):
-            p = parent_pos[i]
-            sizes[p] += sizes[i]
-            if exit_pos[i] > exit_pos[p]:
-                exit_pos[p] = exit_pos[i]
-            # scanned in reverse pre-order, so among equal-size children
-            # the one visited earliest (the smallest name: children are
-            # sorted) is assigned last and wins the tie.
-            if heavy[p] == -1 or sizes[i] >= sizes[heavy[p]]:
-                heavy[p] = i
-        core = _FlatCore(order=order, index=index, parent=parent_pos,
-                         exit=exit_pos, size=sizes, heavy=heavy,
-                         depth=depth)
-        self._flat = core
+        if core is None:
+            core = self._flat = flat_core(self._order, self._parent)
         return core
 
     def subtree_sizes(self) -> Dict[int, int]:
@@ -214,27 +228,10 @@ class RootedTree:
 
     def dfs_order(self) -> List[int]:
         """Vertices in the (deterministic) DFS pre-order."""
-        return list(self.flat_core().order)
-
-    def _dfs_order(self) -> List[int]:
-        order = []
-        stack = [self.root]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            # reversed so the smallest child is visited first
-            stack.extend(reversed(self._children[u]))
-        return order
+        return list(self._order)
 
     def __repr__(self) -> str:
         return f"RootedTree(root={self.root}, size={self.size})"
-
-
-def tree_from_parent_lists(root: int,
-                           parent_of: Dict[int, Optional[int]]
-                           ) -> RootedTree:
-    """Convenience alias with a descriptive name."""
-    return RootedTree(root, parent_of)
 
 
 def tree_distance(tree: RootedTree, weights, u: int, v: int) -> float:

@@ -354,7 +354,7 @@ def test_compile_only_certification_on_flap_series():
     assert back.strategy == "reuse"
 
     # a decrease can mint new winners anywhere: never certified for
-    # compile-only, so the cluster phase re-runs (forest reuse only)
+    # compile-only, so the whole construction re-runs
     for eu, ev, ew in sorted(graph.edges()):
         if ew > 1:
             feed.update_edge_weight(eu, ev, ew - 1)
@@ -362,5 +362,6 @@ def test_compile_only_certification_on_flap_series():
     else:
         pytest.skip("all-unit workload")
     drop = builder.rebuild()
-    assert drop.strategy == "partial", drop.summary()
+    assert drop.strategy == "full", drop.summary()
+    assert drop.fallback_reason == "weight-decrease-present"
     assert_matches_scratch(drop, graph, k, 5)

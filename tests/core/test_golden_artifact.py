@@ -5,14 +5,17 @@ a JSON of the results they must serve.  If an incompatible format
 change lands, these tests fail and force the honest fix — bump
 ``FORMAT_VERSION`` (so old files are *rejected with a clear error*
 rather than silently misread) and regenerate the fixtures with
-``tests/data/regen_golden.py``.  Three pins:
+``tests/data/regen_golden.py``.  Four pins:
 
 * **byte-level load**: the committed bytes parse, carry the current
   format version, and hash to the recorded sha256;
 * **serve-level**: routes and estimates off the loaded artifact equal
   the committed results bit for bit;
 * **writer stability**: re-saving the loaded artifact reproduces the
-  committed bytes exactly (load → save is the identity on disk).
+  committed bytes exactly (load → save is the identity on disk);
+* **builder stability**: a *fresh build* of the recorded recipe writes
+  the committed bytes, all three files — the construction and the
+  compilers are pinned, not just the reader.
 """
 
 import hashlib
@@ -31,6 +34,7 @@ from repro.core.compiled import (
 )
 from repro.core.dense import DenseRoutingPlane
 from repro.exceptions import ArtifactError
+from repro.pipeline import SchemePipeline
 
 DATA = Path(__file__).parent.parent / "data"
 
@@ -114,6 +118,26 @@ class TestByteLevelPin:
             assert out.read_bytes() == blob, \
                 f"{name}: save(load(x)) != x — the writer changed; " \
                 "bump FORMAT_VERSION and regenerate the fixtures"
+
+
+class TestFreshBuildPin:
+
+    def test_fresh_build_reproduces_committed_bytes(
+            self, expected, scheme_bytes, dense_bytes, estimation_bytes,
+            tmp_path):
+        recipe = expected["recipe"]
+        pipeline = (SchemePipeline()
+                    .workload(recipe["workload"], recipe["n"])
+                    .params(recipe["k"]).seed(recipe["seed"]))
+        for artifact, blob in [
+                (pipeline.compile("flat"), scheme_bytes),
+                (pipeline.compile("dense"), dense_bytes),
+                (pipeline.compile_estimation(), estimation_bytes)]:
+            out = tmp_path / "fresh.cra"
+            artifact.save(out)
+            assert out.read_bytes() == blob, \
+                f"a fresh {artifact.kind} build no longer writes the " \
+                "committed bytes"
 
 
 class TestServeLevelPin:

@@ -1,12 +1,14 @@
-"""Differential harness: flat tree-routing construction vs its oracle.
+"""Differential harness: the forest kernel's columns vs the oracle.
 
-:func:`build_distributed_tree_routing` (flat sweeps over the full-tree
-pre-order, top-down virtual label assembly) must reproduce
-:func:`build_distributed_tree_routing_reference` (per-splitter subtree
-materialization, per-splitter root-path walks) *bit for bit*: every
-table, every label, every word count, the splitter list and the
-measured subtree depth — across random trees, chains, degenerate
-splitter sets, and the forests an actual cluster build produces.
+:func:`build_forest_routing` (sweeps over all trees' pre-orders laid
+end to end, emitting integer columns; a single tree is a one-tree
+forest) must reproduce :func:`build_distributed_tree_routing_reference`
+(per-splitter subtree materialization, per-splitter root-path walks)
+*bit for bit*: every lazily materialised table and label, every word
+count — the arithmetic ones too — the splitter list, the measured
+subtree depth and every ledger charge, across random trees, chains,
+degenerate splitter sets, custom ports, dense splitter samples and the
+forests an actual cluster build produces.
 """
 
 import random
@@ -139,6 +141,72 @@ class TestForestEquivalence:
         assert fast.rounds == ref.rounds
         for tid in ref.schemes:
             assert_schemes_identical(fast.schemes[tid], ref.schemes[tid])
+
+
+    @pytest.mark.parametrize("gamma", [None, 4.0, 12.0, 40.0])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_parent_map_forest_matches_reference(self, seed, gamma):
+        """What a construction passes — bare parent maps keyed by root,
+        real ports — over sparse to saturated splitter samples (every
+        vertex a splitter at the top): views, arithmetic word columns
+        and all four ledger charges against the oracle's objects."""
+        n = 40
+        rng = random.Random(seed)
+        trees = {}
+        for root in rng.sample(range(n), 6):
+            size = rng.randrange(1, n)
+            members = [root] + rng.sample(
+                [v for v in range(n) if v != root], size - 1)
+            parent = {root: None}
+            for idx in range(1, size):
+                parent[members[idx]] = members[rng.randrange(idx)]
+            trees[root] = parent
+
+        def port_of(u, v):
+            return (u * 31 + v) % 97
+
+        ref = build_forest_routing_reference(
+            {c: RootedTree(c, p) for c, p in trees.items()}, n,
+            random.Random(seed), port_of=port_of, gamma=gamma)
+        fast = build_forest_routing(trees, n, random.Random(seed),
+                                    port_of=port_of, gamma=gamma)
+        assert fast.splitter_count == ref.splitter_count
+        assert fast.max_subtree_depth == ref.max_subtree_depth
+        assert fast.max_overlap == ref.max_overlap
+        assert [(p.name, p.rounds) for p in fast.ledger] == \
+            [(p.name, p.rounds) for p in ref.ledger]
+        assert list(fast.schemes) == sorted(ref.schemes)
+        cols = fast.columns
+        for tid, center in enumerate(cols.tree_center):
+            sch = fast.schemes[center]
+            assert_schemes_identical(sch, ref.schemes[center])
+            assert list(sch.tree.parent_map().items()) == \
+                list(trees[center].items())
+            for v, s in cols.slot_of[tid].items():
+                assert cols.slot_vertex[s] == v
+                assert cols.slot_tree[s] == tid
+                assert cols.slot_table_words[s] == sch.tables[v].words
+                assert cols.slot_label_words[s] == sch.labels[v].words
+
+    def test_views_are_built_once(self):
+        report = build_forest_routing(self._trees(), 30, random.Random(5))
+        assert report.schemes[1] is report.schemes[1]
+        sch = report.schemes[1]
+        v = next(iter(sch.tables))
+        assert sch.tables[v] is sch.tables[v]
+        assert sch.labels[v] is sch.labels[v]
+        with pytest.raises(KeyError):
+            sch.tables[10 ** 6]
+        with pytest.raises(KeyError):
+            report.schemes[10 ** 6]
+
+    def test_empty_forest(self):
+        ref = build_forest_routing_reference({}, 10, random.Random(1))
+        fast = build_forest_routing({}, 10, random.Random(1))
+        assert len(fast.schemes) == 0
+        assert fast.rounds == ref.rounds
+        assert fast.max_subtree_depth == ref.max_subtree_depth == 0
+        assert fast.max_overlap == ref.max_overlap == 1
 
 
 class TestEntryFromMap:

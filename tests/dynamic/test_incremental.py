@@ -1,7 +1,7 @@
 """IncrementalBuilder differential grid: every strategy must be
 bit-identical to a from-scratch ``SchemePipeline`` build on the mutated
 graph — one mutation at a time, and as a flap series that walks one
-builder through all four strategies.  The grid runs with and without
+builder through all three strategies.  The grid runs with and without
 numpy — CI re-executes this file after uninstalling numpy."""
 
 import random
@@ -47,7 +47,7 @@ def nth_edge(graph, i):
 def jitter_one(feed):
     u, v, w = nth_edge(feed.graph, 5)
     feed.update_edge_weight(u, v, w + 3)
-    return {"partial", "compile-only"}
+    return {"full", "compile-only"}
 
 
 def jitter_batch(count):
@@ -58,7 +58,7 @@ def jitter_batch(count):
         for i, (u, v, w) in enumerate(edges[:count]):
             delta = (i % 5) - 2 or 1  # mixed increases and decreases
             feed.update_edge_weight(u, v, max(1, w + delta))
-        return {"partial", "compile-only"}
+        return {"full", "compile-only"}
     return mutate
 
 
@@ -66,10 +66,10 @@ def decrease_one(feed):
     for u, v, w in sorted(feed.graph.edges()):
         if w > 1:
             feed.update_edge_weight(u, v, w - 1)
-            return {"partial"}
+            return {"full"}
     u, v, w = nth_edge(feed.graph, 0)  # all-unit graph: bump one up
     feed.update_edge_weight(u, v, w + 1)
-    return {"partial", "compile-only"}
+    return {"full", "compile-only"}
 
 
 def remove_edge(feed):
@@ -112,7 +112,7 @@ def bump_max_weight(feed):
     feed.update_edge_weight(u, v, w * 2)
     # scale grid may shift (forbidding compile-only) or stay inside the
     # same power-of-two band (the sharper per-grid guard may certify)
-    return {"partial", "compile-only"}
+    return {"full", "compile-only"}
 
 
 SCENARIOS = [
@@ -223,10 +223,9 @@ def test_flap_series_over_every_strategy(workload, n, k, seed,
         return report
 
     for _cycle in range(FLAP_CYCLES):
-        spike = step(su, sv, sw + FLAP_DELTA, "partial")
+        spike = step(su, sv, sw + FLAP_DELTA, "full")
         assert spike.fallback_reason == f"edge-({su},{sv})-in-support"
-        assert spike.reused_trees > spike.rebuilt_trees
-        restore = step(su, sv, sw, "partial")
+        restore = step(su, sv, sw, "full")
         assert restore.fallback_reason == "weight-decrease-present"
 
     # a spare edge's spike is certified from that support: the
@@ -235,7 +234,7 @@ def test_flap_series_over_every_strategy(workload, n, k, seed,
     certified = step(cu, cv, cw + SPARE_DELTA, "compile-only")
     assert certified.construction is before
     # its restore is a decrease, which nothing certifies
-    step(cu, cv, cw, "partial")
+    step(cu, cv, cw, "full")
 
     # an untouched feed (and, with room in the cache, a flap back to a
     # built generation — TestReuseCache) is a reuse
@@ -246,13 +245,14 @@ def test_flap_series_over_every_strategy(workload, n, k, seed,
     assert remove_edge(feed) == {"full"}
     report = builder.rebuild()
     assert report.strategy == "full"
+    assert report.fallback_reason == "topology-changed"
     assert_matches_scratch(report, graph, k, seed)
 
-    # dispatch counters: the series visited all four strategies and
-    # nothing silently fell back to a full build
+    # dispatch counters: the series visited all three strategies, and
+    # every full build is one the steps above asked for
     by_strategy = builder.stats()["by_strategy"]
     assert by_strategy == {"initial": 1, "reuse": 1, "compile-only": 1,
-                           "partial": 2 * FLAP_CYCLES + 1, "full": 1}
+                           "full": 2 * FLAP_CYCLES + 2}
     assert set(by_strategy) - {"initial"} == set(STRATEGIES)
 
 
@@ -271,7 +271,7 @@ class TestReuseCache:
         u, v, w = nth_edge(graph, 7)
         feed.update_edge_weight(u, v, w + 40)
         spike = builder.rebuild()
-        assert spike.strategy in ("partial", "compile-only", "full")
+        assert spike.strategy in ("compile-only", "full")
         feed.update_edge_weight(u, v, w)
         restore = builder.rebuild()
         assert restore.strategy == "reuse" and restore.cache_hit
@@ -368,24 +368,8 @@ class TestCompileOnly:
         u, v, w = uncertified
         feed.update_edge_weight(u, v, w + 50)
         report = builder.rebuild()
-        assert report.strategy == "partial"
-        assert report.fallback_reason is not None
-        assert_matches_scratch(report, graph, 2, 3)
-
-
-class TestPartialReuse:
-
-    def test_single_jitter_reuses_most_trees(self):
-        graph = make_workload("random", 60, seed=3).graph
-        feed = TopologyFeed(graph)
-        builder = IncrementalBuilder(feed, k=2, seed=3)
-        builder.build()
-        u, v, w = nth_edge(graph, 11)
-        feed.update_edge_weight(u, v, w + 2)
-        report = builder.rebuild()
-        if report.strategy == "partial":
-            assert report.reused_trees > 0
-            assert report.reused_trees >= report.rebuilt_trees
+        assert report.strategy == "full"
+        assert report.fallback_reason == f"edge-({u},{v})-in-support"
         assert_matches_scratch(report, graph, 2, 3)
 
 
@@ -406,5 +390,8 @@ class TestStats:
         builder.rebuild()
         stats = builder.stats()
         assert stats["rebuilds"] == 2
-        assert stats["by_strategy"]["full"] == 1
-        assert stats["fallback_rate"] == pytest.approx(0.5)
+        # the jitter is compile-only if the transcript certifies it
+        # and a full build (with the reason) if not
+        full = stats["by_strategy"]["full"]
+        assert full + stats["by_strategy"]["compile-only"] == 2
+        assert stats["fallback_rate"] == pytest.approx(full / 2)

@@ -213,4 +213,4 @@ class TestRebuildReportSchema:
             "repro_rebuild_stage_seconds_total"}
         assert {dict(labels)["strategy"] for labels in
                 fams["repro_rebuild_strategy_total"].samples} <= {
-            "initial", "reuse", "compile-only", "partial", "full"}
+            "initial", "reuse", "compile-only", "full"}
