@@ -2,9 +2,9 @@
 """Quickstart: the build → compile → serve lifecycle.
 
 Builds the Elkin–Neiman compact routing scheme through the staged
-pipeline facade, compiles it into a flat serve-side artifact, round-trips
-the artifact through disk, and serves a batch of queries from the loaded
-tables — next to the paper's guarantees, measured.
+pipeline facade, compiles it into the dense routing plane (the served
+artifact), round-trips it through disk, and serves a batch of queries
+from the loaded tables — next to the paper's guarantees, measured.
 
 Run:  python examples/quickstart.py
 """
@@ -38,13 +38,13 @@ def main() -> None:
     print(f"  labels            : max {scheme.max_label_words()} words\n")
 
     print("Stage 2 — compile to a graph-detached artifact...")
-    compiled = pipeline.compile()
+    dense = pipeline.compile()
     with tempfile.TemporaryDirectory() as tmp:
         artifact = Path(tmp) / "scheme.cra"
-        compiled.save(artifact)
+        dense.save(artifact)
         print(f"  saved {artifact.name}: {artifact.stat().st_size} "
-              f"bytes for n={compiled.num_vertices}, "
-              f"k={compiled.k}")
+              f"bytes for n={dense.num_vertices}, "
+              f"k={dense.k}")
         served = load_artifact(artifact)
     print(f"  loaded back: {served!r}\n")
 
@@ -134,7 +134,7 @@ def main() -> None:
         feed.update_edge_weight(u, v, w + 30)
         report = builder.rebuild()
         print(f"  rebuild: {report.summary()}")
-        gen1 = registry.publish(report.compiled,
+        gen1 = registry.publish(report.dense,
                                 fingerprint=feed.fingerprint(),
                                 note=f"link ({u},{v}) degraded")
         print(f"  registry: {gen0.describe()}")

@@ -12,6 +12,13 @@ Quickstart
 >>> route = scheme.route(0, 42)
 >>> route.stretch <= 4 * 3 - 5 + 1.0
 True
+
+What is served is the dense routing plane compiled from the same build:
+
+>>> from repro import SchemePipeline
+>>> dense = SchemePipeline().graph(graph).params(3).seed(7).compile()
+>>> dense.route(0, 42).path == route.path
+True
 """
 
 __version__ = "1.0.0"
@@ -72,6 +79,7 @@ __all__ = [
     "RoutingScheme",
     "SchemePipeline",
     "BuildReport",
+    "DenseRoutingPlane",
     "CompiledScheme",
     "CompiledEstimation",
     "load_artifact",
@@ -88,7 +96,8 @@ def __getattr__(name):
     Keeps ``import repro`` cheap while still offering
     ``repro.build_routing_scheme`` etc. at the top level.
     """
-    if name in ("build_routing_scheme", "RoutingScheme"):
+    if name in ("build_routing_scheme", "RoutingScheme",
+                "DenseRoutingPlane"):
         from . import core as _core
         return getattr(_core, name)
     if name in ("SchemePipeline", "BuildReport"):

@@ -4,12 +4,12 @@ Commands
 --------
 build      Build the routing scheme on a generated workload, print the
            construction report, and optionally compile + save the
-           serve-side artifact (``--out scheme.cra``).
-query      Load a saved artifact (routing or estimation) and answer
-           pairs — from ``--pairs-file``, ``--pair u v`` flags, or
-           stdin — without reconstructing anything.  ``--workers N``
-           serves the batch from a sharded process pool
-           (``--policy`` picks the sharding policy); ``--out FILE``
+           served artifact, the dense routing plane
+           (``--out scheme.cra``).
+query      Load a saved artifact (dense routing or estimation) and
+           answer pairs — from ``--pairs-file``, ``--pair u v`` flags,
+           or stdin — without reconstructing anything.  ``--workers N``
+           serves the batch from a sharded process pool; ``--out FILE``
            switches to batch-file mode and writes one tab-separated
            result per line instead of pretty-printing.
 serve      Load artifacts and serve them to concurrent clients over
@@ -54,7 +54,7 @@ from .analysis import (
 from .core.compiled import CompiledScheme, load_artifact
 from .core.dense import DenseRoutingPlane
 from .pipeline import WORKLOADS, SchemePipeline
-from .serving import RouterPool, available_policies
+from .serving import RouterPool
 
 #: Number of random demo pairs ``query`` serves when given none.
 _QUERY_DEMO_PAIRS = 5
@@ -102,15 +102,27 @@ def cmd_build(args: argparse.Namespace) -> int:
                                    seed=args.seed)
         print(f"\n{stretch}")
     if args.out:
-        compiled = pipeline.compile(tier=args.tier)
-        compiled.save(args.out)
+        dense = pipeline.compile()
+        dense.save(args.out)
         size = Path(args.out).stat().st_size
         from .core.compiled import FORMAT_VERSION
         print(f"\ncompiled artifact: {args.out} ({size} bytes, "
-              f"format v{FORMAT_VERSION}, tier={args.tier}, "
-              f"n={compiled.num_vertices}, k={compiled.k}); "
+              f"format v{FORMAT_VERSION}, kind={dense.kind}, "
+              f"n={dense.num_vertices}, k={dense.k}); "
               f"serve it with `python -m repro query {args.out}`")
     return 0
+
+
+def _load_served(path) -> Tuple[object, bool]:
+    """``(artifact, is_routing)`` for a file the serve commands accept:
+    a dense routing plane or a compiled estimation."""
+    artifact = load_artifact(path)
+    if isinstance(artifact, CompiledScheme):
+        raise ParameterError(
+            f"{path} holds a flat CompiledScheme, the oracle the dense "
+            "plane is held to, not a served artifact; write the dense "
+            "plane with `repro build --out FILE`")
+    return artifact, isinstance(artifact, DenseRoutingPlane)
 
 
 def _read_pairs(args: argparse.Namespace, n: int,
@@ -144,16 +156,14 @@ def _read_pairs(args: argparse.Namespace, n: int,
             for _ in range(_QUERY_DEMO_PAIRS)]
 
 
-def _serve_pairs(artifact, pairs, args) -> Tuple[List, str]:
+def _serve_pairs(artifact, routing: bool, pairs, args
+                 ) -> Tuple[List, str]:
     """Answer the batch in-process or through a sharded pool."""
-    routing = isinstance(artifact,
-                         (CompiledScheme, DenseRoutingPlane))
     if args.workers:
-        with RouterPool(artifact, workers=args.workers,
-                        policy=args.policy) as pool:
+        with RouterPool(artifact, workers=args.workers) as pool:
             results = (pool.route_many(pairs) if routing
                        else pool.estimate_many(pairs))
-            mode = f"pool of {pool.workers} workers ({pool.policy})"
+            mode = f"pool of {pool.workers} workers"
     else:
         results = (artifact.route_many(pairs) if routing
                    else artifact.estimate_many(pairs))
@@ -162,7 +172,7 @@ def _serve_pairs(artifact, pairs, args) -> Tuple[List, str]:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    artifact = load_artifact(args.artifact)
+    artifact, routing = _load_served(args.artifact)
     n = artifact.num_vertices
     kind = artifact.kind
     print(f"artifact={args.artifact} kind={kind} n={n} k={artifact.k} "
@@ -172,9 +182,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     if not pairs:
         print("no query pairs supplied")
         return 1
-    routing = isinstance(artifact,
-                         (CompiledScheme, DenseRoutingPlane))
-    results, mode = _serve_pairs(artifact, pairs, args)
+    results, mode = _serve_pairs(artifact, routing, pairs, args)
     if args.out:
         # batch-file mode: machine-readable TSV, no per-query chatter
         with open(args.out, "w") as fh:
@@ -209,24 +217,21 @@ def cmd_query(args: argparse.Namespace) -> int:
 def _broker_from_artifacts(paths, args, registry=None):
     """Load 1–2 artifacts, optionally wrap each in a RouterPool, and
     front them with one RequestBroker (closed by broker.aclose())."""
-    from .core.compiled import CompiledEstimation
     from .server import pooled_broker
 
     router = estimator = None
     for path in paths:
-        artifact = load_artifact(path)
-        if isinstance(artifact, (CompiledScheme, DenseRoutingPlane)):
-            if router is not None:
-                raise SystemExit(
-                    f"error: two routing artifacts given ({path})")
+        artifact, routing = _load_served(path)
+        if (router if routing else estimator) is not None:
+            raise ParameterError(
+                f"two {'routing' if routing else 'estimation'} "
+                f"artifacts given ({path}); serve takes at most one "
+                "of each")
+        if routing:
             router = artifact
-        elif isinstance(artifact, CompiledEstimation):
-            if estimator is not None:
-                raise SystemExit(
-                    f"error: two estimation artifacts given ({path})")
+        else:
             estimator = artifact
     return pooled_broker(router, estimator, workers=args.workers,
-                         pool_kwargs={"policy": args.policy},
                          max_batch=args.max_batch,
                          max_wait_ms=args.max_wait_ms,
                          max_pending=args.max_pending,
@@ -353,9 +358,7 @@ def cmd_bench_traffic(args: argparse.Namespace) -> int:
     from .server.loadgen import (broker_targets, run_closed_loop,
                                  run_open_loop)
 
-    artifact = load_artifact(args.artifact)
-    routing = isinstance(artifact,
-                         (CompiledScheme, DenseRoutingPlane))
+    artifact, routing = _load_served(args.artifact)
     op = "route" if routing else "estimate"
     n = artifact.num_vertices
     kw = dict(router=artifact) if routing else dict(estimator=artifact)
@@ -538,14 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print the per-phase round ledger")
     p_build.add_argument("--evaluate", type=int, metavar="PAIRS",
                          help="also evaluate stretch on PAIRS pairs")
-    p_build.add_argument("--tier", choices=("flat", "dense"),
-                         default="flat",
-                         help="artifact tier for --out: 'flat' "
-                              "(CompiledScheme) or 'dense' (the "
-                              "parent-pointer DenseRoutingPlane)")
     p_build.add_argument("--out", metavar="FILE",
-                         help="compile and save the serve-side "
-                              "artifact (conventionally .cra)")
+                         help="compile and save the dense routing "
+                              "plane (conventionally .cra)")
     p_build.set_defaults(func=cmd_build)
 
     p_query = sub.add_parser(
@@ -566,10 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="serve through a sharded pool of N "
                               "worker processes (0 = in-process)")
-    p_query.add_argument("--policy",
-                         choices=available_policies(),
-                         default="round-robin",
-                         help="sharding policy for --workers")
     p_query.add_argument("--out", metavar="FILE",
                          help="batch-file mode: write tab-separated "
                               "results to FILE instead of printing "
@@ -592,9 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="back the broker with a sharded pool of "
                               "N worker processes (0 = in-process)")
-    p_serve.add_argument("--policy", choices=available_policies(),
-                         default="round-robin",
-                         help="sharding policy for --workers")
     p_serve.add_argument("--max-batch", type=int, default=128,
                          help="fused micro-batch pair budget")
     p_serve.add_argument("--max-wait-ms", type=float, default=2.0,

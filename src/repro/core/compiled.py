@@ -1,48 +1,42 @@
-"""Compiled routing artifacts: the *serve* half of the build/serve split.
+"""Compiled artifacts: the construction's flat output, and the oracle.
 
 The paper's economics are: pay the near-optimal distributed
 *construction* cost once, then answer routing and distance queries from
 compact tables forever.  The live :class:`~.routing_scheme.RoutingScheme`
 is the construction-side object — it drags the graph, the cluster
 system, and the forest of tree schemes around, and serves one packet per
-Python call through nested dict walks.  This module is the serve side:
+Python call through nested dict walks.  This module flattens it:
 
-* :class:`CompiledScheme` — a flat-array, graph-detached artifact
-  holding everything Algorithm 1 (find-tree) and the Section-6 in-tree
-  forwarding protocol need: per-(tree, vertex) table rows, label rows,
-  a deduplicated tree-label pool, the 4k-5 member-label pairs, and the
-  per-vertex word counts.  Produced by ``RoutingScheme.compile()``;
-  routing decisions are **bit-identical** to the live scheme (enforced
-  by ``tests/core/test_compiled.py``).
+* :class:`CompiledScheme` — the construction artifact: a flat-array,
+  graph-detached copy of everything Algorithm 1 (find-tree) and the
+  Section-6 in-tree forwarding protocol need: per-(tree, vertex) table
+  rows, label rows, a deduplicated tree-label pool, the 4k-5
+  member-label pairs, and the per-vertex word counts.  Produced by
+  ``RoutingScheme.compile()``; routing decisions are **bit-identical**
+  to the live scheme (``tests/core/test_compiled.py``).  It is not a
+  served tier: :class:`~.dense.DenseRoutingPlane` is compiled from it
+  and serves, and its hop-by-hop :meth:`~CompiledScheme.route_many`
+  replay is the oracle the dense plane is held to.
 * :class:`CompiledEstimation` — the same split for the Theorem-6
   sketches; Algorithm 2 (Dist) runs off two flat sketch rows.
-* a versioned on-disk format shared by both kinds —
+* a versioned on-disk format shared by every kind —
   ``MAGIC | version | header JSON | packed array payload`` — written by
   ``save(path)`` and read back by ``load(path)`` /
   :func:`load_artifact`.  Arrays are little-endian int64/float64;
   decoding uses numpy when importable and the stdlib ``array`` module
   otherwise, like the fast CONGEST engine.
 
-Batch serving: :meth:`CompiledScheme.route_many` and
-:meth:`CompiledEstimation.estimate_many` answer arrays of queries,
-grouping by target so per-label preparation is paid once per distinct
-target instead of once per query; the hot loops index flat Python lists
-bound to locals (faster than attribute-chasing dataclasses for the
-scalar, branchy forwarding protocol).
-
-Sharded serving (``repro.serving``) adds a second transport next to the
-file format: :meth:`~_CompiledArtifact.export_buffers` flattens an
-artifact into a JSON-able header plus one packed payload — the same
-little-endian array layout as the on-disk format, minus the framing —
-and :func:`attach_artifact` reconstructs a serving object from that
-header plus *any* buffer-protocol object holding the bytes.  With numpy
-the attach is zero-copy (``frombuffer`` views straight into, e.g., a
-``multiprocessing.shared_memory`` block); the stdlib fallback decodes
-through ``array.frombytes`` (one copy per attaching process).  Both
-batch methods validate their input through the shared
-:func:`validate_pairs` prepass, so the process pool can run the *same*
-check parent-side and malformed batches raise the same exception type
-at the same offending pair no matter which path serves them.
+The process pool (``repro.serving``) ships artifacts through a second
+transport next to the file format: :meth:`~_CompiledArtifact.
+export_buffers` flattens an artifact into a JSON-able header plus one
+packed payload — the same little-endian array layout as the on-disk
+format, minus the framing — and :func:`attach_artifact` decodes a
+serving object from that header plus *any* buffer-protocol object
+holding the bytes (e.g. a ``multiprocessing.shared_memory`` block).
+Every batch method validates its input through the shared
+:func:`validate_pairs` prepass, so the pool can run the *same* check
+parent-side and malformed batches raise the same exception type at the
+same offending pair no matter which path serves them.
 """
 
 from __future__ import annotations
@@ -142,16 +136,39 @@ def _read_artifact(path: Union[str, Path]
     except ValueError as exc:
         raise ArtifactError(f"{path}: corrupt artifact header: {exc}") \
             from None
+    kind, meta, manifest = _parse_header(path, header)
     payload = data[header_end:]
-    declared = sum(count for _n, _tc, count in header["arrays"]) \
-        * _ITEM_BYTES
+    declared = sum(count for _n, _tc, count in manifest) * _ITEM_BYTES
     if len(payload) > declared:
         raise ArtifactError(
             f"{path}: {len(payload) - declared} trailing bytes after "
             "the declared arrays")
-    arrays = _attach_arrays(header["arrays"], payload,
-                            materialize=True)
-    return header["kind"], header["meta"], arrays
+    return kind, meta, _attach_arrays(manifest, payload)
+
+
+def _parse_header(path, header) -> Tuple[str, Dict, list]:
+    """``(kind, meta, manifest)`` of a decoded header: an object with a
+    str ``kind``, an object ``meta`` and an ``arrays`` list of
+    ``[name, "q"|"d", count >= 0]`` rows.  Anything else is an
+    :class:`ArtifactError`, not a ``KeyError`` from deeper in."""
+    if not isinstance(header, dict):
+        raise ArtifactError(f"{path}: artifact header is not a JSON "
+                            f"object: {header!r:.80}")
+    kind = header.get("kind")
+    meta = header.get("meta")
+    manifest = header.get("arrays")
+    if not (isinstance(kind, str) and isinstance(meta, dict)
+            and isinstance(manifest, list)):
+        raise ArtifactError(
+            f"{path}: artifact header needs a string 'kind', an object "
+            "'meta' and an 'arrays' list")
+    for row in manifest:
+        if not (isinstance(row, list) and len(row) == 3
+                and isinstance(row[0], str) and row[1] in (_INT, _FLOAT)
+                and type(row[2]) is int and row[2] >= 0):
+            raise ArtifactError(
+                f"{path}: malformed array manifest row {row!r:.80}")
+    return kind, meta, manifest
 
 
 # ----------------------------------------------------------------------
@@ -248,18 +265,13 @@ class ArtifactBuffers(NamedTuple):
                 "arrays": [list(row) for row in self.manifest]}
 
 
-def _attach_arrays(manifest: Sequence, buffer,
-                   materialize: bool) -> Dict[str, list]:
-    """Decode a packed payload *in place* from any buffer object —
-    the single byte-layout decoder behind both :func:`_read_artifact`
-    (``materialize=True``) and the shared-memory attach path.
-
-    With numpy and ``materialize=False`` each array is a
-    ``frombuffer`` view into ``buffer`` — zero copies, which is the
-    whole point of parking the payload in shared memory; the stdlib
-    fallback copies via ``array.frombytes``.  Trailing bytes beyond
-    the manifest are tolerated here (shared-memory blocks round their
-    size up to a page); the file loader rejects them itself.
+def _attach_arrays(manifest: Sequence, buffer) -> Dict[str, list]:
+    """Decode a packed payload from any buffer object into plain lists
+    — the single byte-layout decoder behind both :func:`_read_artifact`
+    and the shared-memory attach path; no view into ``buffer``
+    outlives the call.  Trailing bytes beyond the manifest are
+    tolerated here (shared-memory blocks round their size up to a
+    page); the file loader rejects them itself.
     """
     mv = memoryview(buffer)
     arrays: Dict[str, list] = {}
@@ -274,14 +286,13 @@ def _attach_arrays(manifest: Sequence, buffer,
                 f"{len(chunk)}")
         if _np is not None:
             dtype = "<i8" if typecode == _INT else "<f8"
-            view = _np.frombuffer(chunk, dtype=dtype)
-            arrays[name] = view.tolist() if materialize else view
+            arrays[name] = _np.frombuffer(chunk, dtype=dtype).tolist()
         else:
             arr = array(typecode)
             arr.frombytes(chunk)
             if sys.byteorder == "big":  # pragma: no cover
                 arr.byteswap()
-            arrays[name] = arr.tolist() if materialize else arr
+            arrays[name] = arr.tolist()
         offset += nbytes
     return arrays
 
@@ -330,37 +341,27 @@ class _CompiledArtifact:
     # -- buffer transport ----------------------------------------------
     def export_buffers(self) -> ArtifactBuffers:
         """Flatten into header + one packed payload (see
-        :class:`ArtifactBuffers`).  One copy into the blob; numpy-backed
-        arrays (from a previous zero-copy attach) serialize without an
-        intermediate Python list."""
+        :class:`ArtifactBuffers`)."""
         manifest: List[Tuple[str, str, int]] = []
         chunks: List[bytes] = []
         for name, typecode in self._FIELDS:
             values = getattr(self, "_" + name)
             manifest.append((name, typecode, len(values)))
-            if _np is not None and isinstance(values, _np.ndarray):
-                dtype = "<i8" if typecode == _INT else "<f8"
-                chunks.append(values.astype(dtype, copy=False).tobytes())
-            else:
-                chunks.append(_pack_values(typecode, values))
+            chunks.append(_pack_values(typecode, values))
         return ArtifactBuffers(self.kind, dict(self._meta),
                                tuple(manifest), b"".join(chunks))
 
     @classmethod
-    def attach(cls, header: Dict, buffer, materialize: bool = False):
+    def attach(cls, header: Dict, buffer):
         """Reconstruct a serving artifact from :meth:`export_buffers`
         output.  ``buffer`` is any buffer-protocol object holding the
-        payload (e.g. ``SharedMemory.buf``); with numpy the arrays stay
-        views into it, so the buffer must outlive the artifact.
-        ``materialize=True`` copies every array out into plain Python
-        lists — private memory, but the fastest layout for the scalar
-        forwarding loop."""
+        payload (e.g. ``SharedMemory.buf``); the artifact decodes its
+        own copy, so the buffer may be released right after."""
         if header.get("kind") != cls.kind:
             raise ArtifactError(
                 f"attach header holds a {header.get('kind')!r} "
                 f"artifact, not {cls.kind!r}")
-        arrays = _attach_arrays(header["arrays"], buffer, materialize)
-        return cls(header["meta"], arrays)
+        return cls(header["meta"], _attach_arrays(header["arrays"], buffer))
 
     # -- serving helpers -----------------------------------------------
     _pair_noun = "route"
@@ -411,13 +412,13 @@ class CompiledRoute(NamedTuple):
 
 
 class CompiledScheme(_CompiledArtifact):
-    """Flat-array serve-side artifact of one routing scheme.
+    """Flat-array construction artifact of one routing scheme.
 
     Construct with :meth:`from_scheme` (or the convenience
     ``RoutingScheme.compile()``), persist with :meth:`save`, restore
-    with :meth:`load`, ship across processes with
-    :meth:`export_buffers`/:meth:`attach`.  All routing decisions
-    replay the live scheme's protocol bit for bit.
+    with :meth:`load`.  All routing decisions replay the live scheme's
+    protocol bit for bit — the oracle the served
+    :class:`~.dense.DenseRoutingPlane` is compiled from and held to.
     """
 
     kind = _KIND_ROUTING
@@ -554,15 +555,6 @@ class CompiledScheme(_CompiledArtifact):
         """
         pairs = _as_batch(pairs)
         validate_pairs(pairs, self._n, "route")
-        return self._route_many_validated(pairs, max_hops)
-
-    def _route_many_validated(self, pairs: Sequence[Tuple[int, int]],
-                              max_hops: Optional[int] = None
-                              ) -> List[CompiledRoute]:
-        """:meth:`route_many` body, minus the input prepass.  The
-        serving pool dispatches workers here: the parent already ran
-        the same validation over the full batch, so shards skip the
-        per-pair checks on the hot path."""
         n = self._n
         k = self._k
         budgeted = max_hops is not None
@@ -811,8 +803,9 @@ class CompiledEstimation(_CompiledArtifact):
 
     def _estimate_many_validated(self, pairs: Sequence[Tuple[int, int]]
                                  ) -> List[float]:
-        """:meth:`estimate_many` body, minus the input prepass (see
-        ``CompiledScheme._route_many_validated``)."""
+        """:meth:`estimate_many` body, minus the input prepass: the
+        pool's workers and the broker enter here, their callers having
+        run the same validation already."""
         n = self._n
         k = self._k
         cluster_values = self._cluster_values
@@ -856,17 +849,17 @@ def load_artifact(path: Union[str, Path]):
     raise ArtifactError(f"{path}: unknown artifact kind {kind!r}")
 
 
-def attach_artifact(header: Dict, buffer, materialize: bool = False):
+def attach_artifact(header: Dict, buffer):
     """Attach any artifact kind from :meth:`export_buffers` output,
     dispatching on the header — the in-memory sibling of
     :func:`load_artifact`."""
     kind = header.get("kind")
     if kind == _KIND_ROUTING:
-        return CompiledScheme.attach(header, buffer, materialize)
+        return CompiledScheme.attach(header, buffer)
     if kind == _KIND_ESTIMATION:
-        return CompiledEstimation.attach(header, buffer, materialize)
+        return CompiledEstimation.attach(header, buffer)
     if kind == _KIND_DENSE:
         from .dense import DenseRoutingPlane  # circular-import guard
-        return DenseRoutingPlane.attach(header, buffer, materialize)
+        return DenseRoutingPlane.attach(header, buffer)
     raise ArtifactError(f"unknown artifact kind {kind!r} in attach "
                         "header")

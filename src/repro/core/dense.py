@@ -1,4 +1,4 @@
-"""Dense routing plane: the third artifact tier.
+"""Dense routing plane: the one served routing artifact.
 
 Elkin–Neiman's stretch lives entirely in Algorithm 1 — *which* cluster
 tree carries the packet.  Section 6's in-tree routing is exact (the
@@ -21,16 +21,18 @@ weight as a difference of root distances.  Without numpy, below
 ``_VECTOR_MIN_PAIRS``, or past the budget, the same route comes from a
 plain parent walk.
 
-Results are **bit-identical** to :meth:`CompiledScheme.route_many`,
-which stays the protocol-faithful Section-6 replay
-(``tests/core/test_dense_equivalence.py``): find-tree is the same
-select over the same rows; the protocol's path *is* the tree path
-(``tests/core/test_tree_path_invariant.py``); and edge weights are
-integers (``WeightedGraph.add_edge`` admits nothing else; checked at
-load), so every float64 partial sum is exact and the root-distance
-difference equals the flat tier's hop-order sum.  Same ``RCRA``
-container (``kind = "dense-routing"``) and ``export_buffers()`` /
-``attach()`` transport as the other tiers; see ``core/README.md``.
+The plane is compiled from the :class:`CompiledScheme` construction
+artifact, and its results are **bit-identical** to
+:meth:`CompiledScheme.route_many`, the protocol-faithful Section-6
+replay kept as the oracle (``tests/core/test_dense_equivalence.py``):
+find-tree is the same select over the same rows; the protocol's path
+*is* the tree path (``tests/core/test_tree_path_invariant.py``); and
+edge weights are integers (``WeightedGraph.add_edge`` admits nothing
+else; checked at load), so every float64 partial sum is exact and the
+root-distance difference equals the replay's hop-order sum.  Same
+``RCRA`` container (``kind = "dense-routing"``) and
+``export_buffers()`` / ``attach()`` transport as the other artifacts;
+see ``core/README.md``.
 """
 
 from __future__ import annotations
@@ -87,11 +89,6 @@ _CHUNK_CELLS = 1 << 16
 _new_route = partial(tuple.__new__, CompiledRoute)
 
 
-def _as_list(values) -> list:
-    """A column as a plain list (a zero-copy attach hands out views)."""
-    return values if isinstance(values, list) else values.tolist()
-
-
 def _direct_table(sorted_keys, size: int):
     """Direct-address mirror of a sorted key column: ``table[key]`` is
     the key's row position (one gather replaces the searchsorted; the
@@ -134,7 +131,7 @@ class DenseRoutingPlane(_CompiledArtifact):
     #: ``dp_*`` are per-slot columns; ``sx_*`` the (tree, vertex) ->
     #: slot index; ``f_*`` the n*k find-tree rows;
     #: ``m_key``/``m_tslot``/``m_sslot`` the member pairs.  Sentinel:
-    #: ``-1`` = absent (matches the flat tier).
+    #: ``-1`` = absent (as in :class:`CompiledScheme`).
     _FIELDS = (
         ("dp_vertex", _INT),
         ("dp_parent_slot", _INT), ("dp_parent_w", _FLOAT),
@@ -160,9 +157,7 @@ class DenseRoutingPlane(_CompiledArtifact):
         self._derive()
         if _np is None:
             return
-        # One int64/float64 mirror per column.  Arrays straight off a
-        # zero-copy attach are already such views, so asarray is free
-        # there; materialized lists copy once at load.
+        # One int64/float64 mirror per column, copied once at load.
         npv = {}
         for name, typecode in self._FIELDS:
             dtype = _np.int64 if typecode == _INT else _np.float64
@@ -186,12 +181,11 @@ class DenseRoutingPlane(_CompiledArtifact):
         def bad(slot, why):
             return ArtifactError(f"dense plane slot {slot}: {why}")
         n = max(self._n, 1)
-        parent = _as_list(self._dp_parent_slot)
-        parent_w = _as_list(self._dp_parent_w)
+        parent = self._dp_parent_slot
+        parent_w = self._dp_parent_w
         num_slots = len(parent)
         tree = [-1] * num_slots
-        for key, slot in zip(_as_list(self._sx_key),
-                             _as_list(self._sx_slot)):
+        for key, slot in zip(self._sx_key, self._sx_slot):
             if not 0 <= slot < num_slots:
                 raise ArtifactError(
                     f"dense plane slot index names slot {slot}, out "
@@ -266,8 +260,8 @@ class DenseRoutingPlane(_CompiledArtifact):
 
         Pure Python and numpy-free on purpose: the compile is offline
         (pay once, serve forever) and must run on the stdlib-only CI
-        job.  Every dict the flat tier rebuilds per process is resolved
-        *here*, once, into sorted composite-key arrays.
+        job.  Every dict :class:`CompiledScheme` rebuilds per load is
+        resolved *here*, once, into sorted composite-key arrays.
         """
         if not isinstance(compiled, CompiledScheme):
             raise ParameterError(
@@ -357,7 +351,7 @@ class DenseRoutingPlane(_CompiledArtifact):
         """Serve a batch of ``(source, target)`` queries.
 
         Same contract as :meth:`CompiledScheme.route_many` — results in
-        input order, bit-identical to the flat tier; a caller-supplied
+        input order, bit-identical to the flat oracle; a caller-supplied
         ``max_hops`` shorter than a route raises
         :class:`~repro.exceptions.HopBudgetError`.
         """

@@ -238,11 +238,14 @@ class RoutingScheme:
 
     # ------------------------------------------------------------------
     def compile(self):
-        """Flatten into a serve-side :class:`CompiledScheme` artifact.
+        """Flatten into the :class:`CompiledScheme` construction
+        artifact.
 
         The artifact is graph-detached, serializable via
         ``save``/``load``, and its routing decisions are bit-identical
-        to this live scheme (see :mod:`repro.core.compiled`).
+        to this live scheme (see :mod:`repro.core.compiled`); the
+        served :class:`~repro.core.DenseRoutingPlane` is compiled from
+        it.
         """
         from .compiled import CompiledScheme
         return CompiledScheme.from_scheme(self)

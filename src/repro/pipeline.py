@@ -10,10 +10,10 @@ queries.  :class:`SchemePipeline` separates them into explicit stages:
 ...          .params(k=2)
 ...          .seed(7)
 ...          .build())              # -> BuildReport (measured rounds etc.)
->>> compiled = built.pipeline.compile()   # -> CompiledScheme artifact
->>> compiled.save("scheme.cra")           # ship the tables, not the build
+>>> dense = built.pipeline.compile()      # -> DenseRoutingPlane artifact
+>>> dense.save("scheme.cra")              # ship the tables, not the build
 >>> with built.pipeline.serve(workers=4) as pool:   # scale out serving
-...     routes = pool.route_many(pairs)   # == compiled.route_many(pairs)
+...     routes = pool.route_many(pairs)   # == dense.route_many(pairs)
 
 Stages may be chained in any order before ``build()``; ``params()`` is
 the only mandatory one.  ``build()`` is cached — ``compile()`` and
@@ -252,29 +252,29 @@ class SchemePipeline:
                                   pipeline=self)
         return self._built
 
-    def compile(self, tier: str = "flat"):
-        """Build (if needed) and flatten into the serve-side artifact.
+    def compile(self, artifact: str = "dense"):
+        """Build (if needed) and compile the served artifact, the
+        :class:`~repro.core.DenseRoutingPlane`.
 
-        ``tier`` selects the artifact tier: ``"flat"`` (default) is the
-        :class:`~repro.core.CompiledScheme`; ``"dense"`` compiles that
-        further into a :class:`~repro.core.DenseRoutingPlane`, the
-        batch serving plane.  Both are cached independently, and
-        the dense tier reuses a cached flat compile.
+        ``compile("flat")`` returns the oracle instead: the
+        :class:`~repro.core.CompiledScheme` the plane is compiled from,
+        whose Section-6 replay the dense plane is held to.  Both are
+        cached.
         """
-        if tier == "flat":
-            if self._compiled is None:
-                self._compiled = self.build().scheme.compile()
-            return self._compiled
-        if tier == "dense":
+        if artifact == "dense":
             if self._compiled_dense is None:
                 from .core import DenseRoutingPlane
 
                 self._compiled_dense = DenseRoutingPlane.from_compiled(
-                    self.compile())
+                    self.compile("flat"))
             return self._compiled_dense
+        if artifact == "flat":
+            if self._compiled is None:
+                self._compiled = self.build().scheme.compile()
+            return self._compiled
         raise ParameterError(
-            f"unknown artifact tier {tier!r}; choose 'flat' or "
-            "'dense'")
+            f"unknown artifact {artifact!r}; compile() returns the "
+            "dense plane, compile('flat') the oracle")
 
     def compile_estimation(self) -> CompiledEstimation:
         """Build the sketches (if needed) and flatten them.
@@ -287,8 +287,7 @@ class SchemePipeline:
         return self._compiled_estimation
 
     def serve(self, workers: Optional[int] = None,
-              policy: str = "round-robin", kind: str = "routing",
-              tier: str = "flat", **pool_kwargs) -> "RouterPool":
+              kind: str = "routing") -> "RouterPool":
         """Compile (building if needed) and open a sharded serving pool.
 
         The final stage of the lifecycle: ``build() → compile() →
@@ -297,27 +296,25 @@ class SchemePipeline:
         ``route_many``/``estimate_many`` are bit-identical to the
         compiled artifact's own batch methods, served from ``workers``
         processes sharing one copy of the tables.  ``kind`` selects the
-        artifact: ``"routing"`` (default) or ``"estimation"``; ``tier``
-        picks the routing plane (``"flat"`` or ``"dense"``), exactly as
-        in :meth:`compile`.
+        artifact: ``"routing"`` (default, the dense plane) or
+        ``"estimation"``.
         """
         from .serving import RouterPool
 
         if kind == "routing":
-            artifact = self.compile(tier)
+            artifact = self.compile()
         elif kind == "estimation":
             artifact = self.compile_estimation()
         else:
             raise ParameterError(
                 f"unknown serve kind {kind!r}; choose 'routing' or "
                 "'estimation'")
-        return RouterPool(artifact, workers=workers, policy=policy,
-                          **pool_kwargs)
+        return RouterPool(artifact, workers=workers)
 
     def serve_async(self, workers: int = 0, kind: str = "routing",
                     max_batch: int = 128, max_wait_ms: float = 2.0,
-                    max_pending: int = 1024, tier: str = "flat",
-                    registry=None, **pool_kwargs) -> "RequestBroker":
+                    max_pending: int = 1024,
+                    registry=None) -> "RequestBroker":
         """Compile (building if needed) and front it with the async
         request broker — the streaming counterpart of :meth:`serve`.
 
@@ -342,11 +339,10 @@ class SchemePipeline:
                 "'estimation' or 'both'")
         router = estimator = None
         if kind in ("routing", "both"):
-            router = self.compile(tier)
+            router = self.compile()
         if kind in ("estimation", "both"):
             estimator = self.compile_estimation()
         return pooled_broker(router, estimator, workers=workers,
-                             pool_kwargs=pool_kwargs,
                              registry=registry,
                              max_batch=max_batch,
                              max_wait_ms=max_wait_ms,

@@ -142,7 +142,7 @@ def _tagged_serve(backend, method: str, generation: int):
 class RequestBroker:
     """Coalesce concurrent small requests into fused backend batches.
 
-    >>> broker = RequestBroker(router=compiled, max_batch=128,
+    >>> broker = RequestBroker(router=dense, max_batch=128,
     ...                        max_wait_ms=2.0)
     >>> async with broker:
     ...     route = await broker.route(3, 57)
@@ -152,9 +152,9 @@ class RequestBroker:
     ----------
     router:
         Anything with ``route_many(pairs)`` + ``validate_pairs(pairs)``
-        — a :class:`~repro.core.compiled.CompiledScheme` or a warm
-        :class:`~repro.serving.RouterPool`.  ``None`` disables the
-        route lane.
+        — the :class:`~repro.core.DenseRoutingPlane` or a warm
+        :class:`~repro.serving.RouterPool` over it.  ``None`` disables
+        the route lane.
     estimator:
         Same for ``estimate_many`` — a ``CompiledEstimation`` or an
         estimation pool.  ``None`` disables the estimate lane.
@@ -644,8 +644,7 @@ class RequestBroker:
 
 
 def pooled_broker(router=None, estimator=None, *, workers: int = 0,
-                  pool_kwargs: Optional[dict] = None, registry=None,
-                  **broker_kwargs) -> RequestBroker:
+                  registry=None, **broker_kwargs) -> RequestBroker:
     """Construct a broker, optionally over fresh ``RouterPool``s.
 
     The one place the wrap-in-pools-then-broker sequence lives (both
@@ -664,16 +663,13 @@ def pooled_broker(router=None, estimator=None, *, workers: int = 0,
     own = []
     try:
         if workers:
-            kwargs = dict(pool_kwargs or {})
-            if registry is not None:
-                kwargs.setdefault("registry", registry)
             if router is not None:
                 router = RouterPool(router, workers=workers,
-                                    role="route", **kwargs)
+                                    registry=registry)
                 own.append(router)
             if estimator is not None:
                 estimator = RouterPool(estimator, workers=workers,
-                                       role="estimate", **kwargs)
+                                       registry=registry)
                 own.append(estimator)
         return RequestBroker(router=router, estimator=estimator,
                              own=own, registry=registry,

@@ -16,10 +16,10 @@ shapes:
 
 Both modes draw their query pairs from seeded **pair mixes**
 (:data:`PAIR_MIXES`): ``uniform`` over all pairs, ``hotspot`` with
-Zipf-distributed sources (a few talkers dominate — the shape the
-``source-hash`` sharding policy exists for), and ``repeated`` cycling
-a small working set (cache-friendly; stresses coalescing dedup-free
-fast paths).  Seeded, so every run replays the same request sequence.
+Zipf-distributed sources (a few talkers dominate, so one fused window
+repeats sources and pairs), and ``repeated`` cycling a small working
+set (cache-friendly; stresses coalescing dedup-free fast paths).
+Seeded, so every run replays the same request sequence.
 
 Targets are duck-typed: anything with ``route_batch`` /
 ``estimate_batch`` coroutines — an in-process

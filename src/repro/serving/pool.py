@@ -1,14 +1,15 @@
 """`RouterPool`: process-parallel batch serving over one shared artifact.
 
-One pool = one compiled artifact + N persistent worker processes.  The
-artifact is shipped once through shared memory (``shared.py``), each call
-to :meth:`RouterPool.route_many` / :meth:`RouterPool.estimate_many`
-partitions the batch with a sharding policy (``sharding.py``), workers
-serve their shards with the *same* single-process batch methods the
-artifact already has, results travel back as packed columns
-(``columnar.py``), and the parent merges them in input order.  Because
-those batch methods are per-query deterministic, the merged output is
-bit-identical to calling the artifact directly — the contract pinned by
+One pool = one served artifact (the dense routing plane or the compiled
+estimation) + N persistent worker processes.  The artifact is shipped
+once through shared memory (``shared.py``), each call to
+:meth:`RouterPool.route_many` / :meth:`RouterPool.estimate_many` deals
+the batch round-robin into shards, workers serve their shards with the
+*same* single-process batch methods the artifact already has, results
+travel back as packed columns (``columnar.py``), and the parent merges
+them in input order.  Because those batch methods are per-query
+deterministic, the merged output is bit-identical to calling the
+artifact directly — the contract pinned by
 ``tests/serving/test_pool_equivalence.py``.
 
 Lifecycle: the pool is a context manager with deterministic shutdown —
@@ -47,8 +48,12 @@ from ..exceptions import ParameterError, ServingError
 from ..telemetry.registry import MetricsRegistry
 from ..telemetry.trace import maybe_span
 from . import columnar
-from .sharding import resolve_policy
 from .shared import ArtifactHandle, attach_from_init
+
+#: Shards each batch is dealt into per worker.  Workers pull shards off
+#: one shared queue, so oversharding both load-balances and *streams*:
+#: the parent decodes early shards while workers still serve later ones.
+_SHARDS_PER_WORKER = 4
 
 #: How long ``close()`` waits for workers to drain before terminating.
 _JOIN_TIMEOUT = 5.0
@@ -84,33 +89,44 @@ def _portable(exc: BaseException) -> BaseException:
                             f"{type(exc).__name__}): {exc}")
 
 
+def _check_served(artifact, what: str) -> None:
+    """Refuse anything but a served artifact.  The flat
+    :class:`CompiledScheme` is the dense plane's oracle, not a served
+    tier, so it gets its own message."""
+    if isinstance(artifact, CompiledScheme):
+        raise ParameterError(
+            f"{what} serves the dense plane, not a CompiledScheme "
+            "(the Section-6 oracle): pass "
+            "DenseRoutingPlane.from_compiled(scheme)")
+    if not isinstance(artifact, (DenseRoutingPlane, CompiledEstimation)):
+        raise ParameterError(
+            f"{what} serves compiled artifacts (DenseRoutingPlane/"
+            f"CompiledEstimation), got {type(artifact).__name__}")
+
+
 #: Task-queue control message marking an artifact hot-swap (the other
 #: control message is the plain ``None`` shutdown sentinel).
 _SWAP = "__swap__"
 
 
-def _serve_shards(artifact, shm, task_q, result_q) -> None:
+def _serve_shards(artifact, task_q, result_q) -> None:
     """Serve shard tasks until the ``None`` sentinel.  Every serving
     exception is shipped back as that shard's result — a failing shard
     fails one call, never the worker.
 
     A ``(_SWAP, swap_id, init)`` control message replaces the served
-    artifact in place: the worker attaches the new segment, drops the
-    old artifact, closes its old segment mapping and acks with
-    ``("swapped", pid, swap_id)``.  The parent enqueues one swap
+    artifact in place: the worker attaches the new segment and acks
+    with ``("swapped", pid, swap_id)``.  The parent enqueues one swap
     message per worker on the shared queue; a worker that already
     handled this ``swap_id`` re-enqueues the message (with a short
     sleep, so it does not immediately steal it back) for a sibling
     still waiting — every worker acks exactly once.
-
-    Returns ``(artifact, shm)`` — the *currently attached* pair, which
-    swaps may have changed — so the caller tears down the right one.
     """
     seen_swaps = set()
     while True:
         task = task_q.get()
         if task is None:
-            return artifact, shm
+            return
         if task[0] is _SWAP or task[0] == _SWAP:
             _tag, swap_id, init = task
             if swap_id in seen_swaps:
@@ -119,20 +135,11 @@ def _serve_shards(artifact, shm, task_q, result_q) -> None:
                 continue
             seen_swaps.add(swap_id)
             try:
-                new_artifact, new_shm = attach_from_init(init)
+                artifact = attach_from_init(init)
             except BaseException as exc:
                 result_q.put(("swap-err", os.getpid(),
                               (swap_id, _portable(exc))))
                 continue
-            old_shm = shm
-            # Drop the old artifact before closing its segment: its
-            # zero-copy arrays are views into the mapping.
-            artifact, shm = new_artifact, new_shm
-            del new_artifact
-            try:
-                old_shm.close()
-            except BufferError:  # pragma: no cover - stray view
-                pass
             result_q.put(("swapped", os.getpid(), swap_id))
             continue
         call_id, shard_id, method, pairs, kwargs = task
@@ -147,9 +154,7 @@ def _serve_shards(artifact, shm, task_q, result_q) -> None:
 
 def _worker_main(init, task_q, result_q) -> None:
     """Worker body: attach the shared artifact once, report readiness,
-    serve until the sentinel, then tear the mapping down in dependency
-    order (artifact first — its zero-copy arrays are views into the
-    segment — then the segment; the parent owns the unlink)."""
+    serve until the sentinel."""
     # The parent owns shutdown: on Ctrl-C the whole foreground process
     # group gets SIGINT, and workers dying mid-teardown with
     # KeyboardInterrupt tracebacks would race the parent's own
@@ -160,29 +165,20 @@ def _worker_main(init, task_q, result_q) -> None:
     except (ValueError, OSError):  # pragma: no cover - exotic platform
         pass
     try:
-        artifact, shm = attach_from_init(init)
+        artifact = attach_from_init(init)
     except BaseException as exc:
         result_q.put(("fatal", os.getpid(), _portable(exc)))
         return
     result_q.put(("ready", os.getpid(), None))
-    try:
-        # Swaps may have replaced the attached pair; tear down whatever
-        # is current at sentinel time.
-        artifact, shm = _serve_shards(artifact, shm, task_q, result_q)
-    finally:
-        del artifact
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - stray view alive
-            pass
+    _serve_shards(artifact, task_q, result_q)
 
 
 class RouterPool:
     """Serve ``route_many``/``estimate_many`` from N worker processes
     sharing one compiled artifact.
 
-    >>> with RouterPool(compiled, workers=4) as pool:
-    ...     routes = pool.route_many(pairs)      # == compiled.route_many(pairs)
+    >>> with RouterPool(dense, workers=4) as pool:
+    ...     routes = pool.route_many(pairs)      # == dense.route_many(pairs)
 
     Calls are thread-safe but serialized: one batch is in flight at a
     time (parallelism lives *inside* the batch); multi-threaded
@@ -191,8 +187,7 @@ class RouterPool:
     Parameters
     ----------
     artifact:
-        A :class:`CompiledScheme`, :class:`DenseRoutingPlane` or
-        :class:`CompiledEstimation`.
+        A :class:`DenseRoutingPlane` or :class:`CompiledEstimation`.
         Routing pools answer :meth:`route_many`, estimation pools
         :meth:`estimate_many`; asking the wrong kind raises
         :class:`~repro.exceptions.ParameterError`.
@@ -200,40 +195,19 @@ class RouterPool:
         Worker process count (default: ``os.cpu_count()``).  ``1`` is a
         real single-worker pool — useful for measuring pool overhead;
         for latency-sensitive small batches call the artifact directly.
-    policy:
-        Sharding policy name (see ``sharding.SHARDING_POLICIES``).
     start_method:
         ``multiprocessing`` start method (``None`` = platform default).
-    materialize:
-        Whether workers copy the attached arrays out into plain Python
-        lists (default ``True``).  The tables are small (KBs–MBs) and
-        list-backed serving is ~2x faster per route — and, more
-        importantly, produces plain-int results that pickle back to
-        the parent ~10x cheaper than numpy scalars.  ``False`` keeps
-        workers zero-copy on the shared segment: flat memory across
-        any number of workers, for artifacts too big to replicate.
-    shards_per_worker:
-        How many shards each batch is cut into per worker (default 4).
-        Workers pull shards off a shared queue, so oversharding both
-        load-balances and *streams*: the parent deserializes early
-        shards while workers still serve later ones.
     registry:
         Optional :class:`~repro.telemetry.MetricsRegistry` for the
         pool's dispatch/swap instruments (default: a private registry
-        per pool).  Two pools may share one registry — series are
-        disambiguated by the ``role`` label.
-    role:
-        Label value for this pool's metric series (default: ``route``
-        or ``estimate`` from the artifact kind).
+        per pool).  A routing and an estimation pool may share one
+        registry — series carry a ``role`` label, ``route`` or
+        ``estimate`` from the artifact kind.
     """
 
     def __init__(self, artifact, workers: Optional[int] = None,
-                 policy: str = "round-robin",
                  start_method: Optional[str] = None,
-                 materialize: bool = True,
-                 shards_per_worker: int = 4,
-                 registry: Optional[MetricsRegistry] = None,
-                 role: Optional[str] = None) -> None:
+                 registry: Optional[MetricsRegistry] = None) -> None:
         # State first, so close() is safe from any failure below.
         self._closed = False
         self._procs: List = []
@@ -252,34 +226,17 @@ class RouterPool:
         # itself is already parallel inside.
         self._serve_lock = threading.Lock()
 
-        if not isinstance(artifact, (CompiledScheme,
-                                     DenseRoutingPlane,
-                                     CompiledEstimation)):
-            raise ParameterError(
-                "RouterPool serves compiled artifacts "
-                "(CompiledScheme/DenseRoutingPlane/"
-                "CompiledEstimation), got "
-                f"{type(artifact).__name__}")
+        _check_served(artifact, "RouterPool")
         if workers is None:
             workers = os.cpu_count() or 1
         workers = int(workers)
         if workers < 1:
             raise ParameterError(
                 f"RouterPool needs at least one worker, got {workers}")
-        if shards_per_worker < 1:
-            raise ParameterError(
-                f"shards_per_worker must be >= 1, got "
-                f"{shards_per_worker}")
-        self._shards_per_worker = int(shards_per_worker)
-        self._materialize = materialize
         self._artifact = artifact
-        self._policy_name = policy
-        self._policy = resolve_policy(policy)
-        if role is None:
-            role = ("estimate" if isinstance(artifact,
-                                             CompiledEstimation)
-                    else "route")
-        self._role = str(role)
+        self._role = ("estimate" if isinstance(artifact,
+                                               CompiledEstimation)
+                      else "route")
         reg = registry if registry is not None else MetricsRegistry()
         self.registry = reg
         label = {"role": self._role}
@@ -322,8 +279,7 @@ class RouterPool:
             ) from None
         self._start_method = ctx.get_start_method()
         try:
-            self._handle = ArtifactHandle(artifact,
-                                          materialize=materialize)
+            self._handle = ArtifactHandle(artifact)
             self._task_q = ctx.Queue()
             self._result_q = ctx.Queue()
             for _ in range(workers):
@@ -344,10 +300,6 @@ class RouterPool:
     @property
     def workers(self) -> int:
         return len(self._procs)
-
-    @property
-    def policy(self) -> str:
-        return self._policy_name
 
     @property
     def start_method(self) -> str:
@@ -392,17 +344,16 @@ class RouterPool:
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
         return (f"RouterPool(workers={self.workers}, "
-                f"policy={self._policy_name!r}, "
                 f"start_method={self._start_method!r}, {state})")
 
     # -- serving -------------------------------------------------------
     def route_many(self, pairs: Sequence[Tuple[int, int]],
                    max_hops: Optional[int] = None) -> List:
-        """Sharded :meth:`CompiledScheme.route_many`; bit-identical,
+        """Sharded :meth:`DenseRoutingPlane.route_many`; bit-identical,
         input order preserved."""
         kwargs = {} if max_hops is None else {"max_hops": max_hops}
         return self._serve("_route_many_validated", pairs, kwargs,
-                           (CompiledScheme, DenseRoutingPlane))
+                           DenseRoutingPlane)
 
     def estimate_many(self, pairs: Sequence[Tuple[int, int]]
                       ) -> List[float]:
@@ -421,7 +372,7 @@ class RouterPool:
         """
         kwargs = {} if max_hops is None else {"max_hops": max_hops}
         return self._serve("_route_many_validated", pairs, kwargs,
-                           (CompiledScheme, DenseRoutingPlane),
+                           DenseRoutingPlane,
                            tag_generation=True)
 
     def estimate_many_tagged(self, pairs: Sequence[Tuple[int, int]]
@@ -439,7 +390,7 @@ class RouterPool:
         broker) does not re-validate every fused window."""
         kwargs = {} if max_hops is None else {"max_hops": max_hops}
         return self._serve("_route_many_validated", pairs, kwargs,
-                           (CompiledScheme, DenseRoutingPlane),
+                           DenseRoutingPlane,
                            validated=True)
 
     def _estimate_many_validated(self, pairs: Sequence[Tuple[int, int]]
@@ -457,7 +408,7 @@ class RouterPool:
         attributed to the artifact generation that actually served it."""
         kwargs = {} if max_hops is None else {"max_hops": max_hops}
         return self._serve("_route_many_validated", pairs, kwargs,
-                           (CompiledScheme, DenseRoutingPlane),
+                           DenseRoutingPlane,
                            validated=True, tag_generation=True)
 
     def _estimate_many_validated_tagged(
@@ -481,12 +432,8 @@ class RouterPool:
         # reduced capacity silently is worse than telling the caller.
         self._check_liveness()
         if not isinstance(self._artifact, required_cls):
-            wanted = "/".join(
-                c.__name__ for c in (
-                    required_cls if isinstance(required_cls, tuple)
-                    else (required_cls,)))
             raise ParameterError(
-                f"{method} needs a {wanted}; this pool "
+                f"{method} needs a {required_cls.__name__}; this pool "
                 f"serves a {type(self._artifact).__name__}")
         # Same validator, parent-side, *before* any dispatch: identical
         # exceptions to the single-process path, and workers only ever
@@ -525,19 +472,20 @@ class RouterPool:
 
     def _dispatch(self, method: str, pairs: Sequence,
                   kwargs: dict) -> List:
-        num_shards = len(self._procs) * self._shards_per_worker
-        shards = [idxs for idxs in
-                  self._policy(pairs, num_shards) if idxs]
+        # Round-robin: shard j serves input positions j, j + S, j + 2S...
+        # Any partition would do (results merge back by position), and
+        # this one balances every input distribution.
+        num_shards = min(len(pairs), len(self._procs) * _SHARDS_PER_WORKER)
         call_id = next(self._call_counter)
         self._m_dispatches.inc()
         self._m_pairs.inc(len(pairs))
-        self._m_shards.inc(len(shards))
-        for shard_id, idxs in enumerate(shards):
+        self._m_shards.inc(num_shards)
+        for shard_id in range(num_shards):
             self._task_q.put((call_id, shard_id, method,
-                              [pairs[i] for i in idxs], kwargs))
+                              pairs[shard_id::num_shards], kwargs))
         results: List = [None] * len(pairs)
         errors = {}
-        outstanding = len(shards)
+        outstanding = num_shards
         while outstanding:
             tag, key, payload = self._next_result()
             if tag in ("ready", "fatal"):  # late startup noise
@@ -549,9 +497,8 @@ class RouterPool:
             if tag == "err":
                 errors[shard_id] = payload
             else:
-                for i, res in zip(shards[shard_id],
-                                  columnar.decode_result(payload)):
-                    results[i] = res
+                results[shard_id::num_shards] = \
+                    columnar.decode_result(payload)
         if errors:
             # Deterministic pick: the failing shard holding the
             # earliest input positions (shards are emitted in order).
@@ -622,17 +569,8 @@ class RouterPool:
             raise ServingError("cannot swap a closed RouterPool")
         if self._poisoned is not None:
             raise ServingError(self._poisoned)
-        if not isinstance(artifact, (CompiledScheme,
-                                     DenseRoutingPlane,
-                                     CompiledEstimation)):
-            raise ParameterError(
-                "RouterPool.swap takes a compiled artifact "
-                "(CompiledScheme/DenseRoutingPlane/"
-                "CompiledEstimation), got "
-                f"{type(artifact).__name__}")
-        routing = (CompiledScheme, DenseRoutingPlane)
-        if isinstance(artifact, routing) != \
-                isinstance(self._artifact, routing):
+        _check_served(artifact, "RouterPool.swap")
+        if type(artifact) is not type(self._artifact):
             raise ParameterError(
                 f"cannot swap a {type(artifact).__name__} into a "
                 f"pool serving a {type(self._artifact).__name__}: "
@@ -646,8 +584,7 @@ class RouterPool:
             if self._closed:
                 raise ServingError("cannot swap a closed RouterPool")
             self._check_liveness()
-            new_handle = ArtifactHandle(artifact,
-                                        materialize=self._materialize)
+            new_handle = ArtifactHandle(artifact)
             # One rebind span per worker, finished as its ack arrives:
             # the parent-side observation of each worker's re-attach
             # window (enqueue of the swap message to that pid's ack).

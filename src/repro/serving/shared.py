@@ -1,13 +1,13 @@
 """Artifact transport: getting one compiled artifact into N workers.
 
-The pool pays for the artifact once and shares it.  The parent packs the
-artifact's flat arrays into one ``multiprocessing.shared_memory`` block
-(via ``CompiledScheme.export_buffers``); each worker attaches the block
-by name and rebuilds the artifact — with numpy as ``frombuffer`` views
-(zero copies of the payload, one physical copy of the tables total),
-without it through ``array.frombytes`` (one private copy per worker).
-Works under every start method: the init tuple is a name, a header
-dict and a flag.
+The pool pays for the artifact once and ships it once.  The parent packs
+the artifact's flat arrays into one ``multiprocessing.shared_memory``
+block (via ``export_buffers``); each worker attaches the block by name,
+decodes it into private Python lists (numpy ``frombuffer`` when
+importable, ``array.frombytes`` otherwise — list-backed serving is the
+fast layout for the kernels and returns plain ints that pickle back
+cheaply) and closes its mapping straight away.  Works under every start
+method: the init tuple is a name and a header dict.
 
 :class:`ArtifactHandle` owns the parent side (and the cleanup — the
 parent alone unlinks shared memory); :func:`attach_from_init` is the
@@ -31,13 +31,13 @@ class ArtifactHandle:
     error paths.
     """
 
-    def __init__(self, artifact, materialize: bool = True) -> None:
+    def __init__(self, artifact) -> None:
         buffers = artifact.export_buffers()
         shm = _shared_memory.SharedMemory(
             create=True, size=max(1, buffers.nbytes))
         shm.buf[:buffers.nbytes] = buffers.payload
         self._shm = shm
-        self.init: Tuple = (shm.name, buffers.header(), materialize)
+        self.init: Tuple = (shm.name, buffers.header())
 
     @property
     def shm_name(self) -> Optional[str]:
@@ -58,20 +58,20 @@ class ArtifactHandle:
 
 def attach_from_init(init: Tuple):
     """Worker-side attach: rebuild the serving artifact from an
-    :class:`ArtifactHandle` init tuple.
+    :class:`ArtifactHandle` init tuple, then close the mapping — the
+    artifact holds private copies, so nothing views the segment after.
 
-    Returns ``(artifact, shm)``; the worker must keep the
-    segment object alive for the artifact's lifetime (non-materialized
-    numpy arrays are views into its mapping) and close it only after
-    dropping the artifact.  Attaching registers the segment with the
-    resource tracker a second time, which is deliberately left alone:
-    every pool worker — forked *or* spawned — inherits the parent's
-    tracker (``spawn`` ships the tracker fd in its preparation data),
-    whose set-based cache deduplicates the registration, and the
-    parent's ``unlink`` removes it exactly once.  A worker-side
-    unregister would double-remove and make the tracker log
-    ``KeyError`` noise.
+    Attaching registers the segment with the resource tracker a second
+    time, which is deliberately left alone: every pool worker — forked
+    *or* spawned — inherits the parent's tracker (``spawn`` ships the
+    tracker fd in its preparation data), whose set-based cache
+    deduplicates the registration, and the parent's ``unlink`` removes
+    it exactly once.  A worker-side unregister would double-remove and
+    make the tracker log ``KeyError`` noise.
     """
-    name, header, materialize = init
+    name, header = init
     shm = _shared_memory.SharedMemory(name=name)
-    return attach_artifact(header, shm.buf, materialize), shm
+    try:
+        return attach_artifact(header, shm.buf)
+    finally:
+        shm.close()

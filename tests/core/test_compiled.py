@@ -351,7 +351,7 @@ class TestReportingDegenerates:
         from repro.graphs.generators import WeightedGraph
         compiled = (SchemePipeline().graph(WeightedGraph(1),
                                            name="one")
-                    .params(2).seed(1).compile())
+                    .params(2).seed(1).compile("flat"))
         # one vertex still owns a real table; averages are over n=1
         assert compiled.max_table_words() == \
             compiled.average_table_words()

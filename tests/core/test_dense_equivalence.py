@@ -15,7 +15,7 @@ as the vectorized engine.
 Also here: the hop-budget regression tests (a caller ``max_hops``
 running out must raise :class:`HopBudgetError` on *both* planes, while
 exact-length budgets succeed), and the dense artifact round trips
-(save/load, ``load_artifact`` dispatch, export/attach zero-copy).
+(save/load, ``load_artifact`` dispatch, export/attach).
 """
 
 import random
@@ -89,7 +89,7 @@ def tiers(request):
     """(CompiledScheme, DenseRoutingPlane) for one case."""
     name, factory, k, seed = request.param
     compiled = (SchemePipeline().graph(factory(), name=name)
-                .params(k).seed(seed).compile())
+                .params(k).seed(seed).compile("flat"))
     return compiled, DenseRoutingPlane.from_compiled(compiled)
 
 
@@ -276,7 +276,7 @@ class TestArtifactRoundTrip:
         assert_routes_equal(loaded.route_many(pairs),
                             compiled.route_many(pairs))
 
-    def test_export_attach_zero_copy(self, tiers):
+    def test_export_attach_round_trip(self, tiers):
         compiled, plane = tiers
         buffers = plane.export_buffers()
         attached = attach_artifact(buffers.header(), buffers.payload)
@@ -302,12 +302,13 @@ class TestConstructionErrors:
 
 
 def test_pool_serves_dense_plane():
-    """One light end-to-end check that the sharded pool accepts the
-    dense tier and stays bit-identical to in-process flat serving."""
+    """One light end-to-end check that the pipeline's pool serves the
+    dense plane bit-identically to the flat oracle in-process."""
     pipeline = (SchemePipeline().graph(grid(5, 5, seed=3), name="g")
                 .params(2).seed(3))
-    compiled = pipeline.compile()
+    assert isinstance(pipeline.compile(), DenseRoutingPlane)
+    compiled = pipeline.compile("flat")
     pairs = all_pairs(compiled.num_vertices)[:128]
-    with pipeline.serve(workers=1, tier="dense") as pool:
+    with pipeline.serve(workers=1) as pool:
         assert_routes_equal(pool.route_many(pairs),
                             compiled.route_many(pairs))

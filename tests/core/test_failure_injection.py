@@ -145,9 +145,9 @@ class TestRobustInputs:
 
 
 class TestCompiledTierFailures:
-    """The flat and dense serve-side tiers under the same discipline:
-    bad inputs and damaged artifacts must fail loudly and typed —
-    never segfault, hang, or serve garbage."""
+    """The flat oracle and the served dense plane under the same
+    discipline: bad inputs and damaged artifacts must fail loudly and
+    typed — never segfault, hang, or serve garbage."""
 
     @pytest.fixture(scope="class")
     def compiled(self, setup):
@@ -204,6 +204,37 @@ class TestCompiledTierFailures:
         blob = bytearray(path.read_bytes())
         blob[0] ^= 0xFF
         path.write_bytes(bytes(blob))
+        with pytest.raises(ArtifactError):
+            load_artifact(path)
+
+    @pytest.mark.parametrize("mangle", [
+        lambda header: {},
+        lambda header: [1, 2],
+        lambda header: dict(header, arrays=5),
+        lambda header: dict(header, arrays=[
+            row[:2] for row in header["arrays"]]),
+        lambda header: dict(header, arrays=[
+            [name, "x", count] for name, _tc, count in header["arrays"]]),
+    ], ids=["empty-object", "list", "arrays-not-a-list",
+            "two-element-row", "unknown-typecode"])
+    def test_malformed_header_fails_loudly(self, artifact, tmp_path,
+                                           mangle):
+        """A well-framed file whose JSON header has the wrong shape is
+        an ArtifactError, not a KeyError/TypeError/ValueError."""
+        import json
+        import struct
+        from repro.core import load_artifact
+        from repro.core.compiled import MAGIC
+        from repro.exceptions import ArtifactError
+        path = tmp_path / "artifact.cra"
+        artifact.save(path)
+        blob = path.read_bytes()
+        at = len(MAGIC) + 4
+        (length,) = struct.unpack_from("<Q", blob, at)
+        header = json.loads(blob[at + 8:at + 8 + length])
+        mangled = json.dumps(mangle(header)).encode()
+        path.write_bytes(blob[:at] + struct.pack("<Q", len(mangled))
+                         + mangled + blob[at + 8 + length:])
         with pytest.raises(ArtifactError):
             load_artifact(path)
 

@@ -31,7 +31,7 @@ CASES = TREE_ZOO + [
 def test_flat_route_is_the_tree_path(case):
     name, factory, k, seed = case
     flat = (SchemePipeline().graph(factory(), name=name)
-            .params(k).seed(seed).compile())
+            .params(k).seed(seed).compile("flat"))
     n = flat.num_vertices
     pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
     for route in flat.route_many(pairs):

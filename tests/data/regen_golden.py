@@ -40,7 +40,7 @@ PINNED_PAIRS = [(0, 24), (24, 0), (7, 7), (3, 12), (12, 3),
 def main() -> None:
     pipeline = (SchemePipeline().workload(WORKLOAD, N).params(K)
                 .seed(SEED))
-    compiled = pipeline.compile()
+    compiled = pipeline.compile("flat")
     estimation = pipeline.compile_estimation()
     compiled.save(HERE / SCHEME_FILE)
     estimation.save(HERE / ESTIMATION_FILE)

@@ -33,8 +33,10 @@ _cache = {}
 
 
 def build_case(case_id):
-    """Build (once) and return the case's compiled artifacts, the edge
-    batches, and the single-process expected outputs."""
+    """Build (once) and return the case's served artifacts (the dense
+    plane as ``compiled``, the estimation), the flat oracle the pool
+    must refuse, the edge batches, and the single-process expected
+    outputs."""
     if case_id in _cache:
         return _cache[case_id]
     _id, family, n, k, seed = next(
@@ -57,6 +59,7 @@ def build_case(case_id):
     case = {
         "id": case_id,
         "compiled": compiled,
+        "flat": pipeline.compile("flat"),
         "estimation": estimation,
         "n": actual_n,
         "batches": batches,

@@ -1,32 +1,29 @@
 """Cross-shard equivalence: the pool is bit-identical to in-process.
 
-The acceptance grid (ISSUE 4): ~10 seeded workloads × worker counts
-{1, 2, 4} × both sharding policies × numpy on/off — `RouterPool`
-output (routes, ports/paths, costs, estimates) must equal the
-single-process `route_many`/`estimate_many` down to the last bit,
-including empty batches, duplicate pairs and ``source == target``.
+The acceptance grid: ~10 seeded workloads × worker counts {1, 2, 4} ×
+numpy on/off — `RouterPool` output (routes, paths, costs, estimates)
+must equal the single-process `route_many`/`estimate_many` of the
+artifact it serves down to the last bit, including empty batches,
+duplicate pairs and ``source == target``.
 
 The numpy-off dimension runs two ways: here by patching the compiled
-module's numpy switch before forking (workers inherit the patched
-state), and for real in the CI no-numpy job, which uninstalls numpy
-and re-runs this whole directory.  There is one artifact transport
-(shared memory) and one result transport (columnar); what varies is
-the start method and whether the attach decodes through numpy.
+and dense modules' numpy switches before forking (workers inherit the
+patched state), and for real in the CI no-numpy job, which uninstalls
+numpy and re-runs this whole directory.  There is one artifact
+transport (shared memory), one result transport (columnar) and one
+partition (round-robin); what varies is the start method and whether
+the attach and the kernel run through numpy.
 """
 
 import pytest
 
 import repro.core.compiled as compiled_mod
+import repro.core.dense as dense_mod
 from repro.serving import RouterPool
-from repro.serving.sharding import (
-    available_policies,
-    shard_round_robin,
-    shard_source_hash,
-)
+from repro.serving.pool import _SHARDS_PER_WORKER
 
 from serving_cases import WORKLOAD_IDS, build_case
 
-POLICIES = available_policies()
 WORKERS = [1, 2, 4]
 
 
@@ -43,14 +40,11 @@ def _assert_routes_equal(got, want):
 
 class TestRoutingEquivalence:
 
-    @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("case_id", WORKLOAD_IDS)
-    def test_pool_bit_identical(self, case_id, workers, policy,
-                                start_method):
+    def test_pool_bit_identical(self, case_id, workers, start_method):
         case = build_case(case_id)
         with RouterPool(case["compiled"], workers=workers,
-                        policy=policy,
                         start_method=start_method) as pool:
             for name, pairs in case["batches"].items():
                 got = pool.route_many(pairs)
@@ -71,14 +65,11 @@ class TestRoutingEquivalence:
 
 class TestEstimationEquivalence:
 
-    @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("case_id", WORKLOAD_IDS)
-    def test_pool_bit_identical(self, case_id, workers, policy,
-                                start_method):
+    def test_pool_bit_identical(self, case_id, workers, start_method):
         case = build_case(case_id)
         with RouterPool(case["estimation"], workers=workers,
-                        policy=policy,
                         start_method=start_method) as pool:
             for name, pairs in case["batches"].items():
                 assert pool.estimate_many(pairs) == \
@@ -87,25 +78,25 @@ class TestEstimationEquivalence:
 
 class TestNoNumpyAttach:
     """The numpy-off half of the grid, via the inherited-state trick:
-    with the compiled module's numpy switch off, export and attach go
-    through the stdlib ``array`` path on both sides of the segment."""
+    with the compiled and dense modules' numpy switches off, export and
+    attach go through the stdlib ``array`` path on both sides of the
+    segment, and the workers' planes serve from the parent walk."""
 
     CASES = ["grid25-k2", "random30-k2", "cliques32-k3"]
 
     @pytest.fixture(autouse=True)
     def no_numpy(self, monkeypatch, fork_only):
         monkeypatch.setattr(compiled_mod, "_np", None)
+        monkeypatch.setattr(dense_mod, "_np", None)
 
     @pytest.mark.parametrize("case_id", CASES)
     def test_pool_bit_identical(self, case_id):
         case = build_case(case_id)
-        for policy in POLICIES:
-            with RouterPool(case["compiled"], workers=2,
-                            policy=policy,
-                            start_method="fork") as pool:
-                for name, pairs in case["batches"].items():
-                    assert pool.route_many(pairs) == \
-                        case["expected_routes"][name], (name, policy)
+        with RouterPool(case["compiled"], workers=2,
+                        start_method="fork") as pool:
+            for name, pairs in case["batches"].items():
+                assert pool.route_many(pairs) == \
+                    case["expected_routes"][name], name
         with RouterPool(case["estimation"], workers=2,
                         start_method="fork") as pool:
             assert pool.estimate_many(case["batches"]["random"]) == \
@@ -158,74 +149,20 @@ class TestConcurrentCallers:
         assert failures == []
 
 
-class TestWorkerLayoutKnobs:
-    """Non-default worker layouts stay bit-identical: zero-copy
-    (materialize=False) serving off the shared segment, and
-    oversharding turned off/up."""
+class TestShardBoundaries:
+    """A batch is dealt round-robin into at most ``workers × 4``
+    shards; batch sizes either side of that count stay bit-identical
+    and dispatch ``min(size, workers × 4)`` shards."""
 
-    def test_zero_copy_workers_bit_identical(self, start_method):
-        case = build_case("grid49-k3")
-        with RouterPool(case["compiled"], workers=2,
-                        materialize=False,
-                        start_method=start_method) as pool:
-            for name, pairs in case["batches"].items():
-                assert pool.route_many(pairs) == \
-                    case["expected_routes"][name], name
-        with RouterPool(case["estimation"], workers=2,
-                        materialize=False,
-                        start_method=start_method) as pool:
-            assert pool.estimate_many(case["batches"]["random"]) == \
-                case["expected_estimates"]["random"]
-
-    @pytest.mark.parametrize("shards_per_worker", [1, 2, 9])
-    def test_oversharding_bit_identical(self, shards_per_worker,
-                                        start_method):
+    def test_sizes_around_the_shard_count(self, start_method):
         case = build_case("random30-k2")
+        pairs = case["batches"]["random"]
+        want = case["expected_routes"]["random"]
+        shards = 2 * _SHARDS_PER_WORKER
         with RouterPool(case["compiled"], workers=2,
-                        shards_per_worker=shards_per_worker,
                         start_method=start_method) as pool:
-            for name, pairs in case["batches"].items():
-                assert pool.route_many(pairs) == \
-                    case["expected_routes"][name], name
-
-    def test_bad_shards_per_worker_rejected(self):
-        from repro.exceptions import ParameterError
-        case = build_case("random30-k2")
-        with pytest.raises(ParameterError, match="shards_per_worker"):
-            RouterPool(case["compiled"], workers=1,
-                       shards_per_worker=0)
-
-
-class TestShardingPolicies:
-    """Policies are partitions: disjoint, complete, deterministic."""
-
-    @pytest.mark.parametrize("policy_fn", [shard_round_robin,
-                                           shard_source_hash])
-    @pytest.mark.parametrize("num_shards", [1, 2, 4, 7])
-    def test_partition(self, policy_fn, num_shards):
-        pairs = [(i % 13, (3 * i) % 13) for i in range(101)]
-        shards = policy_fn(pairs, num_shards)
-        assert len(shards) == num_shards
-        flat = sorted(i for shard in shards for i in shard)
-        assert flat == list(range(len(pairs)))
-        # deterministic across calls (no salted hashing)
-        assert policy_fn(pairs, num_shards) == shards
-
-    def test_round_robin_balance(self):
-        shards = shard_round_robin([(0, 0)] * 100, 4)
-        assert [len(s) for s in shards] == [25, 25, 25, 25]
-
-    def test_source_hash_groups_sources(self):
-        pairs = [(u, v) for u in range(20) for v in range(5)]
-        shards = shard_source_hash(pairs, 4)
-        owner = {}
-        for shard_id, idxs in enumerate(shards):
-            for i in idxs:
-                u = pairs[i][0]
-                assert owner.setdefault(u, shard_id) == shard_id
-
-    def test_unknown_policy_rejected(self):
-        from repro.exceptions import ParameterError
-        case = build_case("grid25-k2")
-        with pytest.raises(ParameterError, match="sharding policy"):
-            RouterPool(case["compiled"], workers=1, policy="bogus")
+            for size in (shards - 1, shards, shards + 1):
+                before = pool.stats()["shards"]
+                assert pool.route_many(pairs[:size]) == want[:size]
+                assert pool.stats()["shards"] - before == \
+                    min(size, shards)

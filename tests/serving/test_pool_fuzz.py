@@ -54,15 +54,13 @@ def fuzz_case():
 
 class TestFuzzEquivalence:
 
-    @pytest.mark.parametrize("policy", ["round-robin", "source-hash"])
-    def test_route_many_fails_identically(self, fuzz_case, policy,
-                                          start_method):
+    def test_route_many_fails_identically(self, fuzz_case, start_method):
         compiled = fuzz_case["compiled"]
         n = fuzz_case["n"]
         rng = random.Random(0xC0FFEE)
         good_batch = fuzz_case["batches"]["random"][:40]
         expected_good = fuzz_case["expected_routes"]["random"][:40]
-        with RouterPool(compiled, workers=2, policy=policy,
+        with RouterPool(compiled, workers=2,
                         start_method=start_method) as pool:
             for trial in range(40):
                 size = rng.randrange(1, 30)

@@ -89,8 +89,8 @@ class TestShutdown:
 
     def test_constructor_failure_leaks_nothing(self, case):
         before = {p.pid for p in mp.active_children()}
-        with pytest.raises(ParameterError, match="sharding policy"):
-            RouterPool(case["compiled"], workers=2, policy="nope")
+        with pytest.raises(ParameterError, match="not a CompiledScheme"):
+            RouterPool(case["flat"], workers=2)
         with pytest.raises(ParameterError, match="at least one"):
             RouterPool(case["compiled"], workers=0)
         with pytest.raises(ParameterError, match="start method"):

@@ -12,7 +12,6 @@ import threading
 
 import pytest
 
-from repro.core import DenseRoutingPlane
 from repro.exceptions import ParameterError, ServingError
 from repro.pipeline import SchemePipeline
 from repro.serving import RouterPool
@@ -34,9 +33,9 @@ _variants = {}
 
 
 def build_variant(bump):
-    """A compiled scheme for the same grid with perturbed weights —
-    routes differ from the base case, so responses are attributable
-    to a generation by value."""
+    """A dense plane for the same grid with perturbed weights — routes
+    differ from the base case, so responses are attributable to a
+    generation by value."""
     if bump in _variants:
         return _variants[bump]
     base = SchemePipeline().workload("grid", 25).seed(3)
@@ -73,15 +72,18 @@ class TestSwapCorrectness:
             assert pool.generation == 2
             assert pool.route_many(pairs) == expected_for(gen2, pairs)
 
-    def test_swap_to_dense_tier(self, case, start_method):
-        pytest.importorskip("numpy")
-        pairs = case["batches"]["random"]
-        dense = DenseRoutingPlane.from_compiled(build_variant(1))
+    def test_swap_rejects_flat_oracle(self, case, start_method):
+        """The flat CompiledScheme is the dense plane's oracle, not a
+        served artifact: swapping it in is refused before any worker
+        hears of it, and the pool keeps serving generation 0."""
         with RouterPool(case["compiled"], workers=2,
                         start_method=start_method) as pool:
-            pool.swap(dense)
-            assert pool.route_many(pairs) == \
-                expected_for(build_variant(1), pairs)
+            with pytest.raises(ParameterError,
+                               match="not a CompiledScheme"):
+                pool.swap(case["flat"])
+            assert pool.generation == 0
+            assert pool.route_many(case["batches"]["random"]) == \
+                case["expected_routes"]["random"]
 
     def test_swap_unlinks_old_segment(self, case, start_method):
         with RouterPool(case["compiled"], workers=2,

@@ -1,8 +1,21 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import WORKLOADS, build_parser, main
+
+DATA = Path(__file__).parent / "data"
+
+
+def _fails(argv, capsys, match):
+    """Typed user errors are one ``repro: error:`` line on stderr and
+    exit status 2, never a traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: ") and match in err, err
+    assert "Traceback" not in err
 
 
 class TestParser:
@@ -117,14 +130,13 @@ class TestQueryServing:
                  "--pair", "24", "0", "--pair", "5", "5"]
         assert main(["query", artifact_path] + pairs) == 0
         single = capsys.readouterr().out
-        assert main(["query", artifact_path, "--workers", "2",
-                     "--policy", "source-hash"] + pairs) == 0
+        assert main(["query", artifact_path, "--workers", "2"]
+                    + pairs) == 0
         pooled = capsys.readouterr().out
         route_lines = [l for l in single.splitlines() if "route" in l]
         assert route_lines == \
             [l for l in pooled.splitlines() if "route" in l]
         assert "pool of 2 workers" in pooled
-        assert "source-hash" in pooled
 
     def test_query_batch_file_mode(self, artifact_path, tmp_path,
                                    capsys):
@@ -178,10 +190,9 @@ class TestTraffic:
                 "open_poisson", "coalescing_speedup"} <= set(record)
         assert record["closed_coalescing"]["requests"] == 20
 
-    def test_serve_rejects_duplicate_kinds(self, artifact_path):
-        import pytest
-        with pytest.raises(SystemExit, match="two routing"):
-            main(["serve", artifact_path, artifact_path])
+    def test_serve_rejects_duplicate_kinds(self, artifact_path, capsys):
+        _fails(["serve", artifact_path, artifact_path], capsys,
+               "two routing")
 
 
 class TestBuildServeSplit:
@@ -201,7 +212,7 @@ class TestBuildServeSplit:
         assert main(["query", str(artifact),
                      "--pairs-file", str(pairs)]) == 0
         out = capsys.readouterr().out
-        assert "kind=routing" in out
+        assert "kind=dense-routing" in out
         assert "route    0 -> 7" in out
         assert "served 3 queries" in out
 
@@ -242,22 +253,14 @@ class TestBuildServeSplit:
         assert "kind=estimation" in out
         assert "dist(0,7)" in out
 
-    def _fails(self, argv, capsys, match):
-        """Typed user errors are one ``repro: error:`` line on stderr
-        and exit status 2, never a traceback."""
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro: error: ") and match in err, err
-        assert "Traceback" not in err
-
     def test_query_rejects_garbage_file(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.cra"
         bogus.write_bytes(b"not an artifact")
-        self._fails(["query", str(bogus), "--pair", "0", "1"], capsys,
+        _fails(["query", str(bogus), "--pair", "0", "1"], capsys,
                     "magic")
 
     def test_query_rejects_missing_file(self, tmp_path, capsys):
-        self._fails(["query", str(tmp_path / "missing.cra"),
+        _fails(["query", str(tmp_path / "missing.cra"),
                      "--pair", "0", "1"], capsys, "missing.cra")
 
     def test_query_rejects_out_of_range_pair(self, tmp_path, capsys):
@@ -265,5 +268,27 @@ class TestBuildServeSplit:
         assert main(["build", "--graph", "grid", "--n", "25", "--k", "2",
                      "--out", str(artifact)]) == 0
         capsys.readouterr()
-        self._fails(["query", str(artifact), "--pair", "0", "99"],
+        _fails(["query", str(artifact), "--pair", "0", "99"],
                     capsys, "out of range")
+
+    def test_build_out_writes_the_golden_dense_plane(self, tmp_path,
+                                                     capsys):
+        """``--out`` writes the dense plane: the golden recipe's bytes
+        are the committed dense fixture's."""
+        artifact = tmp_path / "scheme.cra"
+        assert main(["build", "--graph", "grid", "--n", "25", "--k", "2",
+                     "--seed", "3", "--out", str(artifact)]) == 0
+        assert "kind=dense-routing" in capsys.readouterr().out
+        assert artifact.read_bytes() == \
+            (DATA / "golden_grid25_k2_dense.cra").read_bytes()
+
+    @pytest.mark.parametrize("command", ["query", "bench-traffic"])
+    def test_flat_artifact_is_refused(self, command, capsys):
+        """The flat CompiledScheme is the oracle, not a served
+        artifact; the message says how to write the dense plane."""
+        _fails([command, str(DATA / "golden_grid25_k2.cra")], capsys,
+               "repro build --out")
+
+    def test_serve_refuses_flat_artifact(self, capsys):
+        _fails(["serve", str(DATA / "golden_grid25_k2.cra"),
+                "--port", "0"], capsys, "repro build --out")

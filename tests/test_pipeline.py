@@ -51,6 +51,20 @@ class TestStagedConfiguration:
         assert compiled.num_vertices == pipeline.build().num_vertices
         assert pipeline.compile() is compiled
 
+    def test_compile_serves_dense_and_keeps_the_flat_oracle(self):
+        from repro.core import CompiledScheme, DenseRoutingPlane
+        pipeline = (SchemePipeline().workload("random", 24)
+                    .params(2).seed(1))
+        dense = pipeline.compile()
+        assert isinstance(dense, DenseRoutingPlane)
+        assert pipeline.compile("dense") is dense
+        flat = pipeline.compile("flat")
+        assert isinstance(flat, CompiledScheme)
+        pairs = [(s, t) for s in range(24) for t in range(24)]
+        assert dense.route_many(pairs) == flat.route_many(pairs)
+        with pytest.raises(ParameterError, match="unknown artifact"):
+            pipeline.compile("sparse")
+
     def test_estimation_path_skips_full_build(self):
         pipeline = (SchemePipeline().workload("random", 24)
                     .params(2).seed(1))
