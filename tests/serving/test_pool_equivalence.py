@@ -1,10 +1,12 @@
 """Cross-shard equivalence: the pool is bit-identical to in-process.
 
 The acceptance grid: ~10 seeded workloads × worker counts {1, 2, 4} ×
-numpy on/off — `RouterPool` output (routes, paths, costs, estimates)
-must equal the single-process `route_many`/`estimate_many` of the
-artifact it serves down to the last bit, including empty batches,
-duplicate pairs and ``source == target``.
+artifact as built or as loaded from its ``.cra`` file × numpy on/off —
+`RouterPool` output (routes, paths, costs, estimates) must equal the
+single-process `route_many`/`estimate_many` of the artifact it serves
+down to the last bit, including empty batches, duplicate pairs and
+``source == target``.  The loaded leg is the artifact `repro query` and
+`repro serve` hand the pool.
 
 The numpy-off dimension runs two ways: here by patching the compiled
 and dense modules' numpy switches before forking (workers inherit the
@@ -19,12 +21,23 @@ import pytest
 
 import repro.core.compiled as compiled_mod
 import repro.core.dense as dense_mod
+from repro.core import load_artifact
 from repro.serving import RouterPool
 from repro.serving.pool import _SHARDS_PER_WORKER
 
 from serving_cases import WORKLOAD_IDS, build_case
 
 WORKERS = [1, 2, 4]
+SOURCES = ["built", "loaded"]
+
+
+def _served(artifact, source, tmp_path):
+    """The artifact as built, or round-tripped through its file."""
+    if source == "built":
+        return artifact
+    path = tmp_path / "served.cra"
+    artifact.save(path)
+    return load_artifact(path)
 
 
 def _assert_routes_equal(got, want):
@@ -40,11 +53,14 @@ def _assert_routes_equal(got, want):
 
 class TestRoutingEquivalence:
 
+    @pytest.mark.parametrize("source", SOURCES)
     @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("case_id", WORKLOAD_IDS)
-    def test_pool_bit_identical(self, case_id, workers, start_method):
+    def test_pool_bit_identical(self, case_id, workers, source,
+                                start_method, tmp_path):
         case = build_case(case_id)
-        with RouterPool(case["compiled"], workers=workers,
+        artifact = _served(case["compiled"], source, tmp_path)
+        with RouterPool(artifact, workers=workers,
                         start_method=start_method) as pool:
             for name, pairs in case["batches"].items():
                 got = pool.route_many(pairs)
@@ -65,11 +81,14 @@ class TestRoutingEquivalence:
 
 class TestEstimationEquivalence:
 
+    @pytest.mark.parametrize("source", SOURCES)
     @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("case_id", WORKLOAD_IDS)
-    def test_pool_bit_identical(self, case_id, workers, start_method):
+    def test_pool_bit_identical(self, case_id, workers, source,
+                                start_method, tmp_path):
         case = build_case(case_id)
-        with RouterPool(case["estimation"], workers=workers,
+        artifact = _served(case["estimation"], source, tmp_path)
+        with RouterPool(artifact, workers=workers,
                         start_method=start_method) as pool:
             for name, pairs in case["batches"].items():
                 assert pool.estimate_many(pairs) == \
@@ -162,6 +181,20 @@ class TestShardBoundaries:
         with RouterPool(case["compiled"], workers=2,
                         start_method=start_method) as pool:
             for size in (shards - 1, shards, shards + 1):
+                before = pool.stats()["shards"]
+                assert pool.route_many(pairs[:size]) == want[:size]
+                assert pool.stats()["shards"] - before == \
+                    min(size, shards)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_shard_count_follows_workers(self, workers, start_method):
+        case = build_case("grid49-k3")
+        pairs = case["batches"]["random"]
+        want = case["expected_routes"]["random"]
+        shards = workers * _SHARDS_PER_WORKER
+        with RouterPool(case["compiled"], workers=workers,
+                        start_method=start_method) as pool:
+            for size in (1, shards - 1, shards, shards + 1, len(pairs)):
                 before = pool.stats()["shards"]
                 assert pool.route_many(pairs[:size]) == want[:size]
                 assert pool.stats()["shards"] - before == \
