@@ -57,7 +57,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..graphs import csr as _csr
-from ..graphs import recording as _recording
 from ..graphs.csr import csr_view, frontier_neighbors
 from ..graphs.shortest_paths import INF
 from ..graphs.virtual_graph import VirtualGraph
@@ -79,8 +78,8 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 #: pure predicates, which is all the paper's join rules are).  It must
 #: also be *antitone in the distance* (once a candidate is rejected,
 #: every farther candidate is too) — true of the paper's threshold
-#: rules (Eq. (11)/(14)) and relied on by the support-edge recording
-#: (:mod:`repro.graphs.recording`), which records only applied updates.
+#: rules (Eq. (11)/(14)) and what lets the dense kernel filter
+#: candidates before taking each group's minimum.
 JoinPredicate = Callable[[int, int, float], bool]
 
 
@@ -267,13 +266,10 @@ def nearest_source_exploration(graph: WeightedGraph,
                     cand_s[v] = su
                     cand_p[v] = u
         frontier = []
-        rec = _recording.active()
         for v in sorted(touched):
             dist[v] = cand_d[v]
             source_of[v] = cand_s[v]
             parent[v] = cand_p[v]
-            if rec is not None:
-                rec.commit(cand_p[v], v)
             cand_d[v] = INF
             frontier.append(v)
     rounds = congestion_rounds(per_iter_words, capacity_words)
@@ -437,9 +433,6 @@ def _multi_source_dense_rule(view, graph: WeightedGraph,
     * A rejected pair keeps its ``INF`` entry and every later
       (heavier) candidate re-fails the same fused compare, exactly as
       the reference's repeated predicate calls would.
-    * Because every surviving winner is applied, committing the
-      ``(via, target)`` pairs at the raw unit reproduces the bucketed
-      kernel's support transcript.
 
     Equivalence accounting mirrors the reference loop field by field:
     iteration-1 congestion is the source multiset's max multiplicity
@@ -474,7 +467,6 @@ def _multi_source_dense_rule(view, graph: WeightedGraph,
     per_iter_words: List[int] = []
     executed = 0
     max_live = 0
-    rec = _recording.active()
     for _ in range(iterations):
         if fr_r.size == 0:
             break
@@ -518,8 +510,6 @@ def _multi_source_dense_rule(view, graph: WeightedGraph,
             dist_m[b_r, b_t] = b_d
             par_m[b_r, b_t] = b_via
             _np.add.at(live, newly, 1)
-            if rec is not None:
-                rec.commit_pairs(zip(b_via.tolist(), b_t.tolist()))
             congestion = int(_np.bincount(b_t).max())
             # next frontier re-sorted by (row, vertex) for the
             # tie-break order
@@ -578,7 +568,6 @@ def _multi_source_bucketed(graph: WeightedGraph,
     per_iter_words: List[int] = []
     executed = 0
     max_live = 0
-    rec = _recording.active()
     for _ in range(iterations):
         if not frontier:
             break
@@ -632,12 +621,6 @@ def _multi_source_bucketed(graph: WeightedGraph,
                     continue
                 dv[s] = nd
                 pv[s] = via
-                if rec is not None:
-                    # only applied updates are support: a bucket
-                    # winner the dist/join checks reject stays
-                    # rejected when its edge gets heavier (the rule
-                    # is antitone in the distance)
-                    rec.commit(via, v)
                 changed.append(s)
             if changed:
                 frontier.append((v, changed))

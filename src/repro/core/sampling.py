@@ -10,7 +10,7 @@ the Claim-3 diagnostics the tests check:
 The paper's scheme breaks outright if ``A_{k-1}`` is empty (level ``k-1``
 clusters cover ``V``, terminating the find-tree loop), an event of
 constant probability only for tiny ``n``; we resample a bounded number of
-times and finally force one surviving vertex, recording that we did.
+times and finally force one surviving vertex, noting that we did.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ never changes.  This package closes the loop for live topologies:
   (weight updates, link failures, node failures) and classify the
   pending batch.
 * :class:`IncrementalBuilder` — turn a pending batch into a fresh
-  compiled artifact via the cheapest *provably sound* strategy
-  (``reuse`` / ``compile-only`` / ``full``), always
-  bit-identical to a from-scratch build on the mutated graph.
+  compiled artifact: a fingerprint cache hit (``reuse``) or a scratch
+  build (``full``), always bit-identical to a from-scratch build on
+  the mutated graph.
 * :class:`ArtifactRegistry` — generation-numbered ``.cra`` store with
   an atomic manifest (publish / pin / retire), the durable handoff to
   the serving side's hot-swap (``RouterPool.swap`` /

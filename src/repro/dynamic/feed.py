@@ -6,7 +6,7 @@ needs two things from the graph side:
 * a **mutation log** — what changed since the last successful rebuild,
   so the :class:`~repro.dynamic.IncrementalBuilder` can classify the
   batch (pure weight churn vs topology edits vs a no-op round trip)
-  and pick the cheapest sound rebuild strategy; and
+  and say why it rebuilt; and
 * a **canonical fingerprint** — a digest of the graph's *exact*
   serving-relevant state, used both for net-zero detection and as the
   artifact-cache / registry key.
@@ -75,13 +75,12 @@ class ChangeBatch:
     ``changes`` is the raw event log; ``net`` collapses it against the
     baseline (only edges whose effective state differs survive, as
     ``(u, v, base_weight_or_None, current_weight_or_None)``).  The
-    classification drives strategy selection:
+    classification (``topology_changed`` names a scratch rebuild's
+    fallback reason):
 
     * ``net_zero`` — every event cancelled out *without* topology
       edits: the graph state (including adjacency order) equals the
       baseline.
-    * ``increase_only`` — weight-only batch, every net change a strict
-      increase: the precondition of the commit-certificate fast path.
     * ``topology_changed`` — an add/remove appeared anywhere in the
       log.  Even a remove+re-add of the same edge counts: it moves the
       edge to the end of the adjacency order, which changes ports.
@@ -91,15 +90,13 @@ class ChangeBatch:
     net: Tuple[Tuple[int, int, Optional[int], Optional[int]], ...]
     topology_changed: bool
     net_zero: bool
-    increase_only: bool
 
     def __len__(self) -> int:
         return len(self.changes)
 
     def summary(self) -> str:
         kind = ("net-zero" if self.net_zero else
-                "topology" if self.topology_changed else
-                "increase-only" if self.increase_only else "weights")
+                "topology" if self.topology_changed else "weights")
         return f"{len(self.changes)} change(s), {len(self.net)} net, {kind}"
 
 
@@ -182,15 +179,9 @@ class TopologyFeed:
             if base != cur:
                 net.append((key[0], key[1], base, cur))
         topology = any(c.kind != "weight" for c in self._log)
-        net_zero = not net and not topology
-        increase_only = (not topology and bool(net) and
-                         all(base is not None and cur is not None
-                             and cur > base
-                             for _, _, base, cur in net))
         return ChangeBatch(changes=tuple(self._log), net=tuple(net),
                            topology_changed=topology,
-                           net_zero=net_zero,
-                           increase_only=increase_only)
+                           net_zero=not net and not topology)
 
     def mark_rebuilt(self, fingerprint: Optional[str] = None) -> None:
         """Reset the baseline to the current graph state (called by the

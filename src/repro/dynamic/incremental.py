@@ -1,12 +1,10 @@
-"""Incremental rebuilds: the cheapest *sound* path to a fresh artifact.
+"""Incremental rebuilds: a fingerprint cache in front of one scratch build.
 
 :class:`IncrementalBuilder` consumes the pending :class:`ChangeBatch`
 of a :class:`~repro.dynamic.TopologyFeed` and produces the same
 ``(CompiledScheme, DenseRoutingPlane)`` pair a from-scratch
 ``SchemePipeline.build()`` + ``compile()`` would produce on the mutated
-graph — **bit for bit**.  Three strategies, tried cheapest first, each
-with an explicit soundness argument; anything unproven falls back to a
-full rebuild (the fallback rate is tracked and reported honestly):
+graph — **bit for bit**.  Two strategies:
 
 ``reuse``
     The current fingerprint matches a cached build — either the batch
@@ -20,44 +18,19 @@ full rebuild (the fallback rate is tracked and reported honestly):
     parameters: equal fingerprint ⇒ a scratch build would be
     byte-identical to the cached one.
 
-``compile-only``
-    Weight increases confined to edges with **zero recorded commits**
-    in the previous build's support transcript (source detection
-    commits at its one rounding unit, ``eps / (2B)``, which no integer
-    increase leaves unmoved), with every recorded detection scale grid
-    unchanged.  The construction objects are reused untouched; only the
-    flat + dense artifacts are recompiled (compilation reads tree-parent
-    edge weights from the live graph, so the new weights land in the
-    tables).  *Sound because* every
-    relaxation the construction ever applied was committed to the
-    :class:`~repro.graphs.recording.SupportRecorder` at the kernel —
-    an edge with no commit anywhere was never a winning edge in any
-    exploration or detection, hence contributed no value and no
-    decision anywhere in the transcript, and a weight *increase* on a
-    never-winning edge cannot create a new winner retroactively in the
-    already-fixed transcript the scratch build would replay.  (The
-    scale-grid guard pins the one global weight-derived parameter:
-    each detection call's ``num_scales`` is the build's only consumer
-    of ``max_weight()``, so an increase that keeps every recorded
-    ``hop_bound -> num_scales`` pair unchanged — checked per grid, not
-    via the blunt "max weight unchanged" — leaves every round charge
-    as scratch would recompute it.)  Tree edges always carry commits
-    (tree parents arise from winning relaxations), so a certified edge
-    is never a tree edge and the reused scheme's structure is exactly
-    what scratch would rebuild.
-
 ``full``
-    Everything else, with the reason in ``fallback_reason``: a weight
-    decrease or an uncertified increase (the cluster phase must see the
-    new weights) and topology edits (failures, restores, node failures:
-    adjacency order and ports may shift).  A plain from-scratch build:
-    the forest is one column kernel, under a quarter of a build, so
-    reusing unchanged trees cannot pay for a second, splicing path
-    (``dynamic/README.md``).
+    Every cache miss: ``run_construction`` + ``compile()`` +
+    ``DenseRoutingPlane.from_compiled`` on the live graph, exactly the
+    scratch path.  ``fallback_reason`` names the batch class,
+    ``topology-changed`` (failures, restores, node failures: adjacency
+    order and ports may shift) or ``weights-changed``.  Nothing cheaper
+    is attempted: the forest is one column kernel, under a quarter of a
+    build, and no certificate that a weight change is invisible to the
+    build fires often enough to pay for itself (``dynamic/README.md``).
 
-Every strategy ends in the same place: a cache entry keyed by the new
-fingerprint holding construction + compiled artifacts + the support
-transcript, ready to be served, registered, or reused by a later flap.
+Either way the result is a cache entry keyed by the new fingerprint
+holding construction + compiled artifacts, ready to be served,
+registered, or reused by a later flap.
 """
 
 from __future__ import annotations
@@ -71,27 +44,34 @@ from ..core import DenseRoutingPlane
 from ..core.compiled import CompiledScheme
 from ..core.scheme_builder import ConstructionReport, run_construction
 from ..exceptions import ParameterError
-from ..graphs.recording import SupportRecorder, recording
-from ..sketches.source_detection import _scale_parameters
 from ..telemetry.registry import MetricsRegistry
 from ..telemetry.trace import maybe_span
 from .feed import ChangeBatch, TopologyFeed
 
 #: The strategies, cheapest first (also the order they are attempted).
-STRATEGIES = ("reuse", "compile-only", "full")
+STRATEGIES = ("reuse", "full")
+
+
+class _NoCertificate:
+    @staticmethod
+    def certifies_increase(u: int, v: int, old_w: int, new_w: int) -> bool:
+        return False
 
 
 @dataclass
 class BuildEntry:
-    """One fully built topology state: everything needed to serve it
-    or re-certify against it."""
+    """One fully built topology state: everything needed to serve it."""
 
     fingerprint: str
     construction: ConstructionReport
     compiled: CompiledScheme
     dense: DenseRoutingPlane
-    recorder: Optional[SupportRecorder]
-    max_weight: int
+    #: Certifies no weight change as invisible, which is the truth: no
+    #: build keeps a support transcript.  Kept only because
+    #: ``benchmarks/e2e/harness.py:514`` (``start_churn``) still reads
+    #: ``current.recorder.certifies_increase``; the harness revision
+    #: (ROADMAP item 1) removes it.
+    recorder = _NoCertificate()
 
     @property
     def rounds(self) -> int:
@@ -114,9 +94,8 @@ class RebuildReport:
     reused_clusters: int = 0
     rebuilt_clusters: int = 0
     #: Wall-clock seconds per rebuild stage (``classify`` — reading the
-    #: pending batch + fingerprint; ``certify`` — the increase
-    #: certification sweep, when attempted; ``construct`` — the chosen
-    #: strategy's build/compile body; ``install`` — cache + feed
+    #: pending batch + fingerprint; ``construct`` — the scratch
+    #: build/compile, on a cache miss; ``install`` — cache + feed
     #: baseline bookkeeping).  Stages sum to ~``duration_s``.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
 
@@ -149,19 +128,19 @@ class RebuildReport:
 
 
 class IncrementalBuilder:
-    """Rebuild the scheme after feed mutations, as cheaply as soundness
-    allows.
+    """Rebuild the scheme after feed mutations: a cache hit or a
+    scratch build.
 
     >>> feed = TopologyFeed(graph)
     >>> builder = IncrementalBuilder(feed, k=3, seed=7)
     >>> initial = builder.build()            # full build, cached
     >>> feed.update_edge_weight(4, 9, 60)
-    >>> report = builder.rebuild()           # picks a strategy
+    >>> report = builder.rebuild()           # "reuse" or "full"
     >>> report.strategy, report.compiled     # bit-identical to scratch
 
     Construction parameters are frozen at the builder (they are part of
-    the determinism argument — every strategy compares against "scratch
-    with these exact parameters").  ``cache_size`` bounds the
+    the determinism argument — a cached entry stands for "scratch with
+    these exact parameters").  ``cache_size`` bounds the
     fingerprint-keyed LRU of built states; churn that revisits a cached
     topology is served from it (the ``reuse`` strategy).
     """
@@ -280,97 +259,30 @@ class IncrementalBuilder:
             "cache_entries": len(self._cache),
         }
 
-    # -- strategy dispatch ----------------------------------------------
-    def _timed(self, stage_seconds: Optional[Dict[str, float]],
-               stage: str, fn, *args):
-        """Run ``fn`` and accumulate its wall clock under ``stage``."""
-        start = time.perf_counter()
-        try:
-            return fn(*args)
-        finally:
-            if stage_seconds is not None:
-                stage_seconds[stage] = (
-                    stage_seconds.get(stage, 0.0)
-                    + time.perf_counter() - start)
-
+    # -- strategies -----------------------------------------------------
     def _dispatch(self, batch: ChangeBatch, fp: str,
-                  stage_seconds: Optional[Dict[str, float]] = None):
+                  stage_seconds: Dict[str, float]):
         """Returns (strategy, entry, fallback_reason, cache_hit)."""
         cached = self._cache.get(fp)
         if cached is not None:
             self._cache.move_to_end(fp)
             return ("reuse", cached, None,
                     fp != self._current.fingerprint)
-
-        prev = self._current
-        if batch.topology_changed:
-            reason = "topology-changed"
-        elif batch.increase_only:
-            reason = self._timed(stage_seconds, "certify",
-                                 self._certify_increases, batch, prev)
-            if reason is None:
-                entry = self._timed(stage_seconds, "construct",
-                                    self._compile_only, prev, fp)
-                return ("compile-only", entry, None, False)
-        else:
-            reason = "weight-decrease-present"
-        entry = self._timed(stage_seconds, "construct",
-                            self._full_build, fp)
+        start = time.perf_counter()
+        entry = self._full_build(fp)
+        stage_seconds["construct"] = time.perf_counter() - start
+        reason = ("topology-changed" if batch.topology_changed
+                  else "weights-changed")
         return ("full", entry, reason, False)
 
-    def _certify_increases(self, batch: ChangeBatch,
-                           prev: BuildEntry) -> Optional[str]:
-        """None when every net increase is provably invisible to the
-        previous build transcript; otherwise the reason it is not."""
-        if prev.recorder is None:
-            return "no-support-transcript"
-        grids = prev.recorder.scale_grids
-        if grids:
-            # num_scales is the build's only max_weight() consumer:
-            # unchanged grids => every rounding unit and round charge
-            # is recomputed identically, whatever the new max weight
-            for hop_bound, num_scales in grids.items():
-                if _scale_parameters(self.feed.graph,
-                                     hop_bound) != num_scales:
-                    return f"scale-grid-changed-B{hop_bound}"
-        elif self.feed.graph.max_weight() != prev.max_weight:
-            # no recorded grids (transcript from an old build): fall
-            # back to the blunt max-weight pin
-            return "max-weight-changed"
-        for u, v, base, cur in batch.net:
-            if not prev.recorder.certifies_increase(u, v, base, cur):
-                return f"edge-({u},{v})-in-support"
-        return None
-
-    # -- strategy implementations ---------------------------------------
     def _full_build(self, fp: Optional[str] = None) -> BuildEntry:
         """``fp`` is the live graph's fingerprint when the caller has
         already hashed it (every rebuild has, to probe the cache)."""
-        recorder = SupportRecorder()
-        with recording(recorder):
-            construction = run_construction(self.feed.graph,
-                                            **self._params)
-        return self._entry(fp or self.feed.fingerprint(), construction,
-                           recorder, self.feed.graph.max_weight())
-
-    def _compile_only(self, prev: BuildEntry, fp: str) -> BuildEntry:
-        # Same construction objects; compile() is uncached by design,
-        # so both tiers pick up the live graph's new tree-parent
-        # weights.  The support transcript is unchanged too — the
-        # certified edges never appeared in it, so the replayed build
-        # would commit exactly the same pairs.
-        return self._entry(fp, prev.construction, prev.recorder,
-                           prev.max_weight)
-
-    @staticmethod
-    def _entry(fp: str, construction: ConstructionReport,
-               recorder: Optional[SupportRecorder],
-               max_weight: int) -> BuildEntry:
+        construction = run_construction(self.feed.graph, **self._params)
         compiled = construction.scheme.compile()
-        return BuildEntry(fingerprint=fp, construction=construction,
-                          compiled=compiled,
-                          dense=DenseRoutingPlane.from_compiled(compiled),
-                          recorder=recorder, max_weight=max_weight)
+        return BuildEntry(fingerprint=fp or self.feed.fingerprint(),
+                          construction=construction, compiled=compiled,
+                          dense=DenseRoutingPlane.from_compiled(compiled))
 
     def _install(self, entry: BuildEntry, strategy: str) -> None:
         self._cache[entry.fingerprint] = entry

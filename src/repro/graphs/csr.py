@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from . import recording as _recording
 from .weighted_graph import WeightedGraph
 
 try:  # vectorized kernel when numpy is present
@@ -134,7 +133,7 @@ def csr_view(graph: WeightedGraph) -> CSRView:
 # Frontier relaxation
 # ----------------------------------------------------------------------
 def relax_frontier(view: CSRView, dist_row, frontier: Sequence[int],
-                   weights=None, unit=None
+                   weights=None
                    ) -> Tuple[Sequence[int], Sequence[float],
                               Sequence[int]]:
     """One Bellman–Ford hop from ``frontier`` over ``view``.
@@ -149,9 +148,7 @@ def relax_frontier(view: CSRView, dist_row, frontier: Sequence[int],
     (first strict minimum over a sorted frontier scan).
 
     ``weights`` substitutes a parallel weight array (e.g. the rounded
-    weights of source detection), and ``unit`` declares the
-    rounding unit those weights were derived under (``None`` = raw) —
-    consumed only by support recording (:mod:`repro.graphs.recording`).
+    weights of source detection).
     """
     if weights is None:
         weights = view.weights
@@ -172,12 +169,8 @@ def relax_frontier(view: CSRView, dist_row, frontier: Sequence[int],
     if not cand:
         return (), (), ()
     targets = sorted(cand)
-    vias = [cand[t][1] for t in targets]
-    rec = _recording.active()
-    if rec is not None:
-        rec.commit_pairs(zip((int(v) for v in vias),
-                             (int(t) for t in targets)), unit)
-    return targets, [cand[t][0] for t in targets], vias
+    return (targets, [cand[t][0] for t in targets],
+            [cand[t][1] for t in targets])
 
 
 def _gather_edge_indices(starts, counts, total):

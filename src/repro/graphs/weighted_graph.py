@@ -118,12 +118,11 @@ class WeightedGraph:
         return graph
 
     def copy(self) -> "WeightedGraph":
-        """Return a deep copy of this graph."""
+        """Return a deep copy of this graph, adjacency order included
+        (that order defines ports and every first-scan tie-break)."""
         other = WeightedGraph(self._n)
-        for u in range(self._n):
-            for v, weight in self._adj[u].items():
-                if u < v:
-                    other.add_edge(u, v, weight)
+        other._adj = [dict(nbrs) for nbrs in self._adj]
+        other._num_edges = self._num_edges
         return other
 
     # ------------------------------------------------------------------

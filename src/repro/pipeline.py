@@ -88,7 +88,7 @@ class WorkloadInstance:
 
 
 def make_workload(name: str, n: int, seed: int = 0) -> WorkloadInstance:
-    """Instantiate a named workload, recording requested vs actual size."""
+    """Instantiate a named workload, noting requested vs actual size."""
     try:
         factory = WORKLOADS[name]
     except KeyError:

@@ -180,7 +180,7 @@ class BrokerMetrics:
             "repro_broker_swap_latency_seconds",
             "hot-swap duration (request to all-worker rebind)"))
 
-    # -- recording (event-loop thread only) ----------------------------
+    # -- observations (event-loop thread only) -------------------------
     def record_submit(self) -> None:
         self._submitted.inc()
 

@@ -83,7 +83,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..congest.bellman_ford import JoinRule
 from ..congest.bfs import BFSTree
 from ..exceptions import ParameterError
-from ..graphs import recording as _recording
 from ..graphs.csr import CSRView, csr_view, relax_frontier
 from ..graphs.shortest_paths import INF
 from ..graphs.weighted_graph import WeightedGraph
@@ -210,8 +209,8 @@ def _rule_keeps(rule: Optional[JoinRule], u: int, s: int, value) -> bool:
 
     Self-cells are always kept (callers seed the source's own entry
     unconditionally).  Applied only when estimates are materialized —
-    the propagation itself is never filtered, so recorded support and
-    round charges are those of the unfiltered detection.
+    the propagation itself is never filtered, so parents and round
+    charges are those of the unfiltered detection.
     """
     return rule is None or u == s or rule.accepts(u, s, value)
 
@@ -233,12 +232,6 @@ def detect_sources_reference(graph: WeightedGraph, sources: Sequence[int],
     n = graph.num_vertices
     height = bfs_tree.height if bfs_tree is not None else 0
     num_scales = _scale_parameters(graph, hop_bound)
-    rec = _recording.active()
-    if rec is not None:
-        # the scale grid is the build's only max-weight input: noting
-        # (B -> num_scales) lets the incremental builder certify weight
-        # increases that stay inside the same power-of-two band
-        rec.note_scale_grid(hop_bound, num_scales)
 
     estimate: List[Dict[int, float]] = [dict() for _ in range(n)]
     parent: List[Dict[int, Optional[int]]] = [dict() for _ in range(n)]
@@ -303,7 +296,7 @@ def _finest_unit(eps: float, hop_bound: int) -> float:
 
 
 def _advance_matrix_np(view: CSRView, dist, par, hop_bound: int,
-                       weights, sources, unit=None) -> None:
+                       weights, sources) -> None:
     """``hop_bound`` hops of the ``|V'| × n`` matrix, vectorized.
 
     One *union* frontier drives every row: relaxing a row from a vertex
@@ -348,7 +341,7 @@ def _advance_matrix_np(view: CSRView, dist, par, hop_bound: int,
             break
         if not live.all():
             # the parent pass below is the expensive half; restrict it
-            # (and the commit bookkeeping) to rows that improved
+            # to rows that improved
             cand = cand[live]
             mins = mins[live]
             cells = cells[live]
@@ -373,18 +366,13 @@ def _advance_matrix_np(view: CSRView, dist, par, hop_bound: int,
         grows = active[rows_i]
         dist[grows, targets[cols_i]] = mins[rows_i, cols_i]
         par[grows, targets[cols_i]] = vias[rows_i, cols_i]
-        rec = _recording.active()
-        if rec is not None:
-            rec.commit_pairs(
-                zip(vias[rows_i, cols_i].tolist(),
-                    targets[cols_i].tolist()), unit)
         touched = _np.zeros(targets.size, dtype=bool)
         touched[cols_i] = True
         frontier = targets[touched]        # targets ascending already
 
 
 def _advance_rows_py(view: CSRView, rows, parents, hop_bound: int,
-                     weights, sources, unit=None) -> None:
+                     weights, sources) -> None:
     """The same matrix advance on list rows (no-numpy fallback).
 
     Rows keep their own frontiers here: without vectorization the union
@@ -398,7 +386,7 @@ def _advance_rows_py(view: CSRView, rows, parents, hop_bound: int,
                 continue
             active = True
             targets, dists, vias = relax_frontier(view, rows[r], frontier,
-                                                  weights, unit=unit)
+                                                  weights)
             row = rows[r]
             par = parents[r]
             for idx, t in enumerate(targets):
@@ -436,9 +424,8 @@ def detect_sources(graph: WeightedGraph, sources: Sequence[int],
         Optional declarative cell filter (the middle-scale cluster
         rule): a final estimate cell ``(u, s)`` with ``u != s`` is kept
         only if the rule accepts it.  Applied as a masked compare when
-        materializing the estimate dictionaries; propagation, parents,
-        recorded support and round charges are those of the unfiltered
-        detection.
+        materializing the estimate dictionaries; propagation, parents
+        and round charges are those of the unfiltered detection.
 
     Bit-identical to :func:`detect_sources_reference` although it runs
     one rounding scale where the oracle sweeps all of them; see the
@@ -450,12 +437,6 @@ def detect_sources(graph: WeightedGraph, sources: Sequence[int],
     n = graph.num_vertices
     height = bfs_tree.height if bfs_tree is not None else 0
     num_scales = _scale_parameters(graph, hop_bound)
-    rec = _recording.active()
-    if rec is not None:
-        # the scale grid is the build's only max-weight input: noting
-        # (B -> num_scales) lets the incremental builder certify weight
-        # increases that stay inside the same power-of-two band
-        rec.note_scale_grid(hop_bound, num_scales)
 
     estimate: List[Dict[int, float]] = [dict() for _ in range(n)]
     parent: List[Dict[int, Optional[int]]] = [dict() for _ in range(n)]
@@ -480,7 +461,7 @@ def detect_sources(graph: WeightedGraph, sources: Sequence[int],
         par = _np.full((num_sources, n), -1, dtype=_np.int64)
         dist[_np.arange(num_sources), source_list] = 0.0
         _advance_matrix_np(view, dist, par, hop_bound, weights,
-                           source_list, unit=unit)
+                           source_list)
     else:
         raw = view.weights.tolist() if view.vectorized else view.weights
         weights = raw if unit is None \
@@ -490,7 +471,7 @@ def detect_sources(graph: WeightedGraph, sources: Sequence[int],
         for r, s in enumerate(source_list):
             dist[r][s] = 0.0
         _advance_rows_py(view, dist, par, hop_bound, weights,
-                         source_list, unit=unit)
+                         source_list)
 
     exact = mode == "exact"
     thr_arr = None

@@ -10,18 +10,14 @@ other evaluations of the same rules:
   opaque callback, i.e. the original dict-based loops;
 * the **bucketed kernel** — what the same build runs past
   ``_DENSE_CELL_LIMIT`` or without numpy: the comparison inline, once
-  per improving winner, carrying the support recording the reference
-  omits.
+  per improving winner.
 
 "Bit-identical" covers pivots, cluster members, values, parents,
 dropped counts, the full ledger round breakdown (wall-clock ``seconds``
-are explicitly *not* compared), beta, and — against the bucketed
-kernel — the recorded support transcript.  The grid runs the workload
+are explicitly *not* compared) and beta.  The grid runs the workload
 zoo with numpy on and off (CI re-executes the off case after
-uninstalling numpy) and with the support recorder on and off, and
-checks which of the two kernels served the build (by spying on them)
-plus the paper invariants (7)/(9)/(10)/(17) and ``IncrementalBuilder``
-compile-only certification on a weight-flap series.
+uninstalling numpy), and checks which of the two kernels served the
+build (by spying on them) plus the paper invariants (7)/(9)/(10)/(17).
 """
 
 import random
@@ -36,7 +32,6 @@ from repro.core import (
     compute_exact_clusters,
     sample_levels,
 )
-from repro.dynamic import IncrementalBuilder, TopologyFeed
 from repro.graphs import csr as csr_module
 from repro.graphs import (
     INF,
@@ -48,15 +43,8 @@ from repro.graphs import (
     star_of_paths,
     weighted_small_world,
 )
-from repro.graphs.recording import SupportRecorder, recording
-from repro.pipeline import make_workload
 from repro.sketches import source_detection as sd
 from repro.trees import tree_distance
-
-from tests.dynamic.test_incremental import (
-    assert_matches_scratch,
-    scratch_build,
-)
 
 
 # ----------------------------------------------------------------------
@@ -159,46 +147,24 @@ def test_vectorized_matches_reference(workload, k, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Recorder axis: the two kernels build the same system and record the
-# same support transcript, and recording does not perturb the build
+# Kernel axis: the dense kernel and the bucketed one build the same
+# system
 # ----------------------------------------------------------------------
-def recorded_build(graph, k, seed):
-    recorder = SupportRecorder()
-    with recording(recorder):
-        system = build_system(graph, k, seed=seed)
-    return system, recorder.snapshot()
-
-
 @pytest.mark.skipif(not csr_module.HAVE_NUMPY, reason="needs numpy")
 @pytest.mark.parametrize("workload,k", GRID,
                          ids=[f"{w}-k{k}" for w, k in GRID])
-def test_support_transcript_matches_bucketed(workload, k, monkeypatch,
-                                             kernel_calls):
+def test_dense_matches_bucketed(workload, k, monkeypatch, kernel_calls):
     """Same build, dense kernel vs the bucketed one it falls back to
     past the cell limit."""
     dense_calls, bucketed_calls = kernel_calls
     graph = WORKLOADS[workload]()
-    dense, dense_transcript = recorded_build(graph, k, seed=107)
+    dense = build_system(graph, k, seed=107)
     assert dense_calls and not bucketed_calls
     del dense_calls[:]
     monkeypatch.setattr(bf, "_DENSE_CELL_LIMIT", 0)
-    bucketed, bucketed_transcript = recorded_build(graph, k, seed=107)
+    bucketed = build_system(graph, k, seed=107)
     assert bucketed_calls and not dense_calls
     assert_systems_equal(dense, bucketed)
-    assert dense_transcript == bucketed_transcript
-
-
-RECORDER_SLICE = ["random-24", "dense-20", "grid-5x5", "cliques-4x6",
-                  "path-30"]
-
-
-@pytest.mark.parametrize("workload", RECORDER_SLICE)
-def test_recording_does_not_perturb_build(workload):
-    graph = WORKLOADS[workload]()
-    plain = build_system(graph, 3, seed=109)
-    with recording(SupportRecorder()):
-        recorded = build_system(graph, 3, seed=109)
-    assert_systems_equal(plain, recorded)
 
 
 # ----------------------------------------------------------------------
@@ -253,16 +219,14 @@ class TestNoNumpyFallback:
 @pytest.mark.skipif(not csr_module.HAVE_NUMPY, reason="needs numpy")
 @pytest.mark.parametrize("workload", NO_NUMPY_SLICE)
 @pytest.mark.parametrize("k", [2, 3])
-def test_support_transcript_matches_no_numpy_build(workload, k,
-                                                   monkeypatch):
+def test_numpy_build_matches_no_numpy_build(workload, k, monkeypatch):
     """The whole build without numpy (bucketed exploration *and*
-    list-row detection) records the transcript the numpy build does."""
+    list-row detection) is the numpy build."""
     graph = WORKLOADS[workload]()
-    fast, fast_transcript = recorded_build(graph, k, seed=137)
+    fast = build_system(graph, k, seed=137)
     monkeypatch.setattr(csr_module, "HAVE_NUMPY", False)
-    plain, plain_transcript = recorded_build(graph, k, seed=137)
+    plain = build_system(graph, k, seed=137)
     assert_systems_equal(fast, plain)
-    assert fast_transcript == plain_transcript
 
 
 # ----------------------------------------------------------------------
@@ -310,58 +274,3 @@ def test_invariants_on_vectorized_build(workload):
             d_tree = tree_distance(tree, graph.weight, center, v)
             assert d_tree <= (1 + eps) ** 4 * d + 1e-9
     assert approx.total_dropped == 0
-
-
-# ----------------------------------------------------------------------
-# IncrementalBuilder: compile-only certification parity on a flap series
-# (the support transcript the rule-driven kernel records must certify
-# exactly what the callback path's transcript certified)
-# ----------------------------------------------------------------------
-def _non_support_edge(graph, recorder, max_weight):
-    """An edge outside the support transcript whose weight can grow
-    without moving the graph's max weight."""
-    for u, v, w in sorted(graph.edges()):
-        key = (u, v) if u < v else (v, u)
-        if key not in recorder.units and w + 1 < max_weight:
-            return u, v, w
-    return None
-
-
-def test_compile_only_certification_on_flap_series():
-    graph = make_workload("random", 60, seed=5).graph
-    k = 2
-    feed = TopologyFeed(graph)
-    builder = IncrementalBuilder(feed, k=k, seed=5)
-    initial = builder.build()
-    assert initial.strategy == "initial"
-    assert_matches_scratch(initial, graph, k, 5)
-
-    entry = builder.current
-    assert entry.recorder is not None and len(entry.recorder) > 0
-    picked = _non_support_edge(graph, entry.recorder, entry.max_weight)
-    assert picked is not None, "workload has no certifiable spare edge"
-    u, v, w = picked
-
-    # increase on a non-support edge: certified invisible, compile-only
-    feed.update_edge_weight(u, v, w + 1)
-    report = builder.rebuild()
-    assert report.strategy == "compile-only", report.summary()
-    assert_matches_scratch(report, graph, k, 5)
-
-    # flap back: the previous fingerprint is cached
-    feed.update_edge_weight(u, v, w)
-    back = builder.rebuild()
-    assert back.strategy == "reuse"
-
-    # a decrease can mint new winners anywhere: never certified for
-    # compile-only, so the whole construction re-runs
-    for eu, ev, ew in sorted(graph.edges()):
-        if ew > 1:
-            feed.update_edge_weight(eu, ev, ew - 1)
-            break
-    else:
-        pytest.skip("all-unit workload")
-    drop = builder.rebuild()
-    assert drop.strategy == "full", drop.summary()
-    assert drop.fallback_reason == "weight-decrease-present"
-    assert_matches_scratch(drop, graph, k, 5)

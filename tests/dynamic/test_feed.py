@@ -131,7 +131,6 @@ class TestClassification:
     def test_clean_feed_is_net_zero(self, feed):
         batch = feed.pending()
         assert batch.net_zero and not batch.topology_changed
-        assert not batch.increase_only
         assert len(batch) == 0
 
     def test_flap_is_net_zero(self, feed, graph):
@@ -143,28 +142,26 @@ class TestClassification:
         assert len(batch.changes) == 2 and len(batch.net) == 0
         assert "net-zero" in batch.summary()
 
-    def test_increase_only(self, feed, graph):
+    def test_weight_only_batch(self, feed, graph):
         edges = list(graph.edges())[:3]
         for u, v, w in edges:
             feed.update_edge_weight(u, v, w + 2)
         batch = feed.pending()
-        assert batch.increase_only and not batch.topology_changed
+        assert not batch.net_zero and not batch.topology_changed
+        assert "weights" in batch.summary()
         assert len(batch.net) == 3
         for u, v, base, cur in batch.net:
             assert cur == base + 2
 
-    def test_decrease_breaks_increase_only(self, feed, graph):
+    def test_cancelled_change_drops_out_of_net(self, feed, graph):
         edges = list(graph.edges())[:2]
         (u1, v1, w1), (u2, v2, w2) = edges
         feed.update_edge_weight(u1, v1, w1 + 2)
-        feed.update_edge_weight(u2, v2, max(1, w2 + 1))
+        feed.update_edge_weight(u2, v2, w2 + 1)
         feed.update_edge_weight(u2, v2, w2)  # back: nets out
         batch = feed.pending()
-        assert batch.increase_only  # the surviving net change increases
-        feed.update_edge_weight(u1, v1, max(1, w1 - 1) if w1 > 1
-                                else w1 + 1)
-        if w1 > 1:
-            assert not feed.pending().increase_only
+        assert len(batch.changes) == 3
+        assert batch.net == ((u1, v1, w1, w1 + 2),)
 
     def test_topology_dominates(self, feed, graph):
         u, v, w = first_edge(graph)

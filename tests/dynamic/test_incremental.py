@@ -1,16 +1,20 @@
-"""IncrementalBuilder differential grid: every strategy must be
-bit-identical to a from-scratch ``SchemePipeline`` build on the mutated
-graph — one mutation at a time, and as a flap series that walks one
-builder through all three strategies.  The grid runs with and without
-numpy — CI re-executes this file after uninstalling numpy."""
+"""IncrementalBuilder differential grid: both strategies, a cache hit
+and a scratch build, must be bit-identical to a from-scratch
+``SchemePipeline`` build on an order-exact copy of the mutated graph —
+one mutation at a time, and as a flap series that walks one builder
+through both.  The grid runs with and without numpy — CI re-executes
+this file after uninstalling numpy."""
 
 import random
 
 import pytest
 
-import repro.core.approx_clusters as approx_clusters
-from repro.core import DenseRoutingPlane
-from repro.dynamic import STRATEGIES, IncrementalBuilder, TopologyFeed
+from repro.dynamic import (
+    STRATEGIES,
+    IncrementalBuilder,
+    TopologyFeed,
+    graph_fingerprint,
+)
 from repro.exceptions import DisconnectedGraphError
 from repro.pipeline import SchemePipeline, make_workload
 
@@ -22,7 +26,9 @@ def artifact_bytes(artifact):
 
 def scratch_build(graph, k, seed):
     """Ground truth: a cold pipeline run on a copy of the graph."""
-    pipe = SchemePipeline().graph(graph.copy()).params(k).seed(seed)
+    copy = graph.copy()
+    assert graph_fingerprint(copy) == graph_fingerprint(graph)
+    pipe = SchemePipeline().graph(copy).params(k).seed(seed)
     flat = pipe.compile("flat")
     dense = pipe.compile("dense")
     return flat, dense, pipe.build().rounds
@@ -41,13 +47,14 @@ def nth_edge(graph, i):
 
 
 # -- mutation scripts ---------------------------------------------------
-# Each receives the feed and returns the set of acceptable strategies.
+# Each receives the feed and returns the rebuild's expected fallback
+# reason: every one of them misses the cache.
 
 
 def jitter_one(feed):
     u, v, w = nth_edge(feed.graph, 5)
     feed.update_edge_weight(u, v, w + 3)
-    return {"full", "compile-only"}
+    return "weights-changed"
 
 
 def jitter_batch(count):
@@ -58,7 +65,7 @@ def jitter_batch(count):
         for i, (u, v, w) in enumerate(edges[:count]):
             delta = (i % 5) - 2 or 1  # mixed increases and decreases
             feed.update_edge_weight(u, v, max(1, w + delta))
-        return {"full", "compile-only"}
+        return "weights-changed"
     return mutate
 
 
@@ -66,10 +73,10 @@ def decrease_one(feed):
     for u, v, w in sorted(feed.graph.edges()):
         if w > 1:
             feed.update_edge_weight(u, v, w - 1)
-            return {"full"}
+            return "weights-changed"
     u, v, w = nth_edge(feed.graph, 0)  # all-unit graph: bump one up
     feed.update_edge_weight(u, v, w + 1)
-    return {"full", "compile-only"}
+    return "weights-changed"
 
 
 def remove_edge(feed):
@@ -79,7 +86,7 @@ def remove_edge(feed):
         if graph.is_connected():
             graph.add_edge(u, v, _w)
             feed.fail_edge(u, v)
-            return {"full"}
+            return "topology-changed"
         graph.add_edge(u, v, _w)
     pytest.skip("no removable edge keeps the graph connected")
 
@@ -93,7 +100,7 @@ def remove_readd(feed):
         if ok:
             feed.fail_edge(u, v)
             feed.restore_edge(u, v, w)
-            return {"full"}
+            return "topology-changed"
     pytest.skip("no removable edge keeps the graph connected")
 
 
@@ -103,16 +110,14 @@ def add_edge(feed):
         for v in graph.vertices():
             if u < v and not graph.has_edge(u, v):
                 feed.restore_edge(u, v, 4)
-                return {"full"}
+                return "topology-changed"
     pytest.skip("graph is complete")
 
 
 def bump_max_weight(feed):
     u, v, w = max(sorted(feed.graph.edges()), key=lambda e: e[2])
     feed.update_edge_weight(u, v, w * 2)
-    # scale grid may shift (forbidding compile-only) or stay inside the
-    # same power-of-two band (the sharper per-grid guard may certify)
-    return {"full", "compile-only"}
+    return "weights-changed"
 
 
 SCENARIOS = [
@@ -143,9 +148,10 @@ def test_rebuild_bit_identical_to_scratch(workload, n, k, seed, mutate):
     assert initial.strategy == "initial"
     assert_matches_scratch(initial, graph, k, seed)
 
-    expected = mutate(feed)
+    reason = mutate(feed)
     report = builder.rebuild()
-    assert report.strategy in expected, report.summary()
+    assert (report.strategy, report.fallback_reason) == ("full", reason), \
+        report.summary()
     assert_matches_scratch(report, graph, k, seed)
 
     # the feed baseline advanced: an immediate rebuild is a cache hit
@@ -156,104 +162,128 @@ def test_rebuild_bit_identical_to_scratch(workload, n, k, seed, mutate):
 
 
 # -- flap series ---------------------------------------------------------
-#: Workloads with edges the construction never commits (so compile-only
-#: has something to certify), one per parity of k: odd k adds the
-#: middle-level detection call to the large-scale one.  n = 200 is the
-#: harness's scale; the series there is its spike/restore pattern.
-FLAP_WORKLOADS = [("random", 200, 2, 5), ("geometric", 80, 3, 2)]
+#: One workload per parity of k (odd k adds the middle-level detection
+#: call to the large-scale one).  n = 200 is the harness's scale; the
+#: series there is its spike/restore pattern.  Each names an edge the
+#: construction's support recorder, since removed, certified as never
+#: winning a relaxation: an increase on it used to skip the
+#: construction, and is now a scratch build like any other cache miss.
+FLAP_WORKLOADS = [("random", 200, 2, 5, (8, 52)),
+                  ("geometric", 80, 3, 2, (0, 64))]
 FLAP_DELTA = 25
-SPARE_DELTA = 1   #: never-committed edges are heavy: little headroom
+SPARE_DELTA = 1
 FLAP_CYCLES = 2
 
 
-def pick_edges(graph, recorder):
-    """``(supported, spare)``: the first sorted edge the construction
-    committed as a winner (its spike can never certify, its restore is
-    a decrease — both halves of its flap must re-run the cluster
-    phase), and the first it never committed.  Neither is a heaviest
-    edge: a spike past the graph's maximum weight could move the
-    detection scale grids."""
-    supported = spare = None
-    heaviest = graph.max_weight()
-    for u, v, w in sorted(graph.edges()):
-        if recorder.certifies_increase(u, v, w, w + 1):
-            if w + SPARE_DELTA <= heaviest:
-                spare = spare or (u, v, w)
-        elif w + FLAP_DELTA <= heaviest:
-            supported = supported or (u, v, w)
-    assert supported and spare, "pick a workload with both kinds of edge"
-    return supported, spare
-
-
-@pytest.mark.parametrize("workload,n,k,seed", FLAP_WORKLOADS,
+@pytest.mark.parametrize("workload,n,k,seed,spare", FLAP_WORKLOADS,
                          ids=[f"{w}-{n}-k{k}"
-                              for w, n, k, _ in FLAP_WORKLOADS])
-def test_flap_series_over_every_strategy(workload, n, k, seed,
-                                         monkeypatch):
+                              for w, n, k, _, _ in FLAP_WORKLOADS])
+def test_flap_series_over_every_strategy(workload, n, k, seed, spare):
     graph = make_workload(workload, n, seed=seed).graph
     feed = TopologyFeed(graph)
-
-    detections = []
-    plain = approx_clusters.detect_sources
-
-    def counted(*args, **kwargs):
-        detections.append(None)
-        return plain(*args, **kwargs)
-
     # cache_size=1: the restore's fingerprint matches the evicted
     # baseline generation, so both flap halves must actually rebuild
     builder = IncrementalBuilder(feed, k=k, seed=seed, cache_size=1)
-    with monkeypatch.context() as patch:
-        patch.setattr(approx_clusters, "detect_sources", counted)
-        builder.build()
-    recorder = builder.current.recorder
-    # single-unit support: each detection call committed at its one
-    # rounding unit (the calls differ in eps, hence in unit) — a
-    # return of the scale sweep would record 12-15 units per call
-    rounded_units = {unit for bucket in recorder.units.values()
-                     for unit in bucket if unit is not None}
-    assert len(rounded_units) == len(detections) > 0
-    (su, sv, sw), (cu, cv, cw) = pick_edges(graph, recorder)
+    builder.build()
+    # neither flapped edge is a heaviest one: the series is weight
+    # churn, not a change of the graph's weight range
+    heaviest = graph.max_weight()
+    cu, cv = spare
+    cw = graph.weight(cu, cv)
+    su, sv, sw = next((u, v, w) for u, v, w in sorted(graph.edges())
+                      if w + FLAP_DELTA <= heaviest and (u, v) != spare)
 
-    def step(u, v, w, strategy):
+    def step(u, v, w):
         feed.update_edge_weight(u, v, w)
         report = builder.rebuild()
-        assert report.strategy == strategy, report.summary()
+        assert (report.strategy, report.fallback_reason) == \
+            ("full", "weights-changed"), report.summary()
         assert_matches_scratch(report, graph, k, seed)
         return report
 
     for _cycle in range(FLAP_CYCLES):
-        spike = step(su, sv, sw + FLAP_DELTA, "full")
-        assert spike.fallback_reason == f"edge-({su},{sv})-in-support"
-        restore = step(su, sv, sw, "full")
-        assert restore.fallback_reason == "weight-decrease-present"
+        step(su, sv, sw + FLAP_DELTA)
+        step(su, sv, sw)
 
-    # a spare edge's spike is certified from that support: the
-    # construction objects are reused, only the artifacts recompile
+    # the formerly certified edge: its increase re-runs the construction
     before = builder.current.construction
-    certified = step(cu, cv, cw + SPARE_DELTA, "compile-only")
-    assert certified.construction is before
-    # its restore is a decrease, which nothing certifies
-    step(cu, cv, cw, "full")
+    spiked = step(cu, cv, cw + SPARE_DELTA)
+    assert spiked.construction is not before
+    # cache_size=1 evicted the pre-spike entry, so the restore rebuilds
+    # too (with room in the cache it is a reuse — see
+    # test_formerly_certified_increase_is_full)
+    step(cu, cv, cw)
 
-    # an untouched feed (and, with room in the cache, a flap back to a
-    # built generation — TestReuseCache) is a reuse
+    # an untouched feed is a reuse
     again = builder.rebuild()
-    assert again.strategy == "reuse"
+    assert again.strategy == "reuse" and not again.cache_hit
     assert_matches_scratch(again, graph, k, seed)
 
-    assert remove_edge(feed) == {"full"}
+    assert remove_edge(feed) == "topology-changed"
     report = builder.rebuild()
     assert report.strategy == "full"
     assert report.fallback_reason == "topology-changed"
     assert_matches_scratch(report, graph, k, seed)
 
-    # dispatch counters: the series visited all three strategies, and
-    # every full build is one the steps above asked for
+    # dispatch counters: the series visited both strategies, and every
+    # full build is one the steps above asked for
     by_strategy = builder.stats()["by_strategy"]
-    assert by_strategy == {"initial": 1, "reuse": 1, "compile-only": 1,
-                           "full": 2 * FLAP_CYCLES + 2}
+    assert by_strategy == {"initial": 1, "reuse": 1,
+                           "full": 2 * FLAP_CYCLES + 3}
     assert set(by_strategy) - {"initial"} == set(STRATEGIES)
+
+
+#: More edges the removed support recorder certified (k = 2).
+FORMERLY_CERTIFIED = [("random", 60, 5, (8, 58)),
+                      ("random", 80, 3, (2, 22))]
+
+
+@pytest.mark.parametrize("workload,n,seed,edge", FORMERLY_CERTIFIED,
+                         ids=[f"{w}-{n}-k2"
+                              for w, n, _, _ in FORMERLY_CERTIFIED])
+def test_formerly_certified_increase_is_full(workload, n, seed, edge):
+    graph = make_workload(workload, n, seed=seed).graph
+    feed = TopologyFeed(graph)
+    builder = IncrementalBuilder(feed, k=2, seed=seed)
+    initial = builder.build()
+    u, v = edge
+    w = graph.weight(u, v)
+
+    feed.update_edge_weight(u, v, w + 1)
+    report = builder.rebuild()
+    assert (report.strategy, report.fallback_reason) == \
+        ("full", "weights-changed"), report.summary()
+    assert report.construction is not initial.construction
+    assert_matches_scratch(report, graph, 2, seed)
+
+    # flap back: the previous fingerprint is cached
+    feed.update_edge_weight(u, v, w)
+    back = builder.rebuild()
+    assert back.strategy == "reuse" and back.cache_hit
+    assert back.entry is initial.entry
+    assert_matches_scratch(back, graph, 2, seed)
+
+    # a decrease misses the cache like any other weight change
+    eu, ev, ew = next(e for e in sorted(graph.edges()) if e[2] > 1)
+    feed.update_edge_weight(eu, ev, ew - 1)
+    drop = builder.rebuild()
+    assert (drop.strategy, drop.fallback_reason) == \
+        ("full", "weights-changed"), drop.summary()
+    assert_matches_scratch(drop, graph, 2, seed)
+
+
+def test_harness_churn_edge_certificate_is_always_false():
+    """``benchmarks/e2e/harness.py`` (``start_churn``) picks its churn
+    edge through ``builder.current.recorder.certifies_increase``.  This
+    pins that read until the harness revision (ROADMAP item 1) drops
+    it; the test goes with ``BuildEntry.recorder`` then."""
+    graph = make_workload("grid", 36, seed=4).graph
+    builder = IncrementalBuilder(TopologyFeed(graph), k=2, seed=4,
+                                 cache_size=1)
+    builder.build()
+    recorder = builder.current.recorder
+    assert not any(recorder.certifies_increase(u, v, w, w + FLAP_DELTA)
+                   for u, v, w in graph.edges())
 
 
 class TestReuseCache:
@@ -271,7 +301,7 @@ class TestReuseCache:
         u, v, w = nth_edge(graph, 7)
         feed.update_edge_weight(u, v, w + 40)
         spike = builder.rebuild()
-        assert spike.strategy in ("compile-only", "full")
+        assert spike.strategy == "full"
         feed.update_edge_weight(u, v, w)
         restore = builder.rebuild()
         assert restore.strategy == "reuse" and restore.cache_hit
@@ -330,49 +360,6 @@ class TestNodeFailure:
         assert_matches_scratch(report, graph, 2, 1)
 
 
-class TestCompileOnly:
-
-    def test_certified_increase_skips_construction(self):
-        graph = make_workload("random", 80, seed=3).graph
-        feed = TopologyFeed(graph)
-        builder = IncrementalBuilder(feed, k=2, seed=3)
-        builder.build()
-        recorder = builder.current.recorder
-        certified = None
-        for u, v, w in sorted(graph.edges()):
-            if recorder.certifies_increase(u, v, w, w + 1):
-                certified = (u, v, w)
-                break
-        assert certified is not None, \
-            "seed produced no certifiable edge; pick another seed"
-        u, v, w = certified
-        construction_before = builder.current.construction
-        feed.update_edge_weight(u, v, w + 1)
-        report = builder.rebuild()
-        assert report.strategy == "compile-only", report.summary()
-        assert report.construction is construction_before
-        assert_matches_scratch(report, graph, 2, 3)
-
-    def test_uncertified_increase_falls_back(self):
-        graph = make_workload("random", 60, seed=3).graph
-        feed = TopologyFeed(graph)
-        builder = IncrementalBuilder(feed, k=2, seed=3)
-        builder.build()
-        recorder = builder.current.recorder
-        uncertified = None
-        for u, v, w in sorted(graph.edges()):
-            if not recorder.certifies_increase(u, v, w, w + 50):
-                uncertified = (u, v, w)
-                break
-        assert uncertified is not None
-        u, v, w = uncertified
-        feed.update_edge_weight(u, v, w + 50)
-        report = builder.rebuild()
-        assert report.strategy == "full"
-        assert report.fallback_reason == f"edge-({u},{v})-in-support"
-        assert_matches_scratch(report, graph, 2, 3)
-
-
 class TestStats:
 
     def test_counters_and_fallback_rate(self):
@@ -390,8 +377,6 @@ class TestStats:
         builder.rebuild()
         stats = builder.stats()
         assert stats["rebuilds"] == 2
-        # the jitter is compile-only if the transcript certifies it
-        # and a full build (with the reason) if not
-        full = stats["by_strategy"]["full"]
-        assert full + stats["by_strategy"]["compile-only"] == 2
-        assert stats["fallback_rate"] == pytest.approx(full / 2)
+        assert stats["by_strategy"] == {"initial": 1, "reuse": 0,
+                                        "full": 2}
+        assert stats["fallback_rate"] == 1.0

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.dynamic import TopologyFeed, graph_fingerprint
 from repro.exceptions import GraphError, InvalidWeightError
-from repro.graphs import WeightedGraph, validate_polynomial_weights
+from repro.graphs import WeightedGraph, csr_view, validate_polynomial_weights
+from repro.pipeline import WORKLOADS
 
 
 class TestConstruction:
@@ -79,6 +81,30 @@ class TestConstruction:
         assert not g.has_edge(1, 2)
         assert h.has_edge(1, 2)
         assert g == WeightedGraph.from_edges(3, [(0, 1, 2)])
+
+    @pytest.mark.parametrize("family", sorted(WORKLOADS))
+    def test_copy_preserves_adjacency_order(self, family):
+        # a failed-and-restored edge re-enters at the end of both
+        # endpoints' adjacency; the copy must keep that order, which
+        # defines ports and tie-breaks
+        g = WORKLOADS[family](40, 3)
+        assert graph_fingerprint(g.copy()) == graph_fingerprint(g)
+        feed = TopologyFeed(g)
+        u, v, w = next(iter(g.edges()))
+        feed.fail_edge(u, v)
+        feed.restore_edge(u, v, w)
+        h = g.copy()
+        for x in range(g.num_vertices):
+            assert list(h.neighbor_weights(x)) == \
+                list(g.neighbor_weights(x))
+        assert graph_fingerprint(h) == graph_fingerprint(g)
+        assert h.num_edges == g.num_edges
+        # the copy's derived caches are its own
+        view = csr_view(g)
+        h.remove_edge(u, v)
+        assert csr_view(g) is view
+        assert csr_view(h).num_directed_edges == \
+            view.num_directed_edges - 2
 
 
 class TestInspection:

@@ -191,8 +191,8 @@ class TestRebuildReportSchema:
                                      registry=registry)
         report = builder.build()
         assert report.strategy == "initial"
-        assert set(report.stage_seconds) <= {"classify", "certify",
-                                             "construct", "install"}
+        assert set(report.stage_seconds) <= {"classify", "construct",
+                                             "install"}
         assert "construct" in report.stage_seconds
         assert all(s >= 0 for s in report.stage_seconds.values())
 
@@ -211,6 +211,9 @@ class TestRebuildReportSchema:
                 if name.startswith("repro_rebuild_")} == {
             "repro_rebuild_strategy_total",
             "repro_rebuild_stage_seconds_total"}
-        assert {dict(labels)["strategy"] for labels in
-                fams["repro_rebuild_strategy_total"].samples} <= {
-            "initial", "reuse", "compile-only", "full"}
+        samples = [dict(labels) for labels in
+                   fams["repro_rebuild_strategy_total"].samples]
+        assert {labels["strategy"] for labels in samples} <= {
+            "initial", "reuse", "full"}
+        assert {labels["reason"] for labels in samples} <= {
+            "none", "topology-changed", "weights-changed"}
