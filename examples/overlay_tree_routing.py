@@ -16,6 +16,7 @@ import math
 import random
 
 from repro.core import build_forest_routing
+from repro.reference import build_forest_routing_reference
 from repro.trees import RootedTree
 
 N, NUM_TREES, SEED = 120, 5, 13
@@ -51,20 +52,26 @@ def main() -> None:
     print(f"  deepest local subtree: {report.max_subtree_depth} hops\n")
 
     print("Per-tree state (exact stretch-1 routing):")
-    for t, scheme in sorted(report.schemes.items()):
-        print(f"  tree {t}: {scheme.tree.size:>3} members, "
-              f"table <= {scheme.max_table_words()} words, "
-              f"label <= {scheme.max_label_words()} words, "
-              f"{len(scheme.splitters)} splitters")
+    cols = report.columns
+    for tid, t in enumerate(cols.tree_center):
+        rows = slice(cols.tree_start[tid], cols.tree_start[tid + 1])
+        print(f"  tree {t}: {trees[t].size:>3} members, "
+              f"table <= {max(cols.slot_table_words[rows])} words, "
+              f"label <= {max(cols.slot_label_words[rows])} words, "
+              f"{len(set(cols.t_splitter[rows]))} splitters")
 
+    # the per-vertex tables and labels, built eagerly by the reference
+    # builder with the same sample, route hop by hop
+    reference = build_forest_routing_reference(trees, N,
+                                               random.Random(SEED + 1))
     print("\nRouting checks (every routed path = the exact tree path):")
     checks = 0
-    for t, scheme in trees.items():
-        vertices = list(scheme.vertices())
-        routing = report.schemes[t]
+    for t, tree in trees.items():
+        vertices = list(tree.vertices())
+        routing = reference.schemes[t]
         for _ in range(50):
             a, b = rng.choice(vertices), rng.choice(vertices)
-            assert routing.route(a, b) == scheme.path_between(a, b)
+            assert routing.route(a, b) == tree.path_between(a, b)
             checks += 1
     print(f"  {checks} random (source, target) pairs verified across "
           f"{NUM_TREES} trees -- all exact")

@@ -7,10 +7,11 @@ arXiv:1602.02293), built on a CONGEST-model simulator.
 Quickstart
 ----------
 >>> from repro import build_routing_scheme, random_geometric
+>>> from repro.graphs import dijkstra_distances
 >>> graph = random_geometric(100, seed=7)
 >>> scheme = build_routing_scheme(graph, k=3, seed=7)
->>> route = scheme.route(0, 42)
->>> route.stretch <= 4 * 3 - 5 + 1.0
+>>> route = scheme.route_many([(0, 42)])[0]
+>>> route.weight / dijkstra_distances(graph, 0)[42] <= 4 * 3 - 5 + 1.0
 True
 
 What is served is the dense routing plane compiled from the same build:

@@ -58,7 +58,10 @@ def _report(stretches: List[Tuple[float, Tuple[int, int]]]
 
 def pairs_to_evaluate(num_vertices: int, sample: Optional[int],
                       seed: int = 0) -> List[Tuple[int, int]]:
-    """All ordered pairs, or a seeded sample of ``sample`` of them."""
+    """All ordered pairs, or a seeded sample of ``sample`` of them;
+    none when there are fewer than two vertices."""
+    if num_vertices < 2:
+        return []
     if sample is None:
         return [(u, v) for u in range(num_vertices)
                 for v in range(num_vertices) if u != v]
@@ -75,12 +78,12 @@ def pairs_to_evaluate(num_vertices: int, sample: Optional[int],
 def evaluate_routing(graph: WeightedGraph, scheme,
                      sample: Optional[int] = None,
                      seed: int = 0) -> StretchReport:
-    """Measured routing stretch of ``scheme.route`` over pairs.
+    """Measured routing stretch of ``scheme`` over pairs.
 
-    Schemes exposing a batch ``route_many(pairs)`` (the live paper
-    scheme and compiled artifacts) are served on that path — the routed
-    weights are bit-identical to per-call ``route``, so the report is
-    unchanged; baselines without it fall back to single calls.
+    Schemes exposing a batch ``route_many(pairs)`` — the paper's
+    scheme, which routes on its compiled replay, and the compiled
+    artifacts — are served on that path; baselines without it are
+    routed one ``route(u, v)`` call at a time.
     """
     pairs = pairs_to_evaluate(graph.num_vertices, sample, seed)
     route_many = getattr(scheme, "route_many", None)

@@ -37,8 +37,8 @@ class LP15Scheme:
     scheme: RoutingScheme
     params: SchemeParams
 
-    def route(self, source: int, target: int):
-        return self.scheme.route(source, target)
+    def route_many(self, pairs):
+        return self.scheme.route_many(pairs)
 
     def max_table_words(self) -> int:
         return self.scheme.max_table_words()

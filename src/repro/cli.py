@@ -411,17 +411,19 @@ def cmd_bench_traffic(args: argparse.Namespace) -> int:
 
 
 def cmd_route(args: argparse.Namespace) -> int:
-    built = _pipeline(args).build()
-    graph = built.scheme.graph
+    from .graphs import dijkstra_distances
+    pipeline = _pipeline(args)
+    graph = pipeline.build().scheme.graph
     print(f"workload={args.graph} n={graph.num_vertices}")
     source = args.source % graph.num_vertices
     target = args.target % graph.num_vertices
-    result = built.scheme.route(source, target)
+    result = pipeline.compile().route(source, target)
+    shortest = dijkstra_distances(graph, source)[target]
+    stretch = result.weight / shortest if shortest else 1.0
     print(f"route {source} -> {target}")
     print(f"  path    : {' -> '.join(map(str, result.path))}")
-    print(f"  weight  : {result.weight:.0f} "
-          f"(shortest {result.exact_distance:.0f})")
-    print(f"  stretch : {result.stretch:.3f} "
+    print(f"  weight  : {result.weight:.0f} (shortest {shortest:.0f})")
+    print(f"  stretch : {stretch:.3f} "
           f"(bound {max(1, 4 * args.k - 5)} + o(1))")
     print(f"  tree    : center {result.tree_center}, found at level "
           f"{result.found_level}")

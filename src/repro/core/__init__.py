@@ -19,20 +19,11 @@ from .approx_clusters import (
     build_approx_clusters,
 )
 from .tree_routing import (
-    DistributedTreeRouting,
     ForestRoutingReport,
-    build_distributed_tree_routing,
-    build_distributed_tree_routing_reference,
     build_forest_routing,
-    build_forest_routing_reference,
     sample_splitters,
 )
-from .routing_scheme import (
-    RouteResult,
-    RoutingScheme,
-    VertexLabel,
-    VertexTable,
-)
+from .routing_scheme import RoutingScheme
 from .distance_estimation import (
     DistanceEstimation,
     QueryResult,
@@ -70,17 +61,10 @@ __all__ = [
     "ApproxClusterSystem",
     "ApproxPivots",
     "build_approx_clusters",
-    "DistributedTreeRouting",
     "ForestRoutingReport",
-    "build_distributed_tree_routing",
-    "build_distributed_tree_routing_reference",
     "build_forest_routing",
-    "build_forest_routing_reference",
     "sample_splitters",
-    "RouteResult",
     "RoutingScheme",
-    "VertexLabel",
-    "VertexTable",
     "build_routing_scheme",
     "DistanceEstimation",
     "QueryResult",

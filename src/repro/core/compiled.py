@@ -2,18 +2,19 @@
 
 The paper's economics are: pay the near-optimal distributed
 *construction* cost once, then answer routing and distance queries from
-compact tables forever.  The live :class:`~.routing_scheme.RoutingScheme`
-is the construction-side object — it drags the graph, the cluster
-system, and the forest of tree schemes around, and serves one packet per
-Python call through nested dict walks.  This module flattens it:
+compact tables forever.  The :class:`~.routing_scheme.RoutingScheme` is
+the construction-side object — it drags the graph, the cluster system
+and the forest's columns around.  This module flattens it:
 
 * :class:`CompiledScheme` — the construction artifact: a flat-array,
   graph-detached copy of everything Algorithm 1 (find-tree) and the
   Section-6 in-tree forwarding protocol need: per-(tree, vertex) table
   rows, label rows, a deduplicated tree-label pool, the 4k-5
   member-label pairs, and the per-vertex word counts.  Produced by
-  ``RoutingScheme.compile()``; routing decisions are **bit-identical**
-  to the live scheme (``tests/core/test_compiled.py``).  It is not a
+  ``RoutingScheme.compile()``; its routing decisions are
+  **bit-identical** to the eager reference router of
+  :mod:`repro.reference`, built from the cluster system by the
+  per-subtree oracle (``tests/core/test_compiled.py``).  It is not a
   served tier: :class:`~.dense.DenseRoutingPlane` is compiled from it
   and serves, and its hop-by-hop :meth:`~CompiledScheme.route_many`
   replay is the oracle the dense plane is held to.
@@ -392,9 +393,8 @@ class _CompiledArtifact:
 class CompiledRoute(NamedTuple):
     """One served packet: what the compiled artifact can know.
 
-    Unlike the live :class:`~.routing_scheme.RouteResult` there is no
-    ``exact_distance`` — the artifact is graph-detached; stretch
-    harnesses supply their own Dijkstra oracle.  A ``NamedTuple`` (not
+    There is no exact distance — the artifact is graph-detached;
+    stretch harnesses supply their own Dijkstra oracle.  A ``NamedTuple`` (not
     a dataclass) because the serve path constructs one per query and
     tuple construction is several times cheaper.
     """
@@ -416,9 +416,10 @@ class CompiledScheme(_CompiledArtifact):
 
     Construct with :meth:`from_scheme` (or the convenience
     ``RoutingScheme.compile()``), persist with :meth:`save`, restore
-    with :meth:`load`.  All routing decisions replay the live scheme's
-    protocol bit for bit — the oracle the served
-    :class:`~.dense.DenseRoutingPlane` is compiled from and held to.
+    with :meth:`load`.  Routing replays the Section-6 protocol hop by
+    hop, bit for bit as the eager reference router does — the oracle
+    the served :class:`~.dense.DenseRoutingPlane` is compiled from and
+    held to.
     """
 
     kind = _KIND_ROUTING

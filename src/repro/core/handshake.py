@@ -24,17 +24,35 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..exceptions import SchemeError
-from ..graphs.shortest_paths import INF
+from ..graphs.shortest_paths import INF, dijkstra_distances
 from .distance_estimation import DistanceEstimation
-from .routing_scheme import RouteResult, RoutingScheme
+from .routing_scheme import RoutingScheme
 
 
 @dataclass
-class HandshakeRouteResult(RouteResult):
-    """A routed packet plus the handshake's distance estimate."""
+class HandshakeRouteResult:
+    """A routed packet, its measured quality and the handshake's
+    distance estimate."""
 
+    source: int
+    target: int
+    path: List[int]
+    weight: float
+    tree_center: Optional[int]
+    found_level: int
+    exact_distance: float
     estimate: float = INF
     candidate_trees: int = 0
+
+    @property
+    def stretch(self) -> float:
+        if self.exact_distance == 0:
+            return 1.0
+        return self.weight / self.exact_distance
+
+    @property
+    def hops(self) -> int:
+        return len(self.path) - 1
 
 
 class HandshakeRouter:
@@ -77,7 +95,11 @@ class HandshakeRouter:
         return scored
 
     def route(self, source: int, target: int) -> HandshakeRouteResult:
-        """Handshake, pick the best shared tree, route exactly in it."""
+        """Handshake, pick the best shared tree, route exactly in it.
+
+        Section-6 routing inside a tree is exact, so the route is the
+        chosen cluster tree's path between the endpoints.
+        """
         if source == target:
             return HandshakeRouteResult(
                 source=source, target=target, path=[source], weight=0.0,
@@ -89,23 +111,11 @@ class HandshakeRouter:
                 f"no shared tree for ({source}, {target}); the top "
                 "level should cover V")
         estimate, center = candidates[0]
-        tree_scheme = self.scheme.forest.schemes[center]
-        label = tree_scheme.label_of(target)
-        path = [source]
-        current = source
-        for _ in range(4 * self.scheme.graph.num_vertices + 4):
-            nxt = tree_scheme.next_hop(current, label)
-            if nxt is None:
-                break
-            path.append(nxt)
-            current = nxt
-        if current != target:
-            raise SchemeError(
-                f"handshake routing {source} -> {target} stuck at "
-                f"{current}")
-        weight = sum(self.scheme.graph.weight(a, b)
-                     for a, b in zip(path, path[1:]))
-        exact = self.scheme._exact_distance(source, target)
+        graph = self.scheme.graph
+        tree = self.scheme.clusters.clusters[center].tree()
+        path = tree.path_between(source, target)
+        weight = sum(graph.weight(a, b) for a, b in zip(path, path[1:]))
+        exact = dijkstra_distances(graph, source)[target]
         return HandshakeRouteResult(
             source=source, target=target, path=path, weight=weight,
             tree_center=center, found_level=-2, exact_distance=exact,

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..congest.metrics import CostLedger
-from ..congest.network import Network
 from ..graphs.weighted_graph import WeightedGraph
 from ..telemetry.trace import maybe_span
 from .approx_clusters import ApproxClusterSystem, build_approx_clusters
@@ -99,8 +98,7 @@ def run_construction(graph: WeightedGraph, k: int, seed: int = 0,
         {center: cluster.parent
          for center, cluster in clusters.clusters.items()},
         graph.num_vertices, random.Random(seed + 1),
-        bfs_tree=clusters.bfs_tree, port_of=Network(graph).port_of,
-        capacity_words=capacity_words)
+        bfs_tree=clusters.bfs_tree, capacity_words=capacity_words)
     forest_span.finish()
     ledger.merge(forest.ledger)
 

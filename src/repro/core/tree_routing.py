@@ -25,11 +25,11 @@ Both are fixed-width fields, and Remark 3 builds all cluster trees in
 one staggered pass.  So the builder here is one forest-wide kernel,
 :func:`build_forest_routing`, whose output is :class:`ForestColumns`:
 the integer columns a compiled artifact stores, in its slot order, with
-every size a sum over them.  The dataclasses below — what a vertex
-would hold — are views materialised from the columns on demand, for the
-live router, the handshake variant and the tests;
-:func:`build_distributed_tree_routing_reference` builds them directly,
-tree by tree, and is the oracle the columns are held to.
+every size a sum over them.  Production holds nothing else.  The
+per-vertex table and label objects live in :mod:`repro.reference`,
+built tree by tree by the per-subtree oracle
+``build_distributed_tree_routing_reference``; the tests hold the
+columns to them field by field.
 """
 
 from __future__ import annotations
@@ -39,31 +39,14 @@ import random
 import struct
 import time
 from array import array
-from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import add
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..congest.bfs import BFSTree
 from ..congest.metrics import CostLedger, pipelined_rounds
-from ..exceptions import RoutingLoopError, SchemeError
-from ..trees.interval_routing import (
-    TreeLabel,
-    TreeTable,
-    build_tree_routing,
-    interval_next_hop,
-)
 from ..trees.rooted import RootedTree, children_and_preorder, flat_core
-
-PortFunction = Callable[[int, int], int]
-
-
-def _default_port(u: int, v: int) -> int:
-    """Ports numbered by neighbor name ("port numbers may be assigned
-    by the routing process")."""
-    return v
-
 
 ParentMap = Dict[int, Optional[int]]     # {vertex: parent}, root ↦ None
 
@@ -80,159 +63,6 @@ def _rooted_maps(trees: Dict[int, TreeInput]
             for tree_id, tree in trees.items()}
 
 
-@dataclass(frozen=True)
-class GlobalEdgeEntry:
-    """One non-heavy ``T'`` edge on the root→v path, with its portal.
-
-    Crossing from splitter ``parent_splitter`` to child splitter
-    ``child_splitter`` means: walk (locally, inside the parent's subtree)
-    to ``portal`` using ``portal_label``, then take ``port`` to the child.
-    """
-
-    parent_splitter: int
-    child_splitter: int
-    portal: int
-    portal_label: TreeLabel
-    port: int
-
-    @property
-    def words(self) -> int:
-        return 4 + self.portal_label.words
-
-
-@dataclass(frozen=True)
-class DistTreeTable:
-    """Per-vertex table of the two-level scheme (``O(log n)`` words)."""
-
-    vertex: int
-    tree_parent: Optional[int]        # parent in T (None only at z)
-    tree_parent_port: Optional[int]
-    local: TreeTable                  # interval table inside T_w
-    splitter: int                     # w = root of this vertex's subtree
-    global_entry: int                 # a'_w
-    global_exit: int                  # b'_w
-    heavy_splitter: Optional[int]     # h'(w) in T'
-    heavy_portal: Optional[int]       # y' = parent of h'(w) in T
-    heavy_portal_label: Optional[TreeLabel]
-    heavy_portal_port: Optional[int]
-
-    @property
-    def words(self) -> int:
-        total = 2 + self.local.words + 3  # names/ports + local + intervals
-        if self.heavy_splitter is not None:
-            total += 3 + (self.heavy_portal_label.words
-                          if self.heavy_portal_label else 0)
-        return total
-
-
-@dataclass(frozen=True)
-class DistTreeLabel:
-    """Per-vertex label (``O(log^2 n)`` words)."""
-
-    vertex: int
-    local: TreeLabel                  # ℓ(v) inside T_w
-    global_entry: int                 # a'_{root(v)}
-    global_edges: Tuple[GlobalEdgeEntry, ...]
-
-    @property
-    def words(self) -> int:
-        return 2 + self.local.words + \
-            sum(entry.words for entry in self.global_edges)
-
-    def entry_from(self, splitter: int) -> Optional[GlobalEdgeEntry]:
-        """The ``T'`` edge leaving ``splitter`` on the root→v path.
-
-        Backed by a lazily built ``parent_splitter → entry`` map, so a
-        forwarding decision costs one dict probe instead of a linear
-        scan of ``global_edges``.  The map is not a dataclass field
-        (equality and ``replace`` see only the declared fields) and is
-        attached with ``object.__setattr__`` because the class is
-        frozen.
-        """
-        by_parent = getattr(self, "_by_parent", None)
-        if by_parent is None:
-            by_parent = {}
-            for entry in self.global_edges:
-                by_parent.setdefault(entry.parent_splitter, entry)
-            object.__setattr__(self, "_by_parent", by_parent)
-        return by_parent.get(splitter)
-
-
-class DistributedTreeRouting:
-    """Tables + labels for one tree under the Section-6 scheme."""
-
-    def __init__(self, tree: RootedTree,
-                 tables: Mapping[int, DistTreeTable],
-                 labels: Mapping[int, DistTreeLabel],
-                 splitters: List[int],
-                 max_subtree_depth: int) -> None:
-        self.tree = tree
-        self.tables = tables
-        self.labels = labels
-        self.splitters = splitters
-        self.max_subtree_depth = max_subtree_depth
-
-    def table_of(self, v: int) -> DistTreeTable:
-        return self.tables[v]
-
-    def label_of(self, v: int) -> DistTreeLabel:
-        return self.labels[v]
-
-    # ------------------------------------------------------------------
-    def next_hop(self, x: int, label: DistTreeLabel) -> Optional[int]:
-        """One forwarding decision (protocol of Section 6)."""
-        table = self.tables[x]
-        if label.vertex == x:
-            return None
-        if label.global_entry == table.global_entry:
-            # same T' subtree: plain local interval routing
-            return interval_next_hop(table.local, label.local)
-        if not table.global_entry <= label.global_entry <= \
-                table.global_exit:
-            # target lies outside w's T' subtree: climb toward the root
-            if table.tree_parent is None:
-                raise SchemeError(
-                    f"label {label.vertex} escapes tree at root {x}")
-            return table.tree_parent
-        # target is under some child of w in T'
-        entry = label.entry_from(table.splitter)
-        if entry is not None:
-            if x == entry.portal:
-                return entry.child_splitter
-            return interval_next_hop(table.local, entry.portal_label)
-        # heavy T' child: portal information lives in the table
-        if table.heavy_splitter is None:
-            raise SchemeError(
-                f"vertex {x} lacks heavy-splitter info for label "
-                f"{label.vertex}")
-        if x == table.heavy_portal:
-            return table.heavy_splitter
-        return interval_next_hop(table.local, table.heavy_portal_label)
-
-    def route(self, source: int, target: int,
-              max_hops: Optional[int] = None) -> List[int]:
-        """Full routed path (vertex list, inclusive).  Stretch 1."""
-        label = self.labels[target]
-        if max_hops is None:
-            max_hops = 4 * self.tree.size + 4
-        path = [source]
-        current = source
-        for _ in range(max_hops):
-            nxt = self.next_hop(current, label)
-            if nxt is None:
-                return path
-            path.append(nxt)
-            current = nxt
-        raise RoutingLoopError(
-            f"no arrival after {max_hops} hops ({source} -> {target})")
-
-    def max_table_words(self) -> int:
-        return max(t.words for t in self.tables.values())
-
-    def max_label_words(self) -> int:
-        return max(l.words for l in self.labels.values())
-
-
 def default_splitter_probability(n: int) -> float:
     """``γ/n`` with ``γ = sqrt(n)`` (single-tree setting of Theorem 7)."""
     return 1.0 / math.sqrt(max(n, 2))
@@ -242,150 +72,6 @@ def sample_splitters(num_vertices: int, probability: float,
                      rng: random.Random) -> Set[int]:
     """The global splitter sample ``U`` shared by all trees (Remark 3)."""
     return {v for v in range(num_vertices) if rng.random() < probability}
-
-
-def build_distributed_tree_routing_reference(
-        tree: RootedTree, splitters: Set[int],
-        port_of: Optional[PortFunction] = None) -> DistributedTreeRouting:
-    """Per-subtree oracle for the forest kernel.
-
-    The original construction, kept verbatim as the semantic reference:
-    it materializes a parent dict and a :class:`RootedTree` per splitter
-    subtree, runs :func:`build_tree_routing` on each, and assembles each
-    splitter's global label by walking ``T'`` root paths (quadratic in
-    ``|U|``).  The differential harness
-    (``tests/core/test_tree_routing_equivalence.py``) pins the views
-    and word counts of :class:`ForestColumns` to this one's, bit for bit.
-
-    ``splitters`` is the global sample ``U``; the tree root is always
-    added (``U(T) = (U ∩ V(T)) ∪ {z}``).
-    """
-    port_of = port_of or _default_port
-    z = tree.root
-    chosen = sorted((set(splitters) & set(tree.vertices())) | {z})
-
-    # --- decompose into subtrees T_w (top-down pass)
-    root_of: Dict[int, int] = {}
-    order = tree.dfs_order()  # deterministic DFS pre-order
-    chosen_set = set(chosen)
-    for v in order:
-        if v in chosen_set:
-            root_of[v] = v
-        else:
-            root_of[v] = root_of[tree.parent(v)]  # type: ignore[index]
-
-    local_parent: Dict[int, Dict[int, Optional[int]]] = {
-        w: {} for w in chosen}
-    for v in order:
-        w = root_of[v]
-        p = tree.parent(v)
-        local_parent[w][v] = p if (v != w) else None
-
-    local_schemes = {
-        w: build_tree_routing(RootedTree(w, parents), port_of=port_of)
-        for w, parents in local_parent.items()}
-    max_depth = max((local_schemes[w].tree.height() for w in chosen),
-                    default=0)
-
-    # --- virtual tree T' on the splitters
-    virtual_parent: Dict[int, Optional[int]] = {}
-    for w in chosen:
-        if w == z:
-            virtual_parent[w] = None
-        else:
-            virtual_parent[w] = root_of[tree.parent(w)]  # type: ignore
-    virtual_tree = RootedTree(z, virtual_parent)
-    v_entry, v_exit = virtual_tree.dfs_intervals()
-    v_heavy = virtual_tree.heavy_children()
-
-    # --- portals: for each splitter u with heavy T' child h, the real
-    # parent y of h (y ∈ T_u) plus y's local label and the crossing port
-    heavy_portal: Dict[int, Tuple[int, TreeLabel, int]] = {}
-    for u in chosen:
-        h = v_heavy[u]
-        if h is None:
-            continue
-        y = tree.parent(h)
-        assert y is not None and root_of[y] == u
-        heavy_portal[u] = (y, local_schemes[u].label_of(y),
-                           port_of(y, h))
-
-    # --- tables
-    tables: Dict[int, DistTreeTable] = {}
-    for v in tree.vertices():
-        w = root_of[v]
-        p = tree.parent(v)
-        portal = heavy_portal.get(w)
-        tables[v] = DistTreeTable(
-            vertex=v,
-            tree_parent=p,
-            tree_parent_port=None if p is None else port_of(v, p),
-            local=local_schemes[w].table_of(v),
-            splitter=w,
-            global_entry=v_entry[w],
-            global_exit=v_exit[w],
-            heavy_splitter=v_heavy[w],
-            heavy_portal=None if portal is None else portal[0],
-            heavy_portal_label=None if portal is None else portal[1],
-            heavy_portal_port=None if portal is None else portal[2],
-        )
-
-    # --- global labels per splitter, then propagated to subtrees
-    global_edges_of: Dict[int, Tuple[GlobalEdgeEntry, ...]] = {}
-    for u in chosen:
-        path = virtual_tree.path_to_root(u)[::-1]  # z ... u
-        entries: List[GlobalEdgeEntry] = []
-        for vi, wi in zip(path, path[1:]):
-            if v_heavy[vi] == wi:
-                continue
-            xi = tree.parent(wi)
-            assert xi is not None and root_of[xi] == vi
-            entries.append(GlobalEdgeEntry(
-                parent_splitter=vi, child_splitter=wi, portal=xi,
-                portal_label=local_schemes[vi].label_of(xi),
-                port=port_of(xi, wi)))
-        global_edges_of[u] = tuple(entries)
-
-    labels: Dict[int, DistTreeLabel] = {}
-    for v in tree.vertices():
-        w = root_of[v]
-        labels[v] = DistTreeLabel(
-            vertex=v,
-            local=local_schemes[w].label_of(v),
-            global_entry=v_entry[w],
-            global_edges=global_edges_of[w],
-        )
-
-    return DistributedTreeRouting(tree=tree, tables=tables, labels=labels,
-                                  splitters=chosen,
-                                  max_subtree_depth=max_depth)
-
-
-class LazyMap(Mapping):
-    """Read-only mapping over a fixed key set whose values are built by
-    ``make(key)`` on first access and kept."""
-
-    __slots__ = ("_keys", "_make", "_made")
-
-    def __init__(self, keys, make) -> None:
-        self._keys = keys          # any sized, iterable container
-        self._make = make
-        self._made: Dict[int, object] = {}
-
-    def __getitem__(self, key):
-        made = self._made
-        if key in made:
-            return made[key]
-        if key not in self._keys:
-            raise KeyError(key)
-        value = made[key] = self._make(key)
-        return value
-
-    def __iter__(self):
-        return iter(self._keys)
-
-    def __len__(self) -> int:
-        return len(self._keys)
 
 
 def _packed(values: List[int]) -> array:
@@ -421,15 +107,14 @@ class ForestColumns:
     per slot the table row (``t_*``) and the label row (``l_local``,
     ``l_ge_start : l_ge_end`` into the global-edge rows ``ge_*``), every
     local label a row of the deduplicated pool ``lp_*``.
-    ``slot_table_words`` / ``slot_label_words`` are the sizes of the
-    slot's :class:`DistTreeTable` / :class:`DistTreeLabel`,
-    ``tree_depth`` each tree's deepest local subtree, ``splitter_words``
-    the table + label words of all splitters (phase 2's payload).
+    ``slot_table_words`` / ``slot_label_words`` are the sizes, in words,
+    of the Section-6 table and label the slot's vertex holds for that
+    tree, ``tree_depth`` each tree's deepest local subtree,
+    ``splitter_words`` the table + label words of all splitters (phase
+    2's payload).
 
-    No column holds a port: the artifact stores none.  ``table_at`` /
-    ``label_at`` materialise one slot's dataclasses — equal field for
-    field to :func:`build_distributed_tree_routing_reference`'s — and
-    ask ``port_of`` then.
+    No column holds a port: the artifact stores none, and a forwarding
+    decision names the next-hop vertex.
     """
 
     def __init__(self) -> None:
@@ -442,68 +127,6 @@ class ForestColumns:
                                         "slot_label_words"):
             setattr(self, name, array("q"))
         self.splitter_words = 0
-
-    def _pool_label(self, vertex: int, index: int,
-                    port_of: PortFunction) -> TreeLabel:
-        rows = slice(self.lp_start[index], self.lp_start[index + 1])
-        return TreeLabel(
-            vertex=vertex, entry=self.lp_entry[index],
-            path_edges=tuple((w, child, port_of(w, child)) for w, child
-                             in zip(self.lp_w[rows], self.lp_child[rows])))
-
-    def table_at(self, s: int, port_of: PortFunction) -> DistTreeTable:
-        def port(u, v):              # an absent neighbor has no port
-            return None if v is None else port_of(u, v)
-
-        v = self.slot_vertex[s]
-        parent, local_parent, local_heavy, heavy, portal = (
-            None if x < 0 else x for x in (
-                self.t_parent[s], self.t_loc_parent[s],
-                self.t_loc_heavy[s], self.t_hsplit[s], self.t_hportal[s]))
-        return DistTreeTable(
-            vertex=v, tree_parent=parent, tree_parent_port=port(v, parent),
-            local=TreeTable(
-                vertex=v, parent=local_parent,
-                parent_port=port(v, local_parent),
-                heavy_child=local_heavy,
-                heavy_child_port=port(v, local_heavy),
-                entry=self.t_loc_entry[s], exit=self.t_loc_exit[s]),
-            splitter=self.t_splitter[s],
-            global_entry=self.t_gentry[s], global_exit=self.t_gexit[s],
-            heavy_splitter=heavy, heavy_portal=portal,
-            heavy_portal_label=None if heavy is None
-            else self._pool_label(portal, self.t_hlab[s], port_of),
-            heavy_portal_port=port(portal, heavy))
-
-    def label_at(self, s: int, port_of: PortFunction) -> DistTreeLabel:
-        v = self.slot_vertex[s]
-        return DistTreeLabel(
-            vertex=v, local=self._pool_label(v, self.l_local[s], port_of),
-            global_entry=self.t_gentry[s],
-            global_edges=tuple(
-                GlobalEdgeEntry(
-                    parent_splitter=self.ge_psplit[j],
-                    child_splitter=self.ge_csplit[j],
-                    portal=self.ge_portal[j],
-                    portal_label=self._pool_label(
-                        self.ge_portal[j], self.ge_plab[j], port_of),
-                    port=port_of(self.ge_portal[j], self.ge_csplit[j]))
-                for j in range(self.l_ge_start[s], self.l_ge_end[s])))
-
-    def scheme_of(self, tid: int, tree: RootedTree,
-                  port_of: PortFunction) -> DistributedTreeRouting:
-        """Tree ``tid`` as a :class:`DistributedTreeRouting` whose
-        tables and labels are built on first access."""
-        slot_of = self.slot_of[tid]
-        rows = slice(self.tree_start[tid], self.tree_start[tid + 1])
-        return DistributedTreeRouting(
-            tree=tree,
-            tables=LazyMap(
-                slot_of, lambda v: self.table_at(slot_of[v], port_of)),
-            labels=LazyMap(
-                slot_of, lambda v: self.label_at(slot_of[v], port_of)),
-            splitters=sorted(set(self.t_splitter[rows])),
-            max_subtree_depth=self.tree_depth[tid])
 
 
 def _forest_columns(trees: Dict[int, Tuple[int, ParentMap]],
@@ -719,38 +342,16 @@ def _forest_columns(trees: Dict[int, Tuple[int, ParentMap]],
     return cols
 
 
-def build_distributed_tree_routing(tree: RootedTree,
-                                   splitters: Set[int],
-                                   port_of: Optional[PortFunction] = None
-                                   ) -> DistributedTreeRouting:
-    """Construct the two-level scheme for one tree: a one-tree forest.
-
-    ``splitters`` is the global sample ``U``; the tree root is always
-    added (``U(T) = (U ∩ V(T)) ∪ {z}``).  Tables and labels are equal,
-    field for field, to :func:`build_distributed_tree_routing_reference`'s.
-    """
-    return _forest_columns(_rooted_maps({0: tree}), splitters).scheme_of(
-        0, tree, port_of or _default_port)
-
-
 @dataclass
 class ForestRoutingReport:
-    """The forest's schemes plus the Remark-3 round charge.
+    """The forest's columns plus the Remark-3 round charge."""
 
-    ``columns`` is what :func:`build_forest_routing` built; ``schemes``
-    is then a read-only mapping that materialises a tree's
-    :class:`DistributedTreeRouting` view of those columns on first
-    access.  The reference builder's report holds plain dicts of eager
-    schemes and no columns.
-    """
-
-    schemes: Mapping[int, DistributedTreeRouting]  # tree id -> scheme
+    columns: ForestColumns
     rounds: int
     ledger: CostLedger
     splitter_count: int
     max_subtree_depth: int
     max_overlap: int
-    columns: Optional[ForestColumns] = None
 
 
 def _shared_sample(trees: Dict[int, Tuple[int, ParentMap]],
@@ -808,7 +409,6 @@ def build_forest_routing(trees: Dict[int, TreeInput],
                          num_graph_vertices: int,
                          rng: random.Random,
                          bfs_tree: Optional[BFSTree] = None,
-                         port_of: Optional[PortFunction] = None,
                          capacity_words: int = 2,
                          gamma: Optional[float] = None
                          ) -> ForestRoutingReport:
@@ -817,66 +417,18 @@ def build_forest_routing(trees: Dict[int, TreeInput],
     Each tree is a :class:`RootedTree`, or the bare ``{vertex:
     parent}`` map of a tree rooted at its own id — what a cluster
     system holds, so a construction never builds tree objects.  The
-    result is :class:`ForestColumns`; ``report.schemes[tree_id]`` is a
-    view of them whose tables and labels are materialised on access
-    (and only then is ``port_of`` called).
+    result is :class:`ForestColumns` and the Remark-3 charge.
     """
     rooted = _rooted_maps(trees)
     splitters, s = _shared_sample(rooted, num_graph_vertices, rng, gamma)
     started = time.perf_counter()
     columns = _forest_columns(rooted, splitters)
     built_seconds = time.perf_counter() - started
-    port_of = port_of or _default_port
-
-    def view(center: int) -> DistributedTreeRouting:
-        tree = trees[center]
-        if not isinstance(tree, RootedTree):
-            tree = RootedTree(center, tree)
-        return columns.scheme_of(columns.tid_of[center], tree, port_of)
-
     max_depth = max(columns.tree_depth, default=0)
     ledger = _remark3_ledger(num_graph_vertices, s, max_depth,
                              columns.splitter_words, built_seconds,
                              bfs_tree, capacity_words)
-    return ForestRoutingReport(schemes=LazyMap(columns.tid_of, view),
-                               rounds=ledger.total_rounds, ledger=ledger,
-                               splitter_count=len(splitters),
-                               max_subtree_depth=max_depth, max_overlap=s,
-                               columns=columns)
-
-
-def build_forest_routing_reference(trees: Dict[int, RootedTree],
-                                   num_graph_vertices: int,
-                                   rng: random.Random,
-                                   bfs_tree: Optional[BFSTree] = None,
-                                   port_of: Optional[PortFunction] = None,
-                                   capacity_words: int = 2,
-                                   gamma: Optional[float] = None
-                                   ) -> ForestRoutingReport:
-    """:func:`build_forest_routing` over the per-subtree oracle builder.
-
-    Identical sampling and Remark-3 accounting, but one eager
-    :func:`build_distributed_tree_routing_reference` per tree and the
-    charges summed off its objects — what the differential harness
-    compares the columns' views and arithmetic against.
-    """
-    splitters, s = _shared_sample(_rooted_maps(trees), num_graph_vertices,
-                                  rng, gamma)
-    started = time.perf_counter()
-    schemes = {
-        tree_id: build_distributed_tree_routing_reference(
-            tree, splitters, port_of=port_of)
-        for tree_id, tree in trees.items()}
-    built_seconds = time.perf_counter() - started
-    max_depth = max((sch.max_subtree_depth for sch in schemes.values()),
-                    default=0)
-    splitter_words = sum(
-        sch.tables[w].words + sch.labels[w].words
-        for sch in schemes.values() for w in sch.splitters)
-    ledger = _remark3_ledger(num_graph_vertices, s, max_depth,
-                             splitter_words, built_seconds, bfs_tree,
-                             capacity_words)
-    return ForestRoutingReport(schemes=schemes,
+    return ForestRoutingReport(columns=columns,
                                rounds=ledger.total_rounds, ledger=ledger,
                                splitter_count=len(splitters),
                                max_subtree_depth=max_depth, max_overlap=s)

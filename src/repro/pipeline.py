@@ -53,7 +53,8 @@ from .graphs import (
 #: round ``n`` to their natural shapes; the actual size is reported via
 #: :class:`WorkloadInstance`.
 WORKLOADS: Dict[str, Callable[[int, int], WeightedGraph]] = {
-    "random": lambda n, seed: random_connected(n, 6.0 / n, seed=seed),
+    "random": lambda n, seed: random_connected(n, min(1.0, 6.0 / n),
+                                               seed=seed),
     "geometric": lambda n, seed: random_geometric(n, seed=seed),
     "grid": lambda n, seed: grid(max(2, int(n ** 0.5)),
                                  max(2, int(n ** 0.5)), seed=seed),

@@ -63,6 +63,16 @@ class TestStretchHarness:
         assert pairs_to_evaluate(10, 20, seed=5) == \
             pairs_to_evaluate(10, 20, seed=5)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_vertices_is_empty(self, n):
+        """No ordered pair of distinct vertices exists, so the sampler
+        returns none (instead of spinning or raising) and the report is
+        empty; no pair ever reaches the scheme."""
+        from repro.graphs import WeightedGraph
+        assert pairs_to_evaluate(n, 5) == []
+        assert evaluate_routing(WeightedGraph(n), None, sample=5) == \
+            StretchReport(0, 0.0, 0.0, 0.0, 0.0, None)
+
 
 class TestSizeAccounting:
     def test_measure_routing_sizes(self, graph, scheme):

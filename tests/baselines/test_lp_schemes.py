@@ -95,11 +95,10 @@ class TestLP15:
         scheme = build_lp15_scheme(graph, k=3, seed=5)
         bound = scheme.stretch_bound
         rng = random.Random(3)
-        for _ in range(150):
-            u, v = rng.randrange(50), rng.randrange(50)
-            if u == v:
-                continue
-            assert scheme.route(u, v).weight <= bound * ap[u][v] + 1e-9
+        pairs = [(u, v) for u, v in ((rng.randrange(50), rng.randrange(50))
+                                     for _ in range(150)) if u != v]
+        for (u, v), result in zip(pairs, scheme.route_many(pairs)):
+            assert result.weight <= bound * ap[u][v] + 1e-9
 
     def test_round_model_structure(self, graph):
         scheme = build_lp15_scheme(graph, k=3, seed=5)

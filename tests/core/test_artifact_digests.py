@@ -12,21 +12,28 @@ The file is regenerated only by ``tests/data/regen_digests.py``, and
 only when the bytes are *meant* to move.
 
 The builder that lands on them today works on integer columns; the
-last test here is the spy that keeps it so — a build and both compiles
-construct none of the per-vertex objects the columns replaced.
+last tests here keep it so — a build and both compiles construct none
+of the per-vertex objects the columns replaced, and production never
+imports the package that defines them.
 """
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.core.routing_scheme import VertexLabel, VertexTable
-from repro.core.tree_routing import (
+from repro.reference import (
     DistTreeLabel,
     DistTreeTable,
     GlobalEdgeEntry,
+    ReferenceRouter,
+    VertexLabel,
+    VertexTable,
 )
 from repro.trees import RootedTree, TreeLabel, TreeTable
 
@@ -66,17 +73,16 @@ def test_scratch_build_reproduces_committed_digests(case):
 
 def test_word_columns_equal_materialised_words(case):
     """The artifact's per-vertex word columns are the sizes of the
-    live tables and labels, vertex by vertex, agree with the report's
-    max/avg, and stay under the paper's bounds."""
+    reference router's eager tables and labels, vertex by vertex, agree
+    with the report's max/avg, and stay under the paper's bounds."""
     pipeline, expected = case
     report = pipeline.build()
     scheme = report.scheme
     flat = pipeline.compile("flat")
+    reference = ReferenceRouter(scheme)
     n = scheme.graph.num_vertices
     for v in range(n):
-        table, label = scheme.tables[v], scheme.labels[v]
-        assert isinstance(table, VertexTable)
-        assert isinstance(label, VertexLabel)
+        table, label = reference.tables[v], reference.labels[v]
         assert flat._table_words[v] == table.words, f"table of {v}"
         assert flat._label_words[v] == label.words, f"label of {v}"
     construction = report.construction
@@ -95,9 +101,9 @@ def test_word_columns_equal_materialised_words(case):
 
 
 def test_build_and_compile_construct_no_per_vertex_objects(monkeypatch):
-    """Tables, labels and trees are views for the live router and the
-    oracle tests; ``build()`` + ``compile("dense")`` must not make one,
-    or the object walk this kernel replaced has crept back."""
+    """Tables, labels and trees exist only for the oracle tests;
+    ``build()`` + both compiles must not make one, or the object walk
+    this kernel replaced has crept back."""
     made = []
     watched = (DistTreeTable, DistTreeLabel, GlobalEdgeEntry, TreeTable,
                TreeLabel, VertexTable, VertexLabel, RootedTree)
@@ -111,8 +117,39 @@ def test_build_and_compile_construct_no_per_vertex_objects(monkeypatch):
     report = pipeline.build()
     pipeline.compile("flat")
     pipeline.compile("dense")
+    report.scheme.route_many([(0, report.num_vertices - 1)])
     assert made == []
-    # the spy does see them once somebody asks for a view
-    report.scheme.route(0, report.num_vertices - 1)
+    # the spy does see them once somebody builds the oracle
+    ReferenceRouter(report.scheme)
     assert {"DistTreeTable", "DistTreeLabel", "TreeLabel", "VertexTable",
             "VertexLabel", "RootedTree"} <= set(made)
+
+
+def test_production_never_imports_the_reference_oracle():
+    """The serving and control-plane entry points, a build, both
+    compiles and ``route_many`` — in a fresh interpreter, so nothing
+    this test session imported counts — load no ``repro.reference``
+    module."""
+    script = textwrap.dedent("""
+        import sys
+        import repro.cli, repro.dynamic, repro.server, repro.serving
+        from repro.graphs import grid
+        from repro.pipeline import SchemePipeline
+
+        pipeline = (SchemePipeline().graph(grid(5, 5, seed=1))
+                    .params(2).seed(3))
+        report = pipeline.build()
+        pairs = [(0, 24), (7, 3), (5, 5)]
+        pipeline.compile().route_many(pairs)
+        pipeline.compile("flat").route_many(pairs)
+        report.scheme.route_many(pairs)
+        print(sorted(name for name in sys.modules
+                     if name.split(".")[:2] == ["repro", "reference"]))
+    """)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

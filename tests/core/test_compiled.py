@@ -1,10 +1,11 @@
 """Compiled-artifact tests: serve-path equivalence and round-trips.
 
-The contract under test (ISSUE 2 acceptance): for every (workload, k,
-seed) case, ``load(save(scheme.compile()))`` produces identical routing
-paths, weights, stretch, and table/label word counts to the live
-:class:`RoutingScheme`; malformed artifacts are rejected with
-:class:`ArtifactError`.
+The contract under test: for every (workload, k, seed) case,
+``scheme.compile()`` routes every pair exactly as the eager reference
+router (:class:`~repro.reference.ReferenceRouter`, built from the
+cluster system by the per-subtree oracle) does, ``load(save(...))``
+keeps the routes, stretch and table/label word counts, and malformed
+artifacts are rejected with :class:`ArtifactError`.
 """
 
 import random
@@ -28,6 +29,7 @@ from repro.exceptions import (
 )
 from repro.graphs import grid, random_connected, ring_of_cliques
 from repro.pipeline import SchemePipeline
+from repro.reference import ReferenceRouter
 
 #: (name, graph factory, k) — three workload families as required.
 CASES = [
@@ -55,17 +57,15 @@ def _all_pairs(n):
 class TestServeEquivalence:
 
     @pytest.mark.parametrize("name", CASE_IDS)
-    def test_route_many_bit_identical_to_live(self, built_cases, name):
+    def test_route_many_bit_identical_to_reference(self, built_cases,
+                                                   name):
+        """Path, weight, tree_center and found_level of every ordered
+        pair, against objects the columns were not read to build."""
         scheme = built_cases[name].scheme
-        compiled = scheme.compile()
+        reference = ReferenceRouter(scheme)
         pairs = _all_pairs(scheme.graph.num_vertices)
-        batch = compiled.route_many(pairs)
-        for (u, v), served in zip(pairs, batch):
-            live = scheme.route(u, v)
-            assert served.path == live.path
-            assert served.weight == live.weight
-            assert served.tree_center == live.tree_center
-            assert served.found_level == live.found_level
+        batch = scheme.compile().route_many(pairs)
+        assert batch == [reference.route(u, v) for u, v in pairs]
 
     @pytest.mark.parametrize("name", CASE_IDS)
     def test_single_route_matches_batch(self, built_cases, name):
@@ -97,12 +97,12 @@ class TestServeEquivalence:
         with pytest.raises(ParameterError):
             est.estimate_many([(0, n)])
 
-    def test_live_scheme_route_many_delegates(self, built_cases):
+    def test_scheme_route_many_delegates(self, built_cases):
         scheme = built_cases["random"].scheme
         pairs = sample_pairs(scheme.graph.num_vertices, 30,
                              random.Random(1))
-        for (u, v), served in zip(pairs, scheme.route_many(pairs)):
-            assert served.weight == scheme.route(u, v).weight
+        assert scheme.route_many(pairs) == \
+            scheme.compile().route_many(pairs)
 
     def test_batch_path_preserves_stretch_report(self, built_cases):
         """evaluate_routing's batch path == the per-call fallback."""
@@ -110,15 +110,16 @@ class TestServeEquivalence:
         graph = built.scheme.graph
 
         class _SingleOnly:
-            def __init__(self, scheme):
-                self._scheme = scheme
+            def __init__(self, compiled):
+                self._compiled = compiled
 
             def route(self, u, v):
-                return self._scheme.route(u, v)
+                return self._compiled.route(u, v)
 
         batched = evaluate_routing(graph, built.scheme, sample=100,
                                    seed=3)
-        single = evaluate_routing(graph, _SingleOnly(built.scheme),
+        single = evaluate_routing(graph,
+                                  _SingleOnly(built.scheme.compile()),
                                   sample=100, seed=3)
         assert batched == single
 
@@ -136,7 +137,7 @@ class TestRoundTrip:
         loaded = CompiledScheme.load(path)
         pairs = _all_pairs(scheme.graph.num_vertices)
         assert loaded.route_many(pairs) == compiled.route_many(pairs)
-        # word counts survive the trip and match the live scheme
+        # word counts survive the trip and match the scheme
         assert loaded.max_table_words() == scheme.max_table_words()
         assert loaded.average_table_words() == \
             scheme.average_table_words()

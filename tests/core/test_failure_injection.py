@@ -1,6 +1,8 @@
 """Failure injection: the routing protocol must fail loudly — never
 deliver to the wrong vertex or loop silently — under corrupted headers,
-foreign labels and truncated tables."""
+foreign labels and truncated tables.  Headers are corrupted on the
+reference router's per-vertex objects; the compiled tiers take damaged
+artifacts."""
 
 import dataclasses
 import random
@@ -8,10 +10,9 @@ import random
 import pytest
 
 from repro.core import build_routing_scheme
-from repro.core.tree_routing import DistTreeLabel
 from repro.exceptions import ReproError, RoutingLoopError, SchemeError
-from repro.graphs import random_connected
-from repro.trees import TreeLabel
+from repro.graphs import dijkstra_distances, random_connected
+from repro.reference import ReferenceRouter
 
 
 @pytest.fixture(scope="module")
@@ -21,8 +22,13 @@ def setup():
     return graph, scheme
 
 
-def _route_with_label(scheme, center, start, label, max_hops=200):
-    tree_scheme = scheme.forest.schemes[center]
+@pytest.fixture(scope="module")
+def reference(setup):
+    return ReferenceRouter(setup[1])
+
+
+def _route_with_label(reference, center, start, label, max_hops=200):
+    tree_scheme = reference.trees[center]
     x, hops = start, 0
     while hops < max_hops:
         nxt = tree_scheme.next_hop(x, label)
@@ -34,29 +40,29 @@ def _route_with_label(scheme, center, start, label, max_hops=200):
 
 
 class TestCorruptedHeaders:
-    def test_wrong_tree_label_detected_or_misdelivers_visibly(self, setup):
+    def test_wrong_tree_label_detected_or_misdelivers_visibly(
+            self, reference):
         """Routing with a label from a different tree must raise or end
         at a vertex whose identity exposes the mismatch — never 'loop
         forever'."""
-        graph, scheme = setup
         rng = random.Random(1)
-        centers = list(scheme.forest.schemes)
+        centers = list(reference.trees)
         for _ in range(25):
             c1, c2 = rng.choice(centers), rng.choice(centers)
-            t2 = scheme.forest.schemes[c2]
+            t2 = reference.trees[c2]
             target = rng.choice(list(t2.tree.vertices()))
             label = t2.label_of(target)
-            start_tree = scheme.forest.schemes[c1].tree
+            start_tree = reference.trees[c1].tree
             start = rng.choice(list(start_tree.vertices()))
             try:
-                end = _route_with_label(scheme, c1, start, label)
+                end = _route_with_label(reference, c1, start, label)
             except ReproError:
                 continue  # loud failure: acceptable
             # silent completion must at least be *checkable*: the label
             # carries the target's name
             assert (end == label.vertex) or (end != label.vertex)
 
-    def _outcome(self, scheme, center, start, label):
+    def _outcome(self, reference, center, start, label):
         """Route under corruption; classify the outcome.
 
         Acceptable: a raised ReproError (loud failure) or termination —
@@ -64,19 +70,18 @@ class TestCorruptedHeaders:
         acceptable: a silent livelock (RoutingLoopError from the hop
         budget counts as loud)."""
         try:
-            end = _route_with_label(scheme, center, start, label)
+            end = _route_with_label(reference, center, start, label)
         except ReproError:
             return "raised"
         return "delivered" if end == label.vertex else "misdelivered"
 
-    def test_truncated_global_edges_fail_loudly(self, setup):
-        graph, scheme = setup
-        centers = [c for c, s in scheme.forest.schemes.items()
+    def test_truncated_global_edges_fail_loudly(self, reference):
+        centers = [c for c, s in reference.trees.items()
                    if len(s.splitters) >= 3]
         if not centers:
             pytest.skip("no multi-splitter tree in this instance")
         center = centers[0]
-        tree_scheme = scheme.forest.schemes[center]
+        tree_scheme = reference.trees[center]
         victims = [v for v in tree_scheme.tree.vertices()
                    if tree_scheme.label_of(v).global_edges]
         if not victims:
@@ -89,16 +94,15 @@ class TestCorruptedHeaders:
                tree_scheme.tables[victim].splitter]
         if not far:
             pytest.skip("all vertices share a subtree")
-        outcome = self._outcome(scheme, center, far[0], corrupted)
+        outcome = self._outcome(reference, center, far[0], corrupted)
         # dropping the global edges must not yield correct delivery by
         # the non-heavy path; either it raises or visibly misdelivers
         assert outcome in ("raised", "misdelivered", "delivered")
 
-    def test_bogus_entry_time_terminates(self, setup):
+    def test_bogus_entry_time_terminates(self, reference):
         """A nonsense DFS timestamp never causes a silent livelock."""
-        graph, scheme = setup
-        center = next(iter(scheme.forest.schemes))
-        tree_scheme = scheme.forest.schemes[center]
+        center = next(iter(reference.trees))
+        tree_scheme = reference.trees[center]
         vertices = list(tree_scheme.tree.vertices())
         victim = vertices[-1]
         label = tree_scheme.label_of(victim)
@@ -106,7 +110,7 @@ class TestCorruptedHeaders:
             label, local=dataclasses.replace(label.local,
                                              entry=10 ** 9))
         for start in vertices[:5]:
-            outcome = self._outcome(scheme, center, start, corrupted)
+            outcome = self._outcome(reference, center, start, corrupted)
             assert outcome in ("raised", "misdelivered", "delivered")
 
 
@@ -115,33 +119,32 @@ class TestRobustInputs:
         _, scheme = setup
         from repro.exceptions import ParameterError
         with pytest.raises(ParameterError):
-            scheme.route(-1, 3)
+            scheme.route_many([(-1, 3)])
         with pytest.raises(ParameterError):
-            scheme.route(0, 9999)
+            scheme.route_many([(0, 9999)])
 
-    def test_find_tree_never_fails_on_valid_pairs(self, setup):
-        graph, scheme = setup
+    def test_find_tree_never_fails_on_valid_pairs(self, setup, reference):
+        graph, _ = setup
         for u in graph.vertices():
             for v in graph.vertices():
                 if u == v:
                     continue
-                center, level = scheme.find_tree(u, scheme.label_of(v))
+                center, level = reference.find_tree(u, reference.labels[v])
                 assert center is not None
 
     def test_scheme_survives_weight_1_graph(self):
         g = random_connected(20, 0.2, max_weight=1, seed=3)
         scheme = build_routing_scheme(g, k=2, seed=3)
-        for u in range(0, 20, 3):
-            for v in range(0, 20, 4):
-                result = scheme.route(u, v)
-                assert result.path[-1] == v
+        pairs = [(u, v) for u in range(0, 20, 3) for v in range(0, 20, 4)]
+        for (u, v), result in zip(pairs, scheme.route_many(pairs)):
+            assert result.path[-1] == v
 
     def test_scheme_survives_heavy_weights(self):
         g = random_connected(20, 0.2, max_weight=10 ** 6, seed=4)
         scheme = build_routing_scheme(g, k=2, seed=4)
-        result = scheme.route(0, 19)
+        result = scheme.route_many([(0, 19)])[0]
         assert result.path[-1] == 19
-        assert result.stretch <= 4.0
+        assert result.weight <= 4.0 * dijkstra_distances(g, 0)[19]
 
 
 class TestCompiledTierFailures:
@@ -241,7 +244,7 @@ class TestCompiledTierFailures:
     def test_round_trip_still_serves_after_failures(self, artifact,
                                                     tmp_path):
         """A clean save/load after the corruption probes serves the
-        same bits as the live artifact."""
+        same bits as the artifact in memory."""
         from repro.core import load_artifact
         path = tmp_path / "clean.cra"
         artifact.save(path)

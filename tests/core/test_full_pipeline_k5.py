@@ -43,11 +43,9 @@ class TestK5:
     def test_stretch_bound(self, report, graph, ap):
         rng = random.Random(1)
         bound = 4 * 5 - 5 + 1.0
-        for _ in range(250):
-            u, v = rng.randrange(60), rng.randrange(60)
-            if u == v:
-                continue
-            result = report.scheme.route(u, v)
+        pairs = [(u, v) for u, v in ((rng.randrange(60), rng.randrange(60))
+                                     for _ in range(250)) if u != v]
+        for (u, v), result in zip(pairs, report.scheme.route_many(pairs)):
             assert result.weight <= bound * ap[u][v] + 1e-9
 
     def test_estimation_bound(self, report, graph, ap):
@@ -81,11 +79,10 @@ class TestDetectionModeParity:
         for mode in ("rounded", "exact"):
             scheme = build_routing_scheme(graph, k=3, seed=7,
                                           detection_mode=mode)
-            for _ in range(120):
-                u, v = rng.randrange(60), rng.randrange(60)
-                if u == v:
-                    continue
-                result = scheme.route(u, v)
+            pairs = [(u, v) for u, v in ((rng.randrange(60),
+                                          rng.randrange(60))
+                                         for _ in range(120)) if u != v]
+            for (u, v), result in zip(pairs, scheme.route_many(pairs)):
                 assert result.weight <= 8.0 * ap[u][v] + 1e-9, mode
 
     def test_rounded_values_dominate_exact(self, graph):

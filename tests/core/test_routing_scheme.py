@@ -1,5 +1,7 @@
 """Tests for the full routing scheme (Theorem 5): stretch bound on every
-pair, table/label sizes, protocol locality, Algorithm 1."""
+pair, table/label sizes, protocol locality, Algorithm 1.  Routes come
+from ``route_many`` (the compiled replay); protocol locality is checked
+on the reference router's per-vertex objects."""
 
 import math
 import random
@@ -16,6 +18,7 @@ from repro.graphs import (
     star_of_paths,
 )
 from repro.pipeline import SchemePipeline
+from repro.reference import ReferenceRouter
 
 
 @pytest.fixture(scope="module")
@@ -38,29 +41,26 @@ class TestStretch:
     def test_all_pairs_within_bound(self, scheme_k, rand_graph, rand_ap):
         scheme, k = scheme_k
         bound = max(1, 4 * k - 5) + 1.0  # 4k-5 + o(1)
-        for u in rand_graph.vertices():
-            for v in rand_graph.vertices():
-                if u == v:
-                    continue
-                result = scheme.route(u, v)
-                assert result.path[0] == u and result.path[-1] == v
-                assert result.weight / rand_ap[u][v] <= bound
+        pairs = [(u, v) for u in rand_graph.vertices()
+                 for v in rand_graph.vertices() if u != v]
+        for (u, v), result in zip(pairs, scheme.route_many(pairs)):
+            assert result.path[0] == u and result.path[-1] == v
+            assert result.weight / rand_ap[u][v] <= bound
 
     def test_path_uses_real_edges(self, scheme_k, rand_graph):
         scheme, _ = scheme_k
         rng = random.Random(3)
-        for _ in range(30):
-            u = rng.randrange(rand_graph.num_vertices)
-            v = rng.randrange(rand_graph.num_vertices)
-            result = scheme.route(u, v)
+        n = rand_graph.num_vertices
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(30)]
+        for result in scheme.route_many(pairs):
             for a, b in zip(result.path, result.path[1:]):
                 assert rand_graph.has_edge(a, b)
 
     def test_route_to_self(self, scheme_k):
         scheme, _ = scheme_k
-        result = scheme.route(5, 5)
+        result = scheme.route_many([(5, 5)])[0]
         assert result.path == [5]
-        assert result.stretch == 1.0
+        assert result.weight == 0.0
 
     @pytest.mark.parametrize("factory", [
         lambda: grid(5, 5, seed=1),
@@ -72,22 +72,19 @@ class TestStretch:
         ap = all_pairs_distances(g)
         scheme = build_routing_scheme(g, k=3, seed=5)
         bound = 4 * 3 - 5 + 1.0
-        for u in range(0, g.num_vertices, 3):
-            for v in range(0, g.num_vertices, 2):
-                if u == v:
-                    continue
-                result = scheme.route(u, v)
-                assert result.weight / ap[u][v] <= bound
+        pairs = [(u, v) for u in range(0, g.num_vertices, 3)
+                 for v in range(0, g.num_vertices, 2) if u != v]
+        for (u, v), result in zip(pairs, scheme.route_many(pairs)):
+            assert result.weight / ap[u][v] <= bound
 
     def test_k1_is_shortest_path_routing(self):
         g = random_connected(20, 0.2, seed=9)
         ap = all_pairs_distances(g)
         scheme = build_routing_scheme(g, k=1, seed=9)
-        for u in g.vertices():
-            for v in g.vertices():
-                if u != v:
-                    assert scheme.route(u, v).weight == \
-                        pytest.approx(ap[u][v])
+        pairs = [(u, v) for u in g.vertices() for v in g.vertices()
+                 if u != v]
+        for (u, v), result in zip(pairs, scheme.route_many(pairs)):
+            assert result.weight == pytest.approx(ap[u][v])
 
 
 class TestSizes:
@@ -119,26 +116,22 @@ class TestFindTree:
     def test_found_level_within_range(self, scheme_k, rand_graph):
         scheme, k = scheme_k
         rng = random.Random(5)
-        for _ in range(40):
-            u = rng.randrange(rand_graph.num_vertices)
-            v = rng.randrange(rand_graph.num_vertices)
-            if u == v:
-                continue
-            result = scheme.route(u, v)
+        n = rand_graph.num_vertices
+        pairs = [(u, v) for u, v in ((rng.randrange(n), rng.randrange(n))
+                                     for _ in range(40)) if u != v]
+        for result in scheme.route_many(pairs):
             assert -1 <= result.found_level <= k - 1
             assert result.tree_center is not None
 
     def test_tree_contains_both_endpoints(self, scheme_k, rand_graph):
         scheme, _ = scheme_k
         rng = random.Random(6)
-        for _ in range(30):
-            u = rng.randrange(rand_graph.num_vertices)
-            v = rng.randrange(rand_graph.num_vertices)
-            if u == v:
-                continue
-            result = scheme.route(u, v)
-            tree = scheme.forest.schemes[result.tree_center].tree
-            assert tree.contains(u) and tree.contains(v)
+        n = rand_graph.num_vertices
+        pairs = [(u, v) for u, v in ((rng.randrange(n), rng.randrange(n))
+                                     for _ in range(30)) if u != v]
+        for (u, v), result in zip(pairs, scheme.route_many(pairs)):
+            tree = scheme.clusters.clusters[result.tree_center].parent
+            assert u in tree and v in tree
 
 
 class TestTrick:
@@ -148,19 +141,14 @@ class TestTrick:
         without = build_routing_scheme(rand_graph, k=3, seed=13,
                                        use_tz_trick=False)
         rng = random.Random(7)
-        better_or_equal = 0
-        total = 0
-        for _ in range(60):
-            u = rng.randrange(rand_graph.num_vertices)
-            v = rng.randrange(rand_graph.num_vertices)
-            if u == v:
-                continue
-            total += 1
-            wt = with_trick.route(u, v).weight
-            wo = without.route(u, v).weight
-            if wt <= wo + 1e-9:
-                better_or_equal += 1
-        assert better_or_equal >= total * 0.7
+        n = rand_graph.num_vertices
+        pairs = [(u, v) for u, v in ((rng.randrange(n), rng.randrange(n))
+                                     for _ in range(60)) if u != v]
+        better_or_equal = sum(
+            wt.weight <= wo.weight + 1e-9
+            for wt, wo in zip(with_trick.route_many(pairs),
+                              without.route_many(pairs)))
+        assert better_or_equal >= len(pairs) * 0.7
 
     def test_trick_increases_table_size_only(self, rand_graph):
         with_trick = build_routing_scheme(rand_graph, k=3, seed=13,
@@ -173,21 +161,20 @@ class TestTrick:
 
 class TestProtocolLocality:
     def test_header_is_only_shared_state(self, rand_graph):
-        """Re-route using ONLY per-hop tables + the fixed header."""
+        """Re-route using ONLY per-hop tables + the fixed header: the
+        reference objects' protocol lands on the served route."""
         scheme = build_routing_scheme(rand_graph, k=3, seed=17)
+        router = ReferenceRouter(scheme)
         rng = random.Random(11)
-        for _ in range(20):
-            u = rng.randrange(rand_graph.num_vertices)
-            v = rng.randrange(rand_graph.num_vertices)
-            if u == v:
-                continue
-            reference = scheme.route(u, v)
-            center = reference.tree_center
+        n = rand_graph.num_vertices
+        pairs = [(u, v) for u, v in ((rng.randrange(n), rng.randrange(n))
+                                     for _ in range(20)) if u != v]
+        for (u, v), reference in zip(pairs, scheme.route_many(pairs)):
             if reference.found_level == -1:
-                header = scheme.tables[u].member_labels[v]
+                header = router.tables[u].member_labels[v]
             else:
-                header = scheme.labels[v].tree_label(reference.found_level)
-            tree_scheme = scheme.forest.schemes[center]
+                header = router.labels[v].tree_label(reference.found_level)
+            tree_scheme = router.trees[reference.tree_center]
             x, path = u, [u]
             for _ in range(4 * rand_graph.num_vertices):
                 nxt = tree_scheme.next_hop(x, header)
@@ -221,7 +208,7 @@ class TestConstructionReport:
     def test_invalid_route_endpoints(self, rand_graph):
         scheme = build_routing_scheme(rand_graph, k=2, seed=1)
         with pytest.raises(ParameterError):
-            scheme.route(0, 999)
+            scheme.route_many([(0, 999)])
 
 
 class TestDeterminism:
@@ -229,7 +216,6 @@ class TestDeterminism:
         a = build_routing_scheme(rand_graph, k=3, seed=23)
         b = build_routing_scheme(rand_graph, k=3, seed=23)
         assert a.construction_rounds == b.construction_rounds
-        for u in range(0, rand_graph.num_vertices, 5):
-            for v in range(0, rand_graph.num_vertices, 7):
-                if u != v:
-                    assert a.route(u, v).path == b.route(u, v).path
+        pairs = [(u, v) for u in range(0, rand_graph.num_vertices, 5)
+                 for v in range(0, rand_graph.num_vertices, 7) if u != v]
+        assert a.route_many(pairs) == b.route_many(pairs)

@@ -73,11 +73,10 @@ def test_measured_stretch_within_paper_bound(built, family, k, eps):
     rng = random.Random(seed)
     pairs = sample_pairs(graph.num_vertices, 80, rng)
     assert pairs, "sample_pairs must fill on these sizes"
-    for u, v in pairs:
+    for (u, v), routed in zip(pairs, report.scheme.route_many(pairs)):
         exact = ap[u][v]
         if exact == 0:
             continue
-        routed = report.scheme.route(u, v)
         assert routed.weight <= bound * exact + 1e-9, (
             f"stretch {routed.weight / exact:.3f} > bound {bound:.3f} "
             f"for pair ({u}, {v})")

@@ -1,5 +1,7 @@
 """Tests for the Section-6 distributed tree-routing scheme (Theorem 7):
-exact routing on every pair, size bounds, splitter decomposition."""
+exact routing on every pair, size bounds, splitter decomposition — on
+the per-subtree oracle's objects, which
+``test_tree_routing_equivalence.py`` holds the forest's columns to."""
 
 import math
 import random
@@ -8,10 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.tree_routing import (
-    build_distributed_tree_routing,
     build_forest_routing,
     default_splitter_probability,
     sample_splitters,
+)
+from repro.reference import (
+    build_distributed_tree_routing_reference,
+    build_forest_routing_reference,
 )
 from repro.trees import RootedTree
 
@@ -37,7 +42,7 @@ class TestRoutingExactness:
         tree = random_tree(n, seed)
         rng = random.Random(seed + 1)
         splitters = sample_splitters(n + 5, prob, rng)
-        scheme = build_distributed_tree_routing(tree, splitters)
+        scheme = build_distributed_tree_routing_reference(tree, splitters)
         vertices = list(tree.vertices())
         rnd = random.Random(seed + 2)
         for _ in range(min(30, n * n)):
@@ -46,14 +51,14 @@ class TestRoutingExactness:
 
     def test_no_splitters_degenerates_to_plain_tz(self):
         tree = random_tree(20, 7)
-        scheme = build_distributed_tree_routing(tree, set())
+        scheme = build_distributed_tree_routing_reference(tree, set())
         assert scheme.splitters == [0]  # only the root
         for t in tree.vertices():
             assert scheme.route(0, t) == tree.path_between(0, t)
 
     def test_every_vertex_a_splitter(self):
         tree = random_tree(15, 9)
-        scheme = build_distributed_tree_routing(
+        scheme = build_distributed_tree_routing_reference(
             tree, set(tree.vertices()))
         assert scheme.max_subtree_depth == 0  # all subtrees singletons
         for s in tree.vertices():
@@ -62,26 +67,27 @@ class TestRoutingExactness:
 
     def test_chain_with_middle_splitter(self):
         tree = chain_tree(10)
-        scheme = build_distributed_tree_routing(tree, {5})
+        scheme = build_distributed_tree_routing_reference(tree, {5})
         assert scheme.route(0, 9) == list(range(10))
         assert scheme.route(9, 0) == list(range(9, -1, -1))
         assert scheme.route(3, 7) == [3, 4, 5, 6, 7]
 
     def test_route_to_self(self):
         tree = random_tree(12, 3)
-        scheme = build_distributed_tree_routing(tree, {4, 8})
+        scheme = build_distributed_tree_routing_reference(tree, {4, 8})
         assert scheme.route(6, 6) == [6]
 
 
 class TestDecomposition:
     def test_subtree_depth_bounded_by_splitter_spacing(self):
         tree = chain_tree(32)
-        scheme = build_distributed_tree_routing(tree, set(range(0, 32, 4)))
+        scheme = build_distributed_tree_routing_reference(
+            tree, set(range(0, 32, 4)))
         assert scheme.max_subtree_depth <= 3
 
     def test_splitters_include_root_and_sampled(self):
         tree = chain_tree(10)
-        scheme = build_distributed_tree_routing(tree, {3, 7, 99})
+        scheme = build_distributed_tree_routing_reference(tree, {3, 7, 99})
         assert scheme.splitters == [0, 3, 7]  # 99 not in the tree
 
 
@@ -93,7 +99,7 @@ class TestSizes:
         rng = random.Random(seed)
         splitters = sample_splitters(
             n + 5, default_splitter_probability(n), rng)
-        scheme = build_distributed_tree_routing(tree, splitters)
+        scheme = build_distributed_tree_routing_reference(tree, splitters)
         log_n = math.log2(n) + 2
         # table O(log n) words, label O(log^2 n) words
         assert scheme.max_table_words() <= 20 * log_n
@@ -101,7 +107,7 @@ class TestSizes:
 
     def test_label_words_positive(self):
         tree = chain_tree(5)
-        scheme = build_distributed_tree_routing(tree, {2})
+        scheme = build_distributed_tree_routing_reference(tree, {2})
         for v in tree.vertices():
             assert scheme.label_of(v).words >= 2
             assert scheme.table_of(v).words >= 5
@@ -117,7 +123,8 @@ class TestForestRouting:
 
     def test_all_trees_route_correctly(self):
         trees = self._trees()
-        report = build_forest_routing(trees, 30, random.Random(5))
+        report = build_forest_routing_reference(trees, 30,
+                                                random.Random(5))
         for tid, tree in trees.items():
             scheme = report.schemes[tid]
             vertices = list(tree.vertices())
@@ -138,7 +145,8 @@ class TestForestRouting:
     def test_shared_splitters_are_consistent(self):
         """All trees see the same global sample U."""
         trees = self._trees()
-        report = build_forest_routing(trees, 30, random.Random(7))
+        report = build_forest_routing_reference(trees, 30,
+                                                random.Random(7))
         # any vertex that is a non-root splitter in one tree must be a
         # splitter in every tree containing it
         all_splitters = set()

@@ -107,5 +107,5 @@ class TestSubgraphs:
         sub = random_vertex_sample_subgraph(base, 15, seed=2)
         scheme = build_routing_scheme(with_unit_weights(sub), k=2,
                                       seed=2)
-        result = scheme.route(0, 14)
+        result = scheme.route_many([(0, 14)])[0]
         assert result.path[-1] == 14

@@ -8,6 +8,35 @@ from repro.cli import WORKLOADS, build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
+#: ``repro route`` stdout, byte for byte, pinned from the per-vertex
+#: router it was served by before the dense plane.
+ROUTE_STDOUT = {
+    "grid": (["--graph", "grid", "--n", "36", "--k", "2",
+              "--source", "3", "--target", "30"],
+             "workload=grid n=36\n"
+             "route 3 -> 30\n"
+             "  path    : 3 -> 9 -> 15 -> 14 -> 13 -> 19 -> 25 -> 24 -> 30\n"
+             "  weight  : 220 (shortest 204)\n"
+             "  stretch : 1.078 (bound 3 + o(1))\n"
+             "  tree    : center 25, found at level 1\n"),
+    "random": (["--graph", "random", "--n", "60", "--k", "3",
+                "--source", "0", "--target", "59"],
+               "workload=random n=60\n"
+               "route 0 -> 59\n"
+               "  path    : 0 -> 51 -> 47 -> 15 -> 41 -> 13 -> 20 -> 59\n"
+               "  weight  : 130 (shortest 107)\n"
+               "  stretch : 1.215 (bound 7 + o(1))\n"
+               "  tree    : center 40, found at level 2\n"),
+    "self": (["--graph", "grid", "--n", "36", "--k", "2",
+              "--source", "5", "--target", "5"],
+             "workload=grid n=36\n"
+             "route 5 -> 5\n"
+             "  path    : 5\n"
+             "  weight  : 0 (shortest 0)\n"
+             "  stretch : 1.000 (bound 3 + o(1))\n"
+             "  tree    : center None, found at level -1\n"),
+}
+
 
 def _fails(argv, capsys, match):
     """Typed user errors are one ``repro: error:`` line on stderr and
@@ -71,6 +100,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "route 0 -> 7" in out
         assert "stretch" in out
+
+    @pytest.mark.parametrize("name", sorted(ROUTE_STDOUT))
+    def test_route_stdout_pinned(self, name, capsys):
+        argv, expected = ROUTE_STDOUT[name]
+        assert main(["route"] + argv) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_random_workload_small_n(self, capsys):
+        """``--n`` below 6 must not turn into an edge probability > 1."""
+        assert main(["build", "--graph", "random", "--n", "3",
+                     "--k", "2"]) == 0
+        assert "n=3" in capsys.readouterr().out
+
+    def test_single_vertex_evaluate(self, capsys):
+        """One vertex has no pair to evaluate: an empty report."""
+        assert main(["build", "--graph", "random", "--n", "1", "--k", "2",
+                     "--evaluate", "5"]) == 0
+        assert "stretch over 0 pairs" in capsys.readouterr().out
 
     def test_table1(self, capsys):
         assert main(["table1", "--n", "30", "--k", "2",
@@ -229,7 +276,7 @@ class TestBuildServeSplit:
     def test_query_matches_freshly_built_scheme(self, capsys,
                                                 tmp_path):
         """A fresh process pays no construction and routes the same
-        path the builder's live scheme routed."""
+        path ``repro route`` prints from the same build."""
         artifact = tmp_path / "scheme.cra"
         assert main(["build", "--n", "30", "--k", "2", "--seed", "3",
                      "--out", str(artifact)]) == 0

@@ -33,9 +33,8 @@ def test_routing_pipeline_properties(n, density, wmax, k, seed):
     scheme = build_routing_scheme(graph, k=k, seed=seed)
     bound = max(1, 4 * k - 5) + 1.0
     rng = random.Random(seed)
-    for _ in range(15):
-        u, v = rng.randrange(n), rng.randrange(n)
-        result = scheme.route(u, v)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(15)]
+    for (u, v), result in zip(pairs, scheme.route_many(pairs)):
         # delivery on real edges
         assert result.path[0] == u and result.path[-1] == v
         for a, b in zip(result.path, result.path[1:]):
