@@ -47,6 +47,7 @@ import operator
 import struct
 import sys
 from array import array
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -77,12 +78,19 @@ _KIND_DENSE = "dense-routing"
 _INT = "q"      # int64
 _FLOAT = "d"    # float64
 _ITEM_BYTES = 8
+_WIRE = {_INT: "<i8", _FLOAT: "<f8"}          # numpy dtype on the wire
+_DTYPES = {_INT: "int64", _FLOAT: "float64"}  # ... and in memory
+
+#: Flat columns the dense compile sweeps as numpy arrays.
+_SWEPT = ("tree_center", "slot_vertex", "slot_tree", "t_parent")
 
 
 # ----------------------------------------------------------------------
 # Binary container: MAGIC | u32 version | u64 header len | header | payload
 # ----------------------------------------------------------------------
 def _pack_values(typecode: str, values: Sequence) -> bytes:
+    if _np is not None and isinstance(values, _np.ndarray):
+        return values.astype(_WIRE[typecode], copy=False).tobytes()
     arr = array(typecode, values)
     if sys.byteorder == "big":  # pragma: no cover - LE everywhere we run
         arr.byteswap()
@@ -98,6 +106,22 @@ def _check_contents(meta: Dict, arrays: Dict[str, list],
             f"artifact is missing required arrays: {missing}")
     if "n" not in meta or "k" not in meta:
         raise ArtifactError("artifact metadata lacks 'n'/'k'")
+
+
+def _check_range(where: str, name: str, values: Sequence, lo: int,
+                 hi, arr=None) -> None:
+    """An :class:`ArtifactError` naming the first row of column ``name``
+    outside ``[lo, hi)``.  ``arr``, the column as a numpy array, decides
+    the passing case in two reductions; the list names the row."""
+    if not len(values):
+        return
+    low, high = ((arr.min(), arr.max()) if arr is not None
+                 else (min(values), max(values)))
+    if lo <= low and high < hi:
+        return
+    row = next(i for i, v in enumerate(values) if not lo <= v < hi)
+    raise ArtifactError(f"{where} column {name} row {row}: "
+                        f"{values[row]} is outside [{lo}, {hi})")
 
 
 def _write_artifact(path: Union[str, Path], kind: str, meta: Dict,
@@ -118,6 +142,12 @@ def _write_artifact(path: Union[str, Path], kind: str, meta: Dict,
 
 def _read_artifact(path: Union[str, Path]
                    ) -> Tuple[str, Dict, Dict[str, list]]:
+    kind, meta, manifest, payload = _read_container(path)
+    return kind, meta, _attach_arrays(manifest, payload)
+
+
+def _read_container(path: Union[str, Path]):
+    """``(kind, meta, manifest, payload)`` of a validated file."""
     data = Path(path).read_bytes()
     if len(data) < len(MAGIC) + 12 or not data.startswith(MAGIC):
         raise ArtifactError(
@@ -144,7 +174,7 @@ def _read_artifact(path: Union[str, Path]
         raise ArtifactError(
             f"{path}: {len(payload) - declared} trailing bytes after "
             "the declared arrays")
-    return kind, meta, _attach_arrays(manifest, payload)
+    return kind, meta, manifest, payload
 
 
 def _parse_header(path, header) -> Tuple[str, Dict, list]:
@@ -266,9 +296,10 @@ class ArtifactBuffers(NamedTuple):
                 "arrays": [list(row) for row in self.manifest]}
 
 
-def _attach_arrays(manifest: Sequence, buffer) -> Dict[str, list]:
-    """Decode a packed payload from any buffer object into plain lists
-    — the single byte-layout decoder behind both :func:`_read_artifact`
+def _attach_arrays(manifest: Sequence, buffer) -> Dict[str, Sequence]:
+    """Decode a packed payload from any buffer object into native numpy
+    arrays (plain lists without numpy) — the single byte-layout
+    decoder behind both :func:`_read_artifact`
     and the shared-memory attach path; no view into ``buffer``
     outlives the call.  Trailing bytes beyond the manifest are
     tolerated here (shared-memory blocks round their size up to a
@@ -286,8 +317,9 @@ def _attach_arrays(manifest: Sequence, buffer) -> Dict[str, list]:
                 f"{nbytes} bytes at offset {offset}, found "
                 f"{len(chunk)}")
         if _np is not None:
-            dtype = "<i8" if typecode == _INT else "<f8"
-            arrays[name] = _np.frombuffer(chunk, dtype=dtype).tolist()
+            # astype copies: no view into ``buffer`` outlives the call
+            arrays[name] = _np.frombuffer(
+                chunk, dtype=_WIRE[typecode]).astype(_DTYPES[typecode])
         else:
             arr = array(typecode)
             arr.frombytes(chunk)
@@ -316,9 +348,41 @@ class _CompiledArtifact:
         self._meta = dict(meta)
         self._n = int(meta["n"])
         self._k = int(meta["k"])
-        for name, _typecode in self._FIELDS:
-            setattr(self, "_" + name, arrays[name])
+        # numpy columns as handed in (by the payload decoder or a
+        # compile), kept beside the lists the Python bodies index
+        self._arrays: Dict[str, object] = {}
+        for name, typecode in self._FIELDS:
+            values = arrays[name]
+            if _np is not None and isinstance(values, _np.ndarray):
+                values = _np.asarray(values, dtype=_DTYPES[typecode])
+                self._arrays[name] = values
+                values = values.tolist()
+            setattr(self, "_" + name, values)
         self._post_init()
+
+    def _column(self, name: str):
+        """Column ``name`` as a numpy array: the one this artifact was
+        handed, else converted from its list once."""
+        arr = self._arrays.get(name)
+        if arr is None:
+            arr = self._arrays[name] = _np.asarray(
+                getattr(self, "_" + name),
+                dtype=_DTYPES[dict(self._FIELDS)[name]])
+        return arr
+
+    @classmethod
+    def _decode(cls, where, meta: Dict, manifest: Sequence, buffer):
+        """The artifact a manifest describes over its packed payload.
+        A column declared with another typecode than this kind stores
+        it with is an :class:`ArtifactError` naming the column."""
+        stored = dict(cls._FIELDS)
+        for name, typecode, _count in manifest:
+            if stored.get(name, typecode) != typecode:
+                raise ArtifactError(
+                    f"{where}: column {name!r} is declared {typecode!r}; "
+                    f"a {cls.kind!r} artifact stores it as "
+                    f"{stored[name]!r}")
+        return cls(meta, _attach_arrays(manifest, buffer))
 
     def _post_init(self) -> None:
         """Rebuild derived accelerators; overridden by subclasses."""
@@ -326,18 +390,22 @@ class _CompiledArtifact:
     # -- persistence ---------------------------------------------------
     def save(self, path: Union[str, Path]) -> None:
         """Write the versioned artifact file (conventionally ``.cra``)."""
-        arrays = [(name, typecode, getattr(self, "_" + name))
-                  for name, typecode in self._FIELDS]
-        _write_artifact(path, self.kind, self._meta, arrays)
+        _write_artifact(path, self.kind, self._meta, self._columns())
+
+    def _columns(self) -> List[Tuple[str, str, Sequence]]:
+        """``(name, typecode, values)`` per column, numpy where held."""
+        return [(name, typecode,
+                 self._arrays.get(name, getattr(self, "_" + name)))
+                for name, typecode in self._FIELDS]
 
     @classmethod
     def load(cls, path: Union[str, Path]):
-        kind, meta, arrays = _read_artifact(path)
+        kind, meta, manifest, payload = _read_container(path)
         if kind != cls.kind:
             raise ArtifactError(
                 f"{path}: artifact holds a {kind!r} scheme, not "
                 f"{cls.kind!r}")
-        return cls(meta, arrays)
+        return cls._decode(path, meta, manifest, payload)
 
     # -- buffer transport ----------------------------------------------
     def export_buffers(self) -> ArtifactBuffers:
@@ -345,8 +413,7 @@ class _CompiledArtifact:
         :class:`ArtifactBuffers`)."""
         manifest: List[Tuple[str, str, int]] = []
         chunks: List[bytes] = []
-        for name, typecode in self._FIELDS:
-            values = getattr(self, "_" + name)
+        for name, typecode, values in self._columns():
             manifest.append((name, typecode, len(values)))
             chunks.append(_pack_values(typecode, values))
         return ArtifactBuffers(self.kind, dict(self._meta),
@@ -362,7 +429,8 @@ class _CompiledArtifact:
             raise ArtifactError(
                 f"attach header holds a {header.get('kind')!r} "
                 f"artifact, not {cls.kind!r}")
-        return cls(header["meta"], _attach_arrays(header["arrays"], buffer))
+        return cls._decode("attach header", header["meta"],
+                           header["arrays"], buffer)
 
     # -- serving helpers -----------------------------------------------
     _pair_noun = "route"
@@ -444,18 +512,51 @@ class CompiledScheme(_CompiledArtifact):
     )
 
     def _post_init(self) -> None:
-        """Dict accelerators rebuilt from the flat arrays on load."""
-        self._tid_of: Dict[int, int] = {
-            c: tid for tid, c in enumerate(self._tree_center)}
+        """Range checks on what the replay and the dense compile index
+        by, so a corrupt file fails here, typed, and not as a bare
+        ``IndexError`` / ``KeyError`` later."""
+        n = self._n
+        for name, hi in (("tree_center", n), ("slot_vertex", n),
+                         ("slot_tree", len(self._tree_center)),
+                         ("ml_member", n)):
+            _check_range("flat artifact", name, getattr(self, "_" + name),
+                         0, hi, self._arrays.get(name))
+        centers = set(self._tree_center)
+        if not centers.issuperset(self._ml_owner):
+            row = next(i for i, c in enumerate(self._ml_owner)
+                       if c not in centers)
+            raise ArtifactError(
+                f"flat artifact column ml_owner row {row}: "
+                f"{self._ml_owner[row]} is not a tree center")
+
+    # Dict accelerators of the replay, built on its first call (the
+    # dense compile reads the columns instead).
+    @cached_property
+    def _tid_of(self) -> Dict[int, int]:
+        return {c: tid for tid, c in enumerate(self._tree_center)}
+
+    @cached_property
+    def _slots(self) -> List[Dict[int, int]]:
         slots: List[Dict[int, int]] = [dict() for _ in range(self._n)]
         for s, (v, tid) in enumerate(zip(self._slot_vertex,
                                          self._slot_tree)):
             slots[v][tid] = s
-        self._slots = slots
+        return slots
+
+    @cached_property
+    def _members(self) -> List[Dict[int, int]]:
+        slots = self._slots
+        tid_of = self._tid_of
         members: List[Dict[int, int]] = [dict() for _ in range(self._n)]
-        for owner, member in zip(self._ml_owner, self._ml_member):
-            members[owner][member] = slots[member][self._tid_of[owner]]
-        self._members = members
+        for row, (owner, member) in enumerate(zip(self._ml_owner,
+                                                  self._ml_member)):
+            slot = slots[member].get(tid_of[owner])
+            if slot is None:
+                raise ArtifactError(
+                    f"flat artifact member row {row}: vertex {member} "
+                    f"has no slot in the tree of {owner}")
+            members[owner][member] = slot
+        return members
 
     # -- construction --------------------------------------------------
     @classmethod
@@ -467,8 +568,12 @@ class CompiledScheme(_CompiledArtifact):
         that left the construction valid picks the new ones up)."""
         graph = scheme.graph
         forest = scheme.forest.columns
-        cols: Dict[str, list] = {
-            name: getattr(forest, name).tolist()
+        # the columns the dense compile sweeps go in as numpy copies
+        # when numpy is present, kept beside the lists; the rest as lists
+        column = list if _np is None else _np.array
+        cols: Dict[str, Sequence] = {
+            name: (column(getattr(forest, name)) if name in _SWEPT
+                   else getattr(forest, name).tolist())
             for name in ("tree_center",) + ARTIFACT_COLUMNS}
         n = graph.num_vertices
         weight = {-1: 0.0}       # a root's parent "edge"
@@ -477,13 +582,13 @@ class CompiledScheme(_CompiledArtifact):
         try:
             cols["t_parent_w"] = [
                 weight[-1 if p < 0 else v * n + p]
-                for v, p in zip(cols["slot_vertex"], cols["t_parent"])]
+                for v, p in zip(forest.slot_vertex, forest.t_parent)]
         except KeyError as exc:
             u, v = divmod(exc.args[0], n)
             raise SchemeError(f"tree edge ({u}, {v}) is not an edge of "
                               "the graph") from None
-        cols["lbl_pivot"] = scheme.lbl_pivot.tolist()
-        cols["lbl_slot"] = scheme.lbl_slot.tolist()
+        cols["lbl_pivot"] = column(scheme.lbl_pivot)
+        cols["lbl_slot"] = column(scheme.lbl_slot)
         cols["ml_owner"], cols["ml_member"] = [], []
         for owner in sorted(scheme.members):
             mine = scheme.members[owner]
@@ -837,30 +942,33 @@ class CompiledEstimation(_CompiledArtifact):
 
 
 # ----------------------------------------------------------------------
-def load_artifact(path: Union[str, Path]):
-    """Load any artifact kind, dispatching on the header."""
-    kind, meta, arrays = _read_artifact(path)
+def _artifact_class(kind):
+    """The artifact class of a header's ``kind``, or ``None``."""
     if kind == _KIND_ROUTING:
-        return CompiledScheme(meta, arrays)
+        return CompiledScheme
     if kind == _KIND_ESTIMATION:
-        return CompiledEstimation(meta, arrays)
+        return CompiledEstimation
     if kind == _KIND_DENSE:
         from .dense import DenseRoutingPlane  # circular-import guard
-        return DenseRoutingPlane(meta, arrays)
-    raise ArtifactError(f"{path}: unknown artifact kind {kind!r}")
+        return DenseRoutingPlane
+    return None
+
+
+def load_artifact(path: Union[str, Path]):
+    """Load any artifact kind, dispatching on the header."""
+    kind, meta, manifest, payload = _read_container(path)
+    cls = _artifact_class(kind)
+    if cls is None:
+        raise ArtifactError(f"{path}: unknown artifact kind {kind!r}")
+    return cls._decode(path, meta, manifest, payload)
 
 
 def attach_artifact(header: Dict, buffer):
     """Attach any artifact kind from :meth:`export_buffers` output,
     dispatching on the header — the in-memory sibling of
     :func:`load_artifact`."""
-    kind = header.get("kind")
-    if kind == _KIND_ROUTING:
-        return CompiledScheme.attach(header, buffer)
-    if kind == _KIND_ESTIMATION:
-        return CompiledEstimation.attach(header, buffer)
-    if kind == _KIND_DENSE:
-        from .dense import DenseRoutingPlane  # circular-import guard
-        return DenseRoutingPlane.attach(header, buffer)
-    raise ArtifactError(f"unknown artifact kind {kind!r} in attach "
-                        "header")
+    cls = _artifact_class(header.get("kind"))
+    if cls is None:
+        raise ArtifactError(f"unknown artifact kind "
+                            f"{header.get('kind')!r} in attach header")
+    return cls.attach(header, buffer)

@@ -55,6 +55,7 @@ from .compiled import (
     CompiledRoute,
     CompiledScheme,
     _as_batch,
+    _check_range,
     _CompiledArtifact,
     pairs_array,
     validate_pairs,
@@ -115,6 +116,211 @@ def _lookup(table, sorted_keys, keys):
     return sorted_keys[pos] == keys, pos
 
 
+def _check_increasing(name: str, keys: Sequence, hi, arr=None) -> None:
+    """An :class:`ArtifactError` naming the first row of the key column
+    ``name`` not above the row before it (``-1`` before the first) or
+    not below ``hi``.  ``arr``, the column as numpy, decides the passing
+    case in three reductions."""
+    if arr is not None and (not len(arr) or (
+            arr[0] >= 0 and arr[-1] < hi
+            and bool((arr[1:] > arr[:-1]).all()))):
+        return
+    prev = -1
+    for row, key in enumerate(keys):
+        if not prev < key < hi:
+            raise ArtifactError(
+                f"dense plane column {name} row {row}: key {key} breaks "
+                f"the strictly increasing order in [0, {hi})")
+        prev = key
+
+
+def _sweep(npv, n: int):
+    """Depth and root distance of every slot by one top-down level
+    sweep from the roots, each child's distance its parent's plus its
+    edge weight — the walk's float sums, in the walk's order — or
+    ``None`` when any check of :meth:`DenseRoutingPlane._derive` fails
+    (or the index lists a slot twice, whose tree the walk's order
+    decides).  A slot the sweep never reaches is on a cycle."""
+    np = _np
+    parent = npv["dp_parent_slot"]
+    weight = npv["dp_parent_w"]
+    sx_slot = npv["sx_slot"]
+    num_slots = len(parent)
+    if not num_slots:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    if (sx_slot.min() < 0 or sx_slot.max() >= num_slots
+            or parent.min() < -1 or parent.max() >= num_slots
+            or np.bincount(sx_slot, minlength=num_slots).max() > 1):
+        return None
+    tree = np.empty(num_slots, dtype=np.int64)   # every slot listed once
+    tree[sx_slot] = npv["sx_key"] // n
+    child = np.nonzero(parent >= 0)[0]
+    up = parent[child]
+    w = weight[child]
+    if not ((tree[up] == tree[child]).all() and np.isfinite(w).all()
+            and (w >= 0).all() and (np.floor(w) == w).all()):
+        return None
+    # children grouped by parent (CSR), then one gather per level
+    by_parent = child[np.argsort(up, kind="stable")]
+    count = np.bincount(up, minlength=num_slots)
+    first = np.cumsum(count) - count
+    depth = np.full(num_slots, -1, dtype=np.int64)
+    dist = np.zeros(num_slots)
+    level = np.nonzero(parent < 0)[0]
+    depth[level] = 0
+    d = 0
+    while True:
+        c = count[level]
+        total = int(c.sum())
+        if not total:
+            break
+        d += 1
+        level = by_parent[np.repeat(first[level] - (np.cumsum(c) - c), c)
+                          + np.arange(total)]
+        depth[level] = d
+        dist[level] = dist[parent[level]] + weight[level]
+    if (depth < 0).any() or (dist >= 2.0 ** 52).any():
+        return None
+    return depth, dist
+
+
+def _compile_columns(compiled: CompiledScheme):
+    """:meth:`DenseRoutingPlane.from_compiled` as array sweeps over the
+    scheme's integer columns, or ``None`` when some row names a slot or
+    tree center that does not exist (the plain body names it).  Equal
+    keys resolve to the last row, as the scheme's dicts do."""
+    np = _np
+    n = compiled.num_vertices
+    col = compiled._column
+    vertex = col("slot_vertex")
+    tree = col("slot_tree")
+    owner = col("ml_owner")
+    member = col("ml_member")
+    if not len(vertex) or len(owner) != len(member):
+        return None
+    key = tree * n + vertex
+    order = np.argsort(key, kind="stable")
+    sx_key = key[order]
+    centers = col("tree_center")
+    center_order = np.argsort(centers, kind="stable")
+    by_center = centers[center_order]
+
+    def last_row(sorted_keys, queries):
+        pos = np.searchsorted(sorted_keys, queries, side="right") - 1
+        if len(queries) and (pos.min() < 0
+                             or (sorted_keys[pos] != queries).any()):
+            return None
+        return pos
+
+    def slot_of(tids, vertices):
+        # a vertex outside [0, n) would alias a key of another tree
+        if len(vertices) and (vertices.min() < 0 or vertices.max() >= n):
+            return None
+        pos = last_row(sx_key, tids * n + vertices)
+        return None if pos is None else order[pos]
+
+    def tid_of(pivots):
+        pos = last_row(by_center, pivots)
+        return None if pos is None else center_order[pos]
+
+    parent_vertex = col("t_parent")
+    child = np.nonzero(parent_vertex >= 0)[0]
+    parent_slot = slot_of(tree[child], parent_vertex[child])
+    f_pivot = col("lbl_pivot")
+    f_slot = col("lbl_slot")
+    live = np.nonzero((f_pivot >= 0) & (f_slot >= 0))[0]
+    f_tids = tid_of(f_pivot[live])
+    m_tid = tid_of(owner)
+    if parent_slot is None or f_tids is None or m_tid is None:
+        return None
+    m_tslot = slot_of(m_tid, member)
+    m_sslot = slot_of(m_tid, owner)
+    if m_tslot is None or m_sslot is None:
+        return None
+    dp_parent_slot = np.full(len(vertex), -1, dtype=np.int64)
+    dp_parent_slot[child] = parent_slot
+    f_tid = np.full(len(f_pivot), -1, dtype=np.int64)
+    f_tid[live] = f_tids
+    m_key = owner * n + member
+    rows = np.lexsort((m_sslot, m_tslot, m_key))
+    return {"dp_vertex": vertex, "dp_parent_slot": dp_parent_slot,
+            "dp_parent_w": col("t_parent_w"),
+            "sx_key": sx_key, "sx_slot": order,
+            "f_pivot": f_pivot, "f_slot": f_slot, "f_tid": f_tid,
+            "m_key": m_key[rows], "m_tslot": m_tslot[rows],
+            "m_sslot": m_sslot[rows]}
+
+
+def _compile_lists(compiled: CompiledScheme) -> Dict[str, list]:
+    """:meth:`DenseRoutingPlane.from_compiled` in plain Python over the
+    scheme's dicts: the no-numpy body, and the one that names a row
+    :func:`_compile_columns` could not resolve."""
+    n = compiled.num_vertices
+    slots = compiled._slots          # vertex -> {tid: slot}
+    tid_of = compiled._tid_of        # tree center -> tid
+    slot_vertex = compiled._slot_vertex
+    slot_tree = compiled._slot_tree
+    num_slots = len(slot_vertex)
+
+    def vslot(vertex: int, tid: int, what: str) -> int:
+        try:
+            return slots[vertex][tid]
+        except (IndexError, KeyError):
+            raise SchemeError(
+                f"dense compile: {what} names vertex {vertex}, "
+                f"which has no slot in tree {tid}") from None
+
+    cols: Dict[str, list] = {}
+    cols["dp_vertex"] = [int(v) for v in slot_vertex]
+    cols["dp_parent_w"] = [float(w) for w in compiled._t_parent_w]
+    cols["dp_parent_slot"] = [
+        -1 if int(v) < 0
+        else vslot(int(v), int(slot_tree[s]), "tree parent")
+        for s, v in enumerate(compiled._t_parent)]
+
+    # (tree, vertex) -> slot membership index.
+    keyed = sorted((int(slot_tree[s]) * n + int(slot_vertex[s]), s)
+                   for s in range(num_slots))
+    cols["sx_key"] = [key for key, _slot in keyed]
+    cols["sx_slot"] = [slot for _key, slot in keyed]
+
+    # Find-tree rows (n * k), annotated with the pivot's tree id.
+    f_pivot = [int(x) for x in compiled._lbl_pivot]
+    f_slot = [int(x) for x in compiled._lbl_slot]
+    f_tid: List[int] = []
+    for pivot, sl in zip(f_pivot, f_slot):
+        if pivot < 0 or sl < 0:
+            f_tid.append(-1)
+            continue
+        tid = tid_of.get(pivot)
+        if tid is None:
+            raise SchemeError(
+                f"dense compile: find-tree pivot {pivot} is not a "
+                "tree center")
+        f_tid.append(int(tid))
+    cols["f_pivot"], cols["f_slot"], cols["f_tid"] = \
+        f_pivot, f_slot, f_tid
+
+    # Member-label pairs: source * n + target -> (target slot,
+    # source slot) in the source's own tree.
+    m_rows: List[Tuple[int, int, int]] = []
+    for owner, member in zip(compiled._ml_owner, compiled._ml_member):
+        owner, member = int(owner), int(member)
+        tid = tid_of.get(owner)
+        if tid is None:
+            raise SchemeError(
+                f"dense compile: member-label owner {owner} is "
+                "not a tree center")
+        m_rows.append((owner * n + member,
+                       vslot(member, tid, "member label"),
+                       vslot(owner, tid, "member-label owner")))
+    m_rows.sort()
+    cols["m_key"] = [row[0] for row in m_rows]
+    cols["m_tslot"] = [row[1] for row in m_rows]
+    cols["m_sslot"] = [row[2] for row in m_rows]
+    return cols
+
+
 class DenseRoutingPlane(_CompiledArtifact):
     """Find-tree rows plus the cluster trees as parent pointers.
 
@@ -154,30 +360,64 @@ class DenseRoutingPlane(_CompiledArtifact):
                     f"{len(getattr(self, '_' + name))} entries for "
                     f"{num_slots} slots")
         self._chain = None
-        self._derive()
         if _np is None:
+            self._check_indexes({})
+            self._derive()
             return
-        # One int64/float64 mirror per column, copied once at load.
-        npv = {}
-        for name, typecode in self._FIELDS:
-            dtype = _np.int64 if typecode == _INT else _np.float64
-            npv[name] = _np.asarray(getattr(self, "_" + name),
-                                    dtype=dtype)
+        np = _np
+        # the arrays the compile or the payload decoder handed over
+        npv = {name: self._column(name) for name, _tc in self._FIELDS}
         self._npv = npv
-        self._build_chains()
+        self._check_indexes(npv)
+        swept = _sweep(npv, max(self._n, 1))
+        if swept is None:
+            # the walk names the slot (or, where the index lists a slot
+            # twice, decides by its own order)
+            self._derive()
+            swept = (np.asarray(self._depth, dtype=np.int64),
+                     np.asarray(self._dist, dtype=np.float64))
+        else:
+            self._depth, self._dist = swept[0].tolist(), swept[1].tolist()
+        self._build_chains(*swept)
         # the two find-tree lookups: member pairs (key s*n + t) and
         # (tree, vertex) -> slot (key tid*n + v, every tid that appears)
         self._m_direct = _direct_table(npv["m_key"], self._n * self._n)
-        trees = int(npv["sx_key"][-1]) // self._n + 1 if num_slots else 0
-        self._sx_direct = _direct_table(npv["sx_key"], trees * self._n)
+        self._sx_direct = _direct_table(npv["sx_key"],
+                                        self._num_trees() * self._n)
 
     # -- load-time validation and derivation ---------------------------
+    def _num_trees(self) -> int:
+        """Tree ids the (tree, vertex) index spans: the last key's + 1."""
+        return (self._sx_key[-1] // max(self._n, 1) + 1
+                if len(self._sx_key) else 0)
+
+    def _check_indexes(self, npv) -> None:
+        """The columns serving indexes without checking: ``sx_key`` and
+        ``m_key`` strictly increasing (lookups binary-search and
+        direct-address them; ``m_key`` below ``n²``), member slots in
+        ``[0, slots)``, find-tree slots in ``[-1, slots)`` and tree ids
+        in ``[-1, trees)``.  ``npv``, the numpy columns (empty without
+        numpy), decides each check by reductions; the lists name the
+        first bad row, so the message is the same on both bodies."""
+        _check_increasing("sx_key", self._sx_key, float("inf"),
+                          npv.get("sx_key"))
+        _check_increasing("m_key", self._m_key, self._n * self._n,
+                          npv.get("m_key"))
+        num_slots = len(self._dp_vertex)
+        for name, lo, hi in (("m_tslot", 0, num_slots),
+                             ("m_sslot", 0, num_slots),
+                             ("f_slot", -1, num_slots),
+                             ("f_tid", -1, self._num_trees())):
+            _check_range("dense plane", name, getattr(self, "_" + name),
+                         lo, hi, npv.get(name))
+
     def _derive(self) -> None:
         """Validate the parent pointers — in range, inside their tree,
         acyclic, integer edge weights; a violation names the slot — and
         derive per-slot depth and root distance by a memoised walk to
-        the root.  One pass of plain Python over the slots on either
-        engine, so the two cannot disagree about what is corrupt."""
+        the root.  The plain body: it decides without numpy, and with
+        numpy it runs only when :func:`_sweep` found something, to name
+        it, so the two bodies raise the same message."""
         def bad(slot, why):
             return ArtifactError(f"dense plane slot {slot}: {why}")
         n = max(self._n, 1)
@@ -227,12 +467,11 @@ class DenseRoutingPlane(_CompiledArtifact):
         self._depth = depth
         self._dist = dist
 
-    def _build_chains(self) -> None:
+    def _build_chains(self, depth, dist) -> None:
         """The CSR of root-first ancestor chains, within budget:
         ``chain[off[s] : off[s] + depth[s] + 1]`` = root, ..., ``s``."""
         np = _np
         parent = self._npv["dp_parent_slot"]
-        depth = np.asarray(self._depth, dtype=np.int64)
         total = int(depth.sum()) + len(depth)
         if not 0 < total <= _DERIVED_BUDGET:
             return
@@ -249,7 +488,7 @@ class DenseRoutingPlane(_CompiledArtifact):
         self._chain = chain
         self._chain_off = off
         self._depth_np = depth
-        self._dist_np = np.asarray(self._dist, dtype=np.float64)
+        self._dist_np = dist
         self._chunk_rows = max(1, _CHUNK_CELLS // (int(depth.max()) + 1))
 
     # -- construction --------------------------------------------------
@@ -258,80 +497,21 @@ class DenseRoutingPlane(_CompiledArtifact):
                       ) -> "DenseRoutingPlane":
         """Compile a :class:`CompiledScheme` into the dense plane.
 
-        Pure Python and numpy-free on purpose: the compile is offline
-        (pay once, serve forever) and must run on the stdlib-only CI
-        job.  Every dict :class:`CompiledScheme` rebuilds per load is
-        resolved *here*, once, into sorted composite-key arrays.
+        With numpy, one stable argsort of the slots' ``tree * n +
+        vertex`` keys plus ``searchsorted`` resolves every parent,
+        find-tree row and member row (:func:`_compile_columns`), and
+        the plane keeps those arrays.  Without numpy, or when a row
+        names a slot or tree that does not exist, the plain body over
+        the scheme's dicts runs and names the row.  Same bytes either
+        way.
         """
         if not isinstance(compiled, CompiledScheme):
             raise ParameterError(
                 "DenseRoutingPlane.from_compiled wants a "
                 f"CompiledScheme, got {type(compiled).__name__}")
-        n = compiled.num_vertices
-        slots = compiled._slots          # vertex -> {tid: slot}
-        tid_of = compiled._tid_of        # tree center -> tid
-        slot_vertex = compiled._slot_vertex
-        slot_tree = compiled._slot_tree
-        num_slots = len(slot_vertex)
-
-        def vslot(vertex: int, tid: int, what: str) -> int:
-            try:
-                return slots[vertex][tid]
-            except (IndexError, KeyError):
-                raise SchemeError(
-                    f"dense compile: {what} names vertex {vertex}, "
-                    f"which has no slot in tree {tid}") from None
-
-        cols: Dict[str, list] = {}
-        cols["dp_vertex"] = [int(v) for v in slot_vertex]
-        cols["dp_parent_w"] = [float(w) for w in compiled._t_parent_w]
-        cols["dp_parent_slot"] = [
-            -1 if int(v) < 0
-            else vslot(int(v), int(slot_tree[s]), "tree parent")
-            for s, v in enumerate(compiled._t_parent)]
-
-        # (tree, vertex) -> slot membership index.
-        keyed = sorted((int(slot_tree[s]) * n + int(slot_vertex[s]), s)
-                       for s in range(num_slots))
-        cols["sx_key"] = [key for key, _slot in keyed]
-        cols["sx_slot"] = [slot for _key, slot in keyed]
-
-        # Find-tree rows (n * k), annotated with the pivot's tree id.
-        f_pivot = [int(x) for x in compiled._lbl_pivot]
-        f_slot = [int(x) for x in compiled._lbl_slot]
-        f_tid: List[int] = []
-        for pivot, sl in zip(f_pivot, f_slot):
-            if pivot < 0 or sl < 0:
-                f_tid.append(-1)
-                continue
-            tid = tid_of.get(pivot)
-            if tid is None:
-                raise SchemeError(
-                    f"dense compile: find-tree pivot {pivot} is not a "
-                    "tree center")
-            f_tid.append(int(tid))
-        cols["f_pivot"], cols["f_slot"], cols["f_tid"] = \
-            f_pivot, f_slot, f_tid
-
-        # Member-label pairs: source * n + target -> (target slot,
-        # source slot) in the source's own tree.
-        m_rows: List[Tuple[int, int, int]] = []
-        for owner, member in zip(compiled._ml_owner,
-                                 compiled._ml_member):
-            owner, member = int(owner), int(member)
-            tid = tid_of.get(owner)
-            if tid is None:
-                raise SchemeError(
-                    f"dense compile: member-label owner {owner} is "
-                    "not a tree center")
-            m_rows.append((owner * n + member,
-                           vslot(member, tid, "member label"),
-                           vslot(owner, tid, "member-label owner")))
-        m_rows.sort()
-        cols["m_key"] = [row[0] for row in m_rows]
-        cols["m_tslot"] = [row[1] for row in m_rows]
-        cols["m_sslot"] = [row[2] for row in m_rows]
-
+        cols = None if _np is None else _compile_columns(compiled)
+        if cols is None:
+            cols = _compile_lists(compiled)
         return cls(compiled.meta, cols)
 
     def __repr__(self) -> str:

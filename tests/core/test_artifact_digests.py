@@ -71,6 +71,13 @@ def test_scratch_build_reproduces_committed_digests(case):
     assert regen.measure(pipeline) == expected
 
 
+def test_vector_and_plain_bodies_agree(case, monkeypatch):
+    """The dense compile and load sweeps against the plain bodies."""
+    from test_dense_equivalence import bodies_agree
+    pipeline, _expected = case
+    bodies_agree(pipeline.compile("flat"), monkeypatch)
+
+
 def test_word_columns_equal_materialised_words(case):
     """The artifact's per-vertex word columns are the sizes of the
     reference router's eager tables and labels, vertex by vertex, agree

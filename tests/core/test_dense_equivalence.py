@@ -286,6 +286,31 @@ class TestArtifactRoundTrip:
                             compiled.route_many(pairs))
 
 
+def bodies_agree(flat, monkeypatch):
+    """The plane compiled from ``flat`` and attached from its own
+    buffers, with numpy (array sweeps) and with ``dense._np`` blanked
+    (the plain bodies): same bytes, depths and root distances."""
+    if dense_mod._np is None:
+        pytest.skip("numpy not installed")
+    planes = []
+    for body in ("numpy", "scalar"):
+        if body == "scalar":
+            monkeypatch.setattr(dense_mod, "_np", None)
+        plane = DenseRoutingPlane.from_compiled(flat)
+        buffers = plane.export_buffers()
+        planes += [plane, DenseRoutingPlane.attach(buffers.header(),
+                                                   buffers.payload)]
+    first = planes[0]
+    for plane in planes[1:]:
+        assert plane.export_buffers() == first.export_buffers()
+        assert plane._depth == first._depth
+        assert plane._dist == first._dist
+
+
+def test_vector_and_plain_bodies_agree(tiers, monkeypatch):
+    bodies_agree(tiers[0], monkeypatch)
+
+
 class TestConstructionErrors:
 
     def test_from_compiled_rejects_non_scheme(self):

@@ -6,6 +6,7 @@ artifacts."""
 
 import dataclasses
 import random
+from functools import partial
 
 import pytest
 
@@ -25,6 +26,70 @@ def setup():
 @pytest.fixture(scope="module")
 def reference(setup):
     return ReferenceRouter(setup[1])
+
+
+def _reload(plane, **columns):
+    """``plane`` reloaded with those columns replaced."""
+    from repro.core import DenseRoutingPlane
+    arrays = {name: list(getattr(plane, "_" + name))
+              for name, _ in DenseRoutingPlane._FIELDS}
+    arrays.update(columns)
+    return DenseRoutingPlane(dict(plane.meta), arrays)
+
+
+def _corrupt(plane, kind, rng):
+    """``{column: values}`` of one seeded corruption of ``kind``."""
+    parent = list(plane._dp_parent_slot)
+    weights = list(plane._dp_parent_w)
+    n = plane.num_vertices
+    tree = [None] * len(parent)
+    for key, slot in zip(plane._sx_key, plane._sx_slot):
+        tree[slot] = key // n
+    children = [s for s, p in enumerate(parent) if p >= 0]
+    victim = rng.choice(children)
+    if kind == "cycle":
+        parent[parent[victim]] = victim
+    elif kind == "self-parent":
+        parent[victim] = victim
+    elif kind == "parent-out-of-range":
+        parent[victim] = rng.choice([len(parent), -2])
+    elif kind == "cross-tree":
+        parent[victim] = rng.choice([s for s in range(len(parent))
+                                     if tree[s] != tree[victim]])
+    elif kind.startswith("weight"):
+        weights[victim] = {"weight-2.5": 2.5, "weight-neg": -1.0,
+                           "weight-nan": float("nan"),
+                           "weight-inf": float("inf"),
+                           "weight-2^52": 2.0 ** 52}[kind]
+    if kind in ("cycle", "self-parent", "parent-out-of-range",
+                "cross-tree"):
+        return {"dp_parent_slot": parent}
+    if kind.startswith("weight"):
+        return {"dp_parent_w": weights}
+    column = kind.split(":")[0]
+    values = list(getattr(plane, "_" + column))
+    row = rng.randrange(len(values) - 1)
+    if kind == "sx_slot:out-of-range":
+        values[row] = len(parent)
+    elif kind == "sx_slot:twice":
+        values[values.index(victim)] = values[row]
+    elif kind.endswith(":unsorted"):
+        values[row], values[row + 1] = values[row + 1], values[row]
+    elif kind == "m_key:out-of-range":
+        values[-1] = n * n
+    else:
+        values[row] = {"m_tslot": 10 ** 6, "m_sslot": -1,
+                       "f_slot": len(parent),
+                       "f_tid": 10 ** 6}[column]
+    return {column: values}
+
+
+CORRUPTIONS = ["cycle", "self-parent", "parent-out-of-range", "cross-tree",
+               "weight-2.5", "weight-neg", "weight-nan", "weight-inf",
+               "weight-2^52", "sx_slot:out-of-range", "sx_slot:twice",
+               "sx_key:unsorted", "m_key:unsorted", "m_key:out-of-range",
+               "m_tslot:range", "m_sslot:range", "f_slot:range",
+               "f_tid:range"]
 
 
 def _route_with_label(reference, center, start, label, max_hops=200):
@@ -241,6 +306,72 @@ class TestCompiledTierFailures:
         with pytest.raises(ArtifactError):
             load_artifact(path)
 
+    def test_column_declared_with_the_wrong_typecode(self, artifact,
+                                                     tmp_path):
+        """A header that retypes a stored column (ints read as floats,
+        or floats as ints) is refused by name, on load and on attach,
+        instead of decoding into garbage routes."""
+        import json
+        import struct
+        from repro.core import load_artifact
+        from repro.core.compiled import MAGIC, attach_artifact
+        from repro.exceptions import ArtifactError
+        column, wrong = (("t_parent_w", "q") if artifact.kind == "routing"
+                         else ("dp_vertex", "d"))
+        path = tmp_path / "artifact.cra"
+        artifact.save(path)
+        blob = path.read_bytes()
+        at = len(MAGIC) + 4
+        (length,) = struct.unpack_from("<Q", blob, at)
+        header = json.loads(blob[at + 8:at + 8 + length])
+        for row in header["arrays"]:
+            if row[0] == column:
+                row[1] = wrong
+        mangled = json.dumps(header).encode()
+        path.write_bytes(blob[:at] + struct.pack("<Q", len(mangled))
+                         + mangled + blob[at + 8 + length:])
+        with pytest.raises(ArtifactError, match=column):
+            load_artifact(path)
+        buffers = artifact.export_buffers()
+        with pytest.raises(ArtifactError, match=column):
+            attach_artifact(dict(buffers.header(), arrays=header["arrays"]),
+                            buffers.payload)
+
+    @pytest.mark.parametrize("column, value", [
+        ("slot_vertex", "n"), ("slot_tree", "trees"), ("ml_member", -1),
+        ("tree_center", "n"), ("ml_owner", 999)])
+    def test_flat_index_out_of_range_fails_at_load(self, compiled,
+                                                   column, value):
+        from repro.core import CompiledScheme
+        from repro.exceptions import ArtifactError
+        arrays = {name: list(getattr(compiled, "_" + name))
+                  for name, _ in CompiledScheme._FIELDS}
+        arrays[column][0] = {"n": compiled.num_vertices,
+                             "trees": len(arrays["tree_center"])
+                             }.get(value, value)
+        with pytest.raises(ArtifactError, match=f"{column} row 0"):
+            CompiledScheme(compiled.meta, arrays)
+
+    def test_member_without_a_slot_is_typed(self, compiled):
+        """A member row whose vertex has no slot in its owner's tree
+        passes the load checks; the replay's first call and the dense
+        compile name it."""
+        from repro.core import CompiledScheme, DenseRoutingPlane
+        from repro.exceptions import ArtifactError
+        arrays = {name: list(getattr(compiled, "_" + name))
+                  for name, _ in CompiledScheme._FIELDS}
+        owner = arrays["ml_owner"][0]
+        tid = arrays["tree_center"].index(owner)
+        inside = {v for v, t in zip(arrays["slot_vertex"],
+                                    arrays["slot_tree"]) if t == tid}
+        arrays["ml_member"][0] = next(
+            v for v in range(compiled.num_vertices) if v not in inside)
+        broken = CompiledScheme(compiled.meta, arrays)
+        with pytest.raises(ArtifactError, match="member row 0"):
+            broken.route_many([(0, 1)])
+        with pytest.raises(SchemeError, match="member label"):
+            DenseRoutingPlane.from_compiled(broken)
+
     def test_round_trip_still_serves_after_failures(self, artifact,
                                                     tmp_path):
         """A clean save/load after the corruption probes serves the
@@ -276,18 +407,11 @@ class TestDenseParentPointers:
         """``rebuild(column=values, ...)``: the plane reloaded with
         those columns replaced, under one engine."""
         import repro.core.dense as dense_mod
-        from repro.core import DenseRoutingPlane
         if request.param == "scalar":
             monkeypatch.setattr(dense_mod, "_np", None)
         elif dense_mod._np is None:
             pytest.skip("numpy not installed")
-
-        def rebuild(**columns):
-            arrays = {name: list(getattr(plane, "_" + name))
-                      for name, _ in DenseRoutingPlane._FIELDS}
-            arrays.update(columns)
-            return DenseRoutingPlane(dict(plane.meta), arrays)
-        return rebuild
+        return partial(_reload, plane)
 
     @staticmethod
     def _trees(plane):
@@ -351,6 +475,40 @@ class TestDenseParentPointers:
         weights[victim] = junk
         with pytest.raises(ArtifactError, match=f"slot {victim}:.*weight"):
             rebuild(dp_parent_w=weights)
+
+    @pytest.mark.parametrize("column, value", [
+        ("m_tslot", 10 ** 6), ("m_sslot", -1), ("f_slot", -2),
+        ("f_tid", 10 ** 6)])
+    def test_index_column_out_of_range(self, plane, rebuild, column,
+                                       value):
+        """Serving indexes these without checking; at the parent
+        ``m_tslot[0] = 10**6`` loaded and every batch touching the pair
+        raised a bare ``IndexError``."""
+        from repro.exceptions import ArtifactError
+        values = list(getattr(plane, "_" + column))
+        values[0] = value
+        with pytest.raises(ArtifactError, match=f"{column} row 0"):
+            rebuild(**{column: values})
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
+    def test_both_bodies_name_the_same_corruption(self, plane,
+                                                  monkeypatch, kind, seed):
+        """The sweeps decide, the plain bodies name: every corruption
+        is refused at load with one message, numpy or not."""
+        import repro.core.dense as dense_mod
+        from repro.exceptions import ArtifactError
+        if dense_mod._np is None:
+            pytest.skip("numpy not installed")
+        columns = _corrupt(plane, kind, random.Random(seed))
+        messages = []
+        for body in ("numpy", "scalar"):
+            if body == "scalar":
+                monkeypatch.setattr(dense_mod, "_np", None)
+            with pytest.raises(ArtifactError) as caught:
+                _reload(plane, **columns)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
 
     @pytest.mark.parametrize("batch", [1, 200])
     def test_slots_of_two_trees_fail_at_route_time(self, plane, rebuild,
