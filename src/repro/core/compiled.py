@@ -81,8 +81,16 @@ _ITEM_BYTES = 8
 _WIRE = {_INT: "<i8", _FLOAT: "<f8"}          # numpy dtype on the wire
 _DTYPES = {_INT: "int64", _FLOAT: "float64"}  # ... and in memory
 
-#: Flat columns the dense compile sweeps as numpy arrays.
-_SWEPT = ("tree_center", "slot_vertex", "slot_tree", "t_parent")
+
+def _last_rows(sorted_keys, queries):
+    """Per query, the row of the last equal entry of ``sorted_keys``
+    (where a dict built in row order would resolve it), or ``None``
+    when some query has no entry."""
+    pos = _np.searchsorted(sorted_keys, queries, side="right") - 1
+    if len(queries) and (pos.min() < 0
+                         or (sorted_keys[pos] != queries).any()):
+        return None
+    return pos
 
 
 # ----------------------------------------------------------------------
@@ -138,12 +146,6 @@ def _write_artifact(path: Union[str, Path], kind: str, meta: Dict,
     for _name, typecode, values in arrays:
         blob += _pack_values(typecode, values)
     Path(path).write_bytes(bytes(blob))
-
-
-def _read_artifact(path: Union[str, Path]
-                   ) -> Tuple[str, Dict, Dict[str, list]]:
-    kind, meta, manifest, payload = _read_container(path)
-    return kind, meta, _attach_arrays(manifest, payload)
 
 
 def _read_container(path: Union[str, Path]):
@@ -299,8 +301,8 @@ class ArtifactBuffers(NamedTuple):
 def _attach_arrays(manifest: Sequence, buffer) -> Dict[str, Sequence]:
     """Decode a packed payload from any buffer object into native numpy
     arrays (plain lists without numpy) — the single byte-layout
-    decoder behind both :func:`_read_artifact`
-    and the shared-memory attach path; no view into ``buffer``
+    decoder behind both the file loader and the shared-memory attach
+    path; no view into ``buffer``
     outlives the call.  Trailing bytes beyond the manifest are
     tolerated here (shared-memory blocks round their size up to a
     page); the file loader rejects them itself.
@@ -342,32 +344,34 @@ class _CompiledArtifact:
 
     kind: str = ""
     _FIELDS: Tuple[Tuple[str, str], ...] = ()
+    #: Columns this kind reads as numpy arrays: the arrays handed in
+    #: for them are kept beside the lists; every other column is held
+    #: as a list alone.
+    _SWEPT: Tuple[str, ...] = ()
 
     def __init__(self, meta: Dict, arrays: Dict[str, list]) -> None:
         _check_contents(meta, arrays, self._FIELDS)
         self._meta = dict(meta)
         self._n = int(meta["n"])
         self._k = int(meta["k"])
-        # numpy columns as handed in (by the payload decoder or a
-        # compile), kept beside the lists the Python bodies index
         self._arrays: Dict[str, object] = {}
         for name, typecode in self._FIELDS:
             values = arrays[name]
             if _np is not None and isinstance(values, _np.ndarray):
                 values = _np.asarray(values, dtype=_DTYPES[typecode])
-                self._arrays[name] = values
+                if name in self._SWEPT:
+                    self._arrays[name] = values
                 values = values.tolist()
             setattr(self, "_" + name, values)
         self._post_init()
 
     def _column(self, name: str):
-        """Column ``name`` as a numpy array: the one this artifact was
-        handed, else converted from its list once."""
+        """Column ``name`` as a numpy array: the one kept, else a
+        conversion of its list."""
         arr = self._arrays.get(name)
         if arr is None:
-            arr = self._arrays[name] = _np.asarray(
-                getattr(self, "_" + name),
-                dtype=_DTYPES[dict(self._FIELDS)[name]])
+            arr = _np.asarray(getattr(self, "_" + name),
+                              dtype=_DTYPES[dict(self._FIELDS)[name]])
         return arr
 
     @classmethod
@@ -511,10 +515,16 @@ class CompiledScheme(_CompiledArtifact):
         ("table_words", _INT), ("label_words", _INT),
     )
 
+    #: Columns the dense compile sweeps, handed in as numpy arrays by
+    #: :meth:`from_scheme` when numpy is present.
+    _SWEPT = ("tree_center", "slot_vertex", "slot_tree", "t_parent",
+              "lbl_pivot", "lbl_slot")
+
     def _post_init(self) -> None:
-        """Range checks on what the replay and the dense compile index
-        by, so a corrupt file fails here, typed, and not as a bare
-        ``IndexError`` / ``KeyError`` later."""
+        """Checks on what the replay and the dense compile index by —
+        ranges, owners that are tree centers, members with a slot in
+        their owner's tree — so a corrupt file fails here, typed, and
+        not as a bare ``IndexError`` / ``KeyError`` later."""
         n = self._n
         for name, hi in (("tree_center", n), ("slot_vertex", n),
                          ("slot_tree", len(self._tree_center)),
@@ -528,6 +538,42 @@ class CompiledScheme(_CompiledArtifact):
             raise ArtifactError(
                 f"flat artifact column ml_owner row {row}: "
                 f"{self._ml_owner[row]} is not a tree center")
+        # one searchsorted decides; without numpy, or to name the row,
+        # the replay's member dicts are built now and raise
+        if _np is None or self._slot_rows(
+                self._tree_rows(self._column("ml_owner")),
+                self._column("ml_member")) is None:
+            self._members  # built now for its check
+
+    # The sorted-key form of the replay's dicts, for the dense compile.
+    @cached_property
+    def _key_index(self):
+        """``(keys, slots, centers, tids)``: the slots sorted stably by
+        ``tree * n + vertex``, and the tree centers sorted stably."""
+        key = (self._column("slot_tree") * self._n
+               + self._column("slot_vertex"))
+        order = _np.argsort(key, kind="stable")
+        centers = self._column("tree_center")
+        center_order = _np.argsort(centers, kind="stable")
+        return key[order], order, centers[center_order], center_order
+
+    def _tree_rows(self, pivots):
+        """Tree id of every center in the array ``pivots``, or ``None``
+        when one is not a tree center."""
+        _keys, _slots, centers, tids = self._key_index
+        pos = _last_rows(centers, pivots)
+        return None if pos is None else tids[pos]
+
+    def _slot_rows(self, tids, vertices):
+        """Slot of every ``(tid, vertex)`` in two arrays, or ``None``
+        when one has no slot."""
+        keys, slots, _centers, _tids = self._key_index
+        n = self._n
+        # a vertex outside [0, n) would alias a key of another tree
+        if len(vertices) and (vertices.min() < 0 or vertices.max() >= n):
+            return None
+        pos = _last_rows(keys, tids * n + vertices)
+        return None if pos is None else slots[pos]
 
     # Dict accelerators of the replay, built on its first call (the
     # dense compile reads the columns instead).
@@ -572,7 +618,7 @@ class CompiledScheme(_CompiledArtifact):
         # when numpy is present, kept beside the lists; the rest as lists
         column = list if _np is None else _np.array
         cols: Dict[str, Sequence] = {
-            name: (column(getattr(forest, name)) if name in _SWEPT
+            name: (column(getattr(forest, name)) if name in cls._SWEPT
                    else getattr(forest, name).tolist())
             for name in ("tree_center",) + ARTIFACT_COLUMNS}
         n = graph.num_vertices

@@ -186,9 +186,10 @@ def _sweep(npv, n: int):
 
 def _compile_columns(compiled: CompiledScheme):
     """:meth:`DenseRoutingPlane.from_compiled` as array sweeps over the
-    scheme's integer columns, or ``None`` when some row names a slot or
-    tree center that does not exist (the plain body names it).  Equal
-    keys resolve to the last row, as the scheme's dicts do."""
+    scheme's integer columns and its sorted (tree, vertex) -> slot
+    index, or ``None`` when some row names a slot or tree center that
+    does not exist (the plain body names it).  Equal keys resolve to
+    the last row, as the scheme's dicts do."""
     np = _np
     n = compiled.num_vertices
     col = compiled._column
@@ -198,31 +199,9 @@ def _compile_columns(compiled: CompiledScheme):
     member = col("ml_member")
     if not len(vertex) or len(owner) != len(member):
         return None
-    key = tree * n + vertex
-    order = np.argsort(key, kind="stable")
-    sx_key = key[order]
-    centers = col("tree_center")
-    center_order = np.argsort(centers, kind="stable")
-    by_center = centers[center_order]
-
-    def last_row(sorted_keys, queries):
-        pos = np.searchsorted(sorted_keys, queries, side="right") - 1
-        if len(queries) and (pos.min() < 0
-                             or (sorted_keys[pos] != queries).any()):
-            return None
-        return pos
-
-    def slot_of(tids, vertices):
-        # a vertex outside [0, n) would alias a key of another tree
-        if len(vertices) and (vertices.min() < 0 or vertices.max() >= n):
-            return None
-        pos = last_row(sx_key, tids * n + vertices)
-        return None if pos is None else order[pos]
-
-    def tid_of(pivots):
-        pos = last_row(by_center, pivots)
-        return None if pos is None else center_order[pos]
-
+    sx_key, order, _centers, _tids = compiled._key_index
+    slot_of = compiled._slot_rows
+    tid_of = compiled._tree_rows
     parent_vertex = col("t_parent")
     child = np.nonzero(parent_vertex >= 0)[0]
     parent_slot = slot_of(tree[child], parent_vertex[child])
@@ -302,15 +281,12 @@ def _compile_lists(compiled: CompiledScheme) -> Dict[str, list]:
         f_pivot, f_slot, f_tid
 
     # Member-label pairs: source * n + target -> (target slot,
-    # source slot) in the source's own tree.
+    # source slot) in the source's own tree (load checked that every
+    # owner is a tree center and every member has a slot in its tree).
     m_rows: List[Tuple[int, int, int]] = []
     for owner, member in zip(compiled._ml_owner, compiled._ml_member):
         owner, member = int(owner), int(member)
-        tid = tid_of.get(owner)
-        if tid is None:
-            raise SchemeError(
-                f"dense compile: member-label owner {owner} is "
-                "not a tree center")
+        tid = tid_of[owner]
         m_rows.append((owner * n + member,
                        vslot(member, tid, "member label"),
                        vslot(owner, tid, "member-label owner")))
@@ -345,6 +321,7 @@ class DenseRoutingPlane(_CompiledArtifact):
         ("f_pivot", _INT), ("f_slot", _INT), ("f_tid", _INT),
         ("m_key", _INT), ("m_tslot", _INT), ("m_sslot", _INT),
     )
+    _SWEPT = tuple(name for name, _tc in _FIELDS)
 
     def _post_init(self) -> None:
         if len(self._f_pivot) != self._n * self._k:
@@ -366,8 +343,8 @@ class DenseRoutingPlane(_CompiledArtifact):
             return
         np = _np
         # the arrays the compile or the payload decoder handed over
-        npv = {name: self._column(name) for name, _tc in self._FIELDS}
-        self._npv = npv
+        npv = {name: self._column(name) for name in self._SWEPT}
+        self._npv = self._arrays = npv
         self._check_indexes(npv)
         swept = _sweep(npv, max(self._n, 1))
         if swept is None:

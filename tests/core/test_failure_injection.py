@@ -352,12 +352,18 @@ class TestCompiledTierFailures:
         with pytest.raises(ArtifactError, match=f"{column} row 0"):
             CompiledScheme(compiled.meta, arrays)
 
-    def test_member_without_a_slot_is_typed(self, compiled):
+    @pytest.mark.parametrize("engine", ["numpy", "scalar"])
+    def test_member_without_a_slot_fails_at_load(self, compiled, engine,
+                                                 monkeypatch):
         """A member row whose vertex has no slot in its owner's tree
-        passes the load checks; the replay's first call and the dense
-        compile name it."""
-        from repro.core import CompiledScheme, DenseRoutingPlane
+        fails at load, named, under both engines."""
+        import repro.core.compiled as compiled_mod
+        from repro.core import CompiledScheme
         from repro.exceptions import ArtifactError
+        if engine == "scalar":
+            monkeypatch.setattr(compiled_mod, "_np", None)
+        elif compiled_mod._np is None:
+            pytest.skip("numpy not installed")
         arrays = {name: list(getattr(compiled, "_" + name))
                   for name, _ in CompiledScheme._FIELDS}
         owner = arrays["ml_owner"][0]
@@ -366,11 +372,8 @@ class TestCompiledTierFailures:
                                     arrays["slot_tree"]) if t == tid}
         arrays["ml_member"][0] = next(
             v for v in range(compiled.num_vertices) if v not in inside)
-        broken = CompiledScheme(compiled.meta, arrays)
-        with pytest.raises(ArtifactError, match="member row 0"):
-            broken.route_many([(0, 1)])
-        with pytest.raises(SchemeError, match="member label"):
-            DenseRoutingPlane.from_compiled(broken)
+        with pytest.raises(ArtifactError, match="member row 0: vertex"):
+            CompiledScheme(compiled.meta, arrays)
 
     def test_round_trip_still_serves_after_failures(self, artifact,
                                                     tmp_path):
