@@ -443,6 +443,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    if args.queries < 0:
+        raise ParameterError(f"--queries must be >= 0, got {args.queries}")
     pipeline = _pipeline(args)
     est = pipeline.build_estimation()
     graph = est.graph
@@ -451,9 +453,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
           f"avg {est.average_sketch_words():.1f}")
     rng = random.Random(args.seed)
     n = graph.num_vertices
-    queries = args.queries or 5
     from .graphs import dijkstra_distances
-    for _ in range(queries):
+    for _ in range(args.queries):
         u, v = rng.randrange(n), rng.randrange(n)
         q = est.query(u, v)
         exact = dijkstra_distances(graph, u)[v]
@@ -475,6 +476,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    if args.n < 2:
+        raise ParameterError(f"--n must be >= 2, got {args.n}")
+    if args.k < 1:
+        raise ParameterError(f"--k must be >= 1, got {args.k}")
     scale = GraphScale(n=args.n, m=args.m or 4 * args.n,
                        hop_diameter=args.d,
                        shortest_path_diameter=args.s or args.d)

@@ -33,7 +33,13 @@ The join decision is the declarative :class:`JoinRule` — a per-vertex
 threshold plan covering every rule the paper actually applies (Eq. (11),
 the middle-scale pivot-distance filter, Eq. (14)/(15)) — which the dense
 kernel evaluates as a masked vector compare fused into the scatter-min
-relaxation and the bucketed kernel as an inline comparison.  Only the
+relaxation and the bucketed kernel as an inline comparison.  The one
+selection between them is by size: the dense kernel holds a
+``|sources| × n`` distance matrix, so past :data:`_DENSE_CELL_LIMIT`
+cells :func:`multi_source_exploration` takes the bucketed kernel
+(chunking the dense one is still open).  numpy is required; the only
+other size-based selection is the dense plane's parent walk below
+``_VECTOR_MIN_PAIRS`` (:mod:`repro.core.dense`).  Only the
 ``_reference`` oracles and the (tiny) virtual-graph exploration still
 take an opaque callback (:data:`JoinPredicate`).
 
@@ -56,18 +62,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..graphs import csr as _csr
-from ..graphs.csr import csr_view, frontier_neighbors
+import numpy as _np
+
+from ..graphs.csr import _gather_edge_indices, csr_view, frontier_neighbors
 from ..graphs.shortest_paths import INF
 from ..graphs.virtual_graph import VirtualGraph
 from ..graphs.weighted_graph import WeightedGraph
 from .bfs import BFSTree
 from .metrics import congestion_rounds, pipelined_rounds
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
 
 #: join(vertex, source, candidate_distance) -> bool.  Models the local
 #: decision rule a vertex applies on receiving an estimate, so it MUST
@@ -125,29 +127,22 @@ def _flat_adjacency(graph: WeightedGraph
     """CSR adjacency ``(starts, neighbors, weights)`` as plain lists.
 
     Served from the graph's cached :func:`csr_view` (same neighbor
-    order by that view's contract); numpy-backed views are converted to
-    lists because the scalar exploration loops below index them far
-    faster than numpy arrays.  The triplet is cached on the graph
-    (``_flat_cache``) keyed by the mutation ``version`` and the numpy
-    availability it was derived under — exactly the CSR view's own
+    order by that view's contract), converted to lists because the
+    scalar exploration loops below index them far faster than numpy
+    arrays.  The triplet is cached on the graph (``_flat_cache``) keyed
+    by the mutation ``version`` — exactly the CSR view's own
     invalidation contract — so one build's many exploration calls share
     a single conversion.  The cached lists are *shared*: callers must
     treat them as read-only.
     """
     cache = graph._flat_cache
     version = graph.version
-    if cache is not None and cache[0] == version \
-            and cache[1] == _csr.HAVE_NUMPY:
-        return cache[2]
+    if cache is not None and cache[0] == version:
+        return cache[1]
     view = csr_view(graph)
-    if view.vectorized:
-        flat = (view.indptr.tolist(), view.indices.tolist(),
-                view.weights.tolist())
-    else:
-        # fresh copies: the view's lists are the live CSR cache
-        flat = (list(view.indptr), list(view.indices),
-                list(view.weights))
-    graph._flat_cache = (version, _csr.HAVE_NUMPY, flat)
+    flat = (view.indptr.tolist(), view.indices.tolist(),
+            view.weights.tolist())
+    graph._flat_cache = (version, flat)
     return flat
 
 
@@ -376,24 +371,20 @@ def multi_source_exploration(graph: WeightedGraph,
     estimates per node by ``Õ(n^{1/k})`` w.h.p.).
 
     Two kernels sit behind this name, both result-identical to
-    :func:`multi_source_exploration_reference` and chosen only from what
-    the code can observe:
+    :func:`multi_source_exploration_reference` and chosen only from the
+    input size:
 
-    * with numpy and at most :data:`_DENSE_CELL_LIMIT` ``|sources| × n``
-      cells, :func:`_multi_source_dense_rule` — one flat scatter-min per
-      hop over every live estimate, the join fused in as a masked
-      vector compare;
-    * otherwise :func:`_multi_source_bucketed` — flat candidate buckets
+    * at most :data:`_DENSE_CELL_LIMIT` ``|sources| × n`` cells,
+      :func:`_multi_source_dense_rule` — one flat scatter-min per hop
+      over every live estimate, the join fused in as a masked vector
+      compare;
+    * past it, :func:`_multi_source_bucketed` — flat candidate buckets
       over an adjacency snapshot, the join an inline comparison.
     """
     n = graph.num_vertices
-    if _csr.HAVE_NUMPY and n > 0 and sources \
-            and len(set(sources)) * n <= _DENSE_CELL_LIMIT:
-        view = csr_view(graph)
-        if view.vectorized:
-            return _multi_source_dense_rule(view, graph, sources,
-                                            iterations, rule,
-                                            capacity_words)
+    if n > 0 and sources and len(set(sources)) * n <= _DENSE_CELL_LIMIT:
+        return _multi_source_dense_rule(csr_view(graph), graph, sources,
+                                        iterations, rule, capacity_words)
     return _multi_source_bucketed(graph, sources, iterations, rule,
                                   capacity_words)
 
@@ -479,7 +470,7 @@ def _multi_source_dense_rule(view, graph: WeightedGraph,
         if total == 0:
             fr_r = fr_r[:0]
             continue   # charged but update-free trailing iteration
-        eidx = _csr._gather_edge_indices(starts, cnts, total)
+        eidx = _gather_edge_indices(starts, cnts, total)
         c_r = _np.repeat(fr_r, cnts)
         c_via = _np.repeat(fr_v, cnts)
         c_t = indices[eidx]
@@ -547,7 +538,7 @@ def _multi_source_bucketed(graph: WeightedGraph,
                            capacity_words: int = 2
                            ) -> ExplorationResult:
     """Flat candidate buckets over the cached flat adjacency (the
-    kernel without numpy, or past :data:`_DENSE_CELL_LIMIT`): a fast
+    kernel past :data:`_DENSE_CELL_LIMIT`): a fast
     path for the common one-live-estimate relay, per-target buckets
     reset via a touched list, sorted frontiers.  The rule is evaluated
     as an inline per-vertex comparison — same acceptances as the fused

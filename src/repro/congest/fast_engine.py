@@ -8,11 +8,13 @@ Semantically identical to :class:`~repro.congest.simulator.Simulator`
   parallel arrays (message list + head cursor + pending-word counter),
   not a dict of deques.
 * **Vectorized capacity accounting.**  Pending word totals live in one
-  int64 array (numpy when available, ``array('q')`` fallback).  Each
-  round, links whose whole backlog fits the capacity are classified in
-  one vectorized compare and drained wholesale; only genuinely congested
-  links walk messages one by one.  The per-round max-queue statistic is
-  a single vectorized gather/max over the links that changed.
+  numpy int64 array.  Each round, links whose whole backlog fits the
+  capacity are classified in one vectorized compare and drained
+  wholesale; only genuinely congested links walk messages one by one.
+  The per-round max-queue statistic is a single vectorized gather/max
+  over the links that changed.  Both run as scalar compares below
+  ``_VECTOR_THRESHOLD`` links, where a numpy call costs more than it
+  saves.
 * **Active-link frontier.**  Only links with queued messages are
   visited, so a round costs O(active + delivered), not O(m), and
   quiescence detection is O(1) instead of an all-queue scan.
@@ -23,22 +25,25 @@ Bit-for-bit equivalence of every :class:`RunReport` field (rounds,
 delivered messages/words, max queue, quiescence, final node states) with
 the reference engine is enforced by
 ``tests/congest/test_engine_equivalence.py``.
+
+numpy is required: every kernel has one body.  Two size-based
+selections remain, both made from what the code observes: the
+bucketed exploration past ``_DENSE_CELL_LIMIT`` cells
+(:mod:`repro.congest.bellman_ford`) and the parent walk for batches
+below ``_VECTOR_MIN_PAIRS`` (:mod:`repro.core.dense`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+import numpy as _np
+
 from ..exceptions import SimulationError
 from .messages import DEFAULT_CAPACITY_WORDS, Message, check_fits_capacity
 from .network import Network
 from .node import NodeProgram, make_contexts
 from .simulator import RunReport
-
-try:  # vectorized accounting when numpy is present
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via _ArrayOps tests
-    _np = None
 
 #: Below this many active links the vectorized path costs more than it
 #: saves; fall back to scalar compares.
@@ -48,41 +53,20 @@ _VECTOR_THRESHOLD = 8
 _COMPACT_THRESHOLD = 64
 
 
-class _NumpyOps:
-    """int64 pending-words vector backed by numpy."""
-
-    def __init__(self, size: int) -> None:
-        self.words = _np.zeros(size, dtype=_np.int64)
-
-    def drain_mask(self, order: List[int], capacity: int) -> List[bool]:
-        if len(order) >= _VECTOR_THRESHOLD:
-            idx = _np.fromiter(order, dtype=_np.int64, count=len(order))
-            return (self.words[idx] <= capacity).tolist()
-        words = self.words
-        return [words[e] <= capacity for e in order]
-
-    def max_over(self, links: List[int]) -> int:
-        if len(links) >= _VECTOR_THRESHOLD:
-            idx = _np.fromiter(links, dtype=_np.int64, count=len(links))
-            return int(self.words[idx].max())
-        words = self.words
-        return max(int(words[e]) for e in links)
+def _drain_mask(words, order: List[int], capacity: int) -> List[bool]:
+    """Per link of ``order``, whether its whole backlog fits one round."""
+    if len(order) >= _VECTOR_THRESHOLD:
+        idx = _np.fromiter(order, dtype=_np.int64, count=len(order))
+        return (words[idx] <= capacity).tolist()
+    return [words[e] <= capacity for e in order]
 
 
-class _ArrayOps:
-    """Stdlib ``array('q')`` fallback with the same interface."""
-
-    def __init__(self, size: int) -> None:
-        from array import array
-        self.words = array("q", bytes(8 * size))
-
-    def drain_mask(self, order: List[int], capacity: int) -> List[bool]:
-        words = self.words
-        return [words[e] <= capacity for e in order]
-
-    def max_over(self, links: List[int]) -> int:
-        words = self.words
-        return max(words[e] for e in links)
+def _max_over(words, links: List[int]) -> int:
+    """The largest backlog among ``links``."""
+    if len(links) >= _VECTOR_THRESHOLD:
+        idx = _np.fromiter(links, dtype=_np.int64, count=len(links))
+        return int(words[idx].max())
+    return max(int(words[e]) for e in links)
 
 
 class FastSimulator:
@@ -136,8 +120,7 @@ class FastSimulator:
         contexts = make_contexts(network)
         queues: List[List[Message]] = [[] for _ in range(num_links)]
         heads = [0] * num_links
-        ops = (_NumpyOps if _np is not None else _ArrayOps)(num_links)
-        qwords = ops.words
+        qwords = _np.zeros(num_links, dtype=_np.int64)
         active: set = set()
         inboxes: List[List[Tuple[int, Message]]] = [[] for _ in range(n)]
         touched_links: List[int] = []   # links whose backlog changed
@@ -170,7 +153,7 @@ class FastSimulator:
             touched_links.clear()
             # --- delivery: one bucketed pass over the frontier -------
             order = sorted(active)
-            drain = ops.drain_mask(order, capacity)
+            drain = _drain_mask(qwords, order, capacity)
             touched_targets: List[int] = []
             for pos, e in enumerate(order):
                 queue = queues[e]
@@ -215,7 +198,7 @@ class FastSimulator:
                 inboxes[tgt] = []
             # --- congestion statistic over changed links only --------
             if touched_links:
-                pending = ops.max_over(touched_links)
+                pending = _max_over(qwords, touched_links)
                 if pending > max_queue_words:
                     max_queue_words = int(pending)
             quiescent = not emitted_any and not active

@@ -23,9 +23,8 @@ and the forest's columns around.  This module flattens it:
 * a versioned on-disk format shared by every kind —
   ``MAGIC | version | header JSON | packed array payload`` — written by
   ``save(path)`` and read back by ``load(path)`` /
-  :func:`load_artifact`.  Arrays are little-endian int64/float64;
-  decoding uses numpy when importable and the stdlib ``array`` module
-  otherwise, like the fast CONGEST engine.
+  :func:`load_artifact`.  Arrays are little-endian int64/float64,
+  encoded and decoded with numpy.
 
 The process pool (``repro.serving``) ships artifacts through a second
 transport next to the file format: :meth:`~_CompiledArtifact.
@@ -38,6 +37,12 @@ Every batch method validates its input through the shared
 :func:`validate_pairs` prepass, so the pool can run the *same* check
 parent-side and malformed batches raise the same exception type at the
 same offending pair no matter which path serves them.
+
+numpy is required: every kernel has one body.  Two size-based
+selections remain, both made from what the code observes: the
+bucketed exploration past ``_DENSE_CELL_LIMIT`` cells
+(:mod:`repro.congest.bellman_ford`) and the parent walk for batches
+below ``_VECTOR_MIN_PAIRS`` (:mod:`repro.core.dense`).
 """
 
 from __future__ import annotations
@@ -45,11 +50,11 @@ from __future__ import annotations
 import json
 import operator
 import struct
-import sys
-from array import array
 from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+
+import numpy as _np
 
 from ..exceptions import (
     ArtifactError,
@@ -58,11 +63,6 @@ from ..exceptions import (
     SchemeError,
 )
 from .tree_routing import ARTIFACT_COLUMNS
-
-try:  # fast payload decode when numpy is present
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
 
 #: File magic for every compiled artifact ("Repro Compiled Routing
 #: Artifact"); the conventional extension is ``.cra``.
@@ -84,25 +84,20 @@ _DTYPES = {_INT: "int64", _FLOAT: "float64"}  # ... and in memory
 
 def _last_rows(sorted_keys, queries):
     """Per query, the row of the last equal entry of ``sorted_keys``
-    (where a dict built in row order would resolve it), or ``None``
-    when some query has no entry."""
+    (where a dict built in row order would resolve it), and the index
+    of the first query with no entry, ``-1`` when every query has one
+    (the rows mean nothing otherwise)."""
     pos = _np.searchsorted(sorted_keys, queries, side="right") - 1
-    if len(queries) and (pos.min() < 0
-                         or (sorted_keys[pos] != queries).any()):
-        return None
-    return pos
+    # pos -1 (every key above the query) reads the last key, above too
+    hit = sorted_keys[pos] == queries if len(sorted_keys) else pos >= 0
+    return pos, (-1 if hit.all() else int(hit.argmin()))
 
 
 # ----------------------------------------------------------------------
 # Binary container: MAGIC | u32 version | u64 header len | header | payload
 # ----------------------------------------------------------------------
 def _pack_values(typecode: str, values: Sequence) -> bytes:
-    if _np is not None and isinstance(values, _np.ndarray):
-        return values.astype(_WIRE[typecode], copy=False).tobytes()
-    arr = array(typecode, values)
-    if sys.byteorder == "big":  # pragma: no cover - LE everywhere we run
-        arr.byteswap()
-    return arr.tobytes()
+    return _np.asarray(values, dtype=_WIRE[typecode]).tobytes()
 
 
 def _check_contents(meta: Dict, arrays: Dict[str, list],
@@ -116,20 +111,14 @@ def _check_contents(meta: Dict, arrays: Dict[str, list],
         raise ArtifactError("artifact metadata lacks 'n'/'k'")
 
 
-def _check_range(where: str, name: str, values: Sequence, lo: int,
-                 hi, arr=None) -> None:
-    """An :class:`ArtifactError` naming the first row of column ``name``
-    outside ``[lo, hi)``.  ``arr``, the column as a numpy array, decides
-    the passing case in two reductions; the list names the row."""
-    if not len(values):
+def _check_range(where: str, name: str, values, lo: int, hi) -> None:
+    """An :class:`ArtifactError` naming the first row of the integer
+    array ``values`` (column ``name``) outside ``[lo, hi)``."""
+    if not len(values) or (lo <= values.min() and values.max() < hi):
         return
-    low, high = ((arr.min(), arr.max()) if arr is not None
-                 else (min(values), max(values)))
-    if lo <= low and high < hi:
-        return
-    row = next(i for i, v in enumerate(values) if not lo <= v < hi)
+    row = int(_np.flatnonzero((values < lo) | (values >= hi))[0])
     raise ArtifactError(f"{where} column {name} row {row}: "
-                        f"{values[row]} is outside [{lo}, {hi})")
+                        f"{int(values[row])} is outside [{lo}, {hi})")
 
 
 def _write_artifact(path: Union[str, Path], kind: str, meta: Dict,
@@ -218,10 +207,10 @@ def pairs_array(pairs: Sequence, n: int):
     """``pairs`` as an ``(N, 2)`` integer array when it is one whose
     values are all in ``[0, n)`` — exactly the batches the scalar loop
     of :func:`validate_pairs` accepts — else ``None`` (float/str/object
-    dtype, ragged rows, out-of-range values, no numpy).  A vector serve
-    path that gets an array back has its validated input in hand and
-    converts nothing twice."""
-    if _np is None or not len(pairs):
+    dtype, ragged rows, out-of-range values).  A vector serve path that
+    gets an array back has its validated input in hand and converts
+    nothing twice."""
+    if not len(pairs):
         return None
     try:
         arr = _np.asarray(pairs)
@@ -300,9 +289,8 @@ class ArtifactBuffers(NamedTuple):
 
 def _attach_arrays(manifest: Sequence, buffer) -> Dict[str, Sequence]:
     """Decode a packed payload from any buffer object into native numpy
-    arrays (plain lists without numpy) — the single byte-layout
-    decoder behind both the file loader and the shared-memory attach
-    path; no view into ``buffer``
+    arrays — the single byte-layout decoder behind both the file loader
+    and the shared-memory attach path; no view into ``buffer``
     outlives the call.  Trailing bytes beyond the manifest are
     tolerated here (shared-memory blocks round their size up to a
     page); the file loader rejects them itself.
@@ -318,16 +306,9 @@ def _attach_arrays(manifest: Sequence, buffer) -> Dict[str, Sequence]:
                 f"truncated artifact payload: array {name!r} wanted "
                 f"{nbytes} bytes at offset {offset}, found "
                 f"{len(chunk)}")
-        if _np is not None:
-            # astype copies: no view into ``buffer`` outlives the call
-            arrays[name] = _np.frombuffer(
-                chunk, dtype=_WIRE[typecode]).astype(_DTYPES[typecode])
-        else:
-            arr = array(typecode)
-            arr.frombytes(chunk)
-            if sys.byteorder == "big":  # pragma: no cover
-                arr.byteswap()
-            arrays[name] = arr.tolist()
+        # astype copies: no view into ``buffer`` outlives the call
+        arrays[name] = _np.frombuffer(
+            chunk, dtype=_WIRE[typecode]).astype(_DTYPES[typecode])
         offset += nbytes
     return arrays
 
@@ -357,7 +338,7 @@ class _CompiledArtifact:
         self._arrays: Dict[str, object] = {}
         for name, typecode in self._FIELDS:
             values = arrays[name]
-            if _np is not None and isinstance(values, _np.ndarray):
+            if isinstance(values, _np.ndarray):
                 values = _np.asarray(values, dtype=_DTYPES[typecode])
                 if name in self._SWEPT:
                     self._arrays[name] = values
@@ -516,7 +497,7 @@ class CompiledScheme(_CompiledArtifact):
     )
 
     #: Columns the dense compile sweeps, handed in as numpy arrays by
-    #: :meth:`from_scheme` when numpy is present.
+    #: :meth:`from_scheme`.
     _SWEPT = ("tree_center", "slot_vertex", "slot_tree", "t_parent",
               "lbl_pivot", "lbl_slot")
 
@@ -529,8 +510,11 @@ class CompiledScheme(_CompiledArtifact):
         for name, hi in (("tree_center", n), ("slot_vertex", n),
                          ("slot_tree", len(self._tree_center)),
                          ("ml_member", n)):
-            _check_range("flat artifact", name, getattr(self, "_" + name),
-                         0, hi, self._arrays.get(name))
+            _check_range("flat artifact", name, self._column(name), 0, hi)
+        if len(self._ml_owner) != len(self._ml_member):
+            raise ArtifactError(
+                f"flat artifact columns ml_owner and ml_member hold "
+                f"{len(self._ml_owner)} and {len(self._ml_member)} rows")
         centers = set(self._tree_center)
         if not centers.issuperset(self._ml_owner):
             row = next(i for i, c in enumerate(self._ml_owner)
@@ -538,11 +522,10 @@ class CompiledScheme(_CompiledArtifact):
             raise ArtifactError(
                 f"flat artifact column ml_owner row {row}: "
                 f"{self._ml_owner[row]} is not a tree center")
-        # one searchsorted decides; without numpy, or to name the row,
-        # the replay's member dicts are built now and raise
-        if _np is None or self._slot_rows(
-                self._tree_rows(self._column("ml_owner")),
-                self._column("ml_member")) is None:
+        # one searchsorted decides; to name the row, the replay's
+        # member dicts are built now and raise
+        tids, _miss = self._tree_rows(self._column("ml_owner"))
+        if self._slot_rows(tids, self._column("ml_member"))[1] >= 0:
             self._members  # built now for its check
 
     # The sorted-key form of the replay's dicts, for the dense compile.
@@ -558,22 +541,25 @@ class CompiledScheme(_CompiledArtifact):
         return key[order], order, centers[center_order], center_order
 
     def _tree_rows(self, pivots):
-        """Tree id of every center in the array ``pivots``, or ``None``
-        when one is not a tree center."""
+        """``(tids, miss)``: the tree id of every center in the array
+        ``pivots``, and the index of the first pivot that is not a tree
+        center (``-1`` when all are; ``tids`` is ``None`` otherwise)."""
         _keys, _slots, centers, tids = self._key_index
-        pos = _last_rows(centers, pivots)
-        return None if pos is None else tids[pos]
+        pos, miss = _last_rows(centers, pivots)
+        return (tids[pos] if miss < 0 else None), miss
 
     def _slot_rows(self, tids, vertices):
-        """Slot of every ``(tid, vertex)`` in two arrays, or ``None``
-        when one has no slot."""
+        """``(slots, miss)``: the slot of every ``(tid, vertex)`` in two
+        arrays, and the index of the first pair with no slot (``-1``
+        when all have one; ``slots`` is ``None`` otherwise)."""
         keys, slots, _centers, _tids = self._key_index
         n = self._n
-        # a vertex outside [0, n) would alias a key of another tree
-        if len(vertices) and (vertices.min() < 0 or vertices.max() >= n):
-            return None
-        pos = _last_rows(keys, tids * n + vertices)
-        return None if pos is None else slots[pos]
+        # a vertex outside [0, n) would alias a key of another tree;
+        # -1 is no key (every key is >= 0)
+        queries = _np.where((vertices >= 0) & (vertices < n),
+                            tids * n + vertices, -1)
+        pos, miss = _last_rows(keys, queries)
+        return (slots[pos] if miss < 0 else None), miss
 
     # Dict accelerators of the replay, built on its first call (the
     # dense compile reads the columns instead).
@@ -614,11 +600,10 @@ class CompiledScheme(_CompiledArtifact):
         that left the construction valid picks the new ones up)."""
         graph = scheme.graph
         forest = scheme.forest.columns
-        # the columns the dense compile sweeps go in as numpy copies
-        # when numpy is present, kept beside the lists; the rest as lists
-        column = list if _np is None else _np.array
+        # the columns the dense compile sweeps go in as numpy copies,
+        # kept beside the lists; the rest as lists
         cols: Dict[str, Sequence] = {
-            name: (column(getattr(forest, name)) if name in cls._SWEPT
+            name: (_np.array(getattr(forest, name)) if name in cls._SWEPT
                    else getattr(forest, name).tolist())
             for name in ("tree_center",) + ARTIFACT_COLUMNS}
         n = graph.num_vertices
@@ -633,8 +618,8 @@ class CompiledScheme(_CompiledArtifact):
             u, v = divmod(exc.args[0], n)
             raise SchemeError(f"tree edge ({u}, {v}) is not an edge of "
                               "the graph") from None
-        cols["lbl_pivot"] = column(scheme.lbl_pivot)
-        cols["lbl_slot"] = column(scheme.lbl_slot)
+        cols["lbl_pivot"] = _np.array(scheme.lbl_pivot)
+        cols["lbl_slot"] = _np.array(scheme.lbl_slot)
         cols["ml_owner"], cols["ml_member"] = [], []
         for owner in sorted(scheme.members):
             mine = scheme.members[owner]

@@ -17,9 +17,13 @@ under ``_DERIVED_BUDGET``, the CSR of root-first ancestor chains.  A
 batch is then answered with no per-hop loop: Algorithm 1 as a k-wide
 vectorised select, the LCA as the common-prefix length of two padded
 chain gathers, both legs of every path from one ragged gather, the
-weight as a difference of root distances.  Without numpy, below
-``_VECTOR_MIN_PAIRS``, or past the budget, the same route comes from a
-plain parent walk.
+weight as a difference of root distances.  Two size selections pick
+the body: a batch below ``_VECTOR_MIN_PAIRS`` pairs, or any batch once
+the chains are past the budget, takes the same route from a plain
+parent walk (the pairs that are cheaper walked one by one, and the
+memory the chains would take).  numpy is required; the only other
+size-based selection is the bucketed exploration past
+``_DENSE_CELL_LIMIT`` (:mod:`repro.congest.bellman_ford`).
 
 The plane is compiled from the :class:`CompiledScheme` construction
 artifact, and its results are **bit-identical** to
@@ -40,7 +44,9 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..exceptions import (
     ArtifactError,
@@ -60,11 +66,6 @@ from .compiled import (
     pairs_array,
     validate_pairs,
 )
-
-try:  # vector serve path when numpy is present
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
 
 #: Batches this long or longer take the vectorised path.  Placed from a
 #: sweep over 1, 2, 4, ..., 512 pairs per call on the harness's four
@@ -97,8 +98,8 @@ def _direct_table(sorted_keys, size: int):
     row has the key.  ``None`` past the budget."""
     if not len(sorted_keys) or size > _DERIVED_BUDGET:
         return None
-    table = _np.full(size, -1, dtype=_np.int32)
-    table[sorted_keys] = _np.arange(len(sorted_keys), dtype=_np.int32)
+    table = np.full(size, -1, dtype=np.int32)
+    table[sorted_keys] = np.arange(len(sorted_keys), dtype=np.int32)
     return table
 
 
@@ -110,63 +111,71 @@ def _lookup(table, sorted_keys, keys):
         pos = table[keys]
         return pos >= 0, pos
     if not len(sorted_keys):
-        return _np.zeros(len(keys), dtype=bool), keys
-    pos = _np.minimum(_np.searchsorted(sorted_keys, keys),
-                      len(sorted_keys) - 1)
+        return np.zeros(len(keys), dtype=bool), keys
+    pos = np.minimum(np.searchsorted(sorted_keys, keys),
+                     len(sorted_keys) - 1)
     return sorted_keys[pos] == keys, pos
 
 
-def _check_increasing(name: str, keys: Sequence, hi, arr=None) -> None:
-    """An :class:`ArtifactError` naming the first row of the key column
-    ``name`` not above the row before it (``-1`` before the first) or
-    not below ``hi``.  ``arr``, the column as numpy, decides the passing
-    case in three reductions."""
-    if arr is not None and (not len(arr) or (
-            arr[0] >= 0 and arr[-1] < hi
-            and bool((arr[1:] > arr[:-1]).all()))):
+def _check_increasing(name: str, keys, hi) -> None:
+    """An :class:`ArtifactError` naming the first row of the key array
+    ``keys`` (column ``name``) not above the row before it (``-1``
+    before the first) or not below ``hi``."""
+    if not len(keys) or (keys[0] >= 0 and keys[-1] < hi
+                         and bool((keys[1:] > keys[:-1]).all())):
         return
-    prev = -1
-    for row, key in enumerate(keys):
-        if not prev < key < hi:
-            raise ArtifactError(
-                f"dense plane column {name} row {row}: key {key} breaks "
-                f"the strictly increasing order in [0, {hi})")
-        prev = key
+    prev = np.r_[-1, keys[:-1]]
+    row = int(np.flatnonzero(~((prev < keys) & (keys < hi)))[0])
+    raise ArtifactError(
+        f"dense plane column {name} row {row}: key {int(keys[row])} "
+        f"breaks the strictly increasing order in [0, {hi})")
 
 
 def _sweep(npv, n: int):
     """Depth and root distance of every slot by one top-down level
     sweep from the roots, each child's distance its parent's plus its
-    edge weight — the walk's float sums, in the walk's order — or
-    ``None`` when any check of :meth:`DenseRoutingPlane._derive` fails
-    (or the index lists a slot twice, whose tree the walk's order
-    decides).  A slot the sweep never reaches is on a cycle."""
-    np = _np
+    edge weight — a walk's float sums, in a walk's order.
+
+    This is load's check of the parent pointers: each in range, inside
+    its slot's tree, over a non-negative integer edge weight, and every
+    slot reaching a root at a distance exact in float64.  A violation
+    is an :class:`ArtifactError` naming the slot that a walk from each
+    slot in turn up to its root meets first (:func:`_defect`)."""
     parent = npv["dp_parent_slot"]
     weight = npv["dp_parent_w"]
     sx_slot = npv["sx_slot"]
     num_slots = len(parent)
     if not num_slots:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
-    if (sx_slot.min() < 0 or sx_slot.max() >= num_slots
-            or parent.min() < -1 or parent.max() >= num_slots
-            or np.bincount(sx_slot, minlength=num_slots).max() > 1):
-        return None
-    tree = np.empty(num_slots, dtype=np.int64)   # every slot listed once
-    tree[sx_slot] = npv["sx_key"] // n
-    child = np.nonzero(parent >= 0)[0]
+    out = (sx_slot < 0) | (sx_slot >= num_slots)
+    if out.any():
+        slot = int(sx_slot[out.argmax()])
+        raise ArtifactError(
+            f"dense plane slot index names slot {slot}, out of range")
+    # slot -> tree: -1 for a slot the index omits; a slot it lists
+    # twice takes its last row's tree
+    tree = np.full(num_slots, -1, dtype=np.int64)
+    key_tree = npv["sx_key"] // n
+    if np.bincount(sx_slot, minlength=num_slots).max() > 1:
+        last = len(sx_slot) - 1 - np.unique(sx_slot[::-1],
+                                            return_index=True)[1]
+        sx_slot, key_tree = sx_slot[last], key_tree[last]
+    tree[sx_slot] = key_tree
+    child = np.flatnonzero((parent >= 0) & (parent < num_slots))
     up = parent[child]
     w = weight[child]
-    if not ((tree[up] == tree[child]).all() and np.isfinite(w).all()
-            and (w >= 0).all() and (np.floor(w) == w).all()):
-        return None
-    # children grouped by parent (CSR), then one gather per level
+    bad = (parent < -1) | (parent >= num_slots)
+    bad[child] = ~((tree[up] == tree[child]) & np.isfinite(w)
+                   & (w >= 0) & (np.floor(w) == w))
+    sound = ~bad[child]
+    child, up = child[sound], up[sound]
+    # sound children grouped by parent (CSR), then one gather per level
     by_parent = child[np.argsort(up, kind="stable")]
     count = np.bincount(up, minlength=num_slots)
     first = np.cumsum(count) - count
     depth = np.full(num_slots, -1, dtype=np.int64)
     dist = np.zeros(num_slots)
-    level = np.nonzero(parent < 0)[0]
+    level = np.nonzero(parent == -1)[0]
     depth[level] = 0
     d = 0
     while True:
@@ -179,43 +188,82 @@ def _sweep(npv, n: int):
                           + np.arange(total)]
         depth[level] = d
         dist[level] = dist[parent[level]] + weight[level]
-    if (depth < 0).any() or (dist >= 2.0 ** 52).any():
-        return None
+    # a slot the sweep never reaches is on a cycle or below a bad one
+    fail = (depth < 0) | (dist >= 2.0 ** 52)
+    if fail.any():
+        start = int(fail.argmax())
+        if depth[start] >= 0:
+            raise ArtifactError(
+                f"dense plane slot {start}: distance to the root is too "
+                "large for exact float64 sums")
+        raise _defect(start, parent, weight, tree, bad)
     return depth, dist
+
+
+def _defect(start: int, parent, weight, tree, bad) -> ArtifactError:
+    """The error of the first ``bad`` slot on the way from ``start`` to
+    its root — parent out of range, in another tree, or over a weight
+    that is not a non-negative integer — or, when the way closes a
+    cycle first, of ``start``."""
+    seen = set()
+    x = start
+    while not bad[x]:
+        if x in seen:
+            return ArtifactError(f"dense plane slot {start}: parent "
+                                 "pointers run into a cycle")
+        seen.add(x)
+        x = int(parent[x])
+    p = int(parent[x])
+    if not -1 <= p < len(parent):
+        why = f"parent {p} is out of range"
+    elif tree[p] != tree[x]:
+        why = (f"parent {p} belongs to tree {int(tree[p])}, not tree "
+               f"{int(tree[x])}")
+    else:
+        why = (f"parent edge weight {float(weight[x])!r} is not a "
+               "non-negative integer")
+    return ArtifactError(f"dense plane slot {x}: {why}")
+
+
+def _no_slot(what: str, vertex, tid) -> SchemeError:
+    return SchemeError(f"dense compile: {what} names vertex {int(vertex)}, "
+                       f"which has no slot in tree {int(tid)}")
 
 
 def _compile_columns(compiled: CompiledScheme):
     """:meth:`DenseRoutingPlane.from_compiled` as array sweeps over the
     scheme's integer columns and its sorted (tree, vertex) -> slot
-    index, or ``None`` when some row names a slot or tree center that
-    does not exist (the plain body names it).  Equal keys resolve to
-    the last row, as the scheme's dicts do."""
-    np = _np
+    index.  A row naming a slot or tree center that does not exist is
+    a :class:`SchemeError` naming it; equal keys resolve to the last
+    row, as the scheme's dicts do."""
     n = compiled.num_vertices
     col = compiled._column
     vertex = col("slot_vertex")
     tree = col("slot_tree")
     owner = col("ml_owner")
     member = col("ml_member")
-    if not len(vertex) or len(owner) != len(member):
-        return None
     sx_key, order, _centers, _tids = compiled._key_index
     slot_of = compiled._slot_rows
     tid_of = compiled._tree_rows
     parent_vertex = col("t_parent")
     child = np.nonzero(parent_vertex >= 0)[0]
-    parent_slot = slot_of(tree[child], parent_vertex[child])
+    parent_slot, miss = slot_of(tree[child], parent_vertex[child])
+    if miss >= 0:
+        raise _no_slot("tree parent", parent_vertex[child[miss]],
+                       tree[child[miss]])
     f_pivot = col("lbl_pivot")
     f_slot = col("lbl_slot")
     live = np.nonzero((f_pivot >= 0) & (f_slot >= 0))[0]
-    f_tids = tid_of(f_pivot[live])
-    m_tid = tid_of(owner)
-    if parent_slot is None or f_tids is None or m_tid is None:
-        return None
-    m_tslot = slot_of(m_tid, member)
-    m_sslot = slot_of(m_tid, owner)
-    if m_tslot is None or m_sslot is None:
-        return None
+    f_tids, miss = tid_of(f_pivot[live])
+    if miss >= 0:
+        raise SchemeError(f"dense compile: find-tree pivot "
+                          f"{int(f_pivot[live[miss]])} is not a tree center")
+    # load checked that owners are centers and members have slots
+    m_tid, _miss = tid_of(owner)
+    m_tslot, _miss = slot_of(m_tid, member)
+    m_sslot, miss = slot_of(m_tid, owner)
+    if miss >= 0:
+        raise _no_slot("member-label owner", owner[miss], m_tid[miss])
     dp_parent_slot = np.full(len(vertex), -1, dtype=np.int64)
     dp_parent_slot[child] = parent_slot
     f_tid = np.full(len(f_pivot), -1, dtype=np.int64)
@@ -228,73 +276,6 @@ def _compile_columns(compiled: CompiledScheme):
             "f_pivot": f_pivot, "f_slot": f_slot, "f_tid": f_tid,
             "m_key": m_key[rows], "m_tslot": m_tslot[rows],
             "m_sslot": m_sslot[rows]}
-
-
-def _compile_lists(compiled: CompiledScheme) -> Dict[str, list]:
-    """:meth:`DenseRoutingPlane.from_compiled` in plain Python over the
-    scheme's dicts: the no-numpy body, and the one that names a row
-    :func:`_compile_columns` could not resolve."""
-    n = compiled.num_vertices
-    slots = compiled._slots          # vertex -> {tid: slot}
-    tid_of = compiled._tid_of        # tree center -> tid
-    slot_vertex = compiled._slot_vertex
-    slot_tree = compiled._slot_tree
-    num_slots = len(slot_vertex)
-
-    def vslot(vertex: int, tid: int, what: str) -> int:
-        try:
-            return slots[vertex][tid]
-        except (IndexError, KeyError):
-            raise SchemeError(
-                f"dense compile: {what} names vertex {vertex}, "
-                f"which has no slot in tree {tid}") from None
-
-    cols: Dict[str, list] = {}
-    cols["dp_vertex"] = [int(v) for v in slot_vertex]
-    cols["dp_parent_w"] = [float(w) for w in compiled._t_parent_w]
-    cols["dp_parent_slot"] = [
-        -1 if int(v) < 0
-        else vslot(int(v), int(slot_tree[s]), "tree parent")
-        for s, v in enumerate(compiled._t_parent)]
-
-    # (tree, vertex) -> slot membership index.
-    keyed = sorted((int(slot_tree[s]) * n + int(slot_vertex[s]), s)
-                   for s in range(num_slots))
-    cols["sx_key"] = [key for key, _slot in keyed]
-    cols["sx_slot"] = [slot for _key, slot in keyed]
-
-    # Find-tree rows (n * k), annotated with the pivot's tree id.
-    f_pivot = [int(x) for x in compiled._lbl_pivot]
-    f_slot = [int(x) for x in compiled._lbl_slot]
-    f_tid: List[int] = []
-    for pivot, sl in zip(f_pivot, f_slot):
-        if pivot < 0 or sl < 0:
-            f_tid.append(-1)
-            continue
-        tid = tid_of.get(pivot)
-        if tid is None:
-            raise SchemeError(
-                f"dense compile: find-tree pivot {pivot} is not a "
-                "tree center")
-        f_tid.append(int(tid))
-    cols["f_pivot"], cols["f_slot"], cols["f_tid"] = \
-        f_pivot, f_slot, f_tid
-
-    # Member-label pairs: source * n + target -> (target slot,
-    # source slot) in the source's own tree (load checked that every
-    # owner is a tree center and every member has a slot in its tree).
-    m_rows: List[Tuple[int, int, int]] = []
-    for owner, member in zip(compiled._ml_owner, compiled._ml_member):
-        owner, member = int(owner), int(member)
-        tid = tid_of[owner]
-        m_rows.append((owner * n + member,
-                       vslot(member, tid, "member label"),
-                       vslot(owner, tid, "member-label owner")))
-    m_rows.sort()
-    cols["m_key"] = [row[0] for row in m_rows]
-    cols["m_tslot"] = [row[1] for row in m_rows]
-    cols["m_sslot"] = [row[2] for row in m_rows]
-    return cols
 
 
 class DenseRoutingPlane(_CompiledArtifact):
@@ -337,25 +318,13 @@ class DenseRoutingPlane(_CompiledArtifact):
                     f"{len(getattr(self, '_' + name))} entries for "
                     f"{num_slots} slots")
         self._chain = None
-        if _np is None:
-            self._check_indexes({})
-            self._derive()
-            return
-        np = _np
         # the arrays the compile or the payload decoder handed over
         npv = {name: self._column(name) for name in self._SWEPT}
         self._npv = self._arrays = npv
         self._check_indexes(npv)
-        swept = _sweep(npv, max(self._n, 1))
-        if swept is None:
-            # the walk names the slot (or, where the index lists a slot
-            # twice, decides by its own order)
-            self._derive()
-            swept = (np.asarray(self._depth, dtype=np.int64),
-                     np.asarray(self._dist, dtype=np.float64))
-        else:
-            self._depth, self._dist = swept[0].tolist(), swept[1].tolist()
-        self._build_chains(*swept)
+        depth, dist = _sweep(npv, max(self._n, 1))
+        self._depth, self._dist = depth.tolist(), dist.tolist()
+        self._build_chains(depth, dist)
         # the two find-tree lookups: member pairs (key s*n + t) and
         # (tree, vertex) -> slot (key tid*n + v, every tid that appears)
         self._m_direct = _direct_table(npv["m_key"], self._n * self._n)
@@ -373,81 +342,19 @@ class DenseRoutingPlane(_CompiledArtifact):
         ``m_key`` strictly increasing (lookups binary-search and
         direct-address them; ``m_key`` below ``n²``), member slots in
         ``[0, slots)``, find-tree slots in ``[-1, slots)`` and tree ids
-        in ``[-1, trees)``.  ``npv``, the numpy columns (empty without
-        numpy), decides each check by reductions; the lists name the
-        first bad row, so the message is the same on both bodies."""
-        _check_increasing("sx_key", self._sx_key, float("inf"),
-                          npv.get("sx_key"))
-        _check_increasing("m_key", self._m_key, self._n * self._n,
-                          npv.get("m_key"))
+        in ``[-1, trees)``.  Each check names the first bad row."""
+        _check_increasing("sx_key", npv["sx_key"], float("inf"))
+        _check_increasing("m_key", npv["m_key"], self._n * self._n)
         num_slots = len(self._dp_vertex)
         for name, lo, hi in (("m_tslot", 0, num_slots),
                              ("m_sslot", 0, num_slots),
                              ("f_slot", -1, num_slots),
                              ("f_tid", -1, self._num_trees())):
-            _check_range("dense plane", name, getattr(self, "_" + name),
-                         lo, hi, npv.get(name))
-
-    def _derive(self) -> None:
-        """Validate the parent pointers — in range, inside their tree,
-        acyclic, integer edge weights; a violation names the slot — and
-        derive per-slot depth and root distance by a memoised walk to
-        the root.  The plain body: it decides without numpy, and with
-        numpy it runs only when :func:`_sweep` found something, to name
-        it, so the two bodies raise the same message."""
-        def bad(slot, why):
-            return ArtifactError(f"dense plane slot {slot}: {why}")
-        n = max(self._n, 1)
-        parent = self._dp_parent_slot
-        parent_w = self._dp_parent_w
-        num_slots = len(parent)
-        tree = [-1] * num_slots
-        for key, slot in zip(self._sx_key, self._sx_slot):
-            if not 0 <= slot < num_slots:
-                raise ArtifactError(
-                    f"dense plane slot index names slot {slot}, out "
-                    "of range")
-            tree[slot] = key // n
-        depth = [-1] * num_slots        # -1 unseen, -2 on the trail
-        dist = [0.0] * num_slots
-        for start in range(num_slots):
-            trail = []
-            x = start
-            while depth[x] == -1:
-                p = parent[x]
-                if not -1 <= p < num_slots:
-                    raise bad(x, f"parent {p} is out of range")
-                if p < 0:
-                    depth[x] = 0
-                    break
-                if tree[p] != tree[x]:
-                    raise bad(x, f"parent {p} belongs to tree "
-                              f"{tree[p]}, not tree {tree[x]}")
-                w = parent_w[x]
-                if not (w >= 0 and float(w).is_integer()):
-                    raise bad(x, f"parent edge weight {w!r} is not a "
-                              "non-negative integer")
-                depth[x] = -2
-                trail.append(x)
-                x = p
-            if depth[x] == -2:
-                # smallest slot that never reaches a root
-                raise bad(start, "parent pointers run into a cycle")
-            d, r = depth[x], dist[x]
-            for y in reversed(trail):
-                d += 1
-                r += parent_w[y]
-                depth[y], dist[y] = d, r
-            if r >= 2.0 ** 52:
-                raise bad(start, "distance to the root is too large "
-                          "for exact float64 sums")
-        self._depth = depth
-        self._dist = dist
+            _check_range("dense plane", name, npv[name], lo, hi)
 
     def _build_chains(self, depth, dist) -> None:
         """The CSR of root-first ancestor chains, within budget:
         ``chain[off[s] : off[s] + depth[s] + 1]`` = root, ..., ``s``."""
-        np = _np
         parent = self._npv["dp_parent_slot"]
         total = int(depth.sum()) + len(depth)
         if not 0 < total <= _DERIVED_BUDGET:
@@ -474,22 +381,16 @@ class DenseRoutingPlane(_CompiledArtifact):
                       ) -> "DenseRoutingPlane":
         """Compile a :class:`CompiledScheme` into the dense plane.
 
-        With numpy, one stable argsort of the slots' ``tree * n +
-        vertex`` keys plus ``searchsorted`` resolves every parent,
-        find-tree row and member row (:func:`_compile_columns`), and
-        the plane keeps those arrays.  Without numpy, or when a row
-        names a slot or tree that does not exist, the plain body over
-        the scheme's dicts runs and names the row.  Same bytes either
-        way.
+        One stable argsort of the slots' ``tree * n + vertex`` keys
+        plus ``searchsorted`` resolves every parent, find-tree row and
+        member row (:func:`_compile_columns`), and the plane keeps
+        those arrays.
         """
         if not isinstance(compiled, CompiledScheme):
             raise ParameterError(
                 "DenseRoutingPlane.from_compiled wants a "
                 f"CompiledScheme, got {type(compiled).__name__}")
-        cols = None if _np is None else _compile_columns(compiled)
-        if cols is None:
-            cols = _compile_lists(compiled)
-        return cls(compiled.meta, cols)
+        return cls(compiled.meta, _compile_columns(compiled))
 
     def __repr__(self) -> str:
         return (f"DenseRoutingPlane(n={self._n}, k={self._k}, "
@@ -528,12 +429,12 @@ class DenseRoutingPlane(_CompiledArtifact):
         count = len(pairs)
         if self._chain is None or count < _VECTOR_MIN_PAIRS:
             return self._route_walk(pairs, max_hops)
-        if isinstance(pairs, _np.ndarray):
-            arr = pairs.astype(_np.int64, copy=False)
+        if isinstance(pairs, np.ndarray):
+            arr = pairs.astype(np.int64, copy=False)
         else:
             # validated input: a third of the cost of asarray()
-            arr = _np.fromiter(itertools.chain.from_iterable(pairs),
-                               _np.int64, 2 * count).reshape(count, 2)
+            arr = np.fromiter(itertools.chain.from_iterable(pairs),
+                               np.int64, 2 * count).reshape(count, 2)
         out: List[CompiledRoute] = []
         for at in range(0, count, self._chunk_rows):
             out.extend(self._route_chains(
@@ -546,7 +447,7 @@ class DenseRoutingPlane(_CompiledArtifact):
             f"route {s} -> {t} takes {hops} hops, over the max_hops="
             f"{max_hops} budget; retry with a larger budget")
 
-    # -- parent walk (small batches, no numpy, chains past budget) -----
+    # -- parent walk (small batches, chains past budget) -------------
     def _route_walk(self, pairs, max_hops):
         n = self._n
         k = self._k
@@ -631,7 +532,6 @@ class DenseRoutingPlane(_CompiledArtifact):
         """Algorithm 1 for every row at once: member lookup, then a
         k-wide select over the label rows, compressed to unresolved
         rows.  Returns ``(source slot, target slot, center, level)``."""
-        np = _np
         col = self._npv
         n = self._n
         hit, pos = _lookup(self._m_direct, col["m_key"], s * n + t)
@@ -683,7 +583,6 @@ class DenseRoutingPlane(_CompiledArtifact):
 
     def _route_chains(self, arr, max_hops):
         """Route an (N, 2) int64 array off the ancestor chains."""
-        np = _np
         src = arr[:, 0]
         dst = arr[:, 1]
         work = None

@@ -70,7 +70,14 @@ per-edge Python closure.  One deliberate semantic pin, applied to kernel
 and oracle alike: frontiers are processed in sorted vertex order (the
 original iterated a ``set``), so equal-distance parent ties resolve
 deterministically and identically across the pair.  Estimates, parents
-and round charges are bit-identical.
+and round charges are bit-identical.  Rows are independent, so past
+``_MATRIX_CELL_LIMIT`` the same kernel advances the matrix in blocks of
+source rows sized to stay under it — a size-based choice that changes
+no bit of the result.  numpy is required: the kernel has one body.
+Two size-based selections remain elsewhere, both made from what the
+code observes: the bucketed exploration past ``_DENSE_CELL_LIMIT``
+cells (:mod:`repro.congest.bellman_ford`) and the parent walk for
+batches below ``_VECTOR_MIN_PAIRS`` (:mod:`repro.core.dense`).
 """
 
 from __future__ import annotations
@@ -80,24 +87,21 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from ..congest.bellman_ford import JoinRule
 from ..congest.bfs import BFSTree
 from ..exceptions import ParameterError
-from ..graphs.csr import CSRView, csr_view, relax_frontier
+from ..graphs.csr import CSRView, csr_view
 from ..graphs.shortest_paths import INF
 from ..graphs.weighted_graph import WeightedGraph
 
-try:  # matrix rows are numpy when available; list rows otherwise
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
-
-#: Ceiling on ``|V'| * 2m`` cells for the whole-matrix advance: one hop
-#: holds about three (active rows × frontier out-edges) float64
-#: temporaries at once (the candidate matrix, the repeated group
-#: minima, and the winner mask/gathers), so this budget caps the
-#: transient at roughly 100 MB; past it the batched path falls back to
-#: per-row advances, which peak at O(n + m) extra.
+#: Ceiling on ``rows * 2m`` cells for one matrix advance: one hop holds
+#: about three (active rows × frontier out-edges) float64 temporaries
+#: at once (the candidate matrix, the repeated group minima, and the
+#: winner mask/gathers), so this budget caps the transient at roughly
+#: 100 MB; past it the rows advance in blocks of
+#: ``max(1, _MATRIX_CELL_LIMIT // 2m)``.
 _MATRIX_CELL_LIMIT = 1 << 22
 
 
@@ -371,32 +375,6 @@ def _advance_matrix_np(view: CSRView, dist, par, hop_bound: int,
         frontier = targets[touched]        # targets ascending already
 
 
-def _advance_rows_py(view: CSRView, rows, parents, hop_bound: int,
-                     weights, sources) -> None:
-    """The same matrix advance on list rows (no-numpy fallback).
-
-    Rows keep their own frontiers here: without vectorization the union
-    trick saves nothing, and per-row frontiers do strictly less work.
-    """
-    frontiers = [[s] for s in sources]
-    for _ in range(hop_bound):
-        active = False
-        for r, frontier in enumerate(frontiers):
-            if len(frontier) == 0:
-                continue
-            active = True
-            targets, dists, vias = relax_frontier(view, rows[r], frontier,
-                                                  weights)
-            row = rows[r]
-            par = parents[r]
-            for idx, t in enumerate(targets):
-                row[t] = dists[idx]
-                par[t] = vias[idx]
-            frontiers[r] = targets
-        if not active:
-            break
-
-
 def detect_sources(graph: WeightedGraph, sources: Sequence[int],
                    hop_bound: int, eps: float,
                    bfs_tree: Optional[BFSTree] = None,
@@ -450,56 +428,34 @@ def detect_sources(graph: WeightedGraph, sources: Sequence[int],
 
     view = csr_view(graph)
     num_sources = len(source_list)
-    edges2 = view.num_directed_edges
-    vectorized = (view.vectorized and _np is not None
-                  and num_sources * edges2 <= _MATRIX_CELL_LIMIT)
-
-    if vectorized:
-        w_f64 = view.weights_f64()
-        weights = w_f64 if unit is None else _np.ceil(w_f64 / unit) * unit
-        dist = _np.full((num_sources, n), INF)
-        par = _np.full((num_sources, n), -1, dtype=_np.int64)
-        dist[_np.arange(num_sources), source_list] = 0.0
-        _advance_matrix_np(view, dist, par, hop_bound, weights,
-                           source_list)
-    else:
-        raw = view.weights.tolist() if view.vectorized else view.weights
-        weights = raw if unit is None \
-            else [math.ceil(w / unit) * unit for w in raw]
-        dist = [[INF] * n for _ in range(num_sources)]
-        par = [[-1] * n for _ in range(num_sources)]
-        for r, s in enumerate(source_list):
-            dist[r][s] = 0.0
-        _advance_rows_py(view, dist, par, hop_bound, weights,
-                         source_list)
+    w_f64 = view.weights_f64()
+    weights = w_f64 if unit is None else _np.ceil(w_f64 / unit) * unit
+    dist = _np.full((num_sources, n), INF)
+    par = _np.full((num_sources, n), -1, dtype=_np.int64)
+    dist[_np.arange(num_sources), source_list] = 0.0
+    # rows are independent: each block is the whole matrix's advance
+    # restricted to its rows, bit for bit
+    block = max(1, _MATRIX_CELL_LIMIT // max(view.num_directed_edges, 1))
+    for lo in range(0, num_sources, block):
+        _advance_matrix_np(view, dist[lo:lo + block], par[lo:lo + block],
+                           hop_bound, weights, source_list[lo:lo + block])
 
     exact = mode == "exact"
     thr_arr = None
-    if join_rule is not None and vectorized:
+    if join_rule is not None:
         thr_arr = _np.asarray(join_rule.threshold, dtype=_np.float64)
     for r, s in enumerate(source_list):
         row = dist[r]
         prow = par[r]
-        if vectorized:
-            keep = row < INF
-            if join_rule is not None:
-                # the rule as one masked compare; the self-cell is
-                # always kept (it is seeded, never filtered)
-                ok = ((row < thr_arr) if join_rule.strict
-                      else (row <= thr_arr))
-                ok[s] = True
-                keep &= ok
-            finite = _np.nonzero(keep)[0]
-        elif join_rule is None:
-            finite = [u for u in range(n) if row[u] < INF]
-        else:
-            thr = join_rule.threshold
-            strict = join_rule.strict
-            finite = [u for u in range(n)
-                      if row[u] < INF
-                      and (u == s or ((row[u] < thr[u]) if strict
-                                      else (row[u] <= thr[u])))]
-        for u in finite:
+        keep = row < INF
+        if join_rule is not None:
+            # the rule as one masked compare; the self-cell is
+            # always kept (it is seeded, never filtered)
+            ok = ((row < thr_arr) if join_rule.strict
+                  else (row <= thr_arr))
+            ok[s] = True
+            keep &= ok
+        for u in _np.nonzero(keep)[0]:
             u = int(u)
             value = row[u]
             # the source's own estimate is the int 0 in the reference's

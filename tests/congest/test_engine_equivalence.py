@@ -242,8 +242,8 @@ class TestDifferentialEquivalence:
 
 @pytest.fixture(params=["platform-kernel", "bucketed-kernel"])
 def exploration_kernel(request, monkeypatch):
-    """Both ``multi_source_exploration`` kernels: whichever the platform
-    selects (dense with numpy), and the bucketed one past the limit."""
+    """Both ``multi_source_exploration`` kernels: the dense one these
+    sizes select, and the bucketed one past the limit."""
     if request.param == "bucketed-kernel":
         monkeypatch.setattr(bellman_ford, "_DENSE_CELL_LIMIT", 0)
     return request.param

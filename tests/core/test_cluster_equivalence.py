@@ -9,15 +9,14 @@ other evaluations of the same rules:
   ``detect_sources_reference`` fed the rule's scalar ``accepts`` as an
   opaque callback, i.e. the original dict-based loops;
 * the **bucketed kernel** — what the same build runs past
-  ``_DENSE_CELL_LIMIT`` or without numpy: the comparison inline, once
-  per improving winner.
+  ``_DENSE_CELL_LIMIT``: the comparison inline, once per improving
+  winner.
 
 "Bit-identical" covers pivots, cluster members, values, parents,
 dropped counts, the full ledger round breakdown (wall-clock ``seconds``
 are explicitly *not* compared) and beta.  The grid runs the workload
-zoo with numpy on and off (CI re-executes the off case after
-uninstalling numpy), and checks which of the two kernels served the
-build (by spying on them) plus the paper invariants (7)/(9)/(10)/(17).
+zoo, checks which of the two kernels served the build (by spying on
+them) and the paper invariants (7)/(9)/(10)/(17).
 """
 
 import random
@@ -32,7 +31,6 @@ from repro.core import (
     compute_exact_clusters,
     sample_levels,
 )
-from repro.graphs import csr as csr_module
 from repro.graphs import (
     INF,
     all_pairs_distances,
@@ -134,7 +132,7 @@ def assert_systems_equal(a, b):
 
 
 # ----------------------------------------------------------------------
-# The main differential grid (numpy path)
+# The main differential grid
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("workload,k", GRID,
                          ids=[f"{w}-k{k}" for w, k in GRID])
@@ -150,7 +148,6 @@ def test_vectorized_matches_reference(workload, k, monkeypatch):
 # Kernel axis: the dense kernel and the bucketed one build the same
 # system
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(not csr_module.HAVE_NUMPY, reason="needs numpy")
 @pytest.mark.parametrize("workload,k", GRID,
                          ids=[f"{w}-k{k}" for w, k in GRID])
 def test_dense_matches_bucketed(workload, k, monkeypatch, kernel_calls):
@@ -170,7 +167,6 @@ def test_dense_matches_bucketed(workload, k, monkeypatch, kernel_calls):
 # ----------------------------------------------------------------------
 # No silent fallback: the paper's rules must ride the fused kernel
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(not csr_module.HAVE_NUMPY, reason="needs numpy")
 def test_vectorized_path_engaged(kernel_calls):
     graph = WORKLOADS["random-32"]()
     build_approx_clusters(graph, 3, seed=113)
@@ -187,46 +183,6 @@ def test_join_rule_scalar_semantics():
     assert rule.accepts(1, 1, 4.9)
     loose = bf.JoinRule(threshold=[2.0], strict=False)
     assert loose.accepts(0, 1, 2.0) and not loose.accepts(0, 1, 2.1)
-
-
-# ----------------------------------------------------------------------
-# No-numpy fallback: same grid slice on the pure-python paths
-# ----------------------------------------------------------------------
-NO_NUMPY_SLICE = ["random-16", "random-24", "grid-5x5", "cliques-4x6"]
-
-
-class TestNoNumpyFallback:
-    @pytest.fixture(autouse=True)
-    def force_scalar(self, monkeypatch):
-        monkeypatch.setattr(csr_module, "HAVE_NUMPY", False)
-
-    @pytest.mark.parametrize("workload", NO_NUMPY_SLICE)
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_matches_reference(self, workload, k, monkeypatch):
-        graph = WORKLOADS[workload]()
-        fast = build_system(graph, k, seed=127)
-        ref = build_system(graph, k, seed=127, monkeypatch=monkeypatch,
-                           shims=REFERENCE_SHIMS)
-        assert_systems_equal(fast, ref)
-
-    def test_bucketed_kernel_serves(self, kernel_calls):
-        graph = WORKLOADS["random-16"]()
-        build_approx_clusters(graph, 2, seed=131)
-        dense_calls, bucketed_calls = kernel_calls
-        assert bucketed_calls and not dense_calls
-
-
-@pytest.mark.skipif(not csr_module.HAVE_NUMPY, reason="needs numpy")
-@pytest.mark.parametrize("workload", NO_NUMPY_SLICE)
-@pytest.mark.parametrize("k", [2, 3])
-def test_numpy_build_matches_no_numpy_build(workload, k, monkeypatch):
-    """The whole build without numpy (bucketed exploration *and*
-    list-row detection) is the numpy build."""
-    graph = WORKLOADS[workload]()
-    fast = build_system(graph, k, seed=137)
-    monkeypatch.setattr(csr_module, "HAVE_NUMPY", False)
-    plain = build_system(graph, k, seed=137)
-    assert_systems_equal(fast, plain)
 
 
 # ----------------------------------------------------------------------

@@ -350,6 +350,17 @@ class TestReportingDegenerates:
         assert loaded.max_table_words() == 0
         assert loaded.average_table_words() == 0.0
 
+    def test_empty_scheme_compiles_to_a_dense_plane(self, empty_scheme):
+        """Zero slots, trees and member rows: the array compile and the
+        load sweep take empty columns."""
+        from repro.core import DenseRoutingPlane
+        plane = DenseRoutingPlane.from_compiled(empty_scheme)
+        assert plane.route_many([]) == []
+        buffers = plane.export_buffers()
+        attached = DenseRoutingPlane.attach(buffers.header(),
+                                            buffers.payload)
+        assert attached.export_buffers() == buffers
+
     def test_single_vertex_scheme(self):
         from repro.graphs.generators import WeightedGraph
         compiled = (SchemePipeline().graph(WeightedGraph(1),

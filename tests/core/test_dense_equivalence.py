@@ -8,9 +8,9 @@ listwise ``CompiledRoute`` equality on every field (path, weight,
 tree_center, found_level).  The dense tier routes along parent
 pointers; the flat tier replays the Section-6 protocol hop by hop, so
 this grid is what holds the one to the other.  The whole grid runs
-twice: once with numpy and once with ``dense._np`` monkeypatched to
-``None``, so the pure-python parent walk is held to the same contract
-as the vectorized engine.
+twice: once as served and once with ``_VECTOR_MIN_PAIRS`` above any
+batch, so the parent walk is held to the same contract as the
+vectorized engine.
 
 Also here: the hop-budget regression tests (a caller ``max_hops``
 running out must raise :class:`HopBudgetError` on *both* planes, while
@@ -19,7 +19,9 @@ exact-length budgets succeed), and the dense artifact round trips
 """
 
 import random
+import sys
 
+import numpy as np
 import pytest
 
 import repro.core.dense as dense_mod
@@ -93,24 +95,24 @@ def tiers(request):
     return compiled, DenseRoutingPlane.from_compiled(compiled)
 
 
+#: The served walk/vector cutover (the ``scalar`` engine moves it).
+CUTOVER = dense_mod._VECTOR_MIN_PAIRS
+
+
 @pytest.fixture(params=["numpy", "scalar"])
 def dense(request, tiers, monkeypatch):
     """The dense plane under both engines.
 
-    The scalar variant is constructed *after* blanking the module's
-    numpy handle, so ``_post_init`` builds no mirrors and every serve
-    takes the pure-python path — exactly the no-numpy CI environment.
-    The numpy variant is built with a small cell budget, so a pass
-    holds a few dozen rows and the all-pairs batches cross many chunk
-    boundaries (``tiers`` keeps a plane at the default budget).
+    Both are built with a small cell budget, so a vectorised pass holds
+    a few dozen rows and the all-pairs batches cross many chunk
+    boundaries (``tiers`` keeps a plane at the default budget).  The
+    scalar variant serves with ``_VECTOR_MIN_PAIRS`` above any batch,
+    so every batch takes the parent walk.
     """
     compiled, plane = tiers
-    if request.param == "numpy":
-        if dense_mod._np is None:
-            pytest.skip("numpy not installed")
-        monkeypatch.setattr(dense_mod, "_CHUNK_CELLS", 512)
-    else:
-        monkeypatch.setattr(dense_mod, "_np", None)
+    monkeypatch.setattr(dense_mod, "_CHUNK_CELLS", 512)
+    if request.param == "scalar":
+        monkeypatch.setattr(dense_mod, "_VECTOR_MIN_PAIRS", sys.maxsize)
     return DenseRoutingPlane.from_compiled(compiled)
 
 
@@ -139,11 +141,9 @@ class TestBatchEquivalence:
         mixed into each."""
         compiled, _ = tiers
         n = compiled.num_vertices
-        cutover = dense_mod._VECTOR_MIN_PAIRS
-        # the pure-python engine has no chunks; any size will do there
-        chunk = getattr(dense, "_chunk_rows", 48)
+        chunk = dense._chunk_rows
         assert chunk < 200, "the fixture's cell budget should bite"
-        sizes = {0, 1, 2, cutover - 1, cutover, cutover + 1,
+        sizes = {0, 1, 2, CUTOVER - 1, CUTOVER, CUTOVER + 1,
                  63, 64, 127, 128, 129,
                  chunk - 1, chunk, chunk + 1, 2 * chunk + 1}
         rng = random.Random(17)
@@ -163,10 +163,9 @@ class TestBatchEquivalence:
     def test_array_input(self, tiers, dense):
         """An integer ``(N, 2)`` array is served like the list it came
         from, on either side of the cutover."""
-        np = pytest.importorskip("numpy")
         compiled, _ = tiers
         pairs = all_pairs(compiled.num_vertices)
-        for size in (dense_mod._VECTOR_MIN_PAIRS - 1, 200):
+        for size in (CUTOVER - 1, 200):
             want = compiled.route_many(pairs[:size])
             for dtype in (np.int64, np.int32, np.uint16):
                 got = dense.route_many(np.array(pairs[:size], dtype=dtype))
@@ -178,8 +177,6 @@ class TestBatchEquivalence:
         no direct-address tables find-tree binary-searches the sorted
         keys, and with no ancestor chains every batch takes the parent
         walk — same routes either way."""
-        if dense_mod._np is None:
-            pytest.skip("numpy not installed")
         compiled, _ = tiers
         pairs = all_pairs(compiled.num_vertices)
         want = compiled.route_many(pairs)
@@ -281,34 +278,13 @@ class TestArtifactRoundTrip:
         buffers = plane.export_buffers()
         attached = attach_artifact(buffers.header(), buffers.payload)
         assert isinstance(attached, DenseRoutingPlane)
+        # the compile's arrays and the decoder's sweep to the same plane
+        assert attached.export_buffers() == buffers
+        assert attached._depth == plane._depth
+        assert attached._dist == plane._dist
         pairs = all_pairs(compiled.num_vertices)[:64]
         assert_routes_equal(attached.route_many(pairs),
                             compiled.route_many(pairs))
-
-
-def bodies_agree(flat, monkeypatch):
-    """The plane compiled from ``flat`` and attached from its own
-    buffers, with numpy (array sweeps) and with ``dense._np`` blanked
-    (the plain bodies): same bytes, depths and root distances."""
-    if dense_mod._np is None:
-        pytest.skip("numpy not installed")
-    planes = []
-    for body in ("numpy", "scalar"):
-        if body == "scalar":
-            monkeypatch.setattr(dense_mod, "_np", None)
-        plane = DenseRoutingPlane.from_compiled(flat)
-        buffers = plane.export_buffers()
-        planes += [plane, DenseRoutingPlane.attach(buffers.header(),
-                                                   buffers.payload)]
-    first = planes[0]
-    for plane in planes[1:]:
-        assert plane.export_buffers() == first.export_buffers()
-        assert plane._depth == first._depth
-        assert plane._dist == first._dist
-
-
-def test_vector_and_plain_bodies_agree(tiers, monkeypatch):
-    bodies_agree(tiers[0], monkeypatch)
 
 
 class TestConstructionErrors:

@@ -5,8 +5,11 @@ reference router's per-vertex objects; the compiled tiers take damaged
 artifacts."""
 
 import dataclasses
+import json
 import random
+import sys
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +93,11 @@ CORRUPTIONS = ["cycle", "self-parent", "parent-out-of-range", "cross-tree",
                "sx_key:unsorted", "m_key:unsorted", "m_key:out-of-range",
                "m_tslot:range", "m_sslot:range", "f_slot:range",
                "f_tid:range"]
+
+#: ``"kind/seed"`` -> the load error of that corruption of the plane.
+CORRUPTION_MESSAGES = json.loads(
+    (Path(__file__).parents[1] / "data" / "dense_corruption_messages.json")
+    .read_text())
 
 
 def _route_with_label(reference, center, start, label, max_hops=200):
@@ -352,18 +360,22 @@ class TestCompiledTierFailures:
         with pytest.raises(ArtifactError, match=f"{column} row 0"):
             CompiledScheme(compiled.meta, arrays)
 
-    @pytest.mark.parametrize("engine", ["numpy", "scalar"])
-    def test_member_without_a_slot_fails_at_load(self, compiled, engine,
-                                                 monkeypatch):
-        """A member row whose vertex has no slot in its owner's tree
-        fails at load, named, under both engines."""
-        import repro.core.compiled as compiled_mod
+    def test_member_columns_of_two_lengths_fail_at_load(self, compiled):
+        """A member column one row short is refused by name, not left
+        to a broadcast ``ValueError`` (or a silent zip) later."""
         from repro.core import CompiledScheme
         from repro.exceptions import ArtifactError
-        if engine == "scalar":
-            monkeypatch.setattr(compiled_mod, "_np", None)
-        elif compiled_mod._np is None:
-            pytest.skip("numpy not installed")
+        arrays = {name: list(getattr(compiled, "_" + name))
+                  for name, _ in CompiledScheme._FIELDS}
+        arrays["ml_member"].pop()
+        with pytest.raises(ArtifactError, match="ml_owner and ml_member"):
+            CompiledScheme(compiled.meta, arrays)
+
+    def test_member_without_a_slot_fails_at_load(self, compiled):
+        """A member row whose vertex has no slot in its owner's tree
+        fails at load, named."""
+        from repro.core import CompiledScheme
+        from repro.exceptions import ArtifactError
         arrays = {name: list(getattr(compiled, "_" + name))
                   for name, _ in CompiledScheme._FIELDS}
         owner = arrays["ml_owner"][0]
@@ -389,10 +401,10 @@ class TestCompiledTierFailures:
 
 class TestDenseParentPointers:
     """The dense kernel routes along ``dp_parent_slot`` and trusts it,
-    so a damaged pointer must be caught once, at load, by name — on
-    the numpy engine and on the pure-python one — and what load cannot
-    see (find-tree rows naming a slot of another tree, a caller's hop
-    budget) must stay a typed error at route time."""
+    so a damaged pointer must be caught once, at load, by name — and
+    what load cannot see (find-tree rows naming a slot of another tree,
+    a caller's hop budget) must stay a typed error at route time, on
+    the vectorised pass and on the parent walk."""
 
     @pytest.fixture(scope="class")
     def flat(self, setup):
@@ -408,12 +420,11 @@ class TestDenseParentPointers:
     @pytest.fixture(params=["numpy", "scalar"])
     def rebuild(self, request, plane, monkeypatch):
         """``rebuild(column=values, ...)``: the plane reloaded with
-        those columns replaced, under one engine."""
+        those columns replaced, serving as it does (``numpy``) or every
+        batch from the parent walk (``scalar``)."""
         import repro.core.dense as dense_mod
         if request.param == "scalar":
-            monkeypatch.setattr(dense_mod, "_np", None)
-        elif dense_mod._np is None:
-            pytest.skip("numpy not installed")
+            monkeypatch.setattr(dense_mod, "_VECTOR_MIN_PAIRS", sys.maxsize)
         return partial(_reload, plane)
 
     @staticmethod
@@ -495,23 +506,26 @@ class TestDenseParentPointers:
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("kind", CORRUPTIONS)
-    def test_both_bodies_name_the_same_corruption(self, plane,
-                                                  monkeypatch, kind, seed):
-        """The sweeps decide, the plain bodies name: every corruption
-        is refused at load with one message, numpy or not."""
-        import repro.core.dense as dense_mod
+    def test_load_names_the_corruption(self, plane, kind, seed):
+        """Every corruption is refused at load with the message a walk
+        from each slot in turn up to its root gives: the first bad slot
+        it meets, or the start of a cycle.  The expected messages were
+        recorded from that walk."""
         from repro.exceptions import ArtifactError
-        if dense_mod._np is None:
-            pytest.skip("numpy not installed")
         columns = _corrupt(plane, kind, random.Random(seed))
-        messages = []
-        for body in ("numpy", "scalar"):
-            if body == "scalar":
-                monkeypatch.setattr(dense_mod, "_np", None)
-            with pytest.raises(ArtifactError) as caught:
-                _reload(plane, **columns)
-            messages.append(str(caught.value))
-        assert messages[0] == messages[1]
+        with pytest.raises(ArtifactError) as caught:
+            _reload(plane, **columns)
+        assert str(caught.value) == CORRUPTION_MESSAGES[f"{kind}/{seed}"]
+
+    def test_slot_listed_twice_takes_its_last_rows_tree(self, plane):
+        """A slot the index lists twice is in the tree of its last row,
+        as a dict built in row order would have it; this corruption's
+        message differs when the first row decides."""
+        from repro.exceptions import ArtifactError
+        columns = _corrupt(plane, "sx_slot:twice", random.Random(5))
+        with pytest.raises(ArtifactError) as caught:
+            _reload(plane, **columns)
+        assert str(caught.value) == CORRUPTION_MESSAGES["sx_slot:twice/5"]
 
     @pytest.mark.parametrize("batch", [1, 200])
     def test_slots_of_two_trees_fail_at_route_time(self, plane, rebuild,

@@ -2,8 +2,7 @@
 and a scratch build, must be bit-identical to a from-scratch
 ``SchemePipeline`` build on an order-exact copy of the mutated graph —
 one mutation at a time, and as a flap series that walks one builder
-through both.  The grid runs with and without numpy — CI re-executes
-this file after uninstalling numpy."""
+through both."""
 
 import random
 

@@ -1,34 +1,9 @@
-"""Contract tests for the cached CSR view and the frontier relaxation."""
+"""Contract tests for the cached CSR view and the frontier gather."""
 
 import pytest
 
-import repro.graphs.csr as csr_module
-from repro.graphs import (
-    INF,
-    WeightedGraph,
-    csr_view,
-    random_connected,
-    relax_frontier,
-)
-from repro.graphs.csr import CSRView, frontier_neighbors
-
-
-def reference_relax(graph, dist_row, frontier):
-    """The dict-based first-strict-minimum hop the kernel must match."""
-    cand = {}
-    for u in frontier:
-        du = dist_row[u]
-        if du == INF:
-            continue
-        for v, w in graph.neighbor_weights(u):
-            nd = du + w
-            if nd < dist_row[v]:
-                best = cand.get(v)
-                if best is None or nd < best[0]:
-                    cand[v] = (nd, u)
-    targets = sorted(cand)
-    return (targets, [cand[t][0] for t in targets],
-            [cand[t][1] for t in targets])
+from repro.graphs import WeightedGraph, csr_view, random_connected
+from repro.graphs.csr import frontier_neighbors
 
 
 class TestViewContract:
@@ -96,53 +71,7 @@ class TestViewContract:
         assert view.num_directed_edges == 0
 
 
-class TestRelaxKernel:
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_reference_hop_by_hop(self, seed):
-        n = 20 + 2 * seed
-        graph = random_connected(n, 4.0 / n, max_weight=9, seed=seed)
-        view = csr_view(graph)
-        # list rows over whatever view the platform builds: the shape
-        # source detection's list-row advance hands the kernel
-        dist = [INF] * n
-        dist[0] = 0.0
-        ref_dist = [INF] * n
-        ref_dist[0] = 0.0
-        frontier = [0]
-        for _ in range(n):
-            if not len(frontier):
-                break
-            targets, dists, vias = relax_frontier(view, dist, frontier)
-            r_targets, r_dists, r_vias = reference_relax(graph, ref_dist,
-                                                         frontier)
-            assert [int(t) for t in targets] == r_targets
-            assert [float(d) for d in dists] == r_dists
-            assert [int(v) for v in vias] == r_vias
-            for t, d in zip(r_targets, r_dists):
-                dist[t] = d
-                ref_dist[t] = d
-            frontier = r_targets
-
-    def test_alternate_weight_array(self):
-        graph = random_connected(15, 0.3, max_weight=7, seed=3)
-        view = csr_view(graph)
-        doubled = [int(w) * 2 for w in view.weights]
-        dist = [INF] * 15
-        dist[0] = 0.0
-        targets, dists, _vias = relax_frontier(view, dist, [0], doubled)
-        for t, d in zip(targets, dists):
-            assert d == 2 * graph.weight(0, int(t))
-
-    def test_empty_frontier_and_isolated_vertex(self):
-        graph = WeightedGraph(3)
-        graph.add_edge(0, 1, 1)
-        view = csr_view(graph)
-        dist = [INF, INF, INF]
-        assert relax_frontier(view, dist, []) == ((), (), ())
-        # vertex 2 is isolated: relaxing from it yields nothing
-        dist2 = [INF, INF, 0.0]
-        assert relax_frontier(view, dist2, [2]) == ((), (), ())
+class TestFrontierNeighbors:
 
     def test_frontier_neighbors_union(self):
         graph = random_connected(18, 0.25, seed=6)
@@ -152,41 +81,6 @@ class TestRelaxKernel:
         got = [int(v) for v in frontier_neighbors(view, [0, 5, 9])]
         assert got == expected
         assert len(frontier_neighbors(view, [])) == 0
-
-
-class TestFallbackKernel:
-    """Same contract with numpy forced off (list-backed views)."""
-
-    @pytest.fixture(autouse=True)
-    def _force_fallback(self, monkeypatch):
-        monkeypatch.setattr(csr_module, "HAVE_NUMPY", False)
-
-    def test_fallback_matches_reference(self):
-        graph = random_connected(24, 0.2, max_weight=9, seed=11)
-        view = csr_view(graph)
-        assert not view.vectorized
-        dist = [INF] * 24
-        dist[0] = 0.0
-        frontier = [0]
-        for _ in range(24):
-            if not frontier:
-                break
-            got = relax_frontier(view, dist, frontier)
-            ref = reference_relax(graph, dist, frontier)
-            assert [list(part) for part in got] == \
-                [list(part) for part in ref]
-            for t, d in zip(ref[0], ref[1]):
-                dist[t] = d
-            frontier = ref[0]
-
-    def test_numpy_reappearing_rebuilds_view(self, monkeypatch):
-        graph = random_connected(10, 0.3, seed=1)
-        fallback_view = csr_view(graph)
-        assert not fallback_view.vectorized
-        monkeypatch.setattr(csr_module, "HAVE_NUMPY",
-                            csr_module._np is not None)
-        view = csr_view(graph)
-        assert view.vectorized == (csr_module._np is not None)
 
 
 class TestUpdateEdgeWeight:
@@ -296,11 +190,3 @@ class TestFlatAdjacencyCache:
         _flat_adjacency(graph)
         clone = graph.copy()
         assert clone._flat_cache is None
-
-    def test_tracks_numpy_availability(self, monkeypatch):
-        from repro.congest.bellman_ford import _flat_adjacency
-        graph = random_connected(12, 0.3, seed=19)
-        with_numpy = _flat_adjacency(graph)
-        monkeypatch.setattr(csr_module, "HAVE_NUMPY", False)
-        without = _flat_adjacency(graph)
-        assert without == with_numpy  # same lists either way

@@ -1,8 +1,8 @@
 """Shared fixtures for the sharded-serving test suite.
 
 The start method is an environment axis: CI runs this directory once
-with ``REPRO_START_METHOD=fork`` and once with ``=spawn`` (plus the
-no-numpy job), while a plain local run uses the platform default.
+with ``REPRO_START_METHOD=fork`` and once with ``=spawn``, while a
+plain local run uses the platform default.
 Workload cases live in ``serving_cases.py``.
 """
 

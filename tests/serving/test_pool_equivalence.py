@@ -1,25 +1,25 @@
 """Cross-shard equivalence: the pool is bit-identical to in-process.
 
 The acceptance grid: ~10 seeded workloads × worker counts {1, 2, 4} ×
-artifact as built or as loaded from its ``.cra`` file × numpy on/off —
+artifact as built or as loaded from its ``.cra`` file —
 `RouterPool` output (routes, paths, costs, estimates) must equal the
 single-process `route_many`/`estimate_many` of the artifact it serves
 down to the last bit, including empty batches, duplicate pairs and
 ``source == target``.  The loaded leg is the artifact `repro query` and
 `repro serve` hand the pool.
 
-The numpy-off dimension runs two ways: here by patching the compiled
-and dense modules' numpy switches before forking (workers inherit the
-patched state), and for real in the CI no-numpy job, which uninstalls
-numpy and re-runs this whole directory.  There is one artifact
+A forked slice re-runs with the dense module's walk/vector cutover
+moved above any batch (workers inherit the patched state), so the
+workers' parent walk is held to the same grid.  There is one artifact
 transport (shared memory), one result transport (columnar) and one
-partition (round-robin); what varies is the start method and whether
-the attach and the kernel run through numpy.
+partition (round-robin); what varies is the start method and which
+body serves the workers' batches.
 """
 
 import pytest
 
-import repro.core.compiled as compiled_mod
+import sys
+
 import repro.core.dense as dense_mod
 from repro.core import load_artifact
 from repro.serving import RouterPool
@@ -95,18 +95,16 @@ class TestEstimationEquivalence:
                     case["expected_estimates"][name], name
 
 
-class TestNoNumpyAttach:
-    """The numpy-off half of the grid, via the inherited-state trick:
-    with the compiled and dense modules' numpy switches off, export and
-    attach go through the stdlib ``array`` path on both sides of the
-    segment, and the workers' planes serve from the parent walk."""
+class TestParentWalkInWorkers:
+    """The workers' parent walk, via the inherited-state trick: with
+    ``_VECTOR_MIN_PAIRS`` above any batch before forking, every batch a
+    worker serves takes the walk."""
 
     CASES = ["grid25-k2", "random30-k2", "cliques32-k3"]
 
     @pytest.fixture(autouse=True)
-    def no_numpy(self, monkeypatch, fork_only):
-        monkeypatch.setattr(compiled_mod, "_np", None)
-        monkeypatch.setattr(dense_mod, "_np", None)
+    def walk_only(self, monkeypatch, fork_only):
+        monkeypatch.setattr(dense_mod, "_VECTOR_MIN_PAIRS", sys.maxsize)
 
     @pytest.mark.parametrize("case_id", CASES)
     def test_pool_bit_identical(self, case_id):
@@ -124,8 +122,8 @@ class TestNoNumpyAttach:
 
 class TestSpawnStartMethod:
     """spawn re-imports the worker from scratch and pickles the init
-    tuple into it; exercise that explicitly on every CI leg, numpy or
-    not, whatever ``REPRO_START_METHOD`` says."""
+    tuple into it; exercise that explicitly on every CI leg, whatever
+    ``REPRO_START_METHOD`` says."""
 
     def test_spawn_bit_identical(self):
         import multiprocessing as mp

@@ -13,6 +13,7 @@ batch.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ParameterError
@@ -129,7 +130,6 @@ class TestFuzzEquivalence:
         ones) or raise parent-side (one-shot ones) — never vanish in
         the task queue's feeder thread."""
         compiled = fuzz_case["compiled"]
-        np = pytest.importorskip("numpy")
         with RouterPool(compiled, workers=2,
                         start_method=start_method) as pool:
             rows = [np.array([0, 1]), np.array([2, 3])]

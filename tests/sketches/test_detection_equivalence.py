@@ -4,16 +4,16 @@ Every graph × mode × parameter case runs both :func:`detect_sources`
 (the batched ``|V'| × n`` matrix path over the CSR scatter-min kernel)
 and :func:`detect_sources_reference` (the original per-source,
 per-scale loops) and the results must be *bit-identical*: estimates,
-Remark-1 parents, the sorted source echo and the charged rounds.  The
-same grid re-runs with numpy disabled to pin the pure-Python fallback
-to the same contract.
+Remark-1 parents, the sorted source echo and the charged rounds.
 """
 
 import pytest
 
-import repro.graphs.csr as csr_module
 import repro.sketches.source_detection as sd_module
+from repro.congest.bellman_ford import JoinRule
 from repro.graphs import (
+    INF,
+    csr_view,
     grid,
     path,
     random_connected,
@@ -83,11 +83,40 @@ class TestDifferentialEquivalence:
         assert ref.sources == [4, 9]
 
     def test_matrix_limit_fallback_identical(self, monkeypatch):
-        """Over the memory gate the per-row path must still match."""
-        monkeypatch.setattr(sd_module, "_MATRIX_CELL_LIMIT", 1)
+        """Over the memory gate the matrix advances in blocks of source
+        rows.  Blocks of one row, of two (the last one short) and of
+        all rows but one must each match the oracle, with and without
+        a join rule."""
         graph = random_connected(24, 0.2, seed=21)
-        for mode in ("rounded", "exact"):
-            _run_case(graph, [0, 11, 23], 7, 0.3, mode)
+        sources = [0, 4, 9, 11, 16, 20, 23]
+        rule = JoinRule(threshold=[INF if v % 3 == 0 else 20.0 * (v % 4)
+                                   for v in range(24)])
+        blocks = []
+        advance = sd_module._advance_matrix_np
+
+        def counted(view, dist, *rest):
+            blocks.append(dist.shape[0])
+            return advance(view, dist, *rest)
+
+        monkeypatch.setattr(sd_module, "_advance_matrix_np", counted)
+        edges2 = csr_view(graph).num_directed_edges
+        for rows in (1, 2, len(sources) - 1):
+            monkeypatch.setattr(sd_module, "_MATRIX_CELL_LIMIT",
+                                rows * edges2)
+            whole, short = divmod(len(sources), rows)
+            for mode in ("rounded", "exact"):
+                cells = []
+                for join_rule in (None, rule):
+                    del blocks[:]
+                    ref = detect_sources_reference(
+                        graph, sources, 7, 0.3, mode=mode,
+                        join_rule=join_rule)
+                    fast = detect_sources(graph, sources, 7, 0.3,
+                                          mode=mode, join_rule=join_rule)
+                    _assert_identical(fast, ref)
+                    assert blocks == [rows] * whole + [short][:short]
+                    cells.append(sum(map(len, fast.estimate)))
+                assert cells[1] < cells[0], "the rule drops cells"
 
     def test_value_types_match_reference(self):
         """Exact mode keeps integer sums; rounded mode keeps floats.
@@ -110,31 +139,3 @@ class TestDifferentialEquivalence:
                         assert isinstance(value, int), impl.__name__
                     else:
                         assert isinstance(value, float), impl.__name__
-
-
-class TestNoNumpyFallback:
-    """The pure-Python batched path against the oracle.
-
-    ``HAVE_NUMPY`` is flipped on the CSR module; the view cache is
-    keyed by it, so fresh list-backed views (and the scalar kernel)
-    serve these cases.
-    """
-
-    @pytest.fixture(autouse=True)
-    def _force_fallback(self, monkeypatch):
-        monkeypatch.setattr(csr_module, "HAVE_NUMPY", False)
-
-    @pytest.mark.parametrize("mode", ["rounded", "exact"])
-    @pytest.mark.parametrize("name,graph", GRAPHS[::3],
-                             ids=GRAPH_IDS[::3])
-    def test_fallback_matches_oracle(self, name, graph, mode):
-        n = graph.num_vertices
-        assert not csr_module.csr_view(graph).vectorized
-        _run_case(graph, [0, n // 2, n - 1], 6, 0.25, mode)
-        _run_case(graph, list(range(0, n, 5)), n, 0.15, mode)
-
-    def test_fallback_view_is_list_backed(self):
-        graph = path(6, seed=1)
-        view = csr_module.csr_view(graph)
-        assert isinstance(view.indptr, list)
-        assert isinstance(view.indices, list)

@@ -6,24 +6,21 @@ and a guard against the sweep's return.
 of them and keeps the strict minimum.  The lemma says scale 0 wins
 every cell.  Checked here on random inputs at both of its steps — the
 rounded weights are ordered as floats, and the two implementations
-agree bit for bit — with the matrix kernel and with the list-row
-kernel.  The counting tests then pin the cost: one kernel advance per
-call, so a reintroduced sweep fails a test, not just a benchmark.
+agree bit for bit.  The counting tests then pin the cost: one kernel
+advance per call (per row block past the memory gate), so a
+reintroduced sweep fails a test, not just a benchmark.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import repro.graphs.csr as csr_module
 import repro.sketches.source_detection as sd_module
 from repro.exceptions import ParameterError
 from repro.graphs import random_connected
 from repro.sketches import detect_sources, detect_sources_reference
-
-needs_numpy = pytest.mark.skipif(not csr_module.HAVE_NUMPY,
-                                 reason="numpy is not installed")
 
 
 def scale_units(graph, hop_bound, eps):
@@ -63,25 +60,16 @@ def test_finest_scale_dominates(n, density, wmax, seed, eps, hop_share,
         assert unit == units[0] * (1 << i)
         coarser = rounded_weights(graph, unit)
         assert all(c >= f for c, f in zip(coarser, finest)), (i, unit)
-    if csr_module.HAVE_NUMPY:
-        # the matrix kernel's vectorized rounding is the same floats
-        import numpy as np
-        raw = np.asarray([w for _u, _v, w in graph.edges()],
-                         dtype=np.float64)
-        assert (np.ceil(raw / units[0]) * units[0]).tolist() == finest
+    # the matrix kernel's vectorized rounding is the same floats
+    raw = np.asarray([w for _u, _v, w in graph.edges()], dtype=np.float64)
+    assert (np.ceil(raw / units[0]) * units[0]).tolist() == finest
 
-    # the conclusion: one scale == the all-scales oracle, on the matrix
-    # kernel and on the list-row kernel
+    # the conclusion: one scale == the all-scales oracle
     ref = detect_sources_reference(graph, sources, hop_bound, eps)
-    for with_numpy in (True, False):
-        if with_numpy and not csr_module.HAVE_NUMPY:
-            continue
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(csr_module, "HAVE_NUMPY", with_numpy)
-            fast = detect_sources(graph, sources, hop_bound, eps)
-        assert fast.estimate == ref.estimate, with_numpy
-        assert fast.parent == ref.parent, with_numpy
-        assert fast.rounds == ref.rounds, with_numpy
+    fast = detect_sources(graph, sources, hop_bound, eps)
+    assert fast.estimate == ref.estimate
+    assert fast.parent == ref.parent
+    assert fast.rounds == ref.rounds
 
 
 def test_subnormal_unit_refused():
@@ -97,26 +85,19 @@ def test_subnormal_unit_refused():
 
 
 # -- one advance per call ------------------------------------------------
-@needs_numpy
 def test_one_matrix_advance_per_call(count_calls):
     matrix = count_calls(sd_module, "_advance_matrix_np")
-    rows = count_calls(sd_module, "_advance_rows_py")
     graph = random_connected(40, 0.1, seed=3)
     assert sd_module._scale_parameters(graph, 12) > 1   # a real sweep
     detect_sources(graph, [0, 13, 27], 12, 0.25, mode="rounded")
-    assert (len(matrix), len(rows)) == (1, 0)
+    assert len(matrix) == 1
 
 
-@pytest.mark.parametrize("gate", ["no-numpy", "matrix-limit"])
-def test_one_row_advance_per_call(monkeypatch, count_calls, gate):
-    """The list-row kernel serves two callers: no numpy at all, and a
-    matrix over the memory gate."""
-    if gate == "no-numpy":
-        monkeypatch.setattr(csr_module, "HAVE_NUMPY", False)
-    else:
-        monkeypatch.setattr(sd_module, "_MATRIX_CELL_LIMIT", 1)
+def test_one_advance_per_row_block(monkeypatch, count_calls):
+    """A matrix over the memory gate advances once per block of rows,
+    here one row each."""
+    monkeypatch.setattr(sd_module, "_MATRIX_CELL_LIMIT", 1)
     matrix = count_calls(sd_module, "_advance_matrix_np")
-    rows = count_calls(sd_module, "_advance_rows_py")
     graph = random_connected(40, 0.1, seed=3)
     detect_sources(graph, [0, 13, 27], 12, 0.25, mode="rounded")
-    assert (len(matrix), len(rows)) == (0, 1)
+    assert len(matrix) == 3

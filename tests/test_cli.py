@@ -133,12 +133,31 @@ class TestCommands:
         assert "sketches built" in out
         assert "dist(" in out
 
+    def test_estimate_zero_queries_prints_none(self, capsys):
+        assert main(["estimate", "--n", "30", "--k", "2",
+                     "--queries", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "sketches built" in out
+        assert "dist(" not in out
+
+    def test_estimate_rejects_negative_queries(self, capsys):
+        _fails(["estimate", "--n", "30", "--k", "2", "--queries", "-1"],
+               capsys, "--queries must be >= 0")
+
     def test_bounds(self, capsys):
         assert main(["bounds", "--n", "1000000", "--d", "1000",
                      "--k", "4"]) == 0
         out = capsys.readouterr().out
         assert "lower bound" in out
         assert "this paper" in out
+
+    @pytest.mark.parametrize("argv, match", [
+        (["--k", "0"], "--k must be >= 1"),
+        (["--k", "-1"], "--k must be >= 1"),
+        (["--n", "1"], "--n must be >= 2")], ids=["k0", "k-1", "n1"])
+    def test_bounds_rejects_degenerate_parameters(self, argv, match,
+                                                  capsys):
+        _fails(["bounds"] + argv, capsys, match)
 
     def test_grid_workload(self, capsys):
         assert main(["build", "--graph", "grid", "--n", "25",
