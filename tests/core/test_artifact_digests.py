@@ -71,6 +71,13 @@ def test_scratch_build_reproduces_committed_digests(case):
     assert regen.measure(pipeline) == expected
 
 
+def test_sweep_matches_parent_walk(case):
+    """The dense load sweep against the walk up the scheme's rows."""
+    from test_dense_equivalence import sweep_matches_parent_walk
+    pipeline, _expected = case
+    sweep_matches_parent_walk(pipeline.compile("flat"))
+
+
 def test_word_columns_equal_materialised_words(case):
     """The artifact's per-vertex word columns are the sizes of the
     reference router's eager tables and labels, vertex by vertex, agree

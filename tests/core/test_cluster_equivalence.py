@@ -186,6 +186,63 @@ def test_join_rule_scalar_semantics():
 
 
 # ----------------------------------------------------------------------
+# Past both memory gates: the bucketed exploration (past
+# ``_DENSE_CELL_LIMIT``) and detection in one-row matrix blocks (past
+# ``_MATRIX_CELL_LIMIT``), on one slice of the grid
+# ----------------------------------------------------------------------
+GATED_SLICE = ["random-16", "random-24", "grid-5x5", "cliques-4x6"]
+
+
+@pytest.fixture
+def past_both_gates(monkeypatch):
+    monkeypatch.setattr(bf, "_DENSE_CELL_LIMIT", 0)
+    monkeypatch.setattr(sd, "_MATRIX_CELL_LIMIT", 1)
+
+
+class TestPastMemoryGates:
+
+    @pytest.mark.parametrize("workload", GATED_SLICE)
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_reference(self, workload, k, past_both_gates,
+                               monkeypatch):
+        graph = WORKLOADS[workload]()
+        gated = build_system(graph, k, seed=127)
+        ref = build_system(graph, k, seed=127, monkeypatch=monkeypatch,
+                           shims=REFERENCE_SHIMS)
+        assert_systems_equal(gated, ref)
+
+    def test_gated_kernels_serve(self, past_both_gates, kernel_calls,
+                                 monkeypatch):
+        blocks = []
+        advance = sd._advance_matrix_np
+
+        def spy(view, dist, *rest):
+            blocks.append(dist.shape[0])
+            return advance(view, dist, *rest)
+
+        monkeypatch.setattr(sd, "_advance_matrix_np", spy)
+        graph = WORKLOADS["random-16"]()
+        build_approx_clusters(graph, 2, seed=131)
+        dense_calls, bucketed_calls = kernel_calls
+        assert bucketed_calls and not dense_calls
+        # one-row blocks: every detection advances once per source
+        assert blocks and set(blocks) == {1}
+
+
+@pytest.mark.parametrize("workload", GATED_SLICE)
+@pytest.mark.parametrize("k", [2, 3])
+def test_gated_build_matches_ungated_build(workload, k, monkeypatch):
+    """The whole build past both gates (bucketed exploration *and*
+    row-block detection) is the build under them."""
+    graph = WORKLOADS[workload]()
+    fast = build_system(graph, k, seed=137)
+    monkeypatch.setattr(bf, "_DENSE_CELL_LIMIT", 0)
+    monkeypatch.setattr(sd, "_MATRIX_CELL_LIMIT", 1)
+    gated = build_system(graph, k, seed=137)
+    assert_systems_equal(fast, gated)
+
+
+# ----------------------------------------------------------------------
 # Invariant spot checks on the vectorized output (the full invariant
 # battery lives in test_approx_clusters.py; this pins the rule-driven
 # build against the exact oracle directly within this grid)

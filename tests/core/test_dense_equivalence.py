@@ -287,6 +287,55 @@ class TestArtifactRoundTrip:
                             compiled.route_many(pairs))
 
 
+def scheme_depths(flat):
+    """Per-slot tree depth and root distance, walked up the scheme's
+    own (tree, parent vertex) rows through a dict — no dense column
+    involved.  Equal keys resolve to the last row, as the scheme does."""
+    col = flat._column
+    vertex = col("slot_vertex").tolist()
+    tree = col("slot_tree").tolist()
+    parent = col("t_parent").tolist()
+    weight = col("t_parent_w").tolist()
+    slot = {(t, v): s for s, (t, v) in enumerate(zip(tree, vertex))}
+    depth, dist = {}, {}
+
+    def walk(s):
+        chain = []
+        while s not in depth:
+            if parent[s] < 0:
+                depth[s], dist[s] = 0, 0.0
+                break
+            chain.append(s)
+            s = slot[tree[s], parent[s]]
+        for c in reversed(chain):
+            up = slot[tree[c], parent[c]]
+            depth[c] = depth[up] + 1
+            dist[c] = dist[up] + weight[c]
+
+    for s in range(len(vertex)):
+        walk(s)
+    return ([depth[s] for s in range(len(vertex))],
+            [dist[s] for s in range(len(vertex))])
+
+
+def sweep_matches_parent_walk(flat):
+    """The plane compiled from ``flat`` and attached from its own
+    buffers: same bytes, and the load sweep's depths and root
+    distances are the walk up the scheme's parent rows."""
+    plane = DenseRoutingPlane.from_compiled(flat)
+    buffers = plane.export_buffers()
+    attached = DenseRoutingPlane.attach(buffers.header(), buffers.payload)
+    assert attached.export_buffers() == buffers
+    depth, dist = scheme_depths(flat)
+    for p in (plane, attached):
+        assert p._depth == depth
+        assert p._dist == dist
+
+
+def test_sweep_matches_parent_walk(tiers):
+    sweep_matches_parent_walk(tiers[0])
+
+
 class TestConstructionErrors:
 
     def test_from_compiled_rejects_non_scheme(self):

@@ -82,6 +82,34 @@ class TestFrontierNeighbors:
         assert got == expected
         assert len(frontier_neighbors(view, [])) == 0
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_reference_hop_by_hop(self, seed):
+        """A breadth-first sweep driven by the gather: each hop's union
+        is the dict-based one, whatever the frontier's order."""
+        n = 20 + 2 * seed
+        graph = random_connected(n, 4.0 / n, max_weight=9, seed=seed)
+        view = csr_view(graph)
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            expected = sorted({v for u in frontier
+                               for v in graph.neighbors(u)})
+            got = frontier_neighbors(view, frontier[::-1])
+            assert [int(v) for v in got] == expected
+            frontier = [v for v in expected if v not in seen]
+            seen.update(frontier)
+        assert seen == set(range(n))
+
+    def test_isolated_vertex_and_repeated_frontier(self):
+        graph = WeightedGraph(4)
+        graph.add_edge(0, 1, 1)
+        graph.add_edge(1, 2, 3)
+        view = csr_view(graph)
+        # vertex 3 is isolated: gathering from it yields nothing
+        assert len(frontier_neighbors(view, [3])) == 0
+        assert [int(v) for v in frontier_neighbors(view, [3, 1, 1])] \
+            == [0, 2]
+
 
 class TestUpdateEdgeWeight:
     """`update_edge_weight` is the dynamic-feed mutation: it must obey

@@ -139,3 +139,43 @@ class TestDifferentialEquivalence:
                         assert isinstance(value, int), impl.__name__
                     else:
                         assert isinstance(value, float), impl.__name__
+
+
+class TestPastMatrixGate:
+    """Past ``_MATRIX_CELL_LIMIT`` the matrix advances in blocks of
+    ``max(1, limit // 2m)`` source rows; each block against the oracle.
+    """
+
+    @pytest.mark.parametrize("mode", ["rounded", "exact"])
+    @pytest.mark.parametrize("name,graph", GRAPHS[::3],
+                             ids=GRAPH_IDS[::3])
+    def test_row_blocks_match_oracle(self, name, graph, mode,
+                                     monkeypatch):
+        edges2 = csr_view(graph).num_directed_edges
+        monkeypatch.setattr(sd_module, "_MATRIX_CELL_LIMIT", 2 * edges2)
+        n = graph.num_vertices
+        _run_case(graph, [0, n // 2, n - 1], 6, 0.25, mode)
+        _run_case(graph, list(range(0, n, 5)), n, 0.15, mode)
+
+    def test_block_rows_derived_from_limit(self, monkeypatch):
+        graph = path(6, seed=1)
+        edges2 = csr_view(graph).num_directed_edges
+        blocks = []
+        advance = sd_module._advance_matrix_np
+
+        def counted(view, dist, *rest):
+            blocks.append(dist.shape[0])
+            return advance(view, dist, *rest)
+
+        monkeypatch.setattr(sd_module, "_advance_matrix_np", counted)
+        sources = [0, 1, 2, 3, 4]
+        # (limit, blocks): below one row still advances one row at a
+        # time; one cell short of three rows gives blocks of two; the
+        # whole matrix within the limit is one advance
+        for limit, want in ((1, [1] * 5), (edges2 - 1, [1] * 5),
+                            (3 * edges2 - 1, [2, 2, 1]),
+                            (5 * edges2 - 1, [4, 1]), (5 * edges2, [5])):
+            monkeypatch.setattr(sd_module, "_MATRIX_CELL_LIMIT", limit)
+            del blocks[:]
+            _run_case(graph, sources, 4, 0.3, "rounded")
+            assert blocks == want, limit
