@@ -26,6 +26,11 @@ and the forest's columns around.  This module flattens it:
   :func:`load_artifact`.  Arrays are little-endian int64/float64,
   encoded and decoded with numpy.
 
+Every artifact holds each column as one numpy array, however it was
+made (construction, ``load``, ``attach``).  Only the per-pair loops —
+the flat replay, ``estimate_many``, the dense parent walk — read lists,
+built from the arrays on their first call (``_lists``).
+
 The process pool (``repro.serving``) ships artifacts through a second
 transport next to the file format: :meth:`~_CompiledArtifact.
 export_buffers` flattens an artifact into a JSON-able header plus one
@@ -51,6 +56,7 @@ import json
 import operator
 import struct
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -62,6 +68,7 @@ from ..exceptions import (
     ParameterError,
     SchemeError,
 )
+from ..graphs.csr import csr_view
 from .tree_routing import ARTIFACT_COLUMNS
 
 #: File magic for every compiled artifact ("Repro Compiled Routing
@@ -93,6 +100,40 @@ def _last_rows(sorted_keys, queries):
     return pos, (-1 if hit.all() else int(hit.argmin()))
 
 
+def _tree_edge_weights(graph, vertex, parent):
+    """Per slot, the weight of the graph edge to its tree parent (0.0
+    at a root), as one gather: the cached CSR's edge keys ``u * n + v``
+    sorted, the slots' ``vertex * n + parent`` keys searched in them.
+    A tree edge the graph lacks is a :class:`SchemeError` naming the
+    first slot's."""
+    view = csr_view(graph)
+    n = graph.num_vertices
+    keys = (_np.repeat(_np.arange(n, dtype=_np.int64) * n,
+                       _np.diff(view.indptr)) + view.indices)
+    order = _np.argsort(keys)
+    child = _np.flatnonzero(parent >= 0)
+    pos, miss = _last_rows(keys[order],
+                           vertex[child] * n + parent[child])
+    if miss >= 0:
+        raise SchemeError(
+            f"tree edge ({int(vertex[child[miss]])}, "
+            f"{int(parent[child[miss]])}) is not an edge of the graph")
+    weights = _np.zeros(len(vertex))
+    weights[child] = view.weights[order[pos]]
+    return weights
+
+
+# The reporting surface: plain Python numbers, the empty-artifact
+# identity (0 / 0.0) for no rows — degenerate artifacts are legal (they
+# serve the empty batch).
+def _most(words) -> int:
+    return int(words.max()) if len(words) else 0
+
+
+def _mean(words) -> float:
+    return int(words.sum()) / len(words) if len(words) else 0.0
+
+
 # ----------------------------------------------------------------------
 # Binary container: MAGIC | u32 version | u64 header len | header | payload
 # ----------------------------------------------------------------------
@@ -100,7 +141,7 @@ def _pack_values(typecode: str, values: Sequence) -> bytes:
     return _np.asarray(values, dtype=_WIRE[typecode]).tobytes()
 
 
-def _check_contents(meta: Dict, arrays: Dict[str, list],
+def _check_contents(meta: Dict, arrays: Dict[str, Sequence],
                     fields: Tuple[Tuple[str, str], ...]) -> None:
     """Reject structurally valid files whose header lies about content."""
     missing = [name for name, _tc in fields if name not in arrays]
@@ -287,7 +328,7 @@ class ArtifactBuffers(NamedTuple):
                 "arrays": [list(row) for row in self.manifest]}
 
 
-def _attach_arrays(manifest: Sequence, buffer) -> Dict[str, Sequence]:
+def _decode_payload(manifest: Sequence, buffer) -> Dict[str, Sequence]:
     """Decode a packed payload from any buffer object into native numpy
     arrays — the single byte-layout decoder behind both the file loader
     and the shared-memory attach path; no view into ``buffer``
@@ -296,7 +337,7 @@ def _attach_arrays(manifest: Sequence, buffer) -> Dict[str, Sequence]:
     page); the file loader rejects them itself.
     """
     mv = memoryview(buffer)
-    arrays: Dict[str, list] = {}
+    arrays: Dict[str, Sequence] = {}
     offset = 0
     for name, typecode, count in manifest:
         nbytes = count * _ITEM_BYTES
@@ -317,43 +358,36 @@ def _attach_arrays(manifest: Sequence, buffer) -> Dict[str, Sequence]:
 # Shared artifact machinery (persistence, export, metadata)
 # ----------------------------------------------------------------------
 class _CompiledArtifact:
-    """Everything :class:`CompiledScheme` and
-    :class:`CompiledEstimation` share: flat-array storage keyed by
-    ``_FIELDS``, the versioned file format, the buffer export/attach
-    transport, and the ``n``/``k`` metadata surface.  Subclasses build
-    their dict accelerators in :meth:`_post_init`."""
+    """Everything the artifact kinds share: numpy column storage keyed
+    by ``_FIELDS``, the versioned file format, the buffer export/attach
+    transport, the ``n``/``k`` metadata surface, and the lists a
+    per-pair loop reads (:attr:`_lists`).  Subclasses check and derive
+    in :meth:`_post_init`."""
 
     kind: str = ""
     _FIELDS: Tuple[Tuple[str, str], ...] = ()
-    #: Columns this kind reads as numpy arrays: the arrays handed in
-    #: for them are kept beside the lists; every other column is held
-    #: as a list alone.
-    _SWEPT: Tuple[str, ...] = ()
+    #: The arrays (``_`` + name) the per-pair loop reads, in order.
+    _LISTED: Tuple[str, ...] = ()
 
-    def __init__(self, meta: Dict, arrays: Dict[str, list]) -> None:
+    def __init__(self, meta: Dict, arrays: Dict[str, Sequence]) -> None:
         _check_contents(meta, arrays, self._FIELDS)
         self._meta = dict(meta)
         self._n = int(meta["n"])
         self._k = int(meta["k"])
-        self._arrays: Dict[str, object] = {}
         for name, typecode in self._FIELDS:
-            values = arrays[name]
-            if isinstance(values, _np.ndarray):
-                values = _np.asarray(values, dtype=_DTYPES[typecode])
-                if name in self._SWEPT:
-                    self._arrays[name] = values
-                values = values.tolist()
-            setattr(self, "_" + name, values)
+            setattr(self, "_" + name,
+                    _np.asarray(arrays[name], dtype=_DTYPES[typecode]))
         self._post_init()
 
-    def _column(self, name: str):
-        """Column ``name`` as a numpy array: the one kept, else a
-        conversion of its list."""
-        arr = self._arrays.get(name)
-        if arr is None:
-            arr = _np.asarray(getattr(self, "_" + name),
-                              dtype=_DTYPES[dict(self._FIELDS)[name]])
-        return arr
+    @cached_property
+    def _lists(self) -> Dict[str, list]:
+        """The ``_LISTED`` arrays as lists, built on the first call of a
+        per-pair loop: indexing a list element by element is several
+        times cheaper than indexing an array, and nothing else (compile,
+        load, attach, the vectorised path) reads them.  Two threads
+        racing on the first call build equal lists twice, no worse."""
+        return {name: getattr(self, "_" + name).tolist()
+                for name in self._LISTED}
 
     @classmethod
     def _decode(cls, where, meta: Dict, manifest: Sequence, buffer):
@@ -367,7 +401,7 @@ class _CompiledArtifact:
                     f"{where}: column {name!r} is declared {typecode!r}; "
                     f"a {cls.kind!r} artifact stores it as "
                     f"{stored[name]!r}")
-        return cls(meta, _attach_arrays(manifest, buffer))
+        return cls(meta, _decode_payload(manifest, buffer))
 
     def _post_init(self) -> None:
         """Rebuild derived accelerators; overridden by subclasses."""
@@ -378,9 +412,8 @@ class _CompiledArtifact:
         _write_artifact(path, self.kind, self._meta, self._columns())
 
     def _columns(self) -> List[Tuple[str, str, Sequence]]:
-        """``(name, typecode, values)`` per column, numpy where held."""
-        return [(name, typecode,
-                 self._arrays.get(name, getattr(self, "_" + name)))
+        """``(name, typecode, array)`` per column."""
+        return [(name, typecode, getattr(self, "_" + name))
                 for name, typecode in self._FIELDS]
 
     @classmethod
@@ -496,10 +529,9 @@ class CompiledScheme(_CompiledArtifact):
         ("table_words", _INT), ("label_words", _INT),
     )
 
-    #: Columns the dense compile sweeps, handed in as numpy arrays by
-    #: :meth:`from_scheme`.
-    _SWEPT = ("tree_center", "slot_vertex", "slot_tree", "t_parent",
-              "lbl_pivot", "lbl_slot")
+    #: The replay reads every column but the word counts.
+    _LISTED = tuple(name for name, _tc in _FIELDS
+                    if not name.endswith("_words"))
 
     def _post_init(self) -> None:
         """Checks on what the replay and the dense compile index by —
@@ -510,22 +542,23 @@ class CompiledScheme(_CompiledArtifact):
         for name, hi in (("tree_center", n), ("slot_vertex", n),
                          ("slot_tree", len(self._tree_center)),
                          ("ml_member", n)):
-            _check_range("flat artifact", name, self._column(name), 0, hi)
-        if len(self._ml_owner) != len(self._ml_member):
+            _check_range("flat artifact", name, getattr(self, "_" + name),
+                         0, hi)
+        owner = self._ml_owner
+        if len(owner) != len(self._ml_member):
             raise ArtifactError(
                 f"flat artifact columns ml_owner and ml_member hold "
-                f"{len(self._ml_owner)} and {len(self._ml_member)} rows")
-        centers = set(self._tree_center)
-        if not centers.issuperset(self._ml_owner):
-            row = next(i for i, c in enumerate(self._ml_owner)
-                       if c not in centers)
+                f"{len(owner)} and {len(self._ml_member)} rows")
+        stray = ~_np.isin(owner, self._tree_center)
+        if stray.any():
+            row = int(_np.flatnonzero(stray)[0])
             raise ArtifactError(
                 f"flat artifact column ml_owner row {row}: "
-                f"{self._ml_owner[row]} is not a tree center")
+                f"{int(owner[row])} is not a tree center")
         # one searchsorted decides; to name the row, the replay's
         # member dicts are built now and raise
-        tids, _miss = self._tree_rows(self._column("ml_owner"))
-        if self._slot_rows(tids, self._column("ml_member"))[1] >= 0:
+        tids, _miss = self._tree_rows(owner)
+        if self._slot_rows(tids, self._ml_member)[1] >= 0:
             self._members  # built now for its check
 
     # The sorted-key form of the replay's dicts, for the dense compile.
@@ -533,10 +566,9 @@ class CompiledScheme(_CompiledArtifact):
     def _key_index(self):
         """``(keys, slots, centers, tids)``: the slots sorted stably by
         ``tree * n + vertex``, and the tree centers sorted stably."""
-        key = (self._column("slot_tree") * self._n
-               + self._column("slot_vertex"))
+        key = self._slot_tree * self._n + self._slot_vertex
         order = _np.argsort(key, kind="stable")
-        centers = self._column("tree_center")
+        centers = self._tree_center
         center_order = _np.argsort(centers, kind="stable")
         return key[order], order, centers[center_order], center_order
 
@@ -565,23 +597,25 @@ class CompiledScheme(_CompiledArtifact):
     # dense compile reads the columns instead).
     @cached_property
     def _tid_of(self) -> Dict[int, int]:
-        return {c: tid for tid, c in enumerate(self._tree_center)}
+        return {c: tid for tid, c in enumerate(self._lists["tree_center"])}
 
     @cached_property
     def _slots(self) -> List[Dict[int, int]]:
+        lists = self._lists
         slots: List[Dict[int, int]] = [dict() for _ in range(self._n)]
-        for s, (v, tid) in enumerate(zip(self._slot_vertex,
-                                         self._slot_tree)):
+        for s, (v, tid) in enumerate(zip(lists["slot_vertex"],
+                                         lists["slot_tree"])):
             slots[v][tid] = s
         return slots
 
     @cached_property
     def _members(self) -> List[Dict[int, int]]:
+        lists = self._lists
         slots = self._slots
         tid_of = self._tid_of
         members: List[Dict[int, int]] = [dict() for _ in range(self._n)]
-        for row, (owner, member) in enumerate(zip(self._ml_owner,
-                                                  self._ml_member)):
+        for row, (owner, member) in enumerate(zip(lists["ml_owner"],
+                                                  lists["ml_member"])):
             slot = slots[member].get(tid_of[owner])
             if slot is None:
                 raise ArtifactError(
@@ -600,33 +634,23 @@ class CompiledScheme(_CompiledArtifact):
         that left the construction valid picks the new ones up)."""
         graph = scheme.graph
         forest = scheme.forest.columns
-        # the columns the dense compile sweeps go in as numpy copies,
-        # kept beside the lists; the rest as lists
         cols: Dict[str, Sequence] = {
-            name: (_np.array(getattr(forest, name)) if name in cls._SWEPT
-                   else getattr(forest, name).tolist())
+            name: _np.array(getattr(forest, name))
             for name in ("tree_center",) + ARTIFACT_COLUMNS}
-        n = graph.num_vertices
-        weight = {-1: 0.0}       # a root's parent "edge"
-        for u, v, w in graph.edges():
-            weight[u * n + v] = weight[v * n + u] = float(w)
-        try:
-            cols["t_parent_w"] = [
-                weight[-1 if p < 0 else v * n + p]
-                for v, p in zip(forest.slot_vertex, forest.t_parent)]
-        except KeyError as exc:
-            u, v = divmod(exc.args[0], n)
-            raise SchemeError(f"tree edge ({u}, {v}) is not an edge of "
-                              "the graph") from None
+        cols["t_parent_w"] = _tree_edge_weights(
+            graph, cols["slot_vertex"], cols["t_parent"])
         cols["lbl_pivot"] = _np.array(scheme.lbl_pivot)
         cols["lbl_slot"] = _np.array(scheme.lbl_slot)
-        cols["ml_owner"], cols["ml_member"] = [], []
-        for owner in sorted(scheme.members):
-            mine = scheme.members[owner]
-            cols["ml_owner"] += [owner] * len(mine)
-            cols["ml_member"] += mine
-        cols["table_words"] = scheme.table_words.tolist()
-        cols["label_words"] = scheme.label_words.tolist()
+        owners = sorted(scheme.members)
+        mine = [scheme.members[owner] for owner in owners]
+        sizes = [len(members) for members in mine]
+        cols["ml_owner"] = _np.repeat(_np.array(owners, dtype=_np.int64),
+                                      sizes)
+        cols["ml_member"] = _np.fromiter(chain.from_iterable(mine),
+                                         _np.int64, sum(sizes))
+        cols["table_words"] = _np.array(scheme.table_words)
+        cols["label_words"] = _np.array(scheme.label_words)
+        n = graph.num_vertices
         meta = {
             "n": n,
             "k": scheme.params.k,
@@ -638,24 +662,17 @@ class CompiledScheme(_CompiledArtifact):
         return cls(meta, cols)
 
     # -- reporting -----------------------------------------------------
-    # All four return the empty-artifact identity (0 / 0.0) for n == 0
-    # rather than tripping over max()/ZeroDivisionError — degenerate
-    # artifacts are legal (they serve the empty batch).
     def max_table_words(self) -> int:
-        return max(self._table_words, default=0)
+        return _most(self._table_words)
 
     def average_table_words(self) -> float:
-        if not len(self._table_words):
-            return 0.0
-        return sum(self._table_words) / len(self._table_words)
+        return _mean(self._table_words)
 
     def max_label_words(self) -> int:
-        return max(self._label_words, default=0)
+        return _most(self._label_words)
 
     def average_label_words(self) -> float:
-        if not len(self._label_words):
-            return 0.0
-        return sum(self._label_words) / len(self._label_words)
+        return _mean(self._label_words)
 
     def __repr__(self) -> str:
         return (f"CompiledScheme(n={self._n}, k={self._k}, "
@@ -699,32 +716,13 @@ class CompiledScheme(_CompiledArtifact):
         slots = self._slots
         members = self._members
         tid_of = self._tid_of
-        lbl_pivot = self._lbl_pivot
-        lbl_slot = self._lbl_slot
-        slot_vertex = self._slot_vertex
-        t_parent = self._t_parent
-        t_parent_w = self._t_parent_w
-        t_loc_entry = self._t_loc_entry
-        t_loc_exit = self._t_loc_exit
-        t_loc_parent = self._t_loc_parent
-        t_loc_heavy = self._t_loc_heavy
-        t_splitter = self._t_splitter
-        t_gentry = self._t_gentry
-        t_gexit = self._t_gexit
-        t_hsplit = self._t_hsplit
-        t_hportal = self._t_hportal
-        t_hlab = self._t_hlab
-        l_local = self._l_local
-        l_ge_start = self._l_ge_start
-        l_ge_end = self._l_ge_end
-        ge_psplit = self._ge_psplit
-        ge_csplit = self._ge_csplit
-        ge_portal = self._ge_portal
-        ge_plab = self._ge_plab
-        lp_entry = self._lp_entry
-        lp_start = self._lp_start
-        lp_w = self._lp_w
-        lp_child = self._lp_child
+        # every column but the word counts, in ``_FIELDS`` order
+        (_centers, slot_vertex, _trees, t_parent, t_parent_w, t_loc_entry,
+         t_loc_exit, t_loc_parent, t_loc_heavy, t_splitter, t_gentry,
+         t_gexit, t_hsplit, t_hportal, t_hlab, l_local, l_ge_start,
+         l_ge_end, ge_psplit, ge_csplit, ge_portal, ge_plab, lp_entry,
+         lp_start, lp_w, lp_child, lbl_pivot, lbl_slot, _ml_owner,
+         _ml_member) = self._lists.values()
 
         def local_next(sx: int, li: int) -> Optional[int]:
             # interval_next_hop over the pooled local label li
@@ -872,15 +870,18 @@ class CompiledEstimation(_CompiledArtifact):
         ("cv_start", _INT), ("cv_center", _INT), ("cv_value", _FLOAT),
         ("sketch_words", _INT),
     )
+    _LISTED = ("sk_pivot", "sk_pivot_d", "cv_start", "cv_center",
+               "cv_value")
 
-    def _post_init(self) -> None:
-        cv_start = self._cv_start
-        cv_center = self._cv_center
-        cv_value = self._cv_value
-        self._cluster_values: List[Dict[int, float]] = [
-            {cv_center[j]: cv_value[j]
-             for j in range(cv_start[v], cv_start[v + 1])}
-            for v in range(self._n)]
+    @cached_property
+    def _cluster_values(self) -> List[Dict[int, float]]:
+        lists = self._lists
+        cv_start = lists["cv_start"]
+        cv_center = lists["cv_center"]
+        cv_value = lists["cv_value"]
+        return [{cv_center[j]: cv_value[j]
+                 for j in range(cv_start[v], cv_start[v + 1])}
+                for v in range(self._n)]
 
     @classmethod
     def from_estimation(cls, estimation) -> "CompiledEstimation":
@@ -916,12 +917,10 @@ class CompiledEstimation(_CompiledArtifact):
 
     # -- reporting -----------------------------------------------------
     def max_sketch_words(self) -> int:
-        return max(self._sketch_words, default=0)
+        return _most(self._sketch_words)
 
     def average_sketch_words(self) -> float:
-        if not len(self._sketch_words):
-            return 0.0
-        return sum(self._sketch_words) / len(self._sketch_words)
+        return _mean(self._sketch_words)
 
     def __repr__(self) -> str:
         return f"CompiledEstimation(n={self._n}, k={self._k})"
@@ -946,8 +945,8 @@ class CompiledEstimation(_CompiledArtifact):
         n = self._n
         k = self._k
         cluster_values = self._cluster_values
-        sk_pivot = self._sk_pivot
-        sk_pivot_d = self._sk_pivot_d
+        sk_pivot = self._lists["sk_pivot"]
+        sk_pivot_d = self._lists["sk_pivot_d"]
         out: List[float] = []
         for u, v in pairs:
             if u == v:

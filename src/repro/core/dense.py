@@ -21,8 +21,9 @@ weight as a difference of root distances.  Two size selections pick
 the body: a batch below ``_VECTOR_MIN_PAIRS`` pairs, or any batch once
 the chains are past the budget, takes the same route from a plain
 parent walk (the pairs that are cheaper walked one by one, and the
-memory the chains would take).  numpy is required; the only other
-size-based selection is the bucketed exploration past
+memory the chains would take); the walk reads lists of the columns
+built on its first call, nothing else does.  numpy is required; the
+only other size-based selection is the bucketed exploration past
 ``_DENSE_CELL_LIMIT`` (:mod:`repro.congest.bellman_ford`).
 
 The plane is compiled from the :class:`CompiledScheme` construction
@@ -131,7 +132,7 @@ def _check_increasing(name: str, keys, hi) -> None:
         f"breaks the strictly increasing order in [0, {hi})")
 
 
-def _sweep(npv, n: int):
+def _sweep(parent, weight, sx_key, sx_slot, n: int):
     """Depth and root distance of every slot by one top-down level
     sweep from the roots, each child's distance its parent's plus its
     edge weight — a walk's float sums, in a walk's order.
@@ -141,9 +142,6 @@ def _sweep(npv, n: int):
     slot reaching a root at a distance exact in float64.  A violation
     is an :class:`ArtifactError` naming the slot that a walk from each
     slot in turn up to its root meets first (:func:`_defect`)."""
-    parent = npv["dp_parent_slot"]
-    weight = npv["dp_parent_w"]
-    sx_slot = npv["sx_slot"]
     num_slots = len(parent)
     if not num_slots:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
@@ -155,7 +153,7 @@ def _sweep(npv, n: int):
     # slot -> tree: -1 for a slot the index omits; a slot it lists
     # twice takes its last row's tree
     tree = np.full(num_slots, -1, dtype=np.int64)
-    key_tree = npv["sx_key"] // n
+    key_tree = sx_key // n
     if np.bincount(sx_slot, minlength=num_slots).max() > 1:
         last = len(sx_slot) - 1 - np.unique(sx_slot[::-1],
                                             return_index=True)[1]
@@ -237,22 +235,21 @@ def _compile_columns(compiled: CompiledScheme):
     a :class:`SchemeError` naming it; equal keys resolve to the last
     row, as the scheme's dicts do."""
     n = compiled.num_vertices
-    col = compiled._column
-    vertex = col("slot_vertex")
-    tree = col("slot_tree")
-    owner = col("ml_owner")
-    member = col("ml_member")
+    vertex = compiled._slot_vertex
+    tree = compiled._slot_tree
+    owner = compiled._ml_owner
+    member = compiled._ml_member
     sx_key, order, _centers, _tids = compiled._key_index
     slot_of = compiled._slot_rows
     tid_of = compiled._tree_rows
-    parent_vertex = col("t_parent")
+    parent_vertex = compiled._t_parent
     child = np.nonzero(parent_vertex >= 0)[0]
     parent_slot, miss = slot_of(tree[child], parent_vertex[child])
     if miss >= 0:
         raise _no_slot("tree parent", parent_vertex[child[miss]],
                        tree[child[miss]])
-    f_pivot = col("lbl_pivot")
-    f_slot = col("lbl_slot")
+    f_pivot = compiled._lbl_pivot
+    f_slot = compiled._lbl_slot
     live = np.nonzero((f_pivot >= 0) & (f_slot >= 0))[0]
     f_tids, miss = tid_of(f_pivot[live])
     if miss >= 0:
@@ -271,7 +268,7 @@ def _compile_columns(compiled: CompiledScheme):
     m_key = owner * n + member
     rows = np.lexsort((m_sslot, m_tslot, m_key))
     return {"dp_vertex": vertex, "dp_parent_slot": dp_parent_slot,
-            "dp_parent_w": col("t_parent_w"),
+            "dp_parent_w": compiled._t_parent_w,
             "sx_key": sx_key, "sx_slot": order,
             "f_pivot": f_pivot, "f_slot": f_slot, "f_tid": f_tid,
             "m_key": m_key[rows], "m_tslot": m_tslot[rows],
@@ -302,7 +299,12 @@ class DenseRoutingPlane(_CompiledArtifact):
         ("f_pivot", _INT), ("f_slot", _INT), ("f_tid", _INT),
         ("m_key", _INT), ("m_tslot", _INT), ("m_sslot", _INT),
     )
-    _SWEPT = tuple(name for name, _tc in _FIELDS)
+    #: What the parent walk reads, in the order it unpacks them: every
+    #: column but the edge weights, and the depths and root distances
+    #: load derives.
+    _LISTED = ("dp_vertex", "dp_parent_slot", "sx_key", "sx_slot",
+               "f_pivot", "f_slot", "f_tid", "m_key", "m_tslot",
+               "m_sslot", "depth", "dist")
 
     def _post_init(self) -> None:
         if len(self._f_pivot) != self._n * self._k:
@@ -318,44 +320,44 @@ class DenseRoutingPlane(_CompiledArtifact):
                     f"{len(getattr(self, '_' + name))} entries for "
                     f"{num_slots} slots")
         self._chain = None
-        # the arrays the compile or the payload decoder handed over
-        npv = {name: self._column(name) for name in self._SWEPT}
-        self._npv = self._arrays = npv
-        self._check_indexes(npv)
-        depth, dist = _sweep(npv, max(self._n, 1))
-        self._depth, self._dist = depth.tolist(), dist.tolist()
-        self._build_chains(depth, dist)
+        self._check_indexes()
+        self._depth, self._dist = _sweep(
+            self._dp_parent_slot, self._dp_parent_w, self._sx_key,
+            self._sx_slot, max(self._n, 1))
+        self._build_chains()
         # the two find-tree lookups: member pairs (key s*n + t) and
         # (tree, vertex) -> slot (key tid*n + v, every tid that appears)
-        self._m_direct = _direct_table(npv["m_key"], self._n * self._n)
-        self._sx_direct = _direct_table(npv["sx_key"],
+        self._m_direct = _direct_table(self._m_key, self._n * self._n)
+        self._sx_direct = _direct_table(self._sx_key,
                                         self._num_trees() * self._n)
 
     # -- load-time validation and derivation ---------------------------
     def _num_trees(self) -> int:
         """Tree ids the (tree, vertex) index spans: the last key's + 1."""
-        return (self._sx_key[-1] // max(self._n, 1) + 1
+        return (int(self._sx_key[-1]) // max(self._n, 1) + 1
                 if len(self._sx_key) else 0)
 
-    def _check_indexes(self, npv) -> None:
+    def _check_indexes(self) -> None:
         """The columns serving indexes without checking: ``sx_key`` and
         ``m_key`` strictly increasing (lookups binary-search and
         direct-address them; ``m_key`` below ``n²``), member slots in
         ``[0, slots)``, find-tree slots in ``[-1, slots)`` and tree ids
         in ``[-1, trees)``.  Each check names the first bad row."""
-        _check_increasing("sx_key", npv["sx_key"], float("inf"))
-        _check_increasing("m_key", npv["m_key"], self._n * self._n)
+        _check_increasing("sx_key", self._sx_key, float("inf"))
+        _check_increasing("m_key", self._m_key, self._n * self._n)
         num_slots = len(self._dp_vertex)
         for name, lo, hi in (("m_tslot", 0, num_slots),
                              ("m_sslot", 0, num_slots),
                              ("f_slot", -1, num_slots),
                              ("f_tid", -1, self._num_trees())):
-            _check_range("dense plane", name, npv[name], lo, hi)
+            _check_range("dense plane", name, getattr(self, "_" + name),
+                         lo, hi)
 
-    def _build_chains(self, depth, dist) -> None:
+    def _build_chains(self) -> None:
         """The CSR of root-first ancestor chains, within budget:
         ``chain[off[s] : off[s] + depth[s] + 1]`` = root, ..., ``s``."""
-        parent = self._npv["dp_parent_slot"]
+        parent = self._dp_parent_slot
+        depth = self._depth
         total = int(depth.sum()) + len(depth)
         if not 0 < total <= _DERIVED_BUDGET:
             return
@@ -371,8 +373,6 @@ class DenseRoutingPlane(_CompiledArtifact):
             pos = pos[keep] - 1
         self._chain = chain
         self._chain_off = off
-        self._depth_np = depth
-        self._dist_np = dist
         self._chunk_rows = max(1, _CHUNK_CELLS // (int(depth.max()) + 1))
 
     # -- construction --------------------------------------------------
@@ -451,16 +451,8 @@ class DenseRoutingPlane(_CompiledArtifact):
     def _route_walk(self, pairs, max_hops):
         n = self._n
         k = self._k
-        vertex = self._dp_vertex
-        parent = self._dp_parent_slot
-        depth = self._depth
-        dist = self._dist
-        sx_key = self._sx_key
-        sx_slot = self._sx_slot
-        f_pivot = self._f_pivot
-        f_slot = self._f_slot
-        f_tid = self._f_tid
-        m_key = self._m_key
+        (vertex, parent, sx_key, sx_slot, f_pivot, f_slot, f_tid, m_key,
+         m_tslot, m_sslot, depth, dist) = self._lists.values()
         n_sx = len(sx_key)
         n_m = len(m_key)
 
@@ -474,18 +466,18 @@ class DenseRoutingPlane(_CompiledArtifact):
             mk = s * n + t
             i = bisect_left(m_key, mk, 0, n_m)
             if i < n_m and m_key[i] == mk:
-                st = int(self._m_tslot[i])
-                cs = int(self._m_sslot[i])
+                st = m_tslot[i]
+                cs = m_sslot[i]
                 center = s
                 level = -1
             else:
                 base = t * k
                 for level in range(k):
-                    pivot = int(f_pivot[base + level])
-                    sl = int(f_slot[base + level])
+                    pivot = f_pivot[base + level]
+                    sl = f_slot[base + level]
                     if pivot < 0 or sl < 0:
                         continue
-                    sk = int(f_tid[base + level]) * n + s
+                    sk = f_tid[base + level] * n + s
                     i = bisect_left(sx_key, sk, 0, n_sx)
                     in_tree = i < n_sx and sx_key[i] == sk
                     if in_tree or pivot == s:
@@ -494,7 +486,7 @@ class DenseRoutingPlane(_CompiledArtifact):
                                 f"find-tree: source {s} has no slot "
                                 "in its own tree")
                         st = sl
-                        cs = int(sx_slot[i])
+                        cs = sx_slot[i]
                         center = pivot
                         break
                 else:
@@ -508,16 +500,16 @@ class DenseRoutingPlane(_CompiledArtifact):
             tail = []
             while a != b:
                 if depth[a] >= depth[b]:
-                    path.append(int(vertex[a]))
-                    a = int(parent[a])
+                    path.append(vertex[a])
+                    a = parent[a]
                     if a < 0:
                         raise SchemeError(
                             f"routing {s} -> {t}: slots {cs} and {st} "
                             "share no tree root")
                 else:       # deeper than a slot, so not a root
-                    tail.append(int(vertex[b]))
-                    b = int(parent[b])
-            path.append(int(vertex[a]))
+                    tail.append(vertex[b])
+                    b = parent[b]
+            path.append(vertex[a])
             tail.reverse()
             path += tail
             if max_hops is not None and len(path) - 1 > max_hops:
@@ -532,9 +524,8 @@ class DenseRoutingPlane(_CompiledArtifact):
         """Algorithm 1 for every row at once: member lookup, then a
         k-wide select over the label rows, compressed to unresolved
         rows.  Returns ``(source slot, target slot, center, level)``."""
-        col = self._npv
         n = self._n
-        hit, pos = _lookup(self._m_direct, col["m_key"], s * n + t)
+        hit, pos = _lookup(self._m_direct, self._m_key, s * n + t)
         st = np.full(len(s), -1, dtype=np.int64)
         cs = st.copy()
         center = st.copy()
@@ -543,8 +534,8 @@ class DenseRoutingPlane(_CompiledArtifact):
         if hit.any():
             found = open_idx[hit]
             pos = pos[hit]
-            st[found] = col["m_tslot"][pos]
-            cs[found] = col["m_sslot"][pos]
+            st[found] = self._m_tslot[pos]
+            cs[found] = self._m_sslot[pos]
             center[found] = s[found]
             open_idx = open_idx[~hit]
         for lvl in range(self._k):
@@ -552,12 +543,12 @@ class DenseRoutingPlane(_CompiledArtifact):
                 break
             s_open = s[open_idx]
             row = t[open_idx] * self._k + lvl
-            pivot = col["f_pivot"][row]
-            sl = col["f_slot"][row]
+            pivot = self._f_pivot[row]
+            sl = self._f_slot[row]
             # absent rows (f_tid = -1) look up tree 0; masked by the
             # pivot >= 0 condition below
-            sx_keys = np.maximum(col["f_tid"][row], 0) * n + s_open
-            in_tree, spos = _lookup(self._sx_direct, col["sx_key"],
+            sx_keys = np.maximum(self._f_tid[row], 0) * n + s_open
+            in_tree, spos = _lookup(self._sx_direct, self._sx_key,
                                     sx_keys)
             cond = ((pivot >= 0) & (sl >= 0)
                     & (in_tree | (pivot == s_open)))
@@ -570,7 +561,7 @@ class DenseRoutingPlane(_CompiledArtifact):
                     "slot in its own tree")
             found = open_idx[cond]
             st[found] = sl[cond]
-            cs[found] = col["sx_slot"][spos[cond]]
+            cs[found] = self._sx_slot[spos[cond]]
             center[found] = pivot[cond]
             level[found] = lvl
             open_idx = open_idx[~cond]
@@ -597,8 +588,8 @@ class DenseRoutingPlane(_CompiledArtifact):
         if num_rows:
             cs, st, center, level = self._find_tree(s, t)
             chain = self._chain
-            depth = self._depth_np
-            dist = self._dist_np
+            depth = self._depth
+            dist = self._dist
             ds = depth[cs]
             dt = depth[st]
             oc = self._chain_off[cs]
@@ -642,7 +633,7 @@ class DenseRoutingPlane(_CompiledArtifact):
             base[:, 1] = ot + common - seg_start[:, 1]
             cells = np.abs(np.repeat(base.ravel(), seg_len)
                            + np.arange(int(seg_end[-1])))
-            verts = self._npv["dp_vertex"][chain[cells]].tolist()
+            verts = self._dp_vertex[chain[cells]].tolist()
             ends = seg_end[1::2].tolist()
             weight = (dist[cs] + dist[st]
                       - 2.0 * dist[chain[oc + common - 1]])

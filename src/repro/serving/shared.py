@@ -3,9 +3,9 @@
 The pool pays for the artifact once and ships it once.  The parent packs
 the artifact's flat arrays into one ``multiprocessing.shared_memory``
 block (via ``export_buffers``); each worker attaches the block by name,
-decodes it into private Python lists (numpy ``frombuffer`` — list-backed
-serving is the fast layout for the kernels and returns plain ints that
-pickle back cheaply) and closes its mapping straight away.  Works under every start
+copies it into private numpy columns (``frombuffer`` + ``astype``) and
+closes its mapping straight away; the lists a worker's parent walk
+reads are built on its first small batch.  Works under every start
 method: the init tuple is a name and a header dict.
 
 :class:`ArtifactHandle` owns the parent side (and the cleanup — the

@@ -17,6 +17,7 @@ of the per-vertex objects the columns replaced, and production never
 imports the package that defines them.
 """
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -25,8 +26,13 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.analysis.size_accounting import (
+    measure_routing_sizes,
+    measure_sketch_sizes,
+)
 from repro.reference import (
     DistTreeLabel,
     DistTreeTable,
@@ -88,10 +94,10 @@ def test_word_columns_equal_materialised_words(case):
     flat = pipeline.compile("flat")
     reference = ReferenceRouter(scheme)
     n = scheme.graph.num_vertices
-    for v in range(n):
-        table, label = reference.tables[v], reference.labels[v]
-        assert flat._table_words[v] == table.words, f"table of {v}"
-        assert flat._label_words[v] == label.words, f"label of {v}"
+    assert np.array_equal(flat._table_words,
+                          [reference.tables[v].words for v in range(n)])
+    assert np.array_equal(flat._label_words,
+                          [reference.labels[v].words for v in range(n)])
     construction = report.construction
     assert construction.max_table_words == flat.max_table_words() \
         == scheme.max_table_words() == expected["max_table_words"]
@@ -105,6 +111,37 @@ def test_word_columns_equal_materialised_words(case):
         report.params.table_size_bound_words
     assert construction.max_label_words <= \
         report.params.label_size_bound_words
+
+
+def test_reporting_returns_plain_python_numbers(case):
+    """The artifacts' word statistics are ``int`` / ``float``, not numpy
+    scalars: equal to the live objects' and the committed record's, and
+    a size report built from them serialises as JSON."""
+    pipeline, expected = case
+    flat = pipeline.compile("flat")
+    estimation = pipeline.compile_estimation()
+    sketches = pipeline.build_estimation()
+    got = {
+        "max_table_words": flat.max_table_words(),
+        "avg_table_words": flat.average_table_words(),
+        "max_label_words": flat.max_label_words(),
+        "avg_label_words": flat.average_label_words(),
+    }
+    assert got == {name: expected[name] for name in got}
+    assert estimation.max_sketch_words() == sketches.max_sketch_words()
+    assert estimation.average_sketch_words() \
+        == sketches.average_sketch_words()
+    for value in (got["max_table_words"], got["max_label_words"],
+                  estimation.max_sketch_words()):
+        assert type(value) is int
+    for value in (got["avg_table_words"], got["avg_label_words"],
+                  estimation.average_sketch_words()):
+        assert type(value) is float
+    report = pipeline.build()
+    graph, k = report.scheme.graph, report.params.k
+    sizes = [measure_routing_sizes("flat", graph, flat, k),
+             measure_sketch_sizes("sketches", graph, estimation, k)]
+    json.dumps([dataclasses.asdict(size) for size in sizes])
 
 
 def test_build_and_compile_construct_no_per_vertex_objects(monkeypatch):

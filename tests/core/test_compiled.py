@@ -253,14 +253,14 @@ class TestCorruptionRejection:
     def test_metadata_without_nk_rejected(self, tmp_path, built_cases):
         from repro.core.compiled import (
             CompiledScheme as CS,
-            _attach_arrays,
+            _decode_payload,
             _read_container,
             _write_artifact,
         )
         path = tmp_path / "scheme.cra"
         built_cases["grid"].scheme.compile().save(path)
         kind, meta, manifest, payload = _read_container(path)
-        arrays = _attach_arrays(manifest, payload)
+        arrays = _decode_payload(manifest, payload)
         meta.pop("n")
         bad = tmp_path / "no_n.cra"
         _write_artifact(bad, kind, meta,

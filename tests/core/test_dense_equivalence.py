@@ -280,8 +280,8 @@ class TestArtifactRoundTrip:
         assert isinstance(attached, DenseRoutingPlane)
         # the compile's arrays and the decoder's sweep to the same plane
         assert attached.export_buffers() == buffers
-        assert attached._depth == plane._depth
-        assert attached._dist == plane._dist
+        assert np.array_equal(attached._depth, plane._depth)
+        assert np.array_equal(attached._dist, plane._dist)
         pairs = all_pairs(compiled.num_vertices)[:64]
         assert_routes_equal(attached.route_many(pairs),
                             compiled.route_many(pairs))
@@ -291,11 +291,10 @@ def scheme_depths(flat):
     """Per-slot tree depth and root distance, walked up the scheme's
     own (tree, parent vertex) rows through a dict — no dense column
     involved.  Equal keys resolve to the last row, as the scheme does."""
-    col = flat._column
-    vertex = col("slot_vertex").tolist()
-    tree = col("slot_tree").tolist()
-    parent = col("t_parent").tolist()
-    weight = col("t_parent_w").tolist()
+    vertex = flat._slot_vertex.tolist()
+    tree = flat._slot_tree.tolist()
+    parent = flat._t_parent.tolist()
+    weight = flat._t_parent_w.tolist()
     slot = {(t, v): s for s, (t, v) in enumerate(zip(tree, vertex))}
     depth, dist = {}, {}
 
@@ -328,8 +327,8 @@ def sweep_matches_parent_walk(flat):
     assert attached.export_buffers() == buffers
     depth, dist = scheme_depths(flat)
     for p in (plane, attached):
-        assert p._depth == depth
-        assert p._dist == dist
+        assert np.array_equal(p._depth, depth)
+        assert np.array_equal(p._dist, dist)
 
 
 def test_sweep_matches_parent_walk(tiers):

@@ -34,6 +34,8 @@ def test_flat_route_is_the_tree_path(case):
             .params(k).seed(seed).compile("flat"))
     n = flat.num_vertices
     pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
+    t_parent = flat._t_parent.tolist()
+    t_parent_w = flat._t_parent_w.tolist()
     for route in flat.route_many(pairs):
         tid = flat._tid_of[route.tree_center]
         path = route.path
@@ -44,12 +46,12 @@ def test_flat_route_is_the_tree_path(case):
         for here, there in zip(path, path[1:]):
             a = flat._slots[here][tid]      # KeyError: left the tree
             b = flat._slots[there][tid]
-            if flat._t_parent[a] == there:
-                weight += flat._t_parent_w[a]
+            if t_parent[a] == there:
+                weight += t_parent_w[a]
             else:
-                assert flat._t_parent[b] == here, \
+                assert t_parent[b] == here, \
                     f"{route.source} -> {route.target}: hop " \
                     f"{here} -> {there} is not an edge of tree " \
                     f"{route.tree_center}"
-                weight += flat._t_parent_w[b]
+                weight += t_parent_w[b]
         assert weight == route.weight
