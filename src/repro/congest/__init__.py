@@ -21,9 +21,7 @@ from .bellman_ford import (
     NearestSourceResult,
     VirtualExplorationResult,
     multi_source_exploration,
-    multi_source_exploration_reference,
     nearest_source_exploration,
-    nearest_source_exploration_reference,
     virtual_multi_source_exploration,
 )
 
@@ -53,8 +51,6 @@ __all__ = [
     "NearestSourceResult",
     "VirtualExplorationResult",
     "multi_source_exploration",
-    "multi_source_exploration_reference",
     "nearest_source_exploration",
-    "nearest_source_exploration_reference",
     "virtual_multi_source_exploration",
 ]

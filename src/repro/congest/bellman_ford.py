@@ -7,9 +7,9 @@ Three variants back the paper's construction:
   Section 3.1): each node relays at most one estimate per iteration, so an
   iteration costs O(1) rounds.
 * :func:`multi_source_exploration` — independent per-source explorations
-  with a *join predicate* (used for cluster growing, Sections 3.2/3.3):
+  with a *join rule* (used for cluster growing, Sections 3.2/3.3):
   a node stores and relays an estimate for source ``u`` only while the
-  predicate holds (Eq. (11)/(14)).  Congestion — the number of distinct
+  rule accepts it (Eq. (11)/(14)).  Congestion — the number of distinct
   live estimates a node must push over one link in one iteration — is
   measured, and the iteration is charged ``ceil(words / capacity)`` rounds
   exactly as the paper's pipelining argument schedules it.
@@ -21,68 +21,47 @@ Three variants back the paper's construction:
 All variants run round-by-round over explicit per-node state, so their
 outputs are exactly what the message-passing execution would compute.
 
-Like the CONGEST round engine, the two physical-graph explorations ship
-in two implementations: the original dict-based loops live on as
-``nearest_source_exploration_reference`` /
-``multi_source_exploration_reference`` (the semantic oracles), while
-the public names run a **batched flat-array path** — CSR/snapshot
-adjacency (no per-vertex generator dispatch), candidate arrays with a
-touched-list instead of ``setdefault`` churn, and sorted frontiers.
-
+The two physical-graph explorations are numpy kernels over the graph's
+cached CSR view (:mod:`repro.graphs.csr`): one scatter-min per hop over
+the frontier's gathered out-edges.  Their dict-based oracles live in
+:mod:`repro.reference.exploration`, which production never imports.
 The join decision is the declarative :class:`JoinRule` — a per-vertex
 threshold plan covering every rule the paper actually applies (Eq. (11),
-the middle-scale pivot-distance filter, Eq. (14)/(15)) — which the dense
-kernel evaluates as a masked vector compare fused into the scatter-min
-relaxation and the bucketed kernel as an inline comparison.  The one
-selection between them is by size: the dense kernel holds a
-``|sources| × n`` distance matrix, so past :data:`_DENSE_CELL_LIMIT`
-cells :func:`multi_source_exploration` takes the bucketed kernel
-(chunking the dense one is still open).  numpy is required; the only
-other size-based selection is the dense plane's parent walk below
-``_VECTOR_MIN_PAIRS`` (:mod:`repro.core.dense`).  Only the
-``_reference`` oracles and the (tiny) virtual-graph exploration still
-take an opaque callback (:data:`JoinPredicate`).
+the middle-scale pivot-distance filter, Eq. (14)/(15)) — which the
+kernel evaluates as a masked vector compare fused into the relaxation.
 
-One deliberate semantic pin, applied to *both* implementations:
+:func:`multi_source_exploration` holds a ``rows × n`` distance matrix,
+so it advances the source rows in blocks of at most
+:data:`_DENSE_CELL_LIMIT` cells; rows are independent and every block
+size gives a bit-identical result.  numpy is required; the one
+remaining kernel choice is the dense plane's parent walk below
+``_VECTOR_MIN_PAIRS`` (:mod:`repro.core.dense`).
+
+One deliberate semantic pin, applied to kernel and oracle alike:
 frontiers are processed in sorted vertex order (the originals iterated
 a ``set``/dict), so equal-distance ties resolve deterministically and
-identically across the pair.  Distances, frontier membership,
-iteration and round counts were already order-independent; only
-``source_of``/``parent`` ties could differ, and no seeded workload in
-the suite observes a change.  The differential harness
-(``tests/congest/test_engine_equivalence.py``) asserts every result
-field matches exactly between oracle and batched path.  The
-virtual-graph variant stays dict-based: its instances are tiny
-(``|A_{ceil(k/2)}|`` vertices) and its cost is dominated by the
-Lemma-1 broadcast accounting.
+identically across the pair.  The differential grids
+(``tests/congest/test_engine_equivalence.py``,
+``tests/congest/test_exploration_grid.py``) assert every result field
+matches exactly between oracle and kernel.  The virtual-graph variant
+stays dict-based: its instances are tiny (``|A_{ceil(k/2)}|``
+vertices) and its cost is dominated by the Lemma-1 broadcast
+accounting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
-from ..graphs.csr import _gather_edge_indices, csr_view, frontier_neighbors
+from ..graphs.csr import _gather_edge_indices, csr_view
 from ..graphs.shortest_paths import INF
 from ..graphs.virtual_graph import VirtualGraph
 from ..graphs.weighted_graph import WeightedGraph
 from .bfs import BFSTree
 from .metrics import congestion_rounds, pipelined_rounds
-
-#: join(vertex, source, candidate_distance) -> bool.  Models the local
-#: decision rule a vertex applies on receiving an estimate, so it MUST
-#: be a pure function of its arguments: it is evaluated once per
-#: improving (vertex, source) winner, but the order of those calls
-#: across pairs is an implementation detail that differs between the
-#: execution paths (the differential guarantees below are stated for
-#: pure predicates, which is all the paper's join rules are).  It must
-#: also be *antitone in the distance* (once a candidate is rejected,
-#: every farther candidate is too) — true of the paper's threshold
-#: rules (Eq. (11)/(14)) and what lets the dense kernel filter
-#: candidates before taking each group's minimum.
-JoinPredicate = Callable[[int, int, float], bool]
 
 
 @dataclass(frozen=True)
@@ -94,15 +73,14 @@ class JoinRule:
     this shape — rule (11) compares against ``d_G(v, A_{i+1})``, the
     middle scale against the exact ``(k+1)/2``-pivot distance, rules
     (14)/(15) against scaled pivot budgets on the virtual graphs — so
-    instead of an opaque :data:`JoinPredicate` closure, callers hand
-    the exploration the *description*: a ``threshold`` array indexed by
-    vertex (``INF`` entries always accept) and a ``strict`` flag (``d <
-    threshold[v]`` when set, ``d <= threshold[v]`` otherwise; every
-    paper rule is strict).  The dense kernel evaluates the rule as one
-    masked vector compare fused into the scatter-min relaxation; the
-    bucketed kernel evaluates the same comparison inline.  A rule is by
+    instead of an opaque closure, callers hand the exploration the
+    *description*: a ``threshold`` array indexed by vertex (``INF``
+    entries always accept) and a ``strict`` flag (``d < threshold[v]``
+    when set, ``d <= threshold[v]`` otherwise; every paper rule is
+    strict).  The kernel evaluates the rule as one masked vector
+    compare fused into the scatter-min relaxation.  A rule is by
     construction a pure, distance-antitone predicate, so
-    :meth:`accepts` is a valid :data:`JoinPredicate` for the oracles.
+    :meth:`accepts` is a valid callback for the dict-based oracles.
     """
 
     threshold: Sequence[float]
@@ -117,33 +95,10 @@ class JoinRule:
 #: Words per (source, distance) estimate on the wire.
 _ESTIMATE_WORDS = 2
 
-#: Ceiling on ``|sources| * n`` cells before the dense kernel's distance
-#: and parent matrices stop being worth their memory.
+#: Ceiling on ``rows * n`` cells for one block of the exploration: the
+#: block's float64 distance matrix is capped at 32 MB; the sorted
+#: source rows advance in blocks of ``max(1, _DENSE_CELL_LIMIT // n)``.
 _DENSE_CELL_LIMIT = 1 << 22
-
-
-def _flat_adjacency(graph: WeightedGraph
-                    ) -> Tuple[List[int], List[int], List[int]]:
-    """CSR adjacency ``(starts, neighbors, weights)`` as plain lists.
-
-    Served from the graph's cached :func:`csr_view` (same neighbor
-    order by that view's contract), converted to lists because the
-    scalar exploration loops below index them far faster than numpy
-    arrays.  The triplet is cached on the graph (``_flat_cache``) keyed
-    by the mutation ``version`` — exactly the CSR view's own
-    invalidation contract — so one build's many exploration calls share
-    a single conversion.  The cached lists are *shared*: callers must
-    treat them as read-only.
-    """
-    cache = graph._flat_cache
-    version = graph.version
-    if cache is not None and cache[0] == version:
-        return cache[1]
-    view = csr_view(graph)
-    flat = (view.indptr.tolist(), view.indices.tolist(),
-            view.weights.tolist())
-    graph._flat_cache = (version, flat)
-    return flat
 
 
 @dataclass
@@ -157,54 +112,20 @@ class NearestSourceResult:
     rounds: int
 
 
-def nearest_source_exploration_reference(graph: WeightedGraph,
-                                         sources: Sequence[int],
-                                         iterations: int,
-                                         capacity_words: int = 2
-                                         ) -> NearestSourceResult:
-    """Dict-based oracle for :func:`nearest_source_exploration`.
+def _run_starts(keys):
+    """Mask of the first element of every run of equal sorted ``keys``."""
+    first = _np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    _np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
 
-    The original per-node loop, kept as the semantic reference for the
-    differential harness.  The frontier is processed in sorted vertex
-    order so equal-distance ties resolve deterministically (and
-    identically to the batched implementation).
-    """
-    n = graph.num_vertices
-    dist: List[float] = [INF] * n
-    source_of: List[Optional[int]] = [None] * n
-    parent: List[Optional[int]] = [None] * n
-    for s in sources:
-        dist[s] = 0
-        source_of[s] = s
-    frontier = set(sources)
-    per_iter_words: List[int] = []
-    executed = 0
-    for _ in range(iterations):
-        if not frontier:
-            break
-        executed += 1
-        per_iter_words.append(_ESTIMATE_WORDS if frontier else 0)
-        updates: Dict[int, Tuple[float, int, int]] = {}
-        for u in sorted(frontier):
-            du = dist[u]
-            su = source_of[u]
-            assert su is not None
-            for v, weight in graph.neighbor_weights(u):
-                nd = du + weight
-                best = updates.get(v)
-                if nd < dist[v] and (best is None or nd < best[0]):
-                    updates[v] = (nd, su, u)
-        frontier = set()
-        for v, (nd, s, via) in updates.items():
-            if nd < dist[v]:
-                dist[v] = nd
-                source_of[v] = s
-                parent[v] = via
-                frontier.add(v)
-    rounds = congestion_rounds(per_iter_words, capacity_words)
-    return NearestSourceResult(dist=dist, source_of=source_of,
-                               parent=parent, iterations=executed,
-                               rounds=rounds)
+
+def _listed(values, missing, replacement) -> list:
+    """``values`` as a list of Python ints, ``missing`` entries
+    replaced."""
+    out = values.astype(object)
+    out[values == missing] = replacement
+    return out.tolist()
 
 
 def nearest_source_exploration(graph: WeightedGraph,
@@ -223,59 +144,56 @@ def nearest_source_exploration(graph: WeightedGraph,
     Each node sends one ``(source, dist)`` pair per link per iteration, so
     an iteration costs ``ceil(2 / capacity)`` rounds.
 
-    Batched flat-array implementation: relaxations walk a CSR adjacency,
-    per-iteration candidates live in flat arrays reset via a touched
-    list, and the frontier is a sorted vertex list.  Result-identical to
-    :func:`nearest_source_exploration_reference`.
+    One scatter-min per hop over the CSR out-edges of the frontier,
+    carrying a source column.  Weights are integers, so distances are
+    exact ``int64``; the winner per target is the first strict minimum
+    in (ascending frontier, CSR edge) order, the oracle's tie-break.
     """
     n = graph.num_vertices
-    starts, nbrs, wts = _flat_adjacency(graph)
-    dist: List[float] = [INF] * n
-    source_of: List[Optional[int]] = [None] * n
-    parent: List[Optional[int]] = [None] * n
-    for s in sources:
-        dist[s] = 0
-        source_of[s] = s
-    frontier = sorted(set(sources))
-    cand_d: List[float] = [INF] * n
-    cand_s = [0] * n
-    cand_p = [0] * n
-    per_iter_words: List[int] = []
+    view = csr_view(graph)
+    indptr = view.indptr
+    unreached = _np.iinfo(_np.int64).max
+    dist = _np.full(n, unreached, dtype=_np.int64)
+    source_of = _np.full(n, -1, dtype=_np.int64)
+    parent = _np.full(n, -1, dtype=_np.int64)
+    frontier = _np.unique(_np.asarray(list(sources), dtype=_np.int64))
+    dist[frontier] = 0
+    source_of[frontier] = frontier
     executed = 0
     for _ in range(iterations):
-        if not frontier:
+        if frontier.size == 0:
             break
         executed += 1
-        per_iter_words.append(_ESTIMATE_WORDS)
-        touched: List[int] = []
-        for u in frontier:
-            du = dist[u]
-            su = source_of[u]
-            for j in range(starts[u], starts[u + 1]):
-                v = nbrs[j]
-                nd = du + wts[j]
-                if nd < dist[v] and nd < cand_d[v]:
-                    if cand_d[v] == INF:
-                        touched.append(v)
-                    cand_d[v] = nd
-                    cand_s[v] = su
-                    cand_p[v] = u
-        frontier = []
-        for v in sorted(touched):
-            dist[v] = cand_d[v]
-            source_of[v] = cand_s[v]
-            parent[v] = cand_p[v]
-            cand_d[v] = INF
-            frontier.append(v)
-    rounds = congestion_rounds(per_iter_words, capacity_words)
-    return NearestSourceResult(dist=dist, source_of=source_of,
-                               parent=parent, iterations=executed,
-                               rounds=rounds)
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        total = int(counts.sum())
+        if total == 0:
+            break
+        eidx = _gather_edge_indices(starts, counts, total)
+        c_t = view.indices[eidx]
+        c_d = dist[frontier].repeat(counts) + view.weights[eidx]
+        keep = _np.nonzero(c_d < dist[c_t])[0]
+        if keep.size == 0:
+            break
+        c_t = c_t[keep]
+        c_d = c_d[keep]
+        order = _np.lexsort((keep, c_d, c_t))
+        win = order[_run_starts(c_t[order])]
+        via = frontier.repeat(counts)[keep[win]]
+        frontier = c_t[win]                 # ascending, like the oracle's
+        dist[frontier] = c_d[win]
+        source_of[frontier] = source_of[via]
+        parent[frontier] = via
+    rounds = congestion_rounds([_ESTIMATE_WORDS] * executed, capacity_words)
+    return NearestSourceResult(dist=_listed(dist, unreached, INF),
+                               source_of=_listed(source_of, -1, None),
+                               parent=_listed(parent, -1, None),
+                               iterations=executed, rounds=rounds)
 
 
 @dataclass
 class ExplorationResult:
-    """Outcome of a per-source exploration with a join predicate.
+    """Outcome of a per-source exploration with a join rule.
 
     ``dist[v]`` maps each vertex to ``{source: estimate}`` for the sources
     whose exploration it joined; ``parent[v][source]`` is the neighbor the
@@ -291,64 +209,6 @@ class ExplorationResult:
     def members_of(self, source: int) -> List[int]:
         """Vertices that joined ``source``'s exploration."""
         return [v for v in range(len(self.dist)) if source in self.dist[v]]
-
-
-def multi_source_exploration_reference(graph: WeightedGraph,
-                                       sources: Sequence[int],
-                                       iterations: int,
-                                       join: JoinPredicate,
-                                       capacity_words: int = 2
-                                       ) -> ExplorationResult:
-    """Dict-based oracle for :func:`multi_source_exploration`.
-
-    The original setdefault-heavy loop, kept as the semantic reference
-    for the differential harness; frontier and update application run in
-    sorted vertex order so tie-breaking matches the batched path.
-    """
-    n = graph.num_vertices
-    dist: List[Dict[int, float]] = [dict() for _ in range(n)]
-    parent: List[Dict[int, Optional[int]]] = [dict() for _ in range(n)]
-    frontier: Dict[int, List[int]] = {}
-    for s in sources:
-        dist[s][s] = 0.0
-        parent[s][s] = None
-        frontier.setdefault(s, []).append(s)
-    per_iter_words: List[int] = []
-    executed = 0
-    max_live = 0
-    for _ in range(iterations):
-        if not frontier:
-            break
-        executed += 1
-        congestion = max(len(updated) for updated in frontier.values())
-        per_iter_words.append(congestion * _ESTIMATE_WORDS)
-        updates: Dict[int, Dict[int, Tuple[float, int]]] = {}
-        for u, updated_sources in sorted(frontier.items()):
-            du = dist[u]
-            for v, weight in graph.neighbor_weights(u):
-                bucket = updates.setdefault(v, {})
-                for s in updated_sources:
-                    nd = du[s] + weight
-                    best = bucket.get(s)
-                    if best is None or nd < best[0]:
-                        bucket[s] = (nd, u)
-        frontier = {}
-        for v, bucket in sorted(updates.items()):
-            changed: List[int] = []
-            for s, (nd, via) in bucket.items():
-                current = dist[v].get(s, INF)
-                if nd < current and join(v, s, nd):
-                    dist[v][s] = nd
-                    parent[v][s] = via
-                    changed.append(s)
-            if changed:
-                frontier[v] = changed
-            if len(dist[v]) > max_live:
-                max_live = len(dist[v])
-    rounds = congestion_rounds(per_iter_words, capacity_words)
-    return ExplorationResult(dist=dist, parent=parent, iterations=executed,
-                             rounds=rounds,
-                             max_estimates_per_node=max_live)
 
 
 def multi_source_exploration(graph: WeightedGraph,
@@ -370,257 +230,156 @@ def multi_source_exploration(graph: WeightedGraph,
     — the paper's congestion argument (Claim 2 bounds the number of live
     estimates per node by ``Õ(n^{1/k})`` w.h.p.).
 
-    Two kernels sit behind this name, both result-identical to
-    :func:`multi_source_exploration_reference` and chosen only from the
-    input size:
+    The sorted, de-duplicated sources advance through
+    :func:`_explore_block` in blocks of ``max(1, _DENSE_CELL_LIMIT //
+    n)`` rows.  Rows are independent, so only the accounting spans
+    blocks, and any block size gives the same result bit for bit:
 
-    * at most :data:`_DENSE_CELL_LIMIT` ``|sources| × n`` cells,
-      :func:`_multi_source_dense_rule` — one flat scatter-min per hop
-      over every live estimate, the join fused in as a masked vector
-      compare;
-    * past it, :func:`_multi_source_bucketed` — flat candidate buckets
-      over an adjacency snapshot, the join an inline comparison.
+    * ``iterations`` is the longest block's run;
+    * iteration 1 relays the raw source multiset (a duplicate source
+      counts once per copy, as in the oracle's frontier lists); a later
+      iteration's congestion is the max over ``v`` of the number of
+      estimates ``v`` relays, summed over blocks;
+    * ``max_estimates_per_node`` is the max final live count over every
+      vertex that was ever a candidate target: the oracle samples
+      exactly those vertices after each hop, live counts only grow,
+      and a vertex's last gain happens in a hop that samples it;
+    * the dicts are filled block by block in ascending source order,
+      the insertion order of a single block.
     """
     n = graph.num_vertices
-    if n > 0 and sources and len(set(sources)) * n <= _DENSE_CELL_LIMIT:
-        return _multi_source_dense_rule(csr_view(graph), graph, sources,
-                                        iterations, rule, capacity_words)
-    return _multi_source_bucketed(graph, sources, iterations, rule,
-                                  capacity_words)
+    view = csr_view(graph)
+    weights = view.weights_f64()
+    thr = _np.asarray(rule.threshold, dtype=_np.float64)
+    multiset = _np.asarray(list(sources), dtype=_np.int64)
+    source_rows = _np.unique(multiset)
+    dist: List[Dict[int, float]] = [dict() for _ in range(n)]
+    parent: List[Dict[int, Optional[int]]] = [dict() for _ in range(n)]
+    sampled = _np.zeros(n, dtype=bool)
+    live = _np.zeros(n, dtype=_np.int64)
+    relayed: List[list] = []      # per iteration: each block's relays
+    block = max(1, _DENSE_CELL_LIMIT // max(n, 1))
+    for lo in range(0, source_rows.size, block):
+        rows = source_rows[lo:lo + block]
+        cols_i, rows_i, values, pars, fronts = _explore_block(
+            view, weights, rows, iterations, thr, rule.strict, sampled)
+        for i, front in enumerate(fronts):
+            if i == len(relayed):
+                relayed.append([])
+            relayed[i].append(front)
+        counts = _np.bincount(cols_i, minlength=n)
+        live += counts
+        srcs = rows[rows_i].tolist()
+        values = values.tolist()
+        pars = _listed(pars, -1, None)
+        start = 0
+        for v, end in enumerate(_np.cumsum(counts).tolist()):
+            if end > start:
+                dist[v].update(zip(srcs[start:end], values[start:end]))
+                parent[v].update(zip(srcs[start:end], pars[start:end]))
+                start = end
+    if relayed:
+        relayed[0] = [multiset]
+    per_iter_words = [
+        int(_np.bincount(_np.concatenate(fronts)).max()) * _ESTIMATE_WORDS
+        for fronts in relayed]
+    max_live = int(live[sampled].max()) if sampled.any() else 0
+    rounds = congestion_rounds(per_iter_words, capacity_words)
+    return ExplorationResult(dist=dist, parent=parent,
+                             iterations=len(relayed), rounds=rounds,
+                             max_estimates_per_node=max_live)
 
 
-def _multi_source_dense_rule(view, graph: WeightedGraph,
-                             sources: Sequence[int], iterations: int,
-                             rule: JoinRule, capacity_words: int
-                             ) -> ExplorationResult:
-    """Kernel path for declarative join rules: every live
-    ``(source, vertex)`` estimate across *all* explorations advances in
-    one flat scatter-min per hop, with the join comparison fused in as
-    a masked vector compare.
+def _explore_block(view, weights, rows, iterations: int, thr,
+                   strict: bool, sampled):
+    """Advance the explorations rooted at ``rows`` (ascending,
+    distinct): every live ``(row, vertex)`` estimate moves in one flat
+    scatter-min per hop, the join fused in as a masked vector compare.
 
-    The frontier is three parallel arrays — source row, vertex,
-    distance — covering every exploration at once.  A hop gathers the
-    out-edges of each frontier pair (``repeat`` over the CSR slices),
-    applies the join rule to the candidates as one vector compare
-    (``cand < threshold[target]``), keeps strict improvements against
-    the current distance matrix, and reduces to one winner per
-    ``(row, target)`` key with a single ``lexsort``.  Work per hop is proportional to the *live* edges —
-    the same cells the reference's dict loops touch — not to
-    ``|sources| × |frontier|``, which is what makes this profitable for
-    many small localized clusters.
+    Returns the block's finite cells in column-major order (ascending
+    vertex, then ascending row) as ``(vertex, row, distance, parent)``
+    arrays — a cell's parent is the ``via`` of its last winning
+    update, ``-1`` at a seeded source — and, per executed iteration,
+    the vertices of the estimates it relayed (one entry per estimate).
+    Every candidate target is marked in ``sampled``.
 
-    Bit-identity with the per-winner evaluation of the oracle and the
-    bucketed kernel:
+    The frontier is three parallel arrays — row, vertex, distance —
+    sorted by (row, vertex).  A hop gathers the out-edges of each
+    frontier pair (``repeat`` over the CSR slices), keeps the
+    candidates the rule accepts (``cand < thr[target]``) that strictly
+    improve the matrix, and reduces them to one winner per ``(row,
+    target)`` key with a single ``lexsort``.  Work per hop is
+    proportional to the *live* edges — the cells the oracle's dict
+    loops touch — not to ``rows × |frontier|``.
 
-    * Candidates are ordered by (frontier position, CSR edge index)
-      and the frontier is kept sorted by (row, vertex), so the
-      ``lexsort`` picking the earliest position among equal minima
-      reproduces the first-strict-minimum tie-break (ascending
-      frontier: first winning edge in CSR order supplies the parent).
+    Bit-identity with the oracle's per-winner evaluation:
+
+    * Candidates are ordered by (frontier position, CSR edge index), so
+      the ``lexsort`` picking the earliest among equal minima
+      reproduces the first-strict-minimum tie-break, and its winners
+      come out sorted by (row, vertex) for the next hop.
     * Filtering *candidates* by the threshold before the group minimum
       equals filtering winners afterwards: rules are antitone in the
       distance, so if the group minimum fails the compare every other
       candidate in the group fails it too.
-    * A rejected pair keeps its ``INF`` entry and every later
-      (heavier) candidate re-fails the same fused compare, exactly as
-      the reference's repeated predicate calls would.
-
-    Equivalence accounting mirrors the reference loop field by field:
-    iteration-1 congestion is the source multiset's max multiplicity
-    (duplicate sources inflate it, as the reference's frontier lists
-    do), later congestion is the max per-vertex count of accepted
-    updates from the previous hop, ``executed`` counts
-    non-empty-frontier iterations, and the max-estimates statistic
-    samples per-vertex live-estimate counts over the frontier's
-    out-neighborhood after the hop's updates are applied.
+    * A rejected pair keeps its ``INF`` entry and every later (heavier)
+      candidate re-fails the same fused compare, exactly as the
+      oracle's repeated predicate calls would.
     """
-    n = graph.num_vertices
-    thr = _np.asarray(rule.threshold, dtype=_np.float64)
-    strict = rule.strict
-    source_list = sorted(set(sources))
-    num_rows = len(source_list)
-    src = _np.asarray(source_list, dtype=_np.int64)
-    dist_m = _np.full((num_rows, n), INF)
-    par_m = _np.full((num_rows, n), -1, dtype=_np.int64)
-    dist_m[_np.arange(num_rows), src] = 0.0
+    n = view.num_vertices
     indptr = view.indptr
-    indices = view.indices
-    weights = view.weights_f64()
-    live = _np.zeros(n, dtype=_np.int64)
-    live[src] = 1
-    # frontier pairs sorted by (row, vertex) — the candidate order the
-    # tie-break depends on
+    num_rows = rows.size
+    dist = _np.full((num_rows, n), INF)
     fr_r = _np.arange(num_rows, dtype=_np.int64)
-    fr_v = src.copy()
+    fr_v = rows
     fr_d = _np.zeros(num_rows)
-    congestion = int(_np.bincount(
-        _np.asarray(list(sources), dtype=_np.int64)).max())
-    per_iter_words: List[int] = []
-    executed = 0
-    max_live = 0
+    dist[fr_r, fr_v] = 0.0
+    won_r = [fr_r]
+    won_v = [fr_v]
+    won_via = [_np.full(num_rows, -1, dtype=_np.int64)]
+    executed = 0     # iteration i relays won_v[i]: the seeds, then winners
     for _ in range(iterations):
-        if fr_r.size == 0:
-            break
         executed += 1
-        per_iter_words.append(congestion * _ESTIMATE_WORDS)
-        sampled = frontier_neighbors(view, _np.unique(fr_v))
         starts = indptr[fr_v]
-        cnts = indptr[fr_v + 1] - starts
-        total = int(cnts.sum())
+        counts = indptr[fr_v + 1] - starts
+        total = int(counts.sum())
         if total == 0:
-            fr_r = fr_r[:0]
-            continue   # charged but update-free trailing iteration
-        eidx = _gather_edge_indices(starts, cnts, total)
-        c_r = _np.repeat(fr_r, cnts)
-        c_via = _np.repeat(fr_v, cnts)
-        c_t = indices[eidx]
-        c_d = _np.repeat(fr_d, cnts) + weights[eidx]
-        # the fused join: candidates against the per-vertex budget
+            break      # charged, but relayed to no one
+        eidx = _gather_edge_indices(starts, counts, total)
+        c_t = view.indices[eidx]
+        sampled[c_t] = True
+        c_r = fr_r.repeat(counts)
+        c_d = fr_d.repeat(counts) + weights[eidx]
         keep = (c_d < thr[c_t]) if strict else (c_d <= thr[c_t])
-        keep &= c_d < dist_m[c_r, c_t]
-        if not keep.any():
-            fr_r = fr_r[:0]
-        else:
-            c_r = c_r[keep]
-            c_via = c_via[keep]
-            c_t = c_t[keep]
-            c_d = c_d[keep]
-            # one winner per (row, target): minimum distance, earliest
-            # candidate among equals (frontier position then CSR edge
-            # order — the oracle's tie-break)
-            key = c_r * n + c_t
-            order = _np.lexsort(
-                (_np.arange(c_d.size, dtype=_np.int64), c_d, key))
-            k_sorted = key[order]
-            sel = order[_np.r_[True, k_sorted[1:] != k_sorted[:-1]]]
-            b_r = c_r[sel]
-            b_t = c_t[sel]
-            b_d = c_d[sel]
-            b_via = c_via[sel]
-            newly = b_t[dist_m[b_r, b_t] == INF]
-            dist_m[b_r, b_t] = b_d
-            par_m[b_r, b_t] = b_via
-            _np.add.at(live, newly, 1)
-            congestion = int(_np.bincount(b_t).max())
-            # next frontier re-sorted by (row, vertex) for the
-            # tie-break order
-            order2 = _np.lexsort((b_t, b_r))
-            fr_r = b_r[order2]
-            fr_v = b_t[order2]
-            fr_d = b_d[order2]
-        # the vertices whose buckets the reference inspects for the
-        # live-estimate maximum, evaluated after this hop's updates
-        if len(sampled):
-            sampled_max = int(live[_np.asarray(sampled)].max())
-            if sampled_max > max_live:
-                max_live = sampled_max
-
-    dist: List[Dict[int, float]] = [dict() for _ in range(n)]
-    parent: List[Dict[int, Optional[int]]] = [dict() for _ in range(n)]
-    rows_i, cols_i = _np.nonzero(dist_m < INF)   # row-major: source
-    values = dist_m[rows_i, cols_i].tolist()     # ascending, vertex
-    pars = par_m[rows_i, cols_i].tolist()        # ascending within
-    for r, v, dv, pv in zip(rows_i.tolist(), cols_i.tolist(),
-                            values, pars):
-        s = source_list[r]
-        dist[v][s] = dv
-        parent[v][s] = None if pv < 0 else pv
-    rounds = congestion_rounds(per_iter_words, capacity_words)
-    return ExplorationResult(dist=dist, parent=parent, iterations=executed,
-                             rounds=rounds,
-                             max_estimates_per_node=max_live)
-
-
-def _multi_source_bucketed(graph: WeightedGraph,
-                           sources: Sequence[int],
-                           iterations: int,
-                           rule: JoinRule,
-                           capacity_words: int = 2
-                           ) -> ExplorationResult:
-    """Flat candidate buckets over the cached flat adjacency (the
-    kernel past :data:`_DENSE_CELL_LIMIT`): a fast
-    path for the common one-live-estimate relay, per-target buckets
-    reset via a touched list, sorted frontiers.  The rule is evaluated
-    as an inline per-vertex comparison — same acceptances as the fused
-    kernel compare, no per-winner call."""
-    n = graph.num_vertices
-    starts, nbrs, wts = _flat_adjacency(graph)
-    thr = rule.threshold
-    strict = rule.strict
-    dist: List[Dict[int, float]] = [dict() for _ in range(n)]
-    parent: List[Dict[int, Optional[int]]] = [dict() for _ in range(n)]
-    initial: Dict[int, List[int]] = {}
-    for s in sources:
-        dist[s][s] = 0.0
-        parent[s][s] = None
-        initial.setdefault(s, []).append(s)
-    frontier: List[Tuple[int, List[int]]] = sorted(initial.items())
-    buckets: List[Optional[Dict[int, Tuple[float, int]]]] = [None] * n
-    per_iter_words: List[int] = []
-    executed = 0
-    max_live = 0
-    for _ in range(iterations):
-        if not frontier:
+        keep &= c_d < dist[c_r, c_t]
+        keep = _np.nonzero(keep)[0]
+        if keep.size == 0:
             break
-        executed += 1
-        congestion = max(len(srcs) for _u, srcs in frontier)
-        per_iter_words.append(congestion * _ESTIMATE_WORDS)
-        touched: List[int] = []
-        for u, updated_sources in frontier:
-            du = dist[u]
-            if len(updated_sources) == 1:
-                # the common sparse case: one live estimate to relay
-                s = updated_sources[0]
-                d = du[s]
-                for j in range(starts[u], starts[u + 1]):
-                    v = nbrs[j]
-                    bucket = buckets[v]
-                    if bucket is None:
-                        bucket = buckets[v] = {}
-                        touched.append(v)
-                    nd = d + wts[j]
-                    best = bucket.get(s)
-                    if best is None or nd < best[0]:
-                        bucket[s] = (nd, u)
-                continue
-            relayed = [(s, du[s]) for s in updated_sources]
-            for j in range(starts[u], starts[u + 1]):
-                v = nbrs[j]
-                bucket = buckets[v]
-                if bucket is None:
-                    bucket = buckets[v] = {}
-                    touched.append(v)
-                bucket_get = bucket.get
-                weight = wts[j]
-                for s, d in relayed:
-                    nd = d + weight
-                    best = bucket_get(s)
-                    if best is None or nd < best[0]:
-                        bucket[s] = (nd, u)
-        frontier = []
-        for v in sorted(touched):
-            bucket = buckets[v]
-            buckets[v] = None
-            dv = dist[v]
-            pv = parent[v]
-            changed: List[int] = []
-            tv = thr[v]
-            for s, (nd, via) in bucket.items():
-                if nd >= dv.get(s, INF):
-                    continue
-                if (nd >= tv) if strict else (nd > tv):
-                    continue
-                dv[s] = nd
-                pv[s] = via
-                changed.append(s)
-            if changed:
-                frontier.append((v, changed))
-            if len(dv) > max_live:
-                max_live = len(dv)
-    rounds = congestion_rounds(per_iter_words, capacity_words)
-    return ExplorationResult(dist=dist, parent=parent, iterations=executed,
-                             rounds=rounds,
-                             max_estimates_per_node=max_live)
+        c_r = c_r[keep]
+        c_t = c_t[keep]
+        c_d = c_d[keep]
+        key = c_r * n + c_t
+        order = _np.lexsort((keep, c_d, key))
+        win = order[_run_starts(key[order])]
+        won_via.append(fr_v.repeat(counts)[keep[win]])
+        fr_r = c_r[win]
+        fr_v = c_t[win]
+        fr_d = c_d[win]
+        dist[fr_r, fr_v] = fr_d
+        won_r.append(fr_r)
+        won_v.append(fr_v)
+    # every finite cell was seeded or won a hop; the stable sort keeps
+    # each cell's updates in hop order, so its last one is its parent
+    # (a run's last element precedes the next run's start)
+    cell_r = _np.concatenate(won_r)
+    cell_v = _np.concatenate(won_v)
+    ckey = cell_v * num_rows + cell_r
+    order = _np.argsort(ckey, kind="stable")
+    last = order[_np.roll(_run_starts(ckey[order]), -1)]
+    cell_r = cell_r[last]
+    cell_v = cell_v[last]
+    return (cell_v, cell_r, dist[cell_r, cell_v],
+            _np.concatenate(won_via)[last], won_v[:executed])
 
 
 @dataclass
@@ -643,7 +402,7 @@ class VirtualExplorationResult:
 def virtual_multi_source_exploration(virtual: VirtualGraph,
                                      sources: Sequence[int],
                                      iterations: int,
-                                     join: JoinPredicate,
+                                     rule: JoinRule,
                                      bfs_tree: BFSTree,
                                      capacity_words: int = 2
                                      ) -> VirtualExplorationResult:
@@ -655,12 +414,12 @@ def virtual_multi_source_exploration(virtual: VirtualGraph,
     iteration with ``M`` update words is
     ``2 * (ceil(M / capacity) + height)`` rounds.
 
-    ``join`` may be a callback or a :class:`JoinRule` (evaluated
-    scalar-wise via :meth:`JoinRule.accepts`); virtual instances are
-    tiny — ``|A_{ceil(k/2)}|`` vertices — and Lemma-1 accounting
-    dominates, so there is no vectorized variant to fall back from.
+    ``rule`` is compared inline, once per improving winner; virtual
+    instances are tiny — ``|A_{ceil(k/2)}|`` vertices — and Lemma-1
+    accounting dominates, so there is no vectorized variant.
     """
-    join = join.accepts if isinstance(join, JoinRule) else join
+    thr = rule.threshold
+    strict = rule.strict
     dist: Dict[int, Dict[int, float]] = {v: {} for v in virtual.vertices()}
     parent: Dict[int, Dict[int, Optional[int]]] = {
         v: {} for v in virtual.vertices()}
@@ -694,9 +453,10 @@ def virtual_multi_source_exploration(virtual: VirtualGraph,
         frontier = {}
         for v, bucket in updates.items():
             changed: List[int] = []
+            tv = thr[v]
             for s, (nd, via) in bucket.items():
                 current = dist[v].get(s, INF)
-                if nd < current and join(v, s, nd):
+                if nd < current and (nd < tv if strict else nd <= tv):
                     dist[v][s] = nd
                     parent[v][s] = via
                     changed.append(s)

@@ -26,11 +26,10 @@ delivered messages/words, max queue, quiescence, final node states) with
 the reference engine is enforced by
 ``tests/congest/test_engine_equivalence.py``.
 
-numpy is required: every kernel has one body.  Two size-based
-selections remain, both made from what the code observes: the
-bucketed exploration past ``_DENSE_CELL_LIMIT`` cells
-(:mod:`repro.congest.bellman_ford`) and the parent walk for batches
-below ``_VECTOR_MIN_PAIRS`` (:mod:`repro.core.dense`).
+numpy is required: every kernel has one body.  The matrix kernels
+advance their source rows in blocks under a cell limit, bit-identically
+for every block size; the one remaining kernel choice is the parent
+walk for batches below ``_VECTOR_MIN_PAIRS`` (:mod:`repro.core.dense`).
 """
 
 from __future__ import annotations

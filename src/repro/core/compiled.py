@@ -43,11 +43,11 @@ Every batch method validates its input through the shared
 parent-side and malformed batches raise the same exception type at the
 same offending pair no matter which path serves them.
 
-numpy is required: every kernel has one body.  Two size-based
-selections remain, both made from what the code observes: the
-bucketed exploration past ``_DENSE_CELL_LIMIT`` cells
-(:mod:`repro.congest.bellman_ford`) and the parent walk for batches
-below ``_VECTOR_MIN_PAIRS`` (:mod:`repro.core.dense`).
+numpy is required: every kernel has one body.  The construction's
+matrix kernels advance their source rows in blocks under a cell limit,
+bit-identically for every block size; the one remaining kernel choice
+is the parent walk for batches below ``_VECTOR_MIN_PAIRS``
+(:mod:`repro.core.dense`).
 """
 
 from __future__ import annotations

@@ -22,9 +22,10 @@ the body: a batch below ``_VECTOR_MIN_PAIRS`` pairs, or any batch once
 the chains are past the budget, takes the same route from a plain
 parent walk (the pairs that are cheaper walked one by one, and the
 memory the chains would take); the walk reads lists of the columns
-built on its first call, nothing else does.  numpy is required; the
-only other size-based selection is the bucketed exploration past
-``_DENSE_CELL_LIMIT`` (:mod:`repro.congest.bellman_ford`).
+built on its first call, nothing else does.  numpy is required, and
+this is the one kernel choice left in the package: the construction's
+matrix kernels only block their source rows under a cell limit, which
+changes no bit of their results.
 
 The plane is compiled from the :class:`CompiledScheme` construction
 artifact, and its results are **bit-identical** to

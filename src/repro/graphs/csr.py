@@ -15,21 +15,21 @@ them a shared flat substrate:
   and stamped with the graph's mutation version; ``add_edge`` /
   ``remove_edge`` bump the version, so a stale view is never returned
   (see ``graphs/README.md`` for the contract).
-* :func:`frontier_neighbors` and :func:`_gather_edge_indices` — the
-  frontier's out-edges and out-neighborhood, gathered from the CSR
-  slices; the detection kernel restricts the static
-  :meth:`CSRView.transpose_order` to a frontier instead.
+* :func:`_gather_edge_indices` — the frontier's out-edges, gathered
+  from the CSR slices (the exploration kernels); the detection kernel
+  restricts the static :meth:`CSRView.transpose_order` to a frontier
+  instead.
 
-numpy is required: every kernel has one body.  Two size-based
-selections remain, both made from what the code observes: the
-bucketed exploration past ``_DENSE_CELL_LIMIT`` cells
-(:mod:`repro.congest.bellman_ford`) and the parent walk for batches
-below ``_VECTOR_MIN_PAIRS`` (:mod:`repro.core.dense`).
+numpy is required: every kernel has one body.  Both matrix kernels
+(detection, multi-source exploration) advance their source rows in
+blocks under a cell limit, bit-identically for every block size; the
+one remaining kernel choice is the parent walk for batches below
+``_VECTOR_MIN_PAIRS`` (:mod:`repro.core.dense`).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as _np
 
@@ -115,21 +115,6 @@ def _gather_edge_indices(starts, counts, total):
     """Edge ids of the concatenated CSR slices ``[starts, starts+counts)``
     (the out-edges of a frontier, in CSR order)."""
     within = _np.arange(total, dtype=_np.int64)
-    within -= _np.repeat(_np.cumsum(counts) - counts, counts)
-    return _np.repeat(starts, counts) + within
+    within -= (counts.cumsum() - counts).repeat(counts)
+    return starts.repeat(counts) + within
 
-
-def frontier_neighbors(view: CSRView, frontier: Sequence[int]):
-    """The union of the frontier's out-neighborhoods, ascending.
-
-    Used by the exploration loops for congestion/overlap sampling: the
-    vertices that receive at least one candidate this hop.
-    """
-    f = _np.asarray(frontier, dtype=_np.int64)
-    starts = view.indptr[f]
-    counts = view.indptr[f + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return ()
-    eidx = _gather_edge_indices(starts, counts, total)
-    return _np.unique(view.indices[eidx])

@@ -38,8 +38,7 @@ class WeightedGraph:
       that a weight fits in one message word.
     """
 
-    __slots__ = ("_n", "_adj", "_num_edges", "_version", "_csr_cache",
-                 "_flat_cache")
+    __slots__ = ("_n", "_adj", "_num_edges", "_version", "_csr_cache")
 
     def __init__(self, num_vertices: int) -> None:
         if num_vertices < 0:
@@ -49,7 +48,6 @@ class WeightedGraph:
         self._num_edges = 0
         self._version = 0
         self._csr_cache = None  # managed by repro.graphs.csr.csr_view
-        self._flat_cache = None  # managed by congest.bellman_ford._flat_adjacency
 
     # ------------------------------------------------------------------
     # Construction

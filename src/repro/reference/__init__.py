@@ -5,9 +5,15 @@ artifacts; nothing under ``repro`` outside this package imports it.
 What lives here is the per-vertex object model of Sections 4 and 6 —
 tables, labels, global-edge rows — built from the cluster system by
 the per-subtree reference builder, plus the hop-by-hop routers over
-those objects that the compiled replay is held to.
+those objects that the compiled replay is held to, and the dict-based
+Bellman–Ford explorations the CSR kernels are held to.
 """
 
+from .exploration import (
+    JoinPredicate,
+    multi_source_exploration_reference,
+    nearest_source_exploration_reference,
+)
 from .routing_scheme import ReferenceRouter, VertexLabel, VertexTable
 from .tree_routing import (
     DistTreeLabel,
@@ -24,10 +30,13 @@ __all__ = [
     "DistTreeTable",
     "DistributedTreeRouting",
     "GlobalEdgeEntry",
+    "JoinPredicate",
     "ReferenceForestReport",
     "ReferenceRouter",
     "VertexLabel",
     "VertexTable",
     "build_distributed_tree_routing_reference",
     "build_forest_routing_reference",
+    "multi_source_exploration_reference",
+    "nearest_source_exploration_reference",
 ]

@@ -73,11 +73,10 @@ deterministically and identically across the pair.  Estimates, parents
 and round charges are bit-identical.  Rows are independent, so past
 ``_MATRIX_CELL_LIMIT`` the same kernel advances the matrix in blocks of
 source rows sized to stay under it — a size-based choice that changes
-no bit of the result.  numpy is required: the kernel has one body.
-Two size-based selections remain elsewhere, both made from what the
-code observes: the bucketed exploration past ``_DENSE_CELL_LIMIT``
-cells (:mod:`repro.congest.bellman_ford`) and the parent walk for
-batches below ``_VECTOR_MIN_PAIRS`` (:mod:`repro.core.dense`).
+no bit of the result (the multi-source exploration blocks its rows
+under ``_DENSE_CELL_LIMIT`` the same way).  numpy is required: the
+kernel has one body.  The one remaining kernel choice is the parent
+walk for batches below ``_VECTOR_MIN_PAIRS`` (:mod:`repro.core.dense`).
 """
 
 from __future__ import annotations

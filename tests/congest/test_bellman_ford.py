@@ -22,13 +22,14 @@ from repro.graphs import (
 )
 
 
-def always_join(v, s, d):
-    return True
-
-
 def accept_all(graph):
     """The unconditional join as a rule: an INF budget everywhere."""
     return JoinRule(threshold=[INF] * graph.num_vertices)
+
+
+def accept_all_virtual(vertices):
+    """The unconditional join over a virtual graph's vertex ids."""
+    return JoinRule([INF] * (max(vertices) + 1))
 
 
 class TestNearestSource:
@@ -149,7 +150,7 @@ class TestVirtualExploration:
         virt = self._virtual(medium_random, vertices)
         tree = build_bfs_tree(Network(medium_random), root=0)
         result = virtual_multi_source_exploration(
-            virt, [0], len(vertices), always_join, tree)
+            virt, [0], len(vertices), accept_all_virtual(vertices), tree)
         exact = virt.dijkstra(0)
         for v in vertices:
             assert result.dist[v][0] == pytest.approx(exact[v])
@@ -159,7 +160,7 @@ class TestVirtualExploration:
         virt = self._virtual(medium_random, vertices)
         tree = build_bfs_tree(Network(medium_random), root=0)
         result = virtual_multi_source_exploration(
-            virt, [0], 3, always_join, tree)
+            virt, [0], 3, accept_all_virtual(vertices), tree)
         # every iteration pays at least 2 * tree height
         assert result.rounds >= result.iterations * 2 * tree.height
 
@@ -168,7 +169,7 @@ class TestVirtualExploration:
         virt = self._virtual(medium_random, vertices)
         tree = build_bfs_tree(Network(medium_random), root=0)
         one_hop = virtual_multi_source_exploration(
-            virt, [0], 1, always_join, tree)
+            virt, [0], 1, accept_all_virtual(vertices), tree)
         expected = virt.hop_bounded_distances(0, 1)
         for v in vertices:
             if expected[v] < INF:

@@ -24,9 +24,7 @@ from repro.congest import (
     Simulator,
     build_bfs_tree,
     multi_source_exploration,
-    multi_source_exploration_reference,
     nearest_source_exploration,
-    nearest_source_exploration_reference,
     simulate_flood_rounds,
 )
 from repro.congest.bfs import _BFSProgram
@@ -37,6 +35,10 @@ from repro.graphs import (
     path,
     random_connected,
     ring_of_cliques,
+)
+from repro.reference import (
+    multi_source_exploration_reference,
+    nearest_source_exploration_reference,
 )
 
 # ----------------------------------------------------------------------
@@ -240,17 +242,17 @@ class TestDifferentialEquivalence:
         assert seen == [oracle.state_of(u)["seen"] for u in range(n)]
 
 
-@pytest.fixture(params=["platform-kernel", "bucketed-kernel"])
+@pytest.fixture(params=["platform-kernel", "row-blocks"])
 def exploration_kernel(request, monkeypatch):
-    """Both ``multi_source_exploration`` kernels: the dense one these
-    sizes select, and the bucketed one past the limit."""
-    if request.param == "bucketed-kernel":
+    """``multi_source_exploration`` as these sizes run it (one block of
+    source rows) and in one-row blocks (past the cell limit)."""
+    if request.param == "row-blocks":
         monkeypatch.setattr(bellman_ford, "_DENSE_CELL_LIMIT", 0)
     return request.param
 
 
 class TestExplorationBatchEquivalence:
-    """The batched flat-array Bellman–Ford explorations against their
+    """The CSR-kernel Bellman–Ford explorations against their
     dict-based oracles: every result field must match exactly, on the
     same seeded graph zoo the engine differential harness uses."""
 

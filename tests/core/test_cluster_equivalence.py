@@ -1,22 +1,20 @@
 """Differential grid for the vectorized cluster growing.
 
 The cluster builders hand the exploration layer declarative
-``JoinRule`` plans that the dense scatter-min kernel evaluates as fused
-masked compares.  This grid pins that kernel bit-identical to the two
-other evaluations of the same rules:
+``JoinRule`` plans that the scatter-min kernel evaluates as fused
+masked compares.  This grid pins that kernel bit-identical to:
 
 * the **reference oracle** — ``multi_source_exploration_reference`` /
   ``detect_sources_reference`` fed the rule's scalar ``accepts`` as an
   opaque callback, i.e. the original dict-based loops;
-* the **bucketed kernel** — what the same build runs past
-  ``_DENSE_CELL_LIMIT``: the comparison inline, once per improving
-  winner.
+* **itself in one-row blocks** — what the same build runs past
+  ``_DENSE_CELL_LIMIT``, where the source rows advance in blocks.
 
 "Bit-identical" covers pivots, cluster members, values, parents,
 dropped counts, the full ledger round breakdown (wall-clock ``seconds``
 are explicitly *not* compared) and beta.  The grid runs the workload
-zoo, checks which of the two kernels served the build (by spying on
-them) and the paper invariants (7)/(9)/(10)/(17).
+zoo, checks how the kernel blocked the rows (by spying on its block
+helper) and the paper invariants (7)/(9)/(10)/(17).
 """
 
 import random
@@ -41,6 +39,7 @@ from repro.graphs import (
     star_of_paths,
     weighted_small_world,
 )
+from repro.reference import multi_source_exploration_reference
 from repro.sketches import source_detection as sd
 from repro.trees import tree_distance
 
@@ -74,7 +73,7 @@ GRID = [(name, k) for name in sorted(WORKLOADS) for k in KS]
 # ----------------------------------------------------------------------
 def _reference_exploration(graph, sources, iterations, rule,
                            capacity_words=2):
-    return bf.multi_source_exploration_reference(
+    return multi_source_exploration_reference(
         graph, sources, iterations, rule.accepts, capacity_words)
 
 
@@ -104,10 +103,18 @@ REFERENCE_SHIMS = (("multi_source_exploration", _reference_exploration),
 
 
 @pytest.fixture
-def kernel_calls(count_calls):
-    """Spies on the two exploration kernels: ``(dense, bucketed)``."""
-    return (count_calls(bf, "_multi_source_dense_rule"),
-            count_calls(bf, "_multi_source_bucketed"))
+def kernel_calls(monkeypatch):
+    """Spies on the exploration's block helper: the number of source
+    rows in every block it advances."""
+    rows = []
+    advance = bf._explore_block
+
+    def spy(view, weights, block, *rest):
+        rows.append(len(block))
+        return advance(view, weights, block, *rest)
+
+    monkeypatch.setattr(bf, "_explore_block", spy)
+    return rows
 
 
 def assert_systems_equal(a, b):
@@ -145,36 +152,33 @@ def test_vectorized_matches_reference(workload, k, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Kernel axis: the dense kernel and the bucketed one build the same
-# system
+# Block axis: all source rows in one block and one row per block build
+# the same system
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("workload,k", GRID,
                          ids=[f"{w}-k{k}" for w, k in GRID])
-def test_dense_matches_bucketed(workload, k, monkeypatch, kernel_calls):
-    """Same build, dense kernel vs the bucketed one it falls back to
-    past the cell limit."""
-    dense_calls, bucketed_calls = kernel_calls
+def test_one_block_matches_row_blocks(workload, k, monkeypatch,
+                                      kernel_calls):
+    """Same build, every exploration in one block vs one-row blocks
+    (the cell limit at 0)."""
     graph = WORKLOADS[workload]()
-    dense = build_system(graph, k, seed=107)
-    assert dense_calls and not bucketed_calls
-    del dense_calls[:]
+    one_block = build_system(graph, k, seed=107)
+    assert max(kernel_calls) > 1
+    del kernel_calls[:]
     monkeypatch.setattr(bf, "_DENSE_CELL_LIMIT", 0)
-    bucketed = build_system(graph, k, seed=107)
-    assert bucketed_calls and not dense_calls
-    assert_systems_equal(dense, bucketed)
+    row_blocks = build_system(graph, k, seed=107)
+    assert kernel_calls and set(kernel_calls) == {1}
+    assert_systems_equal(one_block, row_blocks)
 
 
 # ----------------------------------------------------------------------
-# No silent fallback: the paper's rules must ride the fused kernel
+# Under the cell limit every exploration is a single block
 # ----------------------------------------------------------------------
-def test_vectorized_path_engaged(kernel_calls):
+def test_vectorized_path_engaged(kernel_calls, count_calls):
+    calls = count_calls(ac, "multi_source_exploration")
     graph = WORKLOADS["random-32"]()
     build_approx_clusters(graph, 3, seed=113)
-    # every cluster exploration is dense at this size: a bucketed call
-    # means a paper join rule silently degraded to per-winner Python
-    # evaluation
-    dense_calls, bucketed_calls = kernel_calls
-    assert dense_calls and not bucketed_calls
+    assert calls and len(kernel_calls) == len(calls)
 
 
 def test_join_rule_scalar_semantics():
@@ -186,9 +190,9 @@ def test_join_rule_scalar_semantics():
 
 
 # ----------------------------------------------------------------------
-# Past both memory gates: the bucketed exploration (past
-# ``_DENSE_CELL_LIMIT``) and detection in one-row matrix blocks (past
-# ``_MATRIX_CELL_LIMIT``), on one slice of the grid
+# Past both memory gates: exploration (past ``_DENSE_CELL_LIMIT``) and
+# detection (past ``_MATRIX_CELL_LIMIT``) in one-row blocks, on one
+# slice of the grid
 # ----------------------------------------------------------------------
 GATED_SLICE = ["random-16", "random-24", "grid-5x5", "cliques-4x6"]
 
@@ -223,16 +227,16 @@ class TestPastMemoryGates:
         monkeypatch.setattr(sd, "_advance_matrix_np", spy)
         graph = WORKLOADS["random-16"]()
         build_approx_clusters(graph, 2, seed=131)
-        dense_calls, bucketed_calls = kernel_calls
-        assert bucketed_calls and not dense_calls
-        # one-row blocks: every detection advances once per source
+        # one-row blocks: every exploration and every detection
+        # advances once per source
+        assert kernel_calls and set(kernel_calls) == {1}
         assert blocks and set(blocks) == {1}
 
 
 @pytest.mark.parametrize("workload", GATED_SLICE)
 @pytest.mark.parametrize("k", [2, 3])
 def test_gated_build_matches_ungated_build(workload, k, monkeypatch):
-    """The whole build past both gates (bucketed exploration *and*
+    """The whole build past both gates (row-block exploration *and*
     row-block detection) is the build under them."""
     graph = WORKLOADS[workload]()
     fast = build_system(graph, k, seed=137)

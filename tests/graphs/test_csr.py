@@ -1,9 +1,8 @@
-"""Contract tests for the cached CSR view and the frontier gather."""
+"""Contract tests for the cached CSR view."""
 
 import pytest
 
 from repro.graphs import WeightedGraph, csr_view, random_connected
-from repro.graphs.csr import frontier_neighbors
 
 
 class TestViewContract:
@@ -69,46 +68,6 @@ class TestViewContract:
         view = csr_view(graph)
         assert view.num_vertices == 0
         assert view.num_directed_edges == 0
-
-
-class TestFrontierNeighbors:
-
-    def test_frontier_neighbors_union(self):
-        graph = random_connected(18, 0.25, seed=6)
-        view = csr_view(graph)
-        expected = sorted({v for u in (0, 5, 9)
-                           for v in graph.neighbors(u)})
-        got = [int(v) for v in frontier_neighbors(view, [0, 5, 9])]
-        assert got == expected
-        assert len(frontier_neighbors(view, [])) == 0
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_reference_hop_by_hop(self, seed):
-        """A breadth-first sweep driven by the gather: each hop's union
-        is the dict-based one, whatever the frontier's order."""
-        n = 20 + 2 * seed
-        graph = random_connected(n, 4.0 / n, max_weight=9, seed=seed)
-        view = csr_view(graph)
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            expected = sorted({v for u in frontier
-                               for v in graph.neighbors(u)})
-            got = frontier_neighbors(view, frontier[::-1])
-            assert [int(v) for v in got] == expected
-            frontier = [v for v in expected if v not in seen]
-            seen.update(frontier)
-        assert seen == set(range(n))
-
-    def test_isolated_vertex_and_repeated_frontier(self):
-        graph = WeightedGraph(4)
-        graph.add_edge(0, 1, 1)
-        graph.add_edge(1, 2, 3)
-        view = csr_view(graph)
-        # vertex 3 is isolated: gathering from it yields nothing
-        assert len(frontier_neighbors(view, [3])) == 0
-        assert [int(v) for v in frontier_neighbors(view, [3, 1, 1])] \
-            == [0, 2]
 
 
 class TestUpdateEdgeWeight:
@@ -181,40 +140,3 @@ class TestUpdateEdgeWeight:
                        for u in graph.vertices()}
         assert order_after == order_before
 
-
-class TestFlatAdjacencyCache:
-    """_flat_adjacency shares one conversion per graph version."""
-
-    def test_cached_until_mutation(self):
-        from repro.congest.bellman_ford import _flat_adjacency
-        graph = random_connected(20, 0.2, seed=11)
-        first = _flat_adjacency(graph)
-        assert _flat_adjacency(graph) is first
-        u, v, w = next(iter(graph.edges()))
-        graph.update_edge_weight(u, v, w + 1)
-        second = _flat_adjacency(graph)
-        assert second is not first
-        # refreshed copy carries the new weight
-        starts, nbrs, wts = second
-        for j in range(starts[u], starts[u + 1]):
-            if nbrs[j] == v:
-                assert wts[j] == w + 1
-                break
-        else:  # pragma: no cover
-            raise AssertionError("edge missing from flat adjacency")
-
-    def test_matches_view_order(self):
-        from repro.congest.bellman_ford import _flat_adjacency
-        graph = random_connected(18, 0.25, seed=13)
-        starts, nbrs, wts = _flat_adjacency(graph)
-        view = csr_view(graph)
-        assert starts == list(view.indptr)
-        assert nbrs == list(view.indices)
-        assert wts == list(view.weights)
-
-    def test_copy_does_not_share_flat_cache(self):
-        from repro.congest.bellman_ford import _flat_adjacency
-        graph = random_connected(16, 0.25, seed=17)
-        _flat_adjacency(graph)
-        clone = graph.copy()
-        assert clone._flat_cache is None
