@@ -36,13 +36,15 @@ the scatter-min relaxation.  The plans per scale band:
 * small levels — ``JoinRule(threshold=d̂_{i+1})``: rule (11), strict,
   thresholds the (possibly approximate) next-level pivot distances;
 * middle level — ``JoinRule(threshold=d̂_{(k+1)/2})`` applied by the
-  source detection when materializing its estimates (the exact
-  ``(k+1)/2``-pivot distances; propagation is unchanged);
+  source detection as one masked compare over its finished matrix (the
+  exact ``(k+1)/2``-pivot distances; propagation is unchanged);
 * large levels, Phase 1 — ``JoinRule(threshold=[d̂_{i+1}(v) /
   (1+eps)^3])``: rule (14) over the virtual graph ``G''``;
 * large levels, Phase 2 — rule (15) thresholds ``d̂_{i+1}(y)/(1+eps)``
-  precomputed per vertex (evaluated in the broadcast-extension loop,
-  which is not an exploration).
+  per vertex, one masked compare after the broadcast-extension sweep
+  (not an exploration: one pass over the detection's ``V'`` rows
+  computes every ``min_v d̂(y, v) + b_v(u)`` and its first minimizing
+  row, which names the Remark-1 parent).
 
 Wall-clock per phase is measured into the ledger (``seconds=``) purely
 for benchmark reporting; it never participates in any equivalence.
@@ -53,7 +55,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from ..congest.bellman_ford import (
     JoinRule,
@@ -73,6 +77,7 @@ from ..sketches.source_detection import (
     SourceDetectionResult,
     build_virtual_graph_from_detection,
     detect_sources,
+    extend_over_sources,
 )
 from ..trees.rooted import RootedTree
 from .params import SchemeParams
@@ -217,6 +222,27 @@ def _prune_orphans(center: int, value: Dict[int, float],
     return dropped
 
 
+def _vertex_objects(n: int) -> np.ndarray:
+    """Object array of the ``n`` vertex ints, then ``None`` (index −1
+    reads it, for a parent of −1)."""
+    vertex = np.empty(n + 1, dtype=object)
+    vertex[:n] = list(range(n))
+    return vertex
+
+
+def _add_members(cluster: ApproxCluster, vertex: np.ndarray,
+                 members: np.ndarray, values: list,
+                 parents: np.ndarray) -> None:
+    """Append ``members`` (ascending) with their values and parent
+    cells to ``cluster``.  Keys and parents are :func:`_vertex_objects`'
+    ints, one object per vertex shared by every cluster it joins rather
+    than one per membership: the clusters live through the tree build.
+    """
+    keys = vertex[members].tolist()
+    cluster.value.update(zip(keys, values))
+    cluster.parent.update(zip(keys, vertex[parents].tolist()))
+
+
 # ----------------------------------------------------------------------
 # Small scales (Section 3.2)
 # ----------------------------------------------------------------------
@@ -267,12 +293,15 @@ def _build_middle_level(graph: WeightedGraph, level: int,
         u: ApproxCluster(center=u, level=level, value={u: 0.0},
                          parent={u: None})
         for u in centers}
-    for v in range(graph.num_vertices):
-        for u, b in detection.estimate[v].items():
-            if v == u:
-                continue   # the detection kept only rule-passing cells
-            clusters[u].value[v] = b
-            clusters[u].parent[v] = detection.parent[v][u]
+    # the detection kept only rule-passing cells; each row is one
+    # center's members, ascending
+    vertex = _vertex_objects(graph.num_vertices)
+    for r, u in enumerate(detection.sources):
+        row = detection.dist[r]
+        vs = np.nonzero(row < INF)[0]
+        vs = vs[vs != u]
+        _add_members(clusters[u], vertex, vs, detection.numbers(row[vs]),
+                     detection.par[r, vs])
     for cluster in clusters.values():
         cluster.dropped_members = _prune_orphans(
             cluster.center, cluster.value, cluster.parent)
@@ -322,13 +351,56 @@ def _preprocess_large_scales(graph: WeightedGraph, params: SchemeParams,
                                     beta=beta)
 
 
+def _broadcast_extension(clusters: Dict[int, ApproxCluster],
+                         centers: Sequence[int],
+                         virt_value: Dict[int, Dict[int, float]],
+                         detection: SourceDetectionResult,
+                         next_pivot_hat: List[float], eps: float) -> int:
+    """Phase 2 of a large level: extend the virtual clusters to all of
+    ``V`` under rule (15), in place; returns the broadcast words (3 per
+    announced value).
+
+    Every ``y`` takes ``b_y(u) = min_{v ∈ V'} d̂(y, v) + b_v(u)``, its
+    first strict minimum over ``V'`` in ascending order, and joins
+    ``C̃(u)`` if that is below ``d̂_{i+1}(y) / (1+eps)`` and ``y`` is
+    not a Phase-1 member; its real parent is the detection's parent of
+    ``y`` toward the winning ``v`` (Remark 1).  The min is one sweep
+    over the announcing rows of the detection's matrix
+    (:func:`~repro.sketches.source_detection.extend_over_sources`); the
+    rule is one masked compare.
+    """
+    n = len(next_pivot_hat)
+    row_of = detection.row_of
+    # the broadcast values, by announcing V' row and center column, and
+    # the Phase-1 members C̃'(u) they come from
+    values = np.full((len(detection.sources), len(centers)), INF)
+    member = np.zeros((n, len(centers)), dtype=bool)
+    broadcast_words = 0
+    for c, u in enumerate(centers):
+        announced = virt_value[u]
+        values[[row_of[v] for v in announced], c] = list(announced.values())
+        member[list(announced), c] = True
+        broadcast_words += 3 * len(announced)
+    best, row = extend_over_sources(detection.dist, values)
+    # rule (15), strict (an unreached cell is INF and fails it); C̃'(u)
+    # members keep their Phase-1 values
+    threshold = np.asarray(next_pivot_hat, dtype=np.float64) / (1.0 + eps)
+    joins = (best < threshold[:, None]) & ~member
+    vertex = _vertex_objects(n)
+    for c, u in enumerate(centers):
+        ys = np.nonzero(joins[:, c])[0]      # new members, ascending
+        # floats: Phase-1 values start at 0.0, so every sum is one
+        _add_members(clusters[u], vertex, ys, best[ys, c].tolist(),
+                     detection.par[row[ys, c], ys])
+    return broadcast_words
+
+
 def _build_large_level(graph: WeightedGraph, level: int,
                        centers: Sequence[int],
                        next_pivot_hat: List[float], eps: float,
                        pre: _LargeScalePreprocessing, bfs_tree: BFSTree,
                        capacity_words: int, ledger: CostLedger
                        ) -> Dict[int, ApproxCluster]:
-    n = graph.num_vertices
     one_plus = 1.0 + eps
 
     # ----- Phase 1: β-iteration Bellman–Ford over G'' with rule (14),
@@ -385,48 +457,27 @@ def _build_large_level(graph: WeightedGraph, level: int,
                seconds=time.perf_counter() - started)
 
     # real parents for the virtual members (Remark 1 through the
-    # detection's parent pointers)
+    # detection's parent pointers: the cell of v in its virtual
+    # parent's row)
+    detection = pre.detection
+    row_of = detection.row_of
     clusters: Dict[int, ApproxCluster] = {}
     for u in centers:
-        value: Dict[int, float] = {}
-        parent: Dict[int, Optional[int]] = {}
-        for v, b in virt_value[u].items():
-            value[v] = b
-            vp = virt_parent[u][v]
-            if vp is None:
-                parent[v] = None
-            else:
-                parent[v] = pre.detection.parent[v].get(vp)
-        clusters[u] = ApproxCluster(center=u, level=level, value=value,
+        members = list(virt_value[u])
+        via = [virt_parent[u][v] for v in members]
+        # only the center has no virtual parent; its row-0 read is unused
+        real = detection.par[[0 if x is None else row_of[x] for x in via],
+                             members].tolist()
+        parent = {v: None if x is None or p < 0 else p
+                  for v, x, p in zip(members, via, real)}
+        clusters[u] = ApproxCluster(center=u, level=level,
+                                    value=dict(virt_value[u]),
                                     parent=parent)
 
     # ----- Phase 2: broadcast virtual trees, extend to all of V, rule (15).
-    # index the broadcast values by the V' vertex that announces them
     started = time.perf_counter()
-    announced: Dict[int, List[Tuple[int, float]]] = {}
-    broadcast_words = 0
-    for u in centers:
-        for v, b in virt_value[u].items():
-            announced.setdefault(v, []).append((u, b))
-            broadcast_words += 3
-
-    # rule (15) per-vertex budgets, precomputed like the other plans
-    thresholds15 = [t / one_plus for t in next_pivot_hat]
-    for y in range(n):
-        threshold = thresholds15[y]
-        best: Dict[int, Tuple[float, int]] = {}
-        for v, d_yv in pre.detection.estimate[y].items():
-            for u, bv in announced.get(v, ()):
-                candidate = d_yv + bv
-                if candidate < best.get(u, (INF, -1))[0]:
-                    best[u] = (candidate, v)
-        for u, (candidate, v_star) in best.items():
-            cluster = clusters[u]
-            if y in cluster.value:
-                continue  # C̃'(u) members keep their Phase-1 values
-            if candidate < threshold:
-                cluster.value[y] = candidate
-                cluster.parent[y] = pre.detection.parent[y].get(v_star)
+    broadcast_words = _broadcast_extension(clusters, centers, virt_value,
+                                           detection, next_pivot_hat, eps)
     ledger.add(f"large/phase2-broadcast-level-{level}",
                2 * pipelined_rounds(broadcast_words, capacity_words,
                                     bfs_tree.height),

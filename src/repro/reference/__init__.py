@@ -5,10 +5,17 @@ artifacts; nothing under ``repro`` outside this package imports it.
 What lives here is the per-vertex object model of Sections 4 and 6 —
 tables, labels, global-edge rows — built from the cluster system by
 the per-subtree reference builder, plus the hop-by-hop routers over
-those objects that the compiled replay is held to, and the dict-based
-Bellman–Ford explorations the CSR kernels are held to.
+those objects that the compiled replay is held to, the dict-based
+Bellman–Ford explorations the CSR kernels are held to, and the
+per-source detection sweep and per-vertex extension loops the
+detection's matrices are held to.
 """
 
+from .detection import (
+    broadcast_extension_reference,
+    detect_sources_reference,
+    spt_extension_reference,
+)
 from .exploration import (
     JoinPredicate,
     multi_source_exploration_reference,
@@ -35,8 +42,11 @@ __all__ = [
     "ReferenceRouter",
     "VertexLabel",
     "VertexTable",
+    "broadcast_extension_reference",
     "build_distributed_tree_routing_reference",
     "build_forest_routing_reference",
+    "detect_sources_reference",
     "multi_source_exploration_reference",
     "nearest_source_exploration_reference",
+    "spt_extension_reference",
 ]

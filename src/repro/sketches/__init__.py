@@ -5,7 +5,7 @@ from .source_detection import (
     SourceDetectionResult,
     build_virtual_graph_from_detection,
     detect_sources,
-    detect_sources_reference,
+    extend_over_sources,
 )
 from .approx_spt import ApproxSPTResult, approximate_spt
 
@@ -13,7 +13,7 @@ __all__ = [
     "SourceDetectionResult",
     "build_virtual_graph_from_detection",
     "detect_sources",
-    "detect_sources_reference",
+    "extend_over_sources",
     "ApproxSPTResult",
     "approximate_spt",
 ]

@@ -24,7 +24,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..congest.bfs import BFSTree
 from ..congest.metrics import CostLedger, pipelined_rounds
@@ -37,6 +39,7 @@ from .source_detection import (
     SourceDetectionResult,
     build_virtual_graph_from_detection,
     detect_sources,
+    extend_over_sources,
 )
 
 
@@ -101,6 +104,22 @@ def _set_rooted_virtual_bellman_ford(virtual: VirtualGraph,
     return dist, witness, rounds
 
 
+def _extend_to_all(detection: SourceDetectionResult,
+                   dist_vp: Dict[int, float],
+                   witness_vp: Dict[int, Optional[int]]
+                   ) -> Tuple[List[float], List[Optional[int]]]:
+    """Step 5: ``d̂(u) = min_{v∈V'} (d_uv + d̂(v))`` for every ``u``, and
+    the witness of the winning ``v`` (the first strict minimum in
+    ascending ``V'``): the Lemma-1 extension with one column."""
+    sources = detection.sources
+    values = np.asarray([dist_vp.get(v, INF) for v in sources],
+                        dtype=np.float64).reshape(-1, 1)
+    best, row = extend_over_sources(detection.dist, values)
+    witness = [None if r < 0 else witness_vp.get(sources[r])
+               for r in row[:, 0].tolist()]
+    return best[:, 0].tolist(), witness
+
+
 def approximate_spt(graph: WeightedGraph, roots: Sequence[int], eps: float,
                     rng: Optional[random.Random] = None,
                     bfs_tree: Optional[BFSTree] = None,
@@ -149,18 +168,7 @@ def approximate_spt(graph: WeightedGraph, roots: Sequence[int], eps: float,
     ledger.add("spt/virtual-bellman-ford", bf_rounds)
 
     # Step 5: extend to all of V via the detection estimates.
-    dist_hat: List[float] = [INF] * n
-    witness: List[Optional[int]] = [None] * n
-    for u in range(n):
-        best = INF
-        best_witness: Optional[int] = None
-        for v, duv in detection.estimate[u].items():
-            dv = dist_vp.get(v, INF)
-            if duv + dv < best:
-                best = duv + dv
-                best_witness = witness_vp.get(v)
-        dist_hat[u] = best
-        witness[u] = best_witness
+    dist_hat, witness = _extend_to_all(detection, dist_vp, witness_vp)
     # the extension itself is local (u already knows d_uv and the
     # broadcast d̂(v) values); broadcasting the V' results costs:
     height = bfs_tree.height if bfs_tree is not None else 0

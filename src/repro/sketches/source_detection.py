@@ -23,9 +23,10 @@ Patt-Shamir's (S, h, σ)-detection — sweeps ``ceil(log2(B * W_max))``
 distance scales ``Δ = 2^i`` with rounding unit ``unit_i = eps * Δ /
 (2B)``, *bounds scale i's exploration by distance* ``O(Δ)`` (that is
 what makes a scale cost ``O(B/eps)`` rounds), and takes the minimum over
-scales.  The sweep as implemented here (:func:`detect_sources_reference`)
-has no distance cut-off: every scale runs its full ``B`` hops.  Without
-the cut-off the minimum over scales is decided before it is taken:
+scales.  The sweep as implemented by the oracle
+(:func:`repro.reference.detect_sources_reference`) has no distance
+cut-off: every scale runs its full ``B`` hops.  Without the cut-off the
+minimum over scales is decided before it is taken:
 
 **Lemma (the finest scale dominates).**  Let ``unit_0`` be a normal
 float.  Then for every scale ``i``, after any number of synchronous
@@ -50,9 +51,10 @@ then never fires for ``i >= 1``.  ∎
 So :func:`detect_sources` runs scale 0 only; the precondition is checked
 (``eps / (2B)`` underflowing to a subnormal raises
 :class:`~repro.exceptions.ParameterError`).  The all-scales sweep lives
-on, untouched, as :func:`detect_sources_reference` — the semantic
-oracle, and the executable proof of the lemma on every differential
-grid (``tests/sketches/test_detection_equivalence.py``,
+on, untouched, in :mod:`repro.reference.detection`, which production
+never imports — the semantic oracle, and the executable proof of the
+lemma on every differential grid
+(``tests/sketches/test_detection_equivalence.py``,
 ``tests/sketches/test_finest_scale_lemma.py``).
 
 Round accounting (both modes, both implementations) still charges the
@@ -77,6 +79,16 @@ no bit of the result (the multi-source exploration blocks its rows
 under ``_DENSE_CELL_LIMIT`` the same way).  numpy is required: the
 kernel has one body.  The one remaining kernel choice is the parent
 walk for batches below ``_VECTOR_MIN_PAIRS`` (:mod:`repro.core.dense`).
+
+The result *is* the kernel's two matrices, ``dist`` and ``par``; the
+join rule is one masked compare over them, and no per-cell dict is
+built.  Every construction step reads the matrices: ``G'`` is the
+upper triangle of the ``V' × V'`` columns, the middle-level clusters
+are the rows, and the two Lemma-1 extensions over ``V'`` — Phase 2 of
+the large cluster levels and step 5 of the approximate SPT — are
+:func:`extend_over_sources`, one sweep over the rows.  The per-vertex
+dicts ``estimate`` / ``parent`` remain as lazy views for tests and
+callers that want them.
 """
 
 from __future__ import annotations
@@ -84,6 +96,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as _np
@@ -104,71 +117,127 @@ from ..graphs.weighted_graph import WeightedGraph
 _MATRIX_CELL_LIMIT = 1 << 22
 
 
-@dataclass
+@dataclass(eq=False)
 class SourceDetectionResult:
-    """Outcome of a source-detection run.
+    """Outcome of a source-detection run: the kernel's matrices.
 
     Attributes
     ----------
     sources:
-        The source set ``V'`` (sorted).
-    estimate:
-        ``estimate[u][v]`` is ``d_uv`` for every source ``v`` that is
-        within ``B`` hops of ``u`` (absent keys mean ``d^(B) = INF``).
-    parent:
-        ``parent[u][v]`` is the Remark-1 neighbor of ``u`` toward source
-        ``v`` (``None`` at ``v`` itself).
+        The source set ``V'`` (sorted); row ``r`` of both matrices is
+        source ``sources[r]``.
+    dist:
+        ``|V'| × n`` float64.  ``dist[r, u]`` is ``d_uv`` for ``v =
+        sources[r]``: INF where ``v`` is not within ``B`` hops of ``u``
+        or the join rule rejected the cell.
+    par:
+        ``|V'| × n`` int64.  ``par[r, u]`` is the Remark-1 neighbor of
+        ``u`` toward ``v``, −1 for none (at ``v`` itself and in every
+        INF cell).
     rounds:
         Charged CONGEST rounds for the whole computation.
     hop_bound, eps, mode:
         Echo of the parameters.
+
+    :attr:`estimate` and :attr:`parent` are per-vertex dict views of
+    the same cells, built on first access only; the construction reads
+    the matrices.
     """
 
     sources: List[int]
-    estimate: List[Dict[int, float]]
-    parent: List[Dict[int, Optional[int]]]
+    dist: _np.ndarray
+    par: _np.ndarray
     rounds: int
     hop_bound: int
     eps: float
     mode: str
 
+    @cached_property
+    def row_of(self) -> Dict[int, int]:
+        """The matrix row of every source."""
+        return {s: r for r, s in enumerate(self.sources)}
+
+    def numbers(self, values: _np.ndarray) -> list:
+        """``values`` as the dict views hold them: ``int`` in exact mode
+        (integer weights, integer sums), ``float`` otherwise."""
+        if self.mode == "exact":
+            return values.astype(_np.int64).tolist()
+        return values.tolist()
+
+    def _row_cells(self, r: int) -> Tuple[List[int], list,
+                                         List[Optional[int]]]:
+        """Row ``r``'s finite cells: ascending vertices, their values
+        and their parents, typed as the dict views hold them.
+
+        The source's own value is the int 0 in rounded mode too (it is
+        seeded, never relaxed), and a parent of −1 is ``None``.
+        """
+        row = self.dist[r]
+        cols = _np.nonzero(row < INF)[0]
+        values = self.numbers(row[cols])
+        if self.mode != "exact":
+            values[int(_np.searchsorted(cols, self.sources[r]))] = 0
+        parents = [None if p < 0 else p
+                   for p in self.par[r, cols].tolist()]
+        return cols.tolist(), values, parents
+
+    @cached_property
+    def estimate(self) -> List[Dict[int, float]]:
+        """``estimate[u][v]`` is ``d_uv`` for every source ``v`` that is
+        within ``B`` hops of ``u`` (absent keys mean ``d^(B) = INF``)."""
+        estimate: List[Dict[int, float]] = [
+            dict() for _ in range(self.dist.shape[1])]
+        for r, s in enumerate(self.sources):
+            for u, value, _ in zip(*self._row_cells(r)):
+                estimate[u][s] = value
+        return estimate
+
+    @cached_property
+    def parent(self) -> List[Dict[int, Optional[int]]]:
+        """``parent[u][v]`` is the Remark-1 neighbor of ``u`` toward
+        source ``v`` (``None`` at ``v`` itself), on the cells of
+        :attr:`estimate`."""
+        parent: List[Dict[int, Optional[int]]] = [
+            dict() for _ in range(self.dist.shape[1])]
+        for r, s in enumerate(self.sources):
+            for u, _, p in zip(*self._row_cells(r)):
+                parent[u][s] = p
+        return parent
+
     def get(self, u: int, v: int) -> float:
         """``d_uv``, or INF when ``v`` is not within ``B`` hops of ``u``."""
-        return self.estimate[u].get(v, INF)
+        r = self.row_of.get(v)
+        value = INF if r is None else float(self.dist[r, u])
+        if value == INF or (self.mode != "exact" and u != v):
+            return value
+        return int(value)
 
 
-def _bounded_bellman_ford(graph: WeightedGraph, source: int, hop_bound: int,
-                          weight_of) -> Tuple[List[float],
-                                              List[Optional[int]]]:
-    """``hop_bound`` Bellman–Ford iterations from ``source`` under a
-    (possibly rounded) weight function; returns (dist, parent).
+def extend_over_sources(dist: _np.ndarray, values: _np.ndarray):
+    """The Lemma-1 extension ``b(y, c) = min_v dist[v, y] + values[v, c]``.
 
-    The frontier is processed in sorted vertex order so equal-distance
-    parent ties resolve deterministically (and identically to the
-    batched implementation's CSR scan order)."""
-    n = graph.num_vertices
-    dist: List[float] = [INF] * n
-    parent: List[Optional[int]] = [None] * n
-    dist[source] = 0
-    frontier = {source}
-    for _ in range(hop_bound):
-        if not frontier:
-            break
-        updates: Dict[int, Tuple[float, int]] = {}
-        for u in sorted(frontier):
-            du = dist[u]
-            for v, raw_w in graph.neighbor_weights(u):
-                nd = du + weight_of(raw_w)
-                best = updates.get(v)
-                if nd < dist[v] and (best is None or nd < best[0]):
-                    updates[v] = (nd, u)
-        frontier = set()
-        for v, (nd, via) in updates.items():
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = via
-                frontier.add(v)
-    return dist, parent
+    ``dist`` is a detection's ``|V'| × n`` matrix and ``values`` a
+    ``|V'| × c`` matrix of broadcast values (INF where a row announces
+    nothing in that column).  One sweep over the rows that announce a
+    value, in ascending ``V'`` order, each a strict ``<`` against the
+    running minimum, so the winning row is the *first* strict minimum —
+    the one a per-vertex loop over ``estimate[y]`` in key order keeps.
+
+    Returns ``(best, row)``, both ``n × c``: the minimum (INF where no
+    row reaches) and the row that attains it (−1 there).
+    """
+    n = dist.shape[1]
+    width = values.shape[1]
+    # one column's running state is a contiguous row of these
+    best = _np.full((width, n), INF)
+    arg = _np.full((width, n), -1, dtype=_np.int64)
+    for r in _np.nonzero((values < INF).any(axis=1))[0]:
+        # a column row r announces nothing in stays INF: never better
+        cand = _np.add.outer(values[r], dist[r])
+        better = cand < best
+        _np.copyto(best, cand, where=better)
+        arg[better] = r
+    return best.T, arg.T
 
 
 def _charged_rounds(num_sources: int, hop_bound: int, eps: float,
@@ -205,80 +274,6 @@ def _scale_parameters(graph: WeightedGraph, hop_bound: int
     max_weight = max(graph.max_weight(), 1)
     max_dist = max_weight * max(hop_bound, 1)
     return max(1, math.ceil(math.log2(max_dist + 1)))
-
-
-def _rule_keeps(rule: Optional[JoinRule], u: int, s: int, value) -> bool:
-    """Whether the optional join rule keeps the final cell ``(u, s)``.
-
-    Self-cells are always kept (callers seed the source's own entry
-    unconditionally).  Applied only when estimates are materialized —
-    the propagation itself is never filtered, so parents and round
-    charges are those of the unfiltered detection.
-    """
-    return rule is None or u == s or rule.accepts(u, s, value)
-
-
-def detect_sources_reference(graph: WeightedGraph, sources: Sequence[int],
-                             hop_bound: int, eps: float,
-                             bfs_tree: Optional[BFSTree] = None,
-                             mode: str = "rounded",
-                             join_rule: Optional[JoinRule] = None
-                             ) -> SourceDetectionResult:
-    """Per-source, per-scale oracle for :func:`detect_sources`.
-
-    The original dict-of-dict implementation, kept verbatim (modulo the
-    sorted-frontier tie pin and the optional ``join_rule`` cell filter)
-    as the semantic reference the differential harness checks the
-    batched path against.
-    """
-    source_list = _validate(graph, sources, hop_bound, eps, mode)
-    n = graph.num_vertices
-    height = bfs_tree.height if bfs_tree is not None else 0
-    num_scales = _scale_parameters(graph, hop_bound)
-
-    estimate: List[Dict[int, float]] = [dict() for _ in range(n)]
-    parent: List[Dict[int, Optional[int]]] = [dict() for _ in range(n)]
-
-    if mode == "exact":
-        for s in source_list:
-            dist, par = _bounded_bellman_ford(graph, s, hop_bound,
-                                              lambda w: w)
-            for u in range(n):
-                if dist[u] < INF and _rule_keeps(join_rule, u, s, dist[u]):
-                    estimate[u][s] = dist[u]
-                    parent[u][s] = par[u]
-    else:
-        # eps/2 internally: the winning scale contributes <= eps/2 * 2 = eps
-        # relative error (see module docstring).
-        eps_internal = eps / 2.0
-        for s in source_list:
-            best: List[float] = [INF] * n
-            best_parent: List[Optional[int]] = [None] * n
-            for i in range(num_scales):
-                delta = 1 << i
-                unit = eps_internal * delta / max(hop_bound, 1)
-                if unit <= 0:
-                    continue
-
-                def rounded(w: int, _unit=unit) -> float:
-                    return math.ceil(w / _unit) * _unit
-
-                dist, par = _bounded_bellman_ford(graph, s, hop_bound,
-                                                  rounded)
-                for u in range(n):
-                    if dist[u] < best[u]:
-                        best[u] = dist[u]
-                        best_parent[u] = par[u]
-            for u in range(n):
-                if best[u] < INF and _rule_keeps(join_rule, u, s, best[u]):
-                    estimate[u][s] = best[u]
-                    parent[u][s] = best_parent[u]
-
-    rounds = _charged_rounds(len(source_list), hop_bound, eps, height,
-                             num_scales)
-    return SourceDetectionResult(sources=source_list, estimate=estimate,
-                                 parent=parent, rounds=rounds,
-                                 hop_bound=hop_bound, eps=eps, mode=mode)
 
 
 # ----------------------------------------------------------------------
@@ -400,13 +395,15 @@ def detect_sources(graph: WeightedGraph, sources: Sequence[int],
     join_rule:
         Optional declarative cell filter (the middle-scale cluster
         rule): a final estimate cell ``(u, s)`` with ``u != s`` is kept
-        only if the rule accepts it.  Applied as a masked compare when
-        materializing the estimate dictionaries; propagation, parents
-        and round charges are those of the unfiltered detection.
+        only if the rule accepts it.  Applied as one masked compare over
+        the finished matrix (a rejected cell becomes INF, parent −1);
+        propagation, parents and round charges are those of the
+        unfiltered detection.
 
-    Bit-identical to :func:`detect_sources_reference` although it runs
-    one rounding scale where the oracle sweeps all of them; see the
-    module docstring for the lemma and the batching scheme.
+    Bit-identical to :func:`repro.reference.detect_sources_reference`
+    although it runs one rounding scale where the oracle sweeps all of
+    them; see the module docstring for the lemma and the batching
+    scheme.
     """
     source_list = _validate(graph, sources, hop_bound, eps, mode)
     # None = raw weights (exact mode)
@@ -414,24 +411,23 @@ def detect_sources(graph: WeightedGraph, sources: Sequence[int],
     n = graph.num_vertices
     height = bfs_tree.height if bfs_tree is not None else 0
     num_scales = _scale_parameters(graph, hop_bound)
+    num_sources = len(source_list)
 
-    estimate: List[Dict[int, float]] = [dict() for _ in range(n)]
-    parent: List[Dict[int, Optional[int]]] = [dict() for _ in range(n)]
-    rounds = _charged_rounds(len(source_list), hop_bound, eps, height,
+    dist = _np.full((num_sources, n), INF)
+    par = _np.full((num_sources, n), -1, dtype=_np.int64)
+    rounds = _charged_rounds(num_sources, hop_bound, eps, height,
                              num_scales)
-    result = SourceDetectionResult(sources=source_list, estimate=estimate,
-                                   parent=parent, rounds=rounds,
+    result = SourceDetectionResult(sources=source_list, dist=dist,
+                                   par=par, rounds=rounds,
                                    hop_bound=hop_bound, eps=eps, mode=mode)
     if not source_list or n == 0:
         return result
 
     view = csr_view(graph)
-    num_sources = len(source_list)
     w_f64 = view.weights_f64()
     weights = w_f64 if unit is None else _np.ceil(w_f64 / unit) * unit
-    dist = _np.full((num_sources, n), INF)
-    par = _np.full((num_sources, n), -1, dtype=_np.int64)
-    dist[_np.arange(num_sources), source_list] = 0.0
+    seeds = (_np.arange(num_sources), source_list)
+    dist[seeds] = 0.0
     # rows are independent: each block is the whole matrix's advance
     # restricted to its rows, bit for bit
     block = max(1, _MATRIX_CELL_LIMIT // max(view.num_directed_edges, 1))
@@ -439,41 +435,31 @@ def detect_sources(graph: WeightedGraph, sources: Sequence[int],
         _advance_matrix_np(view, dist[lo:lo + block], par[lo:lo + block],
                            hop_bound, weights, source_list[lo:lo + block])
 
-    exact = mode == "exact"
-    thr_arr = None
     if join_rule is not None:
-        thr_arr = _np.asarray(join_rule.threshold, dtype=_np.float64)
-    for r, s in enumerate(source_list):
-        row = dist[r]
-        prow = par[r]
-        keep = row < INF
-        if join_rule is not None:
-            # the rule as one masked compare; the self-cell is
-            # always kept (it is seeded, never filtered)
-            ok = ((row < thr_arr) if join_rule.strict
-                  else (row <= thr_arr))
-            ok[s] = True
-            keep &= ok
-        for u in _np.nonzero(keep)[0]:
-            u = int(u)
-            value = row[u]
-            # the source's own estimate is the int 0 in the reference's
-            # rounded mode too (it is initialized, never relaxed)
-            estimate[u][s] = int(value) if (exact or u == s) \
-                else float(value)
-            p = int(prow[u])
-            parent[u][s] = None if p < 0 else p
-
+        # the rule as one masked compare; the self-cell is always kept
+        # (it is seeded, never filtered)
+        threshold = _np.asarray(join_rule.threshold, dtype=_np.float64)
+        rejected = ~((dist < threshold) if join_rule.strict
+                     else (dist <= threshold))
+        rejected[seeds] = False
+        dist[rejected] = INF
+        par[rejected] = -1
     return result
 
 
 def build_virtual_graph_from_detection(result: SourceDetectionResult):
     """The paper's ``G'``: virtual graph on the sources with edge weights
-    ``d_uv`` (Section 3.3.1).  Edges exist wherever ``d_uv < INF``."""
+    ``d_uv`` (Section 3.3.1).  Edges exist wherever ``d_uv < INF``; the
+    edge ``{u, v}``, ``u < v``, weighs ``d_uv`` (the cell
+    ``dist[row(v), u]``), and edges are added in ascending ``(u, v)``."""
     from ..graphs.virtual_graph import VirtualGraph
     virt = VirtualGraph(result.sources)
-    for u in result.sources:
-        for v, duv in result.estimate[u].items():
-            if v > u and duv < INF:
-                virt.add_edge(u, v, duv)
+    sources = result.sources
+    # between[i, j] = d(sources[i], sources[j]): column sources[i] of
+    # row j
+    between = result.dist[:, sources].T
+    us, vs = _np.nonzero(_np.triu(between < INF, k=1))
+    weights = result.numbers(between[us, vs])
+    for i, j, duv in zip(us.tolist(), vs.tolist(), weights):
+        virt.add_edge(sources[i], sources[j], duv)
     return virt

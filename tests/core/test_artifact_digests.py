@@ -170,10 +170,10 @@ def test_build_and_compile_construct_no_per_vertex_objects(monkeypatch):
 
 
 def test_production_never_imports_the_reference_oracle():
-    """The serving and control-plane entry points, a build, both
-    compiles and ``route_many`` — in a fresh interpreter, so nothing
-    this test session imported counts — load no ``repro.reference``
-    module."""
+    """The serving and control-plane entry points, a k = 2 and a k = 3
+    build (the latter reaches the middle level), both compiles and
+    ``route_many`` — in a fresh interpreter, so nothing this test
+    session imported counts — load no ``repro.reference`` module."""
     script = textwrap.dedent("""
         import sys
         import repro.cli, repro.dynamic, repro.server, repro.serving
@@ -187,6 +187,9 @@ def test_production_never_imports_the_reference_oracle():
         pipeline.compile().route_many(pairs)
         pipeline.compile("flat").route_many(pairs)
         report.scheme.route_many(pairs)
+        # odd k: the middle level runs the join-ruled detection
+        (SchemePipeline().graph(grid(5, 5, seed=1)).params(3).seed(3)
+         .build())
         print(sorted(name for name in sys.modules
                      if name.split(".")[:2] == ["repro", "reference"]))
     """)

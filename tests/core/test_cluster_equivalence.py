@@ -39,7 +39,10 @@ from repro.graphs import (
     star_of_paths,
     weighted_small_world,
 )
-from repro.reference import multi_source_exploration_reference
+from repro.reference import (
+    detect_sources_reference,
+    multi_source_exploration_reference,
+)
 from repro.sketches import source_detection as sd
 from repro.trees import tree_distance
 
@@ -79,9 +82,9 @@ def _reference_exploration(graph, sources, iterations, rule,
 
 def _reference_detection(graph, sources, hop_bound, eps, bfs_tree=None,
                          mode="rounded", join_rule=None):
-    return sd.detect_sources_reference(graph, sources, hop_bound, eps,
-                                       bfs_tree=bfs_tree, mode=mode,
-                                       join_rule=join_rule)
+    return detect_sources_reference(graph, sources, hop_bound, eps,
+                                    bfs_tree=bfs_tree, mode=mode,
+                                    join_rule=join_rule)
 
 
 def build_system(graph, k, seed, monkeypatch=None, shims=()):

@@ -7,6 +7,7 @@ per-scale loops) and the results must be *bit-identical*: estimates,
 Remark-1 parents, the sorted source echo and the charged rounds.
 """
 
+import numpy as np
 import pytest
 
 import repro.sketches.source_detection as sd_module
@@ -19,7 +20,9 @@ from repro.graphs import (
     random_connected,
     ring_of_cliques,
 )
-from repro.sketches import detect_sources, detect_sources_reference
+from repro.reference import detect_sources_reference
+from repro.reference.detection import detection_dicts_reference
+from repro.sketches import detect_sources
 
 
 def _graph_cases():
@@ -44,6 +47,8 @@ GRAPH_IDS = [name for name, _ in GRAPHS]
 
 def _assert_identical(fast, ref):
     assert fast.sources == ref.sources
+    assert np.array_equal(fast.dist, ref.dist)
+    assert np.array_equal(fast.par, ref.par)
     assert fast.estimate == ref.estimate
     assert fast.parent == ref.parent
     assert fast.rounds == ref.rounds
@@ -121,24 +126,34 @@ class TestDifferentialEquivalence:
     def test_value_types_match_reference(self):
         """Exact mode keeps integer sums; rounded mode keeps floats.
 
-        Asserted on *both* implementations: `==` cannot distinguish
-        ``5`` from ``5.0``, so the differential checks alone would miss
-        a type drift on either side.
+        The oracle packs its dicts into the result's matrices, so its
+        own types are read off :func:`detection_dicts_reference`, and
+        the production dict views must rebuild those dicts item for
+        item, type for type: `==` cannot distinguish ``5`` from
+        ``5.0``, so the differential checks alone would miss a type
+        drift on either side.
         """
         graph = random_connected(18, 0.25, seed=12)
-        for impl in (detect_sources, detect_sources_reference):
-            exact = impl(graph, [0, 9], 6, 0.3, mode="exact")
-            for row in exact.estimate:
-                for value in row.values():
-                    assert isinstance(value, int), impl.__name__
-            rounded = impl(graph, [0, 9], 6, 0.3, mode="rounded")
-            for u, row in enumerate(rounded.estimate):
-                for s, value in row.items():
-                    if u == s:
+        rule = JoinRule(threshold=[9.0 + v for v in range(18)])
+        for mode in ("rounded", "exact"):
+            for join_rule in (None, rule):
+                _, estimate, parent = detection_dicts_reference(
+                    graph, [0, 9], 6, 0.3, mode=mode, join_rule=join_rule)
+                fast = detect_sources(graph, [0, 9], 6, 0.3, mode=mode,
+                                      join_rule=join_rule)
+                for u, row in enumerate(estimate):
+                    items = list(fast.estimate[u].items())
+                    assert items == list(row.items())
+                    assert [type(x) for _, x in items] == \
+                        [type(x) for x in row.values()]
+                    assert list(fast.parent[u].items()) == \
+                        list(parent[u].items())
+                    for s, value in row.items():
+                        # in rounded mode the source's own cell is
                         # never relaxed: the initialization's int 0
-                        assert isinstance(value, int), impl.__name__
-                    else:
-                        assert isinstance(value, float), impl.__name__
+                        want = int if mode == "exact" or u == s else float
+                        assert type(value) is want
+                        assert type(fast.get(u, s)) is want
 
 
 class TestPastMatrixGate:

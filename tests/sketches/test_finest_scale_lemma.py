@@ -20,7 +20,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import repro.sketches.source_detection as sd_module
 from repro.exceptions import ParameterError
 from repro.graphs import random_connected
-from repro.sketches import detect_sources, detect_sources_reference
+from repro.reference import detect_sources_reference
+from repro.sketches import detect_sources
 
 
 def scale_units(graph, hop_bound, eps):
