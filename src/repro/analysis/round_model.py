@@ -11,8 +11,9 @@ the measured one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, List
+
+from ..dataclass import dataclass
 
 
 @dataclass(frozen=True)

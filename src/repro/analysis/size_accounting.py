@@ -8,9 +8,9 @@ counts; this module normalizes them into one report shape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ..dataclass import dataclass
 from ..graphs.weighted_graph import WeightedGraph
 
 

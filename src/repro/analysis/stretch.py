@@ -9,9 +9,10 @@ pairs.  Exact distances come from the Dijkstra oracle.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from ..dataclass import dataclass
 from ..graphs.shortest_paths import dijkstra_distances
 from ..graphs.weighted_graph import WeightedGraph
 

@@ -11,12 +11,12 @@ words, and measured max/mean stretch on a shared pair sample.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..baselines.lp13 import build_lp13_scheme
 from ..baselines.lp15 import build_lp15_scheme
 from ..baselines.tz_routing import build_tz_routing
+from ..dataclass import dataclass
 from ..graphs.metrics import hop_diameter, shortest_path_diameter
 from ..graphs.weighted_graph import WeightedGraph
 from .round_model import GraphScale, TABLE1_STRETCH, lower_bound

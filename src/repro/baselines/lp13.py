@@ -33,10 +33,10 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.params import SchemeParams
+from ..dataclass import dataclass
 from ..exceptions import ParameterError, SchemeError
 from ..graphs.shortest_paths import INF, dijkstra, dijkstra_distances
 from ..graphs.weighted_graph import WeightedGraph

@@ -21,12 +21,12 @@ round columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from ..core.routing_scheme import RoutingScheme
 from ..core.scheme_builder import build_routing_scheme
 from ..core.params import SchemeParams
+from ..dataclass import dataclass
 from ..graphs.weighted_graph import WeightedGraph
 
 

@@ -16,12 +16,12 @@ walks levels exactly like Algorithm 2 but with exact distances:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.clusters import compute_exact_clusters
 from ..core.params import SchemeParams
 from ..core.sampling import LevelHierarchy, sample_levels
+from ..dataclass import dataclass
 from ..exceptions import ParameterError, SchemeError
 from ..graphs.weighted_graph import WeightedGraph
 

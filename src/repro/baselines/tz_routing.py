@@ -12,13 +12,13 @@ scheme) but no sublinear distributed construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..congest.network import Network
 from ..core.clusters import ExactClusterSystem, compute_exact_clusters
 from ..core.params import SchemeParams
 from ..core.sampling import LevelHierarchy, sample_levels
+from ..dataclass import dataclass
 from ..exceptions import ParameterError, SchemeError
 from ..graphs.shortest_paths import dijkstra_distances
 from ..graphs.weighted_graph import WeightedGraph

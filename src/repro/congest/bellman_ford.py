@@ -51,11 +51,11 @@ accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
+from ..dataclass import dataclass
 from ..graphs.csr import _gather_edge_indices, csr_view
 from ..graphs.shortest_paths import INF
 from ..graphs.virtual_graph import VirtualGraph

@@ -8,9 +8,9 @@ is the ``D`` term the paper's bounds carry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ..dataclass import dataclass
 from .fast_engine import FastSimulator
 from .messages import Message
 from .network import Network

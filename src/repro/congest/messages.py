@@ -8,9 +8,10 @@ enforces per-edge per-round word capacity against these counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Tuple
 
+from ..dataclass import dataclass
 from ..exceptions import CapacityError
 
 #: Default link capacity: words deliverable per edge direction per round.

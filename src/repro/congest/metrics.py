@@ -16,8 +16,10 @@ round counts next to the paper's per-phase bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, Iterator, List, Tuple
+
+from ..dataclass import dataclass
 
 
 @dataclass

@@ -9,9 +9,10 @@ weight) and whatever state they accumulate — exactly as the model demands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Dict, List, Tuple
 
+from ..dataclass import dataclass
 from .messages import Message
 from .network import Network
 

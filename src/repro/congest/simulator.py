@@ -22,9 +22,9 @@ bounds via cluster-overlap arguments).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Dict, List, Tuple
 
+from ..dataclass import dataclass
 from ..exceptions import SimulationError
 from .messages import DEFAULT_CAPACITY_WORDS, Message, check_fits_capacity
 from .network import Network

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -68,6 +68,7 @@ from ..congest.bellman_ford import (
 from ..congest.bfs import BFSTree, build_bfs_tree
 from ..congest.metrics import CostLedger, pipelined_rounds
 from ..congest.network import Network
+from ..dataclass import dataclass
 from ..exceptions import ParameterError, SchemeError
 from ..graphs.shortest_paths import INF
 from ..graphs.weighted_graph import WeightedGraph

@@ -17,9 +17,9 @@ correct because every vertex on a shortest ``u``–``v`` path with
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..dataclass import dataclass
 from ..graphs.shortest_paths import INF, dijkstra_to_set
 from ..graphs.weighted_graph import WeightedGraph
 from ..trees.rooted import RootedTree

@@ -17,10 +17,10 @@ The membership test and both summands are read from the two sketches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..congest.metrics import CostLedger
+from ..dataclass import dataclass
 from ..exceptions import ParameterError, SchemeError
 from ..graphs.weighted_graph import WeightedGraph
 from .approx_clusters import ApproxClusterSystem

@@ -20,9 +20,9 @@ artifacts alone.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ..dataclass import dataclass
 from ..exceptions import SchemeError
 from ..graphs.shortest_paths import INF, dijkstra_distances
 from .distance_estimation import DistanceEstimation

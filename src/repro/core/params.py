@@ -17,8 +17,9 @@ tests and the benchmarks agree on them:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
+from ..dataclass import dataclass
 from ..exceptions import ParameterError
 
 

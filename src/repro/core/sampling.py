@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, List, Optional, Sequence
 
+from ..dataclass import dataclass
 from ..exceptions import ParameterError
 from .params import SchemeParams
 

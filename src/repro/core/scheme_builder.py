@@ -7,10 +7,10 @@ and benchmarks share."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..congest.metrics import CostLedger
+from ..dataclass import dataclass
 from ..graphs.weighted_graph import WeightedGraph
 from ..telemetry.trace import maybe_span
 from .approx_clusters import ApproxClusterSystem, build_approx_clusters

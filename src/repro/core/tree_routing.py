@@ -39,13 +39,13 @@ import random
 import struct
 import time
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import add
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..congest.bfs import BFSTree
 from ..congest.metrics import CostLedger, pipelined_rounds
+from ..dataclass import dataclass
 from ..trees.rooted import RootedTree, children_and_preorder, flat_core
 
 ParentMap = Dict[int, Optional[int]]     # {vertex: parent}, root ↦ None

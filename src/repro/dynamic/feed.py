@@ -31,9 +31,9 @@ restores the old fingerprint bit for bit.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..dataclass import dataclass
 from ..exceptions import GraphError
 from ..graphs.weighted_graph import WeightedGraph
 

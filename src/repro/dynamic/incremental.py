@@ -37,12 +37,13 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, Optional
 
 from ..core import DenseRoutingPlane
 from ..core.compiled import CompiledScheme
 from ..core.scheme_builder import ConstructionReport, run_construction
+from ..dataclass import dataclass
 from ..exceptions import ParameterError
 from ..telemetry.registry import MetricsRegistry
 from ..telemetry.trace import maybe_span

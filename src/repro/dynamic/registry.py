@@ -36,10 +36,11 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..dataclass import dataclass
 from ..exceptions import ArtifactError, ParameterError
 from ..core.compiled import load_artifact
 from ..telemetry.trace import maybe_span

@@ -29,11 +29,11 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..congest.bfs import BFSTree
 from ..congest.metrics import pipelined_rounds
+from ..dataclass import dataclass
 from ..exceptions import HopsetError, ParameterError
 from ..graphs.shortest_paths import INF
 from ..graphs.virtual_graph import VirtualGraph

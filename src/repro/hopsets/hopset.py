@@ -15,9 +15,10 @@ assign real parents, so we store them explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..dataclass import dataclass
 from ..exceptions import HopsetError
 from ..graphs.virtual_graph import VirtualGraph
 

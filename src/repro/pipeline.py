@@ -27,7 +27,7 @@ their natural shapes, and that rounding used to be silent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, Dict, Optional
 
 from .core.approx_clusters import build_approx_clusters
@@ -38,6 +38,7 @@ from .core.distance_estimation import (
 )
 from .core.routing_scheme import RoutingScheme
 from .core.scheme_builder import ConstructionReport, run_construction
+from .dataclass import dataclass
 from .exceptions import ParameterError
 from .graphs.weighted_graph import WeightedGraph
 from .graphs import (

@@ -12,11 +12,11 @@ then Section 6 hop by hop inside the chosen tree.  The compiled replay
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..congest.network import Network
 from ..core.compiled import CompiledRoute
+from ..dataclass import dataclass
 from ..exceptions import SchemeError
 from .tree_routing import (
     DistributedTreeRouting,

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..congest.bfs import BFSTree
 from ..congest.metrics import CostLedger
 from ..core.tree_routing import _remark3_ledger, _rooted_maps, _shared_sample
+from ..dataclass import dataclass
 from ..exceptions import RoutingLoopError, SchemeError
 from ..trees.interval_routing import (
     PortFunction,

@@ -39,9 +39,10 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..dataclass import dataclass
 from ..exceptions import ParameterError
 from ..telemetry.registry import MetricsRegistry
 from .metrics import LatencyRecorder

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..congest.bfs import BFSTree
 from ..congest.metrics import CostLedger, pipelined_rounds
+from ..dataclass import dataclass
 from ..exceptions import ParameterError
 from ..graphs.shortest_paths import INF
 from ..graphs.virtual_graph import VirtualGraph

@@ -95,7 +95,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -103,6 +102,7 @@ import numpy as _np
 
 from ..congest.bellman_ford import JoinRule
 from ..congest.bfs import BFSTree
+from ..dataclass import dataclass
 from ..exceptions import ParameterError
 from ..graphs.csr import CSRView, csr_view
 from ..graphs.shortest_paths import INF

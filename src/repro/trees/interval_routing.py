@@ -19,9 +19,10 @@ inside each depth-bounded subtree of the paper's distributed scheme.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..dataclass import dataclass
 from ..exceptions import RoutingLoopError, SchemeError
 from .rooted import RootedTree
 

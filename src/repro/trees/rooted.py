@@ -16,9 +16,9 @@ and cached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..dataclass import dataclass
 from ..exceptions import SchemeError
 
 
