@@ -635,12 +635,12 @@ class CompiledScheme(_CompiledArtifact):
         graph = scheme.graph
         forest = scheme.forest.columns
         cols: Dict[str, Sequence] = {
-            name: _np.array(getattr(forest, name))
+            name: getattr(forest, name)
             for name in ("tree_center",) + ARTIFACT_COLUMNS}
         cols["t_parent_w"] = _tree_edge_weights(
             graph, cols["slot_vertex"], cols["t_parent"])
-        cols["lbl_pivot"] = _np.array(scheme.lbl_pivot)
-        cols["lbl_slot"] = _np.array(scheme.lbl_slot)
+        cols["lbl_pivot"] = scheme.lbl_pivot
+        cols["lbl_slot"] = scheme.lbl_slot
         owners = sorted(scheme.members)
         mine = [scheme.members[owner] for owner in owners]
         sizes = [len(members) for members in mine]
@@ -648,8 +648,8 @@ class CompiledScheme(_CompiledArtifact):
                                       sizes)
         cols["ml_member"] = _np.fromiter(chain.from_iterable(mine),
                                          _np.int64, sum(sizes))
-        cols["table_words"] = _np.array(scheme.table_words)
-        cols["label_words"] = _np.array(scheme.label_words)
+        cols["table_words"] = scheme.table_words
+        cols["label_words"] = scheme.label_words
         n = graph.num_vertices
         meta = {
             "n": n,

@@ -25,8 +25,10 @@ construction rounds — is measured, not assumed.
 
 from __future__ import annotations
 
-from array import array
+from itertools import chain
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from ..congest.metrics import CostLedger
 from ..graphs.weighted_graph import WeightedGraph
@@ -38,14 +40,17 @@ from .tree_routing import ForestRoutingReport
 class RoutingScheme:
     """The assembled compact routing scheme (Theorem 5).
 
-    Assembly is arithmetic over the forest's columns: the find-tree
-    rows ``lbl_pivot`` / ``lbl_slot`` (``k`` per vertex: the pivot
-    ``ẑ_i(v)`` and ``v``'s slot in that pivot's tree, ``-1`` = absent),
+    Assembly is array arithmetic over the forest's columns: the
+    find-tree rows ``lbl_pivot`` / ``lbl_slot`` (``k`` per vertex: the
+    pivot ``ẑ_i(v)`` and ``v``'s slot in that pivot's tree, ``-1`` =
+    absent; a binary search over the sorted ``(tree, vertex)`` keys),
     the 4k-5 trick's ``members`` (level-0 center -> its members,
-    sorted; empty without the trick) and the per-vertex ``table_words``
-    / ``label_words`` — sums of the fixed-width fields a vertex's table
-    and label hold.  No per-vertex object is built; :meth:`compile`
-    flattens the scheme into the artifact that routes.
+    sorted; empty without the trick) and the per-vertex int64
+    ``table_words`` / ``label_words`` — sums of the fixed-width fields
+    a vertex's table and label hold (a gather for the labels, a
+    ``bincount`` over the slots' vertices for the tables).  No
+    per-vertex object is built; :meth:`compile` flattens the scheme
+    into the artifact that routes.
     """
 
     def __init__(self, graph: WeightedGraph, params: SchemeParams,
@@ -62,42 +67,42 @@ class RoutingScheme:
         n = graph.num_vertices
         k = params.k
         columns = forest.columns
-        tid_of = columns.tid_of
-        slot_of = columns.slot_of
-        tree_table_words = columns.slot_table_words
-        tree_label_words = columns.slot_label_words
 
-        self.lbl_pivot = array("q", [-1]) * (n * k)
-        self.lbl_slot = array("q", [-1]) * (n * k)
-        label_words = [1 + k] * n       # own name + k pivot names
-        for v in range(n):
-            for i in range(k):
-                pivot = clusters.pivot_of(v, i)
-                if pivot is None:
-                    continue
-                self.lbl_pivot[v * k + i] = pivot
-                tid = tid_of.get(pivot)
-                if tid is not None and v in slot_of[tid]:
-                    s = slot_of[tid][v]
-                    self.lbl_slot[v * k + i] = s
-                    label_words[v] += tree_label_words[s]
+        # find-tree rows: the pivot of every (v, i), and v's slot in its
+        # tree, by one binary search over the sorted (tree, vertex) keys
+        pivots = np.full((n, k), -1, dtype=np.int64)
+        for i, level in enumerate(clusters.pivots[:k]):
+            pivots[:, i] = [-1 if p is None else p for p in level.pivot]
+        self.lbl_pivot = pivots.ravel()
+        self.lbl_slot = columns.slots(
+            self.lbl_pivot, np.repeat(np.arange(n, dtype=np.int64), k))
+        held = np.append(columns.slot_label_words, 0)[self.lbl_slot]
+        # own name + k pivot names + the tree labels held
+        label_words = 1 + k + held.reshape(n, k).sum(axis=1)
 
-        table_words = [k] * n           # the k pivot names
-        for v, words in zip(columns.slot_vertex, tree_table_words):
-            table_words[v] += 1 + words           # center name + table
+        # the k pivot names, plus per tree slot its center name + table
+        table_words = k + np.bincount(
+            columns.slot_vertex, weights=1 + columns.slot_table_words,
+            minlength=n).astype(np.int64)
         self.members: Dict[int, List[int]] = {}
         if use_tz_trick:
             # level-0 centers store the labels of their members
+            centers = set(columns.tree_center.tolist())
             for center, cluster in clusters.clusters.items():
-                if cluster.level != 0 or center not in tid_of:
-                    continue
-                slots = slot_of[tid_of[center]]
-                mine = sorted(m for m in cluster.members() if m != center)
-                self.members[center] = mine
-                table_words[center] += sum(
-                    1 + tree_label_words[slots[m]] for m in mine)
-        self.table_words = array("q", table_words)
-        self.label_words = array("q", label_words)
+                if cluster.level == 0 and center in centers:
+                    self.members[center] = sorted(
+                        m for m in cluster.members() if m != center)
+            owners = np.fromiter(self.members, np.int64, len(self.members))
+            sizes = np.fromiter(map(len, self.members.values()), np.int64,
+                                len(self.members))
+            owners = np.repeat(owners, sizes)
+            mine = np.fromiter(chain.from_iterable(self.members.values()),
+                               np.int64, len(owners))
+            words = 1 + columns.slot_label_words[columns.slots(owners, mine)]
+            table_words += np.bincount(owners, weights=words,
+                                       minlength=n).astype(np.int64)
+        self.table_words = table_words
+        self.label_words = label_words
 
     # ------------------------------------------------------------------
     @property
@@ -105,16 +110,16 @@ class RoutingScheme:
         return self.ledger.total_rounds
 
     def max_table_words(self) -> int:
-        return max(self.table_words)
+        return int(self.table_words.max())
 
     def average_table_words(self) -> float:
-        return sum(self.table_words) / len(self.table_words)
+        return int(self.table_words.sum()) / len(self.table_words)
 
     def max_label_words(self) -> int:
-        return max(self.label_words)
+        return int(self.label_words.max())
 
     def average_label_words(self) -> float:
-        return sum(self.label_words) / len(self.label_words)
+        return int(self.label_words.sum()) / len(self.label_words)
 
     # ------------------------------------------------------------------
     def compile(self):

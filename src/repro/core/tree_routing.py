@@ -24,11 +24,27 @@ Routing is exact (stretch 1): tables are ``O(log n)`` words, labels
 Both are fixed-width fields, and Remark 3 builds all cluster trees in
 one staggered pass.  So the builder here is one forest-wide kernel,
 :func:`build_forest_routing`, whose output is :class:`ForestColumns`:
-the integer columns a compiled artifact stores, in its slot order, with
-every size a sum over them.  Production holds nothing else.  The
-per-vertex table and label objects live in :mod:`repro.reference`,
-built tree by tree by the per-subtree oracle
-``build_distributed_tree_routing_reference``; the tests hold the
+the int64 columns a compiled artifact stores, in its slot order, with
+every size a sum over them.  The kernel is numpy sweeps over all trees'
+slots at once, one pass per tree level — what a CONGEST round does
+everywhere at once:
+
+* top-down, every tree's BFS level in turn: the subtree root, local
+  depth and local entry time (the parent's entry + 1 + the sizes of
+  earlier siblings), and the light edges on the path from ``w``;
+* bottom-up: local subtree sizes;
+* once: heavy children (largest subtree, ties to the smallest name).
+
+``T'`` is the same sweep on the forest of splitters.  A local label is
+*hash-consed*: its id interns (parent's label id, light edge) in one
+table per label length, so equal labels, in any trees, get equal ids.
+The label pool numbers each distinct ``(label, vertex, entry)`` by its
+first occurrence in the slot-by-slot request order a flattening of the
+objects would meet.
+
+Production holds nothing else.  The per-vertex table and label objects
+live in :mod:`repro.reference`, built tree by tree by the per-subtree
+oracle ``build_distributed_tree_routing_reference``; the tests hold the
 columns to them field by field.
 """
 
@@ -36,17 +52,17 @@ from __future__ import annotations
 
 import math
 import random
-import struct
 import time
-from array import array
-from itertools import accumulate, chain, repeat
-from operator import add
+from itertools import chain
 from typing import Dict, List, Optional, Set, Tuple, Union
+
+import numpy as np
 
 from ..congest.bfs import BFSTree
 from ..congest.metrics import CostLedger, pipelined_rounds
 from ..dataclass import dataclass
-from ..trees.rooted import RootedTree, children_and_preorder, flat_core
+from ..exceptions import SchemeError
+from ..trees.rooted import RootedTree
 
 ParentMap = Dict[int, Optional[int]]     # {vertex: parent}, root ↦ None
 
@@ -74,14 +90,6 @@ def sample_splitters(num_vertices: int, probability: float,
     return {v for v in range(num_vertices) if rng.random() < probability}
 
 
-def _packed(values: List[int]) -> array:
-    """``array('q', values)``, several times faster: one C call packs
-    the whole list."""
-    out = array("q")
-    out.frombytes(struct.pack(f"{len(values)}q", *values))
-    return out
-
-
 #: The per-slot / global-edge / label-pool columns a forest shares,
 #: name for name, with ``CompiledScheme._FIELDS``.
 ARTIFACT_COLUMNS = (
@@ -96,17 +104,19 @@ ARTIFACT_COLUMNS = (
 
 
 class ForestColumns:
-    """Every tree's two-level scheme as integer columns (``array('q')``,
-    ``-1`` = absent), in the artifact's slot order.
+    """Every tree's two-level scheme as int64 numpy columns (``-1`` =
+    absent), in the artifact's slot order.
 
     Trees are numbered ``tid = 0, 1, ...`` in sorted order of their ids
-    (``tree_center``, inverted by ``tid_of``); tree ``tid`` owns slots
-    ``tree_start[tid] : tree_start[tid + 1]``, its vertices in sorted
-    order, and ``slot_of[tid]`` maps vertex to slot.  The columns named
-    in :data:`ARTIFACT_COLUMNS` are the ones ``CompiledScheme`` stores:
+    (``tree_center``); tree ``tid`` owns slots ``tree_start[tid] :
+    tree_start[tid + 1]``, its vertices in sorted order, so the key
+    ``(slot_tree, slot_vertex)`` is sorted and :meth:`slots` finds a
+    ``(tree, vertex)`` by binary search.  The columns named in
+    :data:`ARTIFACT_COLUMNS` are the ones ``CompiledScheme`` stores:
     per slot the table row (``t_*``) and the label row (``l_local``,
     ``l_ge_start : l_ge_end`` into the global-edge rows ``ge_*``), every
-    local label a row of the deduplicated pool ``lp_*``.
+    local label a row of the pool ``lp_*`` — deduplicated by value
+    across trees and numbered by first occurrence in slot order.
     ``slot_table_words`` / ``slot_label_words`` are the sizes, in words,
     of the Section-6 table and label the slot's vertex holds for that
     tree, ``tree_depth`` each tree's deepest local subtree,
@@ -117,229 +127,342 @@ class ForestColumns:
     decision names the next-hop vertex.
     """
 
-    def __init__(self) -> None:
-        self.tree_center = array("q")
-        self.tid_of: Dict[int, int] = {}
-        self.tree_start = array("q", [0])
-        self.tree_depth = array("q")
-        self.slot_of: List[Dict[int, int]] = []
-        for name in ARTIFACT_COLUMNS + ("slot_table_words",
-                                        "slot_label_words"):
-            setattr(self, name, array("q"))
-        self.splitter_words = 0
+    def __init__(self, splitter_words: int, **columns: np.ndarray) -> None:
+        self.splitter_words = splitter_words
+        self.__dict__.update(columns)
+
+    def slots(self, centers: np.ndarray, vertices: np.ndarray
+              ) -> np.ndarray:
+        """The slot of ``vertices[i]`` in the tree of ``centers[i]``;
+        ``-1`` where ``centers[i]`` has no tree or its tree does not
+        hold ``vertices[i]``."""
+        trees = len(self.tree_center)
+        if not trees or not len(centers):
+            return np.full(len(centers), -1, dtype=np.int64)
+        tid = np.minimum(np.searchsorted(self.tree_center, centers),
+                         trees - 1)
+        stride = int(self.slot_vertex.max()) + 1
+        keys = self.slot_tree * stride + self.slot_vertex
+        wanted = np.where((self.tree_center[tid] == centers)
+                          & (vertices >= 0) & (vertices < stride),
+                          tid * stride + vertices, -1)
+        found = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        return np.where(keys[found] == wanted, found, -1)
 
 
-def _forest_columns(trees: Dict[int, Tuple[int, ParentMap]],
-                    splitters: Set[int]) -> ForestColumns:
-    """The forest kernel: every ``(root, parent map)``'s two-level
-    scheme, as columns.
+@dataclass
+class _Forest:
+    """A validated forest as slots: trees by id, vertices by name."""
 
-    Every quantity lives in a list indexed by slot and is filled by one
-    sweep along ``pre`` — all trees' pre-orders laid end to end, so a
-    forward sweep meets parents first and a backward sweep children
-    first, whichever tree they are in.  Inside a tree the construction
-    is the reference's:
+    centers: np.ndarray          # tree ids, sorted
+    tree_start: np.ndarray       # tree tid owns tree_start[tid : tid + 2]
+    tree: np.ndarray             # the slot's tree (its tid)
+    vertex: np.ndarray           # the slot's vertex
+    par: np.ndarray              # the slot of its tree parent, -1: root
+    levels: List[np.ndarray]     # every tree's BFS levels, level by level
 
-    * ``U(T) = (U ∩ V(T)) ∪ {z}`` cuts ``T`` into subtrees ``T_w``.
-      The full pre-order restricted to ``T_w`` *is* ``T_w``'s own
-      pre-order (children are visited in sorted order either way), so
-      local entry times are per-subtree counters along the global
-      order and a local interval ends ``size - 1`` after it starts.
-    * The local heavy child is the largest same-subtree child, ties to
-      the smallest name (backward sweep, ``>=``: of equal children the
-      earliest is assigned last).
+
+def _levels(par: np.ndarray, roots: np.ndarray) -> List[np.ndarray]:
+    """The BFS levels of the forest ``par`` (parent index, ``-1`` for
+    none) from ``roots``: level ``d + 1`` holds the children of level
+    ``d``'s nodes, parent by parent in level order, each parent's
+    children in index order.  What hangs off no root is in no level."""
+    kids = np.flatnonzero(par >= 0)
+    kids = kids[np.argsort(par[kids], kind="stable")]
+    ptr = np.zeros(len(par) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(par[kids], minlength=len(par)), out=ptr[1:])
+    levels = [roots]
+    while True:
+        lo, hi = ptr[levels[-1]], ptr[levels[-1] + 1]
+        count = hi - lo
+        total = int(count.sum())
+        if not total:
+            return levels
+        skip = np.repeat(lo - np.cumsum(count) + count, count)
+        levels.append(kids[skip + np.arange(total)])
+
+
+def _forest_slots(trees: Dict[int, Tuple[int, ParentMap]],
+                  num_graph_vertices: int) -> _Forest:
+    """Every ``(root, parent map)`` as slots, validated: a root maps to
+    ``None``, every vertex is a name in ``[0, n)``, every parent is in
+    the tree and every vertex hangs off the root."""
+    n = num_graph_vertices
+    centers = sorted(trees)
+    maps = [trees[center] for center in centers]
+    for root, parent in maps:
+        if parent.get(root, "missing") is not None:
+            raise SchemeError(f"root {root} must map to None in parent")
+    sizes = np.array([len(parent) for _root, parent in maps],
+                     dtype=np.int64)
+    tree_start = np.zeros(len(maps) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=tree_start[1:])
+    total = int(tree_start[-1])
+    vertex = np.fromiter(chain.from_iterable(p for _r, p in maps),
+                         np.int64, total)
+    ups = chain.from_iterable(parent.values() for _root, parent in maps)
+    up = np.fromiter((-1 if p is None else p for p in ups), np.int64, total)
+    tree = np.repeat(np.arange(len(maps), dtype=np.int64), sizes)
+    outside = np.flatnonzero((vertex < 0) | (vertex >= n))
+    if len(outside):
+        bad = outside[0]
+        raise SchemeError(
+            f"vertex {int(vertex[bad])} of tree {centers[tree[bad]]} is "
+            f"not a vertex name in [0, {n})")
+    key = tree * n + vertex
+    order = np.argsort(key, kind="stable")
+    key, vertex, up = key[order], vertex[order], up[order]
+    # a parent outside [0, n) would alias a key of another tree; -1 (a
+    # second root) is left to the reachability check
+    wanted = np.where((up >= 0) & (up < n), tree * n + up, -1)
+    par = np.minimum(np.searchsorted(key, wanted), total - 1)
+    found = key[par] == wanted
+    stray = np.flatnonzero(~found & (up != -1))
+    if len(stray):
+        bad = stray[0]
+        raise SchemeError(f"vertex {int(vertex[bad])} has parent "
+                          f"{int(up[bad])} outside the tree")
+    par = np.where(found, par, -1)
+    roots = np.searchsorted(key, np.arange(len(maps)) * n
+                            + np.array([r for r, _p in maps], np.int64))
+    levels = _levels(par, roots)
+    if sum(map(len, levels)) < total:
+        seen = np.zeros(total, dtype=bool)
+        seen[np.concatenate(levels)] = True
+        tid = tree[np.argmin(seen)]
+        mine = slice(tree_start[tid], tree_start[tid + 1])
+        orphans = vertex[mine][~seen[mine]].tolist()
+        raise SchemeError(
+            f"vertices {sorted(orphans)[:5]}... unreachable from root")
+    return _Forest(np.array(centers, dtype=np.int64), tree_start, tree,
+                   vertex, par, levels)
+
+
+@dataclass
+class _Intervals:
+    """The interval scheme of every subtree of a cut forest, per node."""
+
+    root: np.ndarray             # the root of the node's subtree
+    depth: np.ndarray            # depth below it
+    entry: np.ndarray            # pre-order time in the subtree
+    extent: np.ndarray           # proper descendants in the subtree
+    heavy: np.ndarray            # the heavy child, -1 at a leaf
+    light: np.ndarray            # the last light node on the path, or -1
+    edges: np.ndarray            # light edges on the path from the root
+
+
+def _intervals(par: np.ndarray, joined: np.ndarray,
+               levels: List[np.ndarray]) -> _Intervals:
+    """The classic interval scheme of every subtree of the forest
+    ``par`` cut above each node not ``joined`` to its parent, as sweeps
+    over ``levels`` (:func:`_levels`): children visited in index order,
+    the heavy child the largest, ties to the smallest index.  A node is
+    *light* when it is joined but not its parent's heavy child."""
+    nodes = len(par)
+    size = np.ones(nodes, dtype=np.int64)
+    for level in reversed(levels[1:]):
+        mine = level[joined[level]]
+        np.add.at(size, par[mine], size[mine])
+
+    # siblings are contiguous in level order, in index order: in each
+    # sibling group the heavy child is the first largest joined one,
+    # and a node's offset is the size of its earlier joined siblings
+    order = np.concatenate(levels)
+    held = np.where(joined[order], size[order], 0)
+    group = np.ones(len(order), dtype=bool)
+    group[1:] = par[order[1:]] != par[order[:-1]]
+    starts = np.flatnonzero(group)
+    spans = np.diff(starts, append=len(order))
+    top = np.flatnonzero(
+        held == np.repeat(np.maximum.reduceat(held, starts), spans))
+    top = top[held[top] > 0]
+    first = np.ones(len(top), dtype=bool)
+    first[1:] = par[order[top[1:]]] != par[order[top[:-1]]]
+    heavy = np.full(nodes, -1, dtype=np.int64)
+    heavy[par[order[top[first]]]] = order[top[first]]
+    before = np.cumsum(held) - held
+    offset = np.empty(nodes, dtype=np.int64)
+    offset[order] = before - np.repeat(before[starts], spans)
+    del order, held, group, top, before
+
+    root = np.arange(nodes, dtype=np.int64)
+    depth = np.zeros(nodes, dtype=np.int64)
+    entry = np.zeros(nodes, dtype=np.int64)
+    light = np.full(nodes, -1, dtype=np.int64)
+    edges = np.zeros(nodes, dtype=np.int64)
+    for level in levels[1:]:
+        mine = level[joined[level]]
+        up = par[mine]
+        root[mine] = root[up]
+        depth[mine] = depth[up] + 1
+        entry[mine] = entry[up] + 1 + offset[mine]
+        inherit = heavy[up] == mine
+        light[mine] = np.where(inherit, light[up], mine)
+        edges[mine] = edges[up] + ~inherit
+    return _Intervals(root, depth, entry, size - 1, heavy, light, edges)
+
+
+def _chains(last: np.ndarray, length: np.ndarray, par: np.ndarray,
+            light: np.ndarray) -> np.ndarray:
+    """The light nodes on each path, top-down, laid end to end: path
+    ``i`` is ``length[i]`` nodes ending at ``last[i]``, and the one
+    above a light node ``c`` is ``light[par[c]]``."""
+    nodes = np.empty(int(length.sum()), dtype=np.int64)
+    live = length > 0
+    at = (np.cumsum(length) - 1)[live]
+    left = length[live]
+    at_node = last[live]
+    while len(at_node):
+        nodes[at] = at_node
+        more = left > 1
+        at, left = at[more] - 1, left[more] - 1
+        at_node = light[par[at_node[more]]]
+    return nodes
+
+
+def _label_ids(vertex: np.ndarray, par: np.ndarray, local: _Intervals,
+               n: int) -> np.ndarray:
+    """Per slot, an id of its local label's value (0: the empty label):
+    a light node's label interns (its parent's label id, the parent's
+    name, its name) in the table of its label length, and a heavy
+    child's label is its parent's, so equal labels get equal ids."""
+    ids = np.zeros(len(vertex), dtype=np.int64)
+    lights = np.flatnonzero(local.light == np.arange(len(vertex)))
+    length = local.edges[lights]
+    interned = 0
+    for edges in range(1, int(length.max(initial=0)) + 1):
+        mine = lights[length == edges]
+        up = par[mine]
+        above = local.light[up]
+        key = np.where(above >= 0, ids[above], 0) * n + vertex[up]
+        key = np.unique(key, return_inverse=True)[1]
+        distinct, key = np.unique(key * n + vertex[mine],
+                                  return_inverse=True)
+        ids[mine] = interned + 1 + key
+        interned += len(distinct)
+    return np.where(local.light >= 0, ids[local.light], 0)
+
+
+def _forest_columns(forest: _Forest, splitters: Set[int]) -> ForestColumns:
+    """The forest kernel: every tree's two-level scheme, as columns.
+
+    Inside a tree the construction is the reference's, as array sweeps
+    over every tree's slots at once (:func:`_intervals`):
+
+    * ``U(T) = (U ∩ V(T)) ∪ {z}`` cuts ``T`` into subtrees ``T_w``;
+      each gets the interval scheme in pre-order with children by name,
+      the heavy child the largest, ties to the smallest name.
     * A local label is the light edges on the path from the subtree
-      root; it extends its parent's by at most one edge.
-    * The virtual tree ``T'`` on the splitters (children sorted by
-      name, heavy child likewise) is small; it goes through
-      :func:`~repro.trees.rooted.flat_core` — and is skipped for a tree
-      whose only splitter is its root.
+      root (:func:`_label_ids` numbers them by value).
+    * The virtual tree ``T'`` on each tree's splitters is the same
+      sweep on the forest whose nodes are the subtree roots, each the
+      child of the subtree holding its real parent; its light edges
+      from the tree root are a label's global-edge rows.
 
-    Labels enter the pool by value across trees, in the order a slot
-    by slot flattening of the objects would first meet them: a slot's
-    heavy-portal label, its local label, then — on the first slot of
-    each subtree — the portal labels of the subtree's global edges.
+    The pool holds each distinct ``(label, vertex, entry)`` once, rows
+    numbered by first occurrence in the order a slot by slot flattening
+    of the objects would request them: a slot's heavy-portal label, its
+    local label, then — on the first slot of each subtree — the portal
+    labels of the subtree's global edges.
     """
-    cols = ForestColumns()
-    cols.tree_center.extend(sorted(trees))
-    cols.tid_of.update(zip(cols.tree_center, range(len(trees))))
-    tree_start = cols.tree_start
-
-    # --- slots (trees by id, vertices by name) and the pre-order
-    vertex: List[int] = []       # the slot's vertex
-    par: List[int] = []          # the slot of its tree parent, -1: root
-    pre: List[int] = []          # every tree's pre-order, end to end
-    for tid, center in enumerate(cols.tree_center):
-        root, parent = trees[center]
-        _children, order = children_and_preorder(root, parent)
-        mine = sorted(order)
-        slot = dict(zip(mine, range(len(vertex), len(vertex) + len(mine))))
-        cols.slot_of.append(slot)
-        pre.extend(map(slot.__getitem__, order))
-        par.extend(map(slot.get, map(parent.__getitem__, mine),
-                       repeat(-1)))
-        vertex.extend(mine)
-        tree_start.append(len(vertex))
-        cols.slot_tree.extend([tid] * len(mine))
+    vertex, par = forest.vertex, forest.par
     total = len(vertex)
+    n = int(vertex.max(initial=-1)) + 1
+    named = np.append(vertex, -1)        # so that slot -1 (absent) reads -1
+    cut = (par < 0) | np.isin(vertex, list(splitters))
+    local = _intervals(par, ~cut, forest.levels)
+    labels = _label_ids(vertex, par, local, n)
 
-    # --- forward: subtree root, local parent / depth / entry time
-    root_of = [0] * total        # the slot of the subtree root w
-    lpar = [-1] * total          # the parent's slot if inside T_w
-    depth = [0] * total
-    entry = [0] * total
-    count = [0] * total          # at a subtree root: vertices so far
-    roots: List[int] = []        # subtree roots, tree by tree
-    for s in pre:
-        p = par[s]
-        if p < 0 or vertex[s] in splitters:
-            w = s
-            roots.append(s)
-        else:
-            w = root_of[p]
-            lpar[s] = p
-            depth[s] = depth[p] + 1
-        root_of[s] = w
-        seen = count[w]
-        entry[s] = seen
-        count[w] = seen + 1
+    # --- T': node j is the subtree rooted at slot roots[j]
+    roots = np.flatnonzero(cut)
+    subtree = np.searchsorted(roots, local.root)      # per slot
+    above = np.where(par[roots] >= 0,
+                     np.searchsorted(roots, local.root[par[roots]]), -1)
+    virtual = _intervals(above, above >= 0,
+                         _levels(above, np.flatnonzero(above < 0)))
+    heavy_split = np.where(virtual.heavy >= 0, roots[virtual.heavy], -1)
+    heavy_portal = np.where(heavy_split >= 0, par[heavy_split], -1)
+    has_heavy = heavy_split >= 0
+    across = virtual.edges               # global edges of the subtree
 
-    # --- backward: local subtree extent (proper descendants inside
-    # T_w) and heavy child
-    extent = [0] * total
-    heavy = [-1] * total
-    for s in reversed(pre):
-        p = lpar[s]
-        if p >= 0:
-            mine = extent[s]
-            extent[p] += mine + 1
-            h = heavy[p]
-            if h < 0 or mine >= extent[h]:
-                heavy[p] = s
+    # --- global edges: subtree by subtree in order of first slot, each
+    # subtree's light T' edges top-down
+    first = np.full(len(roots), total, dtype=np.int64)
+    np.minimum.at(first, subtree, np.arange(total))
+    by_first = np.argsort(first)
+    ge_start = np.empty(len(roots), dtype=np.int64)
+    ge_start[by_first] = np.cumsum(across[by_first]) - across[by_first]
+    ge_child = roots[_chains(virtual.light[by_first], across[by_first],
+                             above, virtual.light)]
+    ge_port = par[ge_child]
 
-    # --- forward: local labels as flat (w, child, w, child, ...) tuples
-    edges: List[Tuple[int, ...]] = [()] * total
-    for s in pre:
-        p = lpar[s]
-        if p >= 0:
-            edges[s] = edges[p] if heavy[p] == s \
-                else edges[p] + (vertex[p], vertex[s])
+    # --- the pool: one row per distinct (label, vertex, entry), numbered
+    # by first request.  Slot s requests its own label at s·m + 1; the
+    # first slot f of a subtree requests its heavy portal's label at
+    # f·m and its j-th global edge's portal's at f·m + 2 + j.
+    key = np.unique(labels * n + vertex, return_inverse=True)[1]
+    key = np.unique(key * n + local.entry, return_inverse=True)[1]
+    m = int(across.max(initial=0)) + 2
+    seen = np.full(int(key.max(initial=-1)) + 1, total * m)
+    np.minimum.at(seen, key, np.arange(total) * m + 1)
+    np.minimum.at(seen, key[heavy_portal[has_heavy]], first[has_heavy] * m)
+    owner = np.repeat(by_first, across[by_first])
+    np.minimum.at(seen, key[ge_port], first[owner] * m + 2
+                  + np.arange(len(ge_port)) - ge_start[owner])
+    row = np.empty(len(seen), dtype=np.int64)
+    row[np.argsort(seen)] = np.arange(len(seen))
+    row = row[key]                       # per slot: its label's pool row
+    pooled = np.empty(len(seen), dtype=np.int64)
+    pooled[row] = np.arange(total)       # a slot holding each row's label
+    del labels, key, seen, owner
+    pool_edges = local.edges[pooled]
+    pool_child = _chains(local.light[pooled], pool_edges, par, local.light)
 
-    # --- T' of every tree that has a splitter besides its root.  At a
-    # subtree root: its T' interval, its heavy T' child (a slot), and
-    # the chain of light T' edges from the tree root, each named by the
-    # slot of its child splitter.
-    g_entry = [0] * total
-    g_exit = [0] * total
-    g_heavy = [-1] * total
-    light: Dict[int, Tuple[int, ...]] = {}
-    at = 0
-    for tid in range(len(cols.tree_center)):
-        end = at + 1             # roots[at] is the tree's own root
-        while end < len(roots) and roots[end] < tree_start[tid + 1]:
-            end += 1
-        if end - at > 1:
-            mine = roots[at:end]
-            vparent: Dict[int, Optional[int]] = {
-                vertex[w]: vertex[root_of[par[w]]] for w in mine[1:]}
-            vparent[vertex[mine[0]]] = None
-            _children, vorder = children_and_preorder(vertex[mine[0]],
-                                                      vparent)
-            core = flat_core(vorder, vparent)
-            vslot = [cols.slot_of[tid][name] for name in vorder]
-            for j, w in enumerate(vslot):
-                g_entry[w] = j
-                g_exit[w] = core.exit[j]
-                if core.heavy[j] >= 0:
-                    g_heavy[w] = vslot[core.heavy[j]]
-            light[vslot[0]] = ()
-            for j in range(1, len(vslot)):
-                w, up = vslot[j], vslot[core.parent[j]]
-                light[w] = light[up] if g_heavy[up] == w \
-                    else light[up] + (w,)
-        at = end
-
-    # --- slot order: intern the labels, lay down the global-edge rows,
-    # and on the first slot of each subtree pack the fields its slots
-    # share into one record
-    keys = list(zip(vertex, entry, edges))
-    pool: Dict[Tuple[int, int, Tuple[int, ...]], int] = {}
-    pooled: List[int] = []       # the slot whose label is pool row i
-
-    def pool_row(s: int) -> int:
-        row = pool.setdefault(keys[s], len(pooled))
-        if row == len(pooled):
-            pooled.append(s)
-        return row
-
-    def label_words(s: int) -> int:      # TreeLabel.words
-        return 2 + 3 * len(edges[s]) // 2
-
-    shared = struct.Struct("10q")
-    l_local = [0] * total
-    at_root: List[Optional[bytes]] = [None] * total
-    ge_rows: List[Tuple[int, int, int, int]] = []
-    for s, w in enumerate(root_of):
-        first = at_root[w] is None
-        if first:
-            # DistTreeTable.words: names/ports + local table + intervals
-            table_words = 2 + 6 + 3
-            h = g_heavy[w]
-            if h < 0:
-                heavy_portal = (-1, -1, -1)
-            else:
-                y = par[h]
-                heavy_portal = (vertex[h], vertex[y], pool_row(y))
-                table_words += 3 + label_words(y)
-        l_local[s] = pool_row(s)
-        if first:
-            start = len(ge_rows)
-            ge_words = 0
-            for c in light.get(w, ()):
-                x = par[c]
-                ge_rows.append((vertex[root_of[x]], vertex[c], vertex[x],
-                                pool_row(x)))
-                ge_words += 4 + label_words(x)       # GlobalEdgeEntry
-            at_root[w] = shared.pack(
-                vertex[w], g_entry[w], g_exit[w], *heavy_portal,
-                start, len(ge_rows), table_words, ge_words)
-            # the splitter's own table and label (its local one is empty)
-            cols.splitter_words += table_words + 2 + 2 + ge_words
-    if ge_rows:
-        cols.ge_psplit, cols.ge_csplit, cols.ge_portal, cols.ge_plab = \
-            map(_packed, zip(*ge_rows))
-    pool_edges = [edges[s] for s in pooled]
-    flat_edges = list(chain.from_iterable(pool_edges))
-    cols.lp_entry = _packed([entry[s] for s in pooled])
-    cols.lp_start = _packed([
-        at // 2 for at in accumulate(map(len, pool_edges), initial=0)])
-    cols.lp_w = _packed(flat_edges[0::2])
-    cols.lp_child = _packed(flat_edges[1::2])
-
-    # --- the rest of the columns: every slot's copy of its subtree's
-    # record, de-interleaved by stride; then the per-slot lists
-    records = array("q")
-    records.frombytes(b"".join([at_root[w] for w in root_of]))
-    (cols.t_splitter, cols.t_gentry, cols.t_gexit,
-     cols.t_hsplit, cols.t_hportal, cols.t_hlab,
-     cols.l_ge_start, cols.l_ge_end, cols.slot_table_words,
-     slot_ge_words) = (records[field::10] for field in range(10))
-    name = vertex + [-1]         # so that slot -1 (absent) reads -1
-    cols.slot_vertex = _packed(vertex)
-    cols.t_parent = _packed([name[p] for p in par])
-    cols.t_loc_entry = _packed(entry)
-    cols.t_loc_exit = _packed(list(map(add, entry, extent)))
-    cols.t_loc_parent = _packed([name[p] for p in lpar])
-    cols.t_loc_heavy = _packed([name[h] for h in heavy])
-    cols.l_local = _packed(l_local)
-    # DistTreeLabel.words: vertex + global entry + local + global edges
-    cols.slot_label_words = _packed([
-        2 + 2 + 3 * len(mine) // 2 + across
-        for mine, across in zip(edges, slot_ge_words)])
-    cols.tree_depth.extend(
-        max(depth[tree_start[tid]:tree_start[tid + 1]])
-        for tid in range(len(cols.tree_center)))
-    return cols
+    # --- word counts (the reference objects' ``.words``)
+    label_words = 2 + 3 * local.edges                 # TreeLabel.words
+    # DistTreeTable.words: names/ports + local table + intervals (+ the
+    # heavy portal and its label)
+    table_words = 2 + 6 + 3 + np.where(
+        has_heavy, 3 + label_words[heavy_portal], 0)
+    # GlobalEdgeEntry.words, summed over each subtree's global edges
+    ge_words = np.append(0, np.cumsum(4 + label_words[ge_port]))
+    ge_words = ge_words[ge_start + across] - ge_words[ge_start]
+    tree_start = forest.tree_start
+    return ForestColumns(
+        # the splitters' own tables and labels (local labels empty)
+        splitter_words=int(table_words.sum() + ge_words.sum())
+        + 4 * len(roots),
+        tree_center=forest.centers, tree_start=tree_start,
+        tree_depth=np.maximum.reduceat(local.depth, tree_start[:-1]),
+        slot_vertex=vertex,
+        slot_tree=forest.tree,
+        t_parent=named[par],
+        t_loc_entry=local.entry,
+        t_loc_exit=local.entry + local.extent,
+        t_loc_parent=np.where(cut, -1, named[par]),
+        t_loc_heavy=named[local.heavy],
+        t_splitter=vertex[local.root],
+        t_gentry=virtual.entry[subtree],
+        t_gexit=(virtual.entry + virtual.extent)[subtree],
+        t_hsplit=named[heavy_split][subtree],
+        t_hportal=named[heavy_portal][subtree],
+        t_hlab=np.append(row, -1)[heavy_portal][subtree],
+        l_local=row,
+        l_ge_start=ge_start[subtree],
+        l_ge_end=(ge_start + across)[subtree],
+        ge_psplit=vertex[local.root[ge_port]],
+        ge_csplit=vertex[ge_child],
+        ge_portal=vertex[ge_port],
+        ge_plab=row[ge_port],
+        lp_entry=local.entry[pooled],
+        lp_start=np.append(0, np.cumsum(pool_edges)),
+        lp_w=vertex[par[pool_child]],
+        lp_child=vertex[pool_child],
+        slot_table_words=table_words[subtree],
+        # DistTreeLabel.words: vertex + global entry + local + global
+        # edges
+        slot_label_words=2 + label_words + ge_words[subtree],
+    )
 
 
 @dataclass
@@ -354,16 +477,14 @@ class ForestRoutingReport:
     max_overlap: int
 
 
-def _shared_sample(trees: Dict[int, Tuple[int, ParentMap]],
-                   num_graph_vertices: int, rng: random.Random,
+def _shared_sample(vertices: np.ndarray, num_graph_vertices: int,
+                   rng: random.Random,
                    gamma: Optional[float]) -> Tuple[Set[int], int]:
     """The global splitter sample ``U`` (Remark 3: ``γ = sqrt(n/s)``)
-    and the measured overlap ``s`` (most trees at one vertex)."""
-    overlap = [0] * num_graph_vertices
-    for _root, parent in trees.values():
-        for v in parent:
-            overlap[v] += 1
-    s = max(max(overlap, default=1), 1)
+    and the measured overlap ``s`` (most trees at one vertex), from
+    every tree's vertices laid end to end."""
+    s = int(np.bincount(vertices, minlength=num_graph_vertices)
+            .max(initial=1))
     n = max(num_graph_vertices, 2)
     if gamma is None:
         gamma = max(1.0, math.sqrt(n / s))
@@ -416,15 +537,18 @@ def build_forest_routing(trees: Dict[int, TreeInput],
 
     Each tree is a :class:`RootedTree`, or the bare ``{vertex:
     parent}`` map of a tree rooted at its own id — what a cluster
-    system holds, so a construction never builds tree objects.  The
-    result is :class:`ForestColumns` and the Remark-3 charge.
+    system holds, so a construction never builds tree objects.  Every
+    vertex must be a name in ``[0, num_graph_vertices)``; a malformed
+    tree is a :class:`SchemeError` naming the vertex.  The result is
+    :class:`ForestColumns` and the Remark-3 charge.
     """
-    rooted = _rooted_maps(trees)
-    splitters, s = _shared_sample(rooted, num_graph_vertices, rng, gamma)
     started = time.perf_counter()
-    columns = _forest_columns(rooted, splitters)
+    forest = _forest_slots(_rooted_maps(trees), num_graph_vertices)
+    splitters, s = _shared_sample(forest.vertex, num_graph_vertices, rng,
+                                  gamma)
+    columns = _forest_columns(forest, splitters)
     built_seconds = time.perf_counter() - started
-    max_depth = max(columns.tree_depth, default=0)
+    max_depth = int(columns.tree_depth.max(initial=0))
     ledger = _remark3_ledger(num_graph_vertices, s, max_depth,
                              columns.splitter_words, built_seconds,
                              bfs_tree, capacity_words)

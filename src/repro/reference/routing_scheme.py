@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..congest.network import Network
 from ..core.compiled import CompiledRoute
 from ..dataclass import dataclass
@@ -85,11 +87,11 @@ class ReferenceRouter:
         self.graph = graph
         self.trees: Dict[int, DistributedTreeRouting] = {}
         for center, cluster in sorted(clusters.clusters.items()):
-            tid = columns.tid_of[center]
+            tid = int(np.searchsorted(columns.tree_center, center))
             rows = slice(columns.tree_start[tid],
                          columns.tree_start[tid + 1])
             self.trees[center] = build_distributed_tree_routing_reference(
-                cluster.tree(), set(columns.t_splitter[rows]),
+                cluster.tree(), set(columns.t_splitter[rows].tolist()),
                 port_of=port_of)
 
         n = graph.num_vertices

@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import chain
 from typing import Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from ..congest.bfs import BFSTree
 from ..congest.metrics import CostLedger
-from ..core.tree_routing import _remark3_ledger, _rooted_maps, _shared_sample
+from ..core.tree_routing import _remark3_ledger, _shared_sample
 from ..dataclass import dataclass
 from ..exceptions import RoutingLoopError, SchemeError
 from ..trees.interval_routing import (
@@ -325,8 +328,10 @@ def build_forest_routing_reference(trees: Dict[int, RootedTree],
     charges summed off its objects — what the differential harness
     compares the columns and their arithmetic against.
     """
-    splitters, s = _shared_sample(_rooted_maps(trees), num_graph_vertices,
-                                  rng, gamma)
+    vertices = np.fromiter(
+        chain.from_iterable(tree.vertices() for tree in trees.values()),
+        np.int64)
+    splitters, s = _shared_sample(vertices, num_graph_vertices, rng, gamma)
     started = time.perf_counter()
     schemes = {
         tree_id: build_distributed_tree_routing_reference(

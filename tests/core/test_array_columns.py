@@ -1,8 +1,9 @@
 """Artifact columns are numpy arrays from compile to serve.
 
-Every way an artifact comes into being — construction, file load,
-buffer attach, registry load — leaves each column a numpy array and
-builds no list.  Only the per-pair loops (the dense parent walk, the
+The forest kernel and the scheme's assembly emit int64 arrays, and
+construction takes them as they are.  Every way an artifact comes into
+being — construction, file load, buffer attach, registry load — leaves
+each column a numpy array and builds no list.  Only the per-pair loops (the dense parent walk, the
 flat replay, ``estimate_many``) read lists, and they build them on
 their first call; a vectorised dense batch leaves them unbuilt.
 
@@ -24,6 +25,7 @@ from repro.core.compiled import (
     load_artifact,
 )
 from repro.core.dense import _VECTOR_MIN_PAIRS
+from repro.core.tree_routing import ARTIFACT_COLUMNS
 from repro.dynamic.registry import ArtifactRegistry
 from repro.exceptions import ArtifactError, SchemeError
 from repro.graphs import WeightedGraph, grid, random_connected
@@ -74,6 +76,25 @@ def test_construction_builds_no_list(built):
     assert_no_lists(plane)
     assert_no_lists(flat)           # the dense compile read arrays only
     assert_no_lists(built.build_estimation().compile())
+
+
+def test_the_forest_is_int64_arrays_the_artifact_takes_as_they_are(built):
+    """From the forest kernel through assembly to the flat artifact,
+    every column is one int64 array, never copied on the way."""
+    scheme = built.build().scheme
+    forest = scheme.forest.columns
+    columns = {name: getattr(forest, name) for name in (
+        "tree_center", "tree_start", "tree_depth", "slot_table_words",
+        "slot_label_words") + ARTIFACT_COLUMNS}
+    columns.update((name, getattr(scheme, name)) for name in (
+        "lbl_pivot", "lbl_slot", "table_words", "label_words"))
+    for name, column in columns.items():
+        assert isinstance(column, np.ndarray), name
+        assert column.dtype == np.int64, name
+    flat = scheme.compile()
+    for name, column in columns.items():
+        if hasattr(flat, "_" + name):
+            assert getattr(flat, "_" + name) is column, name
 
 
 @pytest.mark.parametrize("kind", ["flat", "dense", "estimation"])

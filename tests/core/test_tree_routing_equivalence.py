@@ -1,15 +1,17 @@
 """Differential harness: the forest kernel's columns vs the oracle.
 
-:func:`build_forest_routing` (sweeps over all trees' pre-orders laid
-end to end, emitting integer columns) must reproduce
+:func:`build_forest_routing` (numpy sweeps over all trees' BFS levels
+at once, emitting int64 columns) must reproduce
 :func:`~repro.reference.build_distributed_tree_routing_reference`
 (per-splitter subtree materialization, per-splitter root-path walks)
 *bit for bit*: every slot's table and label row against the oracle's
 objects field by field, every word count — the arithmetic ones too —
 the splitter set, the measured subtree depth and every ledger charge,
-across random trees, chains, degenerate splitter sets, dense splitter
-samples and the forests an actual cluster build produces.  Ports are
-not compared: no column holds one.
+across random trees, chains, stars, sparse names, degenerate splitter
+sets, dense splitter samples and the forests an actual cluster build
+produces.  The pool holds each (vertex, entry, light edges) value once,
+and a parent map that is no tree over ``[0, n)`` is rejected.  Ports
+are not compared: no column holds one.
 """
 
 import random
@@ -19,9 +21,12 @@ import pytest
 from repro.core import build_approx_clusters
 from repro.core.tree_routing import (
     _forest_columns,
+    _forest_slots,
+    _rooted_maps,
     build_forest_routing,
     sample_splitters,
 )
+from repro.exceptions import SchemeError
 from repro.reference import (
     build_distributed_tree_routing_reference,
     build_forest_routing_reference,
@@ -42,9 +47,16 @@ def chain_tree(n):
     return RootedTree(0, {i: (i - 1 if i else None) for i in range(n)})
 
 
+def forest_columns(trees, splitters):
+    """The forest kernel on ``{tree id: RootedTree}`` with a given
+    sample."""
+    n = 1 + max(max(tree.vertices()) for tree in trees.values())
+    return _forest_columns(_forest_slots(_rooted_maps(trees), n), splitters)
+
+
 def one_tree_columns(tree, splitters):
     """The forest kernel on a one-tree forest with a given sample."""
-    return _forest_columns({0: (tree.root, tree.parent_map())}, splitters)
+    return forest_columns({0: tree}, splitters)
 
 
 def _name(x):
@@ -67,11 +79,12 @@ def _tree_label(label):
 def assert_columns_match(cols, tid, ref):
     """Tree ``tid`` of ``cols`` equals the oracle's objects, slot by
     slot and field by field."""
-    rows = slice(cols.tree_start[tid], cols.tree_start[tid + 1])
+    rows = range(cols.tree_start[tid], cols.tree_start[tid + 1])
     assert sorted(set(cols.t_splitter[rows])) == ref.splitters
     assert cols.tree_depth[tid] == ref.max_subtree_depth
-    assert sorted(cols.slot_of[tid]) == sorted(ref.tables)
-    for v, s in cols.slot_of[tid].items():
+    assert list(cols.slot_vertex[rows]) == sorted(ref.tables)
+    for s in rows:
+        v = cols.slot_vertex[s]
         table, label = ref.tables[v], ref.labels[v]
         assert cols.slot_vertex[s] == v and cols.slot_tree[s] == tid
         assert (cols.t_parent[s], cols.t_loc_entry[s], cols.t_loc_exit[s],
@@ -110,7 +123,6 @@ def assert_forests_match(fast, ref):
     cols = fast.columns
     assert list(cols.tree_center) == sorted(ref.schemes)
     for tid, center in enumerate(cols.tree_center):
-        assert cols.tid_of[center] == tid
         assert_columns_match(cols, tid, ref.schemes[center])
 
 
@@ -206,3 +218,110 @@ class TestForestEquivalence:
         assert fast.rounds == ref.rounds
         assert fast.max_subtree_depth == ref.max_subtree_depth == 0
         assert fast.max_overlap == ref.max_overlap == 1
+
+
+def star_tree(leaves, root=0):
+    return RootedTree(root, {root: None, **{root + 1 + i: root
+                                            for i in range(leaves)}})
+
+
+def pool_keys(cols):
+    """Pool row -> every ``(vertex, entry, edges)`` a column points it
+    at: a slot's own label, its heavy portal's, its global edges'."""
+    keys = {}
+    for s, row in enumerate(cols.l_local):
+        keys.setdefault(row, set()).add(
+            (cols.slot_vertex[s],) + _pooled(cols, row))
+    for s, row in enumerate(cols.t_hlab):
+        if row >= 0:
+            keys[row].add((cols.t_hportal[s],) + _pooled(cols, row))
+    for j, row in enumerate(cols.ge_plab):
+        keys[row].add((cols.ge_portal[j],) + _pooled(cols, row))
+    return keys
+
+
+class TestLevelSweepShapes:
+    """Shapes that stress the level sweeps: one level per vertex, one
+    level holding every vertex, names far apart, no and all splitters,
+    and labels equal across trees."""
+
+    @pytest.mark.parametrize("splitters", [set(), {150}, set(range(300))])
+    def test_long_chain(self, splitters):
+        tree = chain_tree(300)
+        ref = build_distributed_tree_routing_reference(tree, splitters)
+        assert_columns_match(one_tree_columns(tree, splitters), 0, ref)
+
+    @pytest.mark.parametrize("splitters", [set(), {3, 250}])
+    def test_wide_star(self, splitters):
+        """500 leaves: every sibling offset comes from one group, and
+        every leaf ties for heavy."""
+        tree = star_tree(500)
+        ref = build_distributed_tree_routing_reference(tree, splitters)
+        cols = one_tree_columns(tree, splitters)
+        assert_columns_match(cols, 0, ref)
+        assert cols.t_loc_heavy[0] == 1
+
+    @pytest.mark.parametrize("gamma", [0.0, None, 1000.0])
+    def test_sparse_names(self, gamma):
+        """Names spread over [0, n) up to n - 1; ``gamma`` 0 and n are
+        splitter probability 0 and 1."""
+        n = 1000
+        rng = random.Random(3)
+        trees = {}
+        for root in (0, 499, n - 1):
+            names = [root] + rng.sample(
+                [v for v in range(7, n - 1, 7) if v != root], 60)
+            names.append(n - 1 if root != n - 1 else 0)
+            parent = {root: None}
+            for idx in range(1, len(names)):
+                parent[names[idx]] = names[rng.randrange(idx)]
+            trees[root] = parent
+        ref = build_forest_routing_reference(
+            {c: RootedTree(c, p) for c, p in trees.items()}, n,
+            random.Random(4), gamma=gamma)
+        fast = build_forest_routing(trees, n, random.Random(4),
+                                    gamma=gamma)
+        assert_forests_match(fast, ref)
+        assert fast.splitter_count == {0.0: 0, 1000.0: n}.get(
+            gamma, fast.splitter_count)
+
+    @pytest.mark.parametrize("splitters", [set(), {5, 9}])
+    def test_equal_labels_share_one_pool_row(self, splitters):
+        """Two trees give each vertex the same local entry and light
+        edges: both point at one pool row, and no two rows hold the same
+        (vertex, entry, edges)."""
+        tree = random_tree(40, 8)
+        other = RootedTree(tree.root, dict(tree.parent_map()))
+        third = random_tree(30, 9, root=2)
+        cols = forest_columns({0: tree, 1: other, 2: third}, splitters)
+        for tid, ref in ((0, tree), (1, other), (2, third)):
+            assert_columns_match(
+                cols, tid,
+                build_distributed_tree_routing_reference(ref, splitters))
+        first, second = (range(cols.tree_start[t], cols.tree_start[t + 1])
+                         for t in (0, 1))
+        assert list(cols.l_local[first]) == list(cols.l_local[second])
+        keys = pool_keys(cols)
+        assert sorted(keys) == list(range(len(cols.lp_entry)))
+        assert all(len(held) == 1 for held in keys.values())
+        assert len({held.pop() for held in keys.values()}) == len(keys)
+
+
+class TestMalformedForest:
+    """Bare parent maps that are no forest over [0, n): a
+    :class:`SchemeError` naming the vertex, never a corrupt column."""
+
+    @pytest.mark.parametrize("trees, match", [
+        ({0: {0: None, 1: 0, -1: 1}}, "vertex -1 "),
+        ({0: {0: None, 4: 0}}, "vertex 4 "),
+        ({0: {0: 1, 1: None}}, "root 0 must map to None"),
+        ({0: {0: None, 1: 3}}, "vertex 1 has parent 3 outside the tree"),
+        ({0: {0: None, 2: 0, 3: 5}, 1: {1: None}},
+         "vertex 3 has parent 5 outside the tree"),
+        ({0: {0: None, 1: 2, 2: 1}}, r"vertices \[1, 2\]\.\.\. unreachable"),
+        ({0: {0: None}, 1: {1: None, 2: None, 3: 2}},
+         r"vertices \[2, 3\]\.\.\. unreachable"),
+    ])
+    def test_rejected(self, trees, match):
+        with pytest.raises(SchemeError, match=match):
+            build_forest_routing(trees, 4, random.Random(1))
