@@ -12,6 +12,7 @@ import random
 from dataclasses import field
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from ..core.scheme_builder import sample_pairs
 from ..dataclass import dataclass
 from ..graphs.shortest_paths import dijkstra_distances
 from ..graphs.weighted_graph import WeightedGraph
@@ -59,21 +60,13 @@ def _report(stretches: List[Tuple[float, Tuple[int, int]]]
 
 def pairs_to_evaluate(num_vertices: int, sample: Optional[int],
                       seed: int = 0) -> List[Tuple[int, int]]:
-    """All ordered pairs, or a seeded sample of ``sample`` of them;
-    none when there are fewer than two vertices."""
-    if num_vertices < 2:
-        return []
+    """All ordered pairs of distinct vertices, or a seeded sample of
+    ``min(sample, n(n-1))`` distinct ones; none when there are fewer than
+    two vertices."""
     if sample is None:
         return [(u, v) for u in range(num_vertices)
                 for v in range(num_vertices) if u != v]
-    rng = random.Random(seed)
-    pairs = []
-    while len(pairs) < sample:
-        u = rng.randrange(num_vertices)
-        v = rng.randrange(num_vertices)
-        if u != v:
-            pairs.append((u, v))
-    return pairs
+    return sample_pairs(num_vertices, sample, random.Random(seed))
 
 
 def evaluate_routing(graph: WeightedGraph, scheme,

@@ -48,9 +48,6 @@ class TZOracle:
         self.params = params
         self.sketches = sketches
 
-    def sketch_of(self, v: int) -> OracleSketch:
-        return self.sketches[v]
-
     def max_sketch_words(self) -> int:
         return max(s.words for s in self.sketches.values())
 

@@ -74,22 +74,19 @@ class JoinRule:
     middle scale against the exact ``(k+1)/2``-pivot distance, rules
     (14)/(15) against scaled pivot budgets on the virtual graphs — so
     instead of an opaque closure, callers hand the exploration the
-    *description*: a ``threshold`` array indexed by vertex (``INF``
-    entries always accept) and a ``strict`` flag (``d < threshold[v]``
-    when set, ``d <= threshold[v]`` otherwise; every paper rule is
-    strict).  The kernel evaluates the rule as one masked vector
+    *description*: a ``threshold`` array indexed by vertex, accepting
+    ``d < threshold[v]`` (every paper rule is strict; ``INF`` entries
+    always accept).  The kernel evaluates the rule as one masked vector
     compare fused into the scatter-min relaxation.  A rule is by
     construction a pure, distance-antitone predicate, so
     :meth:`accepts` is a valid callback for the dict-based oracles.
     """
 
     threshold: Sequence[float]
-    strict: bool = True
 
     def accepts(self, v: int, s: int, d: float) -> bool:
         """Scalar evaluation (the semantics the arrays implement)."""
-        budget = self.threshold[v]
-        return d < budget if self.strict else d <= budget
+        return d < self.threshold[v]
 
 
 #: Words per (source, distance) estimate on the wire.
@@ -262,7 +259,7 @@ def multi_source_exploration(graph: WeightedGraph,
     for lo in range(0, source_rows.size, block):
         rows = source_rows[lo:lo + block]
         cols_i, rows_i, values, pars, fronts = _explore_block(
-            view, weights, rows, iterations, thr, rule.strict, sampled)
+            view, weights, rows, iterations, thr, sampled)
         for i, front in enumerate(fronts):
             if i == len(relayed):
                 relayed.append([])
@@ -290,8 +287,7 @@ def multi_source_exploration(graph: WeightedGraph,
                              max_estimates_per_node=max_live)
 
 
-def _explore_block(view, weights, rows, iterations: int, thr,
-                   strict: bool, sampled):
+def _explore_block(view, weights, rows, iterations: int, thr, sampled):
     """Advance the explorations rooted at ``rows`` (ascending,
     distinct): every live ``(row, vertex)`` estimate moves in one flat
     scatter-min per hop, the join fused in as a masked vector compare.
@@ -350,7 +346,7 @@ def _explore_block(view, weights, rows, iterations: int, thr,
         sampled[c_t] = True
         c_r = fr_r.repeat(counts)
         c_d = fr_d.repeat(counts) + weights[eidx]
-        keep = (c_d < thr[c_t]) if strict else (c_d <= thr[c_t])
+        keep = c_d < thr[c_t]
         keep &= c_d < dist[c_r, c_t]
         keep = _np.nonzero(keep)[0]
         if keep.size == 0:
@@ -419,7 +415,6 @@ def virtual_multi_source_exploration(virtual: VirtualGraph,
     accounting dominates, so there is no vectorized variant.
     """
     thr = rule.threshold
-    strict = rule.strict
     dist: Dict[int, Dict[int, float]] = {v: {} for v in virtual.vertices()}
     parent: Dict[int, Dict[int, Optional[int]]] = {
         v: {} for v in virtual.vertices()}
@@ -456,7 +451,7 @@ def virtual_multi_source_exploration(virtual: VirtualGraph,
             tv = thr[v]
             for s, (nd, via) in bucket.items():
                 current = dist[v].get(s, INF)
-                if nd < current and (nd < tv if strict else nd <= tv):
+                if nd < current and nd < tv:
                     dist[v][s] = nd
                     parent[v][s] = via
                     changed.append(s)

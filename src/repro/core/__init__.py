@@ -24,17 +24,12 @@ from .tree_routing import (
     sample_splitters,
 )
 from .routing_scheme import RoutingScheme
-from .distance_estimation import (
-    DistanceEstimation,
-    QueryResult,
-    Sketch,
-    estimation_from_clusters,
-    sketches_from_clusters,
-)
+from .distance_estimation import DistanceEstimation, estimation_from_clusters
 from .compiled import (
     CompiledEstimation,
     CompiledRoute,
     CompiledScheme,
+    QueryResult,
     load_artifact,
 )
 from .dense import DenseRoutingPlane
@@ -68,9 +63,7 @@ __all__ = [
     "build_routing_scheme",
     "DistanceEstimation",
     "QueryResult",
-    "Sketch",
     "estimation_from_clusters",
-    "sketches_from_clusters",
     "CompiledEstimation",
     "CompiledRoute",
     "CompiledScheme",

@@ -140,10 +140,6 @@ class ApproxClusterSystem:
             return None
         return self.pivots[i].pivot[v]
 
-    def clusters_containing(self, v: int) -> List[int]:
-        """Centers whose approximate cluster contains ``v``."""
-        return [u for u, c in self.clusters.items() if v in c.value]
-
     def membership_counts(self) -> List[int]:
         n = len(self.pivots[0].dist_hat)
         counts = [0] * n

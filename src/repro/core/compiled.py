@@ -62,6 +62,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as _np
 
+from ..dataclass import dataclass
 from ..exceptions import (
     ArtifactError,
     HopBudgetError,
@@ -859,6 +860,17 @@ class CompiledScheme(_CompiledArtifact):
 # ----------------------------------------------------------------------
 # Compiled distance estimation
 # ----------------------------------------------------------------------
+@dataclass
+class QueryResult:
+    """Outcome of one Algorithm-2 query."""
+
+    u: int
+    v: int
+    estimate: float
+    iterations: int        # while-loop iterations (<= k-1)
+    final_center: int
+
+
 class CompiledEstimation(_CompiledArtifact):
     """Flat-array serve-side artifact of the Theorem-6 sketches."""
 
@@ -883,38 +895,6 @@ class CompiledEstimation(_CompiledArtifact):
                  for j in range(cv_start[v], cv_start[v + 1])}
                 for v in range(self._n)]
 
-    @classmethod
-    def from_estimation(cls, estimation) -> "CompiledEstimation":
-        """Flatten a live :class:`DistanceEstimation`."""
-        n = estimation.graph.num_vertices
-        k = estimation.params.k
-        sk_pivot: List[int] = []
-        sk_pivot_d: List[float] = []
-        cv_start: List[int] = [0]
-        cv_center: List[int] = []
-        cv_value: List[float] = []
-        sketch_words: List[int] = []
-        for v in range(n):
-            sketch = estimation.sketches[v]
-            for pivot, dist in sketch.pivots:
-                sk_pivot.append(-1 if pivot is None else pivot)
-                sk_pivot_d.append(float(dist))
-            for center in sorted(sketch.cluster_values):
-                cv_center.append(center)
-                cv_value.append(float(sketch.cluster_values[center]))
-            cv_start.append(len(cv_center))
-            sketch_words.append(sketch.words)
-        meta = {
-            "n": n,
-            "k": k,
-            "eps": estimation.params.eps,
-            "construction_rounds": estimation.construction_rounds,
-        }
-        arrays = {"sk_pivot": sk_pivot, "sk_pivot_d": sk_pivot_d,
-                  "cv_start": cv_start, "cv_center": cv_center,
-                  "cv_value": cv_value, "sketch_words": sketch_words}
-        return cls(meta, arrays)
-
     # -- reporting -----------------------------------------------------
     def max_sketch_words(self) -> int:
         return _most(self._sketch_words)
@@ -926,9 +906,18 @@ class CompiledEstimation(_CompiledArtifact):
         return f"CompiledEstimation(n={self._n}, k={self._k})"
 
     # -- serving -------------------------------------------------------
+    def query(self, u: int, v: int) -> QueryResult:
+        """Algorithm 2 (Dist) on one pair: the estimate, the while-loop
+        iterations and the center whose cluster value it read."""
+        pair = [(u, v)]
+        validate_pairs(pair, self._n, "query")
+        trace: List[Tuple[int, int]] = []
+        (estimate,) = self._estimate_many_validated(pair, trace)
+        return QueryResult(u, v, estimate, *trace[0])
+
     def estimate(self, u: int, v: int) -> float:
-        """Algorithm 2 (Dist) off the flat sketch rows."""
-        return self.estimate_many([(u, v)])[0]
+        """Just the distance estimate."""
+        return self.query(u, v).estimate
 
     def estimate_many(self, pairs: Sequence[Tuple[int, int]]
                       ) -> List[float]:
@@ -937,37 +926,42 @@ class CompiledEstimation(_CompiledArtifact):
         validate_pairs(pairs, self._n, "query")
         return self._estimate_many_validated(pairs)
 
-    def _estimate_many_validated(self, pairs: Sequence[Tuple[int, int]]
-                                 ) -> List[float]:
-        """:meth:`estimate_many` body, minus the input prepass: the
-        pool's workers and the broker enter here, their callers having
-        run the same validation already."""
-        n = self._n
+    def _estimate_many_validated(
+            self, pairs: Sequence[Tuple[int, int]],
+            trace: Optional[List[Tuple[int, int]]] = None) -> List[float]:
+        """Algorithm 2 per pair, off the two endpoints' sketch rows —
+        the one body every estimate and query goes through — minus the
+        input prepass: the pool's workers and the broker enter here,
+        their callers having run the same validation already.  Appends
+        each pair's ``(iterations, final center)`` to ``trace`` when
+        given."""
         k = self._k
         cluster_values = self._cluster_values
         sk_pivot = self._lists["sk_pivot"]
         sk_pivot_d = self._lists["sk_pivot_d"]
         out: List[float] = []
         for u, v in pairs:
-            if u == v:
-                out.append(0.0)
-                continue
             side_u, side_v = u, v
             i = 0
             w = u
-            while w not in cluster_values[side_v]:
-                i += 1
-                if i >= k:
-                    raise SchemeError(
-                        f"Dist({u}, {v}) ran out of levels; top-level "
-                        "cluster should span V")
-                side_u, side_v = side_v, side_u
-                w = sk_pivot[side_u * k + i]
-                if w < 0:
-                    raise SchemeError(
-                        f"missing level-{i} pivot in sketch")
-            out.append(sk_pivot_d[side_u * k + i]
-                       + cluster_values[side_v][w])
+            if u != v:
+                while w not in cluster_values[side_v]:
+                    i += 1
+                    if i >= k:
+                        raise SchemeError(
+                            f"Dist({u}, {v}) ran out of levels; "
+                            "top-level cluster should span V")
+                    side_u, side_v = side_v, side_u
+                    w = sk_pivot[side_u * k + i]
+                    if w < 0:
+                        raise SchemeError(
+                            f"missing level-{i} pivot in sketch")
+                out.append(sk_pivot_d[side_u * k + i]
+                           + cluster_values[side_v][w])
+            else:
+                out.append(0.0)
+            if trace is not None:
+                trace.append((i, w))
         return out
 
 

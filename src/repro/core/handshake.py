@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from ..dataclass import dataclass
 from ..exceptions import SchemeError
 from ..graphs.shortest_paths import INF, dijkstra_distances
@@ -83,16 +85,17 @@ class HandshakeRouter:
         Everything here reads only the two sketches — the information
         actually exchanged by the handshake.
         """
-        sketch_s = self.estimation.sketch_of(source)
-        sketch_t = self.estimation.sketch_of(target)
-        scored: List[Tuple[float, int]] = []
-        for center, b_s in sketch_s.cluster_values.items():
-            b_t = sketch_t.cluster_values.get(center)
-            if b_t is None:
-                continue
-            scored.append((b_s + b_t, center))
-        scored.sort()
-        return scored
+        columns = self.estimation.columns
+        start = columns["cv_start"]
+        mine = slice(start[source], start[source + 1])
+        theirs = slice(start[target], start[target + 1])
+        shared, at_s, at_t = np.intersect1d(
+            columns["cv_center"][mine], columns["cv_center"][theirs],
+            assume_unique=True, return_indices=True)
+        score = (columns["cv_value"][mine][at_s]
+                 + columns["cv_value"][theirs][at_t])
+        order = np.lexsort((shared, score))
+        return list(zip(score[order].tolist(), shared[order].tolist()))
 
     def route(self, source: int, target: int) -> HandshakeRouteResult:
         """Handshake, pick the best shared tree, route exactly in it.
@@ -123,8 +126,8 @@ class HandshakeRouter:
 
     def handshake_words(self, source: int, target: int) -> int:
         """Words exchanged by the handshake (the two sketches)."""
-        return (self.estimation.sketch_of(source).words
-                + self.estimation.sketch_of(target).words)
+        words = self.estimation.columns["sketch_words"]
+        return int(words[source] + words[target])
 
     @property
     def guaranteed_stretch_bound(self) -> float:

@@ -16,12 +16,9 @@ from .shortest_paths import (
     shortest_path_hops,
 )
 from .metrics import (
-    degree_histogram,
     eccentricity_hops,
     hop_diameter,
-    hop_diameter_estimate,
     shortest_path_diameter,
-    weighted_diameter,
 )
 from .generators import (
     SMALL_INSTANCES,
@@ -36,14 +33,6 @@ from .generators import (
     ring_of_cliques,
     star_of_paths,
     weighted_small_world,
-)
-from .transforms import (
-    induced_subgraph,
-    largest_component_subgraph,
-    random_vertex_sample_subgraph,
-    with_perturbed_weights,
-    with_scaled_weights,
-    with_unit_weights,
 )
 from .virtual_graph import VirtualGraph, verify_domination
 
@@ -62,12 +51,9 @@ __all__ = [
     "path_weight",
     "shortest_path",
     "shortest_path_hops",
-    "degree_histogram",
     "eccentricity_hops",
     "hop_diameter",
-    "hop_diameter_estimate",
     "shortest_path_diameter",
-    "weighted_diameter",
     "SMALL_INSTANCES",
     "barbell",
     "caterpillar_tree",
@@ -80,12 +66,6 @@ __all__ = [
     "ring_of_cliques",
     "star_of_paths",
     "weighted_small_world",
-    "induced_subgraph",
-    "largest_component_subgraph",
-    "random_vertex_sample_subgraph",
-    "with_perturbed_weights",
-    "with_scaled_weights",
-    "with_unit_weights",
     "VirtualGraph",
     "verify_domination",
 ]

@@ -2,7 +2,6 @@
 
 * **hop-diameter** ``D`` — maximum hop-distance (number of edges, ignoring
   weights) between any two vertices,
-* **weighted diameter** — maximum ``d_G(u, v)``,
 * **shortest-path diameter** ``S`` — maximum number of hops a shortest path
   uses.  The paper stresses ``D <= S`` and that ``S`` can be ``Omega(n)``
   even when ``D`` is small; the [LP15] round bound depends on ``S`` while
@@ -10,8 +9,6 @@
 """
 
 from __future__ import annotations
-
-from typing import List
 
 from .shortest_paths import INF, hop_distances, shortest_path_hops
 from .weighted_graph import WeightedGraph
@@ -38,31 +35,6 @@ def hop_diameter(graph: WeightedGraph) -> int:
     return best
 
 
-def hop_diameter_estimate(graph: WeightedGraph) -> int:
-    """A 2-approximation of ``D`` from a single BFS (lower bound <= D).
-
-    The eccentricity of any vertex is between ``D/2`` and ``D``; we return
-    twice the eccentricity of vertex 0, clamped to ``n - 1``.  Distributed
-    algorithms may use this instead of the exact diameter.
-    """
-    graph.require_connected()
-    if graph.num_vertices <= 1:
-        return 0
-    ecc = eccentricity_hops(graph, 0)
-    return min(2 * ecc, graph.num_vertices - 1)
-
-
-def weighted_diameter(graph: WeightedGraph) -> float:
-    """Maximum shortest-path distance ``max_{u,v} d_G(u, v)``."""
-    graph.require_connected()
-    from .shortest_paths import dijkstra_distances
-    best = 0.0
-    for source in graph.vertices():
-        dist = dijkstra_distances(graph, source)
-        ecc = max(dist)
-        if ecc > best:
-            best = ecc
-    return best
 
 
 def shortest_path_diameter(graph: WeightedGraph) -> int:
@@ -80,14 +52,3 @@ def shortest_path_diameter(graph: WeightedGraph) -> int:
         if ecc > best:
             best = ecc
     return best
-
-
-def degree_histogram(graph: WeightedGraph) -> List[int]:
-    """``hist[d]`` = number of vertices of degree ``d``."""
-    if graph.num_vertices == 0:
-        return []
-    max_deg = max(graph.degree(u) for u in graph.vertices())
-    hist = [0] * (max_deg + 1)
-    for u in graph.vertices():
-        hist[graph.degree(u)] += 1
-    return hist

@@ -439,8 +439,7 @@ def detect_sources(graph: WeightedGraph, sources: Sequence[int],
         # the rule as one masked compare; the self-cell is always kept
         # (it is seeded, never filtered)
         threshold = _np.asarray(join_rule.threshold, dtype=_np.float64)
-        rejected = ~((dist < threshold) if join_rule.strict
-                     else (dist <= threshold))
+        rejected = ~(dist < threshold)
         rejected[seeds] = False
         dist[rejected] = INF
         par[rejected] = -1

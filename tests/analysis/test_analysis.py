@@ -63,6 +63,16 @@ class TestStretchHarness:
         assert pairs_to_evaluate(10, 20, seed=5) == \
             pairs_to_evaluate(10, 20, seed=5)
 
+    @pytest.mark.parametrize("n,sample", [(3, 50), (10, 20), (100, 200),
+                                          (6, 30)])
+    def test_sampled_pairs_are_distinct(self, n, sample):
+        """Sampling is without replacement: ``min(sample, n(n-1))``
+        distinct ordered pairs of distinct vertices."""
+        pairs = pairs_to_evaluate(n, sample, seed=0)
+        assert len(pairs) == len(set(pairs)) == min(sample, n * (n - 1))
+        assert all(u != v and 0 <= u < n and 0 <= v < n
+                   for u, v in pairs)
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_vertices_is_empty(self, n):
         """No ordered pair of distinct vertices exists, so the sampler

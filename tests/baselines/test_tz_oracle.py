@@ -68,7 +68,7 @@ def test_bunch_symmetry_with_clusters(graph):
     oracle = build_tz_oracle(graph, k=3, seed=99, hierarchy=hierarchy)
     system = compute_exact_clusters(graph, hierarchy)
     for v in graph.vertices():
-        for u in oracle.sketch_of(v).bunch:
+        for u in oracle.sketches[v].bunch:
             assert v in system.clusters[u].dist
 
 

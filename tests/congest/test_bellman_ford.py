@@ -91,16 +91,16 @@ class TestMultiSource:
         radius = sorted(exact)[len(exact) // 2]
 
         n = medium_random.num_vertices
-        within_radius = JoinRule(threshold=[radius] * n, strict=False)
+        within_radius = JoinRule(threshold=[radius] * n)
         result = multi_source_exploration(medium_random, [0], n,
                                           within_radius)
         members = result.members_of(0)
         for v in members:
-            assert result.dist[v][0] <= radius
+            assert result.dist[v][0] < radius
         # everything whose *shortest path* stays within radius must join:
         # vertices on a shortest path to a radius-bounded vertex also fit
         for v in medium_random.vertices():
-            if exact[v] <= radius and v not in members:
+            if exact[v] < radius and v not in members:
                 pytest.fail(f"vertex {v} within radius but not a member")
 
     def test_parent_pointers_form_tree(self, medium_random):

@@ -294,9 +294,9 @@ class TestExplorationBatchEquivalence:
         radius = 2.5 * n
 
         def join(v, s, d):
-            return d <= radius
+            return d < radius
 
-        rule = JoinRule(threshold=[radius] * n, strict=False)
+        rule = JoinRule(threshold=[radius] * n)
         for capacity in (1, 2):
             ref = multi_source_exploration_reference(
                 graph, sources, n, join, capacity_words=capacity)
@@ -309,19 +309,17 @@ class TestExplorationBatchEquivalence:
                 ref.max_estimates_per_node
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_multi_source_per_vertex_budgets(self, seed, strict,
+    def test_multi_source_per_vertex_budgets(self, seed,
                                              exploration_kernel):
-        """Random per-vertex budgets (some INF), strict and not: the
-        fused compare keeps exactly the winners the oracle's
-        per-winner ``accepts`` call keeps."""
+        """Random per-vertex budgets (some INF): the fused compare keeps
+        exactly the winners the oracle's per-winner ``accepts`` call
+        keeps."""
         rng = random.Random(seed)
         graph = random_connected(30, 0.2, seed=seed)
         n = graph.num_vertices
         rule = JoinRule(
             threshold=[rng.uniform(0, 150) if rng.random() < 0.8
-                       else float("inf") for _ in range(n)],
-            strict=strict)
+                       else float("inf") for _ in range(n)])
         sources = sorted(rng.sample(range(n), 4))
         ref = multi_source_exploration_reference(
             graph, sources, n, rule.accepts)

@@ -4,9 +4,9 @@ against their dict-based oracles, every result field compared exactly.
 ``multi_source_exploration`` runs at four block sizes — one-row blocks
 (``_DENSE_CELL_LIMIT = 0``), one and three rows per block (``n`` and
 ``3n``) and the default single block — over duplicate sources, INF and
-finite per-vertex thresholds, strict and non-strict rules, and
-``iterations`` in {0, 1, 2, 5, n}.  ``nearest_source_exploration`` runs
-over the same sources, including zero iterations.  Every graph carries
+finite per-vertex thresholds, and ``iterations`` in {0, 1, 2, 5, n}.
+``nearest_source_exploration`` runs over the same sources, including
+zero iterations.  Every graph carries
 one isolated vertex, and small weights make equal-distance ties (and
 thresholds met with equality) common.
 """
@@ -84,12 +84,9 @@ def _assert_same_nearest(fast, ref):
 
 
 @pytest.mark.parametrize("limit", sorted(CELL_LIMITS))
-@pytest.mark.parametrize("strict", [True, False],
-                         ids=["strict", "non-strict"])
 @pytest.mark.parametrize("budgets", ["inf", "finite"])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_multi_source_matches_oracle(seed, budgets, strict, limit,
-                                     monkeypatch):
+def test_multi_source_matches_oracle(seed, budgets, limit, monkeypatch):
     graph = _graph(seed)
     n = graph.num_vertices
     if CELL_LIMITS[limit] is not None:
@@ -101,7 +98,7 @@ def test_multi_source_matches_oracle(seed, budgets, strict, limit,
     else:
         threshold = [float(rng.randint(0, 4 * MAX_WEIGHT))
                      if rng.random() < 0.8 else INF for _ in range(n)]
-    rule = JoinRule(threshold=threshold, strict=strict)
+    rule = JoinRule(threshold=threshold)
     sources = _sources(rng, n)
     for iterations in _iteration_counts(n):
         for capacity in (1, 2):

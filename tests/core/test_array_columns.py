@@ -19,11 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core import CompiledScheme, DenseRoutingPlane
-from repro.core.compiled import (
-    CompiledEstimation,
-    attach_artifact,
-    load_artifact,
-)
+from repro.core.compiled import attach_artifact, load_artifact
 from repro.core.dense import _VECTOR_MIN_PAIRS
 from repro.core.tree_routing import ARTIFACT_COLUMNS
 from repro.dynamic.registry import ArtifactRegistry
@@ -127,8 +123,7 @@ def test_replay_and_estimates_build_their_lists_on_first_call(built):
     flat = built.build().scheme.compile()
     flat.route_many([(0, 5)])
     assert {"_lists", "_tid_of", "_slots", "_members"} <= set(vars(flat))
-    estimation = CompiledEstimation.from_estimation(
-        built.build_estimation())
+    estimation = built.build_estimation().compile()
     estimation.estimate_many([(0, 5)])
     assert {"_lists", "_cluster_values"} <= set(vars(estimation))
 

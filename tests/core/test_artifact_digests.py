@@ -4,10 +4,11 @@ committed digests.
 ``tests/data/artifact_digests.json`` records, for a zoo of graphs
 (sparse random, mesh, random / caterpillar trees, hub-and-spoke,
 barbell, path) at k = 2, 3 (plus one k = 4 and one
-``use_tz_trick=False``), the sha256 of the flat and dense artifact
-files a scratch build wrote, its round count and its table / label
-word statistics.  Whatever builds the forest — objects, columns,
-anything later — has to land on the same bytes and the same numbers.
+``use_tz_trick=False``), the sha256 of the flat, dense and estimation
+artifact files a scratch build wrote, its round count and its table /
+label word statistics.  Whatever builds the forest or the sketches —
+objects, columns, anything later — has to land on the same bytes and
+the same numbers.
 The file is regenerated only by ``tests/data/regen_digests.py``, and
 only when the bytes are *meant* to move.
 

@@ -185,11 +185,9 @@ def test_vectorized_path_engaged(kernel_calls, count_calls):
 
 
 def test_join_rule_scalar_semantics():
-    rule = bf.JoinRule(threshold=[2.0, 5.0], strict=True)
+    rule = bf.JoinRule(threshold=[2.0, 5.0])
     assert rule.accepts(0, 1, 1.5) and not rule.accepts(0, 1, 2.0)
     assert rule.accepts(1, 1, 4.9)
-    loose = bf.JoinRule(threshold=[2.0], strict=False)
-    assert loose.accepts(0, 1, 2.0) and not loose.accepts(0, 1, 2.1)
 
 
 # ----------------------------------------------------------------------

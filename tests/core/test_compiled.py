@@ -20,6 +20,7 @@ from repro.core.compiled import (
     MAGIC,
     CompiledEstimation,
     CompiledScheme,
+    QueryResult,
     load_artifact,
 )
 from repro.exceptions import (
@@ -54,6 +55,22 @@ def _all_pairs(n):
     return [(u, v) for u in range(n) for v in range(n)]
 
 
+def _dist_on_clusters(clusters, u, v):
+    """Algorithm 2 (Dist) off the cluster system: ``v ∈ C̃(w)`` and
+    ``b_v(w)`` from the clusters' value maps, ``ẑ_i`` and ``d̂_i`` from
+    the pivot levels."""
+    if u == v:
+        return QueryResult(u, v, 0.0, 0, u)
+    a, b = u, v
+    i, w = 0, u
+    while b not in clusters.clusters[w].value:
+        i += 1
+        a, b = b, a
+        w = clusters.pivots[i].pivot[a]
+    estimate = clusters.pivots[i].dist_hat[a] + clusters.clusters[w].value[b]
+    return QueryResult(u, v, estimate, i, w)
+
+
 class TestServeEquivalence:
 
     @pytest.mark.parametrize("name", CASE_IDS)
@@ -78,13 +95,21 @@ class TestServeEquivalence:
             assert compiled.route(u, v) == served
 
     @pytest.mark.parametrize("name", CASE_IDS)
-    def test_estimate_many_matches_live(self, built_cases, name):
+    def test_estimates_match_dist_on_the_cluster_system(self, built_cases,
+                                                        name):
+        """Every ordered pair's Algorithm 2 — estimate, iterations and
+        final center — against a Dist that reads the cluster system
+        itself, not the columns built from it."""
         estimation = built_cases[name].estimation
+        clusters = estimation.clusters
         compiled = estimation.compile()
         pairs = _all_pairs(estimation.graph.num_vertices)
-        for (u, v), estimate in zip(pairs,
-                                    compiled.estimate_many(pairs)):
-            assert estimation.estimate(u, v) == estimate
+        expected = [_dist_on_clusters(clusters, u, v) for u, v in pairs]
+        assert [compiled.query(u, v) for u, v in pairs] == expected
+        assert [estimation.query(u, v) for u, v in pairs] == expected
+        estimates = [result.estimate for result in expected]
+        assert compiled.estimate_many(pairs) == estimates
+        assert estimation.estimate_many(pairs) == estimates
 
     def test_out_of_range_rejected(self, built_cases):
         compiled = built_cases["grid"].scheme.compile()

@@ -15,6 +15,21 @@ def build_estimation(graph, k, seed):
             .build_estimation())
 
 
+def cluster_values(est, v):
+    """``v``'s sketch entries ``center -> b_v(center)``, off its slice
+    of the columns."""
+    columns = est.columns
+    lo, hi = columns["cv_start"][v], columns["cv_start"][v + 1]
+    return dict(zip(columns["cv_center"][lo:hi].tolist(),
+                    columns["cv_value"][lo:hi].tolist()))
+
+
+def pivots(est, v):
+    """``v``'s pivot entries ``ẑ_i(v)``, ``i = 0..k-1``."""
+    k = est.params.k
+    return est.columns["sk_pivot"][v * k:(v + 1) * k].tolist()
+
+
 @pytest.fixture(scope="module")
 def graph():
     return random_connected(45, 0.1, seed=201)
@@ -90,9 +105,9 @@ class TestQueryMechanics:
         """The query reads the two endpoint sketches and nothing else."""
         est, _ = est_k
         result = est.query(3, 9)
-        s3, s9 = est.sketch_of(3), est.sketch_of(9)
-        centers = set(s3.cluster_values) | set(s9.cluster_values) | \
-            {p for p, _ in s3.pivots} | {p for p, _ in s9.pivots}
+        centers = set(cluster_values(est, 3)) | \
+            set(cluster_values(est, 9)) | set(pivots(est, 3)) | \
+            set(pivots(est, 9))
         assert result.final_center in centers
 
     def test_bad_endpoints(self, est_k):
@@ -112,13 +127,56 @@ class TestSketchSizes:
     def test_sketch_contains_own_cluster(self, est_k, graph):
         est, _ = est_k
         for v in graph.vertices():
-            assert est.sketch_of(v).contains_center(v)
-            assert est.sketch_of(v).cluster_values[v] == 0.0
+            assert cluster_values(est, v)[v] == 0.0
 
     def test_pivot_entries_per_level(self, est_k, graph):
         est, k = est_k
+        n = graph.num_vertices
+        assert len(est.columns["sk_pivot"]) == n * k
+        assert len(est.columns["sk_pivot_d"]) == n * k
         for v in graph.vertices():
-            assert len(est.sketch_of(v).pivots) == k
+            assert pivots(est, v)[0] == v
+
+
+class TestColumns:
+    def test_columns_are_the_cluster_system(self, est_k, graph):
+        """The membership rows are the set of ``(v, u, b_v(u))`` over
+        the clusters, each vertex's slice sorted by center; the pivot
+        rows are ``(ẑ_i(v), d̂_i(v))`` at row ``v * k + i``; a sketch's
+        words are one, two per cluster holding the vertex and two per
+        level."""
+        est, k = est_k
+        clusters = est.clusters
+        n = graph.num_vertices
+        columns = est.columns
+        rows = {(v, u, b) for u, cluster in clusters.clusters.items()
+                for v, b in cluster.value.items()}
+        got = set()
+        for v in range(n):
+            values = cluster_values(est, v)
+            assert list(values) == sorted(values)
+            got |= {(v, u, b) for u, b in values.items()}
+        assert got == rows
+        assert len(columns["cv_center"]) == len(rows)
+        for v in range(n):
+            for i, level in enumerate(clusters.pivots):
+                pivot = level.pivot[v]
+                assert columns["sk_pivot"][v * k + i] == \
+                    (-1 if pivot is None else pivot)
+                assert columns["sk_pivot_d"][v * k + i] == \
+                    level.dist_hat[v]
+        held = [0] * n
+        for v, _u, _b in rows:
+            held[v] += 1
+        assert columns["sketch_words"].tolist() == \
+            [1 + 2 * count + 2 * k for count in held]
+
+    def test_compile_wraps_the_columns(self, est_k):
+        """``compile()`` copies no column."""
+        est, _ = est_k
+        compiled = est.compile()
+        for name, column in est.columns.items():
+            assert getattr(compiled, "_" + name) is column, name
 
 
 class TestConstruction:

@@ -1,5 +1,6 @@
 """Tests for the handshake routing variant (footnote 2)."""
 
+import itertools
 import random
 
 import pytest
@@ -86,10 +87,31 @@ class TestMechanics:
         assert result.candidate_trees >= 1
 
     def test_handshake_words_are_two_sketches(self, setup):
+        """A sketch is one word for the vertex, two per cluster holding
+        it and two per level's pivot entry."""
         _, report, router = setup
-        words = router.handshake_words(3, 17)
-        assert words == report.estimation.sketch_of(3).words + \
-            report.estimation.sketch_of(17).words
+        clusters = report.clusters.clusters.values()
+        k = report.params.k
+
+        def sketch_words(v):
+            return 1 + 2 * sum(v in c.value for c in clusters) + 2 * k
+
+        assert router.handshake_words(3, 17) == \
+            sketch_words(3) + sketch_words(17)
+
+    def test_candidates_are_the_shared_clusters(self, setup):
+        """For every pair, the candidate trees read off the two sketch
+        slices are every cluster holding both endpoints, scored
+        ``b_s + b_t`` and sorted by (score, center)."""
+        graph, report, router = setup
+        clusters = report.clusters.clusters
+        vertices = list(graph.vertices())
+        for s, t in itertools.product(vertices, vertices):
+            expected = sorted(
+                (c.value[s] + c.value[t], center)
+                for center, c in clusters.items()
+                if s in c.value and t in c.value)
+            assert router._candidate_trees(s, t) == expected
 
     def test_rejects_mismatched_artifacts(self, setup):
         graph, report, _ = setup

@@ -3,8 +3,8 @@
 
 Each record is a build recipe (generator, its arguments, ``k``, seed,
 ``use_tz_trick``) plus what a scratch ``SchemePipeline`` build of it
-produced: sha256 of the flat and dense artifact files, the construction
-round count and the max/avg table and label words.
+produced: sha256 of the flat, dense and estimation artifact files, the
+construction round count and the max/avg table and label words.
 ``tests/core/test_artifact_digests.py`` rebuilds every recipe and
 asserts all of it, so a change to the construction or to ``compile``
 that moves one artifact byte on any of these graphs cannot land
@@ -72,6 +72,7 @@ def measure(pipeline: SchemePipeline) -> dict:
     return {
         "flat_sha256": file_digest(pipeline.compile("flat")),
         "dense_sha256": file_digest(pipeline.compile("dense")),
+        "estimation_sha256": file_digest(pipeline.compile_estimation()),
         "rounds": construction.rounds,
         "max_table_words": construction.max_table_words,
         "avg_table_words": construction.avg_table_words,

@@ -1,36 +1,8 @@
-"""Tests for the word-accounting helpers and the cost ledger."""
+"""Tests for the cost ledger and congestion round accounting."""
 
 import pytest
 
 from repro.congest import CostLedger, PhaseCost, congestion_rounds
-from repro.words import (
-    average_words,
-    max_words,
-    total_words,
-    words_for_entry,
-    words_for_vertex,
-)
-
-
-class TestWords:
-    def test_vertex_is_one_word(self):
-        assert words_for_vertex() == 1
-
-    def test_entry_composition(self):
-        assert words_for_entry(vertices=2, ports=1, distances=1) == 4
-        assert words_for_entry(timestamps=2) == 2
-
-    def test_flags_pack_into_one_word(self):
-        assert words_for_entry(flags=1) == 1
-        assert words_for_entry(flags=7) == 1
-        assert words_for_entry(vertices=1, flags=3) == 2
-
-    def test_aggregations(self):
-        assert total_words([1, 2, 3]) == 6
-        assert max_words([1, 5, 3]) == 5
-        assert max_words([]) == 0
-        assert average_words([2, 4]) == 3.0
-        assert average_words([]) == 0.0
 
 
 class TestCostLedger:
