@@ -73,6 +73,23 @@ class TestStretchHarness:
         assert all(u != v and 0 <= u < n and 0 <= v < n
                    for u, v in pairs)
 
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_sample_covering_every_pair_is_every_pair(self, n):
+        """A sample of at least ``n(n-1)`` is the exhaustive pair set,
+        each pair once."""
+        every = pairs_to_evaluate(n, None)
+        assert len(every) == n * (n - 1)
+        for sample in (n * (n - 1), n * (n - 1) + 7):
+            pairs = pairs_to_evaluate(n, sample, seed=3)
+            assert sorted(pairs) == every
+
+    def test_sampled_pairs_follow_the_seed(self):
+        """Different seeds draw different samples of the same size."""
+        a = pairs_to_evaluate(30, 40, seed=1)
+        b = pairs_to_evaluate(30, 40, seed=2)
+        assert len(a) == len(b) == 40
+        assert a != b
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_vertices_is_empty(self, n):
         """No ordered pair of distinct vertices exists, so the sampler

@@ -31,6 +31,7 @@ from repro.congest.bfs import _BFSProgram
 from repro.congest.broadcast import _GossipProgram
 from repro.exceptions import SimulationError
 from repro.graphs import (
+    dijkstra_distances,
     grid,
     path,
     random_connected,
@@ -309,18 +310,27 @@ class TestExplorationBatchEquivalence:
                 ref.max_estimates_per_node
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_multi_source_per_vertex_budgets(self, seed,
+    @pytest.mark.parametrize("budgets", ["uniform", "at-distance"])
+    def test_multi_source_per_vertex_budgets(self, seed, budgets,
                                              exploration_kernel):
         """Random per-vertex budgets (some INF): the fused compare keeps
         exactly the winners the oracle's per-winner ``accepts`` call
-        keeps."""
+        keeps.  ``at-distance`` budgets are the vertex's exact distance
+        to one of the sources, so the strict compare meets its equality
+        case at every vertex that source reaches on a shortest path."""
         rng = random.Random(seed)
         graph = random_connected(30, 0.2, seed=seed)
         n = graph.num_vertices
-        rule = JoinRule(
-            threshold=[rng.uniform(0, 150) if rng.random() < 0.8
-                       else float("inf") for _ in range(n)])
-        sources = sorted(rng.sample(range(n), 4))
+        if budgets == "uniform":
+            threshold = [rng.uniform(0, 150) if rng.random() < 0.8
+                         else float("inf") for _ in range(n)]
+            sources = sorted(rng.sample(range(n), 4))
+        else:
+            sources = sorted(rng.sample(range(n), 4))
+            exact = dijkstra_distances(graph, rng.choice(sources))
+            threshold = [exact[v] if rng.random() < 0.8
+                         else float("inf") for v in range(n)]
+        rule = JoinRule(threshold=threshold)
         ref = multi_source_exploration_reference(
             graph, sources, n, rule.accepts)
         fast = multi_source_exploration(graph, sources, n, rule)

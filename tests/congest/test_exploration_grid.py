@@ -4,11 +4,13 @@ against their dict-based oracles, every result field compared exactly.
 ``multi_source_exploration`` runs at four block sizes — one-row blocks
 (``_DENSE_CELL_LIMIT = 0``), one and three rows per block (``n`` and
 ``3n``) and the default single block — over duplicate sources, INF and
-finite per-vertex thresholds, and ``iterations`` in {0, 1, 2, 5, n}.
+finite per-vertex thresholds, and ``iterations`` in {0, 1, 2, 5, n},
+each on graphs with small weights and with spread ones.
 ``nearest_source_exploration`` runs over the same sources, including
-zero iterations.  Every graph carries
-one isolated vertex, and small weights make equal-distance ties (and
-thresholds met with equality) common.
+zero iterations.  Every graph carries one isolated vertex.  Small
+weights make equal-distance ties (and thresholds met with equality)
+common; spread weights make them rare, so a hop-bounded estimate
+differs from the exact distance more often.
 """
 
 import random
@@ -35,24 +37,25 @@ from repro.reference import (
 
 SEEDS = range(6)
 MAX_WEIGHT = 6
+WEIGHTS = {"ties": MAX_WEIGHT, "spread": 10_000}
 CELL_LIMITS = {"one-row": lambda n: 0, "n": lambda n: n,
                "3n": lambda n: 3 * n, "default": None}
 
 
-def _graph(seed):
+def _graph(seed, max_weight=MAX_WEIGHT):
     """A seeded graph from a rotating family, plus one isolated vertex
     (the last)."""
     rng = random.Random(seed)
     family = seed % 3
     if family == 0:
         base = random_connected(rng.randint(8, 28), 0.2,
-                                max_weight=MAX_WEIGHT, seed=seed)
+                                max_weight=max_weight, seed=seed)
     elif family == 1:
         base = grid(rng.randint(2, 5), rng.randint(3, 6),
-                    max_weight=MAX_WEIGHT, seed=seed)
+                    max_weight=max_weight, seed=seed)
     else:
         base = ring_of_cliques(rng.randint(2, 4), rng.randint(3, 5),
-                               max_weight=MAX_WEIGHT, seed=seed)
+                               max_weight=max_weight, seed=seed)
     return WeightedGraph.from_edges(base.num_vertices + 1, base.edges())
 
 
@@ -84,10 +87,13 @@ def _assert_same_nearest(fast, ref):
 
 
 @pytest.mark.parametrize("limit", sorted(CELL_LIMITS))
+@pytest.mark.parametrize("weights", sorted(WEIGHTS))
 @pytest.mark.parametrize("budgets", ["inf", "finite"])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_multi_source_matches_oracle(seed, budgets, limit, monkeypatch):
-    graph = _graph(seed)
+def test_multi_source_matches_oracle(seed, budgets, weights, limit,
+                                     monkeypatch):
+    max_weight = WEIGHTS[weights]
+    graph = _graph(seed, max_weight)
     n = graph.num_vertices
     if CELL_LIMITS[limit] is not None:
         monkeypatch.setattr(bellman_ford, "_DENSE_CELL_LIMIT",
@@ -96,7 +102,7 @@ def test_multi_source_matches_oracle(seed, budgets, limit, monkeypatch):
     if budgets == "inf":
         threshold = [INF] * n
     else:
-        threshold = [float(rng.randint(0, 4 * MAX_WEIGHT))
+        threshold = [float(rng.randint(0, 4 * max_weight))
                      if rng.random() < 0.8 else INF for _ in range(n)]
     rule = JoinRule(threshold=threshold)
     sources = _sources(rng, n)

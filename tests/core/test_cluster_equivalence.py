@@ -17,6 +17,7 @@ zoo, checks how the kernel blocked the rows (by spying on its block
 helper) and the paper invariants (7)/(9)/(10)/(17).
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -188,6 +189,17 @@ def test_join_rule_scalar_semantics():
     rule = bf.JoinRule(threshold=[2.0, 5.0])
     assert rule.accepts(0, 1, 1.5) and not rule.accepts(0, 1, 2.0)
     assert rule.accepts(1, 1, 4.9)
+
+
+def test_join_rule_is_one_threshold():
+    """Every rule the paper applies is strict, so a rule is its
+    threshold array and nothing else: there is no non-strict option."""
+    assert [f.name for f in dataclasses.fields(bf.JoinRule)] == \
+        ["threshold"]
+    with pytest.raises(TypeError):
+        bf.JoinRule(threshold=[2.0], strict=False)
+    rule = bf.JoinRule(threshold=[INF])
+    assert rule.accepts(0, 0, 1e300) and not rule.accepts(0, 0, INF)
 
 
 # ----------------------------------------------------------------------

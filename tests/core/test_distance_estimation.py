@@ -3,10 +3,19 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ParameterError
-from repro.graphs import all_pairs_distances, grid, random_connected
+from repro.graphs import (
+    all_pairs_distances,
+    grid,
+    path,
+    random_connected,
+    random_geometric,
+    ring_of_cliques,
+    star_of_paths,
+)
 from repro.pipeline import SchemePipeline
 
 
@@ -138,38 +147,80 @@ class TestSketchSizes:
             assert pivots(est, v)[0] == v
 
 
+def assert_columns_are_the_cluster_system(est):
+    """The membership rows are the set of ``(v, u, b_v(u))`` over the
+    clusters, each vertex's slice sorted by center; the pivot rows are
+    ``(ẑ_i(v), d̂_i(v))`` at row ``v * k + i``; a sketch's words are
+    one, two per cluster holding the vertex and two per level."""
+    k = est.params.k
+    clusters = est.clusters
+    n = est.graph.num_vertices
+    columns = est.columns
+    rows = {(v, u, b) for u, cluster in clusters.clusters.items()
+            for v, b in cluster.value.items()}
+    got = set()
+    for v in range(n):
+        values = cluster_values(est, v)
+        assert list(values) == sorted(values)
+        got |= {(v, u, b) for u, b in values.items()}
+    assert got == rows
+    assert len(columns["cv_center"]) == len(rows)
+    for v in range(n):
+        for i, level in enumerate(clusters.pivots):
+            pivot = level.pivot[v]
+            assert columns["sk_pivot"][v * k + i] == \
+                (-1 if pivot is None else pivot)
+            assert columns["sk_pivot_d"][v * k + i] == \
+                level.dist_hat[v]
+    held = [0] * n
+    for v, _u, _b in rows:
+        held[v] += 1
+    assert columns["sketch_words"].tolist() == \
+        [1 + 2 * count + 2 * k for count in held]
+
+
+FAMILIES = {
+    "grid": lambda: grid(5, 7, seed=11),
+    "cliques": lambda: ring_of_cliques(4, 5, seed=12),
+    "star": lambda: star_of_paths(5, 6, seed=13),
+    "geometric": lambda: random_geometric(40, seed=14),
+    "path": lambda: path(17, seed=15),
+}
+
+
 class TestColumns:
-    def test_columns_are_the_cluster_system(self, est_k, graph):
-        """The membership rows are the set of ``(v, u, b_v(u))`` over
-        the clusters, each vertex's slice sorted by center; the pivot
-        rows are ``(ẑ_i(v), d̂_i(v))`` at row ``v * k + i``; a sketch's
-        words are one, two per cluster holding the vertex and two per
-        level."""
+    def test_columns_are_the_cluster_system(self, est_k):
+        est, _ = est_k
+        assert_columns_are_the_cluster_system(est)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_columns_on_graph_families(self, family):
+        """The same contract off other shapes of cluster system: long
+        paths, dense cliques, a heavy-spoked star."""
+        est = build_estimation(FAMILIES[family](), k=3, seed=5)
+        assert_columns_are_the_cluster_system(est)
+
+    def test_column_layout(self, est_k):
+        """Each column is one flat int64 or float64 array;
+        ``cv_start`` is nondecreasing from 0 to the number of
+        memberships."""
         est, k = est_k
-        clusters = est.clusters
-        n = graph.num_vertices
+        n = est.graph.num_vertices
         columns = est.columns
-        rows = {(v, u, b) for u, cluster in clusters.clusters.items()
-                for v, b in cluster.value.items()}
-        got = set()
-        for v in range(n):
-            values = cluster_values(est, v)
-            assert list(values) == sorted(values)
-            got |= {(v, u, b) for u, b in values.items()}
-        assert got == rows
-        assert len(columns["cv_center"]) == len(rows)
-        for v in range(n):
-            for i, level in enumerate(clusters.pivots):
-                pivot = level.pivot[v]
-                assert columns["sk_pivot"][v * k + i] == \
-                    (-1 if pivot is None else pivot)
-                assert columns["sk_pivot_d"][v * k + i] == \
-                    level.dist_hat[v]
-        held = [0] * n
-        for v, _u, _b in rows:
-            held[v] += 1
-        assert columns["sketch_words"].tolist() == \
-            [1 + 2 * count + 2 * k for count in held]
+        expected = {"sk_pivot": (np.int64, n * k),
+                    "sk_pivot_d": (np.float64, n * k),
+                    "cv_start": (np.int64, n + 1),
+                    "cv_center": (np.int64, len(columns["cv_value"])),
+                    "cv_value": (np.float64, len(columns["cv_center"])),
+                    "sketch_words": (np.int64, n)}
+        assert set(columns) == set(expected)
+        for name, (dtype, length) in expected.items():
+            assert columns[name].dtype == dtype, name
+            assert columns[name].shape == (length,), name
+        cv_start = columns["cv_start"]
+        assert cv_start[0] == 0
+        assert cv_start[-1] == len(columns["cv_center"])
+        assert (np.diff(cv_start) >= 0).all()
 
     def test_compile_wraps_the_columns(self, est_k):
         """``compile()`` copies no column."""
