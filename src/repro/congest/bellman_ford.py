@@ -30,8 +30,13 @@ threshold plan covering every rule the paper actually applies (Eq. (11),
 the middle-scale pivot-distance filter, Eq. (14)/(15)) — which the
 kernel evaluates as a masked vector compare fused into the relaxation.
 
-:func:`multi_source_exploration` holds a ``rows × n`` distance matrix,
-so it advances the source rows in blocks of at most
+The multi-source kernel, :func:`_explore_block`, has two callers:
+:func:`multi_source_exploration` here, and Theorem-1 source detection
+(:func:`repro.sketches.detect_sources`), which is the same hop-bounded
+multi-source Bellman–Ford with an all-``INF`` threshold and rounded
+weights.  The caller owns the ``rows × n`` ``dist`` / ``par`` matrices,
+the kernel writes each hop's winners into them in place, and both
+callers advance their source rows in blocks of at most
 :data:`_DENSE_CELL_LIMIT` cells; rows are independent and every block
 size gives a bit-identical result.  numpy is required; the one
 remaining kernel choice is the dense plane's parent walk below
@@ -92,9 +97,11 @@ class JoinRule:
 #: Words per (source, distance) estimate on the wire.
 _ESTIMATE_WORDS = 2
 
-#: Ceiling on ``rows * n`` cells for one block of the exploration: the
-#: block's float64 distance matrix is capped at 32 MB; the sorted
-#: source rows advance in blocks of ``max(1, _DENSE_CELL_LIMIT // n)``.
+#: Ceiling on ``rows * n`` cells for one block of :func:`_explore_block`
+#: (explorations and source detection alike): the block's float64
+#: distance and int64 parent matrices are capped at 32 MB each; the
+#: sorted source rows advance in blocks of ``max(1, _DENSE_CELL_LIMIT //
+#: n)``.
 _DENSE_CELL_LIMIT = 1 << 22
 
 
@@ -252,30 +259,43 @@ def multi_source_exploration(graph: WeightedGraph,
     source_rows = _np.unique(multiset)
     dist: List[Dict[int, float]] = [dict() for _ in range(n)]
     parent: List[Dict[int, Optional[int]]] = [dict() for _ in range(n)]
-    sampled = _np.zeros(n, dtype=bool)
     live = _np.zeros(n, dtype=_np.int64)
     relayed: List[list] = []      # per iteration: each block's relays
     block = max(1, _DENSE_CELL_LIMIT // max(n, 1))
     for lo in range(0, source_rows.size, block):
         rows = source_rows[lo:lo + block]
-        cols_i, rows_i, values, pars, fronts = _explore_block(
-            view, weights, rows, iterations, thr, sampled)
+        block_dist = _np.full((rows.size, n), INF)
+        block_par = _np.full((rows.size, n), -1, dtype=_np.int64)
+        fronts = _explore_block(view, weights, rows, iterations, thr,
+                                block_dist, block_par)
         for i, front in enumerate(fronts):
             if i == len(relayed):
                 relayed.append([])
             relayed[i].append(front)
+        # the finite cells in column-major order: ascending vertex,
+        # then ascending row
+        cols_i, rows_i = _np.divmod(_np.flatnonzero(block_dist.T < INF),
+                                    rows.size)
         counts = _np.bincount(cols_i, minlength=n)
         live += counts
         srcs = rows[rows_i].tolist()
-        values = values.tolist()
-        pars = _listed(pars, -1, None)
+        values = block_dist[rows_i, cols_i].tolist()
+        pars = _listed(block_par[rows_i, cols_i], -1, None)
         start = 0
         for v, end in enumerate(_np.cumsum(counts).tolist()):
             if end > start:
                 dist[v].update(zip(srcs[start:end], values[start:end]))
                 parent[v].update(zip(srcs[start:end], pars[start:end]))
                 start = end
+    # every out-neighbor of a relayed estimate was a candidate target
+    sampled = _np.zeros(n, dtype=bool)
     if relayed:
+        senders = _np.unique(_np.concatenate(
+            [front for fronts in relayed for front in fronts]))
+        starts = view.indptr[senders]
+        counts = view.indptr[senders + 1] - starts
+        sampled[view.indices[_gather_edge_indices(
+            starts, counts, int(counts.sum()))]] = True
         relayed[0] = [multiset]
     per_iter_words = [
         int(_np.bincount(_np.concatenate(fronts)).max()) * _ESTIMATE_WORDS
@@ -287,17 +307,19 @@ def multi_source_exploration(graph: WeightedGraph,
                              max_estimates_per_node=max_live)
 
 
-def _explore_block(view, weights, rows, iterations: int, thr, sampled):
+def _explore_block(view, weights, rows, iterations: int, thr, dist, par):
     """Advance the explorations rooted at ``rows`` (ascending,
     distinct): every live ``(row, vertex)`` estimate moves in one flat
     scatter-min per hop, the join fused in as a masked vector compare.
 
-    Returns the block's finite cells in column-major order (ascending
-    vertex, then ascending row) as ``(vertex, row, distance, parent)``
-    arrays — a cell's parent is the ``via`` of its last winning
-    update, ``-1`` at a seeded source — and, per executed iteration,
-    the vertices of the estimates it relayed (one entry per estimate).
-    Every candidate target is marked in ``sampled``.
+    ``dist`` / ``par`` are the caller's ``rows × n`` float64 / int64
+    matrices, filled with ``INF`` / ``-1``.  The kernel seeds each
+    row's source at distance 0 and writes every hop's winners in
+    place: the distance, and as parent the frontier vertex the winning
+    estimate came from, so a cell's parent is that of its last
+    improvement (``-1`` stays at a seeded source).  Returns, per
+    executed iteration, the vertices of the estimates it relayed (one
+    entry per estimate): the seeds, then each hop's winners.
 
     The frontier is three parallel arrays — row, vertex, distance —
     sorted by (row, vertex).  A hop gathers the out-edges of each
@@ -308,7 +330,7 @@ def _explore_block(view, weights, rows, iterations: int, thr, sampled):
     proportional to the *live* edges — the cells the oracle's dict
     loops touch — not to ``rows × |frontier|``.
 
-    Bit-identity with the oracle's per-winner evaluation:
+    Bit-identity with the oracles' per-winner evaluation:
 
     * Candidates are ordered by (frontier position, CSR edge index), so
       the ``lexsort`` picking the earliest among equal minima
@@ -324,18 +346,13 @@ def _explore_block(view, weights, rows, iterations: int, thr, sampled):
     """
     n = view.num_vertices
     indptr = view.indptr
-    num_rows = rows.size
-    dist = _np.full((num_rows, n), INF)
-    fr_r = _np.arange(num_rows, dtype=_np.int64)
+    fr_r = _np.arange(rows.size, dtype=_np.int64)
     fr_v = rows
-    fr_d = _np.zeros(num_rows)
+    fr_d = _np.zeros(rows.size)
     dist[fr_r, fr_v] = 0.0
-    won_r = [fr_r]
-    won_v = [fr_v]
-    won_via = [_np.full(num_rows, -1, dtype=_np.int64)]
-    executed = 0     # iteration i relays won_v[i]: the seeds, then winners
+    relayed = []
     for _ in range(iterations):
-        executed += 1
+        relayed.append(fr_v)
         starts = indptr[fr_v]
         counts = indptr[fr_v + 1] - starts
         total = int(counts.sum())
@@ -343,7 +360,6 @@ def _explore_block(view, weights, rows, iterations: int, thr, sampled):
             break      # charged, but relayed to no one
         eidx = _gather_edge_indices(starts, counts, total)
         c_t = view.indices[eidx]
-        sampled[c_t] = True
         c_r = fr_r.repeat(counts)
         c_d = fr_d.repeat(counts) + weights[eidx]
         keep = c_d < thr[c_t]
@@ -357,25 +373,13 @@ def _explore_block(view, weights, rows, iterations: int, thr, sampled):
         key = c_r * n + c_t
         order = _np.lexsort((keep, c_d, key))
         win = order[_run_starts(key[order])]
-        won_via.append(fr_v.repeat(counts)[keep[win]])
+        via = fr_v.repeat(counts)[keep[win]]
         fr_r = c_r[win]
         fr_v = c_t[win]
         fr_d = c_d[win]
         dist[fr_r, fr_v] = fr_d
-        won_r.append(fr_r)
-        won_v.append(fr_v)
-    # every finite cell was seeded or won a hop; the stable sort keeps
-    # each cell's updates in hop order, so its last one is its parent
-    # (a run's last element precedes the next run's start)
-    cell_r = _np.concatenate(won_r)
-    cell_v = _np.concatenate(won_v)
-    ckey = cell_v * num_rows + cell_r
-    order = _np.argsort(ckey, kind="stable")
-    last = order[_np.roll(_run_starts(ckey[order]), -1)]
-    cell_r = cell_r[last]
-    cell_v = cell_v[last]
-    return (cell_v, cell_r, dist[cell_r, cell_v],
-            _np.concatenate(won_via)[last], won_v[:executed])
+        par[fr_r, fr_v] = via
+    return relayed
 
 
 @dataclass

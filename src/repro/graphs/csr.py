@@ -16,15 +16,15 @@ them a shared flat substrate:
   ``remove_edge`` bump the version, so a stale view is never returned
   (see ``graphs/README.md`` for the contract).
 * :func:`_gather_edge_indices` — the frontier's out-edges, gathered
-  from the CSR slices (the exploration kernels); the detection kernel
-  restricts the static :meth:`CSRView.transpose_order` to a frontier
-  instead.
+  from the CSR slices (the Bellman–Ford kernels).
 
-numpy is required: every kernel has one body.  Both matrix kernels
-(detection, multi-source exploration) advance their source rows in
-blocks under a cell limit, bit-identically for every block size; the
-one remaining kernel choice is the parent walk for batches below
-``_VECTOR_MIN_PAIRS`` (:mod:`repro.core.dense`).
+numpy is required: every kernel has one body.  The multi-source
+kernel (``_explore_block`` in :mod:`repro.congest.bellman_ford`) has
+two callers, source detection and the multi-source exploration; both
+advance their source rows in blocks under one cell limit,
+bit-identically for every block size.  The one remaining kernel choice
+is the parent walk for batches below ``_VECTOR_MIN_PAIRS``
+(:mod:`repro.core.dense`).
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ class CSRView:
     graph's own neighbor order, ``weights`` the matching edge weights.
     """
 
-    __slots__ = ("num_vertices", "indptr", "indices", "weights",
-                 "_transpose")
+    __slots__ = ("num_vertices", "indptr", "indices", "weights")
 
     def __init__(self, graph: WeightedGraph) -> None:
         n = graph.num_vertices
@@ -57,30 +56,9 @@ class CSRView:
                 indices.append(v)
                 weights.append(w)
             indptr[u + 1] = len(indices)
-        self._transpose = None
         self.indptr = _np.asarray(indptr, dtype=_np.int64)
         self.indices = _np.asarray(indices, dtype=_np.int64)
         self.weights = _np.asarray(weights, dtype=_np.int64)
-
-    def transpose_order(self):
-        """``(perm, src, dst)``: the directed edges stably sorted by
-        target (cached).
-
-        ``perm`` permutes any edge-parallel array into that order;
-        within one target the edges keep CSR order (ascending source,
-        then neighbor order), so group-wise "first edge wins" scans
-        reproduce the reference tie-breaks.  Restricting to a frontier
-        is then a boolean mask over ``src`` instead of a per-hop sort.
-        """
-        cached = self._transpose
-        if cached is None:
-            perm = _np.argsort(self.indices, kind="stable")
-            src = _np.repeat(
-                _np.arange(self.num_vertices, dtype=_np.int64),
-                _np.diff(self.indptr))[perm]
-            cached = (perm, src, self.indices[perm])
-            self._transpose = cached
-        return cached
 
     @property
     def num_directed_edges(self) -> int:

@@ -44,7 +44,6 @@ from repro.reference import (
     detect_sources_reference,
     multi_source_exploration_reference,
 )
-from repro.sketches import source_detection as sd
 from repro.trees import tree_distance
 
 
@@ -108,8 +107,9 @@ REFERENCE_SHIMS = (("multi_source_exploration", _reference_exploration),
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Spies on the exploration's block helper: the number of source
-    rows in every block it advances."""
+    """Spies on the kernel's block helper, which explorations and
+    detections share: the number of source rows in every block it
+    advances."""
     rows = []
     advance = bf._explore_block
 
@@ -176,13 +176,14 @@ def test_one_block_matches_row_blocks(workload, k, monkeypatch,
 
 
 # ----------------------------------------------------------------------
-# Under the cell limit every exploration is a single block
+# Under the cell limit every exploration and detection is a single block
 # ----------------------------------------------------------------------
 def test_vectorized_path_engaged(kernel_calls, count_calls):
     calls = count_calls(ac, "multi_source_exploration")
+    detections = count_calls(ac, "detect_sources")
     graph = WORKLOADS["random-32"]()
     build_approx_clusters(graph, 3, seed=113)
-    assert calls and len(kernel_calls) == len(calls)
+    assert calls and len(kernel_calls) == len(calls) + len(detections)
 
 
 def test_join_rule_scalar_semantics():
@@ -203,9 +204,9 @@ def test_join_rule_is_one_threshold():
 
 
 # ----------------------------------------------------------------------
-# Past both memory gates: exploration (past ``_DENSE_CELL_LIMIT``) and
-# detection (past ``_MATRIX_CELL_LIMIT``) in one-row blocks, on one
-# slice of the grid
+# Past the memory gate (``_DENSE_CELL_LIMIT``): exploration and
+# detection, which share the kernel and its gate, in one-row blocks, on
+# one slice of the grid
 # ----------------------------------------------------------------------
 GATED_SLICE = ["random-16", "random-24", "grid-5x5", "cliques-4x6"]
 
@@ -213,7 +214,6 @@ GATED_SLICE = ["random-16", "random-24", "grid-5x5", "cliques-4x6"]
 @pytest.fixture
 def past_both_gates(monkeypatch):
     monkeypatch.setattr(bf, "_DENSE_CELL_LIMIT", 0)
-    monkeypatch.setattr(sd, "_MATRIX_CELL_LIMIT", 1)
 
 
 class TestPastMemoryGates:
@@ -229,32 +229,24 @@ class TestPastMemoryGates:
         assert_systems_equal(gated, ref)
 
     def test_gated_kernels_serve(self, past_both_gates, kernel_calls,
-                                 monkeypatch):
-        blocks = []
-        advance = sd._advance_matrix_np
-
-        def spy(view, dist, *rest):
-            blocks.append(dist.shape[0])
-            return advance(view, dist, *rest)
-
-        monkeypatch.setattr(sd, "_advance_matrix_np", spy)
+                                 count_calls):
+        detections = count_calls(ac, "detect_sources")
         graph = WORKLOADS["random-16"]()
         build_approx_clusters(graph, 2, seed=131)
         # one-row blocks: every exploration and every detection
         # advances once per source
+        assert detections
         assert kernel_calls and set(kernel_calls) == {1}
-        assert blocks and set(blocks) == {1}
 
 
 @pytest.mark.parametrize("workload", GATED_SLICE)
 @pytest.mark.parametrize("k", [2, 3])
 def test_gated_build_matches_ungated_build(workload, k, monkeypatch):
-    """The whole build past both gates (row-block exploration *and*
-    row-block detection) is the build under them."""
+    """The whole build past the gate (row-block exploration *and*
+    row-block detection) is the build under it."""
     graph = WORKLOADS[workload]()
     fast = build_system(graph, k, seed=137)
     monkeypatch.setattr(bf, "_DENSE_CELL_LIMIT", 0)
-    monkeypatch.setattr(sd, "_MATRIX_CELL_LIMIT", 1)
     gated = build_system(graph, k, seed=137)
     assert_systems_equal(fast, gated)
 

@@ -1,20 +1,20 @@
 """Differential harness: batched source detection against its oracle.
 
 Every graph × mode × parameter case runs both :func:`detect_sources`
-(the batched ``|V'| × n`` matrix path over the CSR scatter-min kernel)
-and :func:`detect_sources_reference` (the original per-source,
-per-scale loops) and the results must be *bit-identical*: estimates,
-Remark-1 parents, the sorted source echo and the charged rounds.
+(the batched ``|V'| × n`` matrix path over the exploration kernel,
+``bellman_ford._explore_block``) and :func:`detect_sources_reference`
+(the original per-source, per-scale loops), without and with a join
+rule, and the results must be *bit-identical*: estimates, Remark-1
+parents, the sorted source echo and the charged rounds.
 """
 
 import numpy as np
 import pytest
 
-import repro.sketches.source_detection as sd_module
+from repro.congest import bellman_ford as bf
 from repro.congest.bellman_ford import JoinRule
 from repro.graphs import (
     INF,
-    csr_view,
     grid,
     path,
     random_connected,
@@ -26,7 +26,8 @@ from repro.sketches import detect_sources
 
 
 def _graph_cases():
-    """~15 seeded graphs spanning the workload families."""
+    """~20 seeded graphs spanning the workload families, plus
+    high-diameter ladders and unit weights, where many rows tie."""
     cases = []
     for seed in range(10):
         n = 16 + 3 * seed
@@ -38,6 +39,11 @@ def _graph_cases():
     cases.append(("grid", grid(5, 5, seed=7)))
     cases.append(("path", path(18, seed=9)))
     cases.append(("cliques", ring_of_cliques(4, 5, seed=10)))
+    cases.append(("ladder", grid(2, 12, seed=11)))
+    cases.append(("unit-grid", grid(5, 5, max_weight=1, seed=12)))
+    cases.append(("unit-ladder", grid(2, 12, max_weight=1, seed=13)))
+    cases.append(("unit-random",
+                  random_connected(24, 4.5 / 24, max_weight=1, seed=14)))
     return cases
 
 
@@ -56,12 +62,26 @@ def _assert_identical(fast, ref):
     assert fast.mode == ref.mode
 
 
+def _join_rule(graph):
+    """A rule that keeps every cell at a third of the vertices and
+    cuts the others at 0 to 3 maximum edge weights."""
+    scale = float(graph.max_weight())
+    return JoinRule(threshold=[INF if v % 3 == 0 else scale * (v % 4)
+                               for v in range(graph.num_vertices)])
+
+
 def _run_case(graph, sources, hop_bound, eps, mode):
-    ref = detect_sources_reference(graph, sources, hop_bound, eps,
-                                   mode=mode)
-    fast = detect_sources(graph, sources, hop_bound, eps, mode=mode)
-    _assert_identical(fast, ref)
-    return ref
+    """The unfiltered case, then the same case under :func:`_join_rule`;
+    returns the unfiltered oracle result."""
+    results = []
+    for join_rule in (None, _join_rule(graph)):
+        ref = detect_sources_reference(graph, sources, hop_bound, eps,
+                                       mode=mode, join_rule=join_rule)
+        fast = detect_sources(graph, sources, hop_bound, eps, mode=mode,
+                              join_rule=join_rule)
+        _assert_identical(fast, ref)
+        results.append(ref)
+    return results[0]
 
 
 class TestDifferentialEquivalence:
@@ -97,17 +117,16 @@ class TestDifferentialEquivalence:
         rule = JoinRule(threshold=[INF if v % 3 == 0 else 20.0 * (v % 4)
                                    for v in range(24)])
         blocks = []
-        advance = sd_module._advance_matrix_np
+        advance = bf._explore_block
 
-        def counted(view, dist, *rest):
-            blocks.append(dist.shape[0])
-            return advance(view, dist, *rest)
+        def counted(view, weights, block, *rest):
+            blocks.append(len(block))
+            return advance(view, weights, block, *rest)
 
-        monkeypatch.setattr(sd_module, "_advance_matrix_np", counted)
-        edges2 = csr_view(graph).num_directed_edges
+        monkeypatch.setattr(bf, "_explore_block", counted)
+        n = graph.num_vertices
         for rows in (1, 2, len(sources) - 1):
-            monkeypatch.setattr(sd_module, "_MATRIX_CELL_LIMIT",
-                                rows * edges2)
+            monkeypatch.setattr(bf, "_DENSE_CELL_LIMIT", rows * n)
             whole, short = divmod(len(sources), rows)
             for mode in ("rounded", "exact"):
                 cells = []
@@ -157,8 +176,9 @@ class TestDifferentialEquivalence:
 
 
 class TestPastMatrixGate:
-    """Past ``_MATRIX_CELL_LIMIT`` the matrix advances in blocks of
-    ``max(1, limit // 2m)`` source rows; each block against the oracle.
+    """Past ``bellman_ford._DENSE_CELL_LIMIT`` the matrix advances in
+    blocks of ``max(1, limit // n)`` source rows, the exploration's
+    rule; each block against the oracle.
     """
 
     @pytest.mark.parametrize("mode", ["rounded", "exact"])
@@ -166,31 +186,31 @@ class TestPastMatrixGate:
                              ids=GRAPH_IDS[::3])
     def test_row_blocks_match_oracle(self, name, graph, mode,
                                      monkeypatch):
-        edges2 = csr_view(graph).num_directed_edges
-        monkeypatch.setattr(sd_module, "_MATRIX_CELL_LIMIT", 2 * edges2)
         n = graph.num_vertices
+        monkeypatch.setattr(bf, "_DENSE_CELL_LIMIT", 2 * n)
         _run_case(graph, [0, n // 2, n - 1], 6, 0.25, mode)
         _run_case(graph, list(range(0, n, 5)), n, 0.15, mode)
 
     def test_block_rows_derived_from_limit(self, monkeypatch):
         graph = path(6, seed=1)
-        edges2 = csr_view(graph).num_directed_edges
+        n = graph.num_vertices
         blocks = []
-        advance = sd_module._advance_matrix_np
+        advance = bf._explore_block
 
-        def counted(view, dist, *rest):
-            blocks.append(dist.shape[0])
-            return advance(view, dist, *rest)
+        def counted(view, weights, block, *rest):
+            blocks.append(len(block))
+            return advance(view, weights, block, *rest)
 
-        monkeypatch.setattr(sd_module, "_advance_matrix_np", counted)
+        monkeypatch.setattr(bf, "_explore_block", counted)
         sources = [0, 1, 2, 3, 4]
         # (limit, blocks): below one row still advances one row at a
         # time; one cell short of three rows gives blocks of two; the
         # whole matrix within the limit is one advance
-        for limit, want in ((1, [1] * 5), (edges2 - 1, [1] * 5),
-                            (3 * edges2 - 1, [2, 2, 1]),
-                            (5 * edges2 - 1, [4, 1]), (5 * edges2, [5])):
-            monkeypatch.setattr(sd_module, "_MATRIX_CELL_LIMIT", limit)
+        for limit, want in ((1, [1] * 5), (n - 1, [1] * 5),
+                            (3 * n - 1, [2, 2, 1]),
+                            (5 * n - 1, [4, 1]), (5 * n, [5])):
+            monkeypatch.setattr(bf, "_DENSE_CELL_LIMIT", limit)
             del blocks[:]
             _run_case(graph, sources, 4, 0.3, "rounded")
-            assert blocks == want, limit
+            # one detection without the join rule, one under it
+            assert blocks == want * 2, limit

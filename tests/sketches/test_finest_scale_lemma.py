@@ -8,7 +8,8 @@ every cell.  Checked here on random inputs at both of its steps — the
 rounded weights are ordered as floats, and the two implementations
 agree bit for bit.  The counting tests then pin the cost: one kernel
 advance per call (per row block past the memory gate), so a
-reintroduced sweep fails a test, not just a benchmark.
+reintroduced sweep fails a test, not just a benchmark.  The kernel is
+the exploration's, ``bellman_ford._explore_block``.
 """
 
 import math
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.sketches.source_detection as sd_module
+from repro.congest import bellman_ford as bf
 from repro.exceptions import ParameterError
 from repro.graphs import random_connected
 from repro.reference import detect_sources_reference
@@ -87,7 +89,7 @@ def test_subnormal_unit_refused():
 
 # -- one advance per call ------------------------------------------------
 def test_one_matrix_advance_per_call(count_calls):
-    matrix = count_calls(sd_module, "_advance_matrix_np")
+    matrix = count_calls(bf, "_explore_block")
     graph = random_connected(40, 0.1, seed=3)
     assert sd_module._scale_parameters(graph, 12) > 1   # a real sweep
     detect_sources(graph, [0, 13, 27], 12, 0.25, mode="rounded")
@@ -97,8 +99,8 @@ def test_one_matrix_advance_per_call(count_calls):
 def test_one_advance_per_row_block(monkeypatch, count_calls):
     """A matrix over the memory gate advances once per block of rows,
     here one row each."""
-    monkeypatch.setattr(sd_module, "_MATRIX_CELL_LIMIT", 1)
-    matrix = count_calls(sd_module, "_advance_matrix_np")
+    monkeypatch.setattr(bf, "_DENSE_CELL_LIMIT", 1)
+    matrix = count_calls(bf, "_explore_block")
     graph = random_connected(40, 0.1, seed=3)
     detect_sources(graph, [0, 13, 27], 12, 0.25, mode="rounded")
     assert len(matrix) == 3
