@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis import evaluate_tree_routing, fit_exponent
 from repro.core import build_forest_routing
-from repro.reference import build_forest_routing_reference
+from repro.reference import build_forest_routing_reference, trees_as_columns
 from repro.trees import RootedTree
 
 
@@ -39,7 +39,8 @@ def bench_tree_routing_exactness(benchmark, small_workload):
     trees = _random_forest(n, 8, seed=31)
 
     report = benchmark.pedantic(
-        lambda: build_forest_routing(trees, n, random.Random(1)),
+        lambda: build_forest_routing(*trees_as_columns(trees), n,
+                                     random.Random(1)),
         rounds=1, iterations=1)
 
     # routes walk the per-vertex objects of the reference builder,
@@ -76,7 +77,8 @@ def bench_tree_rounds_scaling(benchmark):
         rounds = {}
         for n in (64, 144, 324):
             trees = _random_forest(n, 4, seed=n)
-            report = build_forest_routing(trees, n, random.Random(n))
+            report = build_forest_routing(*trees_as_columns(trees), n,
+                                          random.Random(n))
             rounds[n] = report.rounds
         return rounds
 

@@ -16,7 +16,7 @@ import math
 import random
 
 from repro.core import build_forest_routing
-from repro.reference import build_forest_routing_reference
+from repro.reference import build_forest_routing_reference, trees_as_columns
 from repro.trees import RootedTree
 
 N, NUM_TREES, SEED = 120, 5, 13
@@ -41,7 +41,8 @@ def main() -> None:
     print(f"Overlay network: {N} nodes, {NUM_TREES} multicast trees "
           f"of sizes {sorted(sizes.values())}\n")
 
-    report = build_forest_routing(trees, N, random.Random(SEED + 1))
+    report = build_forest_routing(*trees_as_columns(trees), N,
+                                  random.Random(SEED + 1))
     print("Distributed construction (Remark 3, shared splitter sample):")
     print(f"  rounds        : {report.rounds:,} "
           f"(Õ(sqrt(n*s) + D) regime)")

@@ -8,7 +8,7 @@ counts; this module normalizes them into one report shape.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import List
 
 from ..dataclass import dataclass
 from ..graphs.weighted_graph import WeightedGraph
@@ -33,11 +33,6 @@ class SizeReport:
         denom = self.n ** (1.0 / self.k) * \
             max(1.0, math.log2(self.n)) ** 2
         return self.max_table_words / denom
-
-    def normalized_label(self) -> float:
-        """Label words divided by ``k log^2 n``."""
-        denom = self.k * max(1.0, math.log2(self.n)) ** 2
-        return self.max_label_words / denom
 
     def row(self) -> str:
         return (f"{self.scheme_name:<18} n={self.n:<6} k={self.k:<2} "

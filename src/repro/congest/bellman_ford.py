@@ -18,17 +18,15 @@ Three variants back the paper's construction:
   iteration's updates are convergecast to a BFS-tree root and broadcast
   back, costing ``O(M + D)`` measured rounds.
 
-All variants run round-by-round over explicit per-node state, so their
-outputs are exactly what the message-passing execution would compute.
-
-The two physical-graph explorations are numpy kernels over the graph's
-cached CSR view (:mod:`repro.graphs.csr`): one scatter-min per hop over
-the frontier's gathered out-edges.  Their dict-based oracles live in
+Every variant's output is exactly what the synchronous message-passing
+execution computes.  The two physical-graph explorations are numpy
+kernels over the graph's cached CSR view (:mod:`repro.graphs.csr`): one
+scatter-min per hop over the frontier's gathered out-edges, the join
+rule fused in as a masked compare against the declarative
+:class:`JoinRule` — a per-vertex threshold plan covering every rule the
+paper applies (Eq. (11), the middle-scale pivot-distance filter,
+Eq. (14)/(15)).  Their dict-based oracles live in
 :mod:`repro.reference.exploration`, which production never imports.
-The join decision is the declarative :class:`JoinRule` — a per-vertex
-threshold plan covering every rule the paper actually applies (Eq. (11),
-the middle-scale pivot-distance filter, Eq. (14)/(15)) — which the
-kernel evaluates as a masked vector compare fused into the relaxation.
 
 The multi-source kernel, :func:`_explore_block`, has two callers:
 :func:`multi_source_exploration` here, and Theorem-1 source detection
@@ -38,9 +36,10 @@ weights.  The caller owns the ``rows × n`` ``dist`` / ``par`` matrices,
 the kernel writes each hop's winners into them in place, and both
 callers advance their source rows in blocks of at most
 :data:`_DENSE_CELL_LIMIT` cells; rows are independent and every block
-size gives a bit-identical result.  numpy is required; the one
-remaining kernel choice is the dense plane's parent walk below
-``_VECTOR_MIN_PAIRS`` (:mod:`repro.core.dense`).
+size gives a bit-identical result.  The exploration's result is the
+blocks' finite cells as four columns sorted by (source, vertex) — the
+cluster system appends them as they are — and its per-vertex dicts are
+lazy views for tests.  numpy is required.
 
 One deliberate semantic pin, applied to kernel and oracle alike:
 frontiers are processed in sorted vertex order (the originals iterated
@@ -56,6 +55,7 @@ accounting.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as _np
@@ -195,24 +195,38 @@ def nearest_source_exploration(graph: WeightedGraph,
                                iterations=executed, rounds=rounds)
 
 
-@dataclass
+@dataclass(eq=False)
 class ExplorationResult:
-    """Outcome of a per-source exploration with a join rule.
+    """Outcome of a per-source exploration with a join rule: one cell
+    per joined ``(source, vertex)``, sorted by (source, vertex), with
+    its estimate ``value`` and the neighbor ``via`` it arrived through
+    (``-1`` at the source).  ``dist[v]`` (source -> estimate) and
+    ``parent[v]`` (source -> neighbor, ``None`` at the source) are
+    per-vertex dict views of the cells, built on first access only."""
 
-    ``dist[v]`` maps each vertex to ``{source: estimate}`` for the sources
-    whose exploration it joined; ``parent[v][source]`` is the neighbor the
-    winning estimate arrived through (``None`` at the source itself).
-    """
-
-    dist: List[Dict[int, float]]
-    parent: List[Dict[int, Optional[int]]]
+    num_vertices: int
+    source: _np.ndarray
+    vertex: _np.ndarray
+    value: _np.ndarray
+    via: _np.ndarray
     iterations: int
     rounds: int
     max_estimates_per_node: int = 0
 
-    def members_of(self, source: int) -> List[int]:
-        """Vertices that joined ``source``'s exploration."""
-        return [v for v in range(len(self.dist)) if source in self.dist[v]]
+    def _per_vertex(self, cells: list) -> List[dict]:
+        rows: List[dict] = [dict() for _ in range(self.num_vertices)]
+        for s, v, x in zip(self.source.tolist(), self.vertex.tolist(),
+                           cells):
+            rows[v][s] = x
+        return rows
+
+    @cached_property
+    def dist(self) -> List[Dict[int, float]]:
+        return self._per_vertex(self.value.tolist())
+
+    @cached_property
+    def parent(self) -> List[Dict[int, Optional[int]]]:
+        return self._per_vertex(_listed(self.via, -1, None))
 
 
 def multi_source_exploration(graph: WeightedGraph,
@@ -248,8 +262,8 @@ def multi_source_exploration(graph: WeightedGraph,
       vertex that was ever a candidate target: the oracle samples
       exactly those vertices after each hop, live counts only grow,
       and a vertex's last gain happens in a hop that samples it;
-    * the dicts are filled block by block in ascending source order,
-      the insertion order of a single block.
+    * each block's finite cells, in row-major order, are the next
+      stretch of the (source, vertex)-sorted result columns.
     """
     n = graph.num_vertices
     view = csr_view(graph)
@@ -257,8 +271,7 @@ def multi_source_exploration(graph: WeightedGraph,
     thr = _np.asarray(rule.threshold, dtype=_np.float64)
     multiset = _np.asarray(list(sources), dtype=_np.int64)
     source_rows = _np.unique(multiset)
-    dist: List[Dict[int, float]] = [dict() for _ in range(n)]
-    parent: List[Dict[int, Optional[int]]] = [dict() for _ in range(n)]
+    cells: List[tuple] = []
     live = _np.zeros(n, dtype=_np.int64)
     relayed: List[list] = []      # per iteration: each block's relays
     block = max(1, _DENSE_CELL_LIMIT // max(n, 1))
@@ -272,21 +285,10 @@ def multi_source_exploration(graph: WeightedGraph,
             if i == len(relayed):
                 relayed.append([])
             relayed[i].append(front)
-        # the finite cells in column-major order: ascending vertex,
-        # then ascending row
-        cols_i, rows_i = _np.divmod(_np.flatnonzero(block_dist.T < INF),
-                                    rows.size)
-        counts = _np.bincount(cols_i, minlength=n)
-        live += counts
-        srcs = rows[rows_i].tolist()
-        values = block_dist[rows_i, cols_i].tolist()
-        pars = _listed(block_par[rows_i, cols_i], -1, None)
-        start = 0
-        for v, end in enumerate(_np.cumsum(counts).tolist()):
-            if end > start:
-                dist[v].update(zip(srcs[start:end], values[start:end]))
-                parent[v].update(zip(srcs[start:end], pars[start:end]))
-                start = end
+        rows_i, cols_i = _np.nonzero(block_dist < INF)
+        live += _np.bincount(cols_i, minlength=n)
+        cells.append((rows[rows_i], cols_i, block_dist[rows_i, cols_i],
+                      block_par[rows_i, cols_i]))
     # every out-neighbor of a relayed estimate was a candidate target
     sampled = _np.zeros(n, dtype=bool)
     if relayed:
@@ -302,7 +304,13 @@ def multi_source_exploration(graph: WeightedGraph,
         for fronts in relayed]
     max_live = int(live[sampled].max()) if sampled.any() else 0
     rounds = congestion_rounds(per_iter_words, capacity_words)
-    return ExplorationResult(dist=dist, parent=parent,
+    if cells:
+        source, vertex, value, via = map(_np.concatenate, zip(*cells))
+    else:
+        source = vertex = via = _np.empty(0, dtype=_np.int64)
+        value = _np.empty(0)
+    return ExplorationResult(num_vertices=n, source=source, vertex=vertex,
+                             value=value, via=via,
                              iterations=len(relayed), rounds=rounds,
                              max_estimates_per_node=max_live)
 
@@ -394,9 +402,6 @@ class VirtualExplorationResult:
     iterations: int
     rounds: int
     broadcast_words: int = 0
-
-    def members_of(self, source: int) -> List[int]:
-        return [v for v, d in self.dist.items() if source in d]
 
 
 def virtual_multi_source_exploration(virtual: VirtualGraph,

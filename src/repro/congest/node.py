@@ -71,11 +71,13 @@ class NodeProgram:
 
 
 def make_contexts(network: Network) -> List[NodeContext]:
-    """Build the per-node contexts for a network."""
+    """Build the per-node contexts for a network (each node's weights
+    in one pass over its adjacency)."""
     contexts = []
     for u in range(network.num_nodes):
         neighbors = network.neighbors(u)
-        weights = [network.weight(u, v) for v in neighbors]
+        weight = dict(network.graph.neighbor_weights(u))
+        weights = [weight[v] for v in neighbors]
         contexts.append(NodeContext(node=u, neighbors=neighbors,
                                     weights=weights))
     return contexts

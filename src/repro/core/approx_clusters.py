@@ -27,24 +27,27 @@ Construction phases (all costs measured into a :class:`CostLedger`):
   Phase 2 broadcasts the virtual trees and extends them to all of ``V``
   with join rule (15), real parents coming from Remark 1.
 
-Every join rule above is a *per-vertex threshold* and is handed to the
-exploration layer declaratively as a
-:class:`repro.congest.bellman_ford.JoinRule` instead of a closure, so
-the vectorized kernel can evaluate it as one masked compare fused into
-the scatter-min relaxation.  The plans per scale band:
+Every join rule above is a *per-vertex threshold*, handed over
+declaratively as a :class:`repro.congest.bellman_ford.JoinRule` and
+evaluated as one masked compare: fused into the scatter-min relaxation
+on the small levels (rule (11), thresholds ``d̂_{i+1}``) and in Phase 1
+(rule (14) over ``G''``, thresholds ``d̂_{i+1}(v) / (1+eps)^3``); over
+the detection's finished matrix on the middle level (thresholds
+``d̂_{(k+1)/2}``); and after the Phase-2 broadcast-extension sweep
+(rule (15), thresholds ``d̂_{i+1}(y) / (1+eps)``), one pass over the
+detection's ``V'`` rows that computes every ``min_v d̂(y, v) + b_v(u)``
+and its first minimizing row, which names the Remark-1 parent.
 
-* small levels — ``JoinRule(threshold=d̂_{i+1})``: rule (11), strict,
-  thresholds the (possibly approximate) next-level pivot distances;
-* middle level — ``JoinRule(threshold=d̂_{(k+1)/2})`` applied by the
-  source detection as one masked compare over its finished matrix (the
-  exact ``(k+1)/2``-pivot distances; propagation is unchanged);
-* large levels, Phase 1 — ``JoinRule(threshold=[d̂_{i+1}(v) /
-  (1+eps)^3])``: rule (14) over the virtual graph ``G''``;
-* large levels, Phase 2 — rule (15) thresholds ``d̂_{i+1}(y)/(1+eps)``
-  per vertex, one masked compare after the broadcast-extension sweep
-  (not an exploration: one pass over the detection's ``V'`` rows
-  computes every ``min_v d̂(y, v) + b_v(u)`` and its first minimizing
-  row, which names the Remark-1 parent).
+Every level hands its clusters over as cells — (center, member,
+value, parent) arrays straight from its kernel: the exploration's
+columns, the detection's finite rows, the virtual members plus the
+Phase-2 join mask.  One stable sort by (center, member) merges them
+into the system's CSR (:class:`ApproxClusterSystem`), which the forest,
+the sketches and the 4k-5 member rows read as it is.  Claim 7 — every
+parent joins its cluster — is one vectorised check over it
+(:meth:`ApproxClusterSystem.check_parents`), a :class:`SchemeError`
+and never a repair.  No per-membership dict is built: the
+:class:`ApproxCluster` dicts are a lazy view for tests and oracles.
 
 Wall-clock per phase is measured into the ledger (``seconds=``) purely
 for benchmark reporting; it never participates in any equivalence.
@@ -54,13 +57,15 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import field
-from typing import Dict, List, Optional, Sequence
+from functools import cached_property
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..congest.bellman_ford import (
     JoinRule,
+    _run_starts,
     multi_source_exploration,
     nearest_source_exploration,
     virtual_multi_source_exploration,
@@ -69,7 +74,7 @@ from ..congest.bfs import BFSTree, build_bfs_tree
 from ..congest.metrics import CostLedger, pipelined_rounds
 from ..congest.network import Network
 from ..dataclass import dataclass
-from ..exceptions import ParameterError, SchemeError
+from ..exceptions import SchemeError
 from ..graphs.shortest_paths import INF
 from ..graphs.weighted_graph import WeightedGraph
 from ..hopsets.construction import build_hopset
@@ -83,6 +88,7 @@ from ..sketches.source_detection import (
 from ..trees.rooted import RootedTree
 from .params import SchemeParams
 from .sampling import LevelHierarchy, sample_levels
+from .tree_routing import parent_cells
 
 
 @dataclass
@@ -98,13 +104,14 @@ class ApproxPivots:
 
 @dataclass
 class ApproxCluster:
-    """One approximate cluster ``C̃(u)`` stored as a rooted tree."""
+    """One approximate cluster ``C̃(u)`` as dicts: a view of its slice
+    of the :class:`ApproxClusterSystem` columns (tests and the
+    reference oracles only)."""
 
     center: int
     level: int
     value: Dict[int, float]            # member v -> b_v(u)
     parent: Dict[int, Optional[int]]   # member v -> real parent in G
-    dropped_members: int = 0           # defensive prunes (should be 0)
 
     def members(self) -> List[int]:
         return list(self.value)
@@ -116,18 +123,50 @@ class ApproxCluster:
         return len(self.value)
 
 
-@dataclass
+@dataclass(eq=False)
 class ApproxClusterSystem:
-    """Everything Section 3 produces, plus cost accounting."""
+    """Everything Section 3 produces, plus cost accounting.
+
+    The clusters are one CSR sorted by (center, member): cluster ``c``
+    is centered at ``center[c]`` (ascending), built at level
+    ``level[c]``, and owns the cells ``c_start[c] : c_start[c + 1]``
+    of the columns ``member`` (int64, ascending in the cluster),
+    ``value`` (float64, ``b_v(u)``) and ``parent`` (int64, the member's
+    real parent in ``G``, ``-1`` at the center).  :attr:`clusters`,
+    the same clusters as :class:`ApproxCluster` dicts, is built on
+    first access only.
+    """
 
     params: SchemeParams
     hierarchy: LevelHierarchy
     pivots: List[ApproxPivots]
-    clusters: Dict[int, ApproxCluster]
     ledger: CostLedger
     bfs_tree: BFSTree
+    center: np.ndarray
+    level: np.ndarray
+    c_start: np.ndarray
+    member: np.ndarray
+    value: np.ndarray
+    parent: np.ndarray
     beta: int = 0
-    total_dropped: int = 0
+
+    @cached_property
+    def clusters(self) -> Dict[int, ApproxCluster]:
+        """Center -> its cluster as dicts, ascending: for tests,
+        baselines and oracles; no construction step reads it."""
+        bounds = self.c_start.tolist()
+        member, value = self.member.tolist(), self.value.tolist()
+        parent = [None if p < 0 else p for p in self.parent.tolist()]
+        return {u: ApproxCluster(u, level,
+                                 dict(zip(member[lo:hi], value[lo:hi])),
+                                 dict(zip(member[lo:hi], parent[lo:hi])))
+                for u, level, lo, hi in zip(self.center.tolist(),
+                                            self.level.tolist(), bounds,
+                                            bounds[1:])}
+
+    def cell_centers(self) -> np.ndarray:
+        """The center of every cell."""
+        return np.repeat(self.center, np.diff(self.c_start))
 
     def pivot_distance(self, v: int, i: int) -> float:
         """``d̂_i(v)`` with the convention ``d̂_k = INF``."""
@@ -140,17 +179,31 @@ class ApproxClusterSystem:
             return None
         return self.pivots[i].pivot[v]
 
-    def membership_counts(self) -> List[int]:
-        n = len(self.pivots[0].dist_hat)
-        counts = [0] * n
-        for cluster in self.clusters.values():
-            for v in cluster.value:
-                counts[v] += 1
-        return counts
+    def membership_counts(self) -> np.ndarray:
+        """Clusters per vertex, ``|{u : v ∈ C̃(u)}|``."""
+        return np.bincount(self.member,
+                           minlength=len(self.pivots[0].dist_hat))
 
     def max_overlap(self) -> int:
-        counts = self.membership_counts()
-        return max(counts) if counts else 0
+        return int(self.membership_counts().max(initial=0))
+
+    def check_parents(self) -> None:
+        """Claim 7: a cluster's center has parent ``-1``, and every
+        other member's parent is a member of the same cluster.  A
+        violation is a :class:`SchemeError` naming the cluster and the
+        vertex."""
+        owner = self.cell_centers()
+        found = parent_cells(owner, self.member, self.parent,
+                             len(self.pivots[0].dist_hat)) >= 0
+        bad = np.flatnonzero(np.where(self.member == owner,
+                                      self.parent != -1, ~found))
+        if len(bad):
+            cell = bad[0]
+            raise SchemeError(
+                f"cluster {int(owner[cell])}: vertex "
+                f"{int(self.member[cell])} has parent "
+                f"{int(self.parent[cell])}, which is not a member "
+                f"(Claim 7)")
 
 
 # ----------------------------------------------------------------------
@@ -191,53 +244,8 @@ def _compute_pivots(graph: WeightedGraph, params: SchemeParams,
     return pivots
 
 
-# ----------------------------------------------------------------------
-# Tree repair (defensive, see module docstring of clusters)
-# ----------------------------------------------------------------------
-def _prune_orphans(center: int, value: Dict[int, float],
-                   parent: Dict[int, Optional[int]]) -> int:
-    """Drop members whose parent chain leaves the member set.
-
-    The paper proves parents always join (Claim 7); with floating-point
-    arithmetic an equality-boundary case could in principle violate it,
-    so we prune instead of crashing and report the count (tests pin it
-    to zero).
-    """
-    dropped = 0
-    changed = True
-    while changed:
-        changed = False
-        for v in list(value):
-            if v == center:
-                continue
-            p = parent.get(v)
-            if p is None or p not in value:
-                del value[v]
-                del parent[v]
-                dropped += 1
-                changed = True
-    return dropped
-
-
-def _vertex_objects(n: int) -> np.ndarray:
-    """Object array of the ``n`` vertex ints, then ``None`` (index −1
-    reads it, for a parent of −1)."""
-    vertex = np.empty(n + 1, dtype=object)
-    vertex[:n] = list(range(n))
-    return vertex
-
-
-def _add_members(cluster: ApproxCluster, vertex: np.ndarray,
-                 members: np.ndarray, values: list,
-                 parents: np.ndarray) -> None:
-    """Append ``members`` (ascending) with their values and parent
-    cells to ``cluster``.  Keys and parents are :func:`_vertex_objects`'
-    ints, one object per vertex shared by every cluster it joins rather
-    than one per membership: the clusters live through the tree build.
-    """
-    keys = vertex[members].tolist()
-    cluster.value.update(zip(keys, values))
-    cluster.parent.update(zip(keys, vertex[parents].tolist()))
+#: One level's clusters as cells: (center, member, value, parent) arrays.
+Cells = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 # ----------------------------------------------------------------------
@@ -246,8 +254,7 @@ def _add_members(cluster: ApproxCluster, vertex: np.ndarray,
 def _build_small_level(graph: WeightedGraph, level: int,
                        centers: Sequence[int],
                        next_pivot_dist: List[float], budget: int,
-                       capacity_words: int, ledger: CostLedger
-                       ) -> Dict[int, ApproxCluster]:
+                       capacity_words: int, ledger: CostLedger) -> Cells:
     # rule (11): join iff b_v(u) < d̂_{i+1}(v), declaratively
     rule = JoinRule(threshold=next_pivot_dist)
     started = time.perf_counter()
@@ -255,17 +262,8 @@ def _build_small_level(graph: WeightedGraph, level: int,
                                       capacity_words)
     ledger.add(f"clusters/small-level-{level}", result.rounds,
                seconds=time.perf_counter() - started)
-    clusters: Dict[int, ApproxCluster] = {
-        u: ApproxCluster(center=u, level=level, value={}, parent={})
-        for u in centers}
-    for v in range(graph.num_vertices):
-        for u, b in result.dist[v].items():
-            clusters[u].value[v] = b
-            clusters[u].parent[v] = result.parent[v][u]
-    for cluster in clusters.values():
-        cluster.dropped_members = _prune_orphans(
-            cluster.center, cluster.value, cluster.parent)
-    return clusters
+    # one cell per (source, vertex) estimate: the clusters as they are
+    return result.source, result.vertex, result.value, result.via
 
 
 # ----------------------------------------------------------------------
@@ -275,8 +273,7 @@ def _build_middle_level(graph: WeightedGraph, level: int,
                         centers: Sequence[int],
                         next_pivot_dist: List[float], budget: int,
                         eps: float, bfs_tree: BFSTree,
-                        detection_mode: str, ledger: CostLedger
-                        ) -> Dict[int, ApproxCluster]:
+                        detection_mode: str, ledger: CostLedger) -> Cells:
     # middle-level join rule, applied inside the detection when it
     # materializes estimates: keep (v, u) iff b < d̂_{(k+1)/2}(v)
     rule = JoinRule(threshold=next_pivot_dist)
@@ -286,23 +283,11 @@ def _build_middle_level(graph: WeightedGraph, level: int,
                                join_rule=rule)
     ledger.add(f"clusters/middle-level-{level}", detection.rounds,
                seconds=time.perf_counter() - started)
-    clusters: Dict[int, ApproxCluster] = {
-        u: ApproxCluster(center=u, level=level, value={u: 0.0},
-                         parent={u: None})
-        for u in centers}
-    # the detection kept only rule-passing cells; each row is one
-    # center's members, ascending
-    vertex = _vertex_objects(graph.num_vertices)
-    for r, u in enumerate(detection.sources):
-        row = detection.dist[r]
-        vs = np.nonzero(row < INF)[0]
-        vs = vs[vs != u]
-        _add_members(clusters[u], vertex, vs, detection.numbers(row[vs]),
-                     detection.par[r, vs])
-    for cluster in clusters.values():
-        cluster.dropped_members = _prune_orphans(
-            cluster.center, cluster.value, cluster.parent)
-    return clusters
+    # the detection kept only rule-passing cells, and the seeded center
+    # (value 0, parent -1): each row is one center's cluster
+    rows, members = np.nonzero(detection.dist < INF)
+    return (np.asarray(detection.sources, dtype=np.int64)[rows], members,
+            detection.dist[rows, members], detection.par[rows, members])
 
 
 # ----------------------------------------------------------------------
@@ -348,14 +333,14 @@ def _preprocess_large_scales(graph: WeightedGraph, params: SchemeParams,
                                     beta=beta)
 
 
-def _broadcast_extension(clusters: Dict[int, ApproxCluster],
-                         centers: Sequence[int],
+def _broadcast_extension(centers: np.ndarray,
                          virt_value: Dict[int, Dict[int, float]],
                          detection: SourceDetectionResult,
-                         next_pivot_hat: List[float], eps: float) -> int:
+                         next_pivot_hat: List[float], eps: float
+                         ) -> Tuple[Cells, int]:
     """Phase 2 of a large level: extend the virtual clusters to all of
-    ``V`` under rule (15), in place; returns the broadcast words (3 per
-    announced value).
+    ``V`` under rule (15).  Returns the new members' cells and the
+    broadcast words (3 per announced value).
 
     Every ``y`` takes ``b_y(u) = min_{v ∈ V'} d̂(y, v) + b_v(u)``, its
     first strict minimum over ``V'`` in ascending order, and joins
@@ -364,7 +349,7 @@ def _broadcast_extension(clusters: Dict[int, ApproxCluster],
     ``y`` toward the winning ``v`` (Remark 1).  The min is one sweep
     over the announcing rows of the detection's matrix
     (:func:`~repro.sketches.source_detection.extend_over_sources`); the
-    rule is one masked compare.
+    rule is one masked compare, and its mask is the cells.
     """
     n = len(next_pivot_hat)
     row_of = detection.row_of
@@ -373,7 +358,7 @@ def _broadcast_extension(clusters: Dict[int, ApproxCluster],
     values = np.full((len(detection.sources), len(centers)), INF)
     member = np.zeros((n, len(centers)), dtype=bool)
     broadcast_words = 0
-    for c, u in enumerate(centers):
+    for c, u in enumerate(centers.tolist()):
         announced = virt_value[u]
         values[[row_of[v] for v in announced], c] = list(announced.values())
         member[list(announced), c] = True
@@ -383,21 +368,16 @@ def _broadcast_extension(clusters: Dict[int, ApproxCluster],
     # members keep their Phase-1 values
     threshold = np.asarray(next_pivot_hat, dtype=np.float64) / (1.0 + eps)
     joins = (best < threshold[:, None]) & ~member
-    vertex = _vertex_objects(n)
-    for c, u in enumerate(centers):
-        ys = np.nonzero(joins[:, c])[0]      # new members, ascending
-        # floats: Phase-1 values start at 0.0, so every sum is one
-        _add_members(clusters[u], vertex, ys, best[ys, c].tolist(),
-                     detection.par[row[ys, c], ys])
-    return broadcast_words
+    cs, ys = np.nonzero(joins.T)          # by center, members ascending
+    return (centers[cs], ys, best[ys, cs],
+            detection.par[row[ys, cs], ys]), broadcast_words
 
 
 def _build_large_level(graph: WeightedGraph, level: int,
                        centers: Sequence[int],
                        next_pivot_hat: List[float], eps: float,
                        pre: _LargeScalePreprocessing, bfs_tree: BFSTree,
-                       capacity_words: int, ledger: CostLedger
-                       ) -> Dict[int, ApproxCluster]:
+                       capacity_words: int, ledger: CostLedger) -> Cells:
     one_plus = 1.0 + eps
 
     # ----- Phase 1: β-iteration Bellman–Ford over G'' with rule (14),
@@ -453,37 +433,48 @@ def _build_large_level(graph: WeightedGraph, level: int,
                                     capacity_words, bfs_tree.height),
                seconds=time.perf_counter() - started)
 
-    # real parents for the virtual members (Remark 1 through the
-    # detection's parent pointers: the cell of v in its virtual
-    # parent's row)
+    # the virtual members' cells; real parents by Remark 1 through the
+    # detection's parent pointers: the cell of v in its virtual parent's
+    # row (only the center has no virtual parent, and keeps -1)
     detection = pre.detection
     row_of = detection.row_of
-    clusters: Dict[int, ApproxCluster] = {}
-    for u in centers:
-        members = list(virt_value[u])
-        via = [virt_parent[u][v] for v in members]
-        # only the center has no virtual parent; its row-0 read is unused
-        real = detection.par[[0 if x is None else row_of[x] for x in via],
-                             members].tolist()
-        parent = {v: None if x is None or p < 0 else p
-                  for v, x, p in zip(members, via, real)}
-        clusters[u] = ApproxCluster(center=u, level=level,
-                                    value=dict(virt_value[u]),
-                                    parent=parent)
+    center = np.asarray(centers, dtype=np.int64)
+    sizes = [len(virt_value[u]) for u in centers]
+    total = sum(sizes)
+    member = np.fromiter(chain.from_iterable(
+        virt_value[u] for u in centers), np.int64, total)
+    value = np.fromiter(chain.from_iterable(
+        virt_value[u].values() for u in centers), np.float64, total)
+    via = np.fromiter((-1 if x is None else row_of[x] for u in centers
+                       for x in map(virt_parent[u].get, virt_value[u])),
+                      np.int64, total)
+    parent = np.where(via >= 0, detection.par[via, member], -1)
 
     # ----- Phase 2: broadcast virtual trees, extend to all of V, rule (15).
     started = time.perf_counter()
-    broadcast_words = _broadcast_extension(clusters, centers, virt_value,
-                                           detection, next_pivot_hat, eps)
+    joined, broadcast_words = _broadcast_extension(
+        center, virt_value, detection, next_pivot_hat, eps)
     ledger.add(f"large/phase2-broadcast-level-{level}",
                2 * pipelined_rounds(broadcast_words, capacity_words,
                                     bfs_tree.height),
                seconds=time.perf_counter() - started)
+    return tuple(np.concatenate(pair) for pair in zip(
+        (np.repeat(center, sizes), member, value, parent), joined))
 
-    for cluster in clusters.values():
-        cluster.dropped_members = _prune_orphans(
-            cluster.center, cluster.value, cluster.parent)
-    return clusters
+
+def _merge_levels(n: int, hierarchy: LevelHierarchy,
+                  cells: List[Cells]) -> Dict[str, np.ndarray]:
+    """The levels' clusters as the system's CSR columns: the cells in
+    one stable sort by (center, member), which merges the long sorted
+    runs the levels hand over.  Every cluster holds its center."""
+    owner, member, value, parent = map(np.concatenate, zip(*cells))
+    order = np.argsort(owner * n + member, kind="stable")
+    first = np.flatnonzero(_run_starts(owner[order]))
+    center = owner[order[first]]
+    return dict(center=center,
+                level=np.asarray(hierarchy.level_of, dtype=np.int64)[center],
+                c_start=np.append(first, len(order)), member=member[order],
+                value=value[order], parent=parent[order])
 
 
 # ----------------------------------------------------------------------
@@ -526,7 +517,7 @@ def build_approx_clusters(graph: WeightedGraph, k: int,
             return [INF] * n
         return pivots[i + 1].dist_hat
 
-    clusters: Dict[int, ApproxCluster] = {}
+    cells: List[Cells] = []
 
     middle = params.middle_level if params.is_odd and params.k > 1 else None
     for i in range(min(params.half_level, params.k)):
@@ -535,11 +526,11 @@ def build_approx_clusters(graph: WeightedGraph, k: int,
             continue
         budget = params.exploration_budget(i + 1)
         if middle is not None and i == middle:
-            clusters.update(_build_middle_level(
+            cells.append(_build_middle_level(
                 graph, i, centers, next_hat(i), budget, params.eps,
                 bfs_tree, detection_mode, ledger))
         else:
-            clusters.update(_build_small_level(
+            cells.append(_build_small_level(
                 graph, i, centers, next_hat(i), budget, capacity_words,
                 ledger))
 
@@ -555,12 +546,15 @@ def build_approx_clusters(graph: WeightedGraph, k: int,
                 centers = hierarchy.centers_at(i)
                 if not centers:
                     continue
-                clusters.update(_build_large_level(
+                cells.append(_build_large_level(
                     graph, i, centers, next_hat(i), params.eps, pre,
                     bfs_tree, capacity_words, ledger))
 
-    total_dropped = sum(c.dropped_members for c in clusters.values())
-    return ApproxClusterSystem(params=params, hierarchy=hierarchy,
-                               pivots=pivots, clusters=clusters,
-                               ledger=ledger, bfs_tree=bfs_tree,
-                               beta=beta, total_dropped=total_dropped)
+    started = time.perf_counter()
+    system = ApproxClusterSystem(
+        params=params, hierarchy=hierarchy, pivots=pivots, ledger=ledger,
+        bfs_tree=bfs_tree, beta=beta, **_merge_levels(n, hierarchy, cells))
+    system.check_parents()
+    ledger.add("assemble/clusters", 0,
+               seconds=time.perf_counter() - started)
+    return system

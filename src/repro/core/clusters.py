@@ -142,8 +142,3 @@ def compute_exact_clusters(graph: WeightedGraph,
                                                   next_dist)
     return ExactClusterSystem(hierarchy=hierarchy, pivots=pivots,
                               clusters=clusters)
-
-
-def cluster_hop_radius(graph: WeightedGraph, cluster: ExactCluster) -> int:
-    """Max tree depth of the cluster's SPT (Corollary 4 diagnostics)."""
-    return cluster.tree().height()

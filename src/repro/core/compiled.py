@@ -56,7 +56,6 @@ import json
 import operator
 import struct
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -642,13 +641,8 @@ class CompiledScheme(_CompiledArtifact):
             graph, cols["slot_vertex"], cols["t_parent"])
         cols["lbl_pivot"] = scheme.lbl_pivot
         cols["lbl_slot"] = scheme.lbl_slot
-        owners = sorted(scheme.members)
-        mine = [scheme.members[owner] for owner in owners]
-        sizes = [len(members) for members in mine]
-        cols["ml_owner"] = _np.repeat(_np.array(owners, dtype=_np.int64),
-                                      sizes)
-        cols["ml_member"] = _np.fromiter(chain.from_iterable(mine),
-                                         _np.int64, sum(sizes))
+        cols["ml_owner"] = scheme.ml_owner
+        cols["ml_member"] = scheme.ml_member
         cols["table_words"] = scheme.table_words
         cols["label_words"] = scheme.label_words
         n = graph.num_vertices

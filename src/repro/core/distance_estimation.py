@@ -29,7 +29,6 @@ It has one body, in :class:`~.compiled.CompiledEstimation` (behind its
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
 from typing import Dict, List
 
 import numpy as np
@@ -116,26 +115,18 @@ def estimation_from_clusters(graph: WeightedGraph,
     sk_pivot[np.equal(sk_pivot, None)] = -1
     sk_pivot_d = np.array([level.dist_hat for level in clusters.pivots],
                           dtype=np.float64)
-    members = clusters.clusters
-    sizes = [len(cluster.value) for cluster in members.values()]
-    total = sum(sizes)
-    center = np.repeat(np.fromiter(members, np.int64, len(members)), sizes)
-    member = np.fromiter(
-        chain.from_iterable(c.value for c in members.values()),
-        np.int64, total)
-    value = np.fromiter(
-        chain.from_iterable(c.value.values() for c in members.values()),
-        np.float64, total)
-    order = np.lexsort((center, member))
-    counts = np.bincount(member, minlength=n)
+    # the memberships by member, then center: one stable sort of the
+    # (center, member)-sorted cluster columns
+    order = np.argsort(clusters.member, kind="stable")
+    counts = clusters.membership_counts()
     cv_start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=cv_start[1:])
     columns = {
         "sk_pivot": sk_pivot.T.ravel().astype(np.int64),
         "sk_pivot_d": sk_pivot_d.T.ravel(),
         "cv_start": cv_start,
-        "cv_center": center[order],
-        "cv_value": value[order],
+        "cv_center": clusters.cell_centers()[order],
+        "cv_value": clusters.value[order],
         "sketch_words": 1 + 2 * counts + 2 * k,
     }
     return DistanceEstimation(graph=graph, params=clusters.params,

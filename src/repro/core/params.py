@@ -17,7 +17,6 @@ tests and the benchmarks agree on them:
 from __future__ import annotations
 
 import math
-from dataclasses import field
 
 from ..dataclass import dataclass
 from ..exceptions import ParameterError
@@ -52,11 +51,6 @@ class SchemeParams:
     def sample_probability(self) -> float:
         """Per-level survival probability ``n^{-1/k}``."""
         return max(self.n, 2) ** (-1.0 / self.k)
-
-    @property
-    def num_levels(self) -> int:
-        """Hierarchy levels ``A_0 .. A_{k-1}`` (``A_k = ∅``)."""
-        return self.k
 
     @property
     def half_level(self) -> int:

@@ -25,8 +25,7 @@ construction rounds — is measured, not assumed.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Dict, List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -44,8 +43,9 @@ class RoutingScheme:
     find-tree rows ``lbl_pivot`` / ``lbl_slot`` (``k`` per vertex: the
     pivot ``ẑ_i(v)`` and ``v``'s slot in that pivot's tree, ``-1`` =
     absent; a binary search over the sorted ``(tree, vertex)`` keys),
-    the 4k-5 trick's ``members`` (level-0 center -> its members,
-    sorted; empty without the trick) and the per-vertex int64
+    the 4k-5 trick's member rows ``ml_owner`` / ``ml_member`` (every
+    level-0 center and each of its other members, sorted; empty
+    without the trick) and the per-vertex int64
     ``table_words`` / ``label_words`` — sums of the fixed-width fields
     a vertex's table and label hold (a gather for the labels, a
     ``bincount`` over the slots' vertices for the tables).  No
@@ -84,22 +84,18 @@ class RoutingScheme:
         table_words = k + np.bincount(
             columns.slot_vertex, weights=1 + columns.slot_table_words,
             minlength=n).astype(np.int64)
-        self.members: Dict[int, List[int]] = {}
+        self.use_tz_trick = use_tz_trick
+        self.ml_owner = self.ml_member = np.empty(0, dtype=np.int64)
         if use_tz_trick:
             # level-0 centers store the labels of their members
-            centers = set(columns.tree_center.tolist())
-            for center, cluster in clusters.clusters.items():
-                if cluster.level == 0 and center in centers:
-                    self.members[center] = sorted(
-                        m for m in cluster.members() if m != center)
-            owners = np.fromiter(self.members, np.int64, len(self.members))
-            sizes = np.fromiter(map(len, self.members.values()), np.int64,
-                                len(self.members))
-            owners = np.repeat(owners, sizes)
-            mine = np.fromiter(chain.from_iterable(self.members.values()),
-                               np.int64, len(owners))
-            words = 1 + columns.slot_label_words[columns.slots(owners, mine)]
-            table_words += np.bincount(owners, weights=words,
+            owner = clusters.cell_centers()
+            mine = ((np.repeat(clusters.level, np.diff(clusters.c_start))
+                     == 0) & (clusters.member != owner))
+            self.ml_owner = owner[mine]
+            self.ml_member = clusters.member[mine]
+            words = 1 + columns.slot_label_words[
+                columns.slots(self.ml_owner, self.ml_member)]
+            table_words += np.bincount(self.ml_owner, weights=words,
                                        minlength=n).astype(np.int64)
         self.table_words = table_words
         self.label_words = label_words

@@ -7,6 +7,7 @@ and benchmarks share."""
 from __future__ import annotations
 
 import random
+import time
 from typing import List, Tuple
 
 from ..congest.metrics import CostLedger
@@ -95,18 +96,23 @@ def run_construction(graph: WeightedGraph, k: int, seed: int = 0,
 
     forest_span = build_span.child("build.forest")
     forest = build_forest_routing(
-        {center: cluster.parent
-         for center, cluster in clusters.clusters.items()},
-        graph.num_vertices, random.Random(seed + 1),
+        clusters.center, clusters.c_start, clusters.member,
+        clusters.parent, graph.num_vertices, random.Random(seed + 1),
         bfs_tree=clusters.bfs_tree, capacity_words=capacity_words)
     forest_span.finish()
     ledger.merge(forest.ledger)
 
     assemble_span = build_span.child("build.assemble")
+    started = time.perf_counter()
     scheme = RoutingScheme(graph=graph, params=clusters.params,
                            clusters=clusters, forest=forest,
                            ledger=ledger, use_tz_trick=use_tz_trick)
+    ledger.add("assemble/scheme", 0,
+               seconds=time.perf_counter() - started)
+    started = time.perf_counter()
     estimation = estimation_from_clusters(graph, clusters)
+    ledger.add("assemble/estimation", 0,
+               seconds=time.perf_counter() - started)
     assemble_span.finish()
     # One synthesized child span per ledger phase, replaying the
     # phase's measured wall seconds: the trace view of exactly what

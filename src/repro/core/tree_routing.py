@@ -53,31 +53,15 @@ from __future__ import annotations
 import math
 import random
 import time
-from itertools import chain
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
+from ..congest.bellman_ford import _run_starts
 from ..congest.bfs import BFSTree
 from ..congest.metrics import CostLedger, pipelined_rounds
 from ..dataclass import dataclass
 from ..exceptions import SchemeError
-from ..trees.rooted import RootedTree
-
-ParentMap = Dict[int, Optional[int]]     # {vertex: parent}, root ↦ None
-
-#: One tree of a forest: a :class:`RootedTree`, or the bare parent map
-#: of a tree rooted at its own tree id.
-TreeInput = Union[RootedTree, ParentMap]
-
-
-def _rooted_maps(trees: Dict[int, TreeInput]
-                 ) -> Dict[int, Tuple[int, ParentMap]]:
-    """Tree id -> ``(root, parent map)`` for either form of a tree."""
-    return {tree_id: ((tree.root, tree.parent_map())
-                      if isinstance(tree, RootedTree) else (tree_id, tree))
-            for tree_id, tree in trees.items()}
-
 
 def default_splitter_probability(n: int) -> float:
     """``γ/n`` with ``γ = sqrt(n)`` (single-tree setting of Theorem 7)."""
@@ -182,50 +166,52 @@ def _levels(par: np.ndarray, roots: np.ndarray) -> List[np.ndarray]:
         levels.append(kids[skip + np.arange(total)])
 
 
-def _forest_slots(trees: Dict[int, Tuple[int, ParentMap]],
+def parent_cells(tree: np.ndarray, vertex: np.ndarray, up: np.ndarray,
+                 n: int) -> np.ndarray:
+    """Per cell of a forest sorted by (tree, vertex), the cell of its
+    parent ``up`` in the same tree, ``-1`` where the tree has none (a
+    name outside ``[0, n)`` would alias another tree's key)."""
+    key = tree * n + vertex
+    wanted = np.where((up >= 0) & (up < n), tree * n + up, -1)
+    at = np.minimum(np.searchsorted(key, wanted), len(key) - 1)
+    return np.where(key[at] == wanted, at, -1)
+
+
+def _forest_slots(centers: np.ndarray, tree_start: np.ndarray,
+                  vertex: np.ndarray, up: np.ndarray,
                   num_graph_vertices: int) -> _Forest:
-    """Every ``(root, parent map)`` as slots, validated: a root maps to
-    ``None``, every vertex is a name in ``[0, n)``, every parent is in
-    the tree and every vertex hangs off the root."""
+    """The forest's columns as slots, validated: every vertex is a name
+    in ``[0, n)``, a tree's vertices ascend, every parent is in the
+    tree, and every vertex hangs off the tree's root, its first
+    vertex with parent ``-1``."""
     n = num_graph_vertices
-    centers = sorted(trees)
-    maps = [trees[center] for center in centers]
-    for root, parent in maps:
-        if parent.get(root, "missing") is not None:
-            raise SchemeError(f"root {root} must map to None in parent")
-    sizes = np.array([len(parent) for _root, parent in maps],
-                     dtype=np.int64)
-    tree_start = np.zeros(len(maps) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=tree_start[1:])
-    total = int(tree_start[-1])
-    vertex = np.fromiter(chain.from_iterable(p for _r, p in maps),
-                         np.int64, total)
-    ups = chain.from_iterable(parent.values() for _root, parent in maps)
-    up = np.fromiter((-1 if p is None else p for p in ups), np.int64, total)
-    tree = np.repeat(np.arange(len(maps), dtype=np.int64), sizes)
+    total = len(vertex)
+    if np.any(centers[1:] <= centers[:-1]):
+        raise SchemeError("tree ids must ascend")
+    tree = np.repeat(np.arange(len(centers), dtype=np.int64),
+                     np.diff(tree_start))
     outside = np.flatnonzero((vertex < 0) | (vertex >= n))
     if len(outside):
         bad = outside[0]
         raise SchemeError(
-            f"vertex {int(vertex[bad])} of tree {centers[tree[bad]]} is "
-            f"not a vertex name in [0, {n})")
+            f"vertex {int(vertex[bad])} of tree {int(centers[tree[bad]])} "
+            f"is not a vertex name in [0, {n})")
     key = tree * n + vertex
-    order = np.argsort(key, kind="stable")
-    key, vertex, up = key[order], vertex[order], up[order]
-    # a parent outside [0, n) would alias a key of another tree; -1 (a
-    # second root) is left to the reachability check
-    wanted = np.where((up >= 0) & (up < n), tree * n + up, -1)
-    par = np.minimum(np.searchsorted(key, wanted), total - 1)
-    found = key[par] == wanted
-    stray = np.flatnonzero(~found & (up != -1))
+    unsorted = np.flatnonzero(key[1:] <= key[:-1])
+    if len(unsorted):
+        bad = unsorted[0] + 1
+        raise SchemeError(
+            f"vertex {int(vertex[bad])} of tree {int(centers[tree[bad]])} "
+            f"is repeated or out of order")
+    # -1 (a second root) is left to the reachability check
+    par = parent_cells(tree, vertex, up, n)
+    stray = np.flatnonzero((par < 0) & (up != -1))
     if len(stray):
         bad = stray[0]
         raise SchemeError(f"vertex {int(vertex[bad])} has parent "
                           f"{int(up[bad])} outside the tree")
-    par = np.where(found, par, -1)
-    roots = np.searchsorted(key, np.arange(len(maps)) * n
-                            + np.array([r for r, _p in maps], np.int64))
-    levels = _levels(par, roots)
+    roots = np.flatnonzero(up == -1)
+    levels = _levels(par, roots[_run_starts(tree[roots])])
     if sum(map(len, levels)) < total:
         seen = np.zeros(total, dtype=bool)
         seen[np.concatenate(levels)] = True
@@ -234,8 +220,7 @@ def _forest_slots(trees: Dict[int, Tuple[int, ParentMap]],
         orphans = vertex[mine][~seen[mine]].tolist()
         raise SchemeError(
             f"vertices {sorted(orphans)[:5]}... unreachable from root")
-    return _Forest(np.array(centers, dtype=np.int64), tree_start, tree,
-                   vertex, par, levels)
+    return _Forest(centers, tree_start, tree, vertex, par, levels)
 
 
 @dataclass
@@ -269,15 +254,13 @@ def _intervals(par: np.ndarray, joined: np.ndarray,
     # and a node's offset is the size of its earlier joined siblings
     order = np.concatenate(levels)
     held = np.where(joined[order], size[order], 0)
-    group = np.ones(len(order), dtype=bool)
-    group[1:] = par[order[1:]] != par[order[:-1]]
+    group = _run_starts(par[order])
     starts = np.flatnonzero(group)
     spans = np.diff(starts, append=len(order))
     top = np.flatnonzero(
         held == np.repeat(np.maximum.reduceat(held, starts), spans))
     top = top[held[top] > 0]
-    first = np.ones(len(top), dtype=bool)
-    first[1:] = par[order[top[1:]]] != par[order[top[:-1]]]
+    first = _run_starts(par[order[top]])
     heavy = np.full(nodes, -1, dtype=np.int64)
     heavy[par[order[top[first]]]] = order[top[first]]
     before = np.cumsum(held) - held
@@ -526,7 +509,8 @@ def _remark3_ledger(num_graph_vertices: int, s: int, max_depth: int,
     return ledger
 
 
-def build_forest_routing(trees: Dict[int, TreeInput],
+def build_forest_routing(centers: np.ndarray, tree_start: np.ndarray,
+                         vertex: np.ndarray, parent: np.ndarray,
                          num_graph_vertices: int,
                          rng: random.Random,
                          bfs_tree: Optional[BFSTree] = None,
@@ -535,15 +519,19 @@ def build_forest_routing(trees: Dict[int, TreeInput],
                          ) -> ForestRoutingReport:
     """Build the scheme of every tree with one shared splitter sample.
 
-    Each tree is a :class:`RootedTree`, or the bare ``{vertex:
-    parent}`` map of a tree rooted at its own id — what a cluster
-    system holds, so a construction never builds tree objects.  Every
-    vertex must be a name in ``[0, num_graph_vertices)``; a malformed
-    tree is a :class:`SchemeError` naming the vertex.  The result is
-    :class:`ForestColumns` and the Remark-3 charge.
+    The forest is int64 columns, a cluster system's CSR as it stands:
+    tree ``t`` (id ``centers[t]``, ascending) owns the cells
+    ``tree_start[t] : tree_start[t + 1]`` of ``vertex`` (ascending in
+    the tree) and ``parent`` (each vertex's tree parent, ``-1`` at the
+    root).  Every vertex must be a name in ``[0, num_graph_vertices)``;
+    a malformed tree is a :class:`SchemeError` naming the vertex.
+    (:func:`repro.reference.trees_as_columns` makes the columns of
+    ``{tree id: tree}`` dicts.)  The result is :class:`ForestColumns`
+    and the Remark-3 charge.
     """
     started = time.perf_counter()
-    forest = _forest_slots(_rooted_maps(trees), num_graph_vertices)
+    forest = _forest_slots(centers, tree_start, vertex, parent,
+                           num_graph_vertices)
     splitters, s = _shared_sample(forest.vertex, num_graph_vertices, rng,
                                   gamma)
     columns = _forest_columns(forest, splitters)

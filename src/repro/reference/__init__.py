@@ -30,6 +30,7 @@ from .tree_routing import (
     ReferenceForestReport,
     build_distributed_tree_routing_reference,
     build_forest_routing_reference,
+    trees_as_columns,
 )
 
 __all__ = [
@@ -49,4 +50,5 @@ __all__ = [
     "multi_source_exploration_reference",
     "nearest_source_exploration_reference",
     "spt_extension_reference",
+    "trees_as_columns",
 ]

@@ -166,17 +166,17 @@ def detect_sources_reference(graph: WeightedGraph, sources: Sequence[int],
                                  eps=eps, mode=mode)
 
 
-def broadcast_extension_reference(clusters, centers: Sequence[int],
+def broadcast_extension_reference(centers: Sequence[int],
                                   virt_value: Dict[int, Dict[int, float]],
                                   detection: SourceDetectionResult,
                                   next_pivot_hat: List[float],
-                                  eps: float) -> int:
+                                  eps: float) -> Tuple[Dict, int]:
     """Phase 2 of a large cluster level as the per-vertex loop: every
     ``y`` takes, per center ``u``, the first strict minimum of
     ``d̂(y, v) + b_v(u)`` over ``estimate[y]`` in key order, and joins
-    ``C̃(u)`` under rule (15) unless it is a Phase-1 member.  Extends
-    ``clusters`` in place; returns the broadcast words (3 per
-    announced value)."""
+    ``C̃(u)`` under rule (15) unless it is a Phase-1 member.  Returns
+    the new members — center -> ``{y: (b_y(u), parent)}`` in the order
+    they join — and the broadcast words (3 per announced value)."""
     n = len(next_pivot_hat)
     one_plus = 1.0 + eps
     # index the broadcast values by the V' vertex that announces them
@@ -189,6 +189,8 @@ def broadcast_extension_reference(clusters, centers: Sequence[int],
 
     # rule (15) per-vertex budgets, precomputed like the other plans
     thresholds15 = [t / one_plus for t in next_pivot_hat]
+    joined: Dict[int, Dict[int, Tuple[float, Optional[int]]]] = {
+        u: {} for u in centers}
     for y in range(n):
         threshold = thresholds15[y]
         best: Dict[int, Tuple[float, int]] = {}
@@ -198,13 +200,12 @@ def broadcast_extension_reference(clusters, centers: Sequence[int],
                 if candidate < best.get(u, (INF, -1))[0]:
                     best[u] = (candidate, v)
         for u, (candidate, v_star) in best.items():
-            cluster = clusters[u]
-            if y in cluster.value:
+            if y in virt_value[u]:
                 continue  # C̃'(u) members keep their Phase-1 values
             if candidate < threshold:
-                cluster.value[y] = candidate
-                cluster.parent[y] = detection.parent[y].get(v_star)
-    return broadcast_words
+                joined[u][y] = (candidate,
+                                detection.parent[y].get(v_star))
+    return joined, broadcast_words
 
 
 def spt_extension_reference(detection: SourceDetectionResult,

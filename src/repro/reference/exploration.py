@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..congest.bellman_ford import (
     _ESTIMATE_WORDS,
     ExplorationResult,
@@ -137,6 +139,14 @@ def multi_source_exploration_reference(graph: WeightedGraph,
             if len(dist[v]) > max_live:
                 max_live = len(dist[v])
     rounds = congestion_rounds(per_iter_words, capacity_words)
-    return ExplorationResult(dist=dist, parent=parent, iterations=executed,
-                             rounds=rounds,
-                             max_estimates_per_node=max_live)
+    # the columns with one sort; the oracle's own dicts stay the views,
+    # so a comparison with the kernel's views compares with them
+    cells = sorted((s, v, d, -1 if parent[v][s] is None else parent[v][s])
+                   for v, row in enumerate(dist) for s, d in row.items())
+    result = ExplorationResult(
+        n, *(np.array([cell[i] for cell in cells], dtype=dtype)
+             for i, dtype in enumerate((np.int64, np.int64, np.float64,
+                                        np.int64))),
+        iterations=executed, rounds=rounds, max_estimates_per_node=max_live)
+    result.__dict__.update(dist=dist, parent=parent)
+    return result

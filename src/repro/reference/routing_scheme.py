@@ -100,7 +100,7 @@ class ReferenceRouter:
             for v, table in tree.tables.items():
                 tree_entries[v][center] = table
         member_labels: List[Dict[int, DistTreeLabel]] = [{} for _ in range(n)]
-        if scheme.members:
+        if scheme.use_tz_trick:
             for center, cluster in clusters.clusters.items():
                 if cluster.level == 0:
                     labels = self.trees[center].labels

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import time
 from itertools import chain
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -350,3 +350,24 @@ def build_forest_routing_reference(trees: Dict[int, RootedTree],
                                  rounds=ledger.total_rounds, ledger=ledger,
                                  splitter_count=len(splitters),
                                  max_subtree_depth=max_depth, max_overlap=s)
+
+
+def trees_as_columns(trees: Dict[int, Union[RootedTree, Dict]]
+                     ) -> Tuple[np.ndarray, ...]:
+    """``{tree id: tree}`` as the forest kernel's columns, with one
+    sort.  A tree is a :class:`RootedTree` or the bare parent map of a
+    tree rooted at its id, whose root must map to ``None``."""
+    ids = sorted(trees)
+    cells = []                        # (tree index, vertex, parent)
+    for t, tree_id in enumerate(ids):
+        tree = trees[tree_id]
+        root, parent = ((tree.root, tree.parent_map())
+                        if isinstance(tree, RootedTree) else (tree_id, tree))
+        if parent.get(root, "missing") is not None:
+            raise SchemeError(f"root {root} must map to None in parent")
+        cells += [(t, v, -1 if p is None else p) for v, p in parent.items()]
+    cells = np.array(cells, dtype=np.int64).reshape(-1, 3)
+    cells = cells[np.lexsort((cells[:, 1], cells[:, 0]))]
+    return (np.array(ids, dtype=np.int64),
+            np.searchsorted(cells[:, 0], np.arange(len(ids) + 1)),
+            cells[:, 1], cells[:, 2])

@@ -94,7 +94,7 @@ class TestMultiSource:
         within_radius = JoinRule(threshold=[radius] * n)
         result = multi_source_exploration(medium_random, [0], n,
                                           within_radius)
-        members = result.members_of(0)
+        members = result.vertex[result.source == 0].tolist()
         for v in members:
             assert result.dist[v][0] < radius
         # everything whose *shortest path* stays within radius must join:
@@ -107,7 +107,7 @@ class TestMultiSource:
         n = medium_random.num_vertices
         result = multi_source_exploration(medium_random, [3], n,
                                           accept_all(medium_random))
-        for v in result.members_of(3):
+        for v in result.vertex[result.source == 3].tolist():
             if v == 3:
                 assert result.parent[v][3] is None
                 continue
@@ -131,7 +131,7 @@ class TestMultiSource:
     def test_zero_iterations(self, triangle):
         result = multi_source_exploration(triangle, [0], 0,
                                           accept_all(triangle))
-        assert result.members_of(0) == [0]
+        assert result.vertex.tolist() == result.source.tolist() == [0]
         assert result.rounds == 0
 
 

@@ -4,14 +4,50 @@ import pytest
 
 from repro.congest import (
     Network,
+    NodeContext,
     broadcast_all,
     broadcast_from_root,
     build_bfs_tree,
     convergecast,
+    make_contexts,
     pipelined_rounds,
     simulate_flood_rounds,
 )
-from repro.graphs import grid, hop_distances, path, random_connected
+from repro.graphs import (
+    grid,
+    hop_distances,
+    path,
+    random_connected,
+    ring_of_cliques,
+    star_of_paths,
+    weighted_small_world,
+)
+
+CONTEXT_ZOO = {
+    "random-32": lambda: random_connected(32, 0.12, seed=817),
+    "dense-28": lambda: random_connected(28, 0.35, seed=827),
+    "grid-4x8": lambda: grid(4, 8, seed=839),
+    "path-30": lambda: path(30, seed=853),
+    "cliques-4x6": lambda: ring_of_cliques(4, 6, seed=857),
+    "star-4x7": lambda: star_of_paths(4, 7, seed=859),
+    "smallworld-30": lambda: weighted_small_world(30, seed=863),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXT_ZOO))
+def test_contexts_equal_per_link_lookups(name):
+    """One pass over each node's adjacency gives the contexts the
+    per-link ``Network.weight`` lookups gave, field for field."""
+    net = Network(CONTEXT_ZOO[name]())
+    expected = [NodeContext(node=u, neighbors=net.neighbors(u),
+                            weights=[net.weight(u, v)
+                                     for v in net.neighbors(u)])
+                for u in range(net.num_nodes)]
+    got = make_contexts(net)
+    assert got == expected
+    for ctx in got:
+        assert ctx.neighbors == sorted(ctx.neighbors)
+        assert all(type(w) is int for w in ctx.weights)
 
 
 class TestBFS:

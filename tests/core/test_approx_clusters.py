@@ -4,6 +4,7 @@ oracle: inequalities (7), (9), (10), (17) and the structural claims."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -12,6 +13,7 @@ from repro.core import (
     compute_exact_clusters,
     sample_levels,
 )
+from repro.exceptions import SchemeError
 from repro.graphs import (
     INF,
     all_pairs_distances,
@@ -107,9 +109,10 @@ class TestInvariants:
                 assert d_tree <= (1 + eps) ** 4 * ap[center][v] + 1e-9
 
     def test_no_dropped_members(self, graph, k):
-        """Claim 7 in action: parents always join, nothing is pruned."""
+        """Claim 7 in action: every parent is a member of its cluster,
+        so the build needs no repair."""
         approx, _ = build_both(graph, k, seed=41)
-        assert approx.total_dropped == 0
+        approx.check_parents()
 
 
 class TestStructure:
@@ -160,6 +163,31 @@ class TestStructure:
     def test_beta_recorded_when_large_scales_ran(self, graph):
         approx, _ = build_both(graph, 3, seed=73)
         assert approx.beta >= 1
+
+
+@pytest.mark.parametrize("corruption", ["outside", "orphan", "center"])
+def test_corrupt_parent_is_rejected(corruption):
+    """``check_parents`` is Claim 7 as one vectorised check: one
+    corrupted ``parent`` cell — a member pointing outside its cluster,
+    a member with no parent, a center with one — is a
+    :class:`SchemeError` naming the cluster and the vertex."""
+    system = build_approx_clusters(random_connected(40, 0.12, seed=17), 3,
+                                   seed=41)
+    system.check_parents()
+    sizes = np.diff(system.c_start)
+    c = int(np.flatnonzero((sizes > 1) & (sizes < 40))[0])
+    center = int(system.center[c])
+    cells = np.arange(system.c_start[c], system.c_start[c + 1])
+    members = system.member[cells]
+    cell = int(cells[(members == center) == (corruption == "center")][0])
+    parent = {"outside": min(set(range(40)) - set(members.tolist())),
+              "orphan": -1,
+              "center": int(members[members != center][0])}[corruption]
+    system.parent[cell] = parent
+    with pytest.raises(SchemeError, match=(
+            f"cluster {center}: vertex {int(system.member[cell])} has "
+            f"parent {parent}, which is not a member")):
+        system.check_parents()
 
 
 class TestDeterminism:

@@ -14,8 +14,9 @@ only when the bytes are *meant* to move.
 
 The builder that lands on them today works on integer columns; the
 last tests here keep it so — a build and both compiles construct none
-of the per-vertex objects the columns replaced, and production never
-imports the package that defines them.
+of the per-vertex objects the columns replaced, nor a dict view of the
+cluster or exploration columns, and production never imports the
+package that defines them.
 """
 
 import dataclasses
@@ -34,6 +35,13 @@ from repro.analysis.size_accounting import (
     measure_routing_sizes,
     measure_sketch_sizes,
 )
+from repro.congest import JoinRule
+from repro.congest.bellman_ford import (
+    ExplorationResult,
+    multi_source_exploration,
+)
+from repro.core.approx_clusters import ApproxCluster, ApproxClusterSystem
+from repro.graphs import INF
 from repro.reference import (
     DistTreeLabel,
     DistTreeTable,
@@ -148,15 +156,26 @@ def test_reporting_returns_plain_python_numbers(case):
 def test_build_and_compile_construct_no_per_vertex_objects(monkeypatch):
     """Tables, labels and trees exist only for the oracle tests;
     ``build()`` + both compiles must not make one, or the object walk
-    this kernel replaced has crept back."""
+    this kernel replaced has crept back.  Nor may they build a dict
+    view of the cluster columns or of an exploration's cells."""
     made = []
     watched = (DistTreeTable, DistTreeLabel, GlobalEdgeEntry, TreeTable,
-               TreeLabel, VertexTable, VertexLabel, RootedTree)
+               TreeLabel, VertexTable, VertexLabel, RootedTree,
+               ApproxCluster)
     for cls in watched:
         def counting(self, *args, _plain=cls.__init__, **kwargs):
             made.append(type(self).__name__)
             _plain(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counting)
+    views = []
+    for cls, names in ((ApproxClusterSystem, ("clusters",)),
+                       (ExplorationResult, ("dist", "parent"))):
+        for name in names:
+            def viewing(self, _view=cls.__dict__[name],
+                        _name=f"{cls.__name__}.{name}"):
+                views.append(_name)
+                return _view.func(self)
+            monkeypatch.setattr(cls, name, property(viewing))
 
     pipeline = regen.build(RECORDS[0]["recipe"])
     report = pipeline.build()
@@ -164,10 +183,17 @@ def test_build_and_compile_construct_no_per_vertex_objects(monkeypatch):
     pipeline.compile("dense")
     report.scheme.route_many([(0, report.num_vertices - 1)])
     assert made == []
-    # the spy does see them once somebody builds the oracle
+    assert views == []
+    # the spies do see them once somebody builds the oracle or reads a
+    # view
     ReferenceRouter(report.scheme)
     assert {"DistTreeTable", "DistTreeLabel", "TreeLabel", "VertexTable",
-            "VertexLabel", "RootedTree"} <= set(made)
+            "VertexLabel", "RootedTree", "ApproxCluster"} <= set(made)
+    graph = report.scheme.graph
+    multi_source_exploration(graph, [0], 2, JoinRule(
+        threshold=[INF] * graph.num_vertices)).dist
+    assert set(views) == {"ApproxClusterSystem.clusters",
+                          "ExplorationResult.dist"}
 
 
 def test_production_never_imports_the_reference_oracle():

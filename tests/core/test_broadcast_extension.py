@@ -85,18 +85,17 @@ def _graph(name):
 @pytest.fixture
 def phase2_calls(monkeypatch):
     """Every production Phase-2 call of a build: (input state copied
-    before the call, clusters after it, words)."""
+    before the call, detection, new members' cells, words)."""
     calls = []
     production = ac._broadcast_extension
 
-    def spy(clusters, centers, virt_value, detection, next_pivot_hat,
-            eps):
-        before = copy.deepcopy((clusters, list(centers), virt_value,
+    def spy(centers, virt_value, detection, next_pivot_hat, eps):
+        before = copy.deepcopy((centers.tolist(), virt_value,
                                 list(next_pivot_hat), eps))
-        words = production(clusters, centers, virt_value, detection,
-                           next_pivot_hat, eps)
-        calls.append((before, detection, clusters, words))
-        return words
+        cells, words = production(centers, virt_value, detection,
+                                  next_pivot_hat, eps)
+        calls.append((before, detection, cells, words))
+        return cells, words
 
     monkeypatch.setattr(ac, "_broadcast_extension", spy)
     return calls
@@ -118,14 +117,16 @@ def spt_calls(monkeypatch):
 
 
 def assert_same_items(got: dict, want: dict):
+    """Same items in the same order, each ``(value, parent)`` value of
+    the same type."""
     assert list(got.items()) == list(want.items())
-    assert [type(x) for x in got.values()] == \
-        [type(x) for x in want.values()]
+    assert [type(b) for b, _ in got.values()] == \
+        [type(b) for b, _ in want.values()]
 
 
 def first_min_ties(before, detection):
     """Cells (y, u) whose minimum over V' is attained by two rows."""
-    clusters, centers, virt_value, _, _ = before
+    centers, virt_value, _, _ = before
     row_of = detection.row_of
     values = np.full((len(detection.sources), len(centers)), INF)
     for c, u in enumerate(centers):
@@ -144,16 +145,17 @@ def test_phase2_matches_reference(workload, k, mode, phase2_calls):
     build_approx_clusters(graph, k, seed=149, detection_mode=mode)
     assert phase2_calls
     ties = 0
-    for before, detection, after, words in phase2_calls:
-        clusters, centers, virt_value, next_pivot_hat, eps = before
-        want = copy.deepcopy(clusters)
-        want_words = broadcast_extension_reference(
-            want, centers, virt_value, detection, next_pivot_hat, eps)
+    for before, detection, cells, words in phase2_calls:
+        centers, virt_value, next_pivot_hat, eps = copy.deepcopy(before)
+        want, want_words = broadcast_extension_reference(
+            centers, virt_value, detection, next_pivot_hat, eps)
         assert words == want_words
-        assert list(after) == list(want)
+        got = {u: {} for u in before[0]}
+        for u, y, b, p in zip(*(column.tolist() for column in cells)):
+            got[u][y] = (b, None if p < 0 else p)
+        assert list(got) == list(want)
         for u in want:
-            assert_same_items(after[u].value, want[u].value)
-            assert_same_items(after[u].parent, want[u].parent)
+            assert_same_items(got[u], want[u])
         ties += first_min_ties(before, detection)
     if workload in TIES:
         assert ties > 0, "the tie workloads must tie"

@@ -10,8 +10,9 @@ masked compares.  This grid pins that kernel bit-identical to:
 * **itself in one-row blocks** — what the same build runs past
   ``_DENSE_CELL_LIMIT``, where the source rows advance in blocks.
 
-"Bit-identical" covers pivots, cluster members, values, parents,
-dropped counts, the full ledger round breakdown (wall-clock ``seconds``
+"Bit-identical" covers pivots, the cluster columns and their dict
+views (members, values, parents), Claim 7's parent check, the full
+ledger round breakdown (wall-clock ``seconds``
 are explicitly *not* compared) and beta.  The grid runs the workload
 zoo, checks how the kernel blocked the rows (by spying on its block
 helper) and the paper invariants (7)/(9)/(10)/(17).
@@ -20,6 +21,7 @@ helper) and the paper invariants (7)/(9)/(10)/(17).
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from repro.congest import bellman_ford as bf
@@ -27,6 +29,7 @@ from repro.core import approx_clusters as ac
 from repro.core import (
     SchemeParams,
     build_approx_clusters,
+    build_forest_routing,
     compute_exact_clusters,
     sample_levels,
 )
@@ -129,17 +132,20 @@ def assert_systems_equal(a, b):
         assert pa.exact == pb.exact
         assert pa.dist_hat == pb.dist_hat
         assert pa.pivot == pb.pivot
+    for name in ("center", "level", "c_start", "member", "value",
+                 "parent"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert set(a.clusters) == set(b.clusters)
     for u in a.clusters:
         ca, cb = a.clusters[u], b.clusters[u]
         assert ca.center == cb.center and ca.level == cb.level
         assert ca.value == cb.value
         assert ca.parent == cb.parent
-        assert ca.dropped_members == cb.dropped_members
+    a.check_parents()
+    b.check_parents()
     assert a.ledger.breakdown() == b.ledger.breakdown()
     assert a.ledger.total_rounds == b.ledger.total_rounds
     assert a.beta == b.beta
-    assert a.total_dropped == b.total_dropped
 
 
 # ----------------------------------------------------------------------
@@ -295,4 +301,92 @@ def test_invariants_on_vectorized_build(workload):
             assert b <= (1 + eps) ** 4 * d + 1e-9
             d_tree = tree_distance(tree, graph.weight, center, v)
             assert d_tree <= (1 + eps) ** 4 * d + 1e-9
-    assert approx.total_dropped == 0
+    approx.check_parents()
+
+
+# ----------------------------------------------------------------------
+# The columns, their dict views and the exploration oracles agree
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("workload,k", GRID,
+                         ids=[f"{w}-k{k}" for w, k in GRID])
+def test_columns_views_and_oracles_agree(workload, k, monkeypatch):
+    """On the zoo: the overlap is one ``bincount`` over the columns and
+    equals the views' counts and the forest's measured overlap; each
+    cluster's views are its slice of the columns; and every small and
+    middle level's clusters are the exploration oracles' dicts for the
+    same call."""
+    graph = WORKLOADS[workload]()
+    n = graph.num_vertices
+    explorations, detections = [], []
+    explore, detect = ac.multi_source_exploration, ac.detect_sources
+
+    def exploration_spy(*args):
+        explorations.append(args)
+        return explore(*args)
+
+    def detection_spy(*args, **kwargs):
+        detections.append((args, kwargs))
+        return detect(*args, **kwargs)
+
+    monkeypatch.setattr(ac, "multi_source_exploration", exploration_spy)
+    monkeypatch.setattr(ac, "detect_sources", detection_spy)
+    system = build_system(graph, k, seed=163)
+    monkeypatch.undo()
+
+    bincounts = []
+    bincount = np.bincount
+
+    def bincount_spy(*args, **kwargs):
+        bincounts.append(args)
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", bincount_spy)
+    counts = system.membership_counts()
+    monkeypatch.undo()
+    assert len(bincounts) == 1
+    views = system.clusters
+    assert list(views) == system.center.tolist()
+    view_counts = [0] * n
+    for c, cluster in enumerate(views.values()):
+        cells = slice(system.c_start[c], system.c_start[c + 1])
+        assert cluster.level == system.level[c]
+        assert list(cluster.value) == cluster.members() \
+            == system.member[cells].tolist()
+        assert list(cluster.value.values()) == system.value[cells].tolist()
+        assert [-1 if p is None else p for p in cluster.parent.values()] \
+            == system.parent[cells].tolist()
+        for v in cluster.value:
+            view_counts[v] += 1
+    assert counts.tolist() == view_counts
+    assert system.max_overlap() == max(view_counts)
+    forest = forest_of(system, n)
+    assert forest.max_overlap == system.max_overlap()
+
+    assert explorations
+    for graph_arg, centers, budget, rule, capacity in explorations:
+        oracle = multi_source_exploration_reference(
+            graph_arg, centers, budget, rule.accepts, capacity)
+        for u in centers:
+            assert views[u].value == {
+                v: row[u] for v, row in enumerate(oracle.dist) if u in row}
+            assert views[u].parent == {
+                v: row[u] for v, row in enumerate(oracle.parent)
+                if u in row}
+    for args, kwargs in detections:
+        if kwargs.get("join_rule") is None:
+            continue                  # the large levels' preprocessing
+        oracle = detect_sources_reference(*args, **kwargs)
+        for u in oracle.sources:
+            assert views[u].value == {
+                v: row[u] for v, row in enumerate(oracle.estimate)
+                if u in row}
+            assert views[u].parent == {
+                v: row[u] for v, row in enumerate(oracle.parent)
+                if u in row}
+
+
+def forest_of(system, n):
+    """The forest kernel straight on the system's columns."""
+    return build_forest_routing(system.center, system.c_start,
+                                system.member, system.parent, n,
+                                random.Random(1))

@@ -205,6 +205,17 @@ class TestConstructionReport:
     def test_estimation_shares_clusters(self, report):
         assert report.estimation.clusters is report.clusters
 
+    def test_assembly_steps_are_zero_round_phases(self, report):
+        """Merging the cluster columns, assembling the scheme and the
+        sketches each get a timed ledger phase that charges no
+        rounds."""
+        phases = {phase.name: phase for phase in report.scheme.ledger}
+        for name in ("assemble/clusters", "assemble/scheme",
+                     "assemble/estimation"):
+            assert phases[name].rounds == 0, name
+            assert phases[name].seconds > 0, name
+        assert "assemble/clusters" in report.clusters.ledger.breakdown()
+
     def test_invalid_route_endpoints(self, rand_graph):
         scheme = build_routing_scheme(rand_graph, k=2, seed=1)
         with pytest.raises(ParameterError):

@@ -17,6 +17,7 @@ from repro.core.tree_routing import (
 from repro.reference import (
     build_distributed_tree_routing_reference,
     build_forest_routing_reference,
+    trees_as_columns,
 )
 from repro.trees import RootedTree
 
@@ -134,7 +135,8 @@ class TestForestRouting:
                 assert scheme.route(s, t) == tree.path_between(s, t)
 
     def test_report_metrics(self):
-        report = build_forest_routing(self._trees(), 30, random.Random(5))
+        report = build_forest_routing(*trees_as_columns(self._trees()), 30,
+                                      random.Random(5))
         assert report.rounds > 0
         assert report.max_overlap >= 1
         assert report.rounds == report.ledger.total_rounds

@@ -9,20 +9,23 @@ objects field by field, every word count — the arithmetic ones too —
 the splitter set, the measured subtree depth and every ledger charge,
 across random trees, chains, stars, sparse names, degenerate splitter
 sets, dense splitter samples and the forests an actual cluster build
-produces.  The pool holds each (vertex, entry, light edges) value once,
-and a parent map that is no tree over ``[0, n)`` is rejected.  Ports
+produces.  ``{tree id: tree}`` dicts reach the kernel through
+:func:`~repro.reference.trees_as_columns`; the cluster build's forests
+go straight from its columns.  The pool holds each (vertex, entry,
+light edges) value once, and a parent map or column set that is no
+tree over ``[0, n)`` is rejected.  Ports
 are not compared: no column holds one.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import build_approx_clusters
 from repro.core.tree_routing import (
     _forest_columns,
     _forest_slots,
-    _rooted_maps,
     build_forest_routing,
     sample_splitters,
 )
@@ -30,6 +33,7 @@ from repro.exceptions import SchemeError
 from repro.reference import (
     build_distributed_tree_routing_reference,
     build_forest_routing_reference,
+    trees_as_columns,
 )
 from repro.trees import RootedTree
 
@@ -51,7 +55,13 @@ def forest_columns(trees, splitters):
     """The forest kernel on ``{tree id: RootedTree}`` with a given
     sample."""
     n = 1 + max(max(tree.vertices()) for tree in trees.values())
-    return _forest_columns(_forest_slots(_rooted_maps(trees), n), splitters)
+    return _forest_columns(_forest_slots(*trees_as_columns(trees), n),
+                           splitters)
+
+
+def build_forest(trees, n, rng, **kwargs):
+    """The forest kernel on ``{tree id: tree}``, through the columns."""
+    return build_forest_routing(*trees_as_columns(trees), n, rng, **kwargs)
 
 
 def one_tree_columns(tree, splitters):
@@ -169,7 +179,7 @@ class TestForestEquivalence:
     def test_forest_bit_identical(self):
         ref = build_forest_routing_reference(self._trees(), 30,
                                              random.Random(5))
-        fast = build_forest_routing(self._trees(), 30, random.Random(5))
+        fast = build_forest(self._trees(), 30, random.Random(5))
         assert_forests_match(fast, ref)
 
     def test_cluster_forest_bit_identical(self, medium_random):
@@ -181,7 +191,8 @@ class TestForestEquivalence:
             trees, medium_random.num_vertices, random.Random(9),
             bfs_tree=clusters.bfs_tree)
         fast = build_forest_routing(
-            trees, medium_random.num_vertices, random.Random(9),
+            clusters.center, clusters.c_start, clusters.member,
+            clusters.parent, medium_random.num_vertices, random.Random(9),
             bfs_tree=clusters.bfs_tree)
         assert_forests_match(fast, ref)
 
@@ -207,13 +218,12 @@ class TestForestEquivalence:
         ref = build_forest_routing_reference(
             {c: RootedTree(c, p) for c, p in trees.items()}, n,
             random.Random(seed), gamma=gamma)
-        fast = build_forest_routing(trees, n, random.Random(seed),
-                                    gamma=gamma)
+        fast = build_forest(trees, n, random.Random(seed), gamma=gamma)
         assert_forests_match(fast, ref)
 
     def test_empty_forest(self):
         ref = build_forest_routing_reference({}, 10, random.Random(1))
-        fast = build_forest_routing({}, 10, random.Random(1))
+        fast = build_forest({}, 10, random.Random(1))
         assert len(fast.columns.tree_center) == 0
         assert fast.rounds == ref.rounds
         assert fast.max_subtree_depth == ref.max_subtree_depth == 0
@@ -279,8 +289,7 @@ class TestLevelSweepShapes:
         ref = build_forest_routing_reference(
             {c: RootedTree(c, p) for c, p in trees.items()}, n,
             random.Random(4), gamma=gamma)
-        fast = build_forest_routing(trees, n, random.Random(4),
-                                    gamma=gamma)
+        fast = build_forest(trees, n, random.Random(4), gamma=gamma)
         assert_forests_match(fast, ref)
         assert fast.splitter_count == {0.0: 0, 1000.0: n}.get(
             gamma, fast.splitter_count)
@@ -308,8 +317,9 @@ class TestLevelSweepShapes:
 
 
 class TestMalformedForest:
-    """Bare parent maps that are no forest over [0, n): a
-    :class:`SchemeError` naming the vertex, never a corrupt column."""
+    """Bare parent maps, and columns, that are no forest over [0, n):
+    a :class:`SchemeError` naming the vertex or tree, never a corrupt
+    column."""
 
     @pytest.mark.parametrize("trees, match", [
         ({0: {0: None, 1: 0, -1: 1}}, "vertex -1 "),
@@ -324,4 +334,20 @@ class TestMalformedForest:
     ])
     def test_rejected(self, trees, match):
         with pytest.raises(SchemeError, match=match):
-            build_forest_routing(trees, 4, random.Random(1))
+            build_forest(trees, 4, random.Random(1))
+
+    @pytest.mark.parametrize("centers, start, vertex, parent, match", [
+        ([0], [0, 3], [0, 2, 1], [-1, 0, 0], "vertex 1 of tree 0 is "
+         "repeated or out of order"),
+        ([0], [0, 3], [0, 1, 1], [-1, 0, 0], "vertex 1 of tree 0 is "
+         "repeated or out of order"),
+        ([0, 2], [0, 1, 3], [0, 2, 3], [-1, 3, 2],
+         r"vertices \[2, 3\]\.\.\. unreachable"),
+        ([2, 0], [0, 1, 2], [2, 0], [-1, -1], "tree ids must ascend"),
+    ])
+    def test_rejected_columns(self, centers, start, vertex, parent, match):
+        """Columns the adapter would never emit, straight to the
+        kernel."""
+        with pytest.raises(SchemeError, match=match):
+            build_forest_routing(*(np.array(c) for c in (
+                centers, start, vertex, parent)), 4, random.Random(1))

@@ -93,6 +93,9 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "per-phase round breakdown" in out
         assert "stretch over 40 pairs" in out
+        for phase in ("assemble/clusters", "assemble/scheme",
+                      "assemble/estimation"):
+            assert phase in out
 
     def test_route(self, capsys):
         assert main(["route", "--n", "30", "--k", "2",

@@ -76,7 +76,7 @@ def test_cluster_invariants_properties(n, k, seed):
     ap = all_pairs_distances(graph)
     system = build_approx_clusters(graph, k, seed=seed)
     eps = system.params.eps
-    assert system.total_dropped == 0
+    system.check_parents()
     for center, cluster in system.clusters.items():
         tree = cluster.tree()
         assert tree.size == len(cluster)
