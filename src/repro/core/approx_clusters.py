@@ -200,10 +200,9 @@ class ApproxClusterSystem:
         if len(bad):
             cell = bad[0]
             raise SchemeError(
-                f"cluster {int(owner[cell])}: vertex "
-                f"{int(self.member[cell])} has parent "
-                f"{int(self.parent[cell])}, which is not a member "
-                f"(Claim 7)")
+                f"cluster {int(owner[cell])}: vertex {int(self.member[cell])}"
+                f" has parent {int(self.parent[cell])}, which is not a member"
+                f" (Claim 7)")
 
 
 # ----------------------------------------------------------------------

@@ -347,13 +347,19 @@ def _forest_columns(forest: _Forest, splitters: Set[int]) -> ForestColumns:
     of the objects would request them: a slot's heavy-portal label, its
     local label, then — on the first slot of each subtree — the portal
     labels of the subtree's global edges.
+
+    ``forest`` is consumed: each slot column is dropped after its last
+    use, so the peak is the output columns plus a few slot columns.
     """
     vertex, par = forest.vertex, forest.par
+    columns = dict(tree_center=forest.centers, tree_start=forest.tree_start,
+                   slot_vertex=vertex, slot_tree=forest.tree)
     total = len(vertex)
     n = int(vertex.max(initial=-1)) + 1
     named = np.append(vertex, -1)        # so that slot -1 (absent) reads -1
     cut = (par < 0) | np.isin(vertex, list(splitters))
     local = _intervals(par, ~cut, forest.levels)
+    forest.par = forest.levels = None
     labels = _label_ids(vertex, par, local, n)
 
     # --- T': node j is the subtree rooted at slot roots[j]
@@ -410,29 +416,15 @@ def _forest_columns(forest: _Forest, splitters: Set[int]) -> ForestColumns:
     # GlobalEdgeEntry.words, summed over each subtree's global edges
     ge_words = np.append(0, np.cumsum(4 + label_words[ge_port]))
     ge_words = ge_words[ge_start + across] - ge_words[ge_start]
-    tree_start = forest.tree_start
-    return ForestColumns(
-        # the splitters' own tables and labels (local labels empty)
-        splitter_words=int(table_words.sum() + ge_words.sum())
-        + 4 * len(roots),
-        tree_center=forest.centers, tree_start=tree_start,
-        tree_depth=np.maximum.reduceat(local.depth, tree_start[:-1]),
-        slot_vertex=vertex,
-        slot_tree=forest.tree,
-        t_parent=named[par],
+
+    columns.update(
+        tree_depth=np.maximum.reduceat(local.depth,
+                                       columns["tree_start"][:-1]),
         t_loc_entry=local.entry,
         t_loc_exit=local.entry + local.extent,
-        t_loc_parent=np.where(cut, -1, named[par]),
         t_loc_heavy=named[local.heavy],
         t_splitter=vertex[local.root],
-        t_gentry=virtual.entry[subtree],
-        t_gexit=(virtual.entry + virtual.extent)[subtree],
-        t_hsplit=named[heavy_split][subtree],
-        t_hportal=named[heavy_portal][subtree],
-        t_hlab=np.append(row, -1)[heavy_portal][subtree],
         l_local=row,
-        l_ge_start=ge_start[subtree],
-        l_ge_end=(ge_start + across)[subtree],
         ge_psplit=vertex[local.root[ge_port]],
         ge_csplit=vertex[ge_child],
         ge_portal=vertex[ge_port],
@@ -441,11 +433,26 @@ def _forest_columns(forest: _Forest, splitters: Set[int]) -> ForestColumns:
         lp_start=np.append(0, np.cumsum(pool_edges)),
         lp_w=vertex[par[pool_child]],
         lp_child=vertex[pool_child],
+    )
+    del local, pooled, pool_child
+    columns.update(
+        t_parent=named[par],
+        t_loc_parent=np.where(cut, -1, named[par]),
+        t_gentry=virtual.entry[subtree],
+        t_gexit=(virtual.entry + virtual.extent)[subtree],
+        t_hsplit=named[heavy_split][subtree],
+        t_hportal=named[heavy_portal][subtree],
+        t_hlab=np.append(row, -1)[heavy_portal][subtree],
+        l_ge_start=ge_start[subtree],
+        l_ge_end=(ge_start + across)[subtree],
         slot_table_words=table_words[subtree],
         # DistTreeLabel.words: vertex + global entry + local + global
         # edges
         slot_label_words=2 + label_words + ge_words[subtree],
     )
+    # the splitters' own tables and labels (local labels empty)
+    return ForestColumns(int(table_words.sum() + ge_words.sum())
+                         + 4 * len(roots), **columns)
 
 
 @dataclass

@@ -357,10 +357,8 @@ def trees_as_columns(trees: Dict[int, Union[RootedTree, Dict]]
     """``{tree id: tree}`` as the forest kernel's columns, with one
     sort.  A tree is a :class:`RootedTree` or the bare parent map of a
     tree rooted at its id, whose root must map to ``None``."""
-    ids = sorted(trees)
     cells = []                        # (tree index, vertex, parent)
-    for t, tree_id in enumerate(ids):
-        tree = trees[tree_id]
+    for t, (tree_id, tree) in enumerate(sorted(trees.items())):
         root, parent = ((tree.root, tree.parent_map())
                         if isinstance(tree, RootedTree) else (tree_id, tree))
         if parent.get(root, "missing") is not None:
@@ -368,6 +366,6 @@ def trees_as_columns(trees: Dict[int, Union[RootedTree, Dict]]
         cells += [(t, v, -1 if p is None else p) for v, p in parent.items()]
     cells = np.array(cells, dtype=np.int64).reshape(-1, 3)
     cells = cells[np.lexsort((cells[:, 1], cells[:, 0]))]
-    return (np.array(ids, dtype=np.int64),
-            np.searchsorted(cells[:, 0], np.arange(len(ids) + 1)),
+    return (np.array(sorted(trees), dtype=np.int64),
+            np.searchsorted(cells[:, 0], np.arange(len(trees) + 1)),
             cells[:, 1], cells[:, 2])
