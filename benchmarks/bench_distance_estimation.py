@@ -21,7 +21,7 @@ K = 3
 
 def _build_estimation(graph, seed):
     return (SchemePipeline().graph(graph)
-            .params(K, detection_mode="exact").seed(seed)
+            .params(K).seed(seed)
             .build_estimation())
 
 

@@ -23,8 +23,7 @@ def _sweep(graph):
     rows = []
     for eps in (PAPER_EPS, 0.01, 0.1, 0.4):
         scheme = build_routing_scheme(graph, k=K, seed=31,
-                                      eps_override=eps,
-                                      detection_mode="exact")
+                                      eps_override=eps)
         report = evaluate_routing(graph, scheme, sample=250, seed=3)
         rows.append((eps, scheme.construction_rounds, report))
     return rows

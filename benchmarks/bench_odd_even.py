@@ -19,7 +19,7 @@ from repro.pipeline import SchemePipeline
 
 def _construct(graph, k, seed):
     return (SchemePipeline().graph(graph)
-            .params(k, detection_mode="exact").seed(seed)
+            .params(k).seed(seed)
             .build().construction)
 
 
@@ -49,7 +49,7 @@ def bench_odd_vs_even_exponent(benchmark, scaling_graphs, scaling_ns):
     # 1/2; the paper's n^{1/2+1/k} comes from the small-scale
     # Bellman-Ford phases, which the 48k^4 detection constant swamps
     # until n ~ 1e16 — so the even-k model exponent must stay BELOW its
-    # paper bound, a finding recorded in EXPERIMENTS.md.
+    # paper bound.
     from repro.analysis import expected_charge_rounds
     big_ns = [10 ** 7, 10 ** 8, 10 ** 9]
     odd = fit_exponent(big_ns, [expected_charge_rounds(

@@ -1,7 +1,7 @@
 """[E1] Round-complexity scaling: measured rounds vs n.
 
 The paper claims construction in ``(n^{1/2+1/k} + D) * n^{o(1)}`` rounds.
-Two regimes matter (see EXPERIMENTS.md):
+Two regimes matter:
 
 * **bench scale** (n <= a few hundred): the Theorem-1 hop bound
   ``B = 4 n^{1/2+1/(2k)} ln n`` is clamped at ``n - 1`` (explorations
@@ -24,7 +24,7 @@ PAPER_EXPONENT = 0.5 + 1.0 / (2 * K)  # odd k: 1/2 + 1/(2k)
 
 def _construct(graph, k, seed):
     return (SchemePipeline().graph(graph)
-            .params(k, detection_mode="exact").seed(seed)
+            .params(k).seed(seed)
             .build().construction)
 
 

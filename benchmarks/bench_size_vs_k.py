@@ -20,8 +20,7 @@ KS = [2, 3, 4]
 def _size_sweep(graph):
     rows = []
     for k in KS:
-        ours = build_routing_scheme(graph, k=k, seed=17,
-                                    detection_mode="exact")
+        ours = build_routing_scheme(graph, k=k, seed=17)
         counts = ours.clusters.membership_counts()
         overlap = sum(counts) / len(counts)
         lp13 = build_lp13_scheme(graph, k=k, seed=17)
@@ -65,7 +64,7 @@ def bench_sketch_size_vs_k(benchmark, small_workload):
 
     def _sweep():
         return {k: SchemePipeline().graph(small_workload)
-                .params(k, detection_mode="exact").seed(19)
+                .params(k).seed(19)
                 .build_estimation().average_sketch_words()
                 for k in KS}
 

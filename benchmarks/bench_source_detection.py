@@ -11,7 +11,7 @@ Measures the tool the whole Section-3.3 pipeline feeds on:
 import pytest
 
 from repro.congest import Network, build_bfs_tree
-from repro.graphs import INF, hop_bounded_distances, random_connected
+from repro.graphs import INF, hop_bounded_distances
 from repro.sketches import detect_sources
 
 
@@ -22,7 +22,7 @@ def bench_detection_quality(benchmark, small_workload):
     B, eps = 10, 0.2
 
     result = benchmark.pedantic(
-        lambda: detect_sources(graph, sources, B, eps, mode="rounded"),
+        lambda: detect_sources(graph, sources, B, eps),
         rounds=1, iterations=1)
 
     worst = 0.0
@@ -44,14 +44,11 @@ def bench_detection_round_structure(benchmark, small_workload):
     tree = build_bfs_tree(Network(graph), root=0)
 
     def _measure():
-        base = detect_sources(graph, [0, 7], 4, 0.5, bfs_tree=tree,
-                              mode="exact").rounds
-        double_b = detect_sources(graph, [0, 7], 8, 0.5, bfs_tree=tree,
-                                  mode="exact").rounds
+        base = detect_sources(graph, [0, 7], 4, 0.5, bfs_tree=tree).rounds
+        double_b = detect_sources(graph, [0, 7], 8, 0.5, bfs_tree=tree).rounds
         more_src = detect_sources(graph, list(range(0, 40, 2)), 4, 0.5,
-                                  bfs_tree=tree, mode="exact").rounds
-        half_eps = detect_sources(graph, [0, 7], 4, 0.25, bfs_tree=tree,
-                                  mode="exact").rounds
+                                  bfs_tree=tree).rounds
+        half_eps = detect_sources(graph, [0, 7], 4, 0.25, bfs_tree=tree).rounds
         return base, double_b, more_src, half_eps
 
     base, double_b, more_src, half_eps = benchmark.pedantic(

@@ -19,8 +19,7 @@ KS = [2, 3, 4]
 def _stretch_sweep(graph):
     rows = []
     for k in KS:
-        ours = build_routing_scheme(graph, k=k, seed=11,
-                                    detection_mode="exact")
+        ours = build_routing_scheme(graph, k=k, seed=11)
         tz = build_tz_routing(graph, k=k, seed=11)
         ours_r = evaluate_routing(graph, ours, sample=200, seed=k)
         tz_r = evaluate_routing(graph, tz, sample=200, seed=k)
@@ -46,10 +45,8 @@ def bench_stretch_vs_k(benchmark, small_workload):
 def bench_trick_ablation(benchmark, small_workload):
     def _ablate():
         with_trick = build_routing_scheme(small_workload, k=3, seed=13,
-                                          detection_mode="exact",
                                           use_tz_trick=True)
         without = build_routing_scheme(small_workload, k=3, seed=13,
-                                       detection_mode="exact",
                                        use_tz_trick=False)
         return (evaluate_routing(small_workload, with_trick, sample=250,
                                  seed=9),

@@ -30,8 +30,7 @@ def bench_table1_random(benchmark, small_workload):
     result = benchmark.pedantic(
         lambda: generate_table1(small_workload, k=K, seed=3,
                                 sample_pairs=150,
-                                graph_name="sparse-random",
-                                detection_mode="exact"),
+                                graph_name="sparse-random"),
         rounds=1, iterations=1)
     print("\n" + result.format())
     assert verify_table1_shape(result) == []
@@ -55,8 +54,7 @@ def bench_table1_mesh(benchmark, mesh_workload):
     result = benchmark.pedantic(
         lambda: generate_table1(mesh_workload, k=K, seed=5,
                                 sample_pairs=150,
-                                graph_name="geometric-mesh",
-                                detection_mode="exact"),
+                                graph_name="geometric-mesh"),
         rounds=1, iterations=1)
     print("\n" + result.format())
     assert verify_table1_shape(result) == []
@@ -68,8 +66,7 @@ def bench_table1_even_k(benchmark, small_workload):
     result = benchmark.pedantic(
         lambda: generate_table1(small_workload, k=4, seed=7,
                                 sample_pairs=150,
-                                graph_name="sparse-random",
-                                detection_mode="exact"),
+                                graph_name="sparse-random"),
         rounds=1, iterations=1)
     print("\n" + result.format())
     assert verify_table1_shape(result) == []

@@ -1,18 +1,14 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the paper-figure benchmarks.
 
-Benchmarks use ``detection_mode="exact"`` for the larger workloads: the
-round *accounting* is identical in both modes (the charge is the
-rounded algorithm's schedule either way); only the returned distance
-values differ, and the correctness-sensitive assertions about those are
-covered by the test suite at "rounded".  See EXPERIMENTS.md.
+Every bench builds with the library's one configuration — Theorem-1
+detection with rounded estimates over the fixed link bandwidth — so
+what a bench prints is what ``SchemePipeline``, the CLI and the served
+artifacts produce on the same graph, ``k`` and seed.
 """
-
-import random
 
 import pytest
 
 from repro.graphs import (
-    grid,
     random_connected,
     random_geometric,
     ring_of_cliques,
@@ -52,5 +48,5 @@ def scaling_graphs(scaling_ns):
 
 def pytest_configure(config):
     config.addinivalue_line(
-        "markers", "artifact(id): which DESIGN.md artifact this "
+        "markers", "artifact(id): which paper figure (E1-E9) this "
         "benchmark regenerates")

@@ -31,8 +31,7 @@ def main() -> None:
     print(f"{'k':>2} {'table words':>12} {'label words':>12} "
           f"{'max stretch':>12} {'mean':>6}   scheme")
     for k in (2, 3, 4):
-        ours = build_routing_scheme(graph, k=k, seed=SEED,
-                                    detection_mode="exact")
+        ours = build_routing_scheme(graph, k=k, seed=SEED)
         ours_eval = evaluate_routing(graph, ours, sample=400, seed=k)
         print(f"{k:>2} {ours.max_table_words():>12} "
               f"{ours.max_label_words():>12} "

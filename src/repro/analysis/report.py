@@ -1,19 +1,18 @@
 """Markdown report generation.
 
-Turns live runs into the paper-vs-measured tables EXPERIMENTS.md
-records, so the record can be regenerated from scratch:
+Turns live runs into paper-vs-measured tables (Table 1 per ``k``, then
+a per-``k`` sweep of this paper's scheme), regenerated from scratch:
 
     from repro.analysis.report import experiment_report
     print(experiment_report(graph, ks=(2, 3), seed=7))
 
-The output is deliberately plain markdown — paste-able into
-EXPERIMENTS.md or a CI summary.
+The output is deliberately plain markdown — paste-able into a results
+note or a CI summary.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from ..pipeline import SchemePipeline
 from ..graphs.weighted_graph import WeightedGraph
@@ -54,14 +53,12 @@ def table1_markdown(result: Table1Result) -> str:
 
 
 def scheme_sweep_markdown(graph: WeightedGraph, ks: Sequence[int],
-                          seed: int = 0, sample_pairs: int = 250,
-                          detection_mode: str = "exact") -> str:
+                          seed: int = 0, sample_pairs: int = 250) -> str:
     """Per-k measured summary of this paper's scheme (E2/E3 style)."""
     rows = []
     for k in ks:
-        report = (SchemePipeline().graph(graph)
-                  .params(k, detection_mode=detection_mode)
-                  .seed(seed).build().construction)
+        report = (SchemePipeline().graph(graph).params(k).seed(seed)
+                  .build().construction)
         routing = evaluate_routing(graph, report.scheme,
                                    sample=sample_pairs, seed=seed)
         estimation = evaluate_estimation(graph, report.estimation,
@@ -86,18 +83,15 @@ def scheme_sweep_markdown(graph: WeightedGraph, ks: Sequence[int],
 
 def experiment_report(graph: WeightedGraph, ks: Sequence[int] = (2, 3),
                       seed: int = 0, sample_pairs: int = 250,
-                      graph_name: str = "workload",
-                      detection_mode: str = "exact") -> str:
+                      graph_name: str = "workload") -> str:
     """A full paper-vs-measured markdown report for one workload."""
     sections = [f"# Experiment report — {graph_name}", ""]
     for k in ks:
         result = generate_table1(graph, k=k, seed=seed,
                                  sample_pairs=sample_pairs,
-                                 graph_name=graph_name,
-                                 detection_mode=detection_mode)
+                                 graph_name=graph_name)
         sections.append(table1_markdown(result))
         sections.append("")
     sections.append(scheme_sweep_markdown(
-        graph, ks, seed=seed, sample_pairs=sample_pairs,
-        detection_mode=detection_mode))
+        graph, ks, seed=seed, sample_pairs=sample_pairs))
     return "\n".join(sections)

@@ -10,8 +10,7 @@ words, and measured max/mean stretch on a shared pair sample.
 
 from __future__ import annotations
 
-import random
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from ..baselines.lp13 import build_lp13_scheme
 from ..baselines.lp15 import build_lp15_scheme
@@ -72,8 +71,7 @@ class Table1Result:
 
 def generate_table1(graph: WeightedGraph, k: int, seed: int = 0,
                     sample_pairs: Optional[int] = 400,
-                    graph_name: str = "workload",
-                    detection_mode: str = "rounded") -> Table1Result:
+                    graph_name: str = "workload") -> Table1Result:
     """Build all schemes on ``graph`` and regenerate Table 1 ("this
     paper"'s rounds are measured; the baselines use analytic models)."""
     d = hop_diameter(graph)
@@ -104,8 +102,7 @@ def generate_table1(graph: WeightedGraph, k: int, seed: int = 0,
                                  seed=seed),
         paper_stretch=TABLE1_STRETCH["LP13a/LP15"](k)))
 
-    lp15 = build_lp15_scheme(graph, k=k, seed=seed,
-                             detection_mode=detection_mode)
+    lp15 = build_lp15_scheme(graph, k=k, seed=seed)
     rows.append(Table1Row(
         scheme="LP15",
         rounds=lp15.construction_rounds(d), rounds_kind="model",
@@ -117,9 +114,8 @@ def generate_table1(graph: WeightedGraph, k: int, seed: int = 0,
         paper_stretch=TABLE1_STRETCH["LP15"](k)))
 
     from ..pipeline import SchemePipeline
-    ours = (SchemePipeline().graph(graph)
-            .params(k, detection_mode=detection_mode)
-            .seed(seed).build().construction)
+    ours = (SchemePipeline().graph(graph).params(k).seed(seed)
+            .build().construction)
     rows.append(Table1Row(
         scheme="this paper",
         rounds=float(ours.rounds), rounds_kind="measured",

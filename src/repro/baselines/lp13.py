@@ -23,9 +23,10 @@ Routing: ball hit → direct shortest-path next-hops; otherwise climb to
 the whole spanner is known!), then descend ``s(v) → v`` along the
 skeleton vertex's shortest-path tree.
 
-Round accounting uses their stated bound, instantiated with measured
-quantities (skeleton size, spanner size, hop diameter); see
-EXPERIMENTS.md for the substitution note.
+Round accounting uses their stated bound ``Õ(n^{1/2+1/k} + D)`` with
+the measured hop diameter substituted for ``D`` and the ``Õ`` read as
+a single ``log2 n`` factor (:meth:`LP13Scheme.construction_rounds`);
+it is a model, not a simulated execution.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ round columns.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from ..core.routing_scheme import RoutingScheme
 from ..core.scheme_builder import build_routing_scheme
@@ -65,10 +64,8 @@ class LP15Scheme:
         return 4 * self.params.k - 3 + 0.5
 
 
-def build_lp15_scheme(graph: WeightedGraph, k: int, seed: int = 0,
-                      detection_mode: str = "rounded") -> LP15Scheme:
+def build_lp15_scheme(graph: WeightedGraph, k: int,
+                      seed: int = 0) -> LP15Scheme:
     """Build the [LP15]-style comparator (trick disabled: stretch 4k-3)."""
-    scheme = build_routing_scheme(graph, k, seed=seed,
-                                  detection_mode=detection_mode,
-                                  use_tz_trick=False)
+    scheme = build_routing_scheme(graph, k, seed=seed, use_tz_trick=False)
     return LP15Scheme(scheme=scheme, params=scheme.params)

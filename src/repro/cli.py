@@ -64,7 +64,7 @@ def _pipeline(args: argparse.Namespace) -> SchemePipeline:
     """The shared staged configuration every build command uses."""
     return (SchemePipeline()
             .workload(args.graph, args.n)
-            .params(args.k, detection_mode=args.detection_mode)
+            .params(args.k)
             .seed(args.seed))
 
 
@@ -78,9 +78,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="stretch/size tradeoff parameter")
     parser.add_argument("--seed", type=int, default=0,
                         help="random seed (construction + workload)")
-    parser.add_argument("--detection-mode",
-                        choices=["rounded", "exact"], default="exact",
-                        help="Theorem-1 mode (round charges identical)")
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -436,8 +433,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     print(instance.describe())
     result = generate_table1(instance.graph, k=args.k, seed=args.seed,
                              sample_pairs=args.pairs,
-                             graph_name=args.graph,
-                             detection_mode=args.detection_mode)
+                             graph_name=args.graph)
     print(result.format())
     return 0
 

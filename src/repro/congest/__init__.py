@@ -6,8 +6,7 @@ from .messages import DEFAULT_CAPACITY_WORDS, Message, check_fits_capacity
 from .metrics import CostLedger, PhaseCost, congestion_rounds, pipelined_rounds
 from .network import Network
 from .node import NodeContext, NodeProgram, make_contexts
-from .simulator import RunReport, Simulator
-from .fast_engine import FastSimulator
+from .fast_engine import FastSimulator, RunReport
 from .bfs import BFSTree, build_bfs_tree
 from .broadcast import (
     broadcast_all,
@@ -38,7 +37,6 @@ __all__ = [
     "NodeProgram",
     "make_contexts",
     "RunReport",
-    "Simulator",
     "FastSimulator",
     "BFSTree",
     "build_bfs_tree",

@@ -66,6 +66,7 @@ from ..graphs.shortest_paths import INF
 from ..graphs.virtual_graph import VirtualGraph
 from ..graphs.weighted_graph import WeightedGraph
 from .bfs import BFSTree
+from .messages import DEFAULT_CAPACITY_WORDS
 from .metrics import congestion_rounds, pipelined_rounds
 
 
@@ -134,8 +135,7 @@ def _listed(values, missing, replacement) -> list:
 
 def nearest_source_exploration(graph: WeightedGraph,
                                sources: Sequence[int],
-                               iterations: int,
-                               capacity_words: int = 2
+                               iterations: int
                                ) -> NearestSourceResult:
     """Bounded Bellman–Ford rooted at a vertex *set*.
 
@@ -188,7 +188,8 @@ def nearest_source_exploration(graph: WeightedGraph,
         dist[frontier] = c_d[win]
         source_of[frontier] = source_of[via]
         parent[frontier] = via
-    rounds = congestion_rounds([_ESTIMATE_WORDS] * executed, capacity_words)
+    rounds = congestion_rounds([_ESTIMATE_WORDS] * executed,
+                               DEFAULT_CAPACITY_WORDS)
     return NearestSourceResult(dist=_listed(dist, unreached, INF),
                                source_of=_listed(source_of, -1, None),
                                parent=_listed(parent, -1, None),
@@ -232,8 +233,7 @@ class ExplorationResult:
 def multi_source_exploration(graph: WeightedGraph,
                              sources: Sequence[int],
                              iterations: int,
-                             rule: JoinRule,
-                             capacity_words: int = 2
+                             rule: JoinRule
                              ) -> ExplorationResult:
     """Parallel bounded-depth Bellman–Ford from every source.
 
@@ -303,7 +303,7 @@ def multi_source_exploration(graph: WeightedGraph,
         int(_np.bincount(_np.concatenate(fronts)).max()) * _ESTIMATE_WORDS
         for fronts in relayed]
     max_live = int(live[sampled].max()) if sampled.any() else 0
-    rounds = congestion_rounds(per_iter_words, capacity_words)
+    rounds = congestion_rounds(per_iter_words, DEFAULT_CAPACITY_WORDS)
     if cells:
         source, vertex, value, via = map(_np.concatenate, zip(*cells))
     else:
@@ -408,8 +408,7 @@ def virtual_multi_source_exploration(virtual: VirtualGraph,
                                      sources: Sequence[int],
                                      iterations: int,
                                      rule: JoinRule,
-                                     bfs_tree: BFSTree,
-                                     capacity_words: int = 2
+                                     bfs_tree: BFSTree
                                      ) -> VirtualExplorationResult:
     """Bellman–Ford over a *virtual* graph, Phase-1 style (Section 3.3.2).
 
@@ -442,7 +441,7 @@ def virtual_multi_source_exploration(virtual: VirtualGraph,
         update_words = sum(
             len(srcs) * (_ESTIMATE_WORDS + 1) for srcs in frontier.values())
         total_words += update_words
-        rounds += 2 * pipelined_rounds(update_words, capacity_words,
+        rounds += 2 * pipelined_rounds(update_words, DEFAULT_CAPACITY_WORDS,
                                        bfs_tree.height)
         updates: Dict[int, Dict[int, Tuple[float, int]]] = {}
         for u, updated_sources in frontier.items():

@@ -88,10 +88,9 @@ class _BFSProgram(NodeProgram):
         return [(v, message) for v in ctx.neighbors if v != best_parent]
 
 
-def build_bfs_tree(network: Network, root: int = 0,
-                   capacity_words: int = 2) -> BFSTree:
+def build_bfs_tree(network: Network, root: int = 0) -> BFSTree:
     """Run the BFS flood and extract the tree."""
-    report = FastSimulator(network, capacity_words).run(_BFSProgram(root))
+    report = FastSimulator(network).run(_BFSProgram(root))
     n = network.num_nodes
     parent: List[Optional[int]] = [None] * n
     depth: List[int] = [0] * n

@@ -6,7 +6,8 @@
 
 The mechanism is standard pipelining over a BFS tree: messages are
 convergecast to the root and then broadcast down; with per-edge capacity
-``c`` this takes ``ceil(M/c) + height`` rounds each way.  We implement the
+``c`` (the fixed :data:`~repro.congest.messages.DEFAULT_CAPACITY_WORDS`)
+this takes ``ceil(M/c) + height`` rounds each way.  We implement the
 primitive as a *scheduled* execution: the data movement is performed
 exactly (everyone ends up with all messages) and the round cost is charged
 from the measured word total and the measured tree height.
@@ -22,14 +23,13 @@ from typing import Dict, List, Sequence, Tuple
 
 from .bfs import BFSTree
 from .fast_engine import FastSimulator
-from .messages import Message
+from .messages import DEFAULT_CAPACITY_WORDS, Message
 from .metrics import pipelined_rounds
 from .network import Network
 from .node import NodeContext, NodeProgram, Outgoing
 
 
-def broadcast_all(tree: BFSTree, per_node_words: Sequence[int],
-                  capacity_words: int = 2) -> int:
+def broadcast_all(tree: BFSTree, per_node_words: Sequence[int]) -> int:
     """Round cost of delivering every node's messages to every node.
 
     ``per_node_words[v]`` is the number of words node ``v`` contributes.
@@ -37,21 +37,22 @@ def broadcast_all(tree: BFSTree, per_node_words: Sequence[int],
     each pipelined: ``2 * (ceil(M/c) + height)``.
     """
     total_words = sum(per_node_words)
-    one_way = pipelined_rounds(total_words, capacity_words, tree.height)
+    one_way = pipelined_rounds(total_words, DEFAULT_CAPACITY_WORDS,
+                               tree.height)
     return 2 * one_way
 
 
-def convergecast(tree: BFSTree, per_node_words: Sequence[int],
-                 capacity_words: int = 2) -> int:
+def convergecast(tree: BFSTree, per_node_words: Sequence[int]) -> int:
     """Round cost of collecting every node's words at the root only."""
     total_words = sum(per_node_words)
-    return pipelined_rounds(total_words, capacity_words, tree.height)
+    return pipelined_rounds(total_words, DEFAULT_CAPACITY_WORDS,
+                            tree.height)
 
 
-def broadcast_from_root(tree: BFSTree, total_words: int,
-                        capacity_words: int = 2) -> int:
+def broadcast_from_root(tree: BFSTree, total_words: int) -> int:
     """Round cost of pushing ``total_words`` from the root to everyone."""
-    return pipelined_rounds(total_words, capacity_words, tree.height)
+    return pipelined_rounds(total_words, DEFAULT_CAPACITY_WORDS,
+                            tree.height)
 
 
 class _GossipProgram(NodeProgram):
@@ -93,11 +94,9 @@ class _GossipProgram(NodeProgram):
 
 
 def simulate_flood_rounds(network: Network,
-                          initial: Dict[int, List[Tuple]],
-                          capacity_words: int = 2
+                          initial: Dict[int, List[Tuple]]
                           ) -> Tuple[int, List[set]]:
     """Actually flood ``initial`` messages; return (rounds, per-node sets)."""
-    report = FastSimulator(network, capacity_words).run(
-        _GossipProgram(initial))
+    report = FastSimulator(network).run(_GossipProgram(initial))
     seen = [report.state_of(u)["seen"] for u in range(network.num_nodes)]
     return report.rounds, seen

@@ -1,7 +1,8 @@
 """Batched flat-array CONGEST engine: what every simulated phase runs.
 
-Semantically identical to :class:`~repro.congest.simulator.Simulator`
-(the oracle) but engineered for scale:
+Semantically identical to :class:`~repro.reference.simulator.Simulator`
+(the dict-of-deques oracle, imported by tests only) but engineered for
+scale:
 
 * **Flat integer-indexed links.**  Directed links get dense ids in the
   reference scan order (sender ascending, port order); per-link state is
@@ -38,11 +39,11 @@ from typing import Dict, List, Tuple
 
 import numpy as _np
 
+from ..dataclass import dataclass
 from ..exceptions import SimulationError
 from .messages import DEFAULT_CAPACITY_WORDS, Message, check_fits_capacity
 from .network import Network
-from .node import NodeProgram, make_contexts
-from .simulator import RunReport
+from .node import NodeContext, NodeProgram, make_contexts
 
 #: Below this many active links the vectorized path costs more than it
 #: saves; fall back to scalar compares.
@@ -50,6 +51,22 @@ _VECTOR_THRESHOLD = 8
 
 #: Compact a queue's consumed prefix once the head cursor passes this.
 _COMPACT_THRESHOLD = 64
+
+
+@dataclass
+class RunReport:
+    """Outcome of one simulated execution."""
+
+    rounds: int
+    delivered_messages: int
+    delivered_words: int
+    max_link_queue_words: int
+    quiescent: bool
+    contexts: List[NodeContext]
+
+    def state_of(self, node: int) -> Dict:
+        """Final state dictionary of ``node``."""
+        return self.contexts[node].state
 
 
 def _drain_mask(words, order: List[int], capacity: int) -> List[bool]:
@@ -71,8 +88,9 @@ def _max_over(words, links: List[int]) -> int:
 class FastSimulator:
     """Flat-array, frontier-driven implementation of the round engine.
 
-    Drop-in replacement for :class:`Simulator`: same constructor, same
-    :meth:`run` contract, same :class:`RunReport`.
+    Drop-in replacement for the oracle
+    :class:`~repro.reference.simulator.Simulator`: same constructor,
+    same :meth:`run` contract, same :class:`RunReport`.
     """
 
     def __init__(self, network: Network,

@@ -71,6 +71,7 @@ from ..congest.bellman_ford import (
     virtual_multi_source_exploration,
 )
 from ..congest.bfs import BFSTree, build_bfs_tree
+from ..congest.messages import DEFAULT_CAPACITY_WORDS
 from ..congest.metrics import CostLedger, pipelined_rounds
 from ..congest.network import Network
 from ..dataclass import dataclass
@@ -210,8 +211,7 @@ class ApproxClusterSystem:
 # ----------------------------------------------------------------------
 def _compute_pivots(graph: WeightedGraph, params: SchemeParams,
                     hierarchy: LevelHierarchy, rng: random.Random,
-                    bfs_tree: BFSTree, detection_mode: str,
-                    capacity_words: int,
+                    bfs_tree: BFSTree,
                     ledger: CostLedger) -> List[ApproxPivots]:
     n = graph.num_vertices
     pivots: List[ApproxPivots] = []
@@ -223,8 +223,7 @@ def _compute_pivots(graph: WeightedGraph, params: SchemeParams,
         if i <= params.half_level:
             budget = params.exploration_budget(i)
             started = time.perf_counter()
-            result = nearest_source_exploration(graph, level_set, budget,
-                                                capacity_words)
+            result = nearest_source_exploration(graph, level_set, budget)
             ledger.add(f"pivots/exact-level-{i}", result.rounds,
                        seconds=time.perf_counter() - started)
             pivots.append(ApproxPivots(level=i, dist_hat=result.dist,
@@ -233,8 +232,6 @@ def _compute_pivots(graph: WeightedGraph, params: SchemeParams,
             started = time.perf_counter()
             spt = approximate_spt(graph, level_set, params.eps, rng=rng,
                                   bfs_tree=bfs_tree,
-                                  capacity_words=capacity_words,
-                                  detection_mode=detection_mode,
                                   rho=params.hopset_rho)
             ledger.add(f"pivots/approx-level-{i}", spt.rounds,
                        seconds=time.perf_counter() - started)
@@ -253,12 +250,11 @@ Cells = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 def _build_small_level(graph: WeightedGraph, level: int,
                        centers: Sequence[int],
                        next_pivot_dist: List[float], budget: int,
-                       capacity_words: int, ledger: CostLedger) -> Cells:
+                       ledger: CostLedger) -> Cells:
     # rule (11): join iff b_v(u) < d̂_{i+1}(v), declaratively
     rule = JoinRule(threshold=next_pivot_dist)
     started = time.perf_counter()
-    result = multi_source_exploration(graph, centers, budget, rule,
-                                      capacity_words)
+    result = multi_source_exploration(graph, centers, budget, rule)
     ledger.add(f"clusters/small-level-{level}", result.rounds,
                seconds=time.perf_counter() - started)
     # one cell per (source, vertex) estimate: the clusters as they are
@@ -272,14 +268,13 @@ def _build_middle_level(graph: WeightedGraph, level: int,
                         centers: Sequence[int],
                         next_pivot_dist: List[float], budget: int,
                         eps: float, bfs_tree: BFSTree,
-                        detection_mode: str, ledger: CostLedger) -> Cells:
+                        ledger: CostLedger) -> Cells:
     # middle-level join rule, applied inside the detection when it
     # materializes estimates: keep (v, u) iff b < d̂_{(k+1)/2}(v)
     rule = JoinRule(threshold=next_pivot_dist)
     started = time.perf_counter()
     detection = detect_sources(graph, centers, budget, eps,
-                               bfs_tree=bfs_tree, mode=detection_mode,
-                               join_rule=rule)
+                               bfs_tree=bfs_tree, join_rule=rule)
     ledger.add(f"clusters/middle-level-{level}", detection.rounds,
                seconds=time.perf_counter() - started)
     # the detection kept only rule-passing cells, and the seeded center
@@ -305,21 +300,19 @@ class _LargeScalePreprocessing:
 
 def _preprocess_large_scales(graph: WeightedGraph, params: SchemeParams,
                              v_prime: Sequence[int], rng: random.Random,
-                             bfs_tree: BFSTree, detection_mode: str,
-                             capacity_words: int, ledger: CostLedger
+                             bfs_tree: BFSTree, ledger: CostLedger
                              ) -> _LargeScalePreprocessing:
     hop_bound = params.detection_hop_bound
     started = time.perf_counter()
     detection = detect_sources(graph, v_prime, hop_bound, params.eps / 2,
-                               bfs_tree=bfs_tree, mode=detection_mode)
+                               bfs_tree=bfs_tree)
     ledger.add("large/preprocess-detection", detection.rounds,
                seconds=time.perf_counter() - started)
     virtual_graph = build_virtual_graph_from_detection(detection)
     started = time.perf_counter()
     hopset_report = build_hopset(virtual_graph, params.eps / 3,
                                  rho=params.hopset_rho, rng=rng,
-                                 bfs_tree=bfs_tree,
-                                 capacity_words=capacity_words)
+                                 bfs_tree=bfs_tree)
     ledger.add("large/preprocess-hopset", hopset_report.rounds,
                seconds=time.perf_counter() - started)
     augmented = hopset_report.hopset.augment(virtual_graph)
@@ -376,7 +369,7 @@ def _build_large_level(graph: WeightedGraph, level: int,
                        centers: Sequence[int],
                        next_pivot_hat: List[float], eps: float,
                        pre: _LargeScalePreprocessing, bfs_tree: BFSTree,
-                       capacity_words: int, ledger: CostLedger) -> Cells:
+                       ledger: CostLedger) -> Cells:
     one_plus = 1.0 + eps
 
     # ----- Phase 1: β-iteration Bellman–Ford over G'' with rule (14),
@@ -387,8 +380,7 @@ def _build_large_level(graph: WeightedGraph, level: int,
     rule14 = JoinRule(threshold=[t / cube for t in next_pivot_hat])
     started = time.perf_counter()
     phase1 = virtual_multi_source_exploration(
-        pre.augmented, centers, pre.beta, rule14, bfs_tree,
-        capacity_words)
+        pre.augmented, centers, pre.beta, rule14, bfs_tree)
     ledger.add(f"large/phase1-level-{level}", phase1.rounds,
                seconds=time.perf_counter() - started)
 
@@ -429,7 +421,7 @@ def _build_large_level(graph: WeightedGraph, level: int,
     ledger.add(f"large/phase1.5-level-{level}",
                2 * pipelined_rounds(3 * sum(len(v) for v in
                                             virt_value.values()),
-                                    capacity_words, bfs_tree.height),
+                                    DEFAULT_CAPACITY_WORDS, bfs_tree.height),
                seconds=time.perf_counter() - started)
 
     # the virtual members' cells; real parents by Remark 1 through the
@@ -454,7 +446,7 @@ def _build_large_level(graph: WeightedGraph, level: int,
     joined, broadcast_words = _broadcast_extension(
         center, virt_value, detection, next_pivot_hat, eps)
     ledger.add(f"large/phase2-broadcast-level-{level}",
-               2 * pipelined_rounds(broadcast_words, capacity_words,
+               2 * pipelined_rounds(broadcast_words, DEFAULT_CAPACITY_WORDS,
                                     bfs_tree.height),
                seconds=time.perf_counter() - started)
     return tuple(np.concatenate(pair) for pair in zip(
@@ -482,8 +474,6 @@ def _merge_levels(n: int, hierarchy: LevelHierarchy,
 def build_approx_clusters(graph: WeightedGraph, k: int,
                           seed: int = 0,
                           eps_override: float = 0.0,
-                          detection_mode: str = "rounded",
-                          capacity_words: int = 2,
                           hierarchy: Optional[LevelHierarchy] = None,
                           bfs_tree: Optional[BFSTree] = None
                           ) -> ApproxClusterSystem:
@@ -501,15 +491,14 @@ def build_approx_clusters(graph: WeightedGraph, k: int,
 
     if bfs_tree is None:
         started = time.perf_counter()
-        bfs_tree = build_bfs_tree(Network(graph), root=0,
-                                  capacity_words=capacity_words)
+        bfs_tree = build_bfs_tree(Network(graph), root=0)
         ledger.add("setup/bfs-tree", bfs_tree.rounds,
                    seconds=time.perf_counter() - started)
     if hierarchy is None:
         hierarchy = sample_levels(n, params, rng)
 
     pivots = _compute_pivots(graph, params, hierarchy, rng, bfs_tree,
-                             detection_mode, capacity_words, ledger)
+                             ledger)
 
     def next_hat(i: int) -> List[float]:
         if i + 1 >= params.k:
@@ -527,19 +516,17 @@ def build_approx_clusters(graph: WeightedGraph, k: int,
         if middle is not None and i == middle:
             cells.append(_build_middle_level(
                 graph, i, centers, next_hat(i), budget, params.eps,
-                bfs_tree, detection_mode, ledger))
+                bfs_tree, ledger))
         else:
             cells.append(_build_small_level(
-                graph, i, centers, next_hat(i), budget, capacity_words,
-                ledger))
+                graph, i, centers, next_hat(i), budget, ledger))
 
     beta = 0
     if params.half_level <= params.k - 1:
         v_prime = hierarchy.level_set(params.half_level)
         if v_prime:
             pre = _preprocess_large_scales(
-                graph, params, v_prime, rng, bfs_tree, detection_mode,
-                capacity_words, ledger)
+                graph, params, v_prime, rng, bfs_tree, ledger)
             beta = pre.beta
             for i in range(params.half_level, params.k):
                 centers = hierarchy.centers_at(i)
@@ -547,7 +534,7 @@ def build_approx_clusters(graph: WeightedGraph, k: int,
                     continue
                 cells.append(_build_large_level(
                     graph, i, centers, next_hat(i), params.eps, pre,
-                    bfs_tree, capacity_words, ledger))
+                    bfs_tree, ledger))
 
     started = time.perf_counter()
     system = ApproxClusterSystem(

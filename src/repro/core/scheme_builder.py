@@ -61,11 +61,14 @@ class ConstructionReport:
 
 def run_construction(graph: WeightedGraph, k: int, seed: int = 0,
                      eps_override: float = 0.0,
-                     detection_mode: str = "rounded",
-                     capacity_words: int = 2,
                      use_tz_trick: bool = True) -> ConstructionReport:
     """Build the paper's routing scheme end to end (Theorem 5) and
     measure it: hierarchy → clusters → forest → assembled scheme.
+
+    There is one configuration of the algorithm: Theorem-1 source
+    detection with its one-sided rounded estimates, over links of
+    :data:`~repro.congest.messages.DEFAULT_CAPACITY_WORDS` words per
+    round.  Only the inputs below vary.
 
     Parameters
     ----------
@@ -77,8 +80,6 @@ def run_construction(graph: WeightedGraph, k: int, seed: int = 0,
         Drives all sampling; identical seeds give identical schemes.
     eps_override:
         Replace the paper's ``1/(48 k^4)`` (tests / ablations only).
-    detection_mode:
-        ``"rounded"`` (faithful Theorem-1 values) or ``"exact"``.
     use_tz_trick:
         Store member labels at level-0 centers (the 4k-5 improvement);
         disable to measure the plain ``4k-3`` variant.
@@ -87,9 +88,7 @@ def run_construction(graph: WeightedGraph, k: int, seed: int = 0,
         "n": graph.num_vertices, "k": k, "seed": seed})
     clusters_span = build_span.child("build.clusters")
     clusters = build_approx_clusters(graph, k, seed=seed,
-                                     eps_override=eps_override,
-                                     detection_mode=detection_mode,
-                                     capacity_words=capacity_words)
+                                     eps_override=eps_override)
     clusters_span.finish()
     ledger = CostLedger()
     ledger.merge(clusters.ledger)
@@ -98,7 +97,7 @@ def run_construction(graph: WeightedGraph, k: int, seed: int = 0,
     forest = build_forest_routing(
         clusters.center, clusters.c_start, clusters.member,
         clusters.parent, graph.num_vertices, random.Random(seed + 1),
-        bfs_tree=clusters.bfs_tree, capacity_words=capacity_words)
+        bfs_tree=clusters.bfs_tree)
     forest_span.finish()
     ledger.merge(forest.ledger)
 
@@ -144,14 +143,10 @@ def run_construction(graph: WeightedGraph, k: int, seed: int = 0,
 
 def build_routing_scheme(graph: WeightedGraph, k: int, seed: int = 0,
                          eps_override: float = 0.0,
-                         detection_mode: str = "rounded",
-                         capacity_words: int = 2,
                          use_tz_trick: bool = True) -> RoutingScheme:
     """The scheme :func:`run_construction` builds, without its report."""
-    return run_construction(
-        graph, k, seed=seed, eps_override=eps_override,
-        detection_mode=detection_mode, capacity_words=capacity_words,
-        use_tz_trick=use_tz_trick).scheme
+    return run_construction(graph, k, seed=seed, eps_override=eps_override,
+                            use_tz_trick=use_tz_trick).scheme
 
 
 def sample_pairs(num_vertices: int, count: int,

@@ -59,6 +59,7 @@ import numpy as np
 
 from ..congest.bellman_ford import _run_starts
 from ..congest.bfs import BFSTree
+from ..congest.messages import DEFAULT_CAPACITY_WORDS
 from ..congest.metrics import CostLedger, pipelined_rounds
 from ..dataclass import dataclass
 from ..exceptions import SchemeError
@@ -484,8 +485,7 @@ def _shared_sample(vertices: np.ndarray, num_graph_vertices: int,
 
 def _remark3_ledger(num_graph_vertices: int, s: int, max_depth: int,
                     splitter_words: int, built_seconds: float,
-                    bfs_tree: Optional[BFSTree],
-                    capacity_words: int) -> CostLedger:
+                    bfs_tree: Optional[BFSTree]) -> CostLedger:
     """Remark 3's accounting: with overlap ``s`` (trees per vertex) and
     ``γ = sqrt(n/s)`` splitters, random start times stagger the
     per-tree convergecasts/DFS so everything finishes in
@@ -509,7 +509,8 @@ def _remark3_ledger(num_graph_vertices: int, s: int, max_depth: int,
                max(max_depth, 1) * log_n + stagger * log_n)
     # Phase 2 (Lemma-1 convergecast + broadcast of splitter tables/labels)
     ledger.add("trees/phase2-global",
-               2 * pipelined_rounds(splitter_words, capacity_words, height))
+               2 * pipelined_rounds(splitter_words, DEFAULT_CAPACITY_WORDS,
+                                    height))
     # propagation of splitter tables/labels down their subtrees
     ledger.add("trees/phase2-propagate",
                max(max_depth, 1) * log_n + stagger)
@@ -521,7 +522,6 @@ def build_forest_routing(centers: np.ndarray, tree_start: np.ndarray,
                          num_graph_vertices: int,
                          rng: random.Random,
                          bfs_tree: Optional[BFSTree] = None,
-                         capacity_words: int = 2,
                          gamma: Optional[float] = None
                          ) -> ForestRoutingReport:
     """Build the scheme of every tree with one shared splitter sample.
@@ -546,7 +546,7 @@ def build_forest_routing(centers: np.ndarray, tree_start: np.ndarray,
     max_depth = int(columns.tree_depth.max(initial=0))
     ledger = _remark3_ledger(num_graph_vertices, s, max_depth,
                              columns.splitter_words, built_seconds,
-                             bfs_tree, capacity_words)
+                             bfs_tree)
     return ForestRoutingReport(columns=columns,
                                rounds=ledger.total_rounds, ledger=ledger,
                                splitter_count=len(splitters),

@@ -139,7 +139,8 @@ class IncrementalBuilder:
     >>> report = builder.rebuild()           # "reuse" or "full"
     >>> report.strategy, report.compiled     # bit-identical to scratch
 
-    Construction parameters are frozen at the builder (they are part of
+    Construction parameters — ``k`` and ``seed``, the pipeline's
+    defaults otherwise — are frozen at the builder (they are part of
     the determinism argument — a cached entry stands for "scratch with
     these exact parameters").  ``cache_size`` bounds the
     fingerprint-keyed LRU of built states; churn that revisits a cached
@@ -147,18 +148,13 @@ class IncrementalBuilder:
     """
 
     def __init__(self, feed: TopologyFeed, k: int, seed: int = 0,
-                 eps: float = 0.0, detection_mode: str = "rounded",
-                 capacity_words: int = 2, use_tz_trick: bool = True,
                  cache_size: int = 8,
                  registry: Optional[MetricsRegistry] = None) -> None:
         if cache_size < 1:
             raise ParameterError(
                 f"cache_size must be >= 1, got {cache_size}")
         self.feed = feed
-        self._params = dict(k=k, seed=seed, eps_override=eps,
-                            detection_mode=detection_mode,
-                            capacity_words=capacity_words,
-                            use_tz_trick=use_tz_trick)
+        self._params = dict(k=k, seed=seed)
         self._cache_size = cache_size
         self._cache: "OrderedDict[str, BuildEntry]" = OrderedDict()
         self._current: Optional[BuildEntry] = None

@@ -32,6 +32,7 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..congest.bfs import BFSTree
+from ..congest.messages import DEFAULT_CAPACITY_WORDS
 from ..congest.metrics import pipelined_rounds
 from ..dataclass import dataclass
 from ..exceptions import HopsetError, ParameterError
@@ -113,7 +114,6 @@ def build_hopset(virtual: VirtualGraph, eps: float,
                  rho: float = 0.5,
                  rng: Optional[random.Random] = None,
                  bfs_tree: Optional[BFSTree] = None,
-                 capacity_words: int = 2,
                  measure_beta: bool = True) -> HopsetBuildReport:
     """Build a path-reporting hopset for ``virtual`` (paper Theorem 2).
 
@@ -189,7 +189,7 @@ def build_hopset(virtual: VirtualGraph, eps: float,
     #   broadcasts; κ sampling levels each ship their bunch explorations.
     height = bfs_tree.height if bfs_tree is not None else 0
     rounds = levels * pipelined_rounds(
-        2 * exploration_words, capacity_words, height)
+        2 * exploration_words, DEFAULT_CAPACITY_WORDS, height)
 
     if measure_beta:
         augmented = hopset.augment(virtual)

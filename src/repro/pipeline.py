@@ -157,8 +157,6 @@ class SchemePipeline:
         self._graph_name = "custom"
         self._k: Optional[int] = None
         self._eps = 0.0
-        self._detection_mode = "rounded"
-        self._capacity_words = 2
         self._use_tz_trick = True
         self._seed = 0
         self._built: Optional[BuildReport] = None
@@ -194,14 +192,16 @@ class SchemePipeline:
         return self
 
     def params(self, k: int, eps: float = 0.0,
-               detection_mode: str = "rounded",
-               capacity_words: int = 2,
                use_tz_trick: bool = True) -> "SchemePipeline":
-        """Scheme parameters (``eps=0`` means the paper's ``1/48k^4``)."""
+        """Scheme parameters (``eps=0`` means the paper's ``1/48k^4``).
+
+        These are the only settings of the construction: the algorithm
+        (rounded Theorem-1 detection, fixed link bandwidth) is one, so
+        a pipeline, the CLI and the incremental builder given the same
+        graph, ``k`` and seed build the same bytes.
+        """
         self._k = k
         self._eps = eps
-        self._detection_mode = detection_mode
-        self._capacity_words = capacity_words
         self._use_tz_trick = use_tz_trick
         self._invalidate()
         return self
@@ -243,8 +243,6 @@ class SchemePipeline:
         graph = self._resolve_graph()
         construction = run_construction(
             graph, k=self._k, seed=self._seed, eps_override=self._eps,
-            detection_mode=self._detection_mode,
-            capacity_words=self._capacity_words,
             use_tz_trick=self._use_tz_trick)
         requested = (self._workload.requested_n
                      if self._workload is not None else None)
@@ -366,8 +364,6 @@ class SchemePipeline:
                 "before .build_estimation()")
         graph = self._resolve_graph()
         clusters = build_approx_clusters(
-            graph, self._k, seed=self._seed, eps_override=self._eps,
-            detection_mode=self._detection_mode,
-            capacity_words=self._capacity_words)
+            graph, self._k, seed=self._seed, eps_override=self._eps)
         self._estimation = estimation_from_clusters(graph, clusters)
         return self._estimation

@@ -6,9 +6,10 @@ What lives here is the per-vertex object model of Sections 4 and 6 —
 tables, labels, global-edge rows — built from the cluster system by
 the per-subtree reference builder, plus the hop-by-hop routers over
 those objects that the compiled replay is held to, the dict-based
-Bellman–Ford explorations the CSR kernels are held to, and the
+Bellman–Ford explorations the CSR kernels are held to, the
 per-source detection sweep and per-vertex extension loops the
-detection's matrices are held to.
+detection's matrices are held to, and the dict-of-deques CONGEST
+engine :class:`Simulator` that ``FastSimulator`` is held to.
 """
 
 from .detection import (
@@ -22,6 +23,7 @@ from .exploration import (
     nearest_source_exploration_reference,
 )
 from .routing_scheme import ReferenceRouter, VertexLabel, VertexTable
+from .simulator import Simulator
 from .tree_routing import (
     DistTreeLabel,
     DistTreeTable,
@@ -41,6 +43,7 @@ __all__ = [
     "JoinPredicate",
     "ReferenceForestReport",
     "ReferenceRouter",
+    "Simulator",
     "VertexLabel",
     "VertexTable",
     "broadcast_extension_reference",

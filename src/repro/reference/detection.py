@@ -84,63 +84,52 @@ def _rule_keeps(rule: Optional[JoinRule], u: int, s: int, value) -> bool:
 
 def detection_dicts_reference(graph: WeightedGraph, sources: Sequence[int],
                               hop_bound: int, eps: float,
-                              mode: str = "rounded",
                               join_rule: Optional[JoinRule] = None
                               ) -> Tuple[List[int], List[Dict[int, float]],
                                          List[Dict[int, Optional[int]]]]:
     """The oracle's own cells: ``(sources, estimate, parent)`` as the
     original dict-of-dict implementation built them, kept verbatim
     (modulo the sorted-frontier tie pin and the optional ``join_rule``
-    cell filter).  Its values carry the oracle's own types — ``int``
-    sums in exact mode and at a source's own cell."""
-    source_list = _validate(graph, sources, hop_bound, eps, mode)
+    cell filter).  Its values carry the oracle's own types — the
+    ``int`` 0 at a source's own cell."""
+    source_list = _validate(graph, sources, hop_bound, eps)
     n = graph.num_vertices
     num_scales = _scale_parameters(graph, hop_bound)
 
     estimate: List[Dict[int, float]] = [dict() for _ in range(n)]
     parent: List[Dict[int, Optional[int]]] = [dict() for _ in range(n)]
 
-    if mode == "exact":
-        for s in source_list:
+    # eps/2 internally: the winning scale contributes <= eps/2 * 2 = eps
+    # relative error (see repro.sketches.source_detection).
+    eps_internal = eps / 2.0
+    for s in source_list:
+        best: List[float] = [INF] * n
+        best_parent: List[Optional[int]] = [None] * n
+        for i in range(num_scales):
+            delta = 1 << i
+            unit = eps_internal * delta / max(hop_bound, 1)
+            if unit <= 0:
+                continue
+
+            def rounded(w: int, _unit=unit) -> float:
+                return math.ceil(w / _unit) * _unit
+
             dist, par = _bounded_bellman_ford(graph, s, hop_bound,
-                                              lambda w: w)
+                                              rounded)
             for u in range(n):
-                if dist[u] < INF and _rule_keeps(join_rule, u, s, dist[u]):
-                    estimate[u][s] = dist[u]
-                    parent[u][s] = par[u]
-    else:
-        # eps/2 internally: the winning scale contributes <= eps/2 * 2 = eps
-        # relative error (see repro.sketches.source_detection).
-        eps_internal = eps / 2.0
-        for s in source_list:
-            best: List[float] = [INF] * n
-            best_parent: List[Optional[int]] = [None] * n
-            for i in range(num_scales):
-                delta = 1 << i
-                unit = eps_internal * delta / max(hop_bound, 1)
-                if unit <= 0:
-                    continue
-
-                def rounded(w: int, _unit=unit) -> float:
-                    return math.ceil(w / _unit) * _unit
-
-                dist, par = _bounded_bellman_ford(graph, s, hop_bound,
-                                                  rounded)
-                for u in range(n):
-                    if dist[u] < best[u]:
-                        best[u] = dist[u]
-                        best_parent[u] = par[u]
-            for u in range(n):
-                if best[u] < INF and _rule_keeps(join_rule, u, s, best[u]):
-                    estimate[u][s] = best[u]
-                    parent[u][s] = best_parent[u]
+                if dist[u] < best[u]:
+                    best[u] = dist[u]
+                    best_parent[u] = par[u]
+        for u in range(n):
+            if best[u] < INF and _rule_keeps(join_rule, u, s, best[u]):
+                estimate[u][s] = best[u]
+                parent[u][s] = best_parent[u]
     return source_list, estimate, parent
 
 
 def detect_sources_reference(graph: WeightedGraph, sources: Sequence[int],
                              hop_bound: int, eps: float,
                              bfs_tree: Optional[BFSTree] = None,
-                             mode: str = "rounded",
                              join_rule: Optional[JoinRule] = None
                              ) -> SourceDetectionResult:
     """Per-source, per-scale oracle for
@@ -148,7 +137,7 @@ def detect_sources_reference(graph: WeightedGraph, sources: Sequence[int],
     :func:`detection_dicts_reference`, packed into the result's
     ``|V'| × n`` matrices."""
     source_list, estimate, parent = detection_dicts_reference(
-        graph, sources, hop_bound, eps, mode=mode, join_rule=join_rule)
+        graph, sources, hop_bound, eps, join_rule=join_rule)
     n = graph.num_vertices
     height = bfs_tree.height if bfs_tree is not None else 0
     rounds = _charged_rounds(len(source_list), hop_bound, eps, height,
@@ -163,7 +152,7 @@ def detect_sources_reference(graph: WeightedGraph, sources: Sequence[int],
             par[row_of[s], u] = -1 if p is None else p
     return SourceDetectionResult(sources=source_list, dist=dist, par=par,
                                  rounds=rounds, hop_bound=hop_bound,
-                                 eps=eps, mode=mode)
+                                 eps=eps)
 
 
 def broadcast_extension_reference(centers: Sequence[int],

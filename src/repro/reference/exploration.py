@@ -24,6 +24,7 @@ from ..congest.bellman_ford import (
     ExplorationResult,
     NearestSourceResult,
 )
+from ..congest.messages import DEFAULT_CAPACITY_WORDS
 from ..congest.metrics import congestion_rounds
 from ..graphs.shortest_paths import INF
 from ..graphs.weighted_graph import WeightedGraph
@@ -41,8 +42,7 @@ JoinPredicate = Callable[[int, int, float], bool]
 
 def nearest_source_exploration_reference(graph: WeightedGraph,
                                          sources: Sequence[int],
-                                         iterations: int,
-                                         capacity_words: int = 2
+                                         iterations: int
                                          ) -> NearestSourceResult:
     """Dict-based oracle for :func:`repro.congest.nearest_source_exploration`.
 
@@ -81,7 +81,7 @@ def nearest_source_exploration_reference(graph: WeightedGraph,
                 source_of[v] = s
                 parent[v] = via
                 frontier.add(v)
-    rounds = congestion_rounds(per_iter_words, capacity_words)
+    rounds = congestion_rounds(per_iter_words, DEFAULT_CAPACITY_WORDS)
     return NearestSourceResult(dist=dist, source_of=source_of,
                                parent=parent, iterations=executed,
                                rounds=rounds)
@@ -90,8 +90,7 @@ def nearest_source_exploration_reference(graph: WeightedGraph,
 def multi_source_exploration_reference(graph: WeightedGraph,
                                        sources: Sequence[int],
                                        iterations: int,
-                                       join: JoinPredicate,
-                                       capacity_words: int = 2
+                                       join: JoinPredicate
                                        ) -> ExplorationResult:
     """Dict-based oracle for :func:`repro.congest.multi_source_exploration`.
 
@@ -138,7 +137,7 @@ def multi_source_exploration_reference(graph: WeightedGraph,
                 frontier[v] = changed
             if len(dist[v]) > max_live:
                 max_live = len(dist[v])
-    rounds = congestion_rounds(per_iter_words, capacity_words)
+    rounds = congestion_rounds(per_iter_words, DEFAULT_CAPACITY_WORDS)
     # the columns with one sort; the oracle's own dicts stay the views,
     # so a comparison with the kernel's views compares with them
     cells = sorted((s, v, d, -1 if parent[v][s] is None else parent[v][s])

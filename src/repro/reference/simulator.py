@@ -3,7 +3,8 @@
 Production code runs :class:`~repro.congest.fast_engine.FastSimulator`;
 this dict-of-deques engine is the semantic reference
 ``tests/congest/test_engine_equivalence.py`` constructs directly and
-checks it against, field for field.
+checks it against, field for field.  Like the rest of
+:mod:`repro.reference`, nothing outside the tests imports it.
 
 Executes a :class:`NodeProgram` on every node of a :class:`Network`:
 
@@ -24,27 +25,15 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Tuple
 
-from ..dataclass import dataclass
+from ..congest.fast_engine import RunReport
+from ..congest.messages import (
+    DEFAULT_CAPACITY_WORDS,
+    Message,
+    check_fits_capacity,
+)
+from ..congest.network import Network
+from ..congest.node import NodeProgram, make_contexts
 from ..exceptions import SimulationError
-from .messages import DEFAULT_CAPACITY_WORDS, Message, check_fits_capacity
-from .network import Network
-from .node import NodeContext, NodeProgram, make_contexts
-
-
-@dataclass
-class RunReport:
-    """Outcome of one simulated execution."""
-
-    rounds: int
-    delivered_messages: int
-    delivered_words: int
-    max_link_queue_words: int
-    quiescent: bool
-    contexts: List[NodeContext]
-
-    def state_of(self, node: int) -> Dict:
-        """Final state dictionary of ``node``."""
-        return self.contexts[node].state
 
 
 class Simulator:

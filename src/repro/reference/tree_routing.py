@@ -317,7 +317,6 @@ def build_forest_routing_reference(trees: Dict[int, RootedTree],
                                    rng: random.Random,
                                    bfs_tree: Optional[BFSTree] = None,
                                    port_of: Optional[PortFunction] = None,
-                                   capacity_words: int = 2,
                                    gamma: Optional[float] = None
                                    ) -> ReferenceForestReport:
     """:func:`~repro.core.tree_routing.build_forest_routing` over the
@@ -344,8 +343,7 @@ def build_forest_routing_reference(trees: Dict[int, RootedTree],
         sch.tables[w].words + sch.labels[w].words
         for sch in schemes.values() for w in sch.splitters)
     ledger = _remark3_ledger(num_graph_vertices, s, max_depth,
-                             splitter_words, built_seconds, bfs_tree,
-                             capacity_words)
+                             splitter_words, built_seconds, bfs_tree)
     return ReferenceForestReport(schemes=schemes,
                                  rounds=ledger.total_rounds, ledger=ledger,
                                  splitter_count=len(splitters),

@@ -174,8 +174,6 @@ class RequestBroker:
     own:
         Backends the broker should ``close()`` on ``aclose()`` (the
         pipeline hands pools it opened here).
-    metrics_window:
-        Latency-reservoir size for :class:`BrokerMetrics`.
     registry:
         Optional :class:`~repro.telemetry.MetricsRegistry` the broker's
         instruments register into (shared with a metrics endpoint or
@@ -185,7 +183,7 @@ class RequestBroker:
     def __init__(self, router=None, estimator=None, *,
                  max_batch: int = 128, max_wait_ms: float = 2.0,
                  max_pending: int = 1024, own: Sequence = (),
-                 metrics_window: int = 65536, registry=None) -> None:
+                 registry=None) -> None:
         if router is None and estimator is None:
             raise ParameterError(
                 "RequestBroker needs a router and/or an estimator "
@@ -228,8 +226,8 @@ class RequestBroker:
         if estimator is not None:
             serve = _tagged_serve(estimator, "estimate_many", 0)
             self._lanes[_ESTIMATE] = _Lane(_ESTIMATE, serve)
+        # latency reservoirs of metrics.DEFAULT_WINDOW samples
         self.metrics = BrokerMetrics(
-            metrics_window,
             queue_depth=lambda: sum(len(lane.queue)
                                     for lane in self._lanes.values()),
             registry=registry)

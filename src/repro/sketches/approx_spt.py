@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..congest.bfs import BFSTree
+from ..congest.messages import DEFAULT_CAPACITY_WORDS
 from ..congest.metrics import CostLedger, pipelined_rounds
 from ..dataclass import dataclass
 from ..exceptions import ParameterError
@@ -64,8 +65,7 @@ class ApproxSPTResult:
 def _set_rooted_virtual_bellman_ford(virtual: VirtualGraph,
                                      roots: Sequence[int],
                                      iterations: int,
-                                     bfs_tree: Optional[BFSTree],
-                                     capacity_words: int
+                                     bfs_tree: Optional[BFSTree]
                                      ) -> tuple:
     """Bellman–Ford over ``G''`` with all of ``roots`` at distance 0.
 
@@ -86,7 +86,8 @@ def _set_rooted_virtual_bellman_ford(virtual: VirtualGraph,
         if not frontier:
             break
         update_words = 3 * len(frontier)
-        rounds += 2 * pipelined_rounds(update_words, capacity_words, height)
+        rounds += 2 * pipelined_rounds(update_words, DEFAULT_CAPACITY_WORDS,
+                                       height)
         updates: Dict[int, tuple] = {}
         for u in frontier:
             du = dist[u]
@@ -123,8 +124,6 @@ def _extend_to_all(detection: SourceDetectionResult,
 def approximate_spt(graph: WeightedGraph, roots: Sequence[int], eps: float,
                     rng: Optional[random.Random] = None,
                     bfs_tree: Optional[BFSTree] = None,
-                    capacity_words: int = 2,
-                    detection_mode: str = "rounded",
                     rho: float = 0.5) -> ApproxSPTResult:
     """Compute a ``(1+eps)``-approximate SPT rooted at the set ``roots``.
 
@@ -150,21 +149,20 @@ def approximate_spt(graph: WeightedGraph, roots: Sequence[int], eps: float,
 
     # Step 2: source detection with eps/2 (paper uses eps/2 into (13)).
     detection = detect_sources(graph, v_prime, hop_bound, eps / 2,
-                               bfs_tree=bfs_tree, mode=detection_mode)
+                               bfs_tree=bfs_tree)
     ledger.add("spt/source-detection", detection.rounds)
     virtual = build_virtual_graph_from_detection(detection)
 
     # Step 3: hopset on G' -> G''.
     hopset_report = build_hopset(virtual, eps / 3, rho=rho, rng=rng,
-                                 bfs_tree=bfs_tree,
-                                 capacity_words=capacity_words)
+                                 bfs_tree=bfs_tree)
     ledger.add("spt/hopset", hopset_report.rounds)
     augmented = hopset_report.hopset.augment(virtual)
     beta = hopset_report.hopset.beta_measured or len(v_prime)
 
     # Step 4: β Bellman–Ford iterations over G'' rooted at the set A.
     dist_vp, witness_vp, bf_rounds = _set_rooted_virtual_bellman_ford(
-        augmented, roots, beta, bfs_tree, capacity_words)
+        augmented, roots, beta, bfs_tree)
     ledger.add("spt/virtual-bellman-ford", bf_rounds)
 
     # Step 5: extend to all of V via the detection estimates.
@@ -172,8 +170,8 @@ def approximate_spt(graph: WeightedGraph, roots: Sequence[int], eps: float,
     # the extension itself is local (u already knows d_uv and the
     # broadcast d̂(v) values); broadcasting the V' results costs:
     height = bfs_tree.height if bfs_tree is not None else 0
-    extend_rounds = 2 * pipelined_rounds(3 * len(v_prime), capacity_words,
-                                         height)
+    extend_rounds = 2 * pipelined_rounds(3 * len(v_prime),
+                                         DEFAULT_CAPACITY_WORDS, height)
     ledger.add("spt/extension-broadcast", extend_rounds)
 
     return ApproxSPTResult(roots=list(roots), dist_hat=dist_hat,

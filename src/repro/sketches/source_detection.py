@@ -8,15 +8,13 @@ vertex ``u`` learns values ``d_{uv}`` for all ``v ∈ V'`` with
 in ``Õ(|V'| + B + D)/eps`` rounds, plus (Remark 1) a *parent* neighbor
 ``p = p_v(u)`` with ``d_uv >= w(u, p) + d_pv``                    (paper (3)).
 
-Two execution modes implement the same interface:
-
-* ``"rounded"`` (default) — ``B``-hop Bellman–Ford distances under edge
-  weights rounded up to multiples of ``unit_0 = eps / (2B)``.  Every
-  weight is an integer ``>= 1`` and grows by less than ``unit_0``, so a
-  ``B``-hop path grows by less than ``eps/2`` — inside (2) with room to
-  spare, one-sided like the real algorithm's error.
-* ``"exact"`` — returns exact ``d^(B)`` values (a legal instantiation of
-  the guarantee with zero error).
+The estimates are ``B``-hop Bellman–Ford distances under edge weights
+rounded up to multiples of ``unit_0 = eps / (2B)``.  Every weight is an
+integer ``>= 1`` and grows by less than ``unit_0``, so a ``B``-hop path
+grows by less than ``eps/2`` — inside (2) with room to spare, one-sided
+like the real algorithm's error.  This is the only execution: the
+construction is the paper's one CONGEST algorithm, at the fixed link
+bandwidth :data:`repro.congest.messages.DEFAULT_CAPACITY_WORDS`.
 
 Fidelity note.  The distributed algorithm of [Nan14] — like Lenzen–
 Patt-Shamir's (S, h, σ)-detection — sweeps ``ceil(log2(B * W_max))``
@@ -61,7 +59,7 @@ lemma on every differential grid
 (``tests/sketches/test_detection_equivalence.py``,
 ``tests/sketches/test_finest_scale_lemma.py``).
 
-Round accounting (both modes, both implementations) still charges the
+Round accounting (kernel and oracle alike) still charges the
 *paper's* schedule, not our loop: per scale, a ``B``-iteration
 exploration whose rounded weights are at most ``O(B/eps)`` — pipelined
 over the sources — costs ``ceil(B/eps') + |V'| + 2*height`` rounds,
@@ -147,7 +145,7 @@ class SourceDetectionResult:
         INF cell).
     rounds:
         Charged CONGEST rounds for the whole computation.
-    hop_bound, eps, mode:
+    hop_bound, eps:
         Echo of the parameters.
 
     :attr:`estimate` and :attr:`parent` are per-vertex dict views of
@@ -161,33 +159,24 @@ class SourceDetectionResult:
     rounds: int
     hop_bound: int
     eps: float
-    mode: str
 
     @cached_property
     def row_of(self) -> Dict[int, int]:
         """The matrix row of every source."""
         return {s: r for r, s in enumerate(self.sources)}
 
-    def numbers(self, values: _np.ndarray) -> list:
-        """``values`` as the dict views hold them: ``int`` in exact mode
-        (integer weights, integer sums), ``float`` otherwise."""
-        if self.mode == "exact":
-            return values.astype(_np.int64).tolist()
-        return values.tolist()
-
-    def _row_cells(self, r: int) -> Tuple[List[int], list,
+    def _row_cells(self, r: int) -> Tuple[List[int], List[float],
                                          List[Optional[int]]]:
         """Row ``r``'s finite cells: ascending vertices, their values
-        and their parents, typed as the dict views hold them.
+        and their parents, as the dict views hold them.
 
-        The source's own value is the int 0 in rounded mode too (it is
-        seeded, never relaxed), and a parent of −1 is ``None``.
+        The source's own value is the int 0 (it is seeded, never
+        relaxed), and a parent of −1 is ``None``.
         """
         row = self.dist[r]
         cols = _np.nonzero(row < INF)[0]
-        values = self.numbers(row[cols])
-        if self.mode != "exact":
-            values[int(_np.searchsorted(cols, self.sources[r]))] = 0
+        values = row[cols].tolist()
+        values[int(_np.searchsorted(cols, self.sources[r]))] = 0
         parents = [None if p < 0 else p
                    for p in self.par[r, cols].tolist()]
         return cols.tolist(), values, parents
@@ -219,9 +208,9 @@ class SourceDetectionResult:
         """``d_uv``, or INF when ``v`` is not within ``B`` hops of ``u``."""
         r = self.row_of.get(v)
         value = INF if r is None else float(self.dist[r, u])
-        if value == INF or (self.mode != "exact" and u != v):
+        if value == INF or u != v:
             return value
-        return int(value)
+        return 0
 
 
 def extend_over_sources(dist: _np.ndarray, values: _np.ndarray):
@@ -265,13 +254,11 @@ def _charged_rounds(num_sources: int, hop_bound: int, eps: float,
 
 
 def _validate(graph: WeightedGraph, sources: Sequence[int],
-              hop_bound: int, eps: float, mode: str) -> List[int]:
+              hop_bound: int, eps: float) -> List[int]:
     if hop_bound < 0:
         raise ParameterError(f"hop_bound must be >= 0, got {hop_bound}")
     if not 0 < eps < 1:
         raise ParameterError(f"eps must be in (0, 1), got {eps}")
-    if mode not in ("rounded", "exact"):
-        raise ParameterError(f"unknown mode {mode!r}")
     source_list = sorted(set(sources))
     n = graph.num_vertices
     for s in source_list:
@@ -307,7 +294,6 @@ def _finest_unit(eps: float, hop_bound: int) -> float:
 def detect_sources(graph: WeightedGraph, sources: Sequence[int],
                    hop_bound: int, eps: float,
                    bfs_tree: Optional[BFSTree] = None,
-                   mode: str = "rounded",
                    join_rule: Optional[JoinRule] = None
                    ) -> SourceDetectionResult:
     """Run [Nan14] Theorem-1 source detection (batched implementation).
@@ -321,12 +307,11 @@ def detect_sources(graph: WeightedGraph, sources: Sequence[int],
     hop_bound:
         ``B`` — paths of more than ``B`` edges are ignored.
     eps:
-        Approximation slack; estimates are within ``(1 + eps)``.
+        Approximation slack; estimates are the one-sided rounded
+        values, within ``(1 + eps)``.
     bfs_tree:
         BFS tree used only for the round charge's ``D`` term (height 0 is
         assumed when omitted).
-    mode:
-        ``"rounded"`` (one-sided approximate values) or ``"exact"``.
     join_rule:
         Optional declarative cell filter (the middle-scale cluster
         rule): a final estimate cell ``(u, s)`` with ``u != s`` is kept
@@ -340,9 +325,8 @@ def detect_sources(graph: WeightedGraph, sources: Sequence[int],
     them; see the module docstring for the lemma and the batching
     scheme.
     """
-    source_list = _validate(graph, sources, hop_bound, eps, mode)
-    # None = raw weights (exact mode)
-    unit = None if mode == "exact" else _finest_unit(eps, hop_bound)
+    source_list = _validate(graph, sources, hop_bound, eps)
+    unit = _finest_unit(eps, hop_bound)
     n = graph.num_vertices
     height = bfs_tree.height if bfs_tree is not None else 0
     num_scales = _scale_parameters(graph, hop_bound)
@@ -354,13 +338,12 @@ def detect_sources(graph: WeightedGraph, sources: Sequence[int],
                              num_scales)
     result = SourceDetectionResult(sources=source_list, dist=dist,
                                    par=par, rounds=rounds,
-                                   hop_bound=hop_bound, eps=eps, mode=mode)
+                                   hop_bound=hop_bound, eps=eps)
     if not source_list or n == 0:
         return result
 
     view = csr_view(graph)
-    w_f64 = view.weights_f64()
-    weights = w_f64 if unit is None else _np.ceil(w_f64 / unit) * unit
+    weights = _np.ceil(view.weights_f64() / unit) * unit
     rows = _np.asarray(source_list, dtype=_np.int64)
     accept_all = _np.full(n, INF)
     # rows are independent: each block is the whole matrix's advance
@@ -394,7 +377,7 @@ def build_virtual_graph_from_detection(result: SourceDetectionResult):
     # row j
     between = result.dist[:, sources].T
     us, vs = _np.nonzero(_np.triu(between < INF, k=1))
-    weights = result.numbers(between[us, vs])
+    weights = between[us, vs].tolist()
     for i, j, duv in zip(us.tolist(), vs.tolist(), weights):
         virt.add_edge(sources[i], sources[j], duv)
     return virt

@@ -17,8 +17,7 @@ def graph():
 
 
 def test_table1_markdown_structure(graph):
-    result = generate_table1(graph, k=2, seed=3, sample_pairs=60,
-                             detection_mode="exact")
+    result = generate_table1(graph, k=2, seed=3, sample_pairs=60)
     md = table1_markdown(result)
     assert md.startswith("### Table 1")
     assert "| scheme |" in md

@@ -58,7 +58,8 @@ class TestLP13:
         """[LP13a] tables have an Ω(sqrt n) structural floor (ball +
         spanner) for every k — the Table-1 separation.  At simulation
         scale the log^2-factor scaffolding of the TZ-family schemes
-        masks the absolute gap (see EXPERIMENTS.md), so we pin the
+        masks the absolute gap (their tables are larger than LP13's at
+        these n), so we pin the
         *growth*: quadrupling n must roughly double the LP13 floor,
         while this paper's structural overlap (trees per vertex) grows
         like n^{1/k} — strictly slower."""
@@ -70,8 +71,7 @@ class TestLP13:
             floors[n] = math.ceil(math.sqrt(n))  # ball entries per table
             assert min(lp13.table_words(v) for v in g.vertices()) >= \
                 2 * floors[n]
-            ours = build_routing_scheme(g, k=4, seed=7,
-                                        detection_mode="exact")
+            ours = build_routing_scheme(g, k=4, seed=7)
             counts = ours.clusters.membership_counts()
             overlaps[n] = sum(counts) / len(counts)
         lp13_growth = floors[256] / floors[64]          # ~2 = 4^{1/2}

@@ -122,7 +122,7 @@ class TestLemma1:
     def test_broadcast_from_root(self):
         g = path(6)
         tree = build_bfs_tree(Network(g), root=0)
-        assert broadcast_from_root(tree, 10, capacity_words=2) == 5 + 5
+        assert broadcast_from_root(tree, 10) == 5 + 5
 
     def test_flood_simulation_delivers_everything(self):
         g = grid(3, 3, seed=2)

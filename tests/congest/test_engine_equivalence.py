@@ -21,7 +21,6 @@ from repro.congest import (
     Message,
     Network,
     NodeProgram,
-    Simulator,
     build_bfs_tree,
     multi_source_exploration,
     nearest_source_exploration,
@@ -38,6 +37,7 @@ from repro.graphs import (
     ring_of_cliques,
 )
 from repro.reference import (
+    Simulator,
     multi_source_exploration_reference,
     nearest_source_exploration_reference,
 )
@@ -298,16 +298,12 @@ class TestExplorationBatchEquivalence:
             return d < radius
 
         rule = JoinRule(threshold=[radius] * n)
-        for capacity in (1, 2):
-            ref = multi_source_exploration_reference(
-                graph, sources, n, join, capacity_words=capacity)
-            fast = multi_source_exploration(
-                graph, sources, n, rule, capacity_words=capacity)
-            assert fast.dist == ref.dist
-            assert fast.parent == ref.parent
-            assert fast.rounds == ref.rounds
-            assert fast.max_estimates_per_node == \
-                ref.max_estimates_per_node
+        ref = multi_source_exploration_reference(graph, sources, n, join)
+        fast = multi_source_exploration(graph, sources, n, rule)
+        assert fast.dist == ref.dist
+        assert fast.parent == ref.parent
+        assert fast.rounds == ref.rounds
+        assert fast.max_estimates_per_node == ref.max_estimates_per_node
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("budgets", ["uniform", "at-distance"])

@@ -17,10 +17,10 @@ from repro.congest import (
     Message,
     Network,
     NodeProgram,
-    Simulator,
     nearest_source_exploration,
 )
 from repro.graphs import grid, random_connected
+from repro.reference import Simulator
 
 
 class _BFProgram(NodeProgram):

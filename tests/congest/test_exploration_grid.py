@@ -107,12 +107,10 @@ def test_multi_source_matches_oracle(seed, budgets, weights, limit,
     rule = JoinRule(threshold=threshold)
     sources = _sources(rng, n)
     for iterations in _iteration_counts(n):
-        for capacity in (1, 2):
-            fast = multi_source_exploration(graph, sources, iterations,
-                                            rule, capacity)
-            ref = multi_source_exploration_reference(
-                graph, sources, iterations, rule.accepts, capacity)
-            _assert_same_exploration(fast, ref)
+        fast = multi_source_exploration(graph, sources, iterations, rule)
+        ref = multi_source_exploration_reference(
+            graph, sources, iterations, rule.accepts)
+        _assert_same_exploration(fast, ref)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -121,12 +119,10 @@ def test_nearest_source_matches_oracle(seed):
     n = graph.num_vertices
     sources = _sources(random.Random(2000 + seed), n)
     for iterations in _iteration_counts(n):
-        for capacity in (1, 2):
-            fast = nearest_source_exploration(graph, sources, iterations,
-                                              capacity)
-            ref = nearest_source_exploration_reference(
-                graph, sources, iterations, capacity)
-            _assert_same_nearest(fast, ref)
+        fast = nearest_source_exploration(graph, sources, iterations)
+        ref = nearest_source_exploration_reference(
+            graph, sources, iterations)
+        _assert_same_nearest(fast, ref)
 
 
 @pytest.mark.parametrize("case", ["none", "isolated", "isolated-twice",

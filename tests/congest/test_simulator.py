@@ -6,11 +6,11 @@ from repro.congest import (
     Message,
     Network,
     NodeProgram,
-    Simulator,
     check_fits_capacity,
 )
 from repro.exceptions import CapacityError, SimulationError
 from repro.graphs import WeightedGraph, path
+from repro.reference import Simulator
 
 
 def make_network(n=4):

@@ -13,8 +13,10 @@ per-vertex loops over ``estimate[y]`` they used to be
 Every case spies on the production call inside a real build, then runs
 the oracle on a copy of the same input state and compares item lists —
 so the order members join in counts — and the type of every value.
-The grid is the cluster-equivalence zoo × k ∈ {2, 3, 4, 5} × detection
-mode, plus a unit-weight grid and path, where ``V'`` rows tie and only
+The grid is the cluster-equivalence zoo × k ∈ {2, 3, 4, 5} × ε (the
+paper's ``1/(48k⁴)``, whose rounding unit is tiny, and a coarse 0.2,
+which moves every rule-(15) budget and the rounded values), plus a
+unit-weight grid and path, where ``V'`` rows tie and only
 the first strict minimum picks the Remark-1 parent.  A last test pins
 that a build reads the detection's matrices only: its dict views are
 never built.
@@ -72,10 +74,11 @@ TIES = {
 }
 
 KS = [2, 3, 4, 5]
-MODES = ["rounded", "exact"]
+#: eps_override per case: 0 is the paper's 1/(48 k^4)
+EPS = {"paper": 0.0, "coarse": 0.2}
 
-CASES = [(name, k, mode) for name in sorted(WORKLOADS) + sorted(TIES)
-         for k in KS for mode in MODES]
+CASES = [(name, k, eps) for name in sorted(WORKLOADS) + sorted(TIES)
+         for k in KS for eps in EPS]
 
 
 def _graph(name):
@@ -138,11 +141,11 @@ def first_min_ties(before, detection):
     return int((attained > 1).sum())
 
 
-@pytest.mark.parametrize("workload,k,mode", CASES,
-                         ids=[f"{w}-k{k}-{m}" for w, k, m in CASES])
-def test_phase2_matches_reference(workload, k, mode, phase2_calls):
+@pytest.mark.parametrize("workload,k,eps", CASES,
+                         ids=[f"{w}-k{k}-{e}" for w, k, e in CASES])
+def test_phase2_matches_reference(workload, k, eps, phase2_calls):
     graph = _graph(workload)
-    build_approx_clusters(graph, k, seed=149, detection_mode=mode)
+    build_approx_clusters(graph, k, seed=149, eps_override=EPS[eps])
     assert phase2_calls
     ties = 0
     for before, detection, cells, words in phase2_calls:
@@ -161,18 +164,18 @@ def test_phase2_matches_reference(workload, k, mode, phase2_calls):
         assert ties > 0, "the tie workloads must tie"
 
 
-@pytest.mark.parametrize("workload,k,mode", CASES,
-                         ids=[f"{w}-k{k}-{m}" for w, k, m in CASES])
-def test_spt_extension_matches_reference(workload, k, mode, spt_calls):
+@pytest.mark.parametrize("workload,k,eps", CASES,
+                         ids=[f"{w}-k{k}-{e}" for w, k, e in CASES])
+def test_spt_extension_matches_reference(workload, k, eps, spt_calls):
     """Step 5 of Theorem 3: inside the build's approximate pivots (k >=
     4) and called directly at a root set of every case."""
     graph = _graph(workload)
     if k >= 4:
-        build_approx_clusters(graph, k, seed=151, detection_mode=mode)
+        build_approx_clusters(graph, k, seed=151, eps_override=EPS[eps])
     n = graph.num_vertices
     roots = random.Random(k).sample(range(n), max(1, n // (2 * k)))
-    approximate_spt(graph, roots, 0.25, rng=random.Random(157),
-                    detection_mode=mode)
+    approximate_spt(graph, roots, EPS[eps] or 0.25,
+                    rng=random.Random(157))
     for (detection, dist_vp, witness_vp), (dist_hat, witness) in \
             spt_calls:
         want_dist, want_witness = spt_extension_reference(

@@ -77,17 +77,15 @@ GRID = [(name, k) for name in sorted(WORKLOADS) for k in KS]
 # ----------------------------------------------------------------------
 # Reference shims
 # ----------------------------------------------------------------------
-def _reference_exploration(graph, sources, iterations, rule,
-                           capacity_words=2):
+def _reference_exploration(graph, sources, iterations, rule):
     return multi_source_exploration_reference(
-        graph, sources, iterations, rule.accepts, capacity_words)
+        graph, sources, iterations, rule.accepts)
 
 
 def _reference_detection(graph, sources, hop_bound, eps, bfs_tree=None,
-                         mode="rounded", join_rule=None):
+                         join_rule=None):
     return detect_sources_reference(graph, sources, hop_bound, eps,
-                                    bfs_tree=bfs_tree, mode=mode,
-                                    join_rule=join_rule)
+                                    bfs_tree=bfs_tree, join_rule=join_rule)
 
 
 def build_system(graph, k, seed, monkeypatch=None, shims=()):
@@ -363,9 +361,9 @@ def test_columns_views_and_oracles_agree(workload, k, monkeypatch):
     assert forest.max_overlap == system.max_overlap()
 
     assert explorations
-    for graph_arg, centers, budget, rule, capacity in explorations:
+    for graph_arg, centers, budget, rule in explorations:
         oracle = multi_source_exploration_reference(
-            graph_arg, centers, budget, rule.accepts, capacity)
+            graph_arg, centers, budget, rule.accepts)
         for u in centers:
             assert views[u].value == {
                 v: row[u] for v, row in enumerate(oracle.dist) if u in row}

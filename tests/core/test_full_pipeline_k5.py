@@ -1,5 +1,5 @@
 """Deep pipeline tests: odd k=5 (three scale regimes at once: small,
-middle, large) and detection-mode parity."""
+middle, large), and k=3's one-sided rounded cluster values."""
 
 import random
 
@@ -27,7 +27,7 @@ class TestK5:
     @pytest.fixture(scope="class")
     def report(self, graph):
         return (SchemePipeline().graph(graph)
-                .params(5, detection_mode="exact").seed(5)
+                .params(5).seed(5)
                 .build().construction)
 
     def test_all_phase_families_present(self, report):
@@ -63,41 +63,28 @@ class TestK5:
         assert set(report.clusters.clusters) == set(graph.vertices())
 
 
-class TestDetectionModeParity:
-    """Rounded and exact modes must agree on round charges and both
-    satisfy the guarantees; values may differ by (1+eps) factors."""
+class TestK3:
+    """Theorem-1 detection rounds every weight up, so the construction
+    meets its guarantees with values that only ever overestimate."""
 
-    def test_round_charges_identical(self, graph):
-        rounded = build_routing_scheme(graph, k=3, seed=7,
-                                       detection_mode="rounded")
-        exact = build_routing_scheme(graph, k=3, seed=7,
-                                     detection_mode="exact")
-        assert rounded.construction_rounds == exact.construction_rounds
+    @pytest.fixture(scope="class")
+    def scheme(self, graph):
+        return build_routing_scheme(graph, k=3, seed=7)
 
-    def test_both_modes_meet_stretch(self, graph, ap):
+    def test_stretch_bound(self, scheme, ap):
         rng = random.Random(3)
-        for mode in ("rounded", "exact"):
-            scheme = build_routing_scheme(graph, k=3, seed=7,
-                                          detection_mode=mode)
-            pairs = [(u, v) for u, v in ((rng.randrange(60),
-                                          rng.randrange(60))
-                                         for _ in range(120)) if u != v]
-            for (u, v), result in zip(pairs, scheme.route_many(pairs)):
-                assert result.weight <= 8.0 * ap[u][v] + 1e-9, mode
+        pairs = [(u, v) for u, v in ((rng.randrange(60),
+                                      rng.randrange(60))
+                                     for _ in range(120)) if u != v]
+        for (u, v), result in zip(pairs, scheme.route_many(pairs)):
+            assert result.weight <= 8.0 * ap[u][v] + 1e-9
 
-    def test_rounded_values_dominate_exact(self, graph):
-        """Rounded-mode cluster values are >= exact-mode values (the
-        rounding is one-sided) for clusters present in both."""
-        rounded = build_routing_scheme(graph, k=3, seed=7,
-                                       detection_mode="rounded")
-        exact = build_routing_scheme(graph, k=3, seed=7,
-                                     detection_mode="exact")
+    def test_values_dominate_graph_distances(self, scheme, ap):
+        """Every cluster value is >= the exact distance to its center
+        (the rounding is one-sided, invariant (17))."""
         compared = 0
-        for center, rc in rounded.clusters.clusters.items():
-            ec = exact.clusters.clusters[center]
-            for v, rb in rc.value.items():
-                eb = ec.value.get(v)
-                if eb is not None:
-                    assert rb >= eb - 1e-9
-                    compared += 1
+        for center, cluster in scheme.clusters.clusters.items():
+            for v, value in cluster.value.items():
+                assert value >= ap[center][v] - 1e-9
+                compared += 1
         assert compared > 100

@@ -56,7 +56,7 @@ def built():
             seed = 31 + 7 * k + offset
             graph = FAMILIES[family](seed)
             report = (SchemePipeline().graph(graph)
-                      .params(k, eps=eps, detection_mode="rounded")
+                      .params(k, eps=eps)
                       .seed(seed).build().construction)
             cache[key] = (graph, report, seed)
         return cache[key]

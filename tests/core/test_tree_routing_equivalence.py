@@ -184,8 +184,7 @@ class TestForestEquivalence:
 
     def test_cluster_forest_bit_identical(self, medium_random):
         """The forests the real pipeline builds, not just synthetic ones."""
-        clusters = build_approx_clusters(medium_random, k=3, seed=2,
-                                         detection_mode="exact")
+        clusters = build_approx_clusters(medium_random, k=3, seed=2)
         trees = {c: cl.tree() for c, cl in clusters.clusters.items()}
         ref = build_forest_routing_reference(
             trees, medium_random.num_vertices, random.Random(9),

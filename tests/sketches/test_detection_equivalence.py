@@ -1,6 +1,6 @@
 """Differential harness: batched source detection against its oracle.
 
-Every graph × mode × parameter case runs both :func:`detect_sources`
+Every graph × parameter case runs both :func:`detect_sources`
 (the batched ``|V'| × n`` matrix path over the exploration kernel,
 ``bellman_ford._explore_block``) and :func:`detect_sources_reference`
 (the original per-source, per-scale loops), without and with a join
@@ -50,6 +50,11 @@ def _graph_cases():
 GRAPHS = _graph_cases()
 GRAPH_IDS = [name for name, _ in GRAPHS]
 
+#: A coarse eps, and the construction's own at k = 2 (1/(48 k^4)),
+#: whose rounding unit eps / (2B) puts every rounded weight within
+#: about 1e-4 of the integer one.
+EPS = [0.25, 1 / 768]
+
 
 def _assert_identical(fast, ref):
     assert fast.sources == ref.sources
@@ -59,7 +64,6 @@ def _assert_identical(fast, ref):
     assert fast.parent == ref.parent
     assert fast.rounds == ref.rounds
     assert fast.hop_bound == ref.hop_bound
-    assert fast.mode == ref.mode
 
 
 def _join_rule(graph):
@@ -70,14 +74,14 @@ def _join_rule(graph):
                                for v in range(graph.num_vertices)])
 
 
-def _run_case(graph, sources, hop_bound, eps, mode):
+def _run_case(graph, sources, hop_bound, eps):
     """The unfiltered case, then the same case under :func:`_join_rule`;
     returns the unfiltered oracle result."""
     results = []
     for join_rule in (None, _join_rule(graph)):
         ref = detect_sources_reference(graph, sources, hop_bound, eps,
-                                       mode=mode, join_rule=join_rule)
-        fast = detect_sources(graph, sources, hop_bound, eps, mode=mode,
+                                       join_rule=join_rule)
+        fast = detect_sources(graph, sources, hop_bound, eps,
                               join_rule=join_rule)
         _assert_identical(fast, ref)
         results.append(ref)
@@ -86,25 +90,24 @@ def _run_case(graph, sources, hop_bound, eps, mode):
 
 class TestDifferentialEquivalence:
 
-    @pytest.mark.parametrize("mode", ["rounded", "exact"])
+    @pytest.mark.parametrize("eps", EPS)
     @pytest.mark.parametrize("name,graph", GRAPHS, ids=GRAPH_IDS)
-    def test_modes_and_graphs(self, name, graph, mode):
+    def test_graphs(self, name, graph, eps):
         n = graph.num_vertices
-        _run_case(graph, [0, n // 2, n - 1], 6, 0.25, mode)
+        _run_case(graph, [0, n // 2, n - 1], 6, eps)
 
     @pytest.mark.parametrize("name,graph", GRAPHS[:6], ids=GRAPH_IDS[:6])
     def test_parameter_grid(self, name, graph):
         """Hop bounds (including 0), eps extremes, many sources."""
         n = graph.num_vertices
-        for mode in ("rounded", "exact"):
-            _run_case(graph, [0], 1, 0.5, mode)
-            _run_case(graph, [2], 0, 0.3, mode)
-            _run_case(graph, list(range(0, n, 4)), n, 0.1, mode)
-            _run_case(graph, list(range(n)), 3, 0.8, mode)
+        _run_case(graph, [0], 1, 0.5)
+        _run_case(graph, [2], 0, 0.3)
+        _run_case(graph, list(range(0, n, 4)), n, 0.1)
+        _run_case(graph, list(range(n)), 3, 0.8)
 
     def test_duplicate_sources_collapse(self):
         graph = random_connected(20, 0.2, seed=3)
-        ref = _run_case(graph, [4, 4, 9, 9, 9], 5, 0.3, "rounded")
+        ref = _run_case(graph, [4, 4, 9, 9, 9], 5, 0.3)
         assert ref.sources == [4, 9]
 
     def test_matrix_limit_fallback_identical(self, monkeypatch):
@@ -128,22 +131,20 @@ class TestDifferentialEquivalence:
         for rows in (1, 2, len(sources) - 1):
             monkeypatch.setattr(bf, "_DENSE_CELL_LIMIT", rows * n)
             whole, short = divmod(len(sources), rows)
-            for mode in ("rounded", "exact"):
-                cells = []
-                for join_rule in (None, rule):
-                    del blocks[:]
-                    ref = detect_sources_reference(
-                        graph, sources, 7, 0.3, mode=mode,
-                        join_rule=join_rule)
-                    fast = detect_sources(graph, sources, 7, 0.3,
-                                          mode=mode, join_rule=join_rule)
-                    _assert_identical(fast, ref)
-                    assert blocks == [rows] * whole + [short][:short]
-                    cells.append(sum(map(len, fast.estimate)))
-                assert cells[1] < cells[0], "the rule drops cells"
+            cells = []
+            for join_rule in (None, rule):
+                del blocks[:]
+                ref = detect_sources_reference(graph, sources, 7, 0.3,
+                                               join_rule=join_rule)
+                fast = detect_sources(graph, sources, 7, 0.3,
+                                      join_rule=join_rule)
+                _assert_identical(fast, ref)
+                assert blocks == [rows] * whole + [short][:short]
+                cells.append(sum(map(len, fast.estimate)))
+            assert cells[1] < cells[0], "the rule drops cells"
 
     def test_value_types_match_reference(self):
-        """Exact mode keeps integer sums; rounded mode keeps floats.
+        """Rounded values are floats, except a source's own int 0.
 
         The oracle packs its dicts into the result's matrices, so its
         own types are read off :func:`detection_dicts_reference`, and
@@ -154,25 +155,24 @@ class TestDifferentialEquivalence:
         """
         graph = random_connected(18, 0.25, seed=12)
         rule = JoinRule(threshold=[9.0 + v for v in range(18)])
-        for mode in ("rounded", "exact"):
-            for join_rule in (None, rule):
-                _, estimate, parent = detection_dicts_reference(
-                    graph, [0, 9], 6, 0.3, mode=mode, join_rule=join_rule)
-                fast = detect_sources(graph, [0, 9], 6, 0.3, mode=mode,
-                                      join_rule=join_rule)
-                for u, row in enumerate(estimate):
-                    items = list(fast.estimate[u].items())
-                    assert items == list(row.items())
-                    assert [type(x) for _, x in items] == \
-                        [type(x) for x in row.values()]
-                    assert list(fast.parent[u].items()) == \
-                        list(parent[u].items())
-                    for s, value in row.items():
-                        # in rounded mode the source's own cell is
-                        # never relaxed: the initialization's int 0
-                        want = int if mode == "exact" or u == s else float
-                        assert type(value) is want
-                        assert type(fast.get(u, s)) is want
+        for join_rule in (None, rule):
+            _, estimate, parent = detection_dicts_reference(
+                graph, [0, 9], 6, 0.3, join_rule=join_rule)
+            fast = detect_sources(graph, [0, 9], 6, 0.3,
+                                  join_rule=join_rule)
+            for u, row in enumerate(estimate):
+                items = list(fast.estimate[u].items())
+                assert items == list(row.items())
+                assert [type(x) for _, x in items] == \
+                    [type(x) for x in row.values()]
+                assert list(fast.parent[u].items()) == \
+                    list(parent[u].items())
+                for s, value in row.items():
+                    # the source's own cell is never relaxed: the
+                    # initialization's int 0
+                    want = int if u == s else float
+                    assert type(value) is want
+                    assert type(fast.get(u, s)) is want
 
 
 class TestPastMatrixGate:
@@ -181,15 +181,14 @@ class TestPastMatrixGate:
     rule; each block against the oracle.
     """
 
-    @pytest.mark.parametrize("mode", ["rounded", "exact"])
+    @pytest.mark.parametrize("eps", EPS)
     @pytest.mark.parametrize("name,graph", GRAPHS[::3],
                              ids=GRAPH_IDS[::3])
-    def test_row_blocks_match_oracle(self, name, graph, mode,
-                                     monkeypatch):
+    def test_row_blocks_match_oracle(self, name, graph, eps, monkeypatch):
         n = graph.num_vertices
         monkeypatch.setattr(bf, "_DENSE_CELL_LIMIT", 2 * n)
-        _run_case(graph, [0, n // 2, n - 1], 6, 0.25, mode)
-        _run_case(graph, list(range(0, n, 5)), n, 0.15, mode)
+        _run_case(graph, [0, n // 2, n - 1], 6, eps)
+        _run_case(graph, list(range(0, n, 5)), n, eps)
 
     def test_block_rows_derived_from_limit(self, monkeypatch):
         graph = path(6, seed=1)
@@ -211,6 +210,6 @@ class TestPastMatrixGate:
                             (5 * n - 1, [4, 1]), (5 * n, [5])):
             monkeypatch.setattr(bf, "_DENSE_CELL_LIMIT", limit)
             del blocks[:]
-            _run_case(graph, sources, 4, 0.3, "rounded")
+            _run_case(graph, sources, 4, 0.3)
             # one detection without the join rule, one under it
             assert blocks == want * 2, limit

@@ -83,8 +83,6 @@ def test_subnormal_unit_refused():
     eps = 1e-307                    # normal; eps / 6 is not
     with pytest.raises(ParameterError, match="normal float"):
         detect_sources(graph, [0], 3, eps)
-    # exact mode rounds nothing and takes any eps in range
-    detect_sources(graph, [0], 3, eps, mode="exact")
 
 
 # -- one advance per call ------------------------------------------------
@@ -92,7 +90,7 @@ def test_one_matrix_advance_per_call(count_calls):
     matrix = count_calls(bf, "_explore_block")
     graph = random_connected(40, 0.1, seed=3)
     assert sd_module._scale_parameters(graph, 12) > 1   # a real sweep
-    detect_sources(graph, [0, 13, 27], 12, 0.25, mode="rounded")
+    detect_sources(graph, [0, 13, 27], 12, 0.25)
     assert len(matrix) == 1
 
 
@@ -102,5 +100,5 @@ def test_one_advance_per_row_block(monkeypatch, count_calls):
     monkeypatch.setattr(bf, "_DENSE_CELL_LIMIT", 1)
     matrix = count_calls(bf, "_explore_block")
     graph = random_connected(40, 0.1, seed=3)
-    detect_sources(graph, [0, 13, 27], 12, 0.25, mode="rounded")
+    detect_sources(graph, [0, 13, 27], 12, 0.25)
     assert len(matrix) == 3

@@ -14,20 +14,24 @@ from repro.graphs import (
 from repro.sketches import build_virtual_graph_from_detection, detect_sources
 
 
-@pytest.fixture(params=["rounded", "exact"])
-def mode(request):
-    return request.param
+@pytest.fixture(params=["weighted", "unit-weight"])
+def graph(request, medium_random):
+    """The guarantees on weighted edges, and on unit weights, where
+    every rounded path length ties with many others."""
+    if request.param == "weighted":
+        return medium_random
+    return random_connected(40, 0.1, max_weight=1, seed=2)
 
 
 class TestGuarantee:
-    def test_inequality_2(self, medium_random, mode):
+    def test_inequality_2(self, graph):
         """d^(B) <= d_uv <= (1+eps) d^(B) for every vertex/source pair."""
         sources = [0, 7, 19]
         B, eps = 6, 0.25
-        result = detect_sources(medium_random, sources, B, eps, mode=mode)
+        result = detect_sources(graph, sources, B, eps)
         for s in sources:
-            exact = hop_bounded_distances(medium_random, s, B)
-            for u in medium_random.vertices():
+            exact = hop_bounded_distances(graph, s, B)
+            for u in graph.vertices():
                 got = result.get(u, s)
                 if exact[u] == INF:
                     assert got == INF
@@ -35,25 +39,15 @@ class TestGuarantee:
                     assert exact[u] <= got + 1e-9
                     assert got <= (1 + eps) * exact[u] + 1e-9
 
-    def test_exact_mode_is_exact(self, medium_random):
-        sources = [3, 11]
-        B = 5
-        result = detect_sources(medium_random, sources, B, 0.1, mode="exact")
-        for s in sources:
-            exact = hop_bounded_distances(medium_random, s, B)
-            for u in medium_random.vertices():
-                if exact[u] < INF:
-                    assert result.get(u, s) == exact[u]
-
-    def test_source_knows_itself_at_zero(self, medium_random, mode):
-        result = detect_sources(medium_random, [4], 3, 0.2, mode=mode)
+    def test_source_knows_itself_at_zero(self, graph):
+        result = detect_sources(graph, [4], 3, 0.2)
         assert result.get(4, 4) == 0
 
-    def test_hop_bound_respected(self, medium_random, mode):
+    def test_hop_bound_respected(self, graph):
         """Vertices farther than B hops get no estimate."""
-        result = detect_sources(medium_random, [0], 1, 0.2, mode=mode)
-        neighbors = set(medium_random.neighbors(0)) | {0}
-        for u in medium_random.vertices():
+        result = detect_sources(graph, [0], 1, 0.2)
+        neighbors = set(graph.neighbors(0)) | {0}
+        for u in graph.vertices():
             if u not in neighbors:
                 assert result.get(u, 0) == INF
 
@@ -74,31 +68,31 @@ class TestGuarantee:
 
 
 class TestRemark1Parents:
-    def test_parent_inequality_3(self, medium_random, mode):
+    def test_parent_inequality_3(self, graph):
         """d_uv >= w(u, p) + d_pv with p = p_v(u)."""
         sources = [0, 9]
         B = 6
-        result = detect_sources(medium_random, sources, B, 0.3, mode=mode)
-        for u in medium_random.vertices():
+        result = detect_sources(graph, sources, B, 0.3)
+        for u in graph.vertices():
             for s in sources:
                 if result.get(u, s) == INF or u == s:
                     continue
                 p = result.parent[u][s]
                 assert p is not None
-                assert medium_random.has_edge(u, p)
+                assert graph.has_edge(u, p)
                 dpv = result.get(p, s)
                 assert result.get(u, s) >= \
-                    medium_random.weight(u, p) + dpv - 1e-9
+                    graph.weight(u, p) + dpv - 1e-9
 
-    def test_source_has_no_parent(self, medium_random, mode):
-        result = detect_sources(medium_random, [5], 4, 0.3, mode=mode)
+    def test_source_has_no_parent(self, graph):
+        result = detect_sources(graph, [5], 4, 0.3)
         assert result.parent[5][5] is None
 
 
 class TestSymmetry:
-    def test_footnote_8_symmetric_between_sources(self, medium_random, mode):
+    def test_footnote_8_symmetric_between_sources(self, graph):
         sources = [0, 7, 19, 23]
-        result = detect_sources(medium_random, sources, 8, 0.2, mode=mode)
+        result = detect_sources(graph, sources, 8, 0.2)
         for u in sources:
             for v in sources:
                 assert result.get(u, v) == pytest.approx(result.get(v, u))
@@ -131,10 +125,6 @@ class TestValidation:
     def test_bad_source(self, triangle):
         with pytest.raises(ParameterError):
             detect_sources(triangle, [9], 2, 0.5)
-
-    def test_bad_mode(self, triangle):
-        with pytest.raises(ParameterError):
-            detect_sources(triangle, [0], 2, 0.5, mode="psychic")
 
 
 class TestVirtualGraphConstruction:

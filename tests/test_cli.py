@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import WORKLOADS, build_parser, main
+from repro.pipeline import SchemePipeline
 
 DATA = Path(__file__).parent / "data"
 
@@ -96,6 +97,42 @@ class TestCommands:
         for phase in ("assemble/clusters", "assemble/scheme",
                       "assemble/estimation"):
             assert phase in out
+
+    @pytest.mark.parametrize("graph,n,k,seed", [("random", 60, 3, 0),
+                                                ("random", 80, 4, 1),
+                                                ("grid", 25, 2, 3)])
+    def test_build_out_writes_the_library_bytes(self, graph, n, k, seed,
+                                                tmp_path, capsys):
+        """``build --out`` and ``SchemePipeline.compile()`` are one
+        build configuration: the same graph, k and seed give the same
+        file.  (random n=60, k=3 reaches the middle level's detection;
+        random n=80, k=4 the approximate pivots' detection; grid n=25,
+        k=2, seed 3 is the dense golden's recipe.)"""
+        cli_file = tmp_path / "cli.cra"
+        assert main(["build", "--graph", graph, "--n", str(n),
+                     "--k", str(k), "--seed", str(seed),
+                     "--out", str(cli_file)]) == 0
+        lib_file = tmp_path / "lib.cra"
+        (SchemePipeline().workload(graph, n).params(k).seed(seed)
+         .compile().save(lib_file))
+        assert cli_file.read_bytes() == lib_file.read_bytes()
+        if graph == "grid":
+            assert cli_file.read_bytes() == \
+                (DATA / "golden_grid25_k2_dense.cra").read_bytes()
+
+    def test_estimate_out_writes_the_library_bytes(self, tmp_path,
+                                                   capsys):
+        """The served estimation artifact obeys the same rule: ``estimate
+        --out`` writes ``SchemePipeline.compile_estimation()``'s bytes
+        (k=3 runs the middle level's detection)."""
+        cli_file = tmp_path / "cli.cra"
+        assert main(["estimate", "--graph", "random", "--n", "60",
+                     "--k", "3", "--seed", "0", "--queries", "0",
+                     "--out", str(cli_file)]) == 0
+        lib_file = tmp_path / "lib.cra"
+        (SchemePipeline().workload("random", 60).params(3).seed(0)
+         .compile_estimation().save(lib_file))
+        assert cli_file.read_bytes() == lib_file.read_bytes()
 
     def test_route(self, capsys):
         assert main(["route", "--n", "30", "--k", "2",
