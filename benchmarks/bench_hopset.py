@@ -97,8 +97,7 @@ def bench_hopset_size_scaling(benchmark):
         for m in (12, 24, 48):
             virt = _virtual_from_sample(n=200, num_sources=m, seed=m)
             rep = build_hopset(virt, eps=0.2, rho=0.5,
-                               rng=random.Random(4),
-                               measure_beta=False)
+                               rng=random.Random(4))
             sizes[m] = len(rep.hopset)
         return sizes
 

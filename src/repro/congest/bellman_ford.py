@@ -31,9 +31,10 @@ Eq. (14)/(15)).  Their dict-based oracles live in
 The multi-source kernel, :func:`_explore_block`, has two callers:
 :func:`multi_source_exploration` here, and Theorem-1 source detection
 (:func:`repro.sketches.detect_sources`), which is the same hop-bounded
-multi-source Bellman–Ford with an all-``INF`` threshold and rounded
-weights.  The caller owns the ``rows × n`` ``dist`` / ``par`` matrices,
-the kernel writes each hop's winners into them in place, and both
+multi-source Bellman–Ford over rounded weights, under the odd-k middle
+level's join rule there and an all-``INF`` threshold everywhere else.
+The caller owns the ``rows × n`` ``dist`` / ``par`` matrices, the
+kernel writes each hop's winners into them in place, and both
 callers advance their source rows in blocks of at most
 :data:`_DENSE_CELL_LIMIT` cells; rows are independent and every block
 size gives a bit-identical result.  The exploration's result is the
@@ -83,7 +84,10 @@ class JoinRule:
     *description*: a ``threshold`` array indexed by vertex, accepting
     ``d < threshold[v]`` (every paper rule is strict; ``INF`` entries
     always accept).  The kernel evaluates the rule as one masked vector
-    compare fused into the scatter-min relaxation.  A rule is by
+    compare fused into the scatter-min relaxation, in the cluster
+    explorations and in the middle level's source detection alike: a
+    vertex stores and relays an estimate only while the rule accepts
+    it, and a source's own seeded estimate is always kept.  A rule is by
     construction a pure, distance-antitone predicate, so
     :meth:`accepts` is a valid callback for the dict-based oracles.
     """

@@ -30,10 +30,10 @@ Construction phases (all costs measured into a :class:`CostLedger`):
 Every join rule above is a *per-vertex threshold*, handed over
 declaratively as a :class:`repro.congest.bellman_ford.JoinRule` and
 evaluated as one masked compare: fused into the scatter-min relaxation
-on the small levels (rule (11), thresholds ``d̂_{i+1}``) and in Phase 1
-(rule (14) over ``G''``, thresholds ``d̂_{i+1}(v) / (1+eps)^3``); over
-the detection's finished matrix on the middle level (thresholds
-``d̂_{(k+1)/2}``); and after the Phase-2 broadcast-extension sweep
+on the small levels (rule (11), thresholds ``d̂_{i+1}``), in the middle
+level's source detection (thresholds ``d̂_{(k+1)/2}``) and in Phase 1
+(rule (14) over ``G''``, thresholds ``d̂_{i+1}(v) / (1+eps)^3``); and
+after the Phase-2 broadcast-extension sweep
 (rule (15), thresholds ``d̂_{i+1}(y) / (1+eps)``), one pass over the
 detection's ``V'`` rows that computes every ``min_v d̂(y, v) + b_v(u)``
 and its first minimizing row, which names the Remark-1 parent.
@@ -269,16 +269,16 @@ def _build_middle_level(graph: WeightedGraph, level: int,
                         next_pivot_dist: List[float], budget: int,
                         eps: float, bfs_tree: BFSTree,
                         ledger: CostLedger) -> Cells:
-    # middle-level join rule, applied inside the detection when it
-    # materializes estimates: keep (v, u) iff b < d̂_{(k+1)/2}(v)
+    # middle-level join rule, fused into the detection's propagation:
+    # v stores and relays b_v(u) iff b < d̂_{(k+1)/2}(v)
     rule = JoinRule(threshold=next_pivot_dist)
     started = time.perf_counter()
     detection = detect_sources(graph, centers, budget, eps,
                                bfs_tree=bfs_tree, join_rule=rule)
     ledger.add(f"clusters/middle-level-{level}", detection.rounds,
                seconds=time.perf_counter() - started)
-    # the detection kept only rule-passing cells, and the seeded center
-    # (value 0, parent -1): each row is one center's cluster
+    # the detection stored only rule-passing cells, and the seeded
+    # center (value 0, parent -1): each row is one center's cluster
     rows, members = np.nonzero(detection.dist < INF)
     return (np.asarray(detection.sources, dtype=np.int64)[rows], members,
             detection.dist[rows, members], detection.par[rows, members])
@@ -316,8 +316,7 @@ def _preprocess_large_scales(graph: WeightedGraph, params: SchemeParams,
     ledger.add("large/preprocess-hopset", hopset_report.rounds,
                seconds=time.perf_counter() - started)
     augmented = hopset_report.hopset.augment(virtual_graph)
-    beta = hopset_report.hopset.beta_measured or max(
-        1, virtual_graph.num_vertices)
+    beta = hopset_report.hopset.beta_measured
     return _LargeScalePreprocessing(detection=detection,
                                     virtual_graph=virtual_graph,
                                     augmented=augmented,

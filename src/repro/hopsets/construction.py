@@ -113,8 +113,7 @@ def sample_hierarchy(vertices: Sequence[int], levels: int,
 def build_hopset(virtual: VirtualGraph, eps: float,
                  rho: float = 0.5,
                  rng: Optional[random.Random] = None,
-                 bfs_tree: Optional[BFSTree] = None,
-                 measure_beta: bool = True) -> HopsetBuildReport:
+                 bfs_tree: Optional[BFSTree] = None) -> HopsetBuildReport:
     """Build a path-reporting hopset for ``virtual`` (paper Theorem 2).
 
     Parameters
@@ -132,9 +131,9 @@ def build_hopset(virtual: VirtualGraph, eps: float,
         Source of randomness for the hierarchy (defaults to seeded 0).
     bfs_tree:
         Underlying BFS tree, for the broadcast round charge.
-    measure_beta:
-        When True (default), measure the instance's actual hopbound and
-        store it on the hopset.
+
+    The instance's actual hopbound is measured and stored on the
+    hopset as ``beta_measured``.
     """
     if not 0 < eps < 1:
         raise ParameterError(f"eps must be in (0, 1), got {eps}")
@@ -191,9 +190,8 @@ def build_hopset(virtual: VirtualGraph, eps: float,
     rounds = levels * pipelined_rounds(
         2 * exploration_words, DEFAULT_CAPACITY_WORDS, height)
 
-    if measure_beta:
-        augmented = hopset.augment(virtual)
-        hopset.beta_measured = measure_hopbound(virtual, augmented, eps)
+    augmented = hopset.augment(virtual)
+    hopset.beta_measured = measure_hopbound(virtual, augmented, eps)
     report = HopsetBuildReport(hopset=hopset, levels=levels,
                                hierarchy_sizes=[len(s) for s in hierarchy],
                                rounds=rounds, eps=eps)

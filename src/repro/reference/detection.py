@@ -2,7 +2,8 @@
 
 :func:`detect_sources_reference` is the original per-source, per-scale
 sweep of :func:`repro.sketches.detect_sources` — every rounding scale
-explored to its full ``B`` hops, the strict minimum kept — and the
+explored to its full ``B`` hops, an optional join rule applied to
+every improvement, the strict minimum kept — and the
 executable proof of the finest-scale lemma in
 :mod:`repro.sketches.source_detection`
 (``tests/sketches/test_detection_equivalence.py``,
@@ -38,10 +39,15 @@ from ..sketches.source_detection import (
 
 
 def _bounded_bellman_ford(graph: WeightedGraph, source: int, hop_bound: int,
-                          weight_of) -> Tuple[List[float],
-                                              List[Optional[int]]]:
+                          weight_of, rule: Optional[JoinRule] = None
+                          ) -> Tuple[List[float], List[Optional[int]]]:
     """``hop_bound`` Bellman–Ford iterations from ``source`` under a
     (possibly rounded) weight function; returns (dist, parent).
+
+    A vertex records an improvement — and relays it in the next
+    iteration — only if the optional join ``rule`` accepts it, checked
+    once per winner.  The source's own seeded 0 never improves (rounded
+    weights are positive), so a self-cell is always kept.
 
     The frontier is processed in sorted vertex order so equal-distance
     parent ties resolve deterministically (and identically to the
@@ -64,22 +70,12 @@ def _bounded_bellman_ford(graph: WeightedGraph, source: int, hop_bound: int,
                     updates[v] = (nd, u)
         frontier = set()
         for v, (nd, via) in updates.items():
-            if nd < dist[v]:
+            if nd < dist[v] and (rule is None
+                                 or rule.accepts(v, source, nd)):
                 dist[v] = nd
                 parent[v] = via
                 frontier.add(v)
     return dist, parent
-
-
-def _rule_keeps(rule: Optional[JoinRule], u: int, s: int, value) -> bool:
-    """Whether the optional join rule keeps the final cell ``(u, s)``.
-
-    Self-cells are always kept (callers seed the source's own entry
-    unconditionally).  Applied only when estimates are materialized —
-    the propagation itself is never filtered, so parents and round
-    charges are those of the unfiltered detection.
-    """
-    return rule is None or u == s or rule.accepts(u, s, value)
 
 
 def detection_dicts_reference(graph: WeightedGraph, sources: Sequence[int],
@@ -89,9 +85,10 @@ def detection_dicts_reference(graph: WeightedGraph, sources: Sequence[int],
                                          List[Dict[int, Optional[int]]]]:
     """The oracle's own cells: ``(sources, estimate, parent)`` as the
     original dict-of-dict implementation built them, kept verbatim
-    (modulo the sorted-frontier tie pin and the optional ``join_rule``
-    cell filter).  Its values carry the oracle's own types — the
-    ``int`` 0 at a source's own cell."""
+    (modulo the sorted-frontier tie pin and the optional ``join_rule``,
+    which every scale's propagation applies to each improvement).  Its
+    values carry the oracle's own types — the ``int`` 0 at a source's
+    own cell."""
     source_list = _validate(graph, sources, hop_bound, eps)
     n = graph.num_vertices
     num_scales = _scale_parameters(graph, hop_bound)
@@ -115,13 +112,13 @@ def detection_dicts_reference(graph: WeightedGraph, sources: Sequence[int],
                 return math.ceil(w / _unit) * _unit
 
             dist, par = _bounded_bellman_ford(graph, s, hop_bound,
-                                              rounded)
+                                              rounded, join_rule)
             for u in range(n):
                 if dist[u] < best[u]:
                     best[u] = dist[u]
                     best_parent[u] = par[u]
         for u in range(n):
-            if best[u] < INF and _rule_keeps(join_rule, u, s, best[u]):
+            if best[u] < INF:
                 estimate[u][s] = best[u]
                 parent[u][s] = best_parent[u]
     return source_list, estimate, parent

@@ -158,7 +158,7 @@ def approximate_spt(graph: WeightedGraph, roots: Sequence[int], eps: float,
                                  bfs_tree=bfs_tree)
     ledger.add("spt/hopset", hopset_report.rounds)
     augmented = hopset_report.hopset.augment(virtual)
-    beta = hopset_report.hopset.beta_measured or len(v_prime)
+    beta = hopset_report.hopset.beta_measured
 
     # Step 4: β Bellman–Ford iterations over G'' rooted at the set A.
     dist_vp, witness_vp, bf_rounds = _set_rooted_virtual_bellman_ford(

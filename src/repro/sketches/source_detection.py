@@ -48,7 +48,11 @@ neighbor ``v`` the same float ``fl(dist[u] + w(u, v))``, and ``dist[v]``
 has only fallen since, so at hop ``t`` that candidate cannot be strictly
 smaller.  A row whose frontier empties is therefore a fixed point.
 Induction over hops from the common start gives ``dist_i >= dist_0``;
-the merge's ``dist_i < best`` then never fires for ``i >= 1``.  ∎
+the merge's ``dist_i < best`` then never fires for ``i >= 1``.  A join
+rule that prunes the propagation (``v`` takes a candidate only if it is
+``< thr[v]``) keeps the hop monotone: a candidate a coarse scale
+accepts is no smaller than scale 0's, which is then accepted too; and
+one rejected once is rejected at every later hop.  ∎
 
 So :func:`detect_sources` runs scale 0 only; the precondition is checked
 (``eps / (2B)`` underflowing to a subnormal raises
@@ -69,10 +73,11 @@ summed over ``ceil(log2(B * W_max))`` scales.  This is
 The kernel is the cluster-growing exploration's, a **batched**
 multi-source hop-bounded Bellman–Ford: ``_explore_block`` in
 :mod:`repro.congest.bellman_ford` writes each hop's winners straight
-into the ``|V'| × n`` matrices ``dist`` and ``par``, with an all-``INF``
-threshold (no cell is refused while propagating) and the rounding
-applied as one precomputed rounded-weight array over the graph's cached
-CSR view (:mod:`repro.graphs.csr`).  Each row advances its own sparse
+into the ``|V'| × n`` matrices ``dist`` and ``par``, with the join
+rule's thresholds fused into the relaxation (all ``INF`` when there is
+no rule: no cell is refused) and the rounding applied as one
+precomputed rounded-weight array over the graph's cached CSR view
+(:mod:`repro.graphs.csr`).  Each row advances its own sparse
 frontier, so a hop costs the out-edges of the cells that just improved.
 One deliberate semantic pin, applied to kernel and oracle alike:
 frontiers are processed in sorted vertex order (the original iterated a
@@ -97,13 +102,19 @@ under the rounded weights: at every size this reproduction reaches,
 Theorem 1's detection is exact Bellman–Ford, and the hop bound never
 cuts a path.  ``rounds`` still charges the paper's ``B``-hop schedule.
 
-The result *is* the kernel's two matrices, ``dist`` and ``par``; the
-join rule is one masked compare over them, and no per-cell dict is
-built.  Every construction step reads the matrices: ``G'`` is the
-upper triangle of the ``V' × V'`` columns, the middle-level clusters
-are the rows, and the two Lemma-1 extensions over ``V'`` — Phase 2 of
-the large cluster levels and step 5 of the approximate SPT — are
-:func:`extend_over_sources`, one sweep over the rows.  The per-vertex
+The result *is* the kernel's two matrices, ``dist`` and ``par``, and
+no per-cell dict is built.  The odd-k middle level's join rule, ``b <
+d(v, A_{(k+1)/2})``, prunes the propagation: a CONGEST node stores and
+relays only what it keeps.  That threshold is an exact distance (Claim
+3's budget, w.h.p.), so 1-Lipschitz, and rounded weights are no lighter
+than true ones: a rejected cell offers only rejected candidates, and
+the result is the unfiltered detection's with the rejected cells
+masked, bit for bit (``TestMiddleLevelJoin``).  Every construction
+step reads the matrices: ``G'`` is the upper triangle of the ``V' ×
+V'`` columns, the middle-level clusters are the rows, and the two
+Lemma-1 extensions over ``V'`` — Phase 2 of the large cluster levels
+and step 5 of the approximate SPT — are :func:`extend_over_sources`,
+one sweep over the rows.  The per-vertex
 dicts ``estimate`` / ``parent`` remain as lazy views for tests and
 callers that want them.
 """
@@ -313,12 +324,11 @@ def detect_sources(graph: WeightedGraph, sources: Sequence[int],
         BFS tree used only for the round charge's ``D`` term (height 0 is
         assumed when omitted).
     join_rule:
-        Optional declarative cell filter (the middle-scale cluster
-        rule): a final estimate cell ``(u, s)`` with ``u != s`` is kept
-        only if the rule accepts it.  Applied as one masked compare over
-        the finished matrix (a rejected cell becomes INF, parent −1);
-        propagation, parents and round charges are those of the
-        unfiltered detection.
+        Optional join plan (the middle-scale cluster rule): ``u``
+        records, and relays, an improved estimate for source ``s``
+        only if the rule accepts it; a rejected cell stays INF, parent
+        −1, and a source's own seeded cell is always kept.  The round
+        charge is the formula's, which the rule does not change.
 
     Bit-identical to :func:`repro.reference.detect_sources_reference`
     although it runs one rounding scale where the oracle sweeps all of
@@ -345,23 +355,15 @@ def detect_sources(graph: WeightedGraph, sources: Sequence[int],
     view = csr_view(graph)
     weights = _np.ceil(view.weights_f64() / unit) * unit
     rows = _np.asarray(source_list, dtype=_np.int64)
-    accept_all = _np.full(n, INF)
+    thr = (_np.full(n, INF) if join_rule is None
+           else _np.asarray(join_rule.threshold, dtype=_np.float64))
     # rows are independent: each block is the whole matrix's advance
     # restricted to its rows, bit for bit
     block = max(1, bellman_ford._DENSE_CELL_LIMIT // n)
     for lo in range(0, num_sources, block):
         bellman_ford._explore_block(
-            view, weights, rows[lo:lo + block], hop_bound, accept_all,
+            view, weights, rows[lo:lo + block], hop_bound, thr,
             dist[lo:lo + block], par[lo:lo + block])
-
-    if join_rule is not None:
-        # the rule as one masked compare; the self-cell is always kept
-        # (it is seeded, never filtered)
-        threshold = _np.asarray(join_rule.threshold, dtype=_np.float64)
-        rejected = ~(dist < threshold)
-        rejected[_np.arange(num_sources), rows] = False
-        dist[rejected] = INF
-        par[rejected] = -1
     return result
 
 

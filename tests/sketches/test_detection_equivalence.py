@@ -6,6 +6,13 @@ Every graph × parameter case runs both :func:`detect_sources`
 (the original per-source, per-scale loops), without and with a join
 rule, and the results must be *bit-identical*: estimates, Remark-1
 parents, the sorted source echo and the charged rounds.
+
+Both sides apply the join rule while propagating: a cell the rule
+rejects is never stored and never relayed.  The grids' rule is not
+1-Lipschitz, so there pruning changes the result against filtering the
+finished unfiltered matrix (:func:`post_filter`).  The build's own
+middle-level rule is an exact pivot distance, and there the two agree
+bit for bit (:class:`TestMiddleLevelJoin`).
 """
 
 import numpy as np
@@ -13,13 +20,16 @@ import pytest
 
 from repro.congest import bellman_ford as bf
 from repro.congest.bellman_ford import JoinRule
+from repro.core import approx_clusters as ac
 from repro.graphs import (
     INF,
+    WeightedGraph,
     grid,
     path,
     random_connected,
     ring_of_cliques,
 )
+from repro.pipeline import WORKLOADS
 from repro.reference import detect_sources_reference
 from repro.reference.detection import detection_dicts_reference
 from repro.sketches import detect_sources
@@ -74,18 +84,45 @@ def _join_rule(graph):
                                for v in range(graph.num_vertices)])
 
 
+def post_filter(result, rule):
+    """``result``'s matrices with every cell ``rule`` rejects set to
+    INF / −1, except each row's seeded cell: filtering the finished
+    matrix instead of the propagation."""
+    dist = result.dist.copy()
+    par = result.par.copy()
+    rejected = ~(dist < np.asarray(rule.threshold, dtype=np.float64))
+    rejected[np.arange(len(result.sources)), result.sources] = False
+    dist[rejected] = INF
+    par[rejected] = -1
+    return dist, par
+
+
+def _assert_pruned(pruned, unfiltered, rule):
+    """A pruned detection keeps a subset of the post-filtered cells, at
+    values no smaller than the unfiltered ones; returns whether pruning
+    changed the result."""
+    dist, par = post_filter(unfiltered, rule)
+    kept = pruned.dist < INF
+    assert not (kept & ~(dist < INF)).any()
+    assert (pruned.dist >= unfiltered.dist).all()
+    return not (np.array_equal(pruned.dist, dist)
+                and np.array_equal(pruned.par, par))
+
+
 def _run_case(graph, sources, hop_bound, eps):
     """The unfiltered case, then the same case under :func:`_join_rule`;
-    returns the unfiltered oracle result."""
+    returns the unfiltered oracle result and whether the rule's pruning
+    changed the result against :func:`post_filter`."""
     results = []
-    for join_rule in (None, _join_rule(graph)):
+    rule = _join_rule(graph)
+    for join_rule in (None, rule):
         ref = detect_sources_reference(graph, sources, hop_bound, eps,
                                        join_rule=join_rule)
         fast = detect_sources(graph, sources, hop_bound, eps,
                               join_rule=join_rule)
         _assert_identical(fast, ref)
         results.append(ref)
-    return results[0]
+    return results[0], _assert_pruned(results[1], results[0], rule)
 
 
 class TestDifferentialEquivalence:
@@ -93,8 +130,13 @@ class TestDifferentialEquivalence:
     @pytest.mark.parametrize("eps", EPS)
     @pytest.mark.parametrize("name,graph", GRAPHS, ids=GRAPH_IDS)
     def test_graphs(self, name, graph, eps):
+        """The rule is not 1-Lipschitz: a rejected cell would have
+        relayed estimates it accepts, so on every graph pruning the
+        propagation keeps fewer cells than filtering the finished
+        matrix."""
         n = graph.num_vertices
-        _run_case(graph, [0, n // 2, n - 1], 6, eps)
+        _, changed = _run_case(graph, [0, n // 2, n - 1], 6, eps)
+        assert changed, "pruning changes no cell"
 
     @pytest.mark.parametrize("name,graph", GRAPHS[:6], ids=GRAPH_IDS[:6])
     def test_parameter_grid(self, name, graph):
@@ -107,7 +149,7 @@ class TestDifferentialEquivalence:
 
     def test_duplicate_sources_collapse(self):
         graph = random_connected(20, 0.2, seed=3)
-        ref = _run_case(graph, [4, 4, 9, 9, 9], 5, 0.3)
+        ref, _ = _run_case(graph, [4, 4, 9, 9, 9], 5, 0.3)
         assert ref.sources == [4, 9]
 
     def test_matrix_limit_fallback_identical(self, monkeypatch):
@@ -213,3 +255,61 @@ class TestPastMatrixGate:
             _run_case(graph, sources, 4, 0.3)
             # one detection without the join rule, one under it
             assert blocks == want * 2, limit
+
+
+def _unit_weights(graph):
+    """``graph``'s edges, every one at weight 1."""
+    unit = WeightedGraph(graph.num_vertices)
+    for u, v, _w in graph.edges():
+        unit.add_edge(u, v, 1)
+    return unit
+
+
+class TestMiddleLevelJoin:
+    """The odd-k middle level's threshold is the exact distance to
+    ``A_{(k+1)/2}``: 1-Lipschitz along edges, and rounded weights are
+    no lighter than true ones, so a rejected cell can only offer
+    rejected candidates.  Pruning the propagation then gives the bytes
+    of the unfiltered detection followed by one mask."""
+
+    @pytest.mark.parametrize("family", sorted(WORKLOADS))
+    def test_pruned_equals_post_filtered(self, family, monkeypatch):
+        calls, thresholds = [], []
+        detect = ac.detect_sources
+        advance = bf._explore_block
+
+        def spy(*args, **kwargs):
+            result = detect(*args, **kwargs)
+            calls.append((args, kwargs, result))
+            return result
+
+        def advanced(view, weights, rows, iterations, thr, *rest):
+            thresholds.append(thr)
+            return advance(view, weights, rows, iterations, thr, *rest)
+
+        monkeypatch.setattr(ac, "detect_sources", spy)
+        monkeypatch.setattr(bf, "_explore_block", advanced)
+        for k in (3, 5, 7):
+            for n, unit in ((64, False), (256, False), (64, True),
+                            (256, True)):
+                graph = WORKLOADS[family](n, 1)
+                if unit:
+                    graph = _unit_weights(graph)
+                del calls[:], thresholds[:]
+                ac.build_approx_clusters(graph, k, seed=1)
+                middle = [call for call in calls
+                          if call[1].get("join_rule") is not None]
+                case = (family, k, n, unit)
+                assert len(middle) == 1, case
+                args, kwargs, result = middle[0]
+                rule = kwargs["join_rule"]
+                # the kernel gets the rule itself, not an all-INF plan
+                want = np.asarray(rule.threshold, dtype=np.float64)
+                assert np.isfinite(want).any(), case
+                assert any(np.array_equal(thr, want)
+                           for thr in thresholds), case
+                unfiltered = detect(*args, **dict(kwargs, join_rule=None))
+                dist, par = post_filter(unfiltered, rule)
+                assert np.array_equal(result.dist, dist), case
+                assert np.array_equal(result.par, par), case
+                assert result.rounds == unfiltered.rounds, case

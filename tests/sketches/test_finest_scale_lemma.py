@@ -4,9 +4,11 @@ and a guard against the sweep's return.
 :func:`detect_sources` runs one rounding scale; the oracle
 :func:`detect_sources_reference` sweeps all ``ceil(log2(B * W + 1))``
 of them and keeps the strict minimum.  The lemma says scale 0 wins
-every cell.  Checked here on random inputs at both of its steps — the
-rounded weights are ordered as floats, and the two implementations
-agree bit for bit.  The counting tests then pin the cost: one kernel
+every cell, also when a join rule prunes the propagation (a candidate
+a coarse scale accepts, scale 0 accepts too).  Checked here on random
+inputs at both of its steps — the rounded weights are ordered as
+floats, and the two implementations agree bit for bit, with and
+without a rule.  The counting tests then pin the cost: one kernel
 advance per call (per row block past the memory gate), so a
 reintroduced sweep fails a test, not just a benchmark.  The kernel is
 the exploration's, ``bellman_ford._explore_block``.
@@ -20,8 +22,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.sketches.source_detection as sd_module
 from repro.congest import bellman_ford as bf
+from repro.congest.bellman_ford import JoinRule
 from repro.exceptions import ParameterError
-from repro.graphs import random_connected
+from repro.graphs import INF, random_connected
 from repro.reference import detect_sources_reference
 from repro.sketches import detect_sources
 
@@ -48,9 +51,10 @@ def rounded_weights(graph, unit):
        seed=st.integers(0, 10_000),
        eps=st.floats(1e-9, 1.0, exclude_max=True),
        hop_share=st.floats(0.0, 1.0),
-       num_sources=st.integers(1, 5))
+       num_sources=st.integers(1, 5),
+       cut=st.one_of(st.none(), st.floats(0.0, 4.0)))
 def test_finest_scale_dominates(n, density, wmax, seed, eps, hop_share,
-                                num_sources):
+                                num_sources, cut):
     graph = random_connected(n, density, max_weight=wmax, seed=seed)
     hop_bound = round(hop_share * n)                  # 0 .. n inclusive
     sources = list(range(0, n, max(1, n // num_sources)))
@@ -67,9 +71,14 @@ def test_finest_scale_dominates(n, density, wmax, seed, eps, hop_share,
     raw = np.asarray([w for _u, _v, w in graph.edges()], dtype=np.float64)
     assert (np.ceil(raw / units[0]) * units[0]).tolist() == finest
 
-    # the conclusion: one scale == the all-scales oracle
-    ref = detect_sources_reference(graph, sources, hop_bound, eps)
-    fast = detect_sources(graph, sources, hop_bound, eps)
+    # the conclusion: one scale == the all-scales oracle; ``cut``
+    # draws a join rule that keeps every cell at a third of the
+    # vertices and cuts the rest at up to four maximum edge weights
+    rule = None if cut is None else JoinRule(threshold=[
+        INF if v % 3 == 0 else cut * wmax * (v % 4) for v in range(n)])
+    ref = detect_sources_reference(graph, sources, hop_bound, eps,
+                                   join_rule=rule)
+    fast = detect_sources(graph, sources, hop_bound, eps, join_rule=rule)
     assert fast.estimate == ref.estimate
     assert fast.parent == ref.parent
     assert fast.rounds == ref.rounds
