@@ -10,7 +10,7 @@ Measures the tool the whole Section-3.3 pipeline feeds on:
 
 import pytest
 
-from repro.congest import Network, build_bfs_tree
+from repro.congest import build_bfs_tree
 from repro.graphs import INF, hop_bounded_distances
 from repro.sketches import detect_sources
 
@@ -41,7 +41,7 @@ def bench_detection_quality(benchmark, small_workload):
 @pytest.mark.artifact("E7")
 def bench_detection_round_structure(benchmark, small_workload):
     graph = small_workload
-    tree = build_bfs_tree(Network(graph), root=0)
+    tree = build_bfs_tree(graph, root=0)
 
     def _measure():
         base = detect_sources(graph, [0, 7], 4, 0.5, bfs_tree=tree).rounds

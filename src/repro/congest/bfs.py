@@ -1,102 +1,73 @@
 """Distributed BFS tree construction.
 
-Builds the BFS tree the global broadcast/convergecast primitive (Lemma 1)
-runs over, as an actual :class:`NodeProgram` flood.  The measured round
-count equals the root's hop-eccentricity, and the resulting tree's depth
-is the ``D`` term the paper's bounds carry.
+The tree the Lemma-1 broadcast/convergecast runs over is the one the
+CONGEST flood (smallest depth heard, ties to the smallest sender) leaves,
+computed by a frontier sweep over the CSR view; the simulated flood is
+the oracle (:func:`repro.reference.simulate_bfs_tree`).  Its depth is
+the ``D`` term the paper's bounds carry.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..dataclass import dataclass
-from .fast_engine import FastSimulator
-from .messages import Message
-from .network import Network
-from .node import NodeContext, NodeProgram, Outgoing
+from ..exceptions import DisconnectedGraphError
+from ..graphs.csr import csr_view
+from ..graphs.weighted_graph import WeightedGraph
 
 
 @dataclass
 class BFSTree:
-    """A rooted BFS tree of the network."""
+    """A rooted BFS tree, with the flood's rounds and one-word messages."""
 
     root: int
     parent: List[Optional[int]]
     depth: List[int]
     rounds: int
+    messages: int
 
     @property
     def height(self) -> int:
         """Tree height = hop-eccentricity of the root (>= D/2)."""
         return max(self.depth)
 
-    def children(self) -> List[List[int]]:
-        """Children lists, computed from parents."""
-        kids: List[List[int]] = [[] for _ in self.parent]
-        for v, p in enumerate(self.parent):
-            if p is not None:
-                kids[p].append(v)
-        return kids
 
-    def path_to_root(self, node: int) -> List[int]:
-        """Vertices from ``node`` up to (and including) the root."""
-        path = [node]
-        while self.parent[path[-1]] is not None:
-            path.append(self.parent[path[-1]])  # type: ignore[arg-type]
-        return path
+def build_bfs_tree(graph: WeightedGraph, root: int = 0) -> BFSTree:
+    """The flood's tree, in O(n + m) with no per-level constant.
 
-
-class _BFSProgram(NodeProgram):
-    """Flooding program: each node adopts the smallest depth it hears."""
-
-    def __init__(self, root: int) -> None:
-        self._root = root
-
-    def initialize(self, ctx: NodeContext) -> List[Outgoing]:
-        if ctx.node == self._root:
-            ctx.state["depth"] = 0
-            ctx.state["parent"] = None
-            message = Message("bfs", (0,))
-            return [(v, message) for v in ctx.neighbors]
-        ctx.state["depth"] = None
-        ctx.state["parent"] = None
-        return []
-
-    def on_round(self, ctx: NodeContext,
-                 inbox: List[Tuple[int, Message]]) -> List[Outgoing]:
-        best_depth = ctx.state["depth"]
-        best_parent = ctx.state["parent"]
-        improved = False
-        for sender, message in inbox:
-            depth = message.payload[0] + 1
-            if best_depth is None or depth < best_depth or (
-                    depth == best_depth and best_parent is not None
-                    and sender < best_parent):
-                if best_depth is None or depth < best_depth:
-                    improved = True
-                best_depth = depth
-                best_parent = sender
-        ctx.state["depth"] = best_depth
-        ctx.state["parent"] = best_parent
-        if not improved:
-            return []
-        # one immutable Message shared across all targets: the engines
-        # never key on identity, and re-announcing the same depth to
-        # every neighbor otherwise pays one dataclass construction each
-        message = Message("bfs", (best_depth,))
-        return [(v, message) for v in ctx.neighbors if v != best_parent]
-
-
-def build_bfs_tree(network: Network, root: int = 0) -> BFSTree:
-    """Run the BFS flood and extract the tree."""
-    report = FastSimulator(network).run(_BFSProgram(root))
-    n = network.num_nodes
+    Frontiers are scanned in ascending id order and a vertex keeps its
+    first discoverer, the flood's parent.  The flood runs ``height + 1``
+    rounds if a deepest vertex has a neighbour besides its parent, else
+    ``height``; each vertex announces its depth to every neighbour but
+    its parent: ``2|E| - (n - 1)`` messages.
+    """
+    csr = csr_view(graph)
+    n = csr.num_vertices
+    indptr = csr.indptr.tolist()
+    indices = csr.indices.tolist()
     parent: List[Optional[int]] = [None] * n
-    depth: List[int] = [0] * n
-    for u in range(n):
-        state = report.state_of(u)
-        parent[u] = state["parent"]
-        depth[u] = state["depth"] if state["depth"] is not None else 0
+    depth = [-1] * n
+    depth[root] = 0
+    frontier = [root]
+    level = 0
+    while True:
+        level += 1
+        discovered = []
+        for u in frontier:
+            for v in indices[indptr[u]:indptr[u + 1]]:
+                if depth[v] < 0:
+                    depth[v] = level
+                    parent[v] = u
+                    discovered.append(v)
+        if not discovered:
+            break
+        discovered.sort()
+        frontier = discovered
+    if -1 in depth:
+        raise DisconnectedGraphError(
+            f"graph on {n} vertices is not connected")
+    silent = all(indptr[u + 1] - indptr[u] == (u != root) for u in frontier)
     return BFSTree(root=root, parent=parent, depth=depth,
-                   rounds=report.rounds)
+                   rounds=level - 1 + (not silent),
+                   messages=len(indices) - (n - 1))

@@ -73,7 +73,6 @@ from ..congest.bellman_ford import (
 from ..congest.bfs import BFSTree, build_bfs_tree
 from ..congest.messages import DEFAULT_CAPACITY_WORDS
 from ..congest.metrics import CostLedger, pipelined_rounds
-from ..congest.network import Network
 from ..dataclass import dataclass
 from ..exceptions import SchemeError
 from ..graphs.shortest_paths import INF
@@ -404,12 +403,12 @@ def _build_large_level(graph: WeightedGraph, level: int,
             edge = pre.hopset.lookup(x, y)
             if edge is None:
                 continue  # (x, y) is a plain G' edge; Remark 1 covers it
+            # d_P(x, ·) from the edge's prefix sums: at y, its weight
             path = list(edge.path)
+            prefix = edge.prefix_distances(pre.virtual_graph)
             if path[0] != x:
                 path.reverse()
-            prefix = [0.0]
-            for a, b in zip(path, path[1:]):
-                prefix.append(prefix[-1] + pre.virtual_graph.weight(a, b))
+                prefix = [prefix[-1] - d for d in reversed(prefix)]
             bx = values[x]
             for idx in range(1, len(path)):
                 v = path[idx]
@@ -417,6 +416,8 @@ def _build_large_level(graph: WeightedGraph, level: int,
                 if candidate < values.get(v, INF):
                     values[v] = candidate
                     parents[v] = path[idx - 1]
+            if parents[y] == x:   # the edge stands for its path
+                parents[y] = path[-2]
     ledger.add(f"large/phase1.5-level-{level}",
                2 * pipelined_rounds(3 * sum(len(v) for v in
                                             virt_value.values()),
@@ -490,8 +491,9 @@ def build_approx_clusters(graph: WeightedGraph, k: int,
 
     if bfs_tree is None:
         started = time.perf_counter()
-        bfs_tree = build_bfs_tree(Network(graph), root=0)
+        bfs_tree = build_bfs_tree(graph, root=0)
         ledger.add("setup/bfs-tree", bfs_tree.rounds,
+                   messages=bfs_tree.messages, words=bfs_tree.messages,
                    seconds=time.perf_counter() - started)
     if hierarchy is None:
         hierarchy = sample_levels(n, params, rng)

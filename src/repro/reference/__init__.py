@@ -6,12 +6,14 @@ What lives here is the per-vertex object model of Sections 4 and 6 —
 tables, labels, global-edge rows — built from the cluster system by
 the per-subtree reference builder, plus the hop-by-hop routers over
 those objects that the compiled replay is held to, the dict-based
-Bellman–Ford explorations the CSR kernels are held to, the
-per-source detection sweep and per-vertex extension loops the
-detection's matrices are held to, and the dict-of-deques CONGEST
-engine :class:`Simulator` that ``FastSimulator`` is held to.
+Bellman–Ford explorations the CSR kernels are held to, the BFS flood
+the frontier BFS kernel is held to, the per-source detection sweep
+and per-vertex extension loops the detection's matrices are held to,
+and the dict-of-deques CONGEST engine :class:`Simulator` that
+``FastSimulator`` is held to.
 """
 
+from .bfs import simulate_bfs_tree
 from .detection import (
     broadcast_extension_reference,
     detect_sources_reference,
@@ -52,6 +54,7 @@ __all__ = [
     "detect_sources_reference",
     "multi_source_exploration_reference",
     "nearest_source_exploration_reference",
+    "simulate_bfs_tree",
     "spt_extension_reference",
     "trees_as_columns",
 ]

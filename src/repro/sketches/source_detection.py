@@ -98,9 +98,12 @@ work.  On the build's own detection call (``SchemePipeline`` with
 hop 130 on grid n = 4 096 and hop 182 on grid n = 8 100, against
 ``B`` = 2 130, 2 130 and 3 240.  Every row reaches its fixed point long
 before the bound, so ``d^(B)`` is the plain shortest-path distance
-under the rounded weights: at every size this reproduction reaches,
-Theorem 1's detection is exact Bellman–Ford, and the hop bound never
-cuts a path.  ``rounds`` still charges the paper's ``B``-hop schedule.
+under the rounded weights: on the workload families, Theorem 1's
+detection is exact Bellman–Ford.  ``B`` cuts paths only below the hop
+diameter: ``path(n)`` from n ≈ 700 at k = 2 and 4 (``B`` = 694) and the
+chordless ring ``weighted_small_world(6000, chords=0)`` (``B`` = 2 696),
+where β = 2 (``tests/core/test_cut_regime.py``).  ``rounds`` still
+charges the paper's ``B``-hop schedule.
 
 The result *is* the kernel's two matrices, ``dist`` and ``par``, and
 no per-cell dict is built.  The odd-k middle level's join rule, ``b <

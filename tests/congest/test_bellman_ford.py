@@ -6,7 +6,6 @@ import pytest
 
 from repro.congest import (
     JoinRule,
-    Network,
     build_bfs_tree,
     multi_source_exploration,
     nearest_source_exploration,
@@ -148,7 +147,7 @@ class TestVirtualExploration:
     def test_matches_virtual_dijkstra(self, medium_random):
         vertices = [0, 5, 10, 15]
         virt = self._virtual(medium_random, vertices)
-        tree = build_bfs_tree(Network(medium_random), root=0)
+        tree = build_bfs_tree(medium_random, root=0)
         result = virtual_multi_source_exploration(
             virt, [0], len(vertices), accept_all_virtual(vertices), tree)
         exact = virt.dijkstra(0)
@@ -158,7 +157,7 @@ class TestVirtualExploration:
     def test_rounds_include_broadcast_cost(self, medium_random):
         vertices = [0, 5, 10, 15]
         virt = self._virtual(medium_random, vertices)
-        tree = build_bfs_tree(Network(medium_random), root=0)
+        tree = build_bfs_tree(medium_random, root=0)
         result = virtual_multi_source_exploration(
             virt, [0], 3, accept_all_virtual(vertices), tree)
         # every iteration pays at least 2 * tree height
@@ -167,7 +166,7 @@ class TestVirtualExploration:
     def test_hop_bounded_iterations(self, medium_random):
         vertices = [0, 5, 10, 15, 20]
         virt = self._virtual(medium_random, vertices)
-        tree = build_bfs_tree(Network(medium_random), root=0)
+        tree = build_bfs_tree(medium_random, root=0)
         one_hop = virtual_multi_source_exploration(
             virt, [0], 1, accept_all_virtual(vertices), tree)
         expected = virt.hop_bounded_distances(0, 1)

@@ -52,15 +52,13 @@ def test_contexts_equal_per_link_lookups(name):
 
 class TestBFS:
     def test_depths_match_hop_distances(self, any_graph):
-        net = Network(any_graph)
-        tree = build_bfs_tree(net, root=0)
+        tree = build_bfs_tree(any_graph, root=0)
         expected = hop_distances(any_graph, 0)
         for v in any_graph.vertices():
             assert tree.depth[v] == expected[v]
 
     def test_parents_are_one_level_up(self, medium_random):
-        net = Network(medium_random)
-        tree = build_bfs_tree(net, root=0)
+        tree = build_bfs_tree(medium_random, root=0)
         for v in medium_random.vertices():
             if v == 0:
                 assert tree.parent[v] is None
@@ -71,22 +69,15 @@ class TestBFS:
 
     def test_rounds_close_to_eccentricity(self):
         g = path(8)
-        tree = build_bfs_tree(Network(g), root=0)
+        tree = build_bfs_tree(g, root=0)
         assert tree.height == 7
         # flood needs ecc rounds (plus possibly 1 for late tie updates)
         assert 7 <= tree.rounds <= 9
 
-    def test_children_and_path_to_root(self):
-        g = path(5)
-        tree = build_bfs_tree(Network(g), root=2)
-        kids = tree.children()
-        assert sorted(kids[2]) == [1, 3]
-        assert tree.path_to_root(0) == [0, 1, 2]
-
     def test_deterministic_parent_choice(self):
         g = grid(3, 3, seed=1)
-        t1 = build_bfs_tree(Network(g), root=0)
-        t2 = build_bfs_tree(Network(g), root=0)
+        t1 = build_bfs_tree(g, root=0)
+        t2 = build_bfs_tree(g, root=0)
         assert t1.parent == t2.parent
 
 
@@ -106,7 +97,7 @@ class TestPipelinedRounds:
 class TestLemma1:
     def test_broadcast_cost_linear_in_words(self):
         g = random_connected(20, 0.2, seed=5)
-        tree = build_bfs_tree(Network(g), root=0)
+        tree = build_bfs_tree(g, root=0)
         small = broadcast_all(tree, [1] * 20)
         large = broadcast_all(tree, [10] * 20)
         assert large > small
@@ -115,13 +106,13 @@ class TestLemma1:
 
     def test_convergecast_cheaper_than_full_broadcast(self):
         g = random_connected(20, 0.2, seed=5)
-        tree = build_bfs_tree(Network(g), root=0)
+        tree = build_bfs_tree(g, root=0)
         words = [2] * 20
         assert convergecast(tree, words) < broadcast_all(tree, words)
 
     def test_broadcast_from_root(self):
         g = path(6)
-        tree = build_bfs_tree(Network(g), root=0)
+        tree = build_bfs_tree(g, root=0)
         assert broadcast_from_root(tree, 10) == 5 + 5
 
     def test_flood_simulation_delivers_everything(self):
@@ -133,7 +124,7 @@ class TestLemma1:
         for node_seen in seen:
             assert node_seen == union
         # Lemma 1: O(M + D) — here M = 6 words, D = 4
-        tree = build_bfs_tree(net, root=0)
+        tree = build_bfs_tree(g, root=0)
         charged = broadcast_all(tree, [2 if u in initial else 0
                                        for u in range(9)])
         assert rounds <= charged + 4  # flood is within the scheduled charge

@@ -26,7 +26,6 @@ from repro.congest import (
     nearest_source_exploration,
     simulate_flood_rounds,
 )
-from repro.congest.bfs import _BFSProgram
 from repro.congest.broadcast import _GossipProgram
 from repro.exceptions import SimulationError
 from repro.graphs import (
@@ -41,6 +40,7 @@ from repro.reference import (
     multi_source_exploration_reference,
     nearest_source_exploration_reference,
 )
+from repro.reference.bfs import _BFSProgram
 
 # ----------------------------------------------------------------------
 # The three program families the construction relies on
@@ -222,15 +222,16 @@ class TestDifferentialEquivalence:
 
     @pytest.mark.parametrize("name,graph", GRAPHS, ids=GRAPH_IDS)
     def test_production_programs(self, name, graph):
-        """The programs the build actually runs — ``bfs._BFSProgram``
-        and the Lemma-1 flood — through both engines, and the public
-        primitives return exactly what the oracle's report holds."""
+        """The BFS flood (the BFS kernel's oracle) and the Lemma-1
+        flood through both engines; the BFS kernel and the flood
+        primitive return exactly what the oracle's report holds."""
         n = graph.num_vertices
         network = Network(graph)
         root = n // 3
         oracle = _run_both(graph, lambda: _BFSProgram(root), capacity=2)
-        tree = build_bfs_tree(network, root=root)
+        tree = build_bfs_tree(graph, root=root)
         assert tree.rounds == oracle.rounds
+        assert tree.messages == oracle.delivered_messages
         assert tree.parent == [oracle.state_of(u)["parent"]
                                for u in range(n)]
         assert tree.depth == [oracle.state_of(u)["depth"]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.congest import Network, build_bfs_tree
+from repro.congest import build_bfs_tree
 from repro.exceptions import ParameterError
 from repro.graphs import dijkstra_distances, dijkstra_to_set, grid, \
     random_connected
@@ -64,7 +64,7 @@ class TestGuarantee:
 
 class TestAccounting:
     def test_ledger_phases_present(self, graph):
-        tree = build_bfs_tree(Network(graph), root=0)
+        tree = build_bfs_tree(graph, root=0)
         result = approximate_spt(graph, [0, 10], 0.3,
                                  rng=random.Random(6), bfs_tree=tree)
         names = {p.name for p in result.ledger}

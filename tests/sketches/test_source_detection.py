@@ -4,7 +4,7 @@ Remark-1 parent property (3), symmetry (footnote 8) and round model."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.congest import Network, build_bfs_tree
+from repro.congest import build_bfs_tree
 from repro.exceptions import ParameterError
 from repro.graphs import (
     INF,
@@ -100,7 +100,7 @@ class TestSymmetry:
 
 class TestRounds:
     def test_rounds_grow_with_parameters(self, medium_random):
-        tree = build_bfs_tree(Network(medium_random), root=0)
+        tree = build_bfs_tree(medium_random, root=0)
         small = detect_sources(medium_random, [0], 2, 0.5, bfs_tree=tree)
         more_sources = detect_sources(medium_random, [0, 1, 2, 3], 2, 0.5,
                                       bfs_tree=tree)
