@@ -32,6 +32,20 @@ class BFSTree:
         """Tree height = hop-eccentricity of the root (>= D/2)."""
         return max(self.depth)
 
+    def children(self) -> List[List[int]]:
+        """Children lists, computed from parents."""
+        kids: List[List[int]] = [[] for _ in self.parent]
+        for v, p in enumerate(self.parent):
+            if p is not None:
+                kids[p].append(v)
+        return kids
+
+    def path_to_root(self, node: int) -> List[int]:
+        """Vertices from ``node`` up to (and including) the root."""
+        path = [node]
+        while self.parent[path[-1]] is not None:
+            path.append(self.parent[path[-1]])  # type: ignore[arg-type]
+        return path
 
 def build_bfs_tree(graph: WeightedGraph, root: int = 0) -> BFSTree:
     """The flood's tree, in O(n + m) with no per-level constant.
@@ -49,25 +63,21 @@ def build_bfs_tree(graph: WeightedGraph, root: int = 0) -> BFSTree:
     parent: List[Optional[int]] = [None] * n
     depth = [-1] * n
     depth[root] = 0
-    frontier = [root]
-    level = 0
+    frontier, height = [root], 0
     while True:
-        level += 1
         discovered = []
         for u in frontier:
             for v in indices[indptr[u]:indptr[u + 1]]:
                 if depth[v] < 0:
-                    depth[v] = level
+                    depth[v] = height + 1
                     parent[v] = u
                     discovered.append(v)
         if not discovered:
             break
-        discovered.sort()
-        frontier = discovered
+        frontier, height = sorted(discovered), height + 1
     if -1 in depth:
-        raise DisconnectedGraphError(
-            f"graph on {n} vertices is not connected")
+        raise DisconnectedGraphError(f"{n}-vertex graph not connected")
     silent = all(indptr[u + 1] - indptr[u] == (u != root) for u in frontier)
     return BFSTree(root=root, parent=parent, depth=depth,
-                   rounds=level - 1 + (not silent),
+                   rounds=height + (not silent),
                    messages=len(indices) - (n - 1))

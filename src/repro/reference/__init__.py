@@ -3,14 +3,13 @@
 The construction builds integer columns and serves from compiled
 artifacts; nothing under ``repro`` outside this package imports it.
 What lives here is the per-vertex object model of Sections 4 and 6 —
-tables, labels, global-edge rows — built from the cluster system by
-the per-subtree reference builder, plus the hop-by-hop routers over
-those objects that the compiled replay is held to, the dict-based
-Bellman–Ford explorations the CSR kernels are held to, the BFS flood
-the frontier BFS kernel is held to, the per-source detection sweep
-and per-vertex extension loops the detection's matrices are held to,
-and the dict-of-deques CONGEST engine :class:`Simulator` that
-``FastSimulator`` is held to.
+tables, labels, global-edge rows — built from the cluster system by the
+per-subtree reference builder, plus the hop-by-hop routers over those
+objects that the compiled replay is held to, the dict-based Bellman–Ford
+explorations the CSR kernels are held to, the BFS flood the BFS kernel
+is held to, the per-source detection sweep and per-vertex extension
+loops the detection's matrices are held to, and the dict-of-deques
+CONGEST engine :class:`Simulator` that ``FastSimulator`` is held to.
 """
 
 from .bfs import simulate_bfs_tree

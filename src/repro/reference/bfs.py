@@ -20,31 +20,27 @@ class _BFSProgram(NodeProgram):
         self._root = root
 
     def initialize(self, ctx: NodeContext) -> List[Outgoing]:
-        if ctx.node == self._root:
-            ctx.state["depth"] = 0
-            ctx.state["parent"] = None
-            message = Message("bfs", (0,))
-            return [(v, message) for v in ctx.neighbors]
-        ctx.state["depth"] = None
         ctx.state["parent"] = None
-        return []
+        if ctx.node != self._root:
+            ctx.state["depth"] = None
+            return []
+        ctx.state["depth"] = 0
+        message = Message("bfs", (0,))
+        return [(v, message) for v in ctx.neighbors]
 
     def on_round(self, ctx: NodeContext,
                  inbox: List[Tuple[int, Message]]) -> List[Outgoing]:
-        best_depth = ctx.state["depth"]
-        best_parent = ctx.state["parent"]
+        best_depth, best_parent = ctx.state["depth"], ctx.state["parent"]
         improved = False
         for sender, message in inbox:
             depth = message.payload[0] + 1
-            if best_depth is None or depth < best_depth or (
-                    depth == best_depth and best_parent is not None
-                    and sender < best_parent):
-                if best_depth is None or depth < best_depth:
-                    improved = True
-                best_depth = depth
-                best_parent = sender
-        ctx.state["depth"] = best_depth
-        ctx.state["parent"] = best_parent
+            # the root (depth 0, no parent) never takes a deeper offer
+            if best_depth is None or depth < best_depth:
+                improved = True
+            elif (depth, sender) >= (best_depth, best_parent):
+                continue
+            best_depth, best_parent = depth, sender
+        ctx.state["depth"], ctx.state["parent"] = best_depth, best_parent
         if not improved:
             return []
         message = Message("bfs", (best_depth,))

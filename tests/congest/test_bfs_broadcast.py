@@ -74,6 +74,13 @@ class TestBFS:
         # flood needs ecc rounds (plus possibly 1 for late tie updates)
         assert 7 <= tree.rounds <= 9
 
+    def test_children_and_path_to_root(self):
+        g = path(5)
+        tree = build_bfs_tree(g, root=2)
+        kids = tree.children()
+        assert sorted(kids[2]) == [1, 3]
+        assert tree.path_to_root(0) == [0, 1, 2]
+
     def test_deterministic_parent_choice(self):
         g = grid(3, 3, seed=1)
         t1 = build_bfs_tree(g, root=0)

@@ -7,8 +7,10 @@ is 1, and Phase 1 never crosses a hopset edge.  Long paths (from
 n ≈ 800 at k = 2) and the chordless ring are where ``B`` cuts, β is 2,
 and Phase 1.5 repairs along a hopset edge's path.  Each case first
 asserts that it is in that regime — some detection cell unreached and
-β ≥ 2 — so the grid cannot drift back to β = 1; then Claim 7, value
-accuracy (17) on every cell, and route and estimate stretch.
+β ≥ 2, except the one case pinned in ``BETA_ONE`` — so the grid cannot
+drift back to β = 1; then Claim 7, value accuracy (17) on every cell,
+and route and estimate stretch over sampled pairs (all pairs costs
+1.75 s of estimates and 17 s of routes per 0.5 M pairs at n = 1 000).
 
 ``FORMERLY_FAILING`` raised :class:`SchemeError` (Claim 7, "vertex …
 has parent -1") before Phase 1.5 gave a vertex reached across a hopset
@@ -25,6 +27,7 @@ from repro.pipeline import SchemePipeline
 
 CASES = ([("path", n, k, s) for n in (1000, 2000) for k in (2, 4)
           for s in range(4)]
+         + [("path", 1000, 4, 4)]
          + [("ring", 6000, 2, s) for s in range(3)])
 
 
@@ -47,7 +50,9 @@ FORMERLY_FAILING = {
 }
 
 #: ``B`` cuts here too (the detection leaves cells unreached), but the
-#: hopset still joins every pair of ``V'`` within one hop
+#: hopset still joins every pair of ``V'`` within one hop, so Phase 1
+#: never crosses a hopset edge and the case does not exercise the
+#: Phase 1.5 fix; ``path-1000-k4-s4`` (β = 2) stands in for it
 BETA_ONE = {"path-1000-k4-s0"}
 
 
