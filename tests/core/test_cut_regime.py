@@ -11,12 +11,16 @@ asserts that it is in that regime — some detection cell unreached and
 drift back to β = 1; then Claim 7, value accuracy (17) on every cell,
 and route and estimate stretch over sampled pairs (all pairs costs
 1.75 s of estimates and 17 s of routes per 0.5 M pairs at n = 1 000).
+Last, the dense plane's SHA-256 is pinned per case: the bounds alone
+pass a Phase-1 parent that moves on a tie, the bytes do not.
 
 ``FORMERLY_FAILING`` raised :class:`SchemeError` (Claim 7, "vertex …
 has parent -1") before Phase 1.5 gave a vertex reached across a hopset
 edge its path predecessor as parent: it kept the edge's far endpoint,
 and Remark 1 then read a detection cell ``B`` hops out of reach.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -55,6 +59,31 @@ FORMERLY_FAILING = {
 #: Phase 1.5 fix; ``path-1000-k4-s4`` (β = 2) stands in for it
 BETA_ONE = {"path-1000-k4-s0"}
 
+#: SHA-256 of each case's saved dense plane, from the dict-based
+#: virtual plane (VirtualGraph, dict Dijkstra hopset, dict Phase 1)
+PLANE_SHA256 = {
+    "path-1000-k2-s0": "e609a54a7c4da21fc7acb322eef4e7db5ca16f0e6073682ec9ed8eec60d31641",
+    "path-1000-k2-s1": "c2c3a3f59b59ce30b1a8bd929f2ce63c2ab26e771455b84c9118312b0f962a58",
+    "path-1000-k2-s2": "80ffbe4f28c95def2f36c8a4e96dd0214b3a3d7f165c189fb6c37ec5172f64cd",
+    "path-1000-k2-s3": "91b6617a5d8fe5c296661f23c22292331bfdea642b7cf88caa9383a6031bbf6a",
+    "path-1000-k4-s0": "eae21c97c715d3ba60d4be2b7326988f6d7b3daa211617d9cbaafc4eee496ba8",
+    "path-1000-k4-s1": "84d3d84e48f8867c022667b2467d6f50dc88c67ce7998a1e9db1b21c16da012d",
+    "path-1000-k4-s2": "7d8b1eee6122f5a60bb683759f7dabc5ebf563dcebf2b72df21485aa0e7ed3e6",
+    "path-1000-k4-s3": "1276d19e96095b846c5d129e7ef1ad2784886b6d51ea303864a7512b8b3b7908",
+    "path-2000-k2-s0": "34cdaa94468bc49d3b38021105c298e6db41d26770a674ad0196d91a8b77e565",
+    "path-2000-k2-s1": "575636da4e9be5c5c4b4111a66e45376bbe3ddec5aaa12867f2bd8e16f25bafd",
+    "path-2000-k2-s2": "c62eefd99a1f71454c7c9f89f4b3bdc8fd734c51bb7e0e24a06b28d70ab552ff",
+    "path-2000-k2-s3": "90bd91e55de96580754283d82b57d6a1ccc545aa381ad6511b500d976baa5cc4",
+    "path-2000-k4-s0": "c8813bb92b132f4df392b47f1ff4b783ce836f99305284b01e9cad6f71fb21e3",
+    "path-2000-k4-s1": "8880594f6ec94221935160c05611e10d3fa217bbfc58f70a1db2c5f45b720fdf",
+    "path-2000-k4-s2": "cdd3375a5575d9fc90e62f5d5cf07255c8f1cbd5a340b348a749f42e14587d6f",
+    "path-2000-k4-s3": "3a780e77cc23dd05f5c4b81e8ababc63478ffd179b4f44fda8ba6b88960d7298",
+    "path-1000-k4-s4": "f1cbcdcb295f4db963ea93c9f43f6dd5413aaa0f02d1c8b8e1b6526f64238cec",
+    "ring-6000-k2-s0": "1deb4de6f0f4190adb39819e3ce97dfc104be55cc6e582883ba34717a9c1cb7e",
+    "ring-6000-k2-s1": "04dd5eea837a961866f5ac39a9081b8a681d18fc0f7b0f534755c82cb580558c",
+    "ring-6000-k2-s2": "740485f21a8d398ca0cdcf780bcc8cc9aa018551ebd03b93fb8826d7e51781f7",
+}
+
 
 def _line_distances(graph, family):
     """Exact distances of the path or the chordless ring, from prefix
@@ -76,11 +105,13 @@ def test_formerly_failing_cases_are_pinned():
     ids = {_case_id(*case) for case in CASES}
     assert FORMERLY_FAILING <= ids
     assert BETA_ONE <= ids
+    assert set(PLANE_SHA256) == ids
 
 
 @pytest.mark.parametrize("family,n,k,seed", [
     pytest.param(*case, id=_case_id(*case)) for case in CASES])
-def test_cut_regime_builds_within_bounds(monkeypatch, family, n, k, seed):
+def test_cut_regime_builds_within_bounds(monkeypatch, tmp_path, family, n, k,
+                                        seed):
     seen = []
     preprocess = approx_clusters._preprocess_large_scales
 
@@ -126,8 +157,14 @@ def test_cut_regime_builds_within_bounds(monkeypatch, family, n, k, seed):
     stride = 4 if family == "path" else 16
     pairs = np.array([(u, v) for u in (0, n // 3, 2 * n // 3, n - 1)
                       for v in range(0, n, stride) if v != u])
-    routes = pipeline.compile().route_many(pairs)
+    plane = pipeline.compile()
+    routes = plane.route_many(pairs)
     assert [[r.path[0], r.path[-1]] for r in routes] == pairs.tolist()
     weight = np.array([r.weight for r in routes])
     stretch = weight / dist(pairs[:, 0], pairs[:, 1])
     assert stretch.max() <= params.stretch_bound, stretch.max()
+
+    saved = tmp_path / "plane.cra"
+    plane.save(str(saved))
+    digest = hashlib.sha256(saved.read_bytes()).hexdigest()
+    assert digest == PLANE_SHA256[_case_id(family, n, k, seed)]
