@@ -12,16 +12,14 @@ from .broadcast import (
     broadcast_all,
     broadcast_from_root,
     convergecast,
-    simulate_flood_rounds,
 )
 from .bellman_ford import (
     ExplorationResult,
     JoinRule,
     NearestSourceResult,
-    VirtualExplorationResult,
     multi_source_exploration,
     nearest_source_exploration,
-    virtual_multi_source_exploration,
+    virtual_exploration,
 )
 
 __all__ = [
@@ -43,12 +41,10 @@ __all__ = [
     "broadcast_all",
     "broadcast_from_root",
     "convergecast",
-    "simulate_flood_rounds",
     "ExplorationResult",
     "JoinRule",
     "NearestSourceResult",
-    "VirtualExplorationResult",
     "multi_source_exploration",
     "nearest_source_exploration",
-    "virtual_multi_source_exploration",
+    "virtual_exploration",
 ]

@@ -1,6 +1,6 @@
 """Distributed Bellman–Ford explorations with congestion accounting.
 
-Three variants back the paper's construction:
+Three explorations back the paper's construction:
 
 * :func:`nearest_source_exploration` — multi-root BFS/Bellman–Ford where
   every node keeps only its *nearest* root (used for exact pivots,
@@ -13,14 +13,15 @@ Three variants back the paper's construction:
   live estimates a node must push over one link in one iteration — is
   measured, and the iteration is charged ``ceil(words / capacity)`` rounds
   exactly as the paper's pipelining argument schedules it.
-* :func:`virtual_multi_source_exploration` — the same, but over a virtual
-  graph whose "links" are realized by global broadcast (Lemma 1): every
-  iteration's updates are convergecast to a BFS-tree root and broadcast
-  back, costing ``O(M + D)`` measured rounds.
+* :func:`virtual_exploration` — the same, but over the virtual graph
+  ``G''`` whose "links" are realized by global broadcast (Lemma 1):
+  every iteration's updates are convergecast to a BFS-tree root and
+  broadcast back, costing ``O(M + D)`` measured rounds.
 
 Every variant's output is exactly what the synchronous message-passing
-execution computes.  The two physical-graph explorations are numpy
-kernels over the graph's cached CSR view (:mod:`repro.graphs.csr`): one
+execution computes.  All three are numpy kernels over a CSR view
+(:mod:`repro.graphs.csr`) — the graph's cached one, or ``G''``'s
+weight matrix as one with its neighbors ascending: one
 scatter-min per hop over the frontier's gathered out-edges, the join
 rule fused in as a masked compare against the declarative
 :class:`JoinRule` — a per-vertex threshold plan covering every rule the
@@ -28,14 +29,15 @@ paper applies (Eq. (11), the middle-scale pivot-distance filter,
 Eq. (14)/(15)).  Their dict-based oracles live in
 :mod:`repro.reference.exploration`, which production never imports.
 
-The multi-source kernel, :func:`_explore_block`, has two callers:
-:func:`multi_source_exploration` here, and Theorem-1 source detection
+The multi-source kernel, :func:`_explore_block`, has three callers:
+:func:`multi_source_exploration` and :func:`virtual_exploration` here,
+and Theorem-1 source detection
 (:func:`repro.sketches.detect_sources`), which is the same hop-bounded
 multi-source Bellman–Ford over rounded weights, under the odd-k middle
 level's join rule there and an all-``INF`` threshold everywhere else.
 The caller owns the ``rows × n`` ``dist`` / ``par`` matrices, the
-kernel writes each hop's winners into them in place, and both
-callers advance their source rows in blocks of at most
+kernel writes each hop's winners into them in place, and every
+caller advances its source rows in blocks of at most
 :data:`_DENSE_CELL_LIMIT` cells; rows are independent and every block
 size gives a bit-identical result.  The exploration's result is the
 blocks' finite cells as four columns sorted by (source, vertex) — the
@@ -48,10 +50,11 @@ a ``set``/dict), so equal-distance ties resolve deterministically and
 identically across the pair.  The differential grids
 (``tests/congest/test_engine_equivalence.py``,
 ``tests/congest/test_exploration_grid.py``) assert every result field
-matches exactly between oracle and kernel.  The virtual-graph variant
-stays dict-based: its instances are tiny (``|A_{ceil(k/2)}|``
-vertices) and its cost is dominated by the Lemma-1 broadcast
-accounting.
+matches exactly between oracle and kernel.  The virtual exploration's
+dict oracle, :mod:`repro.reference.virtual`, kept its frontier in
+first-touch order, so at β ≥ 2 a parent may differ from it, only
+between exactly tied candidates
+(``tests/hopsets/test_virtual_plane_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -62,11 +65,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as _np
 
 from ..dataclass import dataclass
-from ..graphs.csr import _gather_edge_indices, csr_view
+from ..graphs.csr import _gather_edge_indices, csr_view, matrix_view
 from ..graphs.shortest_paths import INF
-from ..graphs.virtual_graph import VirtualGraph
 from ..graphs.weighted_graph import WeightedGraph
-from .bfs import BFSTree
 from .messages import DEFAULT_CAPACITY_WORDS
 from .metrics import congestion_rounds, pipelined_rounds
 
@@ -394,81 +395,33 @@ def _explore_block(view, weights, rows, iterations: int, thr, dist, par):
     return relayed
 
 
-@dataclass
-class VirtualExplorationResult:
-    """Outcome of :func:`virtual_multi_source_exploration`.
-
-    Distances/parents are dictionaries keyed by virtual vertex.
-    """
-
-    dist: Dict[int, Dict[int, float]]
-    parent: Dict[int, Dict[int, Optional[int]]]
-    iterations: int
-    rounds: int
-    broadcast_words: int = 0
-
-
-def virtual_multi_source_exploration(virtual: VirtualGraph,
-                                     sources: Sequence[int],
-                                     iterations: int,
-                                     rule: JoinRule,
-                                     bfs_tree: BFSTree
-                                     ) -> VirtualExplorationResult:
+def virtual_exploration(weights, rows, iterations: int, threshold,
+                        height: int):
     """Bellman–Ford over a *virtual* graph, Phase-1 style (Section 3.3.2).
 
-    Virtual edges are not physical links, so every iteration is realized
-    by a global exchange (Lemma 1): all fresh estimates are convergecast
-    to the BFS-tree root and broadcast back.  The measured cost of an
-    iteration with ``M`` update words is
-    ``2 * (ceil(M / capacity) + height)`` rounds.
-
-    ``rule`` is compared inline, once per improving winner; virtual
-    instances are tiny — ``|A_{ceil(k/2)}|`` vertices — and Lemma-1
-    accounting dominates, so there is no vectorized variant.
+    ``weights`` is ``G''``'s ``V' × V'`` matrix, ``rows`` the sources'
+    indices in ``V'`` (ascending, distinct) and ``threshold`` rule
+    (14)'s per-``V'`` budgets: :func:`_explore_block` runs over the
+    matrix's CSR view (neighbors ascending), in row blocks under
+    :data:`_DENSE_CELL_LIMIT` like its other callers, and fills ``rows
+    × |V'|`` matrices, the parents as ``V'`` indices.  Virtual edges
+    are not physical links, so every iteration is a global exchange
+    (Lemma 1): the fresh estimates, 3 words each, are convergecast to
+    the BFS-tree root and broadcast back, ``2 * (ceil(M / capacity) +
+    height)`` rounds for ``M`` words.  Returns ``(dist, par, rounds)``.
     """
-    thr = rule.threshold
-    dist: Dict[int, Dict[int, float]] = {v: {} for v in virtual.vertices()}
-    parent: Dict[int, Dict[int, Optional[int]]] = {
-        v: {} for v in virtual.vertices()}
-    frontier: Dict[int, List[int]] = {}
-    for s in sources:
-        dist[s][s] = 0.0
-        parent[s][s] = None
-        frontier.setdefault(s, []).append(s)
-    rounds = 0
-    total_words = 0
-    executed = 0
-    for _ in range(iterations):
-        if not frontier:
-            break
-        executed += 1
-        update_words = sum(
-            len(srcs) * (_ESTIMATE_WORDS + 1) for srcs in frontier.values())
-        total_words += update_words
-        rounds += 2 * pipelined_rounds(update_words, DEFAULT_CAPACITY_WORDS,
-                                       bfs_tree.height)
-        updates: Dict[int, Dict[int, Tuple[float, int]]] = {}
-        for u, updated_sources in frontier.items():
-            du = dist[u]
-            for v, weight in virtual.neighbor_weights(u):
-                bucket = updates.setdefault(v, {})
-                for s in updated_sources:
-                    nd = du[s] + weight
-                    best = bucket.get(s)
-                    if best is None or nd < best[0]:
-                        bucket[s] = (nd, u)
-        frontier = {}
-        for v, bucket in updates.items():
-            changed: List[int] = []
-            tv = thr[v]
-            for s, (nd, via) in bucket.items():
-                current = dist[v].get(s, INF)
-                if nd < current and nd < tv:
-                    dist[v][s] = nd
-                    parent[v][s] = via
-                    changed.append(s)
-            if changed:
-                frontier[v] = changed
-    return VirtualExplorationResult(dist=dist, parent=parent,
-                                    iterations=executed, rounds=rounds,
-                                    broadcast_words=total_words)
+    view = matrix_view(weights)
+    dist = _np.full((len(rows), view.num_vertices), INF)
+    par = _np.full(dist.shape, -1, dtype=_np.int64)
+    relayed: List[int] = []       # per iteration: estimates relayed
+    block = max(1, _DENSE_CELL_LIMIT // max(view.num_vertices, 1))
+    for lo in range(0, len(rows), block):
+        fronts = _explore_block(view, view.weights, rows[lo:lo + block],
+                                iterations, threshold, dist[lo:lo + block],
+                                par[lo:lo + block])
+        relayed.extend([0] * (len(fronts) - len(relayed)))
+        for i, front in enumerate(fronts):
+            relayed[i] += len(front)
+    rounds = sum(2 * pipelined_rounds(3 * words, DEFAULT_CAPACITY_WORDS,
+                                      height) for words in relayed)
+    return dist, par, rounds

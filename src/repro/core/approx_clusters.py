@@ -58,7 +58,6 @@ from __future__ import annotations
 import random
 import time
 from functools import cached_property
-from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -68,7 +67,7 @@ from ..congest.bellman_ford import (
     _run_starts,
     multi_source_exploration,
     nearest_source_exploration,
-    virtual_multi_source_exploration,
+    virtual_exploration,
 )
 from ..congest.bfs import BFSTree, build_bfs_tree
 from ..congest.messages import DEFAULT_CAPACITY_WORDS
@@ -77,7 +76,7 @@ from ..dataclass import dataclass
 from ..exceptions import SchemeError
 from ..graphs.shortest_paths import INF
 from ..graphs.weighted_graph import WeightedGraph
-from ..hopsets.construction import build_hopset
+from ..hopsets import Hopset, build_hopset
 from ..sketches.approx_spt import approximate_spt
 from ..sketches.source_detection import (
     SourceDetectionResult,
@@ -288,12 +287,14 @@ def _build_middle_level(graph: WeightedGraph, level: int,
 # ----------------------------------------------------------------------
 @dataclass
 class _LargeScalePreprocessing:
-    """Shared state of Section 3.3.1: detection, G', hopset, G''."""
+    """Shared state of Section 3.3.1: the detection, ``G'`` and ``G''``
+    as ``V' × V'`` weight matrices (``V'`` is the detection's sources,
+    so a ``V'`` index is a detection row), the hopset and β."""
 
     detection: SourceDetectionResult
-    virtual_graph: object
-    augmented: object
-    hopset: object
+    weights: np.ndarray
+    augmented: np.ndarray
+    hopset: Hopset
     beta: int
 
 
@@ -307,30 +308,28 @@ def _preprocess_large_scales(graph: WeightedGraph, params: SchemeParams,
                                bfs_tree=bfs_tree)
     ledger.add("large/preprocess-detection", detection.rounds,
                seconds=time.perf_counter() - started)
-    virtual_graph = build_virtual_graph_from_detection(detection)
+    weights = build_virtual_graph_from_detection(detection)
     started = time.perf_counter()
-    hopset_report = build_hopset(virtual_graph, params.eps / 3,
+    hopset_report = build_hopset(weights, params.eps / 3,
                                  rho=params.hopset_rho, rng=rng,
                                  bfs_tree=bfs_tree)
     ledger.add("large/preprocess-hopset", hopset_report.rounds,
                seconds=time.perf_counter() - started)
-    augmented = hopset_report.hopset.augment(virtual_graph)
-    beta = hopset_report.hopset.beta_measured
-    return _LargeScalePreprocessing(detection=detection,
-                                    virtual_graph=virtual_graph,
-                                    augmented=augmented,
+    return _LargeScalePreprocessing(detection=detection, weights=weights,
+                                    augmented=hopset_report.augmented,
                                     hopset=hopset_report.hopset,
-                                    beta=beta)
+                                    beta=hopset_report.hopset.beta_measured)
 
 
-def _broadcast_extension(centers: np.ndarray,
-                         virt_value: Dict[int, Dict[int, float]],
+def _broadcast_extension(centers: np.ndarray, virt: np.ndarray,
                          detection: SourceDetectionResult,
                          next_pivot_hat: List[float], eps: float
                          ) -> Tuple[Cells, int]:
     """Phase 2 of a large level: extend the virtual clusters to all of
-    ``V`` under rule (15).  Returns the new members' cells and the
-    broadcast words (3 per announced value).
+    ``V`` under rule (15).  ``virt`` holds the Phase-1 values, one row
+    per center and one column per ``V'`` vertex (``INF`` off
+    ``C̃'(u)``).  Returns the new members' cells and the broadcast words
+    (3 per announced value).
 
     Every ``y`` takes ``b_y(u) = min_{v ∈ V'} d̂(y, v) + b_v(u)``, its
     first strict minimum over ``V'`` in ascending order, and joins
@@ -342,70 +341,41 @@ def _broadcast_extension(centers: np.ndarray,
     rule is one masked compare, and its mask is the cells.
     """
     n = len(next_pivot_hat)
-    row_of = detection.row_of
-    # the broadcast values, by announcing V' row and center column, and
-    # the Phase-1 members C̃'(u) they come from
-    values = np.full((len(detection.sources), len(centers)), INF)
+    # the Phase-1 members C̃'(u) the broadcast values come from
+    cs, vs = np.nonzero(virt < INF)
     member = np.zeros((n, len(centers)), dtype=bool)
-    broadcast_words = 0
-    for c, u in enumerate(centers.tolist()):
-        announced = virt_value[u]
-        values[[row_of[v] for v in announced], c] = list(announced.values())
-        member[list(announced), c] = True
-        broadcast_words += 3 * len(announced)
-    best, row = extend_over_sources(detection.dist, values)
+    member[np.asarray(detection.sources)[vs], cs] = True
+    best, row = extend_over_sources(detection.dist, virt.T)
     # rule (15), strict (an unreached cell is INF and fails it); C̃'(u)
     # members keep their Phase-1 values
     threshold = np.asarray(next_pivot_hat, dtype=np.float64) / (1.0 + eps)
     joins = (best < threshold[:, None]) & ~member
     cs, ys = np.nonzero(joins.T)          # by center, members ascending
     return (centers[cs], ys, best[ys, cs],
-            detection.par[row[ys, cs], ys]), broadcast_words
+            detection.par[row[ys, cs], ys]), 3 * len(vs)
 
 
-def _build_large_level(graph: WeightedGraph, level: int,
-                       centers: Sequence[int],
-                       next_pivot_hat: List[float], eps: float,
-                       pre: _LargeScalePreprocessing, bfs_tree: BFSTree,
-                       ledger: CostLedger) -> Cells:
-    one_plus = 1.0 + eps
-
-    # ----- Phase 1: β-iteration Bellman–Ford over G'' with rule (14),
-    # declaratively: per-vertex budgets d̂_{i+1}(v) / (1+eps)^3 (the
-    # division is precomputed per vertex — same float as the closure's
-    # ``next_pivot_hat[v] / one_plus ** 3``, evaluated once).
-    cube = one_plus ** 3
-    rule14 = JoinRule(threshold=[t / cube for t in next_pivot_hat])
-    started = time.perf_counter()
-    phase1 = virtual_multi_source_exploration(
-        pre.augmented, centers, pre.beta, rule14, bfs_tree)
-    ledger.add(f"large/phase1-level-{level}", phase1.rounds,
-               seconds=time.perf_counter() - started)
-
-    # virtual cluster state: value/virtual-parent per member of C̃'(u)
-    virt_value: Dict[int, Dict[int, float]] = {u: {} for u in centers}
-    virt_parent: Dict[int, Dict[int, Optional[int]]] = {
-        u: {} for u in centers}
-    for v, per_source in phase1.dist.items():
-        for u, b in per_source.items():
-            virt_value[u][v] = b
-            virt_parent[u][v] = phase1.parent[v][u]
-
-    # ----- Phase 1.5: repair along hopset-edge paths (Property 1).
-    started = time.perf_counter()
-    for u in centers:
-        values = virt_value[u]
-        parents = virt_parent[u]
-        for y in list(values):
-            x = parents.get(y)
-            if x is None:
-                continue
-            edge = pre.hopset.lookup(x, y)
-            if edge is None:
+def _walk_hopset_paths(virt: np.ndarray, vpar: np.ndarray,
+                       hopset: Hopset) -> None:
+    """Phase 1.5 (Property 1), in place on the Phase-1 matrices: a
+    member ``y`` whose virtual parent ``x`` is joined to it by a hopset
+    edge walks the edge's path from ``x``, improving every path vertex
+    by ``b_x + d_P(x, ·)`` and taking its path predecessor as parent;
+    the edge stands for its path, so if ``y`` still hangs off ``x`` it
+    takes ``path[-2]``.  The distances along the path are the prefix
+    sums ``D[u, path]`` of the predecessor walk, so no decision depends
+    on summation order.  Members are walked per center in ascending
+    order, each reading the values and parents the earlier walks left.
+    """
+    slot = hopset.slot()
+    for values, parents in zip(virt, vpar):
+        for y in np.flatnonzero(values < INF).tolist():
+            x = int(parents[y])
+            edge = int(slot[x, y]) if x >= 0 else -1
+            if edge < 0:
                 continue  # (x, y) is a plain G' edge; Remark 1 covers it
-            # d_P(x, ·) from the edge's prefix sums: at y, its weight
-            path = list(edge.path)
-            prefix = edge.prefix_distances(pre.virtual_graph)
+            path = hopset.path(edge)
+            prefix = hopset.prefix_distances(edge)
             if path[0] != x:
                 path.reverse()
                 prefix = [prefix[-1] - d for d in reversed(prefix)]
@@ -413,44 +383,59 @@ def _build_large_level(graph: WeightedGraph, level: int,
             for idx in range(1, len(path)):
                 v = path[idx]
                 candidate = bx + prefix[idx]
-                if candidate < values.get(v, INF):
+                if candidate < values[v]:
                     values[v] = candidate
                     parents[v] = path[idx - 1]
-            if parents[y] == x:   # the edge stands for its path
+            if parents[y] == x:
                 parents[y] = path[-2]
+
+
+def _build_large_level(graph: WeightedGraph, level: int,
+                       centers: Sequence[int],
+                       next_pivot_hat: List[float], eps: float,
+                       pre: _LargeScalePreprocessing, bfs_tree: BFSTree,
+                       ledger: CostLedger) -> Cells:
+    detection = pre.detection
+    v_prime = np.asarray(detection.sources, dtype=np.int64)
+    center = np.asarray(centers, dtype=np.int64)
+
+    # ----- Phase 1: β-iteration Bellman–Ford over G'' with rule (14),
+    # declaratively: per-vertex budgets d̂_{i+1}(v) / (1+eps)^3 at V'
+    cube = (1.0 + eps) ** 3
+    threshold = np.asarray(next_pivot_hat, dtype=np.float64)[v_prime] / cube
+    started = time.perf_counter()
+    virt, vpar, rounds = virtual_exploration(
+        pre.augmented, np.searchsorted(v_prime, center), pre.beta,
+        threshold, bfs_tree.height)
+    ledger.add(f"large/phase1-level-{level}", rounds,
+               seconds=time.perf_counter() - started)
+
+    # ----- Phase 1.5: repair along hopset-edge paths (Property 1).
+    started = time.perf_counter()
+    _walk_hopset_paths(virt, vpar, pre.hopset)
+    cs, vs = np.nonzero(virt < INF)
     ledger.add(f"large/phase1.5-level-{level}",
-               2 * pipelined_rounds(3 * sum(len(v) for v in
-                                            virt_value.values()),
-                                    DEFAULT_CAPACITY_WORDS, bfs_tree.height),
+               2 * pipelined_rounds(3 * len(cs), DEFAULT_CAPACITY_WORDS,
+                                    bfs_tree.height),
                seconds=time.perf_counter() - started)
 
     # the virtual members' cells; real parents by Remark 1 through the
     # detection's parent pointers: the cell of v in its virtual parent's
     # row (only the center has no virtual parent, and keeps -1)
-    detection = pre.detection
-    row_of = detection.row_of
-    center = np.asarray(centers, dtype=np.int64)
-    sizes = [len(virt_value[u]) for u in centers]
-    total = sum(sizes)
-    member = np.fromiter(chain.from_iterable(
-        virt_value[u] for u in centers), np.int64, total)
-    value = np.fromiter(chain.from_iterable(
-        virt_value[u].values() for u in centers), np.float64, total)
-    via = np.fromiter((-1 if x is None else row_of[x] for u in centers
-                       for x in map(virt_parent[u].get, virt_value[u])),
-                      np.int64, total)
+    member = v_prime[vs]
+    via = vpar[cs, vs]
     parent = np.where(via >= 0, detection.par[via, member], -1)
 
     # ----- Phase 2: broadcast virtual trees, extend to all of V, rule (15).
     started = time.perf_counter()
     joined, broadcast_words = _broadcast_extension(
-        center, virt_value, detection, next_pivot_hat, eps)
+        center, virt, detection, next_pivot_hat, eps)
     ledger.add(f"large/phase2-broadcast-level-{level}",
                2 * pipelined_rounds(broadcast_words, DEFAULT_CAPACITY_WORDS,
                                     bfs_tree.height),
                seconds=time.perf_counter() - started)
     return tuple(np.concatenate(pair) for pair in zip(
-        (np.repeat(center, sizes), member, value, parent), joined))
+        (center[cs], member, virt[cs, vs], parent), joined))
 
 
 def _merge_levels(n: int, hierarchy: LevelHierarchy,

@@ -1,8 +1,8 @@
-"""Weighted-graph substrate: graph type, shortest paths, metrics,
-workload generators and virtual (dominating) graphs."""
+"""Weighted-graph substrate: graph type, CSR views, shortest paths,
+metrics and workload generators."""
 
 from .weighted_graph import WeightedGraph, validate_polynomial_weights
-from .csr import CSRView, csr_view
+from .csr import CSRView, csr_view, matrix_view
 from .shortest_paths import (
     INF,
     all_pairs_distances,
@@ -34,13 +34,13 @@ from .generators import (
     star_of_paths,
     weighted_small_world,
 )
-from .virtual_graph import VirtualGraph, verify_domination
 
 __all__ = [
     "WeightedGraph",
     "validate_polynomial_weights",
     "CSRView",
     "csr_view",
+    "matrix_view",
     "INF",
     "all_pairs_distances",
     "dijkstra",
@@ -66,6 +66,4 @@ __all__ = [
     "ring_of_cliques",
     "star_of_paths",
     "weighted_small_world",
-    "VirtualGraph",
-    "verify_domination",
 ]

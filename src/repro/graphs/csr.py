@@ -14,22 +14,25 @@ them a shared flat substrate:
 * :func:`csr_view` — a cached accessor.  The view is stored on the graph
   and stamped with the graph's mutation version; ``add_edge`` /
   ``remove_edge`` bump the version, so a stale view is never returned
-  (see ``graphs/README.md`` for the contract).
+  (see ``graphs/README.md`` for the contract).  The arrays are filled
+  by ``numpy.fromiter`` straight from the adjacency dicts.
+* :func:`matrix_view` — the same type over a virtual graph's ``V' ×
+  V'`` weight matrix (``G''`` for Phase 1), neighbors ascending.
 * :func:`_gather_edge_indices` — the frontier's out-edges, gathered
   from the CSR slices (the Bellman–Ford kernels).
 
 numpy is required: every kernel has one body.  The multi-source
 kernel (``_explore_block`` in :mod:`repro.congest.bellman_ford`) has
-two callers, source detection and the multi-source exploration; both
-advance their source rows in blocks under one cell limit,
-bit-identically for every block size.  The one remaining kernel choice
+three callers, source detection, the multi-source exploration and
+Phase 1 over ``G''``; all advance their source rows in blocks under one
+cell limit, bit-identically for every block size.  The one remaining kernel choice
 is the parent walk for batches below ``_VECTOR_MIN_PAIRS``
 (:mod:`repro.core.dense`).
 """
 
 from __future__ import annotations
 
-from typing import List
+from itertools import chain
 
 import numpy as _np
 
@@ -37,28 +40,19 @@ from .weighted_graph import WeightedGraph
 
 
 class CSRView:
-    """Flat CSR adjacency of a :class:`WeightedGraph` snapshot.
-
-    ``indices[indptr[u]:indptr[u + 1]]`` are ``u``'s neighbors in the
-    graph's own neighbor order, ``weights`` the matching edge weights.
-    """
+    """Flat CSR adjacency: ``indices[indptr[u]:indptr[u + 1]]`` are
+    ``u``'s neighbors, ``weights`` the matching edge weights.
+    :func:`csr_view` fills it from a :class:`WeightedGraph` (the graph's
+    own neighbor order, int64 weights), :func:`matrix_view` from a
+    virtual graph's weight matrix (neighbors ascending, float64)."""
 
     __slots__ = ("num_vertices", "indptr", "indices", "weights")
 
-    def __init__(self, graph: WeightedGraph) -> None:
-        n = graph.num_vertices
-        self.num_vertices = n
-        indptr: List[int] = [0] * (n + 1)
-        indices: List[int] = []
-        weights: List[int] = []
-        for u in range(n):
-            for v, w in graph.neighbor_weights(u):
-                indices.append(v)
-                weights.append(w)
-            indptr[u + 1] = len(indices)
-        self.indptr = _np.asarray(indptr, dtype=_np.int64)
-        self.indices = _np.asarray(indices, dtype=_np.int64)
-        self.weights = _np.asarray(weights, dtype=_np.int64)
+    def __init__(self, indptr, indices, weights) -> None:
+        self.num_vertices = len(indptr) - 1
+        self.indptr = indptr
+        self.indices = indices
+        self.weights = weights
 
     @property
     def num_directed_edges(self) -> int:
@@ -73,6 +67,12 @@ class CSRView:
                 f"m2={self.num_directed_edges})")
 
 
+def _indptr(degrees):
+    indptr = _np.zeros(len(degrees) + 1, dtype=_np.int64)
+    _np.cumsum(degrees, out=indptr[1:])
+    return indptr
+
+
 def csr_view(graph: WeightedGraph) -> CSRView:
     """The graph's CSR view, rebuilt only after mutations.
 
@@ -84,9 +84,23 @@ def csr_view(graph: WeightedGraph) -> CSRView:
     version = graph.version
     if cache is not None and cache[0] == version:
         return cache[1]
-    view = CSRView(graph)
+    adj = graph._adj
+    indptr = _indptr(_np.fromiter(map(len, adj), _np.int64, len(adj)))
+    size = int(indptr[-1])
+    view = CSRView(
+        indptr, _np.fromiter(chain.from_iterable(adj), _np.int64, size),
+        _np.fromiter(chain.from_iterable(map(dict.values, adj)),
+                     _np.int64, size))
     graph._csr_cache = (version, view)
     return view
+
+
+def matrix_view(weights) -> CSRView:
+    """The CSR of a dense weight matrix, ``INF`` = no edge: row ``u``'s
+    finite cells, ascending."""
+    rows, cols = _np.nonzero(_np.isfinite(weights))
+    return CSRView(_indptr(_np.bincount(rows, minlength=len(weights))),
+                   cols, weights[rows, cols])
 
 
 def _gather_edge_indices(starts, counts, total):

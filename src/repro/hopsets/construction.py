@@ -1,52 +1,62 @@
 """Path-reporting hopset construction ([EN16a]-style, Theorem 2).
 
 We build the Thorup–Zwick-emulator hopset, the construction [EN16a]'s
-superclustering-and-interconnection refines:
+superclustering-and-interconnection refines, on ``G'``'s ``V' × V'``
+weight matrix:
 
 1. Sample a level hierarchy ``A_0 = V' ⊇ A_1 ⊇ ... ⊇ A_κ = ∅`` on the
    virtual graph's vertices, each level keeping vertices with probability
    ``m^{-1/κ}`` where ``κ = ceil(1/ρ)``.
 2. For every ``u ∈ A_i \\ A_{i+1}`` add hopset edges
-   * to its ``(i+1)``-pivot (nearest ``A_{i+1}`` vertex), and
+   * to its ``(i+1)``-pivot (nearest ``A_{i+1}`` vertex, the smallest
+     on a tie), and
    * to every ``v ∈ A_i`` with ``d(u, v) < d(u, A_{i+1})`` (its *bunch*),
    each weighted by the exact virtual-graph distance and carrying the
-   Dijkstra path realizing it (Property 1).
+   predecessor walk realizing it (Property 1).
+
+Both rules are masks over one all-pairs pass
+(:func:`~repro.hopsets.hopset.shortest_paths`).  An edge found from both
+endpoints keeps the lighter weight, and on a tie the one found first in
+ascending ``(u, bunch before pivot, v)`` order.
 
 The expected number of edges is ``O(κ · m^{1+1/κ})`` and the classic
 analysis gives hopbound ``β = O(κ/ε)^{κ}``-ish; rather than trusting the
 constant we *measure* β on the instance (see
 :func:`repro.hopsets.verification.measure_hopbound`) and let downstream
-phases iterate exactly ``β_measured`` times.  Tests assert the measured
-bound stays far below the unaided hop radius.
+phases iterate exactly ``β_measured`` times.
 
 Round accounting follows Theorem 2's schedule with measured quantities:
-every bunch exploration is a bounded Dijkstra whose frontier words are
-counted, and virtual-edge traffic is charged via Lemma 1 broadcast.
+every bunch exploration ships the words of its path (one per vertex on
+it, each found edge counted), and virtual-edge traffic is charged via
+Lemma 1 broadcast.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
+import numpy as np
+
+from ..congest.bellman_ford import _run_starts
 from ..congest.bfs import BFSTree
 from ..congest.messages import DEFAULT_CAPACITY_WORDS
 from ..congest.metrics import pipelined_rounds
 from ..dataclass import dataclass
-from ..exceptions import HopsetError, ParameterError
+from ..exceptions import ParameterError
 from ..graphs.shortest_paths import INF
-from ..graphs.virtual_graph import VirtualGraph
-from .hopset import Hopset, HopsetEdge
+from .hopset import Hopset, shortest_paths
 from .verification import measure_hopbound
 
 
 @dataclass
 class HopsetBuildReport:
-    """What the hopset build produced and what it cost."""
+    """What the hopset build produced and what it cost; ``augmented``
+    is ``G''``, the weight matrix with the hopset written over it."""
 
     hopset: Hopset
+    augmented: np.ndarray
     levels: int
     hierarchy_sizes: List[int]
     rounds: int
@@ -55,42 +65,6 @@ class HopsetBuildReport:
     @property
     def num_edges(self) -> int:
         return len(self.hopset)
-
-
-def _virtual_dijkstra_with_paths(virtual: VirtualGraph, source: int
-                                 ) -> Tuple[Dict[int, float],
-                                            Dict[int, Optional[int]]]:
-    """Dijkstra over the virtual graph, returning distances and parents."""
-    dist: Dict[int, float] = {v: INF for v in virtual.vertices()}
-    parent: Dict[int, Optional[int]] = {v: None for v in virtual.vertices()}
-    dist[source] = 0.0
-    heap: List[Tuple[float, int]] = [(0.0, source)]
-    done = set()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for v, w in virtual.neighbor_weights(u):
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                heapq.heappush(heap, (nd, v))
-    return dist, parent
-
-
-def _extract_path(parent: Dict[int, Optional[int]], source: int,
-                  target: int) -> Tuple[int, ...]:
-    path = [target]
-    while path[-1] != source:
-        prev = parent[path[-1]]
-        if prev is None:
-            raise HopsetError(
-                f"no path from {source} to {target} in virtual graph")
-        path.append(prev)
-    path.reverse()
-    return tuple(path)
 
 
 def sample_hierarchy(vertices: Sequence[int], levels: int,
@@ -110,16 +84,16 @@ def sample_hierarchy(vertices: Sequence[int], levels: int,
     return hierarchy
 
 
-def build_hopset(virtual: VirtualGraph, eps: float,
+def build_hopset(weights: np.ndarray, eps: float,
                  rho: float = 0.5,
                  rng: Optional[random.Random] = None,
                  bfs_tree: Optional[BFSTree] = None) -> HopsetBuildReport:
-    """Build a path-reporting hopset for ``virtual`` (paper Theorem 2).
+    """Build a path-reporting hopset for ``G'`` (paper Theorem 2).
 
     Parameters
     ----------
-    virtual:
-        The virtual graph ``G'`` (e.g. from source detection).
+    weights:
+        ``G'``'s ``V' × V'`` weight matrix (``INF`` = no edge).
     eps:
         Target stretch slack; used only for β measurement — the TZ
         emulator's edges are exact distances, so smaller ``eps`` simply
@@ -142,57 +116,55 @@ def build_hopset(virtual: VirtualGraph, eps: float,
     if rng is None:
         rng = random.Random(0)
 
-    vertices = virtual.vertices()
-    m = len(vertices)
-    hopset = Hopset()
+    m = len(weights)
+    dist, pred = shortest_paths(weights)
     if m <= 1:
-        report = HopsetBuildReport(hopset=hopset, levels=0,
-                                   hierarchy_sizes=[m], rounds=0, eps=eps)
-        hopset.beta_measured = 1
-        return report
+        none = np.empty(0, dtype=np.int64)
+        return HopsetBuildReport(
+            hopset=Hopset(dist, pred, none, none, np.empty(0)),
+            augmented=weights.copy(), levels=0, hierarchy_sizes=[m],
+            rounds=0, eps=eps)
 
     levels = max(2, math.ceil(1.0 / rho))
-    hierarchy = sample_hierarchy(vertices, levels, rng)
-    level_of: Dict[int, int] = {}
+    hierarchy = sample_hierarchy(range(m), levels, rng)
+    level_of = np.zeros(m, dtype=np.int64)
     for i, level_set in enumerate(hierarchy):
-        for v in level_set:
-            level_of[v] = i  # highest level containing v
+        level_of[level_set] = i       # highest level containing v
+    # the pivot: the nearest vertex a level up, the first on a tie
+    upper = np.where(level_of > level_of[:, None], dist, INF)
+    pivot = upper.argmin(axis=1)
+    pivot_dist = upper[np.arange(m), pivot]
+    # the bunch: same-or-higher level, strictly closer than the pivot
+    bunch = (level_of >= level_of[:, None]) & (dist < pivot_dist[:, None])
+    np.fill_diagonal(bunch, False)
+    bunch_u, bunch_v = np.nonzero(bunch)
+    reached = np.flatnonzero(pivot_dist < INF)
+    u = np.concatenate([bunch_u, reached])
+    order = np.argsort(u, kind="stable")      # per u: bunch, then pivot
+    u = u[order]
+    v = np.concatenate([bunch_v, pivot[reached]])[order]
 
-    exploration_words = 0
-    for u in vertices:
-        i = level_of[u]
-        dist, parent = _virtual_dijkstra_with_paths(virtual, u)
-        next_level = hierarchy[i + 1] if i + 1 < levels else []
-        if next_level:
-            pivot = min(next_level, key=lambda x: (dist[x], x))
-            pivot_dist = dist[pivot]
-        else:
-            pivot = None
-            pivot_dist = INF
-        # bunch: same-or-higher level vertices strictly closer than the
-        # next-level pivot
-        for v in vertices:
-            if v == u or level_of[v] < i:
-                continue
-            if dist[v] < pivot_dist and dist[v] < INF:
-                path = _extract_path(parent, u, v)
-                hopset.add(HopsetEdge(u, v, dist[v], path))
-                exploration_words += len(path)
-        if pivot is not None and pivot_dist < INF:
-            path = _extract_path(parent, u, pivot)
-            hopset.add(HopsetEdge(u, pivot, pivot_dist, path))
-            exploration_words += len(path)
-
-    # Round charge (Theorem 2 schedule with measured quantities):
-    #   exploration traffic over virtual edges is realized by Lemma-1
-    #   broadcasts; κ sampling levels each ship their bunch explorations.
+    # every found edge ships its path: one word per vertex on it
+    words = len(u)
+    x = v.copy()
+    while (walking := x != u).any():
+        x[walking] = pred[u[walking], x[walking]]
+        words += int(walking.sum())
     height = bfs_tree.height if bfs_tree is not None else 0
-    rounds = levels * pipelined_rounds(
-        2 * exploration_words, DEFAULT_CAPACITY_WORDS, height)
+    rounds = levels * pipelined_rounds(2 * words, DEFAULT_CAPACITY_WORDS,
+                                       height)
 
-    augmented = hopset.augment(virtual)
-    hopset.beta_measured = measure_hopbound(virtual, augmented, eps)
-    report = HopsetBuildReport(hopset=hopset, levels=levels,
-                               hierarchy_sizes=[len(s) for s in hierarchy],
-                               rounds=rounds, eps=eps)
-    return report
+    # one edge per endpoint pair: the lightest, the first found on a tie
+    key = np.minimum(u, v) * m + np.maximum(u, v)
+    weight = dist[u, v]
+    order = np.lexsort((np.arange(len(u)), weight, key))
+    keep = order[_run_starts(key[order])]
+    hopset = Hopset(dist, pred, u[keep], v[keep], weight[keep])
+    augmented = weights.copy()
+    augmented[hopset.u, hopset.v] = hopset.weight
+    augmented[hopset.v, hopset.u] = hopset.weight
+    hopset.beta_measured = measure_hopbound(dist, augmented, eps)
+    return HopsetBuildReport(hopset=hopset, augmented=augmented,
+                             levels=levels,
+                             hierarchy_sizes=[len(s) for s in hierarchy],
+                             rounds=rounds, eps=eps)

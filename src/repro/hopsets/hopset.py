@@ -1,129 +1,141 @@
-"""Hopset data structures (paper, Definition 1 and Property 1).
+"""The virtual plane's matrices and the hopset over them (paper,
+Definition 1 and Property 1).
 
-A ``(beta, eps)``-hopset for a graph ``G`` is an edge set ``F`` such that
-in ``H = (V, E ∪ F)``:
+``G'`` lives on ``V' = A_{ceil(k/2)}``, which Lemma 1 makes global
+knowledge, so it is a float64 ``V' × V'`` weight matrix: ``W[a, b]``
+is the virtual edge between the ``a``-th and ``b``-th vertex of ``V'``
+(ascending), ``INF`` where there is none, the diagonal included.
+``G''`` is the same matrix with the hopset's weights written over it.
 
-    d_G(u,v) <= d_H(u,v) <= d^(beta)_H(u,v) <= (1+eps) d_G(u,v).     (4)
+A ``(beta, eps)``-hopset for ``G'`` is an edge set ``F`` such that in
+``H = G' ∪ F``:
 
-The paper additionally needs hopsets to be **path-reporting**
-(Property 1): every hopset edge ``(u, v)`` of weight ``b`` is realized by
-a path ``P`` in the underlying graph of length exactly ``b``, and every
-vertex on ``P`` knows its distances to both endpoints and its neighbors
-on ``P``.  Phase 1.5 of the cluster construction walks these paths to
-assign real parents, so we store them explicitly.
+    d_G'(u,v) <= d_H(u,v) <= d^(beta)_H(u,v) <= (1+eps) d_G'(u,v).   (4)
+
+The paper needs it **path-reporting** (Property 1): every hopset edge
+``(u, v)`` of weight ``b`` stands for a path ``P`` of ``G'`` of length
+exactly ``b``, and every vertex on ``P`` knows its distances to both
+endpoints and its neighbours on ``P``.  Here every edge's weight is the
+all-pairs distance ``D[u, v]``, its path is the predecessor walk of
+row ``u`` of ``P``, and the Property-1 prefix sums are ``D[u, path]``.
+
+:func:`shortest_paths` is that all-pairs pass: a row-wise min-plus of
+left-fold sums ``D[s, u] + W[u, v]`` run to its fixed point, so every
+distance is the float a Dijkstra from ``s`` sums, and ``P[s, v]`` is
+the first ``u`` in ascending ``(D[s, u], u)`` order — Dijkstra's pop
+order — that attains ``D[s, v]``: the parent that Dijkstra, updating
+only on a strict improvement, keeps.  Every product is chunked by
+source rows so its ``rows × m × m`` candidate cube stays under
+:data:`_CUBE_CELLS` cells.
 """
 
 from __future__ import annotations
 
-from dataclasses import field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import List
+
+import numpy as np
 
 from ..dataclass import dataclass
-from ..exceptions import HopsetError
-from ..graphs.virtual_graph import VirtualGraph
+from ..graphs.shortest_paths import INF
+
+#: Ceiling on the cells of one chunk's ``rows × m × m`` min-plus cube
+#: (2 MB of float64).
+_CUBE_CELLS = 1 << 18
 
 
-@dataclass(frozen=True)
-class HopsetEdge:
-    """One hopset edge with its realizing path.
-
-    ``path`` lists the underlying-graph vertices from ``u`` to ``v``
-    inclusive; ``weight`` equals the path's length under the underlying
-    graph's weights (Property 1 requires equality, which the verifier
-    checks).
-    """
-
-    u: int
-    v: int
-    weight: float
-    path: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.path) < 2:
-            raise HopsetError(
-                f"hopset edge ({self.u}, {self.v}) has a degenerate path")
-        if self.path[0] != self.u or self.path[-1] != self.v:
-            raise HopsetError(
-                f"hopset edge ({self.u}, {self.v}) path endpoints "
-                f"{self.path[0]}..{self.path[-1]} do not match")
-        if self.weight <= 0:
-            raise HopsetError(
-                f"hopset edge ({self.u}, {self.v}) has non-positive weight")
-
-    def other(self, x: int) -> int:
-        """The endpoint that is not ``x``."""
-        if x == self.u:
-            return self.v
-        if x == self.v:
-            return self.u
-        raise HopsetError(f"{x} is not an endpoint of ({self.u}, {self.v})")
-
-    def prefix_distances(self, base: VirtualGraph) -> List[float]:
-        """Distances from ``u`` to each path vertex under ``base`` weights.
-
-        This is the Property-1 knowledge: vertex ``x`` on ``P`` knows
-        ``d_P(x, u)`` (and by subtraction ``d_P(x, v)``).
-        """
-        out = [0.0]
-        for a, b in zip(self.path, self.path[1:]):
-            out.append(out[-1] + base.weight(a, b))
-        return out
+def _row_chunks(rows: int, m: int):
+    step = max(1, _CUBE_CELLS // max(m * m, 1))
+    return ((lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
 
+def min_plus(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``out[s, v] = min_u left[s, u] + right[u, v]``."""
+    out = np.empty((left.shape[0], right.shape[1]))
+    for lo, hi in _row_chunks(left.shape[0], right.shape[0]):
+        np.min(left[lo:hi, :, None] + right, axis=1, out=out[lo:hi])
+    return out
+
+
+def hop_bounded(weights: np.ndarray, hops: int) -> np.ndarray:
+    """``d^(hops)`` between every pair: synchronous min-plus hops from
+    the identity (0 on the diagonal, ``INF`` elsewhere)."""
+    dist = np.full(weights.shape, INF)
+    np.fill_diagonal(dist, 0.0)
+    for _ in range(hops):
+        dist = np.minimum(dist, min_plus(dist, weights))
+    return dist
+
+
+def shortest_paths(weights: np.ndarray):
+    """All-pairs distances ``D`` and predecessors ``P`` of the virtual
+    graph with weight matrix ``weights``; ``P`` is ``-1`` on the
+    diagonal and where ``D`` is ``INF`` (module docstring)."""
+    m = len(weights)
+    dist = hop_bounded(weights, 0)
+    while True:
+        step = np.minimum(dist, min_plus(dist, weights))
+        if np.array_equal(step, dist):
+            break
+        dist = step
+    pred = np.full((m, m), -1, dtype=np.int64)
+    for lo, hi in _row_chunks(m, m):
+        row = dist[lo:hi]
+        order = np.argsort(row, axis=1, kind="stable")
+        # hit[s, j, v]: the j-th vertex of s's pop order attains D[s, v]
+        hit = (np.take_along_axis(row, order, 1)[:, :, None]
+               + weights[order]) == row[:, None, :]
+        hit &= row[:, None, :] < INF
+        first = hit.argmax(axis=1)
+        pred[lo:hi] = np.where(hit.any(axis=1),
+                               np.take_along_axis(order, first, 1), -1)
+    return dist, pred
+
+
+@dataclass(eq=False)
 class Hopset:
-    """A collection of path-reporting hopset edges over a base graph.
+    """A path-reporting hopset as columns over ``V'`` indices.
 
-    The *base* is whatever graph the realizing paths live in — for the
-    paper's ``G''`` construction that is the virtual graph ``G'``.
+    Edge ``e`` joins ``u[e]`` and ``v[e]`` with ``weight[e] = dist[u[e],
+    v[e]]``; ``u[e]`` is the endpoint whose row found it, and its path
+    is that row's predecessor walk.  Columns are sorted by the edge's
+    sorted endpoints.  ``dist`` and ``pred`` are ``G'``'s
+    :func:`shortest_paths`; ``beta_measured`` is the hopbound the build
+    measured on the instance.
     """
 
-    def __init__(self, beta_target: int = 0) -> None:
-        self._edges: List[HopsetEdge] = []
-        self._by_endpoint: Dict[Tuple[int, int], HopsetEdge] = {}
-        self.beta_target = beta_target
-        #: measured hopbound, set by the verifier / builder
-        self.beta_measured: Optional[int] = None
-
-    def add(self, edge: HopsetEdge) -> None:
-        """Insert an edge; keeps only the lighter of duplicate endpoints."""
-        key = (min(edge.u, edge.v), max(edge.u, edge.v))
-        existing = self._by_endpoint.get(key)
-        if existing is not None:
-            if existing.weight <= edge.weight:
-                return
-            self._edges.remove(existing)
-        self._by_endpoint[key] = edge
-        self._edges.append(edge)
-
-    def edges(self) -> List[HopsetEdge]:
-        return list(self._edges)
+    dist: np.ndarray
+    pred: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    weight: np.ndarray
+    beta_measured: int = 1
 
     def __len__(self) -> int:
-        return len(self._edges)
+        return len(self.u)
 
-    def __iter__(self) -> Iterator[HopsetEdge]:
-        return iter(self._edges)
+    def path(self, e: int) -> List[int]:
+        """Edge ``e``'s path in ``G'``, from ``u[e]`` to ``v[e]``."""
+        source, x = int(self.u[e]), int(self.v[e])
+        walk = [x]
+        while x != source:
+            x = int(self.pred[source, x])
+            walk.append(x)
+        return walk[::-1]
 
-    def lookup(self, u: int, v: int) -> Optional[HopsetEdge]:
-        """The stored edge between ``u`` and ``v`` (either order)."""
-        return self._by_endpoint.get((min(u, v), max(u, v)))
+    def prefix_distances(self, e: int) -> List[float]:
+        """``d_P(u[e], ·)`` along :meth:`path` — the Property-1
+        knowledge of the path's vertices."""
+        return self.dist[self.u[e], self.path(e)].tolist()
 
-    def total_weight(self) -> float:
-        return sum(e.weight for e in self._edges)
-
-    def augment(self, base: VirtualGraph) -> VirtualGraph:
-        """The paper's ``G''``: base plus hopset edges.
-
-        On weight conflicts the hopset's weight wins, per Section 3.3.1
-        ("In the case of conflict, the weights w'' agree with the weights
-        of the hopset F").
-        """
-        augmented = base.copy()
-        for edge in self._edges:
-            # hopset weight wins even when heavier than an existing edge
-            augmented.add_edge(edge.u, edge.v, edge.weight)
-        return augmented
+    def slot(self) -> np.ndarray:
+        """``m × m`` edge ids: ``e`` at ``(u[e], v[e])`` and ``(v[e],
+        u[e])``, ``-1`` where no hopset edge lies."""
+        slot = np.full(self.dist.shape, -1, dtype=np.int64)
+        ids = np.arange(len(self))
+        slot[self.u, self.v] = ids
+        slot[self.v, self.u] = ids
+        return slot
 
     def __repr__(self) -> str:
-        return (f"Hopset(edges={len(self._edges)}, "
+        return (f"Hopset(edges={len(self)}, "
                 f"beta_measured={self.beta_measured})")

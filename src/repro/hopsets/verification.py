@@ -7,94 +7,72 @@ we measure, per instance, the smallest ``β`` such that
 
 and downstream phases iterate exactly that many times.  (Phase 1 of the
 cluster construction is a ``β``-iteration Bellman–Ford over ``G''`` —
-using a measured β keeps it both correct and tight.)
+using a measured β keeps it both correct and tight.)  Everything here
+is min-plus products over the ``V' × V'`` matrices.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import numpy as np
 
 from ..exceptions import HopsetError
 from ..graphs.shortest_paths import INF
-from ..graphs.virtual_graph import VirtualGraph
-from .hopset import Hopset
+from .hopset import Hopset, hop_bounded, min_plus, shortest_paths
 
 
-def measure_hopbound(base: VirtualGraph, augmented: VirtualGraph,
-                     eps: float, max_beta: Optional[int] = None) -> int:
-    """Smallest β with ``d^(β)_augmented <= (1+eps) * d_base`` everywhere.
+def measure_hopbound(dist: np.ndarray, augmented: np.ndarray,
+                     eps: float) -> int:
+    """Smallest β with ``d^(β)_augmented <= (1+eps) * dist`` on every
+    pair that ``dist`` — ``G'``'s all-pairs distances — reaches.
 
-    Runs synchronized Bellman–Ford sweeps from every vertex of the
-    augmented graph, stopping as soon as all pairs are within ``(1+eps)``
-    of the base's exact distances.  Intended for virtual graphs (≈ sqrt n
-    vertices), where all-pairs work is affordable.
+    Synchronous min-plus hops over ``augmented`` from the identity,
+    stopping as soon as every pair is within ``(1+eps)``; a global
+    read of ``G'`` a CONGEST network does not make
+    (``core/README.md``).
     """
-    vertices = base.vertices()
-    if augmented.vertices() != vertices:
+    if augmented.shape != dist.shape:
         raise HopsetError("augmented graph must share the base vertex set")
-    if len(vertices) <= 1:
+    m = len(dist)
+    if m <= 1:
         return 1
-    exact: Dict[int, Dict[int, float]] = {
-        u: base.dijkstra(u) for u in vertices}
-    targets: Dict[int, Dict[int, float]] = {
-        u: {v: (1.0 + eps) * d for v, d in exact[u].items()
-            if v != u and d < INF}
-        for u in vertices}
-    # current[u][v]: best known hop-bounded distance from u
-    current: Dict[int, Dict[int, float]] = {
-        u: {u: 0.0} for u in vertices}
-    if max_beta is None:
-        max_beta = len(vertices)
-    for beta in range(1, max_beta + 1):
-        for u in vertices:
-            cur = current[u]
-            updates: Dict[int, float] = {}
-            for x, dx in list(cur.items()):
-                for y, w in augmented.neighbor_weights(x):
-                    nd = dx + w
-                    if nd < cur.get(y, INF) and nd < updates.get(y, INF):
-                        updates[y] = nd
-            for y, nd in updates.items():
-                if nd < cur.get(y, INF):
-                    cur[y] = nd
-        if all(current[u].get(v, INF) <= t + 1e-9
-               for u in vertices for v, t in targets[u].items()):
+    pairs = dist < INF
+    np.fill_diagonal(pairs, False)
+    target = (1.0 + eps) * dist[pairs] + 1e-9
+    current = hop_bounded(augmented, 0)
+    for beta in range(1, m + 1):
+        current = np.minimum(current, min_plus(current, augmented))
+        if (current[pairs] <= target).all():
             return beta
     raise HopsetError(
-        f"hopbound not reached within {max_beta} iterations; "
+        f"hopbound not reached within {m} iterations; "
         "the hopset likely violates Definition 1")
 
 
-def verify_hopset_property(base: VirtualGraph, hopset: Hopset,
+def verify_hopset_property(weights: np.ndarray, augmented: np.ndarray,
                            beta: int, eps: float) -> bool:
-    """Check Definition 1 for the given ``(beta, eps)`` pair."""
-    augmented = hopset.augment(base)
-    vertices = base.vertices()
-    for u in vertices:
-        exact = base.dijkstra(u)
-        bounded = augmented.hop_bounded_distances(u, beta)
-        full = augmented.dijkstra(u)
-        for v in vertices:
-            if v == u or exact[v] == INF:
-                continue
-            # d_G <= d_H (hopset edges must dominate)
-            if full[v] < exact[v] - 1e-9:
-                return False
-            # d^(beta)_H <= (1+eps) d_G
-            if bounded.get(v, INF) > (1.0 + eps) * exact[v] + 1e-9:
-                return False
-    return True
+    """Check Definition 1 for ``G'`` = ``weights``, ``G''`` =
+    ``augmented`` and the given ``(beta, eps)`` pair."""
+    exact = shortest_paths(weights)[0]
+    full = shortest_paths(augmented)[0]
+    bounded = hop_bounded(augmented, beta)
+    pairs = exact < INF
+    np.fill_diagonal(pairs, False)
+    # d_G <= d_H (hopset edges must dominate); d^(beta)_H <= (1+eps) d_G
+    return bool((full[pairs] >= exact[pairs] - 1e-9).all()
+                and (bounded[pairs] <= (1.0 + eps) * exact[pairs]
+                     + 1e-9).all())
 
 
-def verify_path_reporting(base: VirtualGraph, hopset: Hopset) -> bool:
-    """Check Property 1: every edge's path exists in ``base`` and its
-    length equals the edge weight."""
-    for edge in hopset:
-        total = 0.0
-        for a, b in zip(edge.path, edge.path[1:]):
-            if not base.has_edge(a, b):
-                return False
-            total += base.weight(a, b)
-        if abs(total - edge.weight) > 1e-9 * max(1.0, edge.weight):
+def verify_path_reporting(weights: np.ndarray, hopset: Hopset) -> bool:
+    """Check Property 1: every edge's path runs over edges of ``G'`` and
+    its length equals the edge weight."""
+    for e in range(len(hopset)):
+        path = hopset.path(e)
+        steps = weights[path[:-1], path[1:]]
+        if not (steps < INF).all():
+            return False
+        total = sum(steps.tolist())
+        weight = float(hopset.weight[e])
+        if abs(total - weight) > 1e-9 * max(1.0, weight):
             return False
     return True

@@ -1,10 +1,12 @@
-"""The BFS flood as a CONGEST node program, run on :class:`FastSimulator`:
-the oracle :func:`repro.congest.build_bfs_tree` is held to
-(``tests/congest/test_bfs_kernel.py``)."""
+"""Floods as CONGEST node programs, run on :class:`FastSimulator`: the
+BFS flood :func:`repro.congest.build_bfs_tree` is held to
+(``tests/congest/test_bfs_kernel.py``), and the gossip flood the
+Lemma-1 broadcast charge is checked against
+(``tests/congest/test_bfs_broadcast.py``)."""
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from ..congest.bfs import BFSTree
 from ..congest.fast_engine import FastSimulator, RunReport
@@ -55,3 +57,47 @@ def simulate_bfs_tree(network: Network, root: int = 0
     return BFSTree(root=root, parent=[s["parent"] for s in states],
                    depth=[s["depth"] for s in states], rounds=report.rounds,
                    messages=report.delivered_messages), report
+
+
+class _GossipProgram(NodeProgram):
+    """Literal flood: every node forwards every distinct message once
+    (round-equivalent to Lemma 1's tree pipelining up to constants)."""
+
+    def __init__(self, initial: Dict[int, List[Tuple]]) -> None:
+        self._initial = initial
+
+    def initialize(self, ctx: NodeContext) -> List[Outgoing]:
+        ctx.state["seen"] = set()
+        out: List[Outgoing] = []
+        for item in self._initial.get(ctx.node, []):
+            ctx.state["seen"].add(item)
+            # one immutable Message per item, shared across all targets
+            message = Message("gossip", item)
+            for v in ctx.neighbors:
+                out.append((v, message))
+        return out
+
+    def on_round(self, ctx: NodeContext,
+                 inbox: List[Tuple[int, Message]]) -> List[Outgoing]:
+        out: List[Outgoing] = []
+        seen = ctx.state["seen"]
+        for sender, message in inbox:
+            item = message.payload
+            if item in seen:
+                continue
+            seen.add(item)
+            # forward the received Message object itself — it is frozen,
+            # so fan-out costs list appends, not dataclass constructions
+            for v in ctx.neighbors:
+                if v != sender:
+                    out.append((v, message))
+        return out
+
+
+def simulate_flood_rounds(network: Network,
+                          initial: Dict[int, List[Tuple]]
+                          ) -> Tuple[int, List[set]]:
+    """Actually flood ``initial`` messages; return (rounds, per-node sets)."""
+    report = FastSimulator(network).run(_GossipProgram(initial))
+    seen = [report.state_of(u)["seen"] for u in range(network.num_nodes)]
+    return report.rounds, seen

@@ -12,18 +12,22 @@ Pipeline (Appendix A):
 1. sample ``X`` (each vertex w.p. ``1/sqrt(n)``), set ``V' = A ∪ X`` and
    ``B = 4 sqrt(n) ln n``;
 2. Theorem-1 source detection from ``V'`` with slack ``eps/2``; its
-   estimates form the virtual graph ``G'``;
-3. a path-reporting hopset on ``G'`` gives ``G''`` satisfying (13);
+   estimates form the virtual graph ``G'``, a ``V' × V'`` weight matrix;
+3. a path-reporting hopset on ``G'`` gives ``G''`` satisfying (13), the
+   same matrix with the hopset's weights written over it;
 4. ``β`` Bellman–Ford iterations over ``G''`` rooted at the *set* ``A``
-   (realized by Lemma-1 broadcasts) give ``(d̂(v), ẑ(v))`` for ``v ∈ V'``;
-5. every ``u ∈ V`` extends: ``d̂(u) = min_{v∈V'} (d_uv + d̂(v))``.
+   (realized by Lemma-1 broadcasts) give ``(d̂(v), ẑ(v))`` for ``v ∈ V'``:
+   masked min-plus steps over the matrix, a target taking the first
+   minimum in ascending frontier order;
+5. every ``u ∈ V`` extends: ``d̂(u) = min_{v∈V'} (d_uv + d̂(v))``, one
+   sweep over the detection's rows.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +37,6 @@ from ..congest.metrics import CostLedger, pipelined_rounds
 from ..dataclass import dataclass
 from ..exceptions import ParameterError
 from ..graphs.shortest_paths import INF
-from ..graphs.virtual_graph import VirtualGraph
 from ..graphs.weighted_graph import WeightedGraph
 from ..hopsets.construction import build_hopset
 from .source_detection import (
@@ -62,61 +65,46 @@ class ApproxSPTResult:
     beta: int
 
 
-def _set_rooted_virtual_bellman_ford(virtual: VirtualGraph,
-                                     roots: Sequence[int],
-                                     iterations: int,
-                                     bfs_tree: Optional[BFSTree]
-                                     ) -> tuple:
-    """Bellman–Ford over ``G''`` with all of ``roots`` at distance 0.
-
-    Every iteration's fresh ``(vertex, dist, witness)`` updates are
-    broadcast (Lemma 1).  Returns (dist, witness, rounds).
-    """
-    dist: Dict[int, float] = {v: INF for v in virtual.vertices()}
-    witness: Dict[int, Optional[int]] = {v: None for v in virtual.vertices()}
-    frontier = []
-    for r in roots:
-        if virtual.contains(r):
-            dist[r] = 0.0
-            witness[r] = r
-            frontier.append(r)
-    height = bfs_tree.height if bfs_tree is not None else 0
+def _set_rooted_min_plus(augmented: np.ndarray, roots: np.ndarray,
+                        iterations: int, height: int) -> tuple:
+    """Bellman–Ford over ``G''`` with every root (a ``V'`` index) at
+    distance 0: per iteration, one masked min-plus step from the
+    vertices that improved in the last one, each target taking the
+    first minimum in ascending frontier order.  Every iteration's fresh
+    ``(vertex, dist, witness)`` updates are broadcast (Lemma 1).
+    Returns ``(dist, witness, rounds)`` over ``V'``, a witness being the
+    root's ``V'`` index (``-1`` where unreached)."""
+    m = len(augmented)
+    dist = np.full(m, INF)
+    dist[roots] = 0.0
+    witness = np.full(m, -1, dtype=np.int64)
+    witness[roots] = roots
+    frontier = roots
     rounds = 0
     for _ in range(iterations):
-        if not frontier:
+        if frontier.size == 0:
             break
-        update_words = 3 * len(frontier)
-        rounds += 2 * pipelined_rounds(update_words, DEFAULT_CAPACITY_WORDS,
-                                       height)
-        updates: Dict[int, tuple] = {}
-        for u in frontier:
-            du = dist[u]
-            for v, w in virtual.neighbor_weights(u):
-                nd = du + w
-                best = updates.get(v)
-                if nd < dist[v] and (best is None or nd < best[0]):
-                    updates[v] = (nd, witness[u])
-        frontier = []
-        for v, (nd, z) in updates.items():
-            if nd < dist[v]:
-                dist[v] = nd
-                witness[v] = z
-                frontier.append(v)
+        rounds += 2 * pipelined_rounds(3 * frontier.size,
+                                       DEFAULT_CAPACITY_WORDS, height)
+        candidates = dist[frontier, None] + augmented[frontier]
+        first = candidates.argmin(axis=0)
+        best = candidates[first, np.arange(m)]
+        improved = best < dist
+        witness[improved] = witness[frontier[first[improved]]]
+        dist[improved] = best[improved]
+        frontier = np.flatnonzero(improved)
     return dist, witness, rounds
 
 
 def _extend_to_all(detection: SourceDetectionResult,
-                   dist_vp: Dict[int, float],
-                   witness_vp: Dict[int, Optional[int]]
+                   dist_vp: np.ndarray, witness_vp: np.ndarray
                    ) -> Tuple[List[float], List[Optional[int]]]:
     """Step 5: ``d̂(u) = min_{v∈V'} (d_uv + d̂(v))`` for every ``u``, and
     the witness of the winning ``v`` (the first strict minimum in
     ascending ``V'``): the Lemma-1 extension with one column."""
+    best, row = extend_over_sources(detection.dist, dist_vp.reshape(-1, 1))
     sources = detection.sources
-    values = np.asarray([dist_vp.get(v, INF) for v in sources],
-                        dtype=np.float64).reshape(-1, 1)
-    best, row = extend_over_sources(detection.dist, values)
-    witness = [None if r < 0 else witness_vp.get(sources[r])
+    witness = [None if r < 0 else sources[witness_vp[r]]
                for r in row[:, 0].tolist()]
     return best[:, 0].tolist(), witness
 
@@ -151,25 +139,25 @@ def approximate_spt(graph: WeightedGraph, roots: Sequence[int], eps: float,
     detection = detect_sources(graph, v_prime, hop_bound, eps / 2,
                                bfs_tree=bfs_tree)
     ledger.add("spt/source-detection", detection.rounds)
-    virtual = build_virtual_graph_from_detection(detection)
+    weights = build_virtual_graph_from_detection(detection)
 
     # Step 3: hopset on G' -> G''.
-    hopset_report = build_hopset(virtual, eps / 3, rho=rho, rng=rng,
+    hopset_report = build_hopset(weights, eps / 3, rho=rho, rng=rng,
                                  bfs_tree=bfs_tree)
     ledger.add("spt/hopset", hopset_report.rounds)
-    augmented = hopset_report.hopset.augment(virtual)
     beta = hopset_report.hopset.beta_measured
 
     # Step 4: β Bellman–Ford iterations over G'' rooted at the set A.
-    dist_vp, witness_vp, bf_rounds = _set_rooted_virtual_bellman_ford(
-        augmented, roots, beta, bfs_tree)
+    height = bfs_tree.height if bfs_tree is not None else 0
+    dist_vp, witness_vp, bf_rounds = _set_rooted_min_plus(
+        hopset_report.augmented, np.searchsorted(detection.sources, roots),
+        beta, height)
     ledger.add("spt/virtual-bellman-ford", bf_rounds)
 
     # Step 5: extend to all of V via the detection estimates.
     dist_hat, witness = _extend_to_all(detection, dist_vp, witness_vp)
     # the extension itself is local (u already knows d_uv and the
     # broadcast d̂(v) values); broadcasting the V' results costs:
-    height = bfs_tree.height if bfs_tree is not None else 0
     extend_rounds = 2 * pipelined_rounds(3 * len(v_prime),
                                          DEFAULT_CAPACITY_WORDS, height)
     ledger.add("spt/extension-broadcast", extend_rounds)

@@ -370,19 +370,13 @@ def detect_sources(graph: WeightedGraph, sources: Sequence[int],
     return result
 
 
-def build_virtual_graph_from_detection(result: SourceDetectionResult):
-    """The paper's ``G'``: virtual graph on the sources with edge weights
-    ``d_uv`` (Section 3.3.1).  Edges exist wherever ``d_uv < INF``; the
-    edge ``{u, v}``, ``u < v``, weighs ``d_uv`` (the cell
-    ``dist[row(v), u]``), and edges are added in ascending ``(u, v)``."""
-    from ..graphs.virtual_graph import VirtualGraph
-    virt = VirtualGraph(result.sources)
-    sources = result.sources
-    # between[i, j] = d(sources[i], sources[j]): column sources[i] of
-    # row j
-    between = result.dist[:, sources].T
-    us, vs = _np.nonzero(_np.triu(between < INF, k=1))
-    weights = between[us, vs].tolist()
-    for i, j, duv in zip(us.tolist(), vs.tolist(), weights):
-        virt.add_edge(sources[i], sources[j], duv)
-    return virt
+def build_virtual_graph_from_detection(result: SourceDetectionResult
+                                       ) -> _np.ndarray:
+    """The paper's ``G'`` (Section 3.3.1) as its ``V' × V'`` weight
+    matrix: for ``i < j`` the edge between ``u = sources[i]`` and
+    ``sources[j]`` weighs ``d_uv``, the cell ``dist[j, u]``, mirrored to
+    ``(j, i)``; ``INF`` marks no edge, the diagonal included."""
+    between = result.dist[:, result.sources].T
+    upper = _np.where(_np.triu(_np.ones(between.shape, dtype=bool), k=1),
+                      between, INF)
+    return _np.minimum(upper, upper.T)

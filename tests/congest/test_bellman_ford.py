@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.congest import (
@@ -9,26 +10,21 @@ from repro.congest import (
     build_bfs_tree,
     multi_source_exploration,
     nearest_source_exploration,
-    virtual_multi_source_exploration,
+    virtual_exploration,
 )
 from repro.graphs import (
     INF,
-    VirtualGraph,
     dijkstra_distances,
     dijkstra_to_set,
     hop_bounded_distances,
     random_connected,
 )
+from repro.hopsets import hop_bounded, shortest_paths
 
 
 def accept_all(graph):
     """The unconditional join as a rule: an INF budget everywhere."""
     return JoinRule(threshold=[INF] * graph.num_vertices)
-
-
-def accept_all_virtual(vertices):
-    """The unconditional join over a virtual graph's vertex ids."""
-    return JoinRule([INF] * (max(vertices) + 1))
 
 
 class TestNearestSource:
@@ -136,41 +132,45 @@ class TestMultiSource:
 
 class TestVirtualExploration:
     def _virtual(self, graph, vertices):
-        virt = VirtualGraph(vertices)
-        for u in vertices:
-            dist = dijkstra_distances(graph, u)
-            for v in vertices:
-                if v > u:
-                    virt.add_edge(u, v, dist[v])
-        return virt
+        """Exact distances between ``vertices`` as a virtual weight
+        matrix (INF on the diagonal)."""
+        weights = np.array([[dijkstra_distances(graph, u)[v]
+                             for v in vertices] for u in vertices],
+                           dtype=float)
+        np.fill_diagonal(weights, INF)
+        return weights
 
     def test_matches_virtual_dijkstra(self, medium_random):
-        vertices = [0, 5, 10, 15]
-        virt = self._virtual(medium_random, vertices)
+        weights = self._virtual(medium_random, [0, 5, 10, 15])
         tree = build_bfs_tree(medium_random, root=0)
-        result = virtual_multi_source_exploration(
-            virt, [0], len(vertices), accept_all_virtual(vertices), tree)
-        exact = virt.dijkstra(0)
-        for v in vertices:
-            assert result.dist[v][0] == pytest.approx(exact[v])
+        dist, _, _ = virtual_exploration(
+            weights, np.array([0]), len(weights), np.full(4, INF),
+            tree.height)
+        assert dist[0].tolist() == shortest_paths(weights)[0][0].tolist()
 
     def test_rounds_include_broadcast_cost(self, medium_random):
-        vertices = [0, 5, 10, 15]
-        virt = self._virtual(medium_random, vertices)
+        weights = self._virtual(medium_random, [0, 5, 10, 15])
         tree = build_bfs_tree(medium_random, root=0)
-        result = virtual_multi_source_exploration(
-            virt, [0], 3, accept_all_virtual(vertices), tree)
-        # every iteration pays at least 2 * tree height
-        assert result.rounds >= result.iterations * 2 * tree.height
+        _, _, rounds = virtual_exploration(
+            weights, np.array([0]), 3, np.full(4, INF), tree.height)
+        # both iterations (seed, then the improving hop) pay at least
+        # 2 * tree height; the third finds nothing to relay
+        assert rounds >= 2 * 2 * tree.height
 
     def test_hop_bounded_iterations(self, medium_random):
-        vertices = [0, 5, 10, 15, 20]
-        virt = self._virtual(medium_random, vertices)
+        weights = self._virtual(medium_random, [0, 5, 10, 15, 20])
         tree = build_bfs_tree(medium_random, root=0)
-        one_hop = virtual_multi_source_exploration(
-            virt, [0], 1, accept_all_virtual(vertices), tree)
-        expected = virt.hop_bounded_distances(0, 1)
-        for v in vertices:
-            if expected[v] < INF:
-                assert one_hop.dist[v].get(0, INF) == pytest.approx(
-                    expected[v])
+        one_hop, parent, _ = virtual_exploration(
+            weights, np.array([0]), 1, np.full(5, INF), tree.height)
+        assert one_hop[0].tolist() == hop_bounded(weights, 1)[0].tolist()
+        assert parent[0].tolist() == [-1, 0, 0, 0, 0]
+
+    def test_threshold_refuses_a_join(self, medium_random):
+        weights = self._virtual(medium_random, [0, 5, 10, 15])
+        tree = build_bfs_tree(medium_random, root=0)
+        threshold = np.full(4, INF)
+        threshold[2] = weights[0, 2]      # rule (14) is strict
+        dist, parent, _ = virtual_exploration(
+            weights, np.array([0]), 1, threshold, tree.height)
+        assert dist[0, 2] == INF and parent[0, 2] == -1
+        assert dist[0, 0] == 0.0          # the seed is always kept

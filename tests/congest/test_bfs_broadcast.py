@@ -11,7 +11,6 @@ from repro.congest import (
     convergecast,
     make_contexts,
     pipelined_rounds,
-    simulate_flood_rounds,
 )
 from repro.graphs import (
     grid,
@@ -22,6 +21,7 @@ from repro.graphs import (
     star_of_paths,
     weighted_small_world,
 )
+from repro.reference import simulate_flood_rounds
 
 CONTEXT_ZOO = {
     "random-32": lambda: random_connected(32, 0.12, seed=817),

@@ -24,9 +24,7 @@ from repro.congest import (
     build_bfs_tree,
     multi_source_exploration,
     nearest_source_exploration,
-    simulate_flood_rounds,
 )
-from repro.congest.broadcast import _GossipProgram
 from repro.exceptions import SimulationError
 from repro.graphs import (
     dijkstra_distances,
@@ -39,8 +37,9 @@ from repro.reference import (
     Simulator,
     multi_source_exploration_reference,
     nearest_source_exploration_reference,
+    simulate_flood_rounds,
 )
-from repro.reference.bfs import _BFSProgram
+from repro.reference.bfs import _BFSProgram, _GossipProgram
 
 # ----------------------------------------------------------------------
 # The three program families the construction relies on

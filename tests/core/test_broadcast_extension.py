@@ -92,10 +92,14 @@ def phase2_calls(monkeypatch):
     calls = []
     production = ac._broadcast_extension
 
-    def spy(centers, virt_value, detection, next_pivot_hat, eps):
+    def spy(centers, virt, detection, next_pivot_hat, eps):
+        # the Phase-1 matrix as the oracle's center -> {member: value}
+        virt_value = {u: {detection.sources[j]: b
+                          for j, b in enumerate(row) if b < INF}
+                      for u, row in zip(centers.tolist(), virt.tolist())}
         before = copy.deepcopy((centers.tolist(), virt_value,
                                 list(next_pivot_hat), eps))
-        cells, words = production(centers, virt_value, detection,
+        cells, words = production(centers, virt, detection,
                                   next_pivot_hat, eps)
         calls.append((before, detection, cells, words))
         return cells, words
@@ -112,7 +116,12 @@ def spt_calls(monkeypatch):
 
     def spy(detection, dist_vp, witness_vp):
         out = production(detection, dist_vp, witness_vp)
-        calls.append(((detection, dict(dist_vp), dict(witness_vp)), out))
+        # the V' arrays as the oracle's dicts by vertex
+        sources = detection.sources
+        calls.append(((detection, dict(zip(sources, dist_vp.tolist())),
+                       {v: None if w < 0 else sources[w]
+                        for v, w in zip(sources, witness_vp.tolist())}),
+                      out))
         return out
 
     monkeypatch.setattr(spt_module, "_extend_to_all", spy)

@@ -180,14 +180,17 @@ def test_one_block_matches_row_blocks(workload, k, monkeypatch,
 
 
 # ----------------------------------------------------------------------
-# Under the cell limit every exploration and detection is a single block
+# Under the cell limit every exploration, detection and Phase 1 is a
+# single block
 # ----------------------------------------------------------------------
 def test_vectorized_path_engaged(kernel_calls, count_calls):
     calls = count_calls(ac, "multi_source_exploration")
     detections = count_calls(ac, "detect_sources")
+    phase1 = count_calls(ac, "virtual_exploration")
     graph = WORKLOADS["random-32"]()
     build_approx_clusters(graph, 3, seed=113)
-    assert calls and len(kernel_calls) == len(calls) + len(detections)
+    assert calls and phase1
+    assert len(kernel_calls) == len(calls) + len(detections) + len(phase1)
 
 
 def test_join_rule_scalar_semantics():

@@ -1,15 +1,10 @@
-"""Tests for virtual (dominating) graphs."""
+"""Tests for virtual (dominating) graphs as V' × V' weight matrices."""
 
+import numpy as np
 import pytest
 
-from repro.exceptions import GraphError
-from repro.graphs import (
-    INF,
-    VirtualGraph,
-    dijkstra_distances,
-    random_connected,
-    verify_domination,
-)
+from repro.graphs import INF, dijkstra_distances, random_connected
+from repro.hopsets import hop_bounded, shortest_paths
 
 
 @pytest.fixture
@@ -19,78 +14,40 @@ def base():
 
 def exact_virtual(base, vertices):
     """A virtual graph whose edges are exact base distances (dominates)."""
-    virt = VirtualGraph(vertices)
-    for u in vertices:
-        dist = dijkstra_distances(base, u)
-        for v in vertices:
-            if v > u and dist[v] < INF:
-                virt.add_edge(u, v, dist[v])
-    return virt
+    weights = np.array([[dijkstra_distances(base, u)[v] for v in vertices]
+                        for u in vertices], dtype=float)
+    np.fill_diagonal(weights, INF)
+    return weights
 
 
-class TestConstruction:
-    def test_vertices_sorted_unique(self):
-        virt = VirtualGraph([5, 3, 5, 1])
-        assert virt.vertices() == [1, 3, 5]
-        assert virt.num_vertices == 3
-
-    def test_edge_outside_vertex_set_rejected(self):
-        virt = VirtualGraph([0, 1])
-        with pytest.raises(GraphError):
-            virt.add_edge(0, 2, 1.0)
-
-    def test_self_loop_rejected(self):
-        virt = VirtualGraph([0, 1])
-        with pytest.raises(GraphError):
-            virt.add_edge(0, 0, 1.0)
-
-    def test_nonpositive_weight_rejected(self):
-        virt = VirtualGraph([0, 1])
-        with pytest.raises(GraphError):
-            virt.add_edge(0, 1, 0)
-
-    def test_add_edge_if_shorter(self):
-        virt = VirtualGraph([0, 1])
-        assert virt.add_edge_if_shorter(0, 1, 5.0)
-        assert not virt.add_edge_if_shorter(0, 1, 7.0)
-        assert virt.weight(0, 1) == 5.0
-        assert virt.add_edge_if_shorter(0, 1, 2.0)
-        assert virt.weight(0, 1) == 2.0
-
-    def test_copy_independent(self):
-        virt = VirtualGraph([0, 1, 2])
-        virt.add_edge(0, 1, 3.0)
-        clone = virt.copy()
-        clone.add_edge(1, 2, 1.0)
-        assert not virt.has_edge(1, 2)
+def dominates(base, vertices, weights):
+    """``d_G'(u, v) >= d_G(u, v)`` for every pair of ``vertices``."""
+    exact = exact_virtual(base, vertices)
+    np.fill_diagonal(exact, 0.0)
+    return bool((shortest_paths(weights)[0] >= exact - 1e-9).all())
 
 
 class TestDistances:
     def test_dijkstra_within_virtual(self, base):
         vertices = [0, 5, 10, 15, 20]
-        virt = exact_virtual(base, vertices)
-        dist = virt.dijkstra(0)
+        dist = shortest_paths(exact_virtual(base, vertices))[0]
         exact = dijkstra_distances(base, 0)
-        for v in vertices:
+        for j, v in enumerate(vertices):
             # exact-distance cliques: virtual distance == base distance
-            assert dist[v] == pytest.approx(exact[v])
+            assert dist[0, j] == pytest.approx(exact[v])
 
     def test_hop_bounded_distances_shrink(self, base):
-        vertices = list(range(0, 30, 3))
-        virt = exact_virtual(base, vertices)
-        one = virt.hop_bounded_distances(0, 1)
-        two = virt.hop_bounded_distances(0, 2)
-        for v in vertices:
-            assert two[v] <= one[v]
+        virt = exact_virtual(base, list(range(0, 30, 3)))
+        assert (hop_bounded(virt, 2) <= hop_bounded(virt, 1)).all()
 
 
 class TestDomination:
     def test_exact_virtual_dominates(self, base):
-        virt = exact_virtual(base, [0, 3, 6, 9])
-        assert verify_domination(base, virt)
+        vertices = [0, 3, 6, 9]
+        assert dominates(base, vertices, exact_virtual(base, vertices))
 
     def test_undershooting_edge_fails_domination(self, base):
-        virt = VirtualGraph([0, 9])
         exact = dijkstra_distances(base, 0)[9]
-        virt.add_edge(0, 9, max(exact / 2, 0.5))
-        assert not verify_domination(base, virt)
+        virt = np.full((2, 2), INF)
+        virt[0, 1] = virt[1, 0] = max(exact / 2, 0.5)
+        assert not dominates(base, [0, 9], virt)

@@ -1,22 +1,21 @@
-"""Tests for hopset data structures, construction and verification."""
+"""Tests for the hopset over the virtual plane's matrices: the all-pairs
+pass, construction and verification."""
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.exceptions import HopsetError, ParameterError
-from repro.graphs import (
-    INF,
-    VirtualGraph,
-    dijkstra_distances,
-    random_connected,
-)
+from repro.graphs import INF, dijkstra_distances, random_connected
 from repro.hopsets import (
     Hopset,
-    HopsetEdge,
     build_hopset,
+    hop_bounded,
     measure_hopbound,
+    min_plus,
     sample_hierarchy,
+    shortest_paths,
     verify_hopset_property,
     verify_path_reporting,
 )
@@ -24,10 +23,10 @@ from repro.hopsets import (
 
 def ring_virtual(m, weight=1.0):
     """A virtual ring: long unaided hop distances, ideal hopset testbed."""
-    virt = VirtualGraph(list(range(m)))
+    weights = np.full((m, m), INF)
     for u in range(m):
-        virt.add_edge(u, (u + 1) % m, weight)
-    return virt
+        weights[u, (u + 1) % m] = weights[(u + 1) % m, u] = weight
+    return weights
 
 
 def detection_virtual(seed=5, n=40, num_sources=10):
@@ -35,59 +34,64 @@ def detection_virtual(seed=5, n=40, num_sources=10):
     g = random_connected(n, 0.12, seed=seed)
     rng = random.Random(seed)
     sources = sorted(rng.sample(range(n), num_sources))
-    virt = VirtualGraph(sources)
-    for u in sources:
-        dist = dijkstra_distances(g, u)
-        for v in sources:
-            if v > u and dist[v] < INF:
-                virt.add_edge(u, v, dist[v])
-    return virt
+    weights = np.array([[dijkstra_distances(g, u)[v] for v in sources]
+                        for u in sources], dtype=float)
+    np.fill_diagonal(weights, INF)
+    return weights
 
 
-class TestHopsetEdge:
-    def test_valid_edge(self):
-        e = HopsetEdge(0, 3, 5.0, (0, 1, 2, 3))
-        assert e.other(0) == 3
-        assert e.other(3) == 0
+class TestMatrices:
+    def test_min_plus(self):
+        left = np.array([[0.0, 2.0], [INF, 1.0]])
+        right = np.array([[5.0, 1.0], [1.0, INF]])
+        assert min_plus(left, right).tolist() == [[3.0, 1.0], [2.0, INF]]
 
-    def test_bad_endpoints_raise(self):
-        with pytest.raises(HopsetError):
-            HopsetEdge(0, 3, 5.0, (1, 2, 3))
-        with pytest.raises(HopsetError):
-            HopsetEdge(0, 3, 5.0, (0,))
+    def test_min_plus_chunks_agree(self, monkeypatch):
+        weights = detection_virtual()
+        whole = min_plus(weights, weights)
+        from repro.hopsets import hopset
+        monkeypatch.setattr(hopset, "_CUBE_CELLS", 1)
+        assert min_plus(weights, weights).tolist() == whole.tolist()
 
-    def test_nonpositive_weight_raises(self):
-        with pytest.raises(HopsetError):
-            HopsetEdge(0, 1, 0.0, (0, 1))
+    def test_shortest_paths_on_ring(self):
+        dist, pred = shortest_paths(ring_virtual(6, weight=2.0))
+        assert dist[0].tolist() == [0.0, 2.0, 4.0, 6.0, 4.0, 2.0]
+        # the antipode is reached from both sides: the smaller vertex
+        # of the two tied predecessors wins, as Dijkstra pops it first
+        assert pred[0].tolist() == [-1, 0, 1, 2, 5, 0]
 
-    def test_other_rejects_non_endpoint(self):
-        e = HopsetEdge(0, 3, 5.0, (0, 3))
-        with pytest.raises(HopsetError):
-            e.other(1)
+    def test_unreached_has_no_predecessor(self):
+        weights = np.full((3, 3), INF)
+        weights[0, 1] = weights[1, 0] = 1.0
+        dist, pred = shortest_paths(weights)
+        assert dist[0, 2] == INF and pred[0, 2] == -1
+
+    def test_hop_bounded_distances_shrink(self):
+        weights = ring_virtual(10)
+        one, two = hop_bounded(weights, 1), hop_bounded(weights, 2)
+        assert (two <= one).all()
+        assert one[0, 2] == INF and two[0, 2] == 2.0
+
+
+class TestHopsetColumns:
+    def _hopset(self):
+        dist, pred = shortest_paths(ring_virtual(5, weight=2.0))
+        return Hopset(dist, pred, np.array([0, 3]), np.array([2, 0]),
+                      np.array([4.0, 4.0]))
+
+    def test_path_is_the_predecessor_walk(self):
+        hopset = self._hopset()
+        assert hopset.path(0) == [0, 1, 2]
+        assert hopset.path(1) == [3, 4, 0]
 
     def test_prefix_distances(self):
-        virt = ring_virtual(5, weight=2.0)
-        e = HopsetEdge(0, 2, 4.0, (0, 1, 2))
-        assert e.prefix_distances(virt) == [0.0, 2.0, 4.0]
+        assert self._hopset().prefix_distances(0) == [0.0, 2.0, 4.0]
 
-
-class TestHopsetContainer:
-    def test_add_keeps_lighter_duplicate(self):
-        hs = Hopset()
-        hs.add(HopsetEdge(0, 1, 5.0, (0, 1)))
-        hs.add(HopsetEdge(1, 0, 3.0, (1, 0)))
-        assert len(hs) == 1
-        assert hs.lookup(0, 1).weight == 3.0
-        hs.add(HopsetEdge(0, 1, 9.0, (0, 1)))
-        assert hs.lookup(0, 1).weight == 3.0
-
-    def test_augment_overrides_weight(self):
-        virt = ring_virtual(4)
-        hs = Hopset()
-        hs.add(HopsetEdge(0, 1, 7.0, (0, 1)))
-        aug = hs.augment(virt)
-        assert aug.weight(0, 1) == 7.0   # hopset wins the conflict
-        assert virt.weight(0, 1) == 1.0  # base untouched
+    def test_slot_is_symmetric(self):
+        slot = self._hopset().slot()
+        assert slot[0, 2] == slot[2, 0] == 0
+        assert slot[3, 0] == slot[0, 3] == 1
+        assert (slot >= 0).sum() == 4
 
 
 class TestSampleHierarchy:
@@ -114,23 +118,33 @@ class TestConstruction:
         assert beta is not None
         # unaided, antipodal pairs need 12 hops; hopset must shortcut
         assert beta < 12
-        assert verify_hopset_property(virt, report.hopset, beta, 0.25)
+        assert verify_hopset_property(virt, report.augmented, beta, 0.25)
 
     def test_hopset_property_on_detection_graph(self):
         virt = detection_virtual()
         report = build_hopset(virt, eps=0.2, rho=0.5, rng=random.Random(2))
         beta = report.hopset.beta_measured
-        assert verify_hopset_property(virt, report.hopset, beta, 0.2)
+        assert verify_hopset_property(virt, report.augmented, beta, 0.2)
 
     def test_path_reporting(self):
         for virt in (ring_virtual(20), detection_virtual()):
             report = build_hopset(virt, eps=0.3, rng=random.Random(4))
             assert verify_path_reporting(virt, report.hopset)
 
+    def test_augmented_is_base_with_hopset_weights(self):
+        virt = ring_virtual(20)
+        report = build_hopset(virt, eps=0.3, rng=random.Random(4))
+        hopset, augmented = report.hopset, report.augmented
+        assert augmented[hopset.u, hopset.v].tolist() == \
+            hopset.weight.tolist()
+        assert (augmented == augmented.T).all()
+        untouched = hopset.slot() < 0
+        assert (augmented[untouched] == virt[untouched]).all()
+
     def test_size_reasonable(self):
         virt = ring_virtual(40)
         report = build_hopset(virt, eps=0.3, rho=0.5, rng=random.Random(7))
-        m = virt.num_vertices
+        m = len(virt)
         # TZ emulator with 2 levels: O(m^{1.5}) edges, far below m^2
         assert len(report.hopset) <= 4 * int(m ** 1.5)
 
@@ -142,10 +156,10 @@ class TestConstruction:
         assert r4.levels == 4
 
     def test_trivial_graphs(self):
-        empty = VirtualGraph([])
+        empty = np.full((0, 0), INF)
         report = build_hopset(empty, eps=0.3)
         assert len(report.hopset) == 0
-        single = VirtualGraph([7])
+        single = np.full((1, 1), INF)
         report = build_hopset(single, eps=0.3)
         assert report.hopset.beta_measured == 1
 
@@ -166,24 +180,24 @@ class TestConstruction:
 
 class TestMeasureHopbound:
     def test_clique_has_hopbound_one(self):
-        virt = VirtualGraph(list(range(6)))
-        for u in range(6):
-            for v in range(u + 1, 6):
-                virt.add_edge(u, v, 1.0)
-        assert measure_hopbound(virt, virt, eps=0.1) == 1
+        virt = np.ones((6, 6))
+        np.fill_diagonal(virt, INF)
+        assert measure_hopbound(shortest_paths(virt)[0], virt, eps=0.1) == 1
 
     def test_ring_without_hopset_needs_many_hops(self):
         virt = ring_virtual(16)
-        assert measure_hopbound(virt, virt, eps=0.01) == 8
+        assert measure_hopbound(shortest_paths(virt)[0], virt,
+                                eps=0.01) == 8
 
     def test_raises_when_unreachable(self):
         base = ring_virtual(8)
         # bogus 'augmented' graph missing edges entirely
-        sparse = VirtualGraph(list(range(8)))
-        sparse.add_edge(0, 1, 1.0)
+        sparse = np.full((8, 8), INF)
+        sparse[0, 1] = sparse[1, 0] = 1.0
         with pytest.raises(HopsetError):
-            measure_hopbound(base, sparse, eps=0.1, max_beta=10)
+            measure_hopbound(shortest_paths(base)[0], sparse, eps=0.1)
 
     def test_mismatched_vertices_raise(self):
         with pytest.raises(HopsetError):
-            measure_hopbound(ring_virtual(5), ring_virtual(6), eps=0.1)
+            measure_hopbound(shortest_paths(ring_virtual(5))[0],
+                             ring_virtual(6), eps=0.1)
