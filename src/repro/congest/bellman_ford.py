@@ -60,7 +60,7 @@ between exactly tied candidates
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as _np
 

@@ -21,9 +21,11 @@ Construction phases (all costs measured into a :class:`CostLedger`):
   ``(k+1)/2``-pivot distance, parents from Remark 1;
 * **large scales** ``i >= ceil(k/2)`` — the two-phase virtual
   construction of Section 3.3: source detection from ``V' = A_{ceil(k/2)}``
-  builds ``G'``; a path-reporting hopset turns it into ``G''`` satisfying
-  (13); Phase 1 runs β Bellman–Ford iterations over ``G''`` with join
-  rule (14); Phase 1.5 walks hopset-edge paths to repair virtual parents;
+  builds ``G'``, a ``V' × V'`` weight matrix; a path-reporting hopset
+  turns it into ``G''`` satisfying (13); Phase 1 runs β Bellman–Ford
+  iterations over ``G''`` with join rule (14), on the exploration
+  kernel; Phase 1.5 walks hopset-edge paths (predecessor walks) to
+  repair virtual parents;
   Phase 2 broadcasts the virtual trees and extends them to all of ``V``
   with join rule (15), real parents coming from Remark 1.
 
@@ -362,32 +364,42 @@ def _walk_hopset_paths(virt: np.ndarray, vpar: np.ndarray,
     edge walks the edge's path from ``x``, improving every path vertex
     by ``b_x + d_P(x, ·)`` and taking its path predecessor as parent;
     the edge stands for its path, so if ``y`` still hangs off ``x`` it
-    takes ``path[-2]``.  The distances along the path are the prefix
-    sums ``D[u, path]`` of the predecessor walk, so no decision depends
-    on summation order.  Members are walked per center in ascending
+    takes ``path[-2]``.  The distances along the path are the
+    Property-1 prefix sums ``D[u, path]`` of the predecessor walk from
+    the edge's endpoint ``u``, so no decision depends on summation
+    order.  Members are walked per center in ascending
     order, each reading the values and parents the earlier walks left.
     """
-    slot = hopset.slot()
-    for values, parents in zip(virt, vpar):
-        for y in np.flatnonzero(values < INF).tolist():
-            x = int(parents[y])
-            edge = int(slot[x, y]) if x >= 0 else -1
-            if edge < 0:
+    u, v = hopset.u.tolist(), hopset.v.tolist()
+    edge_at = {**dict(zip(zip(u, v), range(len(u)))),
+               **dict(zip(zip(v, u), range(len(u))))}
+    # a walk starts only at a hopset-edge parent, and only a walk moves
+    # a parent: a row with none at the start is left as it is
+    is_edge = np.zeros(hopset.dist.shape, dtype=bool)
+    is_edge[hopset.u, hopset.v] = is_edge[hopset.v, hopset.u] = True
+    crossing = is_edge[vpar, np.arange(vpar.shape[1])] & (vpar >= 0)
+    for c in np.flatnonzero(crossing.any(axis=1)).tolist():
+        values, parents = virt[c].tolist(), vpar[c].tolist()
+        for y in [y for y, b in enumerate(values) if b < INF]:
+            x = parents[y]
+            edge = edge_at.get((x, y))
+            if edge is None:
                 continue  # (x, y) is a plain G' edge; Remark 1 covers it
             path = hopset.path(edge)
-            prefix = hopset.prefix_distances(edge)
+            prefix = hopset.dist[path[0], path].tolist()
             if path[0] != x:
                 path.reverse()
                 prefix = [prefix[-1] - d for d in reversed(prefix)]
             bx = values[x]
             for idx in range(1, len(path)):
-                v = path[idx]
+                w = path[idx]
                 candidate = bx + prefix[idx]
-                if candidate < values[v]:
-                    values[v] = candidate
-                    parents[v] = path[idx - 1]
+                if candidate < values[w]:
+                    values[w] = candidate
+                    parents[w] = path[idx - 1]
             if parents[y] == x:
                 parents[y] = path[-2]
+        virt[c], vpar[c] = values, parents
 
 
 def _build_large_level(graph: WeightedGraph, level: int,

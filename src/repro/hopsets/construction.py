@@ -58,13 +58,8 @@ class HopsetBuildReport:
     hopset: Hopset
     augmented: np.ndarray
     levels: int
-    hierarchy_sizes: List[int]
     rounds: int
     eps: float
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.hopset)
 
 
 def sample_hierarchy(vertices: Sequence[int], levels: int,
@@ -122,8 +117,7 @@ def build_hopset(weights: np.ndarray, eps: float,
         none = np.empty(0, dtype=np.int64)
         return HopsetBuildReport(
             hopset=Hopset(dist, pred, none, none, np.empty(0)),
-            augmented=weights.copy(), levels=0, hierarchy_sizes=[m],
-            rounds=0, eps=eps)
+            augmented=weights.copy(), levels=0, rounds=0, eps=eps)
 
     levels = max(2, math.ceil(1.0 / rho))
     hierarchy = sample_hierarchy(range(m), levels, rng)
@@ -165,6 +159,4 @@ def build_hopset(weights: np.ndarray, eps: float,
     augmented[hopset.v, hopset.u] = hopset.weight
     hopset.beta_measured = measure_hopbound(dist, augmented, eps)
     return HopsetBuildReport(hopset=hopset, augmented=augmented,
-                             levels=levels,
-                             hierarchy_sizes=[len(s) for s in hierarchy],
-                             rounds=rounds, eps=eps)
+                             levels=levels, rounds=rounds, eps=eps)

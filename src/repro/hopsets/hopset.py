@@ -97,7 +97,9 @@ class Hopset:
 
     Edge ``e`` joins ``u[e]`` and ``v[e]`` with ``weight[e] = dist[u[e],
     v[e]]``; ``u[e]`` is the endpoint whose row found it, and its path
-    is that row's predecessor walk.  Columns are sorted by the edge's
+    is that row's predecessor walk, :meth:`path`, along which the
+    Property-1 prefix sums are ``dist[u[e], path]``.  Columns are
+    sorted by the edge's
     sorted endpoints.  ``dist`` and ``pred`` are ``G'``'s
     :func:`shortest_paths`; ``beta_measured`` is the hopbound the build
     measured on the instance.
@@ -121,21 +123,3 @@ class Hopset:
             x = int(self.pred[source, x])
             walk.append(x)
         return walk[::-1]
-
-    def prefix_distances(self, e: int) -> List[float]:
-        """``d_P(u[e], ·)`` along :meth:`path` — the Property-1
-        knowledge of the path's vertices."""
-        return self.dist[self.u[e], self.path(e)].tolist()
-
-    def slot(self) -> np.ndarray:
-        """``m × m`` edge ids: ``e`` at ``(u[e], v[e])`` and ``(v[e],
-        u[e])``, ``-1`` where no hopset edge lies."""
-        slot = np.full(self.dist.shape, -1, dtype=np.int64)
-        ids = np.arange(len(self))
-        slot[self.u, self.v] = ids
-        slot[self.v, self.u] = ids
-        return slot
-
-    def __repr__(self) -> str:
-        return (f"Hopset(edges={len(self)}, "
-                f"beta_measured={self.beta_measured})")

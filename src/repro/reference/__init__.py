@@ -9,9 +9,8 @@ objects that the compiled replay is held to, the dict-based Bellman–Ford
 explorations the CSR kernels are held to, the BFS flood the BFS kernel
 is held to and the gossip flood the Lemma-1 charge is checked against,
 the per-source detection sweep and per-vertex extension loops the
-detection's matrices are held to, the dict virtual plane (``G'``, the
-hopset, β, Phase 1 and the set-rooted Bellman–Ford) its ``V' × V'``
-matrices are held to, and the dict-of-deques
+detection's matrices are held to, the dict virtual plane its ``V' ×
+V'`` matrices are held to (:mod:`.virtual`), and the dict-of-deques
 CONGEST engine :class:`Simulator` that ``FastSimulator`` is held to.
 """
 
@@ -28,15 +27,6 @@ from .exploration import (
 )
 from .routing_scheme import ReferenceRouter, VertexLabel, VertexTable
 from .simulator import Simulator
-from .virtual import (
-    VirtualGraph,
-    build_hopset_reference,
-    measure_hopbound_reference,
-    set_rooted_bellman_ford_reference,
-    virtual_dijkstra_reference,
-    virtual_exploration_reference,
-    virtual_graph_reference,
-)
 from .tree_routing import (
     DistTreeLabel,
     DistTreeTable,
@@ -59,21 +49,14 @@ __all__ = [
     "Simulator",
     "VertexLabel",
     "VertexTable",
-    "VirtualGraph",
     "broadcast_extension_reference",
     "build_distributed_tree_routing_reference",
     "build_forest_routing_reference",
-    "build_hopset_reference",
     "detect_sources_reference",
-    "measure_hopbound_reference",
     "multi_source_exploration_reference",
     "nearest_source_exploration_reference",
-    "set_rooted_bellman_ford_reference",
     "simulate_bfs_tree",
     "simulate_flood_rounds",
     "spt_extension_reference",
     "trees_as_columns",
-    "virtual_dijkstra_reference",
-    "virtual_exploration_reference",
-    "virtual_graph_reference",
 ]

@@ -1,15 +1,13 @@
-"""Dict-based oracles for the virtual plane (Section 3.3).
+"""Dict-based oracles for the virtual plane (Section 3.3): the object
+model the ``V' × V'`` matrices of :mod:`repro.hopsets` replaced, held to
+them by ``tests/hopsets/test_virtual_plane_equivalence.py``.
 
-The original object model of ``G'`` and ``G''``, kept as the semantic
-reference the V' × V' matrices are held to
-(``tests/hopsets/test_virtual_plane_equivalence.py``): a dict
-:class:`VirtualGraph` built by a loop over the detection's ``V'``
-columns, the Thorup–Zwick hopset from one Dijkstra with parents per
-virtual vertex, the hopbound measured by synchronized Bellman–Ford
-from every vertex, Phase 1 as a per-vertex exploration loop over
-``G''`` whose frontier is kept in first-touch order, and the
-approximate SPT's set-rooted Bellman–Ford.  Vertices keep their
-original names here; a hopset edge is ``(u, v, weight, path)`` with
+``G'`` is an adjacency-dict :class:`VirtualGraph` built by a loop over
+the detection's ``V'`` columns; the hopset comes from one dict Dijkstra
+with parents per vertex; β from synchronized Bellman–Ford from every
+vertex; Phase 1 and the approximate SPT's set-rooted Bellman–Ford are
+per-vertex loops whose frontier is kept in first-touch order.  Vertices
+keep their original names; a hopset edge is ``(u, v, weight, path)``,
 ``path`` running from ``u``, the endpoint whose Dijkstra found it.
 """
 
@@ -17,8 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
-import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ..congest.messages import DEFAULT_CAPACITY_WORDS
 from ..congest.metrics import pipelined_rounds
@@ -26,23 +23,18 @@ from ..exceptions import HopsetError
 from ..graphs.shortest_paths import INF
 from ..hopsets.construction import sample_hierarchy
 
-#: One hopset edge: (u, v, weight, path from u to v).
-DictHopsetEdge = Tuple[int, int, float, Tuple[int, ...]]
-
 
 class VirtualGraph:
-    """A weighted graph on a subset of ``G``'s vertices, as adjacency
-    dicts in insertion order; vertices keep their original names."""
+    """A weighted graph on named vertices, as adjacency dicts in
+    insertion order (an existing edge is overwritten in place)."""
 
     def __init__(self, vertices: Sequence[int]) -> None:
-        self._vertices: List[int] = sorted(set(vertices))
+        self._vertices = sorted(set(vertices))
         self._adj: Dict[int, Dict[int, float]] = {
             v: {} for v in self._vertices}
 
     def add_edge(self, u: int, v: int, weight: float) -> None:
-        """Insert (or overwrite in place) the virtual edge ``{u, v}``."""
-        self._adj[u][v] = weight
-        self._adj[v][u] = weight
+        self._adj[u][v] = self._adj[v][u] = weight
 
     def copy(self) -> "VirtualGraph":
         other = VirtualGraph(self._vertices)
@@ -52,9 +44,6 @@ class VirtualGraph:
 
     def vertices(self) -> List[int]:
         return list(self._vertices)
-
-    def weight(self, u: int, v: int) -> float:
-        return self._adj[u][v]
 
     def neighbor_weights(self, u: int):
         return iter(self._adj[u].items())
@@ -67,8 +56,8 @@ class VirtualGraph:
 
 
 def virtual_graph_reference(detection) -> VirtualGraph:
-    """``G'`` from a detection: the edge ``{u, v}``, ``u < v``, weighs
-    the cell ``dist[row(v), u]``, added in ascending ``(u, v)``."""
+    """``G'``: the edge ``{u, v}``, ``u < v``, weighs the cell
+    ``dist[row(v), u]``; edges are added in ascending ``(u, v)``."""
     sources = detection.sources
     virt = VirtualGraph(sources)
     between = detection.dist[:, sources].T.tolist()
@@ -79,15 +68,13 @@ def virtual_graph_reference(detection) -> VirtualGraph:
     return virt
 
 
-def virtual_dijkstra_reference(virtual: VirtualGraph, source: int
-                               ) -> Tuple[Dict[int, float],
-                                          Dict[int, Optional[int]]]:
-    """Dijkstra over the virtual graph: distances and parents (a
-    parent changes only on a strict improvement)."""
-    dist: Dict[int, float] = {v: INF for v in virtual.vertices()}
-    parent: Dict[int, Optional[int]] = {v: None for v in virtual.vertices()}
+def virtual_dijkstra_reference(virtual: VirtualGraph, source: int):
+    """Dijkstra over the virtual graph: ``(dist, parent)`` dicts, a
+    parent changing only on a strict improvement."""
+    dist = {v: INF for v in virtual.vertices()}
+    parent = {v: None for v in virtual.vertices()}
     dist[source] = 0.0
-    heap: List[Tuple[float, int]] = [(0.0, source)]
+    heap = [(0.0, source)]
     done = set()
     while heap:
         d, u = heapq.heappop(heap)
@@ -95,27 +82,14 @@ def virtual_dijkstra_reference(virtual: VirtualGraph, source: int
             continue
         done.add(u)
         for v, w in virtual.neighbor_weights(u):
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                heapq.heappush(heap, (nd, v))
+            if d + w < dist[v]:
+                dist[v], parent[v] = d + w, u
+                heapq.heappush(heap, (d + w, v))
     return dist, parent
 
 
-def _extract_path(parent: Dict[int, Optional[int]], source: int,
-                  target: int) -> Tuple[int, ...]:
-    path = [target]
-    while path[-1] != source:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return tuple(path)
-
-
 def build_hopset_reference(virtual: VirtualGraph, eps: float, rho: float,
-                           rng: random.Random, height: int
-                           ) -> Tuple[Dict[Tuple[int, int], DictHopsetEdge],
-                                      VirtualGraph, int, int]:
+                           rng, height: int):
     """The Thorup–Zwick hopset by one dict Dijkstra per vertex.
 
     Returns ``(edges, augmented, rounds, beta)``: the edges keyed by
@@ -125,46 +99,34 @@ def build_hopset_reference(virtual: VirtualGraph, eps: float, rho: float,
     charge and the measured hopbound.
     """
     vertices = virtual.vertices()
-    m = len(vertices)
-    if m <= 1:
+    if len(vertices) <= 1:
         return {}, virtual.copy(), 0, 1
     levels = max(2, math.ceil(1.0 / rho))
     hierarchy = sample_hierarchy(vertices, levels, rng)
-    level_of: Dict[int, int] = {}
-    for i, level_set in enumerate(hierarchy):
-        for v in level_set:
-            level_of[v] = i
-    edges: Dict[Tuple[int, int], DictHopsetEdge] = {}
-
-    def add(u: int, v: int, weight: float, path: Tuple[int, ...]) -> None:
-        key = (min(u, v), max(u, v))
-        existing = edges.get(key)
-        if existing is not None and existing[2] <= weight:
-            return
-        edges.pop(key, None)
-        edges[key] = (u, v, weight, path)
-
+    level_of = {v: i for i, level in enumerate(hierarchy) for v in level}
+    edges: Dict = {}
     words = 0
     for u in vertices:
         i = level_of[u]
         dist, parent = virtual_dijkstra_reference(virtual, u)
-        next_level = hierarchy[i + 1] if i + 1 < levels else []
-        if next_level:
-            pivot = min(next_level, key=lambda x: (dist[x], x))
+        pivot, pivot_dist = None, INF
+        if i + 1 < levels and hierarchy[i + 1]:
+            pivot = min(hierarchy[i + 1], key=lambda x: (dist[x], x))
             pivot_dist = dist[pivot]
-        else:
-            pivot, pivot_dist = None, INF
-        for v in vertices:
-            if v == u or level_of[v] < i:
-                continue
-            if dist[v] < pivot_dist and dist[v] < INF:
-                path = _extract_path(parent, u, v)
-                add(u, v, dist[v], path)
-                words += len(path)
+        found = [v for v in vertices if v != u and level_of[v] >= i
+                 and dist[v] < pivot_dist and dist[v] < INF]
         if pivot is not None and pivot_dist < INF:
-            path = _extract_path(parent, u, pivot)
-            add(u, pivot, pivot_dist, path)
+            found.append(pivot)
+        for v in found:
+            path = [v]
+            while path[-1] != u:
+                path.append(parent[path[-1]])
             words += len(path)
+            key = (min(u, v), max(u, v))
+            if key in edges and edges[key][2] <= dist[v]:
+                continue
+            edges.pop(key, None)
+            edges[key] = (u, v, dist[v], tuple(reversed(path)))
     rounds = levels * pipelined_rounds(2 * words, DEFAULT_CAPACITY_WORDS,
                                        height)
     augmented = virtual.copy()
@@ -181,24 +143,18 @@ def measure_hopbound_reference(base: VirtualGraph, augmented: VirtualGraph,
     vertices = base.vertices()
     if len(vertices) <= 1:
         return 1
-    targets = {}
-    for u in vertices:
-        exact = virtual_dijkstra_reference(base, u)[0]
-        targets[u] = {v: (1.0 + eps) * d for v, d in exact.items()
-                      if v != u and d < INF}
-    current: Dict[int, Dict[int, float]] = {u: {u: 0.0} for u in vertices}
+    targets = {u: {v: (1.0 + eps) * d for v, d in
+                   virtual_dijkstra_reference(base, u)[0].items()
+                   if v != u and d < INF} for u in vertices}
+    current = {u: {u: 0.0} for u in vertices}
     for beta in range(1, len(vertices) + 1):
-        for u in vertices:
-            cur = current[u]
+        for cur in current.values():
             updates: Dict[int, float] = {}
             for x, dx in list(cur.items()):
                 for y, w in augmented.neighbor_weights(x):
-                    nd = dx + w
-                    if nd < cur.get(y, INF) and nd < updates.get(y, INF):
-                        updates[y] = nd
-            for y, nd in updates.items():
-                if nd < cur.get(y, INF):
-                    cur[y] = nd
+                    if dx + w < min(cur.get(y, INF), updates.get(y, INF)):
+                        updates[y] = dx + w
+            cur.update(updates)
         if all(current[u].get(v, INF) <= t + 1e-9
                for u in vertices for v, t in targets[u].items()):
             return beta
@@ -208,23 +164,17 @@ def measure_hopbound_reference(base: VirtualGraph, augmented: VirtualGraph,
 
 def virtual_exploration_reference(virtual: VirtualGraph,
                                   sources: Sequence[int], iterations: int,
-                                  threshold: Dict[int, float], height: int
-                                  ) -> Tuple[Dict[int, Dict[int, float]],
-                                             Dict[int, Dict[int,
-                                                            Optional[int]]],
-                                             int]:
-    """Phase 1 as a per-vertex loop: returns ``(dist, parent, rounds)``,
+                                  threshold: Dict[int, float], height: int):
+    """Phase 1 as a per-vertex loop: ``(dist, parent, rounds)`` with
     ``dist[v][s]`` the estimate of ``v`` for source ``s``.  A vertex
-    stores an improving winner only below ``threshold[v]``; every
+    keeps an improving winner only below ``threshold[v]``; every
     iteration's fresh estimates cost a Lemma-1 exchange of 3 words
     each."""
-    dist: Dict[int, Dict[int, float]] = {v: {} for v in virtual.vertices()}
-    parent: Dict[int, Dict[int, Optional[int]]] = {
-        v: {} for v in virtual.vertices()}
+    dist = {v: {} for v in virtual.vertices()}
+    parent = {v: {} for v in virtual.vertices()}
     frontier: Dict[int, List[int]] = {}
     for s in sources:
-        dist[s][s] = 0.0
-        parent[s][s] = None
+        dist[s][s], parent[s][s] = 0.0, None
         frontier.setdefault(s, []).append(s)
     rounds = 0
     for _ in range(iterations):
@@ -233,18 +183,17 @@ def virtual_exploration_reference(virtual: VirtualGraph,
         rounds += 2 * pipelined_rounds(
             3 * sum(map(len, frontier.values())), DEFAULT_CAPACITY_WORDS,
             height)
-        updates: Dict[int, Dict[int, Tuple[float, int]]] = {}
+        updates: Dict[int, Dict] = {}
         for u, updated_sources in frontier.items():
             for v, weight in virtual.neighbor_weights(u):
                 bucket = updates.setdefault(v, {})
                 for s in updated_sources:
                     nd = dist[u][s] + weight
-                    best = bucket.get(s)
-                    if best is None or nd < best[0]:
+                    if s not in bucket or nd < bucket[s][0]:
                         bucket[s] = (nd, u)
         frontier = {}
         for v, bucket in updates.items():
-            changed = [s for s, (nd, via) in bucket.items()
+            changed = [s for s, (nd, _) in bucket.items()
                        if nd < dist[v].get(s, INF) and nd < threshold[v]]
             for s in changed:
                 dist[v][s], parent[v][s] = bucket[s]
@@ -255,18 +204,14 @@ def virtual_exploration_reference(virtual: VirtualGraph,
 
 def set_rooted_bellman_ford_reference(virtual: VirtualGraph,
                                       roots: Sequence[int], iterations: int,
-                                      height: int
-                                      ) -> Tuple[Dict[int, float],
-                                                 Dict[int, Optional[int]],
-                                                 int]:
-    """Bellman–Ford over ``G''`` with every root at distance 0: returns
-    ``(dist, witness, rounds)``; 3 broadcast words per fresh update."""
-    dist: Dict[int, float] = {v: INF for v in virtual.vertices()}
-    witness: Dict[int, Optional[int]] = {v: None for v in virtual.vertices()}
-    frontier = list(roots)
+                                      height: int):
+    """Bellman–Ford over ``G''`` with every root at distance 0:
+    ``(dist, witness, rounds)``, 3 broadcast words per fresh update."""
+    dist = {v: INF for v in virtual.vertices()}
+    witness = {v: None for v in virtual.vertices()}
     for r in roots:
-        dist[r] = 0.0
-        witness[r] = r
+        dist[r], witness[r] = 0.0, r
+    frontier = list(roots)
     rounds = 0
     for _ in range(iterations):
         if not frontier:
@@ -277,12 +222,10 @@ def set_rooted_bellman_ford_reference(virtual: VirtualGraph,
         for u in frontier:
             for v, w in virtual.neighbor_weights(u):
                 nd = dist[u] + w
-                best = updates.get(v)
-                if nd < dist[v] and (best is None or nd < best[0]):
+                if nd < dist[v] and (v not in updates
+                                     or nd < updates[v][0]):
                     updates[v] = (nd, witness[u])
-        frontier = []
-        for v, (nd, z) in updates.items():
-            if nd < dist[v]:
-                dist[v], witness[v] = nd, z
-                frontier.append(v)
+        frontier = [v for v, (nd, _) in updates.items() if nd < dist[v]]
+        for v in frontier:
+            dist[v], witness[v] = updates[v]
     return dist, witness, rounds

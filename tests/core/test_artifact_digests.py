@@ -198,13 +198,15 @@ def test_build_and_compile_construct_no_per_vertex_objects(monkeypatch):
 
 def test_production_never_imports_the_reference_oracle():
     """The serving and control-plane entry points, a k = 2 and a k = 3
-    build (the latter reaches the middle level), both compiles and
-    ``route_many`` — in a fresh interpreter, so nothing this test
-    session imported counts — load no ``repro.reference`` module."""
+    build (the latter reaches the middle level), a k = 4 build (the
+    approximate SPT's virtual plane) and a cut-regime build (β = 2, so
+    Phase 1.5 walks hopset paths), both compiles and ``route_many`` —
+    in a fresh interpreter, so nothing this test session imported
+    counts — load no ``repro.reference`` module."""
     script = textwrap.dedent("""
         import sys
         import repro.cli, repro.dynamic, repro.server, repro.serving
-        from repro.graphs import grid
+        from repro.graphs import grid, path
         from repro.pipeline import SchemePipeline
 
         pipeline = (SchemePipeline().graph(grid(5, 5, seed=1))
@@ -217,6 +219,8 @@ def test_production_never_imports_the_reference_oracle():
         # odd k: the middle level runs the join-ruled detection
         (SchemePipeline().graph(grid(5, 5, seed=1)).params(3).seed(3)
          .build())
+        SchemePipeline().workload("random", 200).params(4).seed(1).build()
+        SchemePipeline().graph(path(1000, seed=1)).params(2).seed(1).build()
         print(sorted(name for name in sys.modules
                      if name.split(".")[:2] == ["repro", "reference"]))
     """)

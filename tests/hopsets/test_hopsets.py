@@ -85,13 +85,9 @@ class TestHopsetColumns:
         assert hopset.path(1) == [3, 4, 0]
 
     def test_prefix_distances(self):
-        assert self._hopset().prefix_distances(0) == [0.0, 2.0, 4.0]
-
-    def test_slot_is_symmetric(self):
-        slot = self._hopset().slot()
-        assert slot[0, 2] == slot[2, 0] == 0
-        assert slot[3, 0] == slot[0, 3] == 1
-        assert (slot >= 0).sum() == 4
+        hopset = self._hopset()
+        assert hopset.dist[0, hopset.path(0)].tolist() == [0.0, 2.0, 4.0]
+        assert hopset.dist[3, hopset.path(1)].tolist() == [0.0, 2.0, 4.0]
 
 
 class TestSampleHierarchy:
@@ -138,7 +134,8 @@ class TestConstruction:
         assert augmented[hopset.u, hopset.v].tolist() == \
             hopset.weight.tolist()
         assert (augmented == augmented.T).all()
-        untouched = hopset.slot() < 0
+        untouched = np.ones(virt.shape, dtype=bool)
+        untouched[hopset.u, hopset.v] = untouched[hopset.v, hopset.u] = False
         assert (augmented[untouched] == virt[untouched]).all()
 
     def test_size_reasonable(self):

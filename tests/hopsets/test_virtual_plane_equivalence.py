@@ -30,7 +30,7 @@ from repro.congest import virtual_exploration
 from repro.core import approx_clusters
 from repro.graphs import INF, path, weighted_small_world
 from repro.pipeline import WORKLOADS, SchemePipeline
-from repro.reference import (
+from repro.reference.virtual import (
     build_hopset_reference,
     set_rooted_bellman_ford_reference,
     virtual_dijkstra_reference,
