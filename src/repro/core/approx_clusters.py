@@ -289,12 +289,11 @@ def _build_middle_level(graph: WeightedGraph, level: int,
 # ----------------------------------------------------------------------
 @dataclass
 class _LargeScalePreprocessing:
-    """Shared state of Section 3.3.1: the detection, ``G'`` and ``G''``
-    as ``V' × V'`` weight matrices (``V'`` is the detection's sources,
-    so a ``V'`` index is a detection row), the hopset and β."""
+    """Shared state of Section 3.3.1: the detection, ``G''`` as a ``V' ×
+    V'`` weight matrix (``V'`` is the detection's sources, so a ``V'``
+    index is a detection row), the hopset over ``G'`` and β."""
 
     detection: SourceDetectionResult
-    weights: np.ndarray
     augmented: np.ndarray
     hopset: Hopset
     beta: int
@@ -317,7 +316,7 @@ def _preprocess_large_scales(graph: WeightedGraph, params: SchemeParams,
                                  bfs_tree=bfs_tree)
     ledger.add("large/preprocess-hopset", hopset_report.rounds,
                seconds=time.perf_counter() - started)
-    return _LargeScalePreprocessing(detection=detection, weights=weights,
+    return _LargeScalePreprocessing(detection=detection,
                                     augmented=hopset_report.augmented,
                                     hopset=hopset_report.hopset,
                                     beta=hopset_report.hopset.beta_measured)

@@ -59,7 +59,6 @@ class HopsetBuildReport:
     augmented: np.ndarray
     levels: int
     rounds: int
-    eps: float
 
 
 def sample_hierarchy(vertices: Sequence[int], levels: int,
@@ -117,7 +116,7 @@ def build_hopset(weights: np.ndarray, eps: float,
         none = np.empty(0, dtype=np.int64)
         return HopsetBuildReport(
             hopset=Hopset(dist, pred, none, none, np.empty(0)),
-            augmented=weights.copy(), levels=0, rounds=0, eps=eps)
+            augmented=weights.copy(), levels=0, rounds=0)
 
     levels = max(2, math.ceil(1.0 / rho))
     hierarchy = sample_hierarchy(range(m), levels, rng)
@@ -159,4 +158,4 @@ def build_hopset(weights: np.ndarray, eps: float,
     augmented[hopset.v, hopset.u] = hopset.weight
     hopset.beta_measured = measure_hopbound(dist, augmented, eps)
     return HopsetBuildReport(hopset=hopset, augmented=augmented,
-                             levels=levels, rounds=rounds, eps=eps)
+                             levels=levels, rounds=rounds)
