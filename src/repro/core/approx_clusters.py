@@ -377,6 +377,7 @@ def _walk_hopset_paths(virt: np.ndarray, vpar: np.ndarray,
     is_edge = np.zeros(hopset.dist.shape, dtype=bool)
     is_edge[hopset.u, hopset.v] = is_edge[hopset.v, hopset.u] = True
     crossing = is_edge[vpar, np.arange(vpar.shape[1])] & (vpar >= 0)
+    walks = {}
     for c in np.flatnonzero(crossing.any(axis=1)).tolist():
         values, parents = virt[c].tolist(), vpar[c].tolist()
         for y in [y for y, b in enumerate(values) if b < INF]:
@@ -384,10 +385,12 @@ def _walk_hopset_paths(virt: np.ndarray, vpar: np.ndarray,
             edge = edge_at.get((x, y))
             if edge is None:
                 continue  # (x, y) is a plain G' edge; Remark 1 covers it
-            path = hopset.path(edge)
-            prefix = hopset.dist[path[0], path].tolist()
+            if edge not in walks:     # an edge serves both its rows
+                path = hopset.path(edge)
+                walks[edge] = path, hopset.dist[path[0], path].tolist()
+            path, prefix = walks[edge]
             if path[0] != x:
-                path.reverse()
+                path = path[::-1]
                 prefix = [prefix[-1] - d for d in reversed(prefix)]
             bx = values[x]
             for idx in range(1, len(path)):
