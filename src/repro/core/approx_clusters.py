@@ -369,21 +369,19 @@ def _walk_hopset_paths(virt: np.ndarray, vpar: np.ndarray,
     order.  Members are walked per center in ascending
     order, each reading the values and parents the earlier walks left.
     """
-    u, v = hopset.u.tolist(), hopset.v.tolist()
-    edge_at = {**dict(zip(zip(u, v), range(len(u)))),
-               **dict(zip(zip(v, u), range(len(u))))}
+    edge_id = np.full(hopset.dist.shape, -1, dtype=np.int64)
+    edge_id[hopset.u, hopset.v] = edge_id[hopset.v, hopset.u] = \
+        np.arange(len(hopset))
     # a walk starts only at a hopset-edge parent, and only a walk moves
     # a parent: a row with none at the start is left as it is
-    is_edge = np.zeros(hopset.dist.shape, dtype=bool)
-    is_edge[hopset.u, hopset.v] = is_edge[hopset.v, hopset.u] = True
-    crossing = is_edge[vpar, np.arange(vpar.shape[1])] & (vpar >= 0)
+    crossing = (edge_id[vpar, np.arange(vpar.shape[1])] >= 0) & (vpar >= 0)
     walks = {}
     for c in np.flatnonzero(crossing.any(axis=1)).tolist():
         values, parents = virt[c].tolist(), vpar[c].tolist()
         for y in [y for y, b in enumerate(values) if b < INF]:
             x = parents[y]
-            edge = edge_at.get((x, y))
-            if edge is None:
+            edge = int(edge_id[x, y]) if x >= 0 else -1
+            if edge < 0:
                 continue  # (x, y) is a plain G' edge; Remark 1 covers it
             if edge not in walks:     # an edge serves both its rows
                 path = hopset.path(edge)

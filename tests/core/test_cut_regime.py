@@ -11,8 +11,14 @@ asserts that it is in that regime — some detection cell unreached and
 drift back to β = 1; then Claim 7, value accuracy (17) on every cell,
 and route and estimate stretch over sampled pairs (all pairs costs
 1.75 s of estimates and 17 s of routes per 0.5 M pairs at n = 1 000).
-Last, the dense plane's SHA-256 is pinned per case: the bounds alone
-pass a Phase-1 parent that moves on a tie, the bytes do not.
+The same build's virtual plane is held to its dict oracle
+(``check_virtual_plane`` of
+``tests/hopsets/test_virtual_plane_equivalence.py``).  Last, the
+dense plane's SHA-256 is pinned per case: the bounds alone pass a
+Phase-1 parent that moves on a tie, the bytes do not.  These are paths
+and rings, where the next hop toward either of two tied virtual parents
+is the same neighbour, so the pins cannot show a tie moving a real
+parent; the oracle check bounds where parents may differ.
 
 ``FORMERLY_FAILING`` raised :class:`SchemeError` (Claim 7, "vertex …
 has parent -1") before Phase 1.5 gave a vertex reached across a hopset
@@ -28,6 +34,10 @@ import pytest
 from repro.core import approx_clusters
 from repro.graphs import INF, path, weighted_small_world
 from repro.pipeline import SchemePipeline
+from tests.hopsets.test_virtual_plane_equivalence import (
+    capture_virtual_plane,
+    check_virtual_plane,
+)
 
 CASES = ([("path", n, k, s) for n in (1000, 2000) for k in (2, 4)
           for s in range(4)]
@@ -123,7 +133,10 @@ def test_cut_regime_builds_within_bounds(monkeypatch, tmp_path, family, n, k,
     graph = (path(n, seed=seed) if family == "path"
              else weighted_small_world(n, chords=0, seed=seed))
     pipeline = SchemePipeline().graph(graph).params(k).seed(seed)
-    report = pipeline.build()
+    with capture_virtual_plane() as capture:
+        report = pipeline.build()
+    assert capture.phase1 and bool(capture.spt) == (k >= 4)
+    check_virtual_plane(capture)
     params = report.params
     eps = params.eps
 

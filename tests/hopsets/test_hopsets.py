@@ -19,6 +19,7 @@ from repro.hopsets import (
     verify_hopset_property,
     verify_path_reporting,
 )
+from repro.hopsets import construction
 
 
 def ring_virtual(m, weight=1.0):
@@ -137,6 +138,28 @@ class TestConstruction:
         untouched = np.ones(virt.shape, dtype=bool)
         untouched[hopset.u, hopset.v] = untouched[hopset.v, hopset.u] = False
         assert (augmented[untouched] == virt[untouched]).all()
+
+    def test_duplicate_keeps_lighter_then_first_found(self, monkeypatch):
+        # path 0-1-2-3: the left-fold sums give d(0, 3) = (0.1 + 0.2) +
+        # 0.3 = 0.6000000000000001 but d(3, 0) = (0.3 + 0.2) + 0.1 = 0.6
+        virt = np.full((4, 4), INF)
+        for u, w in enumerate((0.1, 0.2, 0.3)):
+            virt[u, u + 1] = virt[u + 1, u] = w
+        # one level: every vertex's bunch is every other vertex, so
+        # each pair is found from both endpoints
+        monkeypatch.setattr(construction, "sample_hierarchy",
+                            lambda vertices, levels, rng:
+                            [sorted(vertices), []])
+        report = build_hopset(virt, eps=0.3)
+        hopset = report.hopset
+        assert hopset.dist[0, 3] == 0.6000000000000001
+        assert hopset.dist[3, 0] == 0.6
+        edges = {(min(u, v), max(u, v)): (u, w) for u, v, w in zip(
+            hopset.u.tolist(), hopset.v.tolist(), hopset.weight.tolist())}
+        assert len(hopset) == len(edges) == 6
+        assert edges[(0, 3)] == (3, 0.6)          # the lighter
+        assert edges[(0, 1)] == (0, 0.1)          # a tie: found first
+        assert report.augmented[0, 3] == report.augmented[3, 0] == 0.6
 
     def test_size_reasonable(self):
         virt = ring_virtual(40)
