@@ -24,6 +24,9 @@ True
 
 __version__ = "1.0.0"
 
+import sys
+from importlib import import_module
+
 from .exceptions import (
     ArtifactError,
     CapacityError,
@@ -38,16 +41,6 @@ from .exceptions import (
     SchemeError,
     ServingError,
     SimulationError,
-)
-from .graphs import (
-    WeightedGraph,
-    grid,
-    random_connected,
-    random_geometric,
-    random_tree,
-    ring_of_cliques,
-    star_of_paths,
-    weighted_small_world,
 )
 
 __all__ = [
@@ -66,7 +59,7 @@ __all__ = [
     "SchemeError",
     "ServingError",
     "SimulationError",
-    # graphs
+    # graphs, populated lazily below
     "WeightedGraph",
     "grid",
     "random_connected",
@@ -75,7 +68,7 @@ __all__ = [
     "ring_of_cliques",
     "star_of_paths",
     "weighted_small_world",
-    # populated lazily below
+    # the construction, artifacts and serving, also lazy
     "build_routing_scheme",
     "RoutingScheme",
     "SchemePipeline",
@@ -91,26 +84,39 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    """Lazy re-exports of the heavyweight public API.
+#: Lazily re-exported name -> the module defining it (PEP 562): keeps
+#: ``import repro`` cheap, and a serving process that imports
+#: ``repro.core.compiled`` or ``repro.server`` never loads the graph
+#: generators or the construction.
+_LAZY = {
+    **dict.fromkeys(("WeightedGraph", "grid", "random_connected",
+                     "random_geometric", "random_tree", "ring_of_cliques",
+                     "star_of_paths", "weighted_small_world"), "graphs"),
+    **dict.fromkeys(("build_routing_scheme", "RoutingScheme",
+                     "DenseRoutingPlane"), "core"),
+    **dict.fromkeys(("SchemePipeline", "BuildReport"), "pipeline"),
+    **dict.fromkeys(("CompiledScheme", "CompiledEstimation",
+                     "load_artifact"), "core.compiled"),
+    "RouterPool": "serving",
+    **dict.fromkeys(("RequestBroker", "TrafficServer", "TrafficClient"),
+                    "server"),
+}
 
-    Keeps ``import repro`` cheap while still offering
-    ``repro.build_routing_scheme`` etc. at the top level.
-    """
-    if name in ("build_routing_scheme", "RoutingScheme",
-                "DenseRoutingPlane"):
-        from . import core as _core
-        return getattr(_core, name)
-    if name in ("SchemePipeline", "BuildReport"):
-        from . import pipeline as _pl
-        return getattr(_pl, name)
-    if name in ("CompiledScheme", "CompiledEstimation", "load_artifact"):
-        from .core import compiled as _cp
-        return getattr(_cp, name)
-    if name == "RouterPool":
-        from .serving import RouterPool
-        return RouterPool
-    if name in ("RequestBroker", "TrafficServer", "TrafficClient"):
-        from . import server as _srv
-        return getattr(_srv, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+
+def _lazy(package, exports):
+    """A PEP 562 module ``__getattr__`` for ``package`` that imports
+    the submodule ``exports`` names for an attribute on first access
+    and caches the value on the package."""
+    def __getattr__(name):
+        try:
+            module = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}") from None
+        value = getattr(import_module(f".{module}", package), name)
+        setattr(sys.modules[package], name, value)
+        return value
+    return __getattr__
+
+
+__getattr__ = _lazy(__name__, _LAZY)

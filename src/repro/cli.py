@@ -44,17 +44,13 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .exceptions import ParameterError, ReproError
-from .analysis import (
-    GraphScale,
-    evaluate_estimation,
-    evaluate_routing,
-    generate_table1,
-    model_table,
-)
 from .core.compiled import CompiledScheme, load_artifact
 from .core.dense import DenseRoutingPlane
-from .pipeline import WORKLOADS, SchemePipeline
-from .serving import RouterPool
+from .graphs.generators import WORKLOADS, make_workload
+
+# The construction (``pipeline``), the evaluation (``analysis``) and the
+# process pool (``serving``) are imported by the subcommands that use
+# them: ``serve`` and ``query`` never load the construction.
 
 #: Number of random demo pairs ``query`` serves when given none.
 _QUERY_DEMO_PAIRS = 5
@@ -62,6 +58,7 @@ _QUERY_DEMO_PAIRS = 5
 
 def _pipeline(args: argparse.Namespace) -> SchemePipeline:
     """The shared staged configuration every build command uses."""
+    from .pipeline import SchemePipeline
     return (SchemePipeline()
             .workload(args.graph, args.n)
             .params(args.k)
@@ -94,6 +91,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         print("\nper-phase round breakdown:")
         print(built.scheme.ledger.format_table())
     if args.evaluate:
+        from .analysis import evaluate_routing
         stretch = evaluate_routing(graph, built.scheme,
                                    sample=args.evaluate,
                                    seed=args.seed)
@@ -157,6 +155,7 @@ def _serve_pairs(artifact, routing: bool, pairs, args
                  ) -> Tuple[List, str]:
     """Answer the batch in-process or through a sharded pool."""
     if args.workers:
+        from .serving import RouterPool
         with RouterPool(artifact, workers=args.workers) as pool:
             results = (pool.route_many(pairs) if routing
                        else pool.estimate_many(pairs))
@@ -428,7 +427,7 @@ def cmd_route(args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    from .pipeline import make_workload
+    from .analysis import generate_table1
     instance = make_workload(args.graph, args.n, args.seed)
     print(instance.describe())
     result = generate_table1(instance.graph, k=args.k, seed=args.seed,
@@ -458,6 +457,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         print(f"  dist({u},{v}) ~ {q.estimate:.0f} "
               f"(exact {exact:.0f}, ratio {ratio:.2f}, "
               f"{q.iterations} iterations)")
+    from .analysis import evaluate_estimation
     report = evaluate_estimation(graph, est, sample=300,
                                  seed=args.seed)
     print(report)
@@ -476,6 +476,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         raise ParameterError(f"--n must be >= 2, got {args.n}")
     if args.k < 1:
         raise ParameterError(f"--k must be >= 1, got {args.k}")
+    from .analysis import GraphScale, model_table
     scale = GraphScale(n=args.n, m=args.m or 4 * args.n,
                        hop_diameter=args.d,
                        shortest_path_diameter=args.s or args.d)

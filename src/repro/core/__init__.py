@@ -2,76 +2,45 @@
 the compact routing scheme (Section 4), distance estimation (Section 5)
 and distributed tree routing (Section 6)."""
 
-from .params import SchemeParams
-from .sampling import LevelHierarchy, hierarchy_from_levels, sample_levels
-from .clusters import (
-    ExactCluster,
-    ExactClusterSystem,
-    ExactPivots,
-    compute_exact_clusters,
-    compute_exact_pivots,
-    grow_exact_cluster,
-)
-from .approx_clusters import (
-    ApproxCluster,
-    ApproxClusterSystem,
-    ApproxPivots,
-    build_approx_clusters,
-)
-from .tree_routing import (
-    ForestRoutingReport,
-    build_forest_routing,
-    sample_splitters,
-)
-from .routing_scheme import RoutingScheme
-from .distance_estimation import DistanceEstimation, estimation_from_clusters
-from .compiled import (
-    CompiledEstimation,
-    CompiledRoute,
-    CompiledScheme,
-    QueryResult,
-    load_artifact,
-)
-from .dense import DenseRoutingPlane
-from .handshake import HandshakeRouteResult, HandshakeRouter
-from .scheme_builder import (
-    ConstructionReport,
-    build_routing_scheme,
-    run_construction,
-    sample_pairs,
-)
+from .. import _lazy
 
-__all__ = [
-    "SchemeParams",
-    "LevelHierarchy",
-    "hierarchy_from_levels",
-    "sample_levels",
-    "ExactCluster",
-    "ExactClusterSystem",
-    "ExactPivots",
-    "compute_exact_clusters",
-    "compute_exact_pivots",
-    "grow_exact_cluster",
-    "ApproxCluster",
-    "ApproxClusterSystem",
-    "ApproxPivots",
-    "build_approx_clusters",
-    "ForestRoutingReport",
-    "build_forest_routing",
-    "sample_splitters",
-    "RoutingScheme",
-    "build_routing_scheme",
-    "DistanceEstimation",
-    "QueryResult",
-    "estimation_from_clusters",
-    "CompiledEstimation",
-    "CompiledRoute",
-    "CompiledScheme",
-    "DenseRoutingPlane",
-    "load_artifact",
-    "HandshakeRouteResult",
-    "HandshakeRouter",
-    "ConstructionReport",
-    "run_construction",
-    "sample_pairs",
-]
+#: Public name -> the submodule defining it.  Resolved on first access
+#: (PEP 562), so importing one serving module — ``core.compiled``,
+#: ``core.dense`` — does not load the construction behind it.
+_EXPORTS = {
+    "SchemeParams": "params",
+    "LevelHierarchy": "sampling",
+    "hierarchy_from_levels": "sampling",
+    "sample_levels": "sampling",
+    "ExactCluster": "clusters",
+    "ExactClusterSystem": "clusters",
+    "ExactPivots": "clusters",
+    "compute_exact_clusters": "clusters",
+    "compute_exact_pivots": "clusters",
+    "grow_exact_cluster": "clusters",
+    "ApproxCluster": "approx_clusters",
+    "ApproxClusterSystem": "approx_clusters",
+    "ApproxPivots": "approx_clusters",
+    "build_approx_clusters": "approx_clusters",
+    "ForestRoutingReport": "tree_routing",
+    "build_forest_routing": "tree_routing",
+    "sample_splitters": "tree_routing",
+    "RoutingScheme": "routing_scheme",
+    "DistanceEstimation": "distance_estimation",
+    "estimation_from_clusters": "distance_estimation",
+    "CompiledEstimation": "compiled",
+    "CompiledRoute": "compiled",
+    "CompiledScheme": "compiled",
+    "QueryResult": "compiled",
+    "load_artifact": "compiled",
+    "DenseRoutingPlane": "dense",
+    "HandshakeRouteResult": "handshake",
+    "HandshakeRouter": "handshake",
+    "ConstructionReport": "scheme_builder",
+    "build_routing_scheme": "scheme_builder",
+    "run_construction": "scheme_builder",
+    "sample_pairs": "scheme_builder",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy(__name__, _EXPORTS)

@@ -68,8 +68,6 @@ from ..exceptions import (
     ParameterError,
     SchemeError,
 )
-from ..graphs.csr import csr_view
-from .tree_routing import ARTIFACT_COLUMNS
 
 #: File magic for every compiled artifact ("Repro Compiled Routing
 #: Artifact"); the conventional extension is ``.cra``.
@@ -87,6 +85,19 @@ _FLOAT = "d"    # float64
 _ITEM_BYTES = 8
 _WIRE = {_INT: "<i8", _FLOAT: "<f8"}          # numpy dtype on the wire
 _DTYPES = {_INT: "int64", _FLOAT: "float64"}  # ... and in memory
+
+#: The per-slot / global-edge / label-pool columns a forest shares,
+#: name for name, with ``CompiledScheme._FIELDS`` (the construction's
+#: ``ForestColumns`` carries each under the same name).
+ARTIFACT_COLUMNS = (
+    "slot_vertex", "slot_tree", "t_parent",
+    "t_loc_entry", "t_loc_exit", "t_loc_parent", "t_loc_heavy",
+    "t_splitter", "t_gentry", "t_gexit",
+    "t_hsplit", "t_hportal", "t_hlab",
+    "l_local", "l_ge_start", "l_ge_end",
+    "ge_psplit", "ge_csplit", "ge_portal", "ge_plab",
+    "lp_entry", "lp_start", "lp_w", "lp_child",
+)
 
 
 def _last_rows(sorted_keys, queries):
@@ -106,6 +117,7 @@ def _tree_edge_weights(graph, vertex, parent):
     sorted, the slots' ``vertex * n + parent`` keys searched in them.
     A tree edge the graph lacks is a :class:`SchemeError` naming the
     first slot's."""
+    from ..graphs.csr import csr_view   # compile time only: not served
     view = csr_view(graph)
     n = graph.num_vertices
     keys = (_np.repeat(_np.arange(n, dtype=_np.int64) * n,

@@ -63,6 +63,8 @@ from ..congest.messages import DEFAULT_CAPACITY_WORDS
 from ..congest.metrics import CostLedger, pipelined_rounds
 from ..dataclass import dataclass
 from ..exceptions import SchemeError
+from .compiled import ARTIFACT_COLUMNS  # re-exported
+
 
 def default_splitter_probability(n: int) -> float:
     """``γ/n`` with ``γ = sqrt(n)`` (single-tree setting of Theorem 7)."""
@@ -73,19 +75,6 @@ def sample_splitters(num_vertices: int, probability: float,
                      rng: random.Random) -> Set[int]:
     """The global splitter sample ``U`` shared by all trees (Remark 3)."""
     return {v for v in range(num_vertices) if rng.random() < probability}
-
-
-#: The per-slot / global-edge / label-pool columns a forest shares,
-#: name for name, with ``CompiledScheme._FIELDS``.
-ARTIFACT_COLUMNS = (
-    "slot_vertex", "slot_tree", "t_parent",
-    "t_loc_entry", "t_loc_exit", "t_loc_parent", "t_loc_heavy",
-    "t_splitter", "t_gentry", "t_gexit",
-    "t_hsplit", "t_hportal", "t_hlab",
-    "l_local", "l_ge_start", "l_ge_end",
-    "ge_psplit", "ge_csplit", "ge_portal", "ge_plab",
-    "lp_entry", "lp_start", "lp_w", "lp_child",
-)
 
 
 class ForestColumns:

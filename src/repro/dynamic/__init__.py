@@ -19,24 +19,23 @@ See ``dynamic/README.md`` for the soundness arguments and the
 end-to-end flow.
 """
 
-from .feed import Change, ChangeBatch, TopologyFeed, graph_fingerprint
-from .incremental import (
-    STRATEGIES,
-    BuildEntry,
-    IncrementalBuilder,
-    RebuildReport,
-)
-from .registry import ArtifactRegistry, GenerationRecord
+from .. import _lazy
 
-__all__ = [
-    "ArtifactRegistry",
-    "BuildEntry",
-    "Change",
-    "ChangeBatch",
-    "GenerationRecord",
-    "IncrementalBuilder",
-    "RebuildReport",
-    "STRATEGIES",
-    "TopologyFeed",
-    "graph_fingerprint",
-]
+#: Public name -> the submodule defining it, resolved on first access
+#: (PEP 562): a serving process that only loads from the registry never
+#: imports the builder, and with it the construction.
+_EXPORTS = {
+    "ArtifactRegistry": "registry",
+    "BuildEntry": "incremental",
+    "Change": "feed",
+    "ChangeBatch": "feed",
+    "GenerationRecord": "registry",
+    "IncrementalBuilder": "incremental",
+    "RebuildReport": "incremental",
+    "STRATEGIES": "incremental",
+    "TopologyFeed": "feed",
+    "graph_fingerprint": "feed",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy(__name__, _EXPORTS)

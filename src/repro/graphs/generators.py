@@ -18,14 +18,19 @@ large.  The generators here cover the regimes the evaluation needs:
 Every generator takes an explicit ``random.Random`` (or a seed) so runs are
 reproducible, and returns a connected :class:`WeightedGraph` with integer
 weights in ``[1, max_weight]``.
+
+:data:`WORKLOADS` names the sized families the CLI, the pipeline and the
+benchmarks build (``make_workload``); it lives here, not beside the
+construction, so the CLI can list the names without importing it.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from ..dataclass import dataclass
 from ..exceptions import ParameterError
 from .weighted_graph import WeightedGraph
 
@@ -326,3 +331,54 @@ SMALL_INSTANCES = {
     "caterpillar_tree": lambda: caterpillar_tree(6, 3, seed=10),
     "barbell": lambda: barbell(6, 5, seed=11),
 }
+
+
+#: Workload name -> factory(n, seed).  ``grid``/``cliques``/``star``
+#: round ``n`` to their natural shapes; the actual size is reported via
+#: :class:`WorkloadInstance`.
+WORKLOADS: Dict[str, Callable[[int, int], WeightedGraph]] = {
+    "random": lambda n, seed: random_connected(n, min(1.0, 6.0 / n),
+                                               seed=seed),
+    "geometric": lambda n, seed: random_geometric(n, seed=seed),
+    "grid": lambda n, seed: grid(max(2, int(n ** 0.5)),
+                                 max(2, int(n ** 0.5)), seed=seed),
+    "cliques": lambda n, seed: ring_of_cliques(max(2, n // 8), 8,
+                                               seed=seed),
+    "star": lambda n, seed: star_of_paths(max(2, n // 10), 10,
+                                          seed=seed),
+    "smallworld": lambda n, seed: weighted_small_world(n, seed=seed),
+}
+
+
+@dataclass(frozen=True)
+class WorkloadInstance:
+    """A generated workload plus the request it (approximately) honours."""
+
+    name: str
+    requested_n: int
+    seed: int
+    graph: WeightedGraph
+
+    @property
+    def num_vertices(self) -> int:
+        """The *actual* vertex count (may differ from ``requested_n``)."""
+        return self.graph.num_vertices
+
+    def describe(self) -> str:
+        line = (f"workload={self.name} n={self.num_vertices} "
+                f"m={self.graph.num_edges}")
+        if self.num_vertices != self.requested_n:
+            line += f" (requested n={self.requested_n})"
+        return line
+
+
+def make_workload(name: str, n: int, seed: int = 0) -> WorkloadInstance:
+    """Instantiate a named workload, noting requested vs actual size."""
+    try:
+        factory = WORKLOADS[name]
+    except KeyError:
+        raise ParameterError(
+            f"unknown workload {name!r}; choose from "
+            f"{sorted(WORKLOADS)}") from None
+    return WorkloadInstance(name=name, requested_n=n, seed=seed,
+                            graph=factory(n, seed))

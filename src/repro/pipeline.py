@@ -19,7 +19,8 @@ Stages may be chained in any order before ``build()``; ``params()`` is
 the only mandatory one.  ``build()`` is cached — ``compile()`` and
 ``compile_estimation()`` trigger it on demand.
 
-Workload factories live here too (moved from the CLI), wrapped in
+The named workloads (``WORKLOADS``, ``make_workload``) are re-exported
+from :mod:`repro.graphs.generators`, wrapped in
 :class:`WorkloadInstance` so every report carries the *actual* vertex
 count — ``grid``, ``cliques`` and ``star`` round the requested ``n`` to
 their natural shapes, and that rounding used to be silent.
@@ -28,7 +29,7 @@ their natural shapes, and that rounding used to be silent.
 from __future__ import annotations
 
 from dataclasses import field
-from typing import Callable, Dict, Optional
+from typing import Optional
 
 from .core.approx_clusters import build_approx_clusters
 from .core.compiled import CompiledEstimation, CompiledScheme
@@ -40,65 +41,12 @@ from .core.routing_scheme import RoutingScheme
 from .core.scheme_builder import ConstructionReport, run_construction
 from .dataclass import dataclass
 from .exceptions import ParameterError
-from .graphs.weighted_graph import WeightedGraph
-from .graphs import (
-    grid,
-    random_connected,
-    random_geometric,
-    ring_of_cliques,
-    star_of_paths,
-    weighted_small_world,
+from .graphs.generators import (   # re-exported: the workload ladder
+    WORKLOADS,
+    WorkloadInstance,
+    make_workload,
 )
-
-#: Workload name -> factory(n, seed).  ``grid``/``cliques``/``star``
-#: round ``n`` to their natural shapes; the actual size is reported via
-#: :class:`WorkloadInstance`.
-WORKLOADS: Dict[str, Callable[[int, int], WeightedGraph]] = {
-    "random": lambda n, seed: random_connected(n, min(1.0, 6.0 / n),
-                                               seed=seed),
-    "geometric": lambda n, seed: random_geometric(n, seed=seed),
-    "grid": lambda n, seed: grid(max(2, int(n ** 0.5)),
-                                 max(2, int(n ** 0.5)), seed=seed),
-    "cliques": lambda n, seed: ring_of_cliques(max(2, n // 8), 8,
-                                               seed=seed),
-    "star": lambda n, seed: star_of_paths(max(2, n // 10), 10,
-                                          seed=seed),
-    "smallworld": lambda n, seed: weighted_small_world(n, seed=seed),
-}
-
-
-@dataclass(frozen=True)
-class WorkloadInstance:
-    """A generated workload plus the request it (approximately) honours."""
-
-    name: str
-    requested_n: int
-    seed: int
-    graph: WeightedGraph
-
-    @property
-    def num_vertices(self) -> int:
-        """The *actual* vertex count (may differ from ``requested_n``)."""
-        return self.graph.num_vertices
-
-    def describe(self) -> str:
-        line = (f"workload={self.name} n={self.num_vertices} "
-                f"m={self.graph.num_edges}")
-        if self.num_vertices != self.requested_n:
-            line += f" (requested n={self.requested_n})"
-        return line
-
-
-def make_workload(name: str, n: int, seed: int = 0) -> WorkloadInstance:
-    """Instantiate a named workload, noting requested vs actual size."""
-    try:
-        factory = WORKLOADS[name]
-    except KeyError:
-        raise ParameterError(
-            f"unknown workload {name!r}; choose from "
-            f"{sorted(WORKLOADS)}") from None
-    return WorkloadInstance(name=name, requested_n=n, seed=seed,
-                            graph=factory(n, seed))
+from .graphs.weighted_graph import WeightedGraph
 
 
 @dataclass

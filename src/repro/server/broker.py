@@ -656,11 +656,10 @@ def pooled_broker(router=None, estimator=None, *, workers: int = 0,
     the pools, so one :class:`~repro.telemetry.MetricsRegistry` holds
     the whole serve path — this is what ``--metrics-port`` exposes.
     """
-    from ..serving import RouterPool
-
     own = []
     try:
         if workers:
+            from ..serving import RouterPool
             if router is not None:
                 router = RouterPool(router, workers=workers,
                                     registry=registry)

@@ -39,6 +39,7 @@ import json
 import random
 import sys
 import time
+from bisect import bisect_left
 from dataclasses import field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -63,11 +64,32 @@ REPEATED_POOL = 32
 # ----------------------------------------------------------------------
 # Pair mixes
 # ----------------------------------------------------------------------
+def _draw_bits(n: int) -> int:
+    """Bits per ``getrandbits`` call of a draw below ``n``.
+
+    The mixes inline the rejection loop ``random.Random.randrange(n)``
+    runs (``getrandbits(n.bit_length())`` until below ``n``): the same
+    values from the same stream, without randrange's two Python frames
+    per draw.  ``n < 1`` fails here, where randrange would raise."""
+    if n < 1:
+        raise ParameterError(f"a pair mix needs n >= 1, got {n}")
+    return n.bit_length()
+
+
 def mix_uniform(n: int, rng: random.Random
                 ) -> Callable[[], Tuple[int, int]]:
     """Sources and targets uniform over ``[0, n)``."""
+    bits = _draw_bits(n)
+    getrandbits = rng.getrandbits
+
     def draw() -> Tuple[int, int]:
-        return rng.randrange(n), rng.randrange(n)
+        u = getrandbits(bits)
+        while u >= n:
+            u = getrandbits(bits)
+        v = getrandbits(bits)
+        while v >= n:
+            v = getrandbits(bits)
+        return u, v
     return draw
 
 
@@ -76,6 +98,8 @@ def mix_hotspot(n: int, rng: random.Random
     """Zipf-distributed sources (rank ``r`` with weight ``1/r^s``) over
     a seeded vertex permutation, uniform targets — per-user burst
     traffic where a few sources dominate."""
+    bits = _draw_bits(n)
+    getrandbits, uniform = rng.getrandbits, rng.random
     ranks = list(range(n))
     rng.shuffle(ranks)
     weights = [1.0 / (r + 1) ** HOTSPOT_EXPONENT for r in range(n)]
@@ -86,16 +110,13 @@ def mix_hotspot(n: int, rng: random.Random
         cum.append(acc)
 
     def draw() -> Tuple[int, int]:
-        x = rng.random() * acc
-        # binary search over the cumulative weights
-        lo, hi = 0, n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cum[mid] < x:
-                lo = mid + 1
-            else:
-                hi = mid
-        return ranks[lo], rng.randrange(n)
+        # the first rank whose cumulative weight reaches x; the last
+        # rank if rounding leaves x above them all
+        source = ranks[bisect_left(cum, uniform() * acc, 0, n - 1)]
+        v = getrandbits(bits)
+        while v >= n:
+            v = getrandbits(bits)
+        return source, v
     return draw
 
 

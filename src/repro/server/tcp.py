@@ -46,7 +46,6 @@ from typing import Dict, List, Optional
 
 from ..exceptions import ParameterError, ProtocolError, ReproError, \
     ServingError
-from ..telemetry.http import MetricsHTTPServer
 from ..telemetry.trace import NOOP_SPAN, get_tracer
 from . import protocol
 from .broker import RequestBroker
@@ -189,6 +188,7 @@ class TrafficServer:
                 self._handle_connection, host=self._host,
                 port=self._port)
         if self._metrics_port is not None:
+            from ..telemetry.http import MetricsHTTPServer
             self._metrics_server = await MetricsHTTPServer(
                 self.registry,
                 host=self._host if self._unix_path is None

@@ -8,6 +8,7 @@ latencies, and reports carry the JSON schema CI asserts on.
 """
 
 import asyncio
+import random
 
 import pytest
 
@@ -16,9 +17,12 @@ from server_helpers import run
 from repro.exceptions import ParameterError
 from repro.server import RequestBroker, TrafficServer
 from repro.server.loadgen import (
+    HOTSPOT_EXPONENT,
     PAIR_MIXES,
     broker_targets,
     make_mix,
+    mix_hotspot,
+    mix_uniform,
     run_closed_loop,
     run_open_loop,
     tcp_targets,
@@ -44,6 +48,60 @@ def test_mixes_are_seeded_and_in_range(mix, compiled):
     assert all(0 <= u < n and 0 <= v < n for u, v in draws_a)
     c = make_mix(mix, n, seed=8)
     assert [c() for _ in range(200)] != draws_a
+
+
+def _randrange_uniform(n, rng):
+    """The uniform mix as ``randrange`` draws: the oracle for the
+    inlined rejection loop."""
+    def draw():
+        return rng.randrange(n), rng.randrange(n)
+    return draw
+
+
+def _search_hotspot(n, rng):
+    """The hotspot mix with a hand-written binary search and
+    ``randrange`` targets: the oracle for ``bisect`` and the inlined
+    loop."""
+    ranks = list(range(n))
+    rng.shuffle(ranks)
+    cum = []
+    acc = 0.0
+    for r in range(n):
+        acc += 1.0 / (r + 1) ** HOTSPOT_EXPONENT
+        cum.append(acc)
+
+    def draw():
+        x = rng.random() * acc
+        lo, hi = 0, n - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if cum[mid] < x:
+                lo = mid + 1
+            else:
+                hi = mid
+        return ranks[lo], rng.randrange(n)
+    return draw
+
+
+@pytest.mark.parametrize("mix, oracle", [(mix_uniform, _randrange_uniform),
+                                         (mix_hotspot, _search_hotspot)])
+@pytest.mark.parametrize("n", [1, 2, 3, 200, 256, 1000, 4097])
+def test_mix_draws_equal_randrange_draws(mix, oracle, n):
+    """Same seed, same pairs, and the stream left in the same state:
+    at powers of two and one past, where the rejection loop's bit
+    count changes."""
+    for seed in range(5):
+        fast, slow = random.Random(seed), random.Random(seed)
+        draw, expected = mix(n, fast), oracle(n, slow)
+        assert [draw() for _ in range(3000)] \
+            == [expected() for _ in range(3000)], seed
+        assert fast.getstate() == slow.getstate(), seed
+
+
+@pytest.mark.parametrize("mix", sorted(PAIR_MIXES))
+def test_mix_over_no_vertices_raises(mix):
+    with pytest.raises((ParameterError, ValueError)):
+        make_mix(mix, 0, seed=1)
 
 
 def test_hotspot_mix_skews_sources(compiled):
