@@ -31,6 +31,17 @@ Responses:
   ``ERR`` with id ``-`` and then the connection closes; every decodable
   frame keeps the connection alive.
 
+The route lane's codec does a constant number of C-level calls per
+frame plus one formatted field per pair.  :func:`decode_request` checks
+an ``R``/``E`` frame's whole endpoint field with one regular expression
+and parses it with one ``map(int, ...)`` pass; the per-endpoint loop
+runs only to word a refusal.  :func:`encode_route_results` reads each
+route positionally and formats it with one ``%``, joining the path from
+a ``str(v)`` table that the first encode builds — in the serving
+process, never at import, because clients and the benchmark harness
+import this module too.  :func:`decode_route_result` builds the client's
+tuple positionally.  ``server/README.md`` has the per-pair budget.
+
 The module is transport-agnostic: pure ``bytes <-> message`` codecs,
 the incremental :class:`FrameSplitter` both ends of a connection read
 through, and the one-frame stream helper ``read_frame``.
@@ -39,6 +50,7 @@ through, and the one-frame stream helper ``read_frame``.
 from __future__ import annotations
 
 import asyncio
+import re
 import struct
 from typing import List, Optional, Sequence, Tuple
 
@@ -199,6 +211,11 @@ class FrameSplitter:
 # ----------------------------------------------------------------------
 # Request / response payloads
 # ----------------------------------------------------------------------
+#: An ``R``/``E`` frame's endpoint field: the strict integers of
+#: :func:`_strict_int`, tab-separated.
+_ENDPOINTS = re.compile(r"-?[0-9]+(?:\t-?[0-9]+)*")
+
+
 def _strict_int(text: str) -> int:
     """Parse a TSV endpoint strictly: ASCII digits, at most one
     leading ``-``.  Bare ``int()`` is far too permissive for a wire
@@ -283,6 +300,15 @@ def decode_request(payload: str,
         raise ProtocolError(
             f"request of {len(coords) // 2} pairs exceeds the "
             f"{max_pairs}-pair limit; split the batch")
+    # One C-level check of the whole endpoint field, one int() pass.
+    # int() can still refuse a checked field (past CPython's digit
+    # limit); either way the per-endpoint loop words the error.
+    if _ENDPOINTS.fullmatch(payload, len(op) + len(request_id) + 2):
+        try:
+            ints = map(int, coords)
+            return Request(op, request_id, list(zip(ints, ints)))
+        except ValueError:
+            pass
     pairs: List[Tuple[int, int]] = []
     for i in range(0, len(coords), 2):
         try:
@@ -307,27 +333,59 @@ def encode_request(op: str, request_id: str,
 
 
 # -- results -----------------------------------------------------------
+#: ``str(v)`` at index ``v``, so a reply joins a path without one
+#: ``str()`` per vertex.  Empty at import and built by the first route
+#: encoded: only a serving process holds it, never a client or the
+#: benchmark harness, which import this module too.
+_vertex_names: List[str] = []
+
+#: ``tuple.__new__``: a :class:`CompiledRoute` from its six fields
+#: without the generated ``__new__``'s Python frame.
+_new_tuple = tuple.__new__
+
+
+def _names_through(top: int) -> List[str]:
+    """A name table that covers vertex id ``top``, at least doubled.
+    It is a new list bound in one step, so an encode on another thread
+    sees the old table or the new one, never one half grown."""
+    global _vertex_names
+    _vertex_names = list(map(str, range(
+        max(top + 1, 2 * len(_vertex_names)))))
+    return _vertex_names
+
+
+def encode_route_results(routes) -> List[str]:
+    """``weight,center,level,v0-v1-...`` per route, read positionally
+    — ``%.17g`` keeps float64 exact, so the TCP path stays
+    bit-identical to in-process serving.  Path vertices are vertex
+    ids (``>= 0``)."""
+    name = _vertex_names.__getitem__
+    fields = []
+    for _, _, path, weight, center, level in routes:
+        try:
+            joined = "-".join(map(name, path))
+        except IndexError:
+            name = _names_through(max(path)).__getitem__
+            joined = "-".join(map(name, path))
+        fields.append("%.17g,%d,%d,%s" % (
+            weight, -1 if center is None else center, level, joined))
+    return fields
+
+
 def encode_route_result(route) -> str:
-    """``weight,center,level,v0-v1-...`` — ``%.17g`` keeps float64
-    exact, so the TCP path stays bit-identical to in-process serving."""
-    center = -1 if route.tree_center is None else route.tree_center
-    path = "-".join(map(str, route.path))
-    return (f"{route.weight:.17g},{center},{route.found_level},"
-            f"{path}")
+    """One route's field of :func:`encode_route_results`."""
+    return encode_route_results((route,))[0]
 
 
 def decode_route_result(field: str, source: int,
                         target: int) -> CompiledRoute:
     try:
-        weight_s, center_s, level_s, path_s = field.split(",")
-        path = [int(v) for v in path_s.split("-")]
-        center = int(center_s)
-        return CompiledRoute(
-            source=source, target=target, path=path,
-            weight=float(weight_s),
-            tree_center=None if center < 0 else center,
-            found_level=int(level_s))
-    except (ValueError, IndexError):
+        weight, center, level, path = field.split(",")
+        center = int(center)
+        return _new_tuple(CompiledRoute, (
+            source, target, list(map(int, path.split("-"))),
+            float(weight), None if center < 0 else center, int(level)))
+    except ValueError:
         raise ProtocolError(
             f"malformed route result field {field[:64]!r}") from None
 

@@ -26,7 +26,9 @@ Error containment (pinned by ``tests/server/test_server_fuzz.py``):
   — the *server* and every other connection stay up;
 * backend errors map to ``ERR`` codes: ``parameter`` for invalid
   queries, ``serving`` for shutdown/pool death, ``internal`` for
-  anything unexpected.
+  anything unexpected;
+* an answer too large for one frame (``MAX_FRAME_BYTES``) is an
+  ``ERR protocol`` that names its size and asks for a smaller batch.
 
 Graceful shutdown: :meth:`TrafficServer.shutdown` (wired to
 SIGINT/SIGTERM by :meth:`install_signal_handlers`) stops accepting
@@ -96,8 +98,15 @@ class _Connection:
         self._out: List[bytes] = []
         self._idle: Optional[asyncio.Future] = None
 
-    def send(self, payload: str) -> None:
-        self._out.append(protocol.encode_frame(payload))
+    def send(self, request_id: str, payload: str) -> None:
+        try:
+            frame = protocol.encode_frame(payload)
+        except ProtocolError as exc:
+            # an answer too large for one frame still answers its
+            # request, or the client waits on it forever
+            frame = protocol.encode_frame(protocol.encode_error(
+                request_id, "protocol", f"reply {exc}; split the batch"))
+        self._out.append(frame)
         if len(self._out) == 1:
             # everything else answered in this pass joins the write
             self._loop.call_soon(self.flush)
@@ -345,12 +354,12 @@ class TrafficServer:
                         splitter.check_eof()
                 except FramePayloadError as exc:
                     # framing survived: answer and keep reading
-                    conn.send(protocol.encode_error(
+                    conn.send("-", protocol.encode_error(
                         "-", "protocol", str(exc)))
                     continue
                 except ProtocolError as exc:
                     # framing is gone: answer once, then hang up
-                    conn.send(protocol.encode_error(
+                    conn.send("-", protocol.encode_error(
                         "-", "protocol", str(exc)))
                     return
                 if payload is None:
@@ -410,7 +419,7 @@ class TrafficServer:
             reply = _error_frame(request_id, exc)
             span.set(error=type(exc).__name__)
         span.finish()
-        conn.send(reply)
+        conn.send(request_id, reply)
 
     def _reply(self, conn: _Connection, request_id: str, op: str, span,
                served: "asyncio.Future") -> None:
@@ -418,8 +427,7 @@ class TrafficServer:
         try:
             results = served.result()
             if op == "R":
-                fields = [protocol.encode_route_result(r)
-                          for r in results]
+                fields = protocol.encode_route_results(results)
             else:
                 fields = [f"{e:.17g}" for e in results]
             reply = protocol.encode_ok(request_id, fields)
@@ -427,8 +435,10 @@ class TrafficServer:
             reply = _error_frame(request_id, exc)
             span.set(error=type(exc).__name__)
         span.finish()
-        conn.send(reply)
-        conn.answered()
+        try:
+            conn.send(request_id, reply)
+        finally:
+            conn.answered()
 
     def _answer(self, request: Request) -> str:
         rid = request.request_id

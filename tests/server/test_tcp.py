@@ -340,3 +340,40 @@ def test_oversized_client_batch_rejected(compiled, estimation):
                 return await client.route_batch([(0, 1)] * 8)
 
     assert run(main()) == compiled.route_many([(0, 1)] * 8)
+
+
+def test_reply_over_the_frame_limit_is_answered(caplog):
+    """400 routes along ``path(1000)`` make a 1.56 MB reply, past
+    ``MAX_FRAME_BYTES``: the request gets a typed ``ERR protocol`` that
+    names the size and says to split the batch, nothing is logged, the
+    connection keeps serving and shutdown does not wait on it."""
+    from repro.graphs import path
+    from repro.pipeline import SchemePipeline
+    from repro.server import protocol
+
+    plane = SchemePipeline().graph(path(1000, seed=1)).params(2).compile()
+    far = [(0, 999)] * 400
+
+    async def main():
+        async with TrafficServer(RequestBroker(router=plane),
+                                 port=0) as server:
+            async with await TrafficClient.connect(
+                    port=server.port) as client:
+                with pytest.raises(ProtocolError) as excinfo:
+                    await asyncio.wait_for(client.route_batch(far),
+                                           timeout=5.0)
+                (conn,) = server._connections
+                assert conn.in_flight == 0
+                after = await client.route_batch(far[:200])
+            await asyncio.wait_for(server.shutdown(reason="test"),
+                                   timeout=5.0)
+        return str(excinfo.value), after
+
+    message, after = run(main())
+    size = len(protocol.encode_ok(
+        "1", protocol.encode_route_results(plane.route_many(far)))
+        .encode("utf-8"))
+    assert size > protocol.MAX_FRAME_BYTES
+    assert f"{size} bytes" in message and "split the batch" in message
+    assert after == plane.route_many(far[:200])
+    assert not [r for r in caplog.records if r.levelname == "ERROR"]
