@@ -701,11 +701,11 @@ class CompiledScheme(_CompiledArtifact):
                    ) -> List[CompiledRoute]:
         """Serve a batch of ``(source, target)`` queries.
 
-        Queries are grouped by target so each distinct target's label
-        rows are decoded once, and the whole forwarding protocol runs
-        as one loop over locally-bound flat arrays (no per-hop method
-        dispatch).  Results come back in input order and are identical
-        to per-call :meth:`route`.
+        Each distinct target's label rows are decoded once per batch,
+        and the whole forwarding protocol runs as one loop over
+        locally-bound flat arrays (no per-hop method dispatch).  Pairs
+        are served in input order, so a batch holds nothing per pair
+        but its results, which are identical to per-call :meth:`route`.
 
         With the default ``max_hops=None`` the hop budget is ``4n + 4``,
         which no correct artifact can exceed, so running out raises
@@ -754,113 +754,113 @@ class CompiledScheme(_CompiledArtifact):
                     f"routing stuck at local leaf {x} (slot {sx})")
             return h
 
-        results: List[Optional[CompiledRoute]] = [None] * len(pairs)
-        by_target: Dict[int, List[Tuple[int, int]]] = {}
-        for idx, (source, target) in enumerate(pairs):
-            by_target.setdefault(target, []).append((idx, source))
-
-        for target, queries in by_target.items():
-            base = target * k
-            rows = []
-            for i in range(k):
-                pivot = lbl_pivot[base + i]
-                sl = lbl_slot[base + i]
-                rows.append((pivot, sl,
-                             tid_of[pivot] if sl >= 0 else -1))
-            for idx, source in queries:
-                if source == target:
-                    results[idx] = CompiledRoute(
-                        source=source, target=target, path=[source],
-                        weight=0.0, tree_center=None, found_level=-1)
-                    continue
-                # --- Algorithm 1 (find-tree) --------------------------
-                st = members[source].get(target)
-                if st is not None:
-                    center = source
-                    level = -1
-                    tid = tid_of[source]
+        results: List[CompiledRoute] = []
+        label_rows: Dict[int, List[Tuple[int, int, int]]] = {}
+        for source, target in pairs:
+            if source == target:
+                results.append(CompiledRoute(
+                    source=source, target=target, path=[source],
+                    weight=0.0, tree_center=None, found_level=-1))
+                continue
+            # --- Algorithm 1 (find-tree) ------------------------------
+            st = members[source].get(target)
+            if st is not None:
+                center = source
+                level = -1
+                tid = tid_of[source]
+            else:
+                rows = label_rows.get(target)
+                if rows is None:
+                    base = target * k
+                    rows = label_rows[target] = []
+                    for i in range(k):
+                        pivot = lbl_pivot[base + i]
+                        sl = lbl_slot[base + i]
+                        rows.append((pivot, sl,
+                                     tid_of[pivot] if sl >= 0 else -1))
+                in_trees = slots[source]
+                for level, (pivot, sl, tid) in enumerate(rows):
+                    if pivot < 0 or sl < 0:
+                        continue
+                    if tid in in_trees or pivot == source:
+                        center = pivot
+                        st = sl
+                        break
                 else:
-                    in_trees = slots[source]
-                    for level, (pivot, sl, tid) in enumerate(rows):
-                        if pivot < 0 or sl < 0:
-                            continue
-                        if tid in in_trees or pivot == source:
-                            center = pivot
-                            st = sl
+                    raise SchemeError(
+                        f"find-tree failed for {source} -> "
+                        f"{target}; A_{{k-1}} cluster should "
+                        "contain every vertex")
+            # --- in-tree forwarding (Section 6), inlined --------------
+            tree_slots = slots
+            path = [source]
+            current = source
+            cs = slots[source][tid]
+            weight = 0.0
+            lg = t_gentry[st]
+            stopped = False
+            for _hop in range(hop_budget):
+                if cs == st:
+                    break
+                e = t_gentry[cs]
+                if lg == e:
+                    nxt = local_next(cs, l_local[st])
+                elif not e <= lg <= t_gexit[cs]:
+                    nxt = t_parent[cs]
+                    if nxt < 0:
+                        raise SchemeError(
+                            f"label {target} escapes tree at root "
+                            f"{current}")
+                else:
+                    w = t_splitter[cs]
+                    for j in range(l_ge_start[st], l_ge_end[st]):
+                        if ge_psplit[j] == w:
+                            if current == ge_portal[j]:
+                                nxt = ge_csplit[j]
+                            else:
+                                nxt = local_next(cs, ge_plab[j])
                             break
                     else:
-                        raise SchemeError(
-                            f"find-tree failed for {source} -> "
-                            f"{target}; A_{{k-1}} cluster should "
-                            "contain every vertex")
-                # --- in-tree forwarding (Section 6), inlined ----------
-                tree_slots = slots
-                path = [source]
-                current = source
-                cs = slots[source][tid]
-                weight = 0.0
-                lg = t_gentry[st]
-                stopped = False
-                for _hop in range(hop_budget):
-                    if cs == st:
-                        break
-                    e = t_gentry[cs]
-                    if lg == e:
-                        nxt = local_next(cs, l_local[st])
-                    elif not e <= lg <= t_gexit[cs]:
-                        nxt = t_parent[cs]
-                        if nxt < 0:
+                        hs = t_hsplit[cs]
+                        if hs < 0:
                             raise SchemeError(
-                                f"label {target} escapes tree at root "
-                                f"{current}")
-                    else:
-                        w = t_splitter[cs]
-                        for j in range(l_ge_start[st], l_ge_end[st]):
-                            if ge_psplit[j] == w:
-                                if current == ge_portal[j]:
-                                    nxt = ge_csplit[j]
-                                else:
-                                    nxt = local_next(cs, ge_plab[j])
-                                break
+                                f"vertex {current} lacks "
+                                "heavy-splitter info for label "
+                                f"{target}")
+                        if current == t_hportal[cs]:
+                            nxt = hs
                         else:
-                            hs = t_hsplit[cs]
-                            if hs < 0:
-                                raise SchemeError(
-                                    f"vertex {current} lacks "
-                                    "heavy-splitter info for label "
-                                    f"{target}")
-                            if current == t_hportal[cs]:
-                                nxt = hs
-                            else:
-                                nxt = local_next(cs, t_hlab[cs])
-                    if nxt is None:
-                        # the protocol itself stopped short — corrupt
-                        # artifact regardless of any hop budget
-                        stopped = True
-                        break
-                    sn = tree_slots[nxt][tid]
-                    if t_parent[cs] == nxt:
-                        weight += t_parent_w[cs]
-                    else:
-                        weight += t_parent_w[sn]
-                    path.append(nxt)
-                    current = nxt
-                    cs = sn
-                if current != target:
-                    if budgeted and not stopped:
-                        raise HopBudgetError(
-                            f"route {source} -> {target} exhausted the "
-                            f"max_hops={max_hops} budget at {current} "
-                            f"after {len(path) - 1} hops; retry with a "
-                            "larger budget")
-                    raise SchemeError(
-                        f"routing {source} -> {target} stopped at "
-                        f"{current}")
-                results[idx] = CompiledRoute(
-                    source=source, target=target, path=path,
-                    weight=weight, tree_center=center,
-                    found_level=level)
-        return results  # type: ignore[return-value]
+                            nxt = local_next(cs, t_hlab[cs])
+                if nxt is None:
+                    # the protocol itself stopped short — corrupt
+                    # artifact regardless of any hop budget
+                    stopped = True
+                    break
+                sn = tree_slots[nxt][tid]
+                if t_parent[cs] == nxt:
+                    weight += t_parent_w[cs]
+                else:
+                    weight += t_parent_w[sn]
+                path.append(nxt)
+                current = nxt
+                cs = sn
+            if current != target:
+                if budgeted and not stopped:
+                    raise HopBudgetError(
+                        f"route {source} -> {target} exhausted the "
+                        f"max_hops={max_hops} budget at {current} "
+                        f"after {len(path) - 1} hops; retry with a "
+                        "larger budget")
+                raise SchemeError(
+                    f"routing {source} -> {target} stopped at "
+                    f"{current}")
+            # sliced to exactly its vertices: grown hop by hop, the
+            # list keeps spare room, and a caller may hold many routes
+            results.append(CompiledRoute(
+                source=source, target=target, path=path[:],
+                weight=weight, tree_center=center,
+                found_level=level))
+        return results
 
 
 # ----------------------------------------------------------------------

@@ -382,8 +382,10 @@ def decode_route_result(field: str, source: int,
     try:
         weight, center, level, path = field.split(",")
         center = int(center)
+        # sliced to exactly its vertices: a list grown from an iterator
+        # keeps spare room, and a client may hold many routes
         return _new_tuple(CompiledRoute, (
-            source, target, list(map(int, path.split("-"))),
+            source, target, list(map(int, path.split("-")))[:],
             float(weight), None if center < 0 else center, int(level)))
     except ValueError:
         raise ProtocolError(

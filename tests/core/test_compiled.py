@@ -10,6 +10,7 @@ artifacts are rejected with :class:`ArtifactError`.
 
 import random
 import struct
+import sys
 
 import pytest
 
@@ -83,6 +84,9 @@ class TestServeEquivalence:
         pairs = _all_pairs(scheme.graph.num_vertices)
         batch = scheme.compile().route_many(pairs)
         assert batch == [reference.route(u, v) for u, v in pairs]
+        # no spare room in a path a caller may hold
+        assert all(sys.getsizeof(r.path) == sys.getsizeof(r.path[:])
+                   for r in batch)
 
     @pytest.mark.parametrize("name", CASE_IDS)
     def test_single_route_matches_batch(self, built_cases, name):

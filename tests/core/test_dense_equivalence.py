@@ -245,6 +245,20 @@ class TestHopBudget:
             r = plane.route(0, 0, max_hops=0)
             assert r.path == [0]
 
+    def test_budget_error_names_the_first_pair_in_input_order(
+            self, tiers, dense):
+        """Both planes serve a batch in input order, so the pair a
+        budget error names is the first one over it — on the flat plane
+        too, where grouping by target would reach ``1 -> n-1`` (the
+        target of the leading self routes) first."""
+        compiled, _ = tiers
+        n = compiled.num_vertices
+        assert n > 2
+        pairs = [(n - 1, n - 1)] * CUTOVER + [(0, 1), (1, n - 1)]
+        for plane in (compiled, dense):
+            with pytest.raises(HopBudgetError, match=r"^route 0 -> 1 "):
+                plane.route_many(pairs, max_hops=0)
+
     def test_budget_on_vectorized_batch(self, tiers, dense):
         """Budgets thread through the batched engine too: exact-length
         succeeds identically, one-short raises on both planes."""

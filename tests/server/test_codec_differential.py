@@ -170,6 +170,8 @@ def test_client_decode_round_trips(zoo_routes):
                                             route.target)
         assert back == route
         assert type(back) is CompiledRoute
+        # no spare room in a path a client may hold
+        assert sys.getsizeof(back.path) == sys.getsizeof(back.path[:])
         assert back == old_decode_route_result(field, route.source,
                                                route.target)
 
